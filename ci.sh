@@ -11,9 +11,15 @@ set -eux
 go vet ./...
 go build ./...
 go test ./...
+# Size ratchet (ROADMAP item 2): non-test Go lines under internal/core +
+# internal/sparse only go down; a PR that shrinks them lowers the limit.
+lines=$(cat $(ls internal/core/*.go internal/sparse/*.go | grep -v _test.go) | wc -l)
+[ "$lines" -le 6503 ]
 go test -race ./internal/parallel/ -count 1
 go test -race ./internal/core/ -run 'Parallel|Multi' -count 1
-go test -race -run Differential -count 1 .
+# TestGoldenBits rides along: result bits of every entry point, engine
+# and worker count against digests recorded before the kernel collapse.
+go test -race -run 'Differential|TestGoldenBits' -count 1 .
 # Level-blocked engine: the dedicated differential battery (serial vs
 # parallel bitwise, vs standard and ABMC-FB within tolerance, degenerate
 # level shapes) and the engine-verdict registry replay, under -race.

@@ -59,9 +59,9 @@
 // rebuild on a structure delta.
 //
 // Subpackages under internal implement the substrates: sparse formats
-// (CSR, ELLPACK, SELL-C-sigma), MatrixMarket I/O, the synthetic
+// (CSR, SELL-C-sigma, BSR), MatrixMarket I/O, the synthetic
 // evaluation-suite generators, graph coloring, reorderings (ABMC, RCM,
-// level scheduling), the worker pool, and the cache simulator used to
+// BFS levels), the worker pool, and the cache simulator used to
 // reproduce the paper's DRAM-traffic measurements.
 package fbmpk
 

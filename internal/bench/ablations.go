@@ -127,9 +127,9 @@ func AblationOrdering(w io.Writer, cfg Config) error {
 	return cfg.Emit(w, t)
 }
 
-// AblationFormats compares single-SpMV time across storage formats
-// (CSR, ELLPACK hybrid, SELL-C-sigma) — the future-work direction of
-// Section VII, quantified.
+// AblationFormats compares single-SpMV time across the storage formats
+// the execution backends offer (CSR, SELL-C-sigma, BSR) — the
+// future-work direction of Section VII, quantified.
 func AblationFormats(w io.Writer, cfg Config) error {
 	cfg = cfg.Normalize()
 	specs, err := cfg.suite()
@@ -138,24 +138,19 @@ func AblationFormats(w io.Writer, cfg Config) error {
 	}
 	t := &Table{
 		Title:  fmt.Sprintf("Ablation: SpMV time by storage format (scale=%g)", cfg.Scale),
-		Header: []string{"input", "CSR", "ELL", "SELL-8-64", "BSR-2x2", "CSC", "ELL pad", "SELL pad", "BSR fill"},
+		Header: []string{"input", "CSR", "SELL-8-64", "BSR-2x2", "SELL pad", "BSR fill"},
 	}
 	for _, s := range specs {
 		m := s.Generate(cfg.Scale, cfg.Seed)
 		x0 := detVec(m.Rows, cfg.Seed)
 		y := make([]float64, m.Rows)
-		ell := sparse.ToELL(m, 0)
 		sell := sparse.ToSELL(m, 8, 64)
 		bsr := sparse.ToBSR(m, 2, 2)
-		csc := sparse.ToCSC(m)
 		tCSR := Measure(cfg.Runs, func() { sparse.SpMV(m, x0, y) })
-		tELL := Measure(cfg.Runs, func() { ell.SpMV(x0, y) })
 		tSELL := Measure(cfg.Runs, func() { sell.SpMV(x0, y) })
 		tBSR := Measure(cfg.Runs, func() { bsr.SpMV(x0, y) })
-		tCSC := Measure(cfg.Runs, func() { csc.SpMV(x0, y) })
-		t.AddRow(s.Name, tCSR.GeoMean.String(), tELL.GeoMean.String(), tSELL.GeoMean.String(),
-			tBSR.GeoMean.String(), tCSC.GeoMean.String(),
-			f2(ell.PaddingRatio()), f2(sell.PaddingRatio()), f2(bsr.FillRatio(m.NNZ())))
+		t.AddRow(s.Name, tCSR.GeoMean.String(), tSELL.GeoMean.String(), tBSR.GeoMean.String(),
+			f2(sell.PaddingRatio()), f2(bsr.FillRatio(m.NNZ())))
 	}
 	return cfg.Emit(w, t)
 }

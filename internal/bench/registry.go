@@ -30,7 +30,7 @@ func Registry() []Experiment {
 		{"fig12", "Fig 12: thread scalability", Fig12},
 		{"abl-blocks", "Ablation: ABMC block-count sweep", AblationBlocks},
 		{"abl-order", "Ablation: natural vs RCM vs ABMC ordering", AblationOrdering},
-		{"abl-formats", "Ablation: CSR vs ELL vs SELL vs BSR vs CSC SpMV", AblationFormats},
+		{"abl-formats", "Ablation: CSR vs SELL vs BSR SpMV", AblationFormats},
 		{"abl-parallel", "Ablation: ABMC colors vs level scheduling", AblationParallelism},
 		{"abl-wavefront", "Ablation: FBMPK vs level-based (LB-MPK-style) traffic", AblationWavefront},
 		{"abl-multirhs", "Ablation: batched multi-RHS FBMPK vs m independent runs", MultiRHS},

@@ -196,7 +196,7 @@ type LevelBlockSchedule struct {
 }
 
 // TraceLevelBlockedMPK replays the skewed level-blocked MPK schedule
-// (core.levelBlockedMPK) against the level-permuted matrix a: one pass
+// (core.levelBlockedPowers) against the level-permuted matrix a: one pass
 // per block plus an epilogue pass, each pass running powers p = 1..k
 // over the block's level window shifted down by p-1 and clamped. All
 // k+1 iterate vectors are live, but each pass's working set is one

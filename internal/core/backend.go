@@ -219,8 +219,8 @@ func buildBackend(a *sparse.CSR, dec TuneDecision) execBackend {
 	}
 }
 
-// initBackend resolves the plan's execution backend from the options
-// and the execution-order matrix a: the forced formats build directly
+// initBackend resolves the plan's execution backend from the canonical
+// options and the execution-order matrix a: the forced formats build directly
 // (BSR detecting its block size from the structure when none is
 // given), BackendAuto consults an injected registry verdict or runs
 // the autotuner, and the default CSR wraps a with zero extra storage.
@@ -231,11 +231,10 @@ func (p *Plan) initBackend(opt Options, a *sparse.CSR) (execBackend, error) {
 	case BackendCSR:
 		dec = TuneDecision{Backend: BackendCSR}
 	case BackendSELL:
-		chunk, sigma := sellParams(opt.SELLChunk, opt.SELLSigma)
-		dec = TuneDecision{Backend: BackendSELL, Chunk: chunk, Sigma: sigma}
+		dec = TuneDecision{Backend: BackendSELL, Chunk: opt.SELLChunk, Sigma: opt.SELLSigma}
 	case BackendBSR:
 		blk := opt.BSRBlock
-		if blk <= 0 {
+		if blk == 0 {
 			blk = DetectBSRBlock(a)
 		}
 		dec = TuneDecision{Backend: BackendBSR, Block: blk}
@@ -256,28 +255,6 @@ func (p *Plan) initBackend(opt Options, a *sparse.CSR) (execBackend, error) {
 	p.stats.TuneTime = time.Since(start)
 	return be, nil
 }
-
-// sellParams resolves the SELL chunk/sigma knobs to their defaults.
-func sellParams(chunk, sigma int) (int, int) {
-	if chunk <= 0 {
-		chunk = DefaultSELLChunk
-	}
-	if sigma <= 0 {
-		sigma = DefaultSELLSigma
-	}
-	if sigma > 1 && sigma%chunk != 0 {
-		// ToSELL rounds sigma up to a chunk multiple; fold here so
-		// equivalent spellings share one canonical form.
-		sigma += chunk - sigma%chunk
-	}
-	return chunk, sigma
-}
-
-// CanonicalSELLParams resolves SELL chunk/sigma spellings to the
-// values NewPlan executes with (defaults applied, sigma rounded up to
-// a chunk multiple the way ToSELL does). The registry canonicalizer
-// uses it so equivalent spellings collapse to one cache key.
-func CanonicalSELLParams(chunk, sigma int) (int, int) { return sellParams(chunk, sigma) }
 
 // Backend returns the storage format the plan's full-matrix kernels
 // execute on ("csr", "sell", "bsr").

@@ -190,9 +190,9 @@ func TestSELLParamsCanonical(t *testing.T) {
 		{4, 256, 4, 256},
 	}
 	for _, tc := range cases {
-		c, s := CanonicalSELLParams(tc.c, tc.s)
-		if c != tc.wantC || s != tc.wantS {
-			t.Fatalf("CanonicalSELLParams(%d, %d) = (%d, %d), want (%d, %d)",
+		o := Options{Backend: BackendSELL, SELLChunk: tc.c, SELLSigma: tc.s}.Canonical()
+		if c, s := o.SELLChunk, o.SELLSigma; c != tc.wantC || s != tc.wantS {
+			t.Fatalf("Canonical SELL (%d, %d) = (%d, %d), want (%d, %d)",
 				tc.c, tc.s, c, s, tc.wantC, tc.wantS)
 		}
 	}

@@ -174,22 +174,6 @@ func BenchmarkSymGSSerial(b *testing.B) {
 	}
 }
 
-func BenchmarkWavefrontMPK(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a := bandedMatrix(rng, 20000, 8)
-	lp, err := BFSLevels(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x0 := sparse.Ones(a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := WavefrontMPK(a, lp, x0, 5, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPlanBuild(b *testing.B) {
 	a := coreBenchMatrix(b)
 	b.ResetTimer()

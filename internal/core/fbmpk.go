@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"time"
 
+	"fbmpk/internal/parallel"
+	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
 )
 
@@ -20,35 +23,357 @@ import (
 // Mirrored reasoning covers the backward sweep over strictly upper U.
 // Each sweep reads its triangle once but completes one iterate and
 // half of the next, so A is read about (k+1)/2 times instead of k.
-// The final sweep skips the lookahead (nothing follows it), which is
-// the "tail" of the paper's Algorithm 2.
 //
-// Two storage layouts implement the same pipeline:
+// A block of m right-hand sides rides the same pipeline with every slot
+// widened to a stripe of m contiguous components: one sweep of L/U then
+// advances all m vectors, so each matrix read serves 2*m SpMV
+// applications.
 //
-//   - separate: iterates alternate between two plain arrays (the "FB"
+// Two storage layouts implement the pipeline:
+//
+//   - separate: iterates alternate between two row-major blocks a
+//     (even) and b (odd), a[i*m+j] being vector j at row i (the "FB"
 //     variant of the Fig 10 ablation);
 //   - back-to-back (BtB, Section III-C): both live iterates interleave
-//     in one array xy with xy[2i] / xy[2i+1], so the two loads the
-//     inner loop issues per L/U entry share a cache line.
+//     in one block xy with xy[(2i+p)*m+j] (parity p), so the two loads
+//     the inner loop issues per L/U entry share a cache line.
+//
+// One driver (fbState.work) executes every combination of layout,
+// width, and worker count over a colorSchedule; the layout and width
+// only select which sweep kernel a (color, worker) range is handed to.
 
-// fbState carries the kernel buffers so plans can reuse them across
-// calls without reallocating.
-type fbState struct {
-	tmp []float64
-	xy  []float64 // BtB layout, len 2n (nil for the separate layout)
-	a   []float64 // separate layout: even iterates
-	b   []float64 // separate layout: odd iterates
+// fbCall is what one pipeline pass is asked to do.
+type fbCall struct {
+	sch     *colorSchedule
+	env     *runEnv
+	tri     *sparse.Triangular
+	xs      [][]float64
+	x0b     []float64 // start block, row-major n*m (the input itself at m = 1)
+	k       int
+	coeffs  []float64
+	cmb     []float64 // combination block, row-major n*m; nil without coeffs
+	hook    IterateFunc
+	scratch []float64 // the copy of an iterate the hook sees
 }
 
-func newFBState(n int, btb bool) *fbState {
-	s := &fbState{tmp: make([]float64, n)}
+// fbState is the pipeline state of one run: the layout buffers, pooled
+// in plan workspaces and reused without zeroing (every sweep fully
+// writes the slots it later reads, see workspace.go), plus the call in
+// flight, which lives here so the per-worker body needs no closure.
+type fbState struct {
+	m   int  // right-hand sides per stripe
+	btb bool // interleaved layout
+	tmp []float64
+	xy  []float64 // BtB block, 2*n*m
+	a   []float64 // separate layout: even iterates, n*m
+	b   []float64 // separate layout: odd iterates, n*m
+	// it[p] and stride address iterate parity p in either layout:
+	// vector j at row i is it[p][i*stride+j].
+	it     [2][]float64
+	stride int
+	pack   []float64    // backing store of x0b for m > 1
+	one    [1][]float64 // backs xs for single-vector calls
+
+	fbCall
+}
+
+// shape sizes the layout buffers for dimension n, width m, reusing
+// earlier allocations when they are large enough.
+func (s *fbState) shape(n, m int, btb bool) {
+	s.m, s.btb = m, btb
+	s.tmp = ensureLen(s.tmp, n*m)
 	if btb {
-		s.xy = make([]float64, 2*n)
+		s.xy = ensureLen(s.xy, 2*n*m)
+		s.it = [2][]float64{s.xy, s.xy[min(m, len(s.xy)):]}
+		s.stride = 2 * m
 	} else {
-		s.a = make([]float64, n)
-		s.b = make([]float64, n)
+		s.a = ensureLen(s.a, n*m)
+		s.b = ensureLen(s.b, n*m)
+		s.it = [2][]float64{s.a, s.b}
+		s.stride = m
 	}
-	return s
+	if m > 1 {
+		s.pack = ensureLen(s.pack, n*m)
+	}
+}
+
+// forward and backward hand rows [lo, hi) to the sweep kernel of the
+// state's width and layout. Each specialization is kept by a measured
+// ratio (general form / kept form, benchmark/run.sh against the PR 11
+// parent, mpk-cache then mpk-dram):
+//   - scalar m = 1 over the m-wide kernels: fb_mpk_ms 2.25x, 1.60x;
+//   - register-blocked m = 4 over the m-wide kernels: multi_mpk_ms
+//     2.39x, 2.21x;
+//   - m = 4 per layout over a strided m = 4: multi_mpk_ms 1.08x, 1.05x.
+func (s *fbState) forward(lo, hi int, last bool) {
+	switch {
+	case s.m == 1:
+		fbForward1(s.tri, s.it[0], s.it[1], s.tmp, s.stride, lo, hi, last)
+	case s.m == 4 && s.btb:
+		fbForwardBtB4(s.tri, s.xy, s.tmp, lo, hi, last)
+	case s.m == 4:
+		fbForwardSep4(s.tri, s.a, s.b, s.tmp, lo, hi, last)
+	default:
+		fbForwardM(s.tri, s.it[0], s.it[1], s.tmp, s.m, s.stride, lo, hi, last)
+	}
+}
+
+func (s *fbState) backward(lo, hi int, last bool) {
+	switch {
+	case s.m == 1:
+		fbBackward1(s.tri, s.it[0], s.it[1], s.tmp, s.stride, lo, hi, last)
+	case s.m == 4 && s.btb:
+		fbBackwardBtB4(s.tri, s.xy, s.tmp, lo, hi, last)
+	case s.m == 4:
+		fbBackwardSep4(s.tri, s.a, s.b, s.tmp, lo, hi, last)
+	default:
+		fbBackwardM(s.tri, s.it[0], s.it[1], s.tmp, s.m, s.stride, lo, hi, last)
+	}
+}
+
+// The dense steps below are O(n) beside the O(nnz) sweeps, which still
+// makes them a tenth of a call on matrices with a handful of entries per
+// row: they walk each block once, row-major, and keep a plain strided
+// loop for the single-vector case.
+
+// init loads rows [lo, hi) of the start vectors into the even iterate
+// and the packed head block, and starts the combination at c0 * x0.
+func (s *fbState) init(lo, hi int) {
+	even, m, rs := s.it[0], s.m, s.stride
+	if m == 1 {
+		x := s.xs[0]
+		for i := lo; i < hi; i++ {
+			even[i*rs] = x[i]
+		}
+	} else {
+		for j, x := range s.xs {
+			for i := lo; i < hi; i++ {
+				s.x0b[i*m+j] = x[i]
+			}
+		}
+		for i := lo; i < hi; i++ {
+			copy(even[i*rs:i*rs+m], s.x0b[i*m:i*m+m])
+		}
+	}
+	if s.cmb != nil {
+		c0 := s.coeffs[0]
+		for i := lo * m; i < hi*m; i++ {
+			s.cmb[i] = c0 * s.x0b[i]
+		}
+	}
+}
+
+// accumulate adds c times rows [lo, hi) of iterate parity p to the
+// combination block.
+func (s *fbState) accumulate(p int, c float64, lo, hi int) {
+	src, m, rs := s.it[p], s.m, s.stride
+	if m == 1 {
+		for i := lo; i < hi; i++ {
+			s.cmb[i] += c * src[i*rs]
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		ci := s.cmb[i*m : i*m+m : i*m+m]
+		si := src[i*rs : i*rs+m]
+		for j := range ci {
+			ci[j] += c * si[j]
+		}
+	}
+}
+
+// vector gathers the single vector of iterate parity p into dst.
+func (s *fbState) vector(p int, dst []float64) []float64 {
+	src, rs := s.it[p], s.stride
+	for i := range dst {
+		dst[i] = src[i*rs]
+	}
+	return dst
+}
+
+// vectors unpacks iterate parity p into m fresh vectors of length n.
+func (s *fbState) vectors(p, n int) [][]float64 {
+	src, rs := s.it[p], s.stride
+	out := make([][]float64, s.m)
+	for j := range out {
+		out[j] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		stripe := src[i*rs : i*rs+s.m]
+		for j, v := range stripe {
+			out[j][i] = v
+		}
+	}
+	return out
+}
+
+// work is the forward-backward driver: worker id's share of one k-power
+// pipeline pass over the run's schedule. Sweep t completes iterate t
+// into the slots of parity t&1 — odd t is a forward sweep over the
+// colors ascending, even t a backward sweep over them descending — with
+// one barrier per color.
+func (s *fbState) work(id int) {
+	sch, env := s.sch, s.env
+	tm := sch.team
+	clock := tm.clock(env, id)
+	dLo, dHi := sch.dense[id], sch.dense[id+1]
+	s.init(dLo, dHi)
+	tm.sync(clock, phaseHead, -1)
+	// Head: tmp = U * X0 over the nnz-balanced row partition.
+	sparse.SpMMRange(s.tri.U, s.x0b, s.tmp, s.m, sch.head[id], sch.head[id+1])
+	tm.sync(clock, phaseHead, -1)
+	skip := env.canceled() // cancellation observed: cross barriers, do no work
+
+	nc := len(sch.rows)
+	for t := 1; t <= s.k; t++ {
+		p := t & 1
+		ph := phaseBackward
+		if p == 1 {
+			ph = phaseForward
+		}
+		last := t == s.k
+		clock.beginSweep(ph)
+		for ci := 0; ci < nc; ci++ {
+			c := ci
+			if p == 0 {
+				c = nc - 1 - ci
+			}
+			if !skip {
+				lo, hi := sch.rows[c][id], sch.rows[c][id+1]
+				if p == 1 {
+					s.forward(lo, hi, last)
+				} else {
+					s.backward(lo, hi, last)
+				}
+			}
+			tm.sync(clock, ph, int32(c))
+			if !skip && env.canceled() {
+				skip = true
+			}
+		}
+		clock.endSweep(ph, int32(t))
+		if skip {
+			continue
+		}
+		if s.cmb != nil && s.coeffs[t] != 0 {
+			s.accumulate(p, s.coeffs[t], dLo, dHi)
+		}
+		// The hook observes the completed iterate on worker 0. The sweep
+		// that follows never writes the slots being read (it fills the
+		// other parity), and the other workers cannot start a second
+		// sweep before worker 0 joins their next color barrier, so no
+		// extra synchronization is needed.
+		if s.hook != nil && id == 0 {
+			s.hook(t, s.vector(p, s.scratch))
+		}
+	}
+	clock.flush()
+}
+
+// run executes one pipeline pass computing k powers of the split tri
+// applied to the m = len(xs) start vectors, on the schedule sch (which
+// must have been built for tri's structure — the plan passes its pinned
+// epoch's split, so value updates never touch a run in flight). The
+// state must be shaped for (tri.N, m). On success iterate parity k&1
+// holds A^k x_j and the returned block the combinations; hook
+// (single-vector runs only) observes a scratch copy of each completed
+// iterate.
+func (s *fbState) run(sch *colorSchedule, env *runEnv, tri *sparse.Triangular, xs [][]float64, k int, coeffs []float64, hook IterateFunc) (cmb []float64, err error) {
+	n := tri.N
+	c := fbCall{sch: sch, env: env, tri: tri, xs: xs, k: k, coeffs: coeffs, hook: hook}
+	if coeffs != nil {
+		c.cmb = make([]float64, n*s.m)
+	}
+	if n == 0 {
+		return c.cmb, nil
+	}
+	c.x0b = xs[0]
+	if s.m > 1 {
+		c.x0b = s.pack
+	}
+	if hook != nil {
+		c.scratch = make([]float64, n)
+	}
+	s.fbCall = c
+	sch.team.run(s)
+	// Drop the caller's references before the state returns to its pool.
+	s.fbCall, s.one[0] = fbCall{}, nil
+	if env.canceled() {
+		return nil, errCanceledRun
+	}
+	return c.cmb, nil
+}
+
+// checkPowers validates the arguments every MPK kernel shares.
+func checkPowers(n, xLen, k int, coeffs []float64) error {
+	if xLen != n {
+		return fmt.Errorf("core: x0 length %d != n %d: %w", xLen, n, ErrDimension)
+	}
+	if k < 1 {
+		return fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
+	}
+	if coeffs != nil && len(coeffs) != k+1 {
+		return fmt.Errorf("core: coeffs length %d != k+1 = %d: %w", len(coeffs), k+1, ErrBadCoeffs)
+	}
+	return nil
+}
+
+// checkMulti validates the common batched-call arguments and returns
+// the block width m.
+func checkMulti(n int, xs [][]float64, k int, coeffs []float64) (int, error) {
+	m := len(xs)
+	if m < 1 {
+		return 0, fmt.Errorf("core: batched MPK needs at least one vector: %w", ErrEmptyBlock)
+	}
+	for j, x := range xs {
+		if len(x) != n {
+			return 0, fmt.Errorf("core: vector %d length %d != n %d: %w", j, len(x), n, ErrDimension)
+		}
+	}
+	return m, checkPowers(n, n, k, coeffs)
+}
+
+// fbPowers is the single-vector face of the driver: A^k x0 in a fresh
+// slice, plus the combination when coeffs is non-nil.
+func fbPowers(sch *colorSchedule, st *fbState, env *runEnv, tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
+	n := tri.N
+	if err := checkPowers(n, len(x0), k, coeffs); err != nil {
+		return nil, nil, err
+	}
+	st.shape(n, 1, btb)
+	st.one[0] = x0
+	// At m = 1 the row-major combination block is the combination.
+	combo, err = st.run(sch, env, tri, st.one[:], k, coeffs, hook)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st.vector(k&1, make([]float64, n)), combo, nil
+}
+
+// fbPowersMulti is the batched face: A^k x_j for every vector in xs,
+// plus combo_j = sum coeffs[i] * A^i * x_j when coeffs is non-nil.
+func fbPowersMulti(sch *colorSchedule, st *fbState, env *runEnv, tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
+	n := tri.N
+	m, err := checkMulti(n, xs, k, coeffs)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.shape(n, m, btb)
+	cmb, err := st.run(sch, env, tri, xs, k, coeffs, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	xks = st.vectors(k&1, n)
+	if cmb != nil {
+		combos = sparse.UnpackVectors(cmb, n, m)
+	}
+	return xks, combos, nil
+}
+
+// serialSchedule is the one-color, one-inline-worker schedule of tri.
+func serialSchedule(tri *sparse.Triangular) *colorSchedule {
+	sch, _ := newColorSchedule(tri, nil, nil) // cannot fail without a pool
+	return sch
 }
 
 // FBMPKSerial runs the forward-backward MPK on a split matrix:
@@ -58,242 +383,66 @@ func newFBState(n int, btb bool) *fbState {
 // combo = sum coeffs[i] * A^i * x0 (returned second, else nil).
 // onIterate, when non-nil, observes a copy of each iterate.
 func FBMPKSerial(tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
-	return fbmpkSerial(nil, nil, tri, x0, k, btb, coeffs, onIterate)
+	return fbPowers(serialSchedule(tri), new(fbState), nil, tri, x0, k, btb, coeffs, onIterate)
 }
 
-// fbmpkSerial is FBMPKSerial with an externally supplied pipeline
-// state (nil allocates a fresh one) and run environment: env's cancel
-// flag is checked once per sweep and aborts the run with
-// errCanceledRun. Reusing st across calls is safe because every sweep
-// fully writes the slots it later reads (see workspace.go).
-func fbmpkSerial(st *fbState, env *runEnv, tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
-	n := tri.N
-	if len(x0) != n {
-		return nil, nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), n, ErrDimension)
-	}
-	if k < 1 {
-		return nil, nil, fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
-	}
-	if coeffs != nil && len(coeffs) != k+1 {
-		return nil, nil, fmt.Errorf("core: coeffs length %d != k+1 = %d: %w", len(coeffs), k+1, ErrBadCoeffs)
-	}
-	if st == nil {
-		st = newFBState(n, btb)
-	}
-	if coeffs != nil {
-		combo = make([]float64, n)
-		for i := range combo {
-			combo[i] = coeffs[0] * x0[i]
-		}
-	}
-	var scratch []float64
-	if onIterate != nil {
-		scratch = make([]float64, n)
-	}
-
-	emit := func(power int, get func(i int) float64) {
-		if combo != nil && coeffs[power] != 0 {
-			c := coeffs[power]
-			for i := 0; i < n; i++ {
-				combo[i] += c * get(i)
-			}
-		}
-		if onIterate != nil {
-			for i := 0; i < n; i++ {
-				scratch[i] = get(i)
-			}
-			onIterate(power, scratch)
-		}
-	}
-
-	clock := env.serialClock()
-	if btb {
-		xy := st.xy
-		for i := 0; i < n; i++ {
-			xy[2*i] = x0[i]
-		}
-		sparse.SpMV(tri.U, x0, st.tmp) // head
-		clock.endCompute(phaseHead, -1)
-		t := 0
-		for t < k {
-			if env.canceled() {
-				return nil, nil, errCanceledRun
-			}
-			last := t+1 == k
-			clock.beginSweep(phaseForward)
-			fbForwardBtB(tri, xy, st.tmp, last)
-			t++
-			clock.endSweepCompute(phaseForward, int32(t))
-			emit(t, func(i int) float64 { return xy[2*i+1] })
-			if t == k {
-				break
-			}
-			last = t+1 == k
-			clock.beginSweep(phaseBackward)
-			fbBackwardBtB(tri, xy, st.tmp, last)
-			t++
-			clock.endSweepCompute(phaseBackward, int32(t))
-			emit(t, func(i int) float64 { return xy[2*i] })
-		}
-		xk = make([]float64, n)
-		if k%2 == 1 {
-			for i := 0; i < n; i++ {
-				xk[i] = xy[2*i+1]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				xk[i] = xy[2*i]
-			}
-		}
-		return xk, combo, nil
-	}
-
-	copy(st.a[:n], x0)
-	sparse.SpMV(tri.U, x0, st.tmp) // head
-	clock.endCompute(phaseHead, -1)
-	t := 0
-	for t < k {
-		if env.canceled() {
-			return nil, nil, errCanceledRun
-		}
-		last := t+1 == k
-		clock.beginSweep(phaseForward)
-		fbForwardSep(tri, st.a, st.b, st.tmp, last)
-		t++
-		clock.endSweepCompute(phaseForward, int32(t))
-		emit(t, func(i int) float64 { return st.b[i] })
-		if t == k {
-			break
-		}
-		last = t+1 == k
-		clock.beginSweep(phaseBackward)
-		fbBackwardSep(tri, st.a, st.b, st.tmp, last)
-		t++
-		clock.endSweepCompute(phaseBackward, int32(t))
-		emit(t, func(i int) float64 { return st.a[i] })
-	}
-	xk = make([]float64, n)
-	if k%2 == 1 {
-		copy(xk, st.b)
-	} else {
-		copy(xk, st.a)
-	}
-	return xk, combo, nil
+// FBMPKSerialMulti runs the batched forward-backward MPK on a split
+// matrix: it computes A^k x_j for every vector in xs with one pipeline
+// pass, returning the results as fresh vectors. btb selects the
+// interleaved stripe layout. coeffs, when non-nil (length k+1), also
+// accumulates combo_j = sum coeffs[i] * A^i * x_j for every vector
+// (returned second, else nil).
+func FBMPKSerialMulti(tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
+	return fbPowersMulti(serialSchedule(tri), new(fbState), nil, tri, xs, k, btb, coeffs)
 }
 
-// fbForwardBtB is the forward sweep over L with the BtB layout
-// (Algorithm 2 lines 7-16): completes the next iterate in the odd
-// slots from the previous one in the even slots, and unless last,
-// leaves tmp = (L + D) * x_next for the backward sweep.
-func fbForwardBtB(tri *sparse.Triangular, xy, tmp []float64, last bool) {
-	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
-	d := tri.D
-	n := tri.N
-	if last {
-		for i := 0; i < n; i++ {
-			sum0 := tmp[i] + d[i]*xy[2*i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xy[2*ci[j]]
-			}
-			xy[2*i+1] = sum0
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		sum0 := tmp[i] + d[i]*xy[2*i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := 2 * ci[j]
-			sum0 += v[j] * xy[c]
-			sum1 += v[j] * xy[c+1]
-		}
-		xy[2*i+1] = sum0
-		tmp[i] = sum1 + d[i]*sum0
-	}
+// fbEngine is the forward-backward engine of a plan: the color schedule
+// over the plan's pool (or the serial one), the layout, and the
+// triangle sizes its traffic accounting needs.
+type fbEngine struct {
+	sch              *colorSchedule
+	btb              bool
+	nnzL, nnzU, nnzD uint64
 }
 
-// fbBackwardBtB is the backward sweep over U (Algorithm 2 lines
-// 19-28): completes the next iterate in the even slots from the odd
-// slots, bottom-up, and unless last leaves tmp = U * x_next.
-func fbBackwardBtB(tri *sparse.Triangular, xy, tmp []float64, last bool) {
-	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	n := tri.N
-	if last {
-		for i := n - 1; i >= 0; i-- {
-			sum0 := tmp[i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xy[2*ci[j]+1]
-			}
-			xy[2*i] = sum0
-		}
-		return
+// newFBEngine splits the execution-order matrix ea (on runner) and
+// schedules the sweeps: over ord's colors on pool, or serially.
+func newFBEngine(ea *sparse.CSR, ord *reorder.ABMCResult, btb bool, pool *parallel.Pool, runner sparse.Runner, stats *PlanStats) (*fbEngine, *sparse.Triangular, error) {
+	start := time.Now()
+	tri, err := sparse.SplitPool(ea, runner)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i := n - 1; i >= 0; i-- {
-		sum0 := tmp[i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := 2 * ci[j]
-			sum0 += v[j] * xy[c+1]
-			sum1 += v[j] * xy[c]
-		}
-		xy[2*i] = sum0
-		tmp[i] = sum1
+	stats.SplitTime = time.Since(start)
+	sch, err := newColorSchedule(tri, ord, pool)
+	if err != nil {
+		return nil, nil, err
 	}
+	e := &fbEngine{sch: sch, btb: btb, nnzL: uint64(len(tri.L.Val)), nnzU: uint64(len(tri.U.Val))}
+	// nnzD counts explicitly stored diagonal entries.
+	e.nnzD = uint64(len(ea.Val)) - e.nnzL - e.nnzU
+	return e, tri, nil
 }
 
-// fbForwardSep is the forward sweep with separate vectors: xprev holds
-// x_t, xnext receives x_{t+1}.
-func fbForwardSep(tri *sparse.Triangular, xprev, xnext, tmp []float64, last bool) {
-	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
-	d := tri.D
-	n := tri.N
-	if last {
-		for i := 0; i < n; i++ {
-			sum0 := tmp[i] + d[i]*xprev[i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xprev[ci[j]]
-			}
-			xnext[i] = sum0
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		sum0 := tmp[i] + d[i]*xprev[i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := ci[j]
-			sum0 += v[j] * xprev[c]
-			sum1 += v[j] * xnext[c]
-		}
-		xnext[i] = sum0
-		tmp[i] = sum1 + d[i]*sum0
-	}
+func (e *fbEngine) powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
+	return fbPowers(e.sch, &ws.fb, env, ep.tri, in, k, e.btb, coeffs, hook)
 }
 
-// fbBackwardSep is the backward sweep with separate vectors: xprev
-// holds x_t (the odd iterate), xnext receives x_{t+1}.
-func fbBackwardSep(tri *sparse.Triangular, xnext, xprev, tmp []float64, last bool) {
-	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	n := tri.N
-	if last {
-		for i := n - 1; i >= 0; i-- {
-			sum0 := tmp[i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xprev[ci[j]]
-			}
-			xnext[i] = sum0
-		}
-		return
-	}
-	for i := n - 1; i >= 0; i-- {
-		sum0 := tmp[i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := ci[j]
-			sum0 += v[j] * xprev[c]
-			sum1 += v[j] * xnext[c]
-		}
-		xnext[i] = sum0
-		tmp[i] = sum1
+func (e *fbEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) (xks, combos [][]float64, err error) {
+	return fbPowersMulti(e.sch, &ws.fb, env, ep.tri, in, k, e.btb, coeffs)
+}
+
+// traffic is the matrix traffic of a k-power pipeline pass: the head
+// reads U once, each of the ceil(k/2) forward sweeps reads L and D, each
+// of the floor(k/2) backward sweeps reads U — the (k+1)/2 "reads of A"
+// result of Section III-B, independent of the number of right-hand
+// sides sharing the pass.
+func (e *fbEngine) traffic(k, m int, _ bool) work {
+	fwd := uint64(k+1) / 2
+	bwd := uint64(k) / 2
+	return work{
+		sweeps: uint64(k),
+		spmvs:  uint64(k) * uint64(m),
+		nnz:    e.nnzU + fwd*(e.nnzL+e.nnzD) + bwd*e.nnzU,
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"fbmpk/internal/parallel"
 	"fbmpk/internal/reorder"
@@ -69,17 +70,14 @@ type levelSchedule struct {
 func (ls *levelSchedule) numBlocks() int { return len(ls.blockPtr) - 1 }
 
 // newLevelSchedule computes BFS levels of a and groups them into
-// blocks of at most blockBytes of matrix data (<= 0 selects
-// DefaultLevelBlockBytes). Blocks always align to level boundaries and
-// hold at least one level, so a single level larger than the budget
-// becomes its own (oversized) block.
+// blocks of at most blockBytes of matrix data (already resolved, see
+// Options.Canonical). Blocks always align to level boundaries and hold
+// at least one level, so a single level larger than the budget becomes
+// its own (oversized) block.
 func newLevelSchedule(a *sparse.CSR, blockBytes int) (*levelSchedule, error) {
 	lp, err := BFSLevels(a)
 	if err != nil {
 		return nil, err
-	}
-	if blockBytes <= 0 {
-		blockBytes = DefaultLevelBlockBytes
 	}
 	return &levelSchedule{
 		lp:       lp,
@@ -177,12 +175,15 @@ func spmvRowsCSR(a *sparse.CSR, x, y []float64, lo, hi int) {
 	}
 }
 
-// levelBlockedMPK runs the skewed block schedule serially over the
+// levelBlockedPowers runs the skewed block schedule over the
 // level-permuted matrix a. xs holds the k+1 live iterate vectors with
 // xs[0] already filled (permuted order); on return xs[k] = A^k x0 in
-// permuted order. Cancellation is polled at block-pass boundaries.
-// onIterate observes each power the pass completed, ascending.
-func levelBlockedMPK(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [][]float64, k int, onIterate IterateFunc) error {
+// permuted order. Within each (pass, power) step all rows are
+// independent, so the team's workers split the step's row range evenly
+// and barrier between steps; each row is one ordered dot product, so
+// results are bitwise identical for any worker count. onIterate
+// observes each power a pass completed, ascending, on worker 0.
+func levelBlockedPowers(tm team, env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [][]float64, k int, onIterate IterateFunc) error {
 	nl := ls.lp.NumLevels()
 	if nl == 0 {
 		// Empty matrix: every power is the empty vector.
@@ -193,54 +194,10 @@ func levelBlockedMPK(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [][]float
 		}
 		return nil
 	}
-	clock := env.serialClock()
 	nb := ls.numBlocks()
-	for b := 0; b <= nb; b++ {
-		if env.canceled() {
-			return errCanceledRun
-		}
-		bLo, bHi := ls.passBounds(b, k)
-		clock.beginSweep(phaseLevel)
-		for p := 1; p <= k; p++ {
-			lo, hi := ls.stepRange(bLo, bHi, p)
-			if lo < hi {
-				spmvRowsCSR(a, xs[p-1], xs[p], lo, hi)
-			}
-		}
-		clock.endSweepCompute(phaseLevel, int32(b))
-		if onIterate != nil {
-			pLo, pHi := hookPowers(bLo, bHi, nl, k)
-			for p := pLo; p < pHi; p++ {
-				onIterate(p, xs[p])
-			}
-		}
-	}
-	return nil
-}
-
-// levelBlockedMPKParallel is the pool-parallel form: within each
-// (pass, power) step all rows are independent, so workers split the
-// step's row range evenly and barrier between steps. The per-row
-// arithmetic is identical for any worker count (each row is one
-// ordered dot product), so results are bitwise identical to the serial
-// kernel. Cancellation is observed at step barriers: workers switch to
-// skip mode and drain the remaining barriers without computing, the
-// same protocol as the other parallel engines.
-func levelBlockedMPKParallel(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [][]float64, k int, pool *parallel.Pool, onIterate IterateFunc) error {
-	nl := ls.lp.NumLevels()
-	if nl == 0 {
-		if onIterate != nil {
-			for p := 1; p <= k; p++ {
-				onIterate(p, xs[p])
-			}
-		}
-		return nil
-	}
-	nb := ls.numBlocks()
-	w := pool.Workers()
-	bar := parallel.NewBarrier(w)
-	pool.Run(func(id int) {
-		clock := env.workerClock(id)
+	w := tm.workers()
+	tm.run(bodyFunc(func(id int) {
+		clock := tm.clock(env, id)
 		skip := false
 		for b := 0; b <= nb; b++ {
 			bLo, bHi := ls.passBounds(b, k)
@@ -257,9 +214,7 @@ func levelBlockedMPKParallel(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [
 					wHi := lo + (hi-lo)*(id+1)/w
 					spmvRowsCSR(a, xs[p-1], xs[p], wLo, wHi)
 				}
-				clock.endCompute(phaseLevel, int32(b))
-				bar.Wait()
-				clock.endWait(phaseLevel, int32(b))
+				tm.sync(clock, phaseLevel, int32(b))
 				if !skip && env.canceled() {
 					skip = true
 				}
@@ -275,15 +230,13 @@ func levelBlockedMPKParallel(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [
 							onIterate(p, xs[p])
 						}
 					}
-					clock.endCompute(phaseLevel, int32(b))
-					bar.Wait()
-					clock.endWait(phaseLevel, int32(b))
+					tm.sync(clock, phaseLevel, int32(b))
 				}
 			}
 			clock.endSweep(phaseLevel, int32(b))
 		}
 		clock.flush()
-	})
+	}))
 	if env.canceled() {
 		return errCanceledRun
 	}
@@ -328,13 +281,11 @@ func LevelBlockedMPK(a *sparse.CSR, x0 []float64, k int, blockBytes int, onItera
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("core: LevelBlockedMPK: %w", sparse.ErrNotSquare)
 	}
-	if len(x0) != a.Rows {
-		return nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), a.Rows, ErrDimension)
+	if err := checkPowers(a.Rows, len(x0), k, nil); err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
-	}
-	ls, err := newLevelSchedule(a, blockBytes)
+	opt := Options{Engine: EngineLevelBlocked, LevelBlockBytes: blockBytes}.Canonical()
+	ls, err := newLevelSchedule(a, opt.LevelBlockBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -357,10 +308,88 @@ func LevelBlockedMPK(a *sparse.CSR, x0 []float64, k int, blockBytes int, onItera
 			onIterate(power, scratch)
 		}
 	}
-	if err := levelBlockedMPK(nil, pa, ls, xs, k, hook); err != nil {
+	if err := levelBlockedPowers(team{}, nil, pa, ls, xs, k, hook); err != nil {
 		return nil, err
 	}
 	out := make([]float64, n)
 	ls.perm.UnapplyVec(xs[k], out)
 	return out, nil
+}
+
+// lbEngine is the level-blocked engine of a plan. The kernel reads the
+// epoch's raw CSR (not the backend): the skewed step ranges move every
+// pass, which the chunk/block-aligned SELL and BSR range kernels cannot
+// serve.
+type lbEngine struct {
+	team team
+	ls   *levelSchedule
+	nnzA uint64
+}
+
+// newLBEngine runs the level-blocked preprocessing on the original
+// matrix a — BFS levels, the level-contiguous permutation, the
+// cache-budget block grouping — and returns the engine with the matrix
+// in its execution order.
+func newLBEngine(a *sparse.CSR, blockBytes int, pool *parallel.Pool, runner sparse.Runner, stats *PlanStats) (*lbEngine, *sparse.CSR, error) {
+	start := time.Now()
+	ls, err := newLevelSchedule(a, blockBytes)
+	if err != nil {
+		return nil, nil, err
+	}
+	permStart := time.Now()
+	ea, err := ls.perm.ApplySymPool(a, runner)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.PermTime = time.Since(permStart)
+	stats.ReorderTime = time.Since(start)
+	stats.NumBlocks = ls.numBlocks()
+	stats.NumLevels = ls.lp.NumLevels()
+	return &lbEngine{team: newTeam(pool), ls: ls, nnzA: uint64(len(ea.Val))}, ea, nil
+}
+
+// powers runs the schedule with k+1 pooled live iterates. The returned
+// xk aliases workspace scratch — the plan unpermutes (copying) before
+// it escapes.
+func (e *lbEngine) powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
+	if err := checkPowers(len(in), len(in), k, coeffs); err != nil {
+		return nil, nil, err
+	}
+	if coeffs != nil {
+		combo, hook = comboHook(coeffs, in)
+	}
+	xs := ws.lvl(len(in), k)
+	copy(xs[0], in)
+	if err := levelBlockedPowers(e.team, env, ep.a, e.ls, xs, k, hook); err != nil {
+		return nil, nil, err
+	}
+	return xs[k], combo, nil
+}
+
+// powersMulti is one schedule pass per vector: the pipeline keeps k+1
+// iterates live per vector, so the batch runs sequentially over vectors
+// rather than widening the working set m-fold.
+func (e *lbEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) (xks, combos [][]float64, err error) {
+	xks = make([][]float64, len(in))
+	if coeffs != nil {
+		combos = make([][]float64, len(in))
+	}
+	for j, x := range in {
+		xk, combo, err := e.powers(ws, env, ep, x, k, coeffs, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		xks[j] = sparse.CopyVec(xk)
+		if coeffs != nil {
+			combos[j] = combo
+		}
+	}
+	return xks, combos, nil
+}
+
+// traffic: the kernel runs one plain SpMV per (power, vector) — 1 read
+// of A per SpMV through the cache hierarchy. Its saving is DRAM
+// residency, accounted by cachesim, not here.
+func (e *lbEngine) traffic(k, m int, _ bool) work {
+	return work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m), nnz: uint64(k) * uint64(m) * e.nnzA}
 }

@@ -313,10 +313,10 @@ func (e *runEnv) workerClock(id int) *phaseClock {
 	return c
 }
 
-// serialClock returns a tracing-only clock for a serial kernel running
+// serialClock returns a tracing-only clock for a kernel running inline
 // on the calling goroutine, or nil when no recorder is attached — so
 // the untraced serial hot path allocates nothing and never reads the
-// clock. Sweep spans land on the execution's caller lane.
+// clock. Spans land on the execution's caller lane.
 func (e *runEnv) serialClock() *phaseClock {
 	if e == nil || e.rec == nil || e.lane < 0 {
 		return nil
@@ -388,8 +388,8 @@ func (c *phaseClock) beginSweep(ph phase) {
 }
 
 // endSweep emits the sweep span using the time of the last mark as the
-// sweep end (the parallel engines mark a barrier crossing right before
-// calling it, so no extra time.Now is needed). arg is the power (or
+// sweep end (the kernels mark a compute section or barrier crossing
+// right before calling it, so no extra time.Now is needed). arg is the power (or
 // sweep index) the sweep produced.
 func (c *phaseClock) endSweep(ph phase, arg int32) {
 	if c == nil {
@@ -398,28 +398,6 @@ func (c *phaseClock) endSweep(ph phase, arg int32) {
 	if c.rec != nil {
 		c.rec.Span(c.lane, events.KindSweep, phaseNames[ph], arg, c.seq, c.sweepStart, c.t)
 	}
-	if c.region != nil {
-		c.region.End()
-		c.region = nil
-	}
-}
-
-// endSweepCompute is the serial-kernel combination of endCompute and
-// endSweep: one time.Now closes both the compute span since the last
-// mark and the sweep opened by beginSweep.
-func (c *phaseClock) endSweepCompute(ph phase, arg int32) {
-	if c == nil {
-		return
-	}
-	now := time.Now()
-	if c.met != nil {
-		c.comp[ph] += now.Sub(c.t).Nanoseconds()
-	}
-	if c.rec != nil {
-		c.rec.Span(c.lane, events.KindCompute, phaseNames[ph], -1, c.seq, c.t, now)
-		c.rec.Span(c.lane, events.KindSweep, phaseNames[ph], arg, c.seq, c.sweepStart, now)
-	}
-	c.t = now
 	if c.region != nil {
 		c.region.End()
 		c.region = nil

@@ -20,35 +20,21 @@ type IterateFunc func(power int, x []float64)
 // StandardMPK is the baseline of Algorithm 1: k back-to-back SpMV
 // invocations xi = A*x_{i-1}, reading the full matrix k times. The
 // result A^k x0 is returned in a fresh slice. onIterate, when non-nil,
-// observes every iterate including the last.
+// observes every iterate including the last. It keeps its own
+// straight-line loop: this is the oracle every differential suite and
+// the benchmark compare against, not an execution path of the engines.
 func StandardMPK(a *sparse.CSR, x0 []float64, k int, onIterate IterateFunc) ([]float64, error) {
-	return standardMPK(nil, csrBackend{a: a}, x0, k, onIterate)
-}
-
-// standardMPK is StandardMPK generalized over the execution backend,
-// with a run environment: the cancel flag is checked once per power.
-func standardMPK(env *runEnv, be execBackend, x0 []float64, k int, onIterate IterateFunc) ([]float64, error) {
-	if be.rows() != be.cols() {
+	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("core: StandardMPK: %w", sparse.ErrNotSquare)
 	}
-	if len(x0) != be.rows() {
-		return nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), be.rows(), ErrDimension)
+	if err := checkPowers(a.Rows, len(x0), k, nil); err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
-	}
-	ph := be.phase()
 	x := sparse.CopyVec(x0)
-	y := make([]float64, be.rows())
-	clock := env.serialClock()
+	y := make([]float64, a.Rows)
 	for power := 1; power <= k; power++ {
-		if env.canceled() {
-			return nil, errCanceledRun
-		}
-		clock.beginSweep(ph)
-		be.spmv(x, y)
+		sparse.SpMV(a, x, y)
 		x, y = y, x
-		clock.endSweepCompute(ph, int32(power))
 		if onIterate != nil {
 			onIterate(power, x)
 		}
@@ -61,33 +47,28 @@ func standardMPK(env *runEnv, be execBackend, x0 []float64, k int, onIterate Ite
 // barrier-synchronize between the k invocations. This mirrors the
 // paper's baseline methodology ("the same optimized SpMV kernel").
 func StandardMPKParallel(a *sparse.CSR, x0 []float64, k int, pool *parallel.Pool, onIterate IterateFunc) ([]float64, error) {
-	return standardMPKParallel(nil, csrBackend{a: a}, x0, k, pool, onIterate)
+	be := csrBackend{a: a}
+	return standardPowers(newTeam(pool), be.partition(pool.Workers()), nil, be, x0, k, onIterate)
 }
 
-// standardMPKParallel is StandardMPKParallel generalized over the
-// execution backend, with a run environment: workers poll the cancel
-// flag after each power barrier and switch to skip mode (crossing the
-// remaining barriers without computing), the same protocol as
-// FBParallel.runCapture. The backend's partition supplies worker row
-// bounds aligned to its storage granularity, so ranges write disjoint
-// y entries.
-func standardMPKParallel(env *runEnv, be execBackend, x0 []float64, k int, pool *parallel.Pool, onIterate IterateFunc) ([]float64, error) {
+// standardPowers is the standard engine's kernel, generalized over the
+// execution backend: k SpMV sweeps, each split over the team by bounds
+// (worker row bounds from be.partition, aligned to the backend's
+// storage granularity so ranges write disjoint y entries), with one
+// barrier per power. onIterate fires on worker 0 behind a second
+// barrier, so the iterate is stable while observed.
+func standardPowers(tm team, bounds []int, env *runEnv, be execBackend, x0 []float64, k int, onIterate IterateFunc) ([]float64, error) {
 	if be.rows() != be.cols() {
-		return nil, fmt.Errorf("core: StandardMPKParallel: %w", sparse.ErrNotSquare)
+		return nil, fmt.Errorf("core: StandardMPK: %w", sparse.ErrNotSquare)
 	}
-	if len(x0) != be.rows() {
-		return nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), be.rows(), ErrDimension)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
+	if err := checkPowers(be.rows(), len(x0), k, nil); err != nil {
+		return nil, err
 	}
 	ph := be.phase()
-	bounds := be.partition(pool.Workers())
 	x := sparse.CopyVec(x0)
 	y := make([]float64, be.rows())
-	bar := parallel.NewBarrier(pool.Workers())
-	pool.Run(func(id int) {
-		clock := env.workerClock(id)
+	tm.run(bodyFunc(func(id int) {
+		clock := tm.clock(env, id)
 		skip := false
 		lo, hi := bounds[id], bounds[id+1]
 		src, dst := x, y
@@ -99,9 +80,7 @@ func standardMPKParallel(env *runEnv, be execBackend, x0 []float64, k int, pool 
 			src, dst = dst, src
 			// All writers must finish before anyone reads dst as the
 			// next source, and before the iterate callback fires.
-			clock.endCompute(ph, -1)
-			bar.Wait()
-			clock.endWait(ph, -1)
+			tm.sync(clock, ph, -1)
 			if !skip && env.canceled() {
 				skip = true
 			}
@@ -109,21 +88,18 @@ func standardMPKParallel(env *runEnv, be execBackend, x0 []float64, k int, pool 
 				if id == 0 && !skip {
 					onIterate(power, src)
 				}
-				clock.endCompute(ph, -1)
-				bar.Wait()
-				clock.endWait(ph, -1)
+				tm.sync(clock, ph, -1)
 			}
 			clock.endSweep(ph, int32(power))
 		}
 		clock.flush()
-	})
+	}))
 	if env.canceled() {
 		return nil, errCanceledRun
 	}
 	if k%2 == 1 {
-		x, y = y, x
+		return y, nil
 	}
-	_ = y
 	return x, nil
 }
 
@@ -143,19 +119,11 @@ func standardMPKBatch(env *runEnv, be execBackend, xs [][]float64, k int) ([][]f
 	if be.rows() != be.cols() {
 		return nil, fmt.Errorf("core: StandardMPKBatch: %w", sparse.ErrNotSquare)
 	}
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("core: StandardMPKBatch: %w", ErrEmptyBlock)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
-	}
-	for c, x := range xs {
-		if len(x) != be.rows() {
-			return nil, fmt.Errorf("core: vector %d length %d != n %d: %w", c, len(x), be.rows(), ErrDimension)
-		}
+	nv, err := checkMulti(be.rows(), xs, k, nil)
+	if err != nil {
+		return nil, err
 	}
 	ph := be.phase()
-	nv := len(xs)
 	x := sparse.PackVectors(xs)
 	y := make([]float64, len(x))
 	clock := env.serialClock()
@@ -166,43 +134,94 @@ func standardMPKBatch(env *runEnv, be execBackend, xs [][]float64, k int) ([][]f
 		clock.beginSweep(ph)
 		be.spmm(x, y, nv)
 		x, y = y, x
-		clock.endSweepCompute(ph, int32(power+1))
+		clock.endCompute(ph, -1)
+		clock.endSweep(ph, int32(power+1))
 	}
 	return sparse.UnpackVectors(x, be.rows(), nv), nil
+}
+
+// scaled returns c*x in a fresh vector.
+func scaled(c float64, x []float64) []float64 {
+	y := make([]float64, len(x))
+	for i := range y {
+		y[i] = c * x[i]
+	}
+	return y
+}
+
+// comboHook starts the SSpMV combination at coeffs[0]*x0 and returns it
+// with the iterate hook that adds coeffs[p] * A^p x0 as each power
+// completes — how every engine without in-kernel accumulation
+// evaluates y = sum_i coeffs[i] * A^i * x0 in a single k-power pass.
+func comboHook(coeffs, x0 []float64) ([]float64, IterateFunc) {
+	combo := scaled(coeffs[0], x0)
+	return combo, func(power int, x []float64) {
+		if c := coeffs[power]; c != 0 {
+			sparse.AXPY(c, x, combo)
+		}
+	}
 }
 
 // SSpMVStandard evaluates y = sum_{i=0..k} coeffs[i] * A^i * x0 with
 // the standard engine (k = len(coeffs)-1 SpMV sweeps).
 func SSpMVStandard(a *sparse.CSR, coeffs []float64, x0 []float64) ([]float64, error) {
-	return sspmvStandard(nil, csrBackend{a: a}, coeffs, x0)
-}
-
-// sspmvStandard is SSpMVStandard generalized over the execution
-// backend, with a run environment.
-func sspmvStandard(env *runEnv, be execBackend, coeffs []float64, x0 []float64) ([]float64, error) {
 	if len(coeffs) == 0 {
 		return nil, fmt.Errorf("core: SSpMV needs at least one coefficient: %w", ErrBadCoeffs)
 	}
-	if len(x0) != be.rows() {
-		return nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), be.rows(), ErrDimension)
+	if len(x0) != a.Rows {
+		return nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), a.Rows, ErrDimension)
 	}
-	n := len(x0)
-	y := make([]float64, n)
-	for i := range y {
-		y[i] = coeffs[0] * x0[i]
-	}
+	y, hook := comboHook(coeffs, x0)
 	if len(coeffs) == 1 {
 		return y, nil
 	}
-	_, err := standardMPK(env, be, x0, len(coeffs)-1, func(power int, x []float64) {
-		c := coeffs[power]
-		if c == 0 {
-			return
-		}
-		sparse.AXPY(c, x, y)
-	})
-	if err != nil {
+	if _, err := StandardMPK(a, x0, len(coeffs)-1, hook); err != nil {
 		return nil, err
 	}
 	return y, nil
+}
+
+// stdEngine is the standard engine of a plan: Algorithm 1 on the
+// plan's backend, row-split over the team by the backend's partition
+// (structure-only, so computed once and valid for every epoch).
+type stdEngine struct {
+	team   team
+	bounds []int
+	nnzA   uint64
+}
+
+func (e *stdEngine) powers(_ *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
+	if err := checkPowers(len(in), len(in), k, coeffs); err != nil {
+		return nil, nil, err
+	}
+	if coeffs != nil {
+		combo, hook = comboHook(coeffs, in)
+	}
+	xk, err = standardPowers(e.team, e.bounds, env, ep.be, in, k, hook)
+	return xk, combo, err
+}
+
+// powersMulti advances the block with one SpMM sweep per power. The
+// SpMM sweep retains no iterates, so combinations re-run every vector
+// through powers: m extra k-power passes, which traffic accounts for.
+func (e *stdEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) (xks, combos [][]float64, err error) {
+	if xks, err = standardMPKBatch(env, ep.be, in, k); err != nil || coeffs == nil {
+		return xks, nil, err
+	}
+	combos = make([][]float64, len(in))
+	for j, x := range in {
+		if _, combos[j], err = e.powers(ws, env, ep, x, k, coeffs, nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	return xks, combos, nil
+}
+
+func (e *stdEngine) traffic(k, m int, combos bool) work {
+	wk := work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m), nnz: uint64(k) * e.nnzA}
+	if combos {
+		wk.sweeps += uint64(k) * uint64(m)
+		wk.nnz += uint64(k) * uint64(m) * e.nnzA
+	}
+	return wk
 }

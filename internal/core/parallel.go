@@ -8,55 +8,136 @@ import (
 	"fbmpk/internal/sparse"
 )
 
-// FBParallel executes the forward-backward pipeline in parallel over
-// an ABMC-ordered matrix (Section III-D / Algorithm 2). The matrix
-// must already be permuted by the ABMC ordering; blocks of one color
-// are distributed over the workers, colors run in sequence with a
-// barrier in between — ascending in the forward sweep, descending in
-// the backward sweep — which is exactly the dependency structure the
-// coloring guarantees safe.
-type FBParallel struct {
-	tri  *sparse.Triangular
-	ord  *reorder.ABMCResult
+// team is the SPMD executor every engine kernel runs on: a borrowed
+// worker pool with the barrier its workers meet at, or — pool == nil —
+// the calling goroutine as the only worker. There is no separate serial
+// kernel anywhere in this package: a serial run is the parallel body at
+// one worker, called inline, with nobody to wait for.
+type team struct {
 	pool *parallel.Pool
 	bar  *parallel.Barrier
+}
 
-	// colorBounds[c] assigns each worker a contiguous block range of
-	// color c, balanced by row count ("the number of blocks for each
-	// thread task are allocated in advance", Algorithm 2).
-	colorBounds [][]int
-	headBounds  []int // row partition for the head SpMV over U
-	denseBounds []int // even row partition for vector updates
+func newTeam(pool *parallel.Pool) team {
+	if pool == nil {
+		return team{}
+	}
+	return team{pool: pool, bar: parallel.NewBarrier(pool.Workers())}
+}
+
+func (t team) workers() int {
+	if t.pool == nil {
+		return 1
+	}
+	return t.pool.Workers()
+}
+
+// teamBody is one engine invocation's per-worker body. An interface
+// rather than a func so the forward-backward driver can hand over its
+// pooled state without allocating a closure per call.
+type teamBody interface{ work(id int) }
+
+// bodyFunc adapts a closure to teamBody.
+type bodyFunc func(id int)
+
+func (f bodyFunc) work(id int) { f(id) }
+
+// run executes body.work(id) on every worker and waits for all of them.
+func (t team) run(body teamBody) {
+	if t.pool == nil {
+		body.work(0)
+		return
+	}
+	t.pool.Run(body.work)
+}
+
+// clock returns worker id's phase clock. The lone inline worker gets
+// the tracing-only serial clock — nil unless a recorder is attached, so
+// an untraced serial run allocates nothing and never reads the time —
+// pool workers get the wait/compute-accounting one.
+func (t team) clock(env *runEnv, id int) *phaseClock {
+	if t.pool == nil {
+		return env.serialClock()
+	}
+	return env.workerClock(id)
+}
+
+// sync ends a compute section and meets the other workers at the
+// barrier. Cancellation protocol shared by every kernel: workers poll
+// the run's flag after sync; one that observes it switches to skip mode
+// — it stops computing but keeps crossing every barrier of the
+// schedule, so workers that read the flag at different boundaries can
+// never deadlock each other and the pool is immediately reusable. The
+// run then returns errCanceledRun and its output is unspecified.
+func (t team) sync(clock *phaseClock, ph phase, arg int32) {
+	clock.endCompute(ph, arg)
+	if t.pool != nil {
+		t.bar.Wait()
+		clock.endWait(ph, arg)
+	}
+}
+
+// colorSchedule maps (color, worker) to a row range: the execution
+// schedule of the forward-backward sweeps and of SYMGS (Section III-D /
+// Algorithm 2). Colors run in sequence with a barrier in between —
+// ascending in a forward sweep, descending in a backward one — and
+// within a color each worker owns a contiguous run of blocks, which is
+// exactly the dependency structure the ABMC coloring guarantees safe.
+// The serial schedule is one color [0, n) on one inline worker: the
+// same rows in the same order, whether or not the matrix was reordered.
+type colorSchedule struct {
+	team team
+	// rows[c] holds the workers+1 row bounds of color c, balanced by row
+	// count ("the number of blocks for each thread task are allocated in
+	// advance", Algorithm 2).
+	rows  [][]int
+	head  []int // nnz-balanced row partition for the head SpMV over U
+	dense []int // even row partition for the vector updates
+}
+
+// newColorSchedule schedules the split tri of an ABMC-ordered matrix
+// over pool. A nil pool yields the serial schedule (ord is not
+// consulted); otherwise ord must be the ordering that produced tri.
+func newColorSchedule(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parallel.Pool) (*colorSchedule, error) {
+	n := tri.N
+	s := &colorSchedule{team: newTeam(pool)}
+	if pool == nil {
+		s.rows, s.head, s.dense = [][]int{{0, n}}, []int{0, n}, []int{0, n}
+		return s, nil
+	}
+	if n != len(ord.Perm) {
+		return nil, fmt.Errorf("core: matrix size %d != ordering size %d: %w", n, len(ord.Perm), ErrDimension)
+	}
+	w := pool.Workers()
+	s.rows = make([][]int, ord.NumColors)
+	for c := range s.rows {
+		b := parallel.PartitionBlocks(int(ord.ColorPtr[c]), int(ord.ColorPtr[c+1]), w, ord.BlockPtr)
+		for i, blk := range b {
+			b[i] = int(ord.BlockPtr[blk])
+		}
+		s.rows[c] = b
+	}
+	s.head = parallel.PartitionByPtr(n, w, tri.U.RowPtr)
+	s.dense = parallel.PartitionRows(n, w, func(int) int64 { return 1 })
+	return s, nil
+}
+
+// FBParallel executes the forward-backward pipeline in parallel over
+// an ABMC-ordered matrix: the standalone form of the parallel FB engine
+// used by tests and tools. The pool is borrowed, not owned.
+type FBParallel struct {
+	tri *sparse.Triangular
+	sch *colorSchedule
 }
 
 // NewFBParallel prepares a parallel FBMPK executor. tri must be the
-// split of the ABMC-permuted matrix; ord the ordering that produced
-// it. The pool is borrowed, not owned.
+// split of the ABMC-permuted matrix; ord the ordering that produced it.
 func NewFBParallel(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parallel.Pool) (*FBParallel, error) {
-	if tri.N != len(ord.Perm) {
-		return nil, fmt.Errorf("core: matrix size %d != ordering size %d: %w", tri.N, len(ord.Perm), ErrDimension)
+	sch, err := newColorSchedule(tri, ord, pool)
+	if err != nil {
+		return nil, err
 	}
-	w := pool.Workers()
-	f := &FBParallel{
-		tri:  tri,
-		ord:  ord,
-		pool: pool,
-		bar:  parallel.NewBarrier(w),
-	}
-	f.colorBounds = make([][]int, ord.NumColors)
-	for c := 0; c < ord.NumColors; c++ {
-		f.colorBounds[c] = parallel.PartitionBlocks(
-			int(ord.ColorPtr[c]), int(ord.ColorPtr[c+1]), w, ord.BlockPtr)
-	}
-	f.headBounds = parallel.PartitionByPtr(tri.N, w, tri.U.RowPtr)
-	f.denseBounds = parallel.PartitionRows(tri.N, w, func(int) int64 { return 1 })
-	return f, nil
-}
-
-// rowRange resolves worker id's row span within color c.
-func (f *FBParallel) rowRange(c, id int) (int, int) {
-	b := f.colorBounds[c]
-	return int(f.ord.BlockPtr[b[id]]), int(f.ord.BlockPtr[b[id+1]])
+	return &FBParallel{tri: tri, sch: sch}, nil
 }
 
 // Run computes A^k x0 (x0 and the result in the PERMUTED numbering).
@@ -67,307 +148,39 @@ func (f *FBParallel) Run(x0 []float64, k int, btb bool, coeffs []float64) (xk, c
 }
 
 // RunCapture is Run with an iterate observer: onIterate fires after
-// every completed power, on worker 0, with all other workers parked at
-// a barrier (so the scratch iterate is stable while observed).
+// every completed power, on worker 0 (see fbState.work).
 func (f *FBParallel) RunCapture(x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
-	return f.runCapture(f.tri, nil, nil, x0, k, btb, coeffs, onIterate)
+	return fbPowers(f.sch, new(fbState), nil, f.tri, x0, k, btb, coeffs, onIterate)
 }
 
-// runCapture is RunCapture with an externally supplied pipeline state
-// (nil allocates) and run environment, executing on tri — any split
-// sharing the structure f was scheduled for (the plan passes its
-// pinned epoch's split, so value updates never touch a run in flight).
-// Cancellation protocol: each worker polls env's flag after every
-// color barrier; a worker that observes it switches to skip mode — it
-// stops computing but keeps crossing every barrier of the schedule, so
-// workers that read the flag at different boundaries can never
-// deadlock each other, and the pool is immediately reusable
-// afterwards. If the flag was set the run returns errCanceledRun and
-// the output buffers are unspecified.
-func (f *FBParallel) runCapture(tri *sparse.Triangular, st *fbState, env *runEnv, x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
-	n := tri.N
-	if len(x0) != n {
-		return nil, nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), n, ErrDimension)
-	}
-	if k < 1 {
-		return nil, nil, fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
-	}
-	if coeffs != nil && len(coeffs) != k+1 {
-		return nil, nil, fmt.Errorf("core: coeffs length %d != k+1 = %d: %w", len(coeffs), k+1, ErrBadCoeffs)
-	}
-	if n == 0 {
-		if coeffs != nil {
-			combo = []float64{}
-		}
-		return []float64{}, combo, nil
-	}
-	if st == nil {
-		st = newFBState(n, btb)
-	}
-	if coeffs != nil {
-		combo = make([]float64, n)
-	}
-	var scratch []float64
-	if onIterate != nil {
-		scratch = make([]float64, n)
-	}
-	// capture observes the completed iterate on worker 0. The sweep
-	// that follows never writes the slots being read (forward writes
-	// odd, backward writes even), and the other workers cannot start a
-	// second sweep before worker 0 joins their next color barrier, so
-	// no extra synchronization is needed.
-	capture := func(id, power int, odd bool) {
-		if onIterate == nil || id != 0 {
-			return
-		}
-		switch {
-		case btb && odd:
-			for i := 0; i < n; i++ {
-				scratch[i] = st.xy[2*i+1]
-			}
-		case btb:
-			for i := 0; i < n; i++ {
-				scratch[i] = st.xy[2*i]
-			}
-		case odd:
-			copy(scratch, st.b)
-		default:
-			copy(scratch, st.a)
-		}
-		onIterate(power, scratch)
-	}
-	nc := f.ord.NumColors
-
-	f.pool.Run(func(id int) {
-		clock := env.workerClock(id)
-		skip := false // cancellation observed: cross barriers, do no work
-		dLo, dHi := f.denseBounds[id], f.denseBounds[id+1]
-		// Init vectors and head: tmp = U * x0.
-		if btb {
-			for i := dLo; i < dHi; i++ {
-				st.xy[2*i] = x0[i]
-			}
-		} else {
-			copy(st.a[dLo:dHi], x0[dLo:dHi])
-		}
-		if combo != nil {
-			c0 := coeffs[0]
-			for i := dLo; i < dHi; i++ {
-				combo[i] = c0 * x0[i]
-			}
-		}
-		clock.endCompute(phaseHead, -1)
-		f.bar.Wait()
-		clock.endWait(phaseHead, -1)
-		sparse.SpMVRange(tri.U, x0, st.tmp, f.headBounds[id], f.headBounds[id+1])
-		clock.endCompute(phaseHead, -1)
-		f.bar.Wait()
-		clock.endWait(phaseHead, -1)
-		skip = env.canceled()
-
-		t := 0
-		for t < k {
-			last := t+1 == k
-			clock.beginSweep(phaseForward)
-			for c := 0; c < nc; c++ {
-				if !skip {
-					lo, hi := f.rowRange(c, id)
-					if btb {
-						fbForwardBtBRange(tri, st.xy, st.tmp, lo, hi, last)
-					} else {
-						fbForwardSepRange(tri, st.a, st.b, st.tmp, lo, hi, last)
-					}
-				}
-				clock.endCompute(phaseForward, int32(c))
-				f.bar.Wait()
-				clock.endWait(phaseForward, int32(c))
-				if !skip && env.canceled() {
-					skip = true
-				}
-			}
-			t++
-			clock.endSweep(phaseForward, int32(t))
-			if !skip {
-				if combo != nil && coeffs[t] != 0 {
-					cc := coeffs[t]
-					if btb {
-						for i := dLo; i < dHi; i++ {
-							combo[i] += cc * st.xy[2*i+1]
-						}
-					} else {
-						for i := dLo; i < dHi; i++ {
-							combo[i] += cc * st.b[i]
-						}
-					}
-				}
-				capture(id, t, true)
-			}
-			if t == k {
-				break
-			}
-			last = t+1 == k
-			clock.beginSweep(phaseBackward)
-			for c := nc - 1; c >= 0; c-- {
-				if !skip {
-					lo, hi := f.rowRange(c, id)
-					if btb {
-						fbBackwardBtBRange(tri, st.xy, st.tmp, lo, hi, last)
-					} else {
-						fbBackwardSepRange(tri, st.a, st.b, st.tmp, lo, hi, last)
-					}
-				}
-				clock.endCompute(phaseBackward, int32(c))
-				f.bar.Wait()
-				clock.endWait(phaseBackward, int32(c))
-				if !skip && env.canceled() {
-					skip = true
-				}
-			}
-			t++
-			clock.endSweep(phaseBackward, int32(t))
-			if !skip {
-				if combo != nil && coeffs[t] != 0 {
-					cc := coeffs[t]
-					if btb {
-						for i := dLo; i < dHi; i++ {
-							combo[i] += cc * st.xy[2*i]
-						}
-					} else {
-						for i := dLo; i < dHi; i++ {
-							combo[i] += cc * st.a[i]
-						}
-					}
-				}
-				capture(id, t, false)
-			}
-		}
-		clock.flush()
-	})
-	if env.canceled() {
-		return nil, nil, errCanceledRun
-	}
-
-	xk = make([]float64, n)
-	switch {
-	case btb && k%2 == 1:
-		for i := 0; i < n; i++ {
-			xk[i] = st.xy[2*i+1]
-		}
-	case btb:
-		for i := 0; i < n; i++ {
-			xk[i] = st.xy[2*i]
-		}
-	case k%2 == 1:
-		copy(xk, st.b)
-	default:
-		copy(xk, st.a)
-	}
-	return xk, combo, nil
+// FBParallelMulti is FBParallel for a block of right-hand sides: same
+// schedule, every slot m stripes wide.
+type FBParallelMulti struct {
+	fb *FBParallel
 }
 
-// Range variants of the four sweep kernels. The full-matrix serial
-// kernels in fbmpk.go keep their own straight-line loops (they are the
-// single-thread fast path benchmarked in Fig 10); these add [lo, hi)
-// bounds for color-parallel execution.
-
-func fbForwardBtBRange(tri *sparse.Triangular, xy, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
-	d := tri.D
-	if last {
-		for i := lo; i < hi; i++ {
-			sum0 := tmp[i] + d[i]*xy[2*i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xy[2*ci[j]]
-			}
-			xy[2*i+1] = sum0
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		sum0 := tmp[i] + d[i]*xy[2*i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := 2 * ci[j]
-			sum0 += v[j] * xy[c]
-			sum1 += v[j] * xy[c+1]
-		}
-		xy[2*i+1] = sum0
-		tmp[i] = sum1 + d[i]*sum0
-	}
+// NewFBParallelMulti wraps a prepared FBParallel for batched execution.
+func NewFBParallelMulti(fb *FBParallel) *FBParallelMulti {
+	return &FBParallelMulti{fb: fb}
 }
 
-func fbBackwardBtBRange(tri *sparse.Triangular, xy, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	if last {
-		for i := hi - 1; i >= lo; i-- {
-			sum0 := tmp[i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xy[2*ci[j]+1]
-			}
-			xy[2*i] = sum0
-		}
-		return
+// NewFBParallelMultiFrom prepares a batched executor directly from the
+// split matrix, ordering, and pool.
+func NewFBParallelMultiFrom(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parallel.Pool) (*FBParallelMulti, error) {
+	fb, err := NewFBParallel(tri, ord, pool)
+	if err != nil {
+		return nil, err
 	}
-	for i := hi - 1; i >= lo; i-- {
-		sum0 := tmp[i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := 2 * ci[j]
-			sum0 += v[j] * xy[c+1]
-			sum1 += v[j] * xy[c]
-		}
-		xy[2*i] = sum0
-		tmp[i] = sum1
-	}
+	return NewFBParallelMulti(fb), nil
 }
 
-func fbForwardSepRange(tri *sparse.Triangular, xprev, xnext, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
-	d := tri.D
-	if last {
-		for i := lo; i < hi; i++ {
-			sum0 := tmp[i] + d[i]*xprev[i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xprev[ci[j]]
-			}
-			xnext[i] = sum0
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		sum0 := tmp[i] + d[i]*xprev[i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := ci[j]
-			sum0 += v[j] * xprev[c]
-			sum1 += v[j] * xnext[c]
-		}
-		xnext[i] = sum0
-		tmp[i] = sum1 + d[i]*sum0
-	}
+// Run computes A^k x_j for every vector in xs (all in the PERMUTED
+// numbering) with one batched pipeline pass. btb selects the
+// interleaved stripe layout; coeffs (nil or length k+1) additionally
+// accumulates the SSpMV combination for every vector.
+func (f *FBParallelMulti) Run(xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
+	return fbPowersMulti(f.fb.sch, new(fbState), nil, f.fb.tri, xs, k, btb, coeffs)
 }
 
-func fbBackwardSepRange(tri *sparse.Triangular, xnext, xprev, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	if last {
-		for i := hi - 1; i >= lo; i-- {
-			sum0 := tmp[i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xprev[ci[j]]
-			}
-			xnext[i] = sum0
-		}
-		return
-	}
-	for i := hi - 1; i >= lo; i-- {
-		sum0 := tmp[i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := ci[j]
-			sum0 += v[j] * xprev[c]
-			sum1 += v[j] * xnext[c]
-		}
-		xnext[i] = sum0
-		tmp[i] = sum1
-	}
-}
+// Workers returns the worker count of the underlying executor's pool.
+func (f *FBParallelMulti) Workers() int { return f.fb.sch.team.workers() }

@@ -12,132 +12,10 @@ import (
 
 	"fbmpk/internal/check"
 	"fbmpk/internal/events"
-	"fbmpk/internal/graph"
 	"fbmpk/internal/parallel"
 	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
 )
-
-// Engine selects the MPK computation pipeline.
-type Engine int
-
-const (
-	// EngineStandard is the Algorithm 1 baseline: k plain SpMV sweeps.
-	EngineStandard Engine = iota
-	// EngineForwardBackward is the paper's FBMPK pipeline.
-	EngineForwardBackward
-	// EngineLevelBlocked is the level-blocked cache engine: BFS levels
-	// grouped into cache-budget blocks, all k powers executed over each
-	// resident block (see internal/core/levelblock.go).
-	EngineLevelBlocked
-	// EngineAuto arbitrates between EngineForwardBackward and
-	// EngineLevelBlocked per matrix at build time (see AutotuneEngine);
-	// the winner is reported by Plan.Engine and PlanStats.Tune.Engine.
-	EngineAuto
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineStandard:
-		return "standard"
-	case EngineForwardBackward:
-		return "fbmpk"
-	case EngineLevelBlocked:
-		return "levelblock"
-	case EngineAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine maps an engine name ("fbmpk", "standard", "levelblock",
-// "auto") to its Engine; used by command-line flags.
-func ParseEngine(s string) (Engine, error) {
-	for _, e := range []Engine{EngineForwardBackward, EngineStandard, EngineLevelBlocked, EngineAuto} {
-		if s == e.String() {
-			return e, nil
-		}
-	}
-	return EngineForwardBackward, fmt.Errorf("core: unknown engine %q (have fbmpk, standard, levelblock, auto)", s)
-}
-
-// Options configures a Plan.
-type Options struct {
-	Engine Engine
-	// BtB enables the back-to-back interleaved vector layout
-	// (Section III-C). Only meaningful for EngineForwardBackward.
-	BtB bool
-	// Threads > 1 enables the parallel engines with that many workers;
-	// 0 or 1 runs serial. For EngineForwardBackward parallel execution
-	// requires (and implies) ABMC reordering.
-	Threads int
-	// NumBlocks is the ABMC block count (0 = paper default 512).
-	NumBlocks int
-	// ColorOrder is the greedy coloring visit order for ABMC.
-	ColorOrder graph.ColorOrder
-	// ForceABMC applies ABMC reordering even for serial execution,
-	// which Table III uses to isolate the reordering's locality effect.
-	ForceABMC bool
-	// PreRCM applies a reverse Cuthill-McKee pass before blocking, so
-	// ABMC's contiguous blocks cover graph-local rows. Helps matrices
-	// whose natural order scatters neighborhoods (no-op without ABMC).
-	PreRCM bool
-	// SelfCheck audits the plan's preprocessing products after
-	// construction — CSR well-formedness of the execution-order matrix,
-	// exact L+D+U reassembly, permutation bijectivity, and ABMC color
-	// independence (see internal/check) — and fails NewPlan if any
-	// invariant is violated. Debug aid: costs one extra pass over the
-	// matrix, nothing per MPK call.
-	SelfCheck bool
-	// MaxInFlight bounds the executions a shared plan admits at once;
-	// excess callers queue in FIFO order. 0 selects the default:
-	// GOMAXPROCS for serial plans. Plans with a worker pool (Threads >
-	// 1) always run one engine invocation at a time — the pool is a
-	// single SPMD region — so MaxInFlight is clamped to 1 there and the
-	// gate only provides fair queueing and close semantics.
-	MaxInFlight int
-	// Backend selects the storage format of the full-matrix SpMV/SpMM
-	// kernels (standard-engine sweeps and the SpMM block path; FB
-	// sweeps always run on the split CSR). The zero value BackendCSR
-	// keeps the bitwise-stable baseline; BackendAuto runs the
-	// autotuner at build time (see Autotune); BackendSELL/BackendBSR
-	// force a format.
-	Backend BackendKind
-	// SELLChunk is the SELL-C-sigma chunk height (0 =
-	// DefaultSELLChunk). Only meaningful for BackendSELL.
-	SELLChunk int
-	// SELLSigma is the SELL row-sorting window (0 = DefaultSELLSigma;
-	// 1 disables sorting). Only meaningful for BackendSELL.
-	SELLSigma int
-	// BSRBlock is the BSR block size (0 = detect from the structure,
-	// see DetectBSRBlock). Only meaningful for BackendBSR.
-	BSRBlock int
-	// LevelBlockBytes is the cache budget (bytes of matrix data) per
-	// level block of the level-blocked engine (0 =
-	// DefaultLevelBlockBytes). Only meaningful for EngineLevelBlocked
-	// and EngineAuto.
-	LevelBlockBytes int
-	// TuneK is the power k the EngineAuto arbitration optimizes for
-	// (0 = DefaultTuneK). Only meaningful for EngineAuto.
-	TuneK int
-	// tuned is a cached autotuner verdict injected by the registry via
-	// WithTunedDecision: a BackendAuto plan replays it instead of
-	// sampling. Excluded from fingerprints and canonicalization — it
-	// is derived state, not configuration.
-	tuned *TuneDecision
-}
-
-// DefaultOptions returns the configuration the paper evaluates as
-// "FBMPK": forward-backward pipeline, BtB layout, parallel over ABMC
-// colors with the default block count.
-func DefaultOptions(threads int) Options {
-	return Options{
-		Engine:  EngineForwardBackward,
-		BtB:     true,
-		Threads: threads,
-	}
-}
 
 // Plan is a prepared MPK/SSpMV executor for one matrix. Building a
 // Plan performs the one-off preprocessing the paper amortizes across
@@ -156,16 +34,12 @@ func DefaultOptions(threads int) Options {
 // fair FIFO gate (see Options.MaxInFlight). Close drains in-flight
 // executions and fails later calls with ErrClosed.
 type Plan struct {
-	opt  Options
-	eng  Engine // resolved engine (EngineAuto arbitrated at build)
-	n    int
-	ord  *reorder.ABMCResult // non-nil when ABMC was applied
-	perm reorder.Perm        // execution-order permutation (ABMC or level), nil = identity
-	lvl  *levelSchedule      // non-nil for the level-blocked engine
-	pool *parallel.Pool      // non-nil when Threads > 1
-	fb   *FBParallel         // non-nil for parallel FB
-	fbm  *FBParallelMulti    // batched executor over fb
-	sym  *SymGSParallel      // parallel smoother (pool + ABMC plans)
+	eng    Engine // resolved engine (EngineAuto arbitrated at build)
+	engine engine // the kernels behind eng; entry points know nothing else about it
+	n      int
+	ord    *reorder.ABMCResult // non-nil when ABMC was applied
+	perm   reorder.Perm        // execution-order permutation (ABMC or level), nil = identity
+	pool   *parallel.Pool      // non-nil when Threads > 1
 
 	// state is the current value epoch. Readers load it once per
 	// execution (in exec, after gate admission); UpdateValues publishes
@@ -187,11 +61,10 @@ type Plan struct {
 	updates     atomic.Uint64
 	updateNanos atomic.Int64
 
-	// Nonzero counts of the execution-order matrix and its split, the
-	// denominators of the traffic accounting (nnzD counts explicitly
-	// stored diagonal entries: nnzA - nnzL - nnzU). Structure-only, so
-	// constant across epochs.
-	nnzA, nnzL, nnzU, nnzD uint64
+	// nnzA is the nonzero count of the execution-order matrix, the
+	// denominator of the traffic accounting. Structure-only, so constant
+	// across epochs.
+	nnzA uint64
 
 	gate     *parallel.Gate
 	wsPool   sync.Pool
@@ -201,6 +74,26 @@ type Plan struct {
 	closed   chan struct{} // closed once teardown completes
 
 	stats PlanStats
+}
+
+// engine is one MPK algorithm behind a plan — forward-backward,
+// standard, or level-blocked — over the plan's worker pool or, without
+// one, inline on the caller. Vectors are in the plan's execution order;
+// ws is the call's workspace, env its cancellation/metrics/trace
+// environment, ep its pinned value epoch.
+type engine interface {
+	// powers computes A^k in. With coeffs (length k+1) it also returns
+	// combo = sum coeffs[i] * A^i * in; with hook it shows each
+	// completed iterate to hook (scratch — copy to retain). No entry
+	// point sets both. xk may alias workspace scratch.
+	powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error)
+	// powersMulti is powers for a block of vectors, returning fresh
+	// vectors.
+	powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) (xks, combos [][]float64, err error)
+	// traffic is the analytic work of computing k powers for m vectors;
+	// combos marks a powersMulti call with coefficients (a powers call
+	// accumulates its combination for free in every engine).
+	traffic(k, m int, combos bool) work
 }
 
 // planEpoch bundles the value-bearing containers of one matrix-value
@@ -262,7 +155,9 @@ type PlanStats struct {
 // (DefaultOptions(0)); pass an Options value (which applies wholesale)
 // or individual With* options to override.
 func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
-	opt := BuildOptions(opts...)
+	// Everything below reads the canonical options: defaults resolved,
+	// inert knobs folded (see Options.Canonical).
+	opt := BuildOptions(opts...).Canonical()
 	if a == nil {
 		return nil, fmt.Errorf("core: NewPlan: nil matrix: %w", ErrInvalidMatrix)
 	}
@@ -274,54 +169,40 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	}
 	buildStart := time.Now()
 	p := &Plan{
-		opt: opt, n: a.Rows, closed: make(chan struct{}),
+		n: a.Rows, closed: make(chan struct{}),
 		srcRowPtr: a.RowPtr, srcColIdx: a.ColIdx,
 	}
-	ea := a // matrix in execution order (replaced if a reorder applies)
 
 	// EngineAuto resolves to a concrete engine before any preprocessing:
 	// the arbitration (or a cached verdict injected via
 	// WithTunedDecision) decides which reorder, split, and kernel the
-	// rest of the build prepares. opt.Engine stays as spelled so
-	// fingerprints and replays see the configuration, not the verdict.
-	eng := opt.Engine
+	// rest of the build prepares.
+	p.eng = opt.Engine
 	var engDec *EngineDecision
 	var engElapsed time.Duration
 	if opt.Engine == EngineAuto {
 		engStart := time.Now()
-		tk := opt.TuneK
-		if tk <= 0 {
-			tk = DefaultTuneK
-		}
-		tth := opt.Threads
-		if tth <= 1 {
-			tth = 0
-		}
-		if opt.tuned != nil && opt.tuned.Engine != nil && opt.tuned.Engine.K == tk && opt.tuned.Engine.Threads == tth {
-			d := *opt.tuned.Engine
+		if t := opt.tuned; t != nil && t.Engine != nil && t.Engine.K == opt.TuneK && t.Engine.Threads == opt.Threads {
+			d := *t.Engine
 			d.FromCache = true
 			d.Samples = 0
 			engDec = &d
 		} else {
-			d, err := AutotuneEngine(a, tk, opt.LevelBlockBytes, opt.Threads)
+			d, err := AutotuneEngine(a, opt.TuneK, opt.LevelBlockBytes, opt.Threads)
 			if err != nil {
 				return nil, err
 			}
 			engDec = d
 		}
-		eng = engDec.Engine
+		p.eng = engDec.Engine
 		engElapsed = time.Since(engStart)
 	}
-	p.eng = eng
-	parallelRun := opt.Threads > 1
-	needABMC := (opt.ForceABMC && eng != EngineLevelBlocked) ||
-		(parallelRun && eng == EngineForwardBackward)
 
 	// The worker pool is created before preprocessing so the O(nnz)
 	// build stages (block graph, permutation apply, split) run on it;
-	// after construction the same pool serves the parallel engines.
+	// after construction the same pool serves the engine.
 	var runner sparse.Runner
-	if parallelRun {
+	if opt.Threads > 1 {
 		p.pool = parallel.NewPoolNamed(opt.Threads, "plan")
 		runner = p.pool
 		p.stats.ParallelPrep = true
@@ -333,92 +214,39 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		return nil, err
 	}
 
-	if needABMC {
-		start := time.Now()
-		base := a
-		var pre reorder.Perm
-		if opt.PreRCM {
-			rcm, err := reorder.RCM(a)
-			if err != nil {
-				return fail(err)
-			}
-			rm, err := rcm.ApplySymPool(a, runner)
-			if err != nil {
-				return fail(err)
-			}
-			base, pre = rm, rcm
-			p.stats.RCMTime = time.Since(start)
-		}
-		ord, err := reorder.ABMC(base, reorder.ABMCOptions{
-			NumBlocks:  opt.NumBlocks,
-			ColorOrder: opt.ColorOrder,
-			Pool:       runner,
-		})
+	ea := a // matrix in execution order (replaced if a reorder applies)
+	if opt.needABMC(p.eng) {
+		b, err := p.reorderABMC(a, opt, runner)
 		if err != nil {
 			return fail(err)
 		}
-		permStart := time.Now()
-		b, err := ord.Perm.ApplySymPool(base, runner)
-		if err != nil {
-			return fail(err)
-		}
-		p.stats.PermTime = time.Since(permStart)
-		if pre != nil {
-			// Fold the RCM pre-pass into the ABMC permutation so the
-			// rest of the plan sees a single combined ordering.
-			ord.Perm = ord.Perm.Compose(pre)
-		}
-		p.stats.ReorderTime = time.Since(start)
-		p.stats.GraphTime = ord.GraphTime
-		p.stats.ColorTime = ord.ColorTime
-		p.stats.NumColors = ord.NumColors
-		p.stats.NumBlocks = ord.NumBlocks()
-		p.ord = ord
-		p.perm = ord.Perm
-		ea = b
-	}
-	if eng == EngineLevelBlocked {
-		// Level-blocked preprocessing: BFS levels, the level-contiguous
-		// permutation, and the cache-budget block grouping.
-		start := time.Now()
-		ls, err := newLevelSchedule(a, opt.LevelBlockBytes)
-		if err != nil {
-			return fail(err)
-		}
-		permStart := time.Now()
-		b, err := ls.perm.ApplySymPool(a, runner)
-		if err != nil {
-			return fail(err)
-		}
-		p.stats.PermTime = time.Since(permStart)
-		p.stats.ReorderTime = time.Since(start)
-		p.stats.NumBlocks = ls.numBlocks()
-		p.stats.NumLevels = ls.lp.NumLevels()
-		p.lvl = ls
-		p.perm = ls.perm
 		ea = b
 	}
 	var tri *sparse.Triangular
-	if eng == EngineForwardBackward {
-		start := time.Now()
-		t, err := sparse.SplitPool(ea, runner)
+	switch p.eng {
+	case EngineForwardBackward:
+		e, t, err := newFBEngine(ea, p.ord, opt.BtB, p.pool, runner, &p.stats)
 		if err != nil {
 			return fail(err)
 		}
-		p.stats.SplitTime = time.Since(start)
-		tri = t
+		p.engine, tri = e, t
+	case EngineLevelBlocked:
+		e, b, err := newLBEngine(a, opt.LevelBlockBytes, p.pool, runner, &p.stats)
+		if err != nil {
+			return fail(err)
+		}
+		p.engine, p.perm, ea = e, e.ls.perm, b
 	}
 	p.nnzA = uint64(len(ea.Val))
-	if tri != nil {
-		p.nnzL = uint64(len(tri.L.Val))
-		p.nnzU = uint64(len(tri.U.Val))
-		p.nnzD = p.nnzA - p.nnzL - p.nnzU
-	}
 	// The backend resolves after reordering so the autotuner samples
 	// (and the format conversion covers) the execution-order matrix.
 	be, err := p.initBackend(opt, ea)
 	if err != nil {
 		return fail(err)
+	}
+	if p.eng == EngineStandard {
+		tm := newTeam(p.pool)
+		p.engine = &stdEngine{team: tm, bounds: be.partition(tm.workers()), nnzA: p.nnzA}
 	}
 	if engDec != nil {
 		// Attach the engine arbitration verdict to the tuning report.
@@ -434,30 +262,9 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		p.stats.Tune.Samples += engDec.Samples
 		p.stats.TuneTime += engElapsed
 	}
-	if p.pool != nil {
-		if eng == EngineForwardBackward {
-			fb, err := NewFBParallel(tri, p.ord, p.pool)
-			if err != nil {
-				return fail(err)
-			}
-			p.fb = fb
-			p.fbm = NewFBParallelMulti(fb)
-		}
-		if tri != nil && p.ord != nil {
-			// Build the parallel smoother eagerly: a lazily built one
-			// would be mutable state racing under concurrent SymGS calls.
-			sym, err := NewSymGSParallel(tri, p.ord, p.pool)
-			if err != nil {
-				return fail(err)
-			}
-			p.sym = sym
-		}
-	}
 	p.state.Store(&planEpoch{a: ea, be: be, tri: tri})
 	capacity := opt.MaxInFlight
-	if p.pool != nil {
-		capacity = 1
-	} else if capacity <= 0 {
+	if capacity == 0 {
 		capacity = runtime.GOMAXPROCS(0)
 	}
 	p.gate = parallel.NewGate(capacity)
@@ -469,6 +276,54 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	}
 	p.stats.BuildTime = time.Since(buildStart)
 	return p, nil
+}
+
+// reorderABMC applies the ABMC ordering (behind an optional RCM
+// pre-pass) to a, records it as the plan's permutation, and returns the
+// permuted matrix.
+func (p *Plan) reorderABMC(a *sparse.CSR, opt Options, runner sparse.Runner) (*sparse.CSR, error) {
+	start := time.Now()
+	base := a
+	var pre reorder.Perm
+	if opt.PreRCM {
+		rcm, err := reorder.RCM(a)
+		if err != nil {
+			return nil, err
+		}
+		rm, err := rcm.ApplySymPool(a, runner)
+		if err != nil {
+			return nil, err
+		}
+		base, pre = rm, rcm
+		p.stats.RCMTime = time.Since(start)
+	}
+	ord, err := reorder.ABMC(base, reorder.ABMCOptions{
+		NumBlocks:  opt.NumBlocks,
+		ColorOrder: opt.ColorOrder,
+		Pool:       runner,
+	})
+	if err != nil {
+		return nil, err
+	}
+	permStart := time.Now()
+	b, err := ord.Perm.ApplySymPool(base, runner)
+	if err != nil {
+		return nil, err
+	}
+	p.stats.PermTime = time.Since(permStart)
+	if pre != nil {
+		// Fold the RCM pre-pass into the ABMC permutation so the
+		// rest of the plan sees a single combined ordering.
+		ord.Perm = ord.Perm.Compose(pre)
+	}
+	p.stats.ReorderTime = time.Since(start)
+	p.stats.GraphTime = ord.GraphTime
+	p.stats.ColorTime = ord.ColorTime
+	p.stats.NumColors = ord.NumColors
+	p.stats.NumBlocks = ord.NumBlocks()
+	p.ord = ord
+	p.perm = ord.Perm
+	return b, nil
 }
 
 // audit runs the internal/check invariant validators over the plan's
@@ -492,8 +347,8 @@ func (p *Plan) audit(a *sparse.CSR, tri *sparse.Triangular) error {
 			return err
 		}
 	}
-	if p.lvl != nil {
-		if err := p.lvl.validatePermuted(a); err != nil {
+	if e, ok := p.engine.(*lbEngine); ok {
+		if err := e.ls.validatePermuted(a); err != nil {
 			return err
 		}
 	}
@@ -587,7 +442,7 @@ func (p *Plan) Workers() int {
 	if p.pool == nil {
 		return 0
 	}
-	return p.opt.Threads
+	return p.pool.Workers()
 }
 
 // Ordering returns the ABMC result when reordering was applied, else
@@ -696,57 +551,42 @@ func (p *Plan) exec(ctx context.Context, op opKind, fn func(ws *workspace, env *
 	return nil
 }
 
-// fbNnz is the matrix traffic of a k-power forward-backward pipeline
-// pass: the head reads U once, each of the ceil(k/2) forward sweeps
-// reads L and D, each of the floor(k/2) backward sweeps reads U — the
-// (k+1)/2 "reads of A" result of Section III-B, independent of the
-// number of right-hand sides sharing the pass.
-func (p *Plan) fbNnz(k int) uint64 {
-	fwd := uint64(k+1) / 2
-	bwd := uint64(k) / 2
-	return p.nnzU + fwd*(p.nnzL+p.nnzD) + bwd*p.nnzU
+// permIn returns x in the plan's execution order (x itself when the
+// plan did not reorder), using the workspace's input scratch.
+func (p *Plan) permIn(ws *workspace, x []float64) []float64 {
+	if p.perm == nil {
+		return x
+	}
+	px := ws.vec(p.n)
+	p.perm.ApplyVec(x, px)
+	return px
 }
 
-// workPowers is the analytic work of computing k powers for m vectors
-// with the plan's engine.
-func (p *Plan) workPowers(k, m int) work {
-	wk := work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m)}
-	switch p.eng {
-	case EngineForwardBackward:
-		wk.nnz = p.fbNnz(k)
-	case EngineLevelBlocked:
-		// The level-blocked kernel runs one plain SpMV per (power,
-		// vector): 1 read of A per SpMV through the cache hierarchy. Its
-		// saving is DRAM residency, accounted by cachesim, not here.
-		wk.nnz = uint64(k) * uint64(m) * p.nnzA
-	default:
-		wk.nnz = uint64(k) * p.nnzA
+// permOut returns the execution-order vector v in the original row
+// ordering: a fresh vector when the plan reordered, else v itself.
+func (p *Plan) permOut(v []float64) []float64 {
+	if p.perm == nil || v == nil {
+		return v
 	}
-	return wk
+	out := make([]float64, p.n)
+	p.perm.UnapplyVec(v, out)
+	return out
 }
 
-// runLevelBlocked executes the level-blocked schedule over the current
-// epoch's permuted matrix with k+1 pooled live iterates. The returned
-// xk aliases workspace scratch — callers unpermute (copying) before it
-// escapes. The kernel reads the epoch's raw CSR (not the backend): the
-// skewed step ranges move every pass, which the chunk/block-aligned
-// SELL and BSR range kernels cannot serve.
-func (p *Plan) runLevelBlocked(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, hook IterateFunc) ([]float64, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
+// permBlock maps every vector of a block through the plan's
+// permutation — apply is reorder.Perm.ApplyVec on the way in,
+// UnapplyVec on the way out — into fresh vectors; the block itself when
+// the plan did not reorder.
+func (p *Plan) permBlock(vs [][]float64, apply func(reorder.Perm, []float64, []float64)) [][]float64 {
+	if p.perm == nil || vs == nil {
+		return vs
 	}
-	xs := ws.lvl(p.n, k)
-	copy(xs[0], in)
-	var err error
-	if p.pool != nil {
-		err = levelBlockedMPKParallel(env, ep.a, p.lvl, xs, k, p.pool, hook)
-	} else {
-		err = levelBlockedMPK(env, ep.a, p.lvl, xs, k, hook)
+	out := make([][]float64, len(vs))
+	for j, v := range vs {
+		out[j] = make([]float64, p.n)
+		apply(p.perm, v, out[j])
 	}
-	if err != nil {
-		return nil, err
-	}
-	return xs[k], nil
+	return out
 }
 
 // MPK computes A^k x0 and returns it in the ORIGINAL row ordering,
@@ -775,7 +615,7 @@ func (p *Plan) MPKCtx(ctx context.Context, x0 []float64, k int) ([]float64, erro
 // smoother shares the plan's L+D+U split and, for parallel plans, its
 // ABMC coloring — the SYMGS connection of Sections III-A and VII.
 // Requires a forward-backward plan (the split is not built for the
-// standard engine). Rows with zero diagonal are skipped.
+// other engines). Rows with zero diagonal are skipped.
 func (p *Plan) SymGS(b, x []float64, sweeps int) error {
 	return p.SymGSCtx(context.Background(), b, x, sweeps)
 }
@@ -783,7 +623,8 @@ func (p *Plan) SymGS(b, x []float64, sweeps int) error {
 // SymGSCtx is SymGS honoring ctx. On cancellation the contents of x
 // are unspecified.
 func (p *Plan) SymGSCtx(ctx context.Context, b, x []float64, sweeps int) error {
-	if p.eng != EngineForwardBackward {
+	fb, ok := p.engine.(*fbEngine)
+	if !ok {
 		return fmt.Errorf("core: SymGS requires the forward-backward engine: %w", ErrNoSplit)
 	}
 	if len(b) != p.n || len(x) != p.n {
@@ -797,13 +638,7 @@ func (p *Plan) SymGSCtx(ctx context.Context, b, x []float64, sweeps int) error {
 			p.perm.ApplyVec(b, pb)
 			p.perm.ApplyVec(x, pxv)
 		}
-		var err error
-		if p.sym != nil {
-			err = p.sym.apply(env, ep.tri, pb, pxv, sweeps)
-		} else {
-			err = symGSSerial(env, ep.tri, pb, pxv, sweeps)
-		}
-		if err != nil {
+		if err := symGS(fb.sch, env, ep.tri, pb, pxv, sweeps); err != nil {
 			return work{}, err
 		}
 		if p.perm != nil {
@@ -826,48 +661,24 @@ func (p *Plan) MPKAll(x0 []float64, k int) ([][]float64, error) {
 
 // MPKAllCtx is MPKAll honoring ctx.
 func (p *Plan) MPKAllCtx(ctx context.Context, x0 []float64, k int) ([][]float64, error) {
-	if len(x0) != p.n {
-		return nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), p.n, ErrDimension)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
+	if err := checkPowers(p.n, len(x0), k, nil); err != nil {
+		return nil, err
 	}
 	var out [][]float64
 	err := p.exec(ctx, opMPKAll, func(ws *workspace, env *runEnv, ep *planEpoch) (work, error) {
 		out = make([][]float64, k+1)
 		out[0] = sparse.CopyVec(x0)
 		hook := func(power int, x []float64) {
-			v := make([]float64, p.n)
 			if p.perm != nil {
-				p.perm.UnapplyVec(x, v)
+				out[power] = p.permOut(x)
 			} else {
-				copy(v, x)
+				out[power] = sparse.CopyVec(x)
 			}
-			out[power] = v
 		}
-		in := x0
-		if p.perm != nil {
-			px := ws.vec(p.n)
-			p.perm.ApplyVec(x0, px)
-			in = px
-		}
-		var err error
-		switch {
-		case p.eng == EngineLevelBlocked:
-			_, err = p.runLevelBlocked(ws, env, ep, in, k, hook)
-		case p.eng == EngineStandard && p.pool != nil:
-			_, err = standardMPKParallel(env, ep.be, in, k, p.pool, hook)
-		case p.eng == EngineStandard:
-			_, err = standardMPK(env, ep.be, in, k, hook)
-		case p.fb != nil:
-			_, _, err = p.fb.runCapture(ep.tri, ws.fb(p.n, p.opt.BtB), env, in, k, p.opt.BtB, nil, hook)
-		default:
-			_, _, err = fbmpkSerial(ws.fb(p.n, p.opt.BtB), env, ep.tri, in, k, p.opt.BtB, nil, hook)
-		}
-		if err != nil {
+		if _, _, err := p.engine.powers(ws, env, ep, p.permIn(ws, x0), k, nil, hook); err != nil {
 			return work{}, err
 		}
-		return p.workPowers(k, 1), nil
+		return p.engine.traffic(k, 1, false), nil
 	})
 	if err != nil {
 		return nil, err
@@ -888,30 +699,16 @@ func (p *Plan) MPKBatch(xs [][]float64, k int) ([][]float64, error) {
 func (p *Plan) MPKBatchCtx(ctx context.Context, xs [][]float64, k int) ([][]float64, error) {
 	var out [][]float64
 	err := p.exec(ctx, opMPKBatch, func(ws *workspace, env *runEnv, ep *planEpoch) (work, error) {
-		in := xs
-		if p.perm != nil {
-			in = make([][]float64, len(xs))
-			for c, x := range xs {
-				if len(x) != p.n {
-					return work{}, fmt.Errorf("core: vector %d length %d != n %d: %w", c, len(x), p.n, ErrDimension)
-				}
-				px := make([]float64, p.n)
-				p.perm.ApplyVec(x, px)
-				in[c] = px
-			}
+		// Validated here because permuting needs well-formed vectors.
+		if _, err := checkMulti(p.n, xs, k, nil); err != nil {
+			return work{}, err
 		}
 		var err error
-		out, err = standardMPKBatch(env, ep.be, in, k)
+		out, err = standardMPKBatch(env, ep.be, p.permBlock(xs, reorder.Perm.ApplyVec), k)
 		if err != nil {
 			return work{}, err
 		}
-		if p.perm != nil {
-			for c := range out {
-				v := make([]float64, p.n)
-				p.perm.UnapplyVec(out[c], v)
-				out[c] = v
-			}
-		}
+		out = p.permBlock(out, reorder.Perm.UnapplyVec)
 		return work{sweeps: uint64(k), spmvs: uint64(k) * uint64(len(xs)), nnz: uint64(k) * p.nnzA}, nil
 	})
 	if err != nil {
@@ -959,30 +756,19 @@ func (p *Plan) SSpMVMultiCtx(ctx context.Context, coeffs []float64, xs [][]float
 	if len(coeffs) == 0 {
 		return nil, fmt.Errorf("core: SSpMVMulti needs at least one coefficient: %w", ErrBadCoeffs)
 	}
-	if len(coeffs) == 1 {
-		// Degree-0 polynomial: y_j = c0 * x_j is pure scaling, which is
-		// independent of row order — no matrix pass and no permutation
-		// round-trip. (The plan's matrix is in execution order; routing
-		// this through a matrix kernel with original-order vectors would
-		// mix the two numberings.)
-		if len(xs) == 0 {
-			return nil, fmt.Errorf("core: SSpMVMulti: %w", ErrEmptyBlock)
-		}
-		out := make([][]float64, len(xs))
-		for j, x := range xs {
-			if len(x) != p.n {
-				return nil, fmt.Errorf("core: vector %d length %d != n %d: %w", j, len(x), p.n, ErrDimension)
-			}
-			y := make([]float64, p.n)
-			for i := range y {
-				y[i] = coeffs[0] * x[i]
-			}
-			out[j] = y
-		}
-		return out, nil
-	}
 	var combos [][]float64
 	err := p.exec(ctx, opSSpMVMulti, func(ws *workspace, env *runEnv, ep *planEpoch) (wk work, err error) {
+		if len(coeffs) == 1 {
+			// Degree 0 (see SSpMVCtx).
+			if _, err := checkMulti(p.n, xs, 1, nil); err != nil {
+				return work{}, err
+			}
+			combos = make([][]float64, len(xs))
+			for j, x := range xs {
+				combos[j] = scaled(coeffs[0], x)
+			}
+			return work{}, nil
+		}
 		_, combos, wk, err = p.runMulti(ws, env, ep, xs, len(coeffs)-1, coeffs)
 		return wk, err
 	})
@@ -992,96 +778,21 @@ func (p *Plan) SSpMVMultiCtx(ctx context.Context, coeffs []float64, xs [][]float
 	return combos, nil
 }
 
-// runMulti dispatches a batched run to the engine the plan selected,
-// handling the ABMC permutation on both sides.
+// runMulti is a batched engine run: permute in, k powers, permute out.
 func (p *Plan) runMulti(ws *workspace, env *runEnv, ep *planEpoch, xs [][]float64, k int, coeffs []float64) (xks, combos [][]float64, wk work, err error) {
-	var m int
-	if _, m, err = checkMulti(p.n, xs, k, coeffs); err != nil {
-		return nil, nil, work{}, err
-	}
-	in := xs
-	if p.perm != nil {
-		in = make([][]float64, len(xs))
-		for j, x := range xs {
-			px := make([]float64, p.n)
-			p.perm.ApplyVec(x, px)
-			in[j] = px
-		}
-	}
-	wk = p.workPowers(k, m)
-	switch {
-	case p.eng == EngineLevelBlocked:
-		// One schedule pass per vector: the level-blocked pipeline keeps
-		// k+1 iterates live per vector, so the batch runs sequentially
-		// over vectors rather than widening the working set m-fold.
-		xks = make([][]float64, len(in))
-		if coeffs != nil {
-			combos = make([][]float64, len(in))
-		}
-		for j, x := range in {
-			var hook IterateFunc
-			if coeffs != nil {
-				combo := make([]float64, p.n)
-				for i := range combo {
-					combo[i] = coeffs[0] * x[i]
-				}
-				hook = func(power int, xv []float64) {
-					if c := coeffs[power]; c != 0 {
-						sparse.AXPY(c, xv, combo)
-					}
-				}
-				combos[j] = combo
-			}
-			var xk []float64
-			xk, err = p.runLevelBlocked(ws, env, ep, x, k, hook)
-			if err != nil {
-				break
-			}
-			xks[j] = sparse.CopyVec(xk)
-		}
-	case p.eng == EngineStandard:
-		xks, err = standardMPKBatch(env, ep.be, in, k)
-		if err == nil && coeffs != nil {
-			// The combo needs the intermediate powers the SpMM sweep does
-			// not retain, so the standard path re-runs per vector: m extra
-			// k-power sweeps of matrix traffic.
-			wk.sweeps += uint64(k) * uint64(m)
-			wk.nnz += uint64(k) * uint64(m) * p.nnzA
-			combos = make([][]float64, len(in))
-			for j, x := range in {
-				combos[j], err = sspmvStandard(env, ep.be, coeffs, x)
-				if err != nil {
-					break
-				}
-			}
-		}
-	case p.fbm != nil:
-		xks, combos, err = p.fbm.run(ep.tri, ws.fbMulti(p.n, m, p.opt.BtB), env, in, k, p.opt.BtB, coeffs)
-	default:
-		xks, combos, err = fbmpkSerialMulti(ws.fbMulti(p.n, m, p.opt.BtB), env, ep.tri, in, k, p.opt.BtB, coeffs)
-	}
+	m, err := checkMulti(p.n, xs, k, coeffs)
 	if err != nil {
 		return nil, nil, work{}, err
 	}
-	if p.perm != nil {
-		unperm := func(vs [][]float64) {
-			for j, v := range vs {
-				out := make([]float64, p.n)
-				p.perm.UnapplyVec(v, out)
-				vs[j] = out
-			}
-		}
-		unperm(xks)
-		if combos != nil {
-			unperm(combos)
-		}
+	xks, combos, err = p.engine.powersMulti(ws, env, ep, p.permBlock(xs, reorder.Perm.ApplyVec), k, coeffs)
+	if err != nil {
+		return nil, nil, work{}, err
 	}
-	return xks, combos, wk, nil
+	return p.permBlock(xks, reorder.Perm.UnapplyVec), p.permBlock(combos, reorder.Perm.UnapplyVec), p.engine.traffic(k, m, coeffs != nil), nil
 }
 
 // SSpMV computes sum_{i=0..len(coeffs)-1} coeffs[i] * A^i * x0 in the
-// original row ordering. len(coeffs) must be at least 2 for the FB
-// engine (use a plain AXPY for degree-0 polynomials).
+// original row ordering.
 func (p *Plan) SSpMV(coeffs, x0 []float64) ([]float64, error) {
 	return p.SSpMVCtx(context.Background(), coeffs, x0)
 }
@@ -1094,16 +805,16 @@ func (p *Plan) SSpMVCtx(ctx context.Context, coeffs, x0 []float64) ([]float64, e
 	if len(x0) != p.n {
 		return nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), p.n, ErrDimension)
 	}
-	if len(coeffs) == 1 {
-		// Degree-0: pure scaling, order-independent (see SSpMVMulti).
-		y := make([]float64, p.n)
-		for i := range y {
-			y[i] = coeffs[0] * x0[i]
-		}
-		return y, nil
-	}
 	var combo []float64
 	err := p.exec(ctx, opSSpMV, func(ws *workspace, env *runEnv, ep *planEpoch) (wk work, err error) {
+		if len(coeffs) == 1 {
+			// Degree 0 is pure scaling: independent of row order, so no
+			// matrix pass and no permutation round-trip — but still an
+			// execution, admitted and counted like any other (a closed
+			// plan refuses it, a done context cancels it), with zero work.
+			combo = scaled(coeffs[0], x0)
+			return work{}, nil
+		}
 		_, combo, wk, err = p.run(ws, env, ep, x0, len(coeffs)-1, coeffs)
 		return wk, err
 	})
@@ -1129,20 +840,17 @@ func (p *Plan) SSpMVComplexCtx(ctx context.Context, coeffs []complex128, x0 []fl
 	if len(x0) != p.n {
 		return nil, nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), p.n, ErrDimension)
 	}
-	re = make([]float64, p.n)
-	im = make([]float64, p.n)
-	for i := range x0 {
-		re[i] = real(coeffs[0]) * x0[i]
-		im[i] = imag(coeffs[0]) * x0[i]
-	}
-	if len(coeffs) == 1 {
-		return re, im, nil
-	}
 	k := len(coeffs) - 1
 	err = p.exec(ctx, opSSpMVComplex, func(ws *workspace, env *runEnv, ep *planEpoch) (work, error) {
-		// The hook sees iterates in the plan's execution ordering, so for
-		// reordered plans the accumulators move into permuted space first
-		// and the results unpermute once at the end.
+		// The hook sees iterates in the plan's execution ordering, so the
+		// accumulators live in that ordering too (scaling commutes with
+		// the permutation) and unpermute once at the end.
+		in := p.permIn(ws, x0)
+		re, im = scaled(real(coeffs[0]), in), scaled(imag(coeffs[0]), in)
+		if k == 0 {
+			re, im = p.permOut(re), p.permOut(im)
+			return work{}, nil
+		}
 		hook := func(power int, x []float64) {
 			if c := real(coeffs[power]); c != 0 {
 				sparse.AXPY(c, x, re)
@@ -1151,41 +859,11 @@ func (p *Plan) SSpMVComplexCtx(ctx context.Context, coeffs []complex128, x0 []fl
 				sparse.AXPY(c, x, im)
 			}
 		}
-		in := x0
-		if p.perm != nil {
-			px := ws.vec(p.n)
-			p.perm.ApplyVec(x0, px)
-			in = px
-			pre := make([]float64, p.n)
-			pim := make([]float64, p.n)
-			p.perm.ApplyVec(re, pre)
-			p.perm.ApplyVec(im, pim)
-			re, im = pre, pim
-		}
-		var err error
-		switch {
-		case p.eng == EngineLevelBlocked:
-			_, err = p.runLevelBlocked(ws, env, ep, in, k, hook)
-		case p.eng == EngineStandard && p.pool != nil:
-			_, err = standardMPKParallel(env, ep.be, in, k, p.pool, hook)
-		case p.eng == EngineStandard:
-			_, err = standardMPK(env, ep.be, in, k, hook)
-		case p.fb != nil:
-			_, _, err = p.fb.runCapture(ep.tri, ws.fb(p.n, p.opt.BtB), env, in, k, p.opt.BtB, nil, hook)
-		default:
-			_, _, err = fbmpkSerial(ws.fb(p.n, p.opt.BtB), env, ep.tri, in, k, p.opt.BtB, nil, hook)
-		}
-		if err != nil {
+		if _, _, err := p.engine.powers(ws, env, ep, in, k, nil, hook); err != nil {
 			return work{}, err
 		}
-		if p.perm != nil {
-			ore := make([]float64, p.n)
-			oim := make([]float64, p.n)
-			p.perm.UnapplyVec(re, ore)
-			p.perm.UnapplyVec(im, oim)
-			re, im = ore, oim
-		}
-		return p.workPowers(k, 1), nil
+		re, im = p.permOut(re), p.permOut(im)
+		return p.engine.traffic(k, 1, false), nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -1193,93 +871,15 @@ func (p *Plan) SSpMVComplexCtx(ctx context.Context, coeffs []complex128, x0 []fl
 	return re, im, nil
 }
 
-// run dispatches a single-vector run to the engine the plan selected,
-// handling the ABMC permutation on both sides.
+// run is a single-vector engine run: permute in, k powers (and the
+// combination, with coeffs), permute out.
 func (p *Plan) run(ws *workspace, env *runEnv, ep *planEpoch, x0 []float64, k int, coeffs []float64) (xk, combo []float64, wk work, err error) {
 	if len(x0) != p.n {
 		return nil, nil, work{}, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), p.n, ErrDimension)
 	}
-	in := x0
-	if p.perm != nil {
-		px := ws.vec(p.n)
-		p.perm.ApplyVec(x0, px)
-		in = px
-	}
-
-	wk = p.workPowers(k, 1)
-	switch {
-	case p.eng == EngineLevelBlocked:
-		var hook IterateFunc
-		if coeffs != nil {
-			combo = make([]float64, p.n)
-			for i := range combo {
-				combo[i] = coeffs[0] * in[i]
-			}
-			hook = func(power int, x []float64) {
-				if c := coeffs[power]; c != 0 {
-					sparse.AXPY(c, x, combo)
-				}
-			}
-		}
-		xk, err = p.runLevelBlocked(ws, env, ep, in, k, hook)
-	case p.eng == EngineStandard && p.pool != nil:
-		xk, err = standardMPKParallel(env, ep.be, in, k, p.pool, nil)
-		if err == nil && coeffs != nil {
-			// The parallel standard engine retains no iterates, so the
-			// combo re-runs the power sweep: double the matrix traffic.
-			wk.sweeps += uint64(k)
-			wk.nnz += uint64(k) * p.nnzA
-			combo, err = p.standardCombo(env, ep, in, coeffs)
-		}
-	case p.eng == EngineStandard:
-		var hook IterateFunc
-		if coeffs != nil {
-			combo = make([]float64, p.n)
-			for i := range combo {
-				combo[i] = coeffs[0] * in[i]
-			}
-			hook = func(power int, x []float64) {
-				if c := coeffs[power]; c != 0 {
-					sparse.AXPY(c, x, combo)
-				}
-			}
-		}
-		xk, err = standardMPK(env, ep.be, in, k, hook)
-	case p.fb != nil:
-		xk, combo, err = p.fb.runCapture(ep.tri, ws.fb(p.n, p.opt.BtB), env, in, k, p.opt.BtB, coeffs, nil)
-	default:
-		xk, combo, err = fbmpkSerial(ws.fb(p.n, p.opt.BtB), env, ep.tri, in, k, p.opt.BtB, coeffs, nil)
-	}
+	xk, combo, err = p.engine.powers(ws, env, ep, p.permIn(ws, x0), k, coeffs, nil)
 	if err != nil {
 		return nil, nil, work{}, err
 	}
-	if p.perm != nil {
-		out := make([]float64, p.n)
-		p.perm.UnapplyVec(xk, out)
-		xk = out
-		if combo != nil {
-			cout := make([]float64, p.n)
-			p.perm.UnapplyVec(combo, cout)
-			combo = cout
-		}
-	}
-	return xk, combo, wk, nil
-}
-
-// standardCombo evaluates the SSpMV combination with the parallel
-// standard engine by re-running the power sweep with a capture hook.
-func (p *Plan) standardCombo(env *runEnv, ep *planEpoch, in []float64, coeffs []float64) ([]float64, error) {
-	combo := make([]float64, p.n)
-	for i := range combo {
-		combo[i] = coeffs[0] * in[i]
-	}
-	_, err := standardMPKParallel(env, ep.be, in, len(coeffs)-1, p.pool, func(power int, x []float64) {
-		if c := coeffs[power]; c != 0 {
-			sparse.AXPY(c, x, combo)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return combo, nil
+	return p.permOut(xk), p.permOut(combo), p.engine.traffic(k, 1, false), nil
 }

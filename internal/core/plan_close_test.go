@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -123,6 +124,65 @@ func TestCloseWhileInFlight(t *testing.T) {
 		p.Close()
 		if !p.Closed() {
 			t.Fatal("plan not Closed after drain")
+		}
+	}
+}
+
+// TestDegreeZeroIsAnExecution pins that a degree-0 polynomial (one
+// coefficient: pure scaling, no matrix pass) is admitted like every
+// other call: refused with ErrClosed after Close, canceled by an
+// already-done context, and counted in the per-op call metrics.
+func TestDegreeZeroIsAnExecution(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := randomCSR(rng, 48, 4)
+	x := randVec(rng, 48)
+	calls := []struct {
+		op  string
+		run func(ctx context.Context, p *Plan) error
+	}{
+		{"sspmv", func(ctx context.Context, p *Plan) error {
+			y, err := p.SSpMVCtx(ctx, []float64{2}, x)
+			if err == nil && y[3] != 2*x[3] {
+				t.Errorf("SSpMV degree 0: y[3] = %g, want %g", y[3], 2*x[3])
+			}
+			return err
+		}},
+		{"sspmv_multi", func(ctx context.Context, p *Plan) error {
+			ys, err := p.SSpMVMultiCtx(ctx, []float64{2}, [][]float64{x, x})
+			if err == nil && (len(ys) != 2 || ys[1][3] != 2*x[3]) {
+				t.Errorf("SSpMVMulti degree 0: wrong result")
+			}
+			return err
+		}},
+		{"sspmv_complex", func(ctx context.Context, p *Plan) error {
+			re, im, err := p.SSpMVComplexCtx(ctx, []complex128{complex(2, -3)}, x)
+			if err == nil && (re[3] != 2*x[3] || im[3] != -3*x[3]) {
+				t.Errorf("SSpMVComplex degree 0: (%g, %g), want (%g, %g)", re[3], im[3], 2*x[3], -3*x[3])
+			}
+			return err
+		}},
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, threads := range []int{0, 4} {
+		for _, c := range calls {
+			p, err := NewPlan(a, DefaultOptions(threads))
+			if err != nil {
+				t.Fatalf("NewPlan: %v", err)
+			}
+			if err := c.run(context.Background(), p); err != nil {
+				t.Fatalf("threads=%d %s: %v", threads, c.op, err)
+			}
+			if got := p.Metrics().CallsByOp[c.op]; got != 1 {
+				t.Errorf("threads=%d %s: CallsByOp = %d, want 1", threads, c.op, got)
+			}
+			if err := c.run(done, p); !errors.Is(err, context.Canceled) {
+				t.Errorf("threads=%d %s with a done context: got %v, want context.Canceled", threads, c.op, err)
+			}
+			p.Close()
+			if err := c.run(context.Background(), p); !errors.Is(err, ErrClosed) {
+				t.Errorf("threads=%d %s after Close: got %v, want ErrClosed", threads, c.op, err)
+			}
 		}
 	}
 }

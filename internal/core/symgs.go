@@ -26,12 +26,15 @@ import (
 // x entry is left unchanged), matching common practice for
 // saddle-point test matrices.
 func SymGSSerial(tri *sparse.Triangular, b, x []float64, sweeps int) error {
-	return symGSSerial(nil, tri, b, x, sweeps)
+	return symGS(serialSchedule(tri), nil, tri, b, x, sweeps)
 }
 
-// symGSSerial is SymGSSerial with a run environment (cancellation
-// checked once per sweep).
-func symGSSerial(env *runEnv, tri *sparse.Triangular, b, x []float64, sweeps int) error {
+// symGS runs sweeps SYMGS iterations over the color schedule sch —
+// colors ascending in the forward half-sweep, descending in the
+// backward one, barrier between colors: the exact scheme the FB
+// pipeline uses — executing on tri, any split sharing the structure
+// sch was built for (the plan passes its pinned epoch's split).
+func symGS(sch *colorSchedule, env *runEnv, tri *sparse.Triangular, b, x []float64, sweeps int) error {
 	n := tri.N
 	if len(b) != n || len(x) != n {
 		return fmt.Errorf("core: SymGS (n=%d, b=%d, x=%d): %w", n, len(b), len(x), ErrDimension)
@@ -39,17 +42,37 @@ func symGSSerial(env *runEnv, tri *sparse.Triangular, b, x []float64, sweeps int
 	if sweeps < 1 {
 		return fmt.Errorf("core: SymGS sweeps=%d: %w", sweeps, ErrBadSweeps)
 	}
-	clock := env.serialClock()
-	for s := 0; s < sweeps; s++ {
-		if env.canceled() {
-			return errCanceledRun
+	tm := sch.team
+	nc := len(sch.rows)
+	tm.run(bodyFunc(func(id int) {
+		clock := tm.clock(env, id)
+		skip := false
+		for h := 1; h <= 2*sweeps; h++ { // half-sweeps: odd forward, even backward
+			clock.beginSweep(phaseSymGS)
+			for ci := 0; ci < nc; ci++ {
+				c := ci
+				if h&1 == 0 {
+					c = nc - 1 - ci
+				}
+				if !skip {
+					lo, hi := sch.rows[c][id], sch.rows[c][id+1]
+					if h&1 == 1 {
+						symGSForwardRange(tri, b, x, lo, hi)
+					} else {
+						symGSBackwardRange(tri, b, x, lo, hi)
+					}
+				}
+				tm.sync(clock, phaseSymGS, int32(c))
+				if !skip && env.canceled() {
+					skip = true
+				}
+			}
+			clock.endSweep(phaseSymGS, int32(h))
 		}
-		clock.beginSweep(phaseSymGS)
-		symGSForwardRange(tri, b, x, 0, n)
-		clock.endSweepCompute(phaseSymGS, int32(2*s+1))
-		clock.beginSweep(phaseSymGS)
-		symGSBackwardRange(tri, b, x, 0, n)
-		clock.endSweepCompute(phaseSymGS, int32(2*s+2))
+		clock.flush()
+	}))
+	if env.canceled() {
+		return errCanceledRun
 	}
 	return nil
 }
@@ -97,99 +120,25 @@ func symGSBackwardRange(tri *sparse.Triangular, b, x []float64, lo, hi int) {
 }
 
 // SymGSParallel applies SYMGS with ABMC multi-color parallelization:
-// the exact scheme FBMPK uses, reused for the smoother (colors
-// ascending in the forward sweep, descending in the backward sweep,
-// barrier between colors). tri and ord must describe the same
-// permuted matrix; b and x are in the permuted ordering.
+// the standalone form of the plan's parallel smoother. tri and ord must
+// describe the same permuted matrix; b and x are in the permuted
+// ordering.
 type SymGSParallel struct {
-	tri  *sparse.Triangular
-	ord  *reorder.ABMCResult
-	pool *parallel.Pool
-	bar  *parallel.Barrier
-
-	colorBounds [][]int
+	tri *sparse.Triangular
+	sch *colorSchedule
 }
 
 // NewSymGSParallel prepares a parallel SYMGS executor over an
 // ABMC-ordered split matrix.
 func NewSymGSParallel(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parallel.Pool) (*SymGSParallel, error) {
-	if tri.N != len(ord.Perm) {
-		return nil, fmt.Errorf("core: matrix size %d != ordering size %d: %w", tri.N, len(ord.Perm), ErrDimension)
+	sch, err := newColorSchedule(tri, ord, pool)
+	if err != nil {
+		return nil, err
 	}
-	w := pool.Workers()
-	g := &SymGSParallel{
-		tri:  tri,
-		ord:  ord,
-		pool: pool,
-		bar:  parallel.NewBarrier(w),
-	}
-	g.colorBounds = make([][]int, ord.NumColors)
-	for c := 0; c < ord.NumColors; c++ {
-		g.colorBounds[c] = parallel.PartitionBlocks(
-			int(ord.ColorPtr[c]), int(ord.ColorPtr[c+1]), w, ord.BlockPtr)
-	}
-	return g, nil
+	return &SymGSParallel{tri: tri, sch: sch}, nil
 }
 
 // Apply runs sweeps SYMGS iterations on x in place.
 func (g *SymGSParallel) Apply(b, x []float64, sweeps int) error {
-	return g.apply(nil, g.tri, b, x, sweeps)
-}
-
-// apply is Apply with a run environment, executing on tri — any split
-// sharing the structure g was scheduled for (the plan passes its
-// pinned epoch's split); the cancellation protocol is the skip-mode
-// scheme of FBParallel.runCapture (workers keep crossing every barrier
-// of the schedule once they observe the flag, they just stop
-// computing).
-func (g *SymGSParallel) apply(env *runEnv, tri *sparse.Triangular, b, x []float64, sweeps int) error {
-	n := tri.N
-	if len(b) != n || len(x) != n {
-		return fmt.Errorf("core: SymGS (n=%d, b=%d, x=%d): %w", n, len(b), len(x), ErrDimension)
-	}
-	if sweeps < 1 {
-		return fmt.Errorf("core: SymGS sweeps=%d: %w", sweeps, ErrBadSweeps)
-	}
-	nc := g.ord.NumColors
-	g.pool.Run(func(id int) {
-		clock := env.workerClock(id)
-		skip := false
-		for s := 0; s < sweeps; s++ {
-			clock.beginSweep(phaseSymGS)
-			for c := 0; c < nc; c++ {
-				if !skip {
-					bb := g.colorBounds[c]
-					lo, hi := int(g.ord.BlockPtr[bb[id]]), int(g.ord.BlockPtr[bb[id+1]])
-					symGSForwardRange(tri, b, x, lo, hi)
-				}
-				clock.endCompute(phaseSymGS, int32(c))
-				g.bar.Wait()
-				clock.endWait(phaseSymGS, int32(c))
-				if !skip && env.canceled() {
-					skip = true
-				}
-			}
-			clock.endSweep(phaseSymGS, int32(2*s+1))
-			clock.beginSweep(phaseSymGS)
-			for c := nc - 1; c >= 0; c-- {
-				if !skip {
-					bb := g.colorBounds[c]
-					lo, hi := int(g.ord.BlockPtr[bb[id]]), int(g.ord.BlockPtr[bb[id+1]])
-					symGSBackwardRange(tri, b, x, lo, hi)
-				}
-				clock.endCompute(phaseSymGS, int32(c))
-				g.bar.Wait()
-				clock.endWait(phaseSymGS, int32(c))
-				if !skip && env.canceled() {
-					skip = true
-				}
-			}
-			clock.endSweep(phaseSymGS, int32(2*s+2))
-		}
-		clock.flush()
-	})
-	if env.canceled() {
-		return errCanceledRun
-	}
-	return nil
+	return symGS(g.sch, nil, g.tri, b, x, sweeps)
 }

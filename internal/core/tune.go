@@ -392,9 +392,8 @@ func Autotune(a *sparse.CSR) TuneDecision {
 // level structure, decide deterministically when the model is
 // one-sided, and micro-measure the kernels as tie-break when the
 // matrix is small enough to afford it. blockBytes <= 0 selects
-// DefaultLevelBlockBytes. threads > 1 measures the parallel kernels
-// the plan would actually run (ABMC-FB on a default-config ordering,
-// the level-blocked schedule on the worker pool) — the serial and
+// DefaultLevelBlockBytes. The tie-break measures the kernels at the
+// plan's worker count (threads <= 1 is serial) — the serial and
 // parallel rankings genuinely differ on barrier-sensitive hosts, so
 // the verdict must come from the execution mode it will serve.
 // Deterministic given the matrix structure except for the measured
@@ -402,13 +401,9 @@ func Autotune(a *sparse.CSR) TuneDecision {
 // backend tuner's margin does; the executed result of either verdict
 // is bitwise identical across plans.
 func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision, error) {
-	if k <= 0 {
-		k = DefaultTuneK
-	}
-	if threads <= 1 {
-		threads = 0
-	}
-	ls, err := newLevelSchedule(a, blockBytes)
+	opt := Options{Engine: EngineAuto, TuneK: k, LevelBlockBytes: blockBytes, Threads: threads}.Canonical()
+	k, threads = opt.TuneK, opt.Threads
+	ls, err := newLevelSchedule(a, opt.LevelBlockBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -475,10 +470,10 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 	}
 
 	// Measured tie-break: both kernels end to end, including the
-	// schedules they would really execute (FB on the L+D+U split, LB on
-	// the level-permuted matrix), min-of-reps. With threads > 1 the
-	// measured kernels are the parallel ones, on a throwaway pool of the
-	// plan's worker count.
+	// schedules they would really execute (FB on the L+D+U split —
+	// ABMC-ordered on a default-config ordering when parallel — LB on
+	// the level-permuted matrix), min-of-reps, on a throwaway pool of
+	// the plan's worker count (none for a serial plan).
 	x := tuneVector(a.Cols, uint64(a.Rows)<<32^uint64(a.NNZ()))
 	pa, err := ls.perm.ApplySym(a)
 	if err != nil {
@@ -490,48 +485,39 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 	}
 	ls.perm.ApplyVec(x, xs[0])
 	x0p := sparse.CopyVec(xs[0])
+	var pool *parallel.Pool
+	var runner sparse.Runner
+	var ord *reorder.ABMCResult
+	fa, xf := a, x
 	if threads > 0 {
-		pool := parallel.NewPoolNamed(threads, "tune")
+		pool = parallel.NewPoolNamed(threads, "tune")
 		defer pool.Close()
-		ord, err := reorder.ABMC(a, reorder.ABMCOptions{Pool: pool})
-		if err != nil {
+		runner = pool
+		if ord, err = reorder.ABMC(a, reorder.ABMCOptions{Pool: pool}); err != nil {
 			return nil, err
 		}
-		fa, err := ord.Perm.ApplySymPool(a, pool)
-		if err != nil {
+		if fa, err = ord.Perm.ApplySymPool(a, pool); err != nil {
 			return nil, err
 		}
-		ftri, err := sparse.SplitPool(fa, pool)
-		if err != nil {
-			return nil, err
-		}
-		fb, err := NewFBParallel(ftri, ord, pool)
-		if err != nil {
-			return nil, err
-		}
-		xf := make([]float64, a.Rows)
+		xf = make([]float64, a.Rows)
 		ord.Perm.ApplyVec(x, xf)
-		dec.FBSampleNs = measureEngine(func() {
-			_, _, _ = fb.Run(xf, k, true, nil)
-		})
-		dec.LBSampleNs = measureEngine(func() {
-			copy(xs[0], x0p)
-			_ = levelBlockedMPKParallel(nil, pa, ls, xs, k, pool, nil)
-		})
-	} else {
-		tri, err := sparse.SplitPool(a, nil)
-		if err != nil {
-			return nil, err
-		}
-		ws := &workspace{}
-		dec.FBSampleNs = measureEngine(func() {
-			_, _, _ = fbmpkSerial(ws.fb(a.Rows, true), nil, tri, x, k, true, nil, nil)
-		})
-		dec.LBSampleNs = measureEngine(func() {
-			copy(xs[0], x0p)
-			_ = levelBlockedMPK(nil, pa, ls, xs, k, nil)
-		})
 	}
+	tri, err := sparse.SplitPool(fa, runner)
+	if err != nil {
+		return nil, err
+	}
+	sch, err := newColorSchedule(tri, ord, pool)
+	if err != nil {
+		return nil, err
+	}
+	var st fbState
+	dec.FBSampleNs = measureEngine(func() {
+		_, _, _ = fbPowers(sch, &st, nil, tri, xf, k, true, nil, nil)
+	})
+	dec.LBSampleNs = measureEngine(func() {
+		copy(xs[0], x0p)
+		_ = levelBlockedPowers(sch.team, nil, pa, ls, xs, k, nil)
+	})
 	dec.Samples = 2 * (engineTuneReps + 1)
 	if float64(dec.LBSampleNs) < engineTuneMargin*float64(dec.FBSampleNs) {
 		dec.Engine = EngineLevelBlocked

@@ -7,21 +7,16 @@ import (
 	"fbmpk/internal/sparse"
 )
 
-// Level-based (wavefront) MPK — a simplified reimplementation of the
-// approach behind LB-MPK (Alappat et al., the closest related work the
-// paper discusses in Section VI): rows are grouped into BFS levels of
-// the matrix graph, and powers advance along anti-diagonal wavefronts
-// so that values computed for one level are reused for the next power
-// while still cache-resident. The paper argues this approach must keep
-// multiple iterate vectors live (performance drops for k around 6-8 as
-// they fall out of cache) while FBMPK only ever keeps two; the
-// cachesim trace of this kernel (cachesim.TraceWavefrontMPK) lets that
-// comparison be reproduced quantitatively.
+// BFS level partition of the matrix graph: the structure behind the
+// level-blocked engine (levelblock.go) and the level-based schedules
+// the cache simulator replays (cachesim.TraceWavefrontMPK,
+// TraceLevelBlockedMPK) — the LB-MPK family of Alappat et al. the paper
+// discusses in Section VI.
 
 // LevelPartition groups the rows of a square matrix by BFS level of
 // its symmetrized pattern graph (component by component). Every
 // neighbor of a level-l row lies in levels l-1..l+1, the property the
-// wavefront schedule relies on.
+// level schedules rely on.
 type LevelPartition struct {
 	Level    []int32 // level of each row
 	LevelPtr []int32 // rows of level l are Rows[LevelPtr[l]:LevelPtr[l+1]]
@@ -102,54 +97,4 @@ func (lp *LevelPartition) Validate(a *sparse.CSR) error {
 		}
 	}
 	return nil
-}
-
-// WavefrontMPK computes A^k x0 with the level-based wavefront
-// schedule: tile (level l, power p) executes at step t = 2p + l, by
-// which time the p-1 values of levels l-1, l, l+1 (steps t-3..t-1) are
-// complete. All k+1 iterate vectors are kept live — the working-set
-// cost the paper contrasts FBMPK against. onIterate observes each
-// fully completed power.
-func WavefrontMPK(a *sparse.CSR, lp *LevelPartition, x0 []float64, k int, onIterate IterateFunc) ([]float64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("core: WavefrontMPK: %w", sparse.ErrNotSquare)
-	}
-	if len(x0) != a.Rows {
-		return nil, fmt.Errorf("core: x0 length %d != n %d", len(x0), a.Rows)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: power k=%d must be >= 1", k)
-	}
-	nl := lp.NumLevels()
-	x := make([][]float64, k+1)
-	x[0] = sparse.CopyVec(x0)
-	for p := 1; p <= k; p++ {
-		x[p] = make([]float64, a.Rows)
-	}
-	// done[p] counts completed levels of power p, to fire onIterate
-	// exactly when a power finishes.
-	done := make([]int, k+1)
-	for t := 2; t <= 2*k+nl-1; t++ {
-		// Execute tiles (l, p) with 2p + l == t, valid l and p.
-		for p := 1; p <= k; p++ {
-			l := t - 2*p
-			if l < 0 || l >= nl {
-				continue
-			}
-			src, dst := x[p-1], x[p]
-			for _, ri := range lp.Rows[lp.LevelPtr[l]:lp.LevelPtr[l+1]] {
-				i := int(ri)
-				s := 0.0
-				for j := a.RowPtr[i]; j < a.RowPtr[i+1]; j++ {
-					s += a.Val[j] * src[a.ColIdx[j]]
-				}
-				dst[i] = s
-			}
-			done[p]++
-			if done[p] == nl && onIterate != nil {
-				onIterate(p, x[p])
-			}
-		}
-	}
-	return x[k], nil
 }

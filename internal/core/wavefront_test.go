@@ -82,51 +82,3 @@ func TestBFSLevelsDisconnected(t *testing.T) {
 		t.Errorf("NumLevels = %d, want 6", lp.NumLevels())
 	}
 }
-
-func TestWavefrontMPKMatchesStandard(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	for trial := 0; trial < 6; trial++ {
-		n := 20 + rng.Intn(150)
-		a := bandedMatrix(rng, n, 1+rng.Intn(4))
-		lp, err := BFSLevels(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x0 := randVec(rng, n)
-		for _, k := range []int{1, 2, 5, 8} {
-			want := refMPK(a, x0, k)
-			var iterates int
-			got, err := WavefrontMPK(a, lp, x0, k, func(p int, x []float64) {
-				iterates++
-				if d := sparse.RelMaxDiff(x, refMPK(a, x0, p)); d > 1e-11 {
-					t.Errorf("k=%d iterate %d: diff %g", k, p, d)
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if iterates != k {
-				t.Errorf("k=%d: observed %d iterates", k, iterates)
-			}
-			if d := sparse.RelMaxDiff(got, want); d > 1e-11 {
-				t.Fatalf("trial %d k=%d: wavefront diff %g", trial, k, d)
-			}
-		}
-	}
-}
-
-func TestWavefrontMPKErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	a := bandedMatrix(rng, 10, 1)
-	lp, _ := BFSLevels(a)
-	if _, err := WavefrontMPK(a, lp, make([]float64, 9), 2, nil); err == nil {
-		t.Error("accepted short x0")
-	}
-	if _, err := WavefrontMPK(a, lp, make([]float64, 10), 0, nil); err == nil {
-		t.Error("accepted k=0")
-	}
-	rect := &sparse.CSR{Rows: 2, Cols: 3, RowPtr: []int64{0, 0, 0}}
-	if _, err := WavefrontMPK(rect, lp, make([]float64, 3), 1, nil); err == nil {
-		t.Error("accepted rectangular matrix")
-	}
-}

@@ -12,11 +12,10 @@ package core
 // earlier in the same pass), which is the same guarantee a freshly
 // allocated state relies on.
 type workspace struct {
-	px  []float64   // permutation scratch (input side)
-	py  []float64   // second permutation scratch (SymGS x, complex SSpMV)
-	lv  [][]float64 // level-blocked engine live iterates (k+1 vectors)
-	st  *fbState
-	mst *fbMultiState
+	px []float64   // permutation scratch (input side)
+	py []float64   // second permutation scratch (SymGS x, complex SSpMV)
+	lv [][]float64 // level-blocked engine live iterates (k+1 vectors)
+	fb fbState     // forward-backward pipeline state, reshaped per call
 }
 
 // ensureLen returns s resized to length n, reusing its backing array
@@ -54,47 +53,6 @@ func (ws *workspace) lvl(n, k int) [][]float64 {
 		ws.lv[p] = ensureLen(ws.lv[p], n)
 	}
 	return ws.lv
-}
-
-// fb returns the single-vector pipeline state for dimension n and the
-// given layout, reusing the cached one when it matches.
-func (ws *workspace) fb(n int, btb bool) *fbState {
-	st := ws.st
-	if st == nil {
-		st = &fbState{}
-		ws.st = st
-	}
-	st.tmp = ensureLen(st.tmp, n)
-	if btb {
-		st.xy = ensureLen(st.xy, 2*n)
-		st.a, st.b = nil, nil
-	} else {
-		st.a = ensureLen(st.a, n)
-		st.b = ensureLen(st.b, n)
-		st.xy = nil
-	}
-	return st
-}
-
-// fbMulti returns the m-vector pipeline state for dimension n,
-// growing the cached buffers when the block width demands it.
-func (ws *workspace) fbMulti(n, m int, btb bool) *fbMultiState {
-	st := ws.mst
-	if st == nil {
-		st = &fbMultiState{}
-		ws.mst = st
-	}
-	st.tmp = ensureLen(st.tmp, n*m)
-	st.x0b = ensureLen(st.x0b, n*m)
-	if btb {
-		st.xy = ensureLen(st.xy, 2*n*m)
-		st.a, st.b = nil, nil
-	} else {
-		st.a = ensureLen(st.a, n*m)
-		st.b = ensureLen(st.b, n*m)
-		st.xy = nil
-	}
-	return st
 }
 
 // acquire takes a workspace from the plan's pool (allocating the first

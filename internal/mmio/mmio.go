@@ -65,6 +65,11 @@ func Read(r io.Reader) (*sparse.CSR, *Header, error) {
 	if err1 != nil || err2 != nil || err3 != nil || rows < 0 || cols < 0 || nnz < 0 {
 		return nil, nil, fmt.Errorf("mmio: bad size line %q", sizeLine)
 	}
+	if h.Symmetry != "general" && rows != cols {
+		// The mirrored entry of a symmetric format only exists in a
+		// square matrix.
+		return nil, nil, fmt.Errorf("mmio: %s matrix must be square, got %dx%d", h.Symmetry, rows, cols)
+	}
 
 	// The header's nnz is untrusted input: cap the preallocation hint so
 	// a bogus huge count can neither overflow the symmetric doubling

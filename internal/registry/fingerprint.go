@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"fbmpk/internal/core"
-	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
 )
 
@@ -35,82 +34,9 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 func (k Key) Short() string { return hex.EncodeToString(k[:6]) }
 
 // Canonicalize maps options onto their equivalence-class
-// representative: fields that cannot affect the built plan are zeroed
-// and defaulted fields are resolved, so option sets that build
-// interchangeable plans fingerprint identically regardless of how the
-// caller spelled them (struct literal vs functional options, Threads
-// 0 vs 1, NumBlocks 0 vs the 512 default, ...).
-func Canonicalize(opt core.Options) core.Options {
-	if opt.Threads <= 1 {
-		// 0 and 1 both select the serial engines.
-		opt.Threads = 0
-	}
-	if opt.Engine != core.EngineForwardBackward && opt.Engine != core.EngineAuto {
-		// BtB is a property of the FB pipeline's vector layout; an Auto
-		// plan keeps it because the arbitration may resolve to FB.
-		opt.BtB = false
-	}
-	if opt.Engine == core.EngineLevelBlocked {
-		// The level schedule supplies the ordering: ABMC never runs, so
-		// ForceABMC is inert (and must fold before the needABMC test
-		// below zeroes the blocking knobs it would otherwise pin).
-		opt.ForceABMC = false
-	}
-	needABMC := opt.ForceABMC || (opt.Threads > 1 &&
-		(opt.Engine == core.EngineForwardBackward || opt.Engine == core.EngineAuto))
-	if needABMC {
-		if opt.NumBlocks <= 0 {
-			opt.NumBlocks = reorder.DefaultNumBlocks
-		}
-	} else {
-		// No reordering: the blocking/coloring knobs are inert.
-		opt.NumBlocks = 0
-		opt.ColorOrder = 0
-		opt.PreRCM = false
-	}
-	if opt.Engine == core.EngineLevelBlocked || opt.Engine == core.EngineAuto {
-		// Resolve the block budget so 0 and the explicit default share a
-		// key; inert for the other engines.
-		if opt.LevelBlockBytes <= 0 {
-			opt.LevelBlockBytes = core.DefaultLevelBlockBytes
-		}
-	} else {
-		opt.LevelBlockBytes = 0
-	}
-	if opt.Engine == core.EngineAuto {
-		if opt.TuneK <= 0 {
-			opt.TuneK = core.DefaultTuneK
-		}
-	} else {
-		// TuneK only parameterizes the EngineAuto arbitration.
-		opt.TuneK = 0
-	}
-	if opt.Threads > 1 {
-		// Pool plans clamp the admission gate to one execution.
-		opt.MaxInFlight = 1
-	} else if opt.MaxInFlight <= 0 {
-		opt.MaxInFlight = 0
-	}
-	switch opt.Backend {
-	case core.BackendSELL:
-		// Resolve defaults and sigma rounding so every spelling of the
-		// same executed SELL configuration shares a key; the BSR knob is
-		// inert.
-		opt.SELLChunk, opt.SELLSigma = core.CanonicalSELLParams(opt.SELLChunk, opt.SELLSigma)
-		opt.BSRBlock = 0
-	case core.BackendBSR:
-		// SELL knobs are inert; non-positive block sizes all mean
-		// "detect from the structure".
-		opt.SELLChunk, opt.SELLSigma = 0, 0
-		if opt.BSRBlock < 0 {
-			opt.BSRBlock = 0
-		}
-	default:
-		// CSR and Auto ignore every format knob (Auto picks its own).
-		opt.SELLChunk, opt.SELLSigma, opt.BSRBlock = 0, 0, 0
-	}
-	return opt
-}
+// representative; see core.Options.Canonical, which NewPlan builds from
+// too, so the key and the plan cannot disagree on what a knob means.
+func Canonicalize(opt core.Options) core.Options { return opt.Canonical() }
 
 // fingerprintBufLen is the staging buffer size of the streaming
 // encoder: large enough to amortize hasher calls, small enough to

@@ -290,6 +290,15 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := NewHTTPServer(s.Handler())
+	// Count requests the server has started reading: a connection the
+	// client holds but the accept loop has not reached yet sits in the
+	// listen backlog and is reset when Shutdown closes the listener.
+	var accepted atomic.Int32
+	hs.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateActive {
+			accepted.Add(1)
+		}
+	}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
@@ -320,6 +329,7 @@ func TestGracefulDrain(t *testing.T) {
 	client := &http.Client{}
 	var connected atomic.Int32
 	const clients = 4
+	acceptedBefore := accepted.Load()
 	type result struct {
 		status int
 		sum    string
@@ -352,12 +362,12 @@ func TestGracefulDrain(t *testing.T) {
 		}()
 	}
 
-	// Wait until every client holds an established connection — a
-	// connection accepted before Shutdown is drained to completion, one
-	// still dialing would be refused — and the work is genuinely in
-	// flight, then drain. If the machine is fast enough that requests
+	// Wait until every client holds an established connection and the
+	// server is reading its request — an active connection is drained to
+	// completion, one still dialing or still in the backlog would be
+	// refused — and the work is genuinely in flight, then drain. If the machine is fast enough that requests
 	// already finished, the drain still has to come back clean.
-	for i := 0; i < 20000 && connected.Load() < clients; i++ {
+	for i := 0; i < 20000 && (connected.Load() < clients || accepted.Load()-acceptedBefore < clients); i++ {
 		time.Sleep(100 * time.Microsecond)
 	}
 	for i := 0; i < 1000 && s.adm.inFlight() == 0; i++ {

@@ -22,18 +22,6 @@ func BenchmarkSpMVCSR(b *testing.B) {
 	}
 }
 
-func BenchmarkSpMVELL(b *testing.B) {
-	m := benchMatrix(b)
-	e := ToELL(m, 0)
-	x := Ones(m.Rows)
-	y := make([]float64, m.Rows)
-	b.SetBytes(e.MemoryBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.SpMV(x, y)
-	}
-}
-
 func BenchmarkSpMVSELL(b *testing.B) {
 	m := benchMatrix(b)
 	s := ToSELL(m, 8, 64)
@@ -55,18 +43,6 @@ func BenchmarkSpMVBSR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.SpMV(x, y)
-	}
-}
-
-func BenchmarkSpMVCSC(b *testing.B) {
-	m := benchMatrix(b)
-	c := ToCSC(m)
-	x := Ones(m.Rows)
-	y := make([]float64, m.Rows)
-	b.SetBytes(c.MemoryBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.SpMV(x, y)
 	}
 }
 

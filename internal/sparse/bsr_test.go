@@ -97,43 +97,3 @@ func TestBSRPanicsOnBadBlocks(t *testing.T) {
 	}()
 	ToBSR(paperExample(), 0, 2)
 }
-
-func TestCSCMatchesCSR(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for trial := 0; trial < 10; trial++ {
-		n := 1 + rng.Intn(60)
-		a := randomCSR(rng, n, rng.Intn(6))
-		m := ToCSC(a)
-		x := randVec(rng, n)
-		want := make([]float64, n)
-		got := make([]float64, n)
-		SpMV(a, x, want)
-		m.SpMV(x, got)
-		if d := MaxAbsDiff(got, want); d > 1e-12 {
-			t.Fatalf("trial %d: CSC SpMV differs by %g", trial, d)
-		}
-		// Transpose product: compare against CSR of A^T.
-		at := a.Transpose()
-		SpMV(at, x, want)
-		m.SpMVTranspose(x, got)
-		if d := MaxAbsDiff(got, want); d > 1e-12 {
-			t.Fatalf("trial %d: CSC SpMVTranspose differs by %g", trial, d)
-		}
-	}
-}
-
-func TestCSCSkipsZeroColumns(t *testing.T) {
-	// x with zeros: scatter loop must skip but still zero y first.
-	a := paperExample()
-	m := ToCSC(a)
-	y := []float64{9, 9, 9, 9}
-	m.SpMV([]float64{0, 0, 0, 0}, y)
-	for i, v := range y {
-		if v != 0 {
-			t.Errorf("y[%d] = %g, want 0", i, v)
-		}
-	}
-	if m.MemoryBytes() <= 0 {
-		t.Error("CSC accounting not positive")
-	}
-}

@@ -1,8 +1,9 @@
 // Package sparse implements the sparse-matrix substrate used by FBMPK:
 // the CSR storage format (the paper's working format), a COO/triplet
 // builder, the A = L + D + U split at the heart of the forward-backward
-// pipeline, serial and parallel SpMV kernels, and the ELLPACK and
-// SELL-C-sigma formats discussed in the paper's future-work section.
+// pipeline, the SpMV and SpMM kernels with their row-range forms, and
+// the SELL-C-sigma and BSR formats behind the plan's execution backends
+// (the direction the paper's future-work section points at).
 //
 // All matrices are square or rectangular CSR with float64 values and
 // int32 column indices (int32 halves index traffic, which matters for a

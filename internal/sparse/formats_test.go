@@ -6,51 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestELLMatchesCSR(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for trial := 0; trial < 15; trial++ {
-		n := 1 + rng.Intn(50)
-		a := randomCSR(rng, n, rng.Intn(6))
-		for _, width := range []int{0, 1, 3, 8} {
-			e := ToELL(a, width)
-			x := randVec(rng, n)
-			want := make([]float64, n)
-			got := make([]float64, n)
-			SpMV(a, x, want)
-			e.SpMV(x, got)
-			if d := MaxAbsDiff(got, want); d > 1e-12 {
-				t.Fatalf("trial %d width %d: ELL SpMV differs by %g", trial, width, d)
-			}
-		}
-	}
-}
-
-func TestELLHybridOverflow(t *testing.T) {
-	// One dense row forces the hybrid CSR remainder.
-	n := 20
-	coo := NewCOO(n, n, 2*n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 1)
-		coo.Add(0, i, float64(i+1)) // wide row 0
-	}
-	a := coo.ToCSR()
-	e := ToELL(a, 2)
-	if e.Rest == nil {
-		t.Fatal("expected CSR remainder for wide row")
-	}
-	x := Ones(n)
-	want := make([]float64, n)
-	got := make([]float64, n)
-	SpMV(a, x, want)
-	e.SpMV(x, got)
-	if d := MaxAbsDiff(got, want); d > 1e-12 {
-		t.Fatalf("hybrid ELL differs by %g", d)
-	}
-	if e.PaddingRatio() < 1 {
-		t.Errorf("PaddingRatio = %g, want >= 1", e.PaddingRatio())
-	}
-}
-
 func TestSELLMatchesCSRQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -111,9 +66,6 @@ func TestSELLPermIsPermutation(t *testing.T) {
 func TestFormatMemoryAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randomCSR(rng, 64, 4)
-	if ToELL(a, 0).MemoryBytes() <= 0 {
-		t.Error("ELL MemoryBytes not positive")
-	}
 	if ToSELL(a, 8, 8).MemoryBytes() <= 0 {
 		t.Error("SELL MemoryBytes not positive")
 	}
@@ -141,24 +93,6 @@ func TestVecHelpers(t *testing.T) {
 	Scale(0.5, y)
 	if y[0] != 3.5 || y[1] != -3.5 {
 		t.Errorf("Scale = %v", y)
-	}
-}
-
-func TestInterleaveRoundTrip(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	xy := make([]float64, 6)
-	Interleave(a, b, xy)
-	want := []float64{1, 4, 2, 5, 3, 6}
-	for i := range want {
-		if xy[i] != want[i] {
-			t.Fatalf("Interleave = %v, want %v", xy, want)
-		}
-	}
-	a2, b2 := make([]float64, 3), make([]float64, 3)
-	Deinterleave(xy, a2, b2)
-	if MaxAbsDiff(a, a2) != 0 || MaxAbsDiff(b, b2) != 0 {
-		t.Error("Deinterleave did not invert Interleave")
 	}
 }
 

@@ -78,98 +78,6 @@ func SpMMRange(a *CSR, x, y []float64, nv, lo, hi int) {
 	}
 }
 
-// SpMMAddRange computes Y[lo:hi] += (A*X)[lo:hi] in the row-major block
-// layout without zeroing Y first — the block analogue of SpMVAddRange.
-func SpMMAddRange(a *CSR, x, y []float64, nv, lo, hi int) {
-	rp, ci, v := a.RowPtr, a.ColIdx, a.Val
-	switch nv {
-	case 2:
-		for i := lo; i < hi; i++ {
-			var s0, s1 float64
-			cr := ci[rp[i]:rp[i+1]]
-			vr := v[rp[i]:rp[i+1]]
-			vr = vr[:len(cr)]
-			for k := 0; k < len(cr); k++ {
-				c := int(cr[k]) * 2
-				xv := x[c : c+2 : c+2]
-				s0 += vr[k] * xv[0]
-				s1 += vr[k] * xv[1]
-			}
-			yi := y[2*i : 2*i+2 : 2*i+2]
-			yi[0] += s0
-			yi[1] += s1
-		}
-	case 4:
-		for i := lo; i < hi; i++ {
-			var s0, s1, s2, s3 float64
-			cr := ci[rp[i]:rp[i+1]]
-			vr := v[rp[i]:rp[i+1]]
-			vr = vr[:len(cr)]
-			for k := 0; k < len(cr); k++ {
-				c := int(cr[k]) * 4
-				xv := x[c : c+4 : c+4]
-				vk := vr[k]
-				s0 += vk * xv[0]
-				s1 += vk * xv[1]
-				s2 += vk * xv[2]
-				s3 += vk * xv[3]
-			}
-			yi := y[4*i : 4*i+4 : 4*i+4]
-			yi[0] += s0
-			yi[1] += s1
-			yi[2] += s2
-			yi[3] += s3
-		}
-	default:
-		for i := lo; i < hi; i++ {
-			yi := y[i*nv : i*nv+nv : i*nv+nv]
-			for k := rp[i]; k < rp[i+1]; k++ {
-				xv := x[int(ci[k])*nv : int(ci[k])*nv+nv]
-				val := v[k]
-				for c := range yi {
-					yi[c] += val * xv[c]
-				}
-			}
-		}
-	}
-}
-
-// SpMMTriangularRange computes, for rows [lo,hi) in the row-major block
-// layout,
-//
-//	Y[i] = (L*X)[i] + d[i]*X[i] + (U*X)[i]
-//
-// — one full block SpMV expressed over the split representation, the
-// multi-vector analogue of SpMVTriangularRange used for the head/tail
-// phases of the batched FBMPK pipeline.
-func SpMMTriangularRange(t *Triangular, x, y []float64, nv, lo, hi int) {
-	lrp, lci, lv := t.L.RowPtr, t.L.ColIdx, t.L.Val
-	urp, uci, uv := t.U.RowPtr, t.U.ColIdx, t.U.Val
-	d := t.D
-	for i := lo; i < hi; i++ {
-		yi := y[i*nv : i*nv+nv : i*nv+nv]
-		xi := x[i*nv : i*nv+nv]
-		di := d[i]
-		for c := range yi {
-			yi[c] = di * xi[c]
-		}
-		for k := lrp[i]; k < lrp[i+1]; k++ {
-			xv := x[int(lci[k])*nv : int(lci[k])*nv+nv]
-			val := lv[k]
-			for c := range yi {
-				yi[c] += val * xv[c]
-			}
-		}
-		for k := urp[i]; k < urp[i+1]; k++ {
-			xv := x[int(uci[k])*nv : int(uci[k])*nv+nv]
-			val := uv[k]
-			for c := range yi {
-				yi[c] += val * xv[c]
-			}
-		}
-	}
-}
-
 // PackVectors interleaves nv column vectors (each length n) into the
 // row-major block layout SpMM consumes.
 func PackVectors(cols [][]float64) []float64 {

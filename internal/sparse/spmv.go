@@ -1,9 +1,9 @@
 package sparse
 
-// This file holds the scalar CSR kernels (Algorithm 1 of the paper and
-// its row-range/accumulating variants). The kernels are memory-bound;
-// the Go-level optimizations are about not spending instructions on
-// anything except the loads:
+// This file holds the scalar CSR kernel (Algorithm 1 of the paper) and
+// its row-range form. The kernel is memory-bound; the Go-level
+// optimizations are about not spending instructions on anything except
+// the loads:
 //
 //   - The row loop ranges over a subslice of RowPtr and carries each
 //     row's end offset forward as the next row's start, so the compiler
@@ -66,94 +66,4 @@ func SpMVRange(a *CSR, x, y []float64, lo, hi int) {
 		ys[ii] = (s0 + s1) + (s2 + s3)
 		rlo = rhi
 	}
-}
-
-// SpMVAdd computes y += A*x without zeroing y first.
-func SpMVAdd(a *CSR, x, y []float64) {
-	SpMVAddRange(a, x, y, 0, a.Rows)
-}
-
-// SpMVAddRange computes y[lo:hi] += (A*x)[lo:hi].
-func SpMVAddRange(a *CSR, x, y []float64, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	rp, ci, v := a.RowPtr, a.ColIdx, a.Val
-	ys := y[lo:hi]
-	rps := rp[lo+1 : hi+1]
-	rps = rps[:len(ys)]
-	rlo := rp[lo]
-	for ii := range rps {
-		rhi := rps[ii]
-		cr := ci[rlo:rhi]
-		vr := v[rlo:rhi]
-		vr = vr[:len(cr)]
-		var s0, s1, s2, s3 float64
-		k := 0
-		for ; k+4 <= len(cr); k += 4 {
-			c := cr[k : k+4 : k+4]
-			w := vr[k : k+4 : k+4]
-			s0 += w[0] * x[c[0]]
-			s1 += w[1] * x[c[1]]
-			s2 += w[2] * x[c[2]]
-			s3 += w[3] * x[c[3]]
-		}
-		for ; k < len(cr); k++ {
-			s0 += vr[k] * x[cr[k]]
-		}
-		ys[ii] += (s0 + s1) + (s2 + s3)
-		rlo = rhi
-	}
-}
-
-// SpMVTriangularRange computes, for rows [lo,hi):
-//
-//	y[i] = (L*x)[i] + d[i]*x[i] + (U*x)[i]
-//
-// from the split representation — one full SpMV expressed over L, D, U.
-// It is the "head"/"tail" kernel of Algorithm 2 and the baseline used
-// in the Table III reordering experiment when operating on the split
-// form.
-func SpMVTriangularRange(t *Triangular, x, y []float64, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	lci, lv := t.L.ColIdx, t.L.Val
-	uci, uv := t.U.ColIdx, t.U.Val
-	ys := y[lo:hi]
-	ds := t.D[lo:hi]
-	ds = ds[:len(ys)]
-	xs := x[lo:hi]
-	xs = xs[:len(ys)]
-	lrps := t.L.RowPtr[lo+1 : hi+1]
-	lrps = lrps[:len(ys)]
-	urps := t.U.RowPtr[lo+1 : hi+1]
-	urps = urps[:len(ys)]
-	llo := t.L.RowPtr[lo]
-	ulo := t.U.RowPtr[lo]
-	for ii := range ys {
-		s := ds[ii] * xs[ii]
-		lhi := lrps[ii]
-		cr := lci[llo:lhi]
-		vr := lv[llo:lhi]
-		vr = vr[:len(cr)]
-		for k := 0; k < len(cr); k++ {
-			s += vr[k] * x[cr[k]]
-		}
-		llo = lhi
-		uhi := urps[ii]
-		cr = uci[ulo:uhi]
-		vr = uv[ulo:uhi]
-		vr = vr[:len(cr)]
-		for k := 0; k < len(cr); k++ {
-			s += vr[k] * x[cr[k]]
-		}
-		ulo = uhi
-		ys[ii] = s
-	}
-}
-
-// SpMVTriangular is SpMVTriangularRange over all rows.
-func SpMVTriangular(t *Triangular, x, y []float64) {
-	SpMVTriangularRange(t, x, y, 0, t.N)
 }

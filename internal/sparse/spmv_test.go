@@ -91,35 +91,6 @@ func TestSpMVRangeCoversAllPartitions(t *testing.T) {
 	}
 }
 
-func TestSpMVAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	n := 23
-	a := randomCSR(rng, n, 3)
-	x := randVec(rng, n)
-	y0 := randVec(rng, n)
-	y := CopyVec(y0)
-	SpMVAdd(a, x, y)
-	ax := make([]float64, n)
-	SpMV(a, x, ax)
-	for i := range y {
-		if d := y[i] - (y0[i] + ax[i]); d > 1e-12 || d < -1e-12 {
-			t.Fatalf("SpMVAdd[%d] off by %g", i, d)
-		}
-	}
-	// Range variant.
-	y = CopyVec(y0)
-	SpMVAddRange(a, x, y, 5, 17)
-	for i := range y {
-		want := y0[i]
-		if i >= 5 && i < 17 {
-			want += ax[i]
-		}
-		if d := y[i] - want; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("SpMVAddRange[%d] off by %g", i, d)
-		}
-	}
-}
-
 func TestSpMVDimensionPanics(t *testing.T) {
 	a := paperExample()
 	defer func() {

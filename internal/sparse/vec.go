@@ -115,28 +115,3 @@ func CopyVec(x []float64) []float64 {
 	copy(y, x)
 	return y
 }
-
-// Interleave packs a and b into xy with xy[2i]=a[i], xy[2i+1]=b[i]
-// (the back-to-back layout of Section III-C). xy must have length
-// 2*len(a) and len(a) must equal len(b).
-func Interleave(a, b, xy []float64) {
-	if len(a) != len(b) || len(xy) != 2*len(a) {
-		panic("sparse: Interleave length mismatch")
-	}
-	for i := range a {
-		xy[2*i] = a[i]
-		xy[2*i+1] = b[i]
-	}
-}
-
-// Deinterleave splits xy into its even slots (into a) and odd slots
-// (into b); inverse of Interleave.
-func Deinterleave(xy, a, b []float64) {
-	if len(a) != len(b) || len(xy) != 2*len(a) {
-		panic("sparse: Deinterleave length mismatch")
-	}
-	for i := range a {
-		a[i] = xy[2*i]
-		b[i] = xy[2*i+1]
-	}
-}

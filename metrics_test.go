@@ -155,3 +155,46 @@ func TestPlanMetricsString(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanMetricsStandardSSpMVSingleSweep pins the parallel standard
+// engine's SSpMV to one pass over the powers: the combination
+// accumulates from the iterate hook of the same k sweeps that produce
+// A^k x0, so the plan streams A exactly k times (1 read per SpMV) — for
+// any worker count, with the same result bits.
+func TestPlanMetricsStandardSSpMVSingleSweep(t *testing.T) {
+	a, err := GenerateSuiteMatrix("cant", 0.004, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	x0 := randVec(rng, a.Rows)
+	coeffs := []float64{0.5, -1, 0.25, 0, 2}
+	k := len(coeffs) - 1
+	var ref []float64
+	for _, threads := range []int{1, 4} {
+		p, err := NewPlan(a, WithEngine(EngineStandard), WithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := p.SSpMV(coeffs, x0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := p.Metrics()
+		p.Close()
+		if m.Sweeps != uint64(k) || m.SpMVs != uint64(k) {
+			t.Errorf("threads=%d: Sweeps = %d, SpMVs = %d, want %d each", threads, m.Sweeps, m.SpMVs, k)
+		}
+		if math.Abs(m.ReadsPerSpMV-1) > 1e-12 {
+			t.Errorf("threads=%d: ReadsPerSpMV = %.6f, want exactly 1", threads, m.ReadsPerSpMV)
+		}
+		if ref == nil {
+			ref = y
+		}
+		for i := range y {
+			if y[i] != ref[i] {
+				t.Fatalf("threads=%d: y[%d] = %g differs from serial %g", threads, i, y[i], ref[i])
+			}
+		}
+	}
+}
