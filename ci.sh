@@ -15,10 +15,33 @@ go test ./...
 # internal/sparse only go down; a PR that shrinks them lowers the limit.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go | grep -v _test.go) | wc -l)
 [ "$lines" -le 6503 ]
+# Bounds-check ratchet (PR 16): in the scalar FB sweeps (fbForward1,
+# fbBackward1) the unrolled inner loops read each entry through
+# a window w and must keep one IsInBounds per nonzero — the gather, which
+# no idiom removes. Nonzeros per trip are the `s += w[j] * ...` lines;
+# checks are the IsInBounds sites the compiler reports on any `w[j]` line.
+go build -gcflags=-d=ssa/check_bce ./internal/core 2> /tmp/fbmpk_ci_bce.txt
+awk '
+  NR == FNR {
+    if ($0 ~ /^func fbForward1\(/) scalar = 1
+    if ($0 ~ /^func fbForwardM\(/) scalar = 0
+    if (scalar && $0 ~ /w\[[0-9]\]/) {
+      win[FNR] = 1
+      if ($0 ~ /^[ \t]*s[0-9]? \+= w\[/) nnz++
+    }
+    next
+  }
+  /fbsweeps\.go:[0-9]+:[0-9]+: Found IsInBounds/ { split($0, f, ":"); if (f[2] in win) checks++ }
+  END { printf "fbsweeps.go scalar sweeps: %d IsInBounds for %d unrolled nonzeros\n", checks, nnz; exit !(nnz > 0 && checks <= nnz) }
+' internal/core/fbsweeps.go /tmp/fbmpk_ci_bce.txt
 go test -race ./internal/parallel/ -count 1
 go test -race ./internal/core/ -run 'Parallel|Multi' -count 1
 # TestGoldenBits rides along: result bits of every entry point, engine
-# and worker count against digests recorded before the kernel collapse.
+# and worker count against digests recorded in PR 16, when the FB sweeps
+# re-associated their sums (split accumulators, entries of the backward
+# sweep walked downward). What licensed moving them is the derived bound
+# gamma_{k(r+2)} * |A|^k|x| that internal/core TestDerivedErrorBound
+# holds every engine and kernel variant to against math/big.
 go test -race -run 'Differential|TestGoldenBits' -count 1 .
 # Level-blocked engine: the dedicated differential battery (serial vs
 # parallel bitwise, vs standard and ABMC-FB within tolerance, degenerate

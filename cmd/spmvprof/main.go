@@ -1,7 +1,11 @@
 // Command spmvprof replays MPK kernels through the cache simulator and
 // reports DRAM traffic — the per-matrix view behind Fig 9. It can
 // sweep k, compare vector layouts, and simulate the last-level caches
-// of the paper's four platforms or a capacity-scaled cache.
+// of the paper's four platforms or a capacity-scaled cache. Below the
+// simulated table it runs the same powers on a 2-thread FB plan and
+// prints the measured worker-ns per nonzero of each pipeline phase
+// (PlanMetrics.NsPerNnz): at 12 matrix bytes per nonzero, the achieved
+// streaming rate to hold against the traffic the simulator predicts.
 //
 // Usage:
 //
@@ -80,11 +84,13 @@ func run(file, matrix string, scale float64, seed uint64, ks, llc string, ratio 
 	fmt.Printf("LLC: %d bytes, %d-way, %dB lines\n", cfg.SizeBytes, cfg.Assoc, cfg.LineBytes)
 	fmt.Printf("%-5s %15s %15s %15s %8s %8s\n",
 		"k", "baseline DRAM", "FBMPK DRAM", "FB(sep) DRAM", "ratio", "theory")
+	var powers []int
 	for _, part := range strings.Split(ks, ",") {
 		k, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || k < 1 {
 			return fmt.Errorf("bad power %q", part)
 		}
+		powers = append(powers, k)
 		std, fb, err := cachesim.CompareMPK(cfg, a, tri, k, true)
 		if err != nil {
 			return err
@@ -96,5 +102,26 @@ func run(file, matrix string, scale float64, seed uint64, ks, llc string, ratio 
 			100*float64(fb.TotalDRAM())/float64(std.TotalDRAM()),
 			100*float64(k+1)/float64(2*k))
 	}
+
+	// Phases are clocked on pooled plans only, hence two threads.
+	plan, err := fbmpk.NewPlan(a, fbmpk.WithThreads(2))
+	if err != nil {
+		return err
+	}
+	defer plan.Close()
+	x0 := sparse.Ones(a.Rows)
+	for rep := 0; rep < 5; rep++ {
+		for _, k := range powers {
+			if _, err := plan.MPK(x0, k); err != nil {
+				return err
+			}
+		}
+	}
+	m := plan.Metrics()
+	fmt.Printf("measured, 2-thread FB plan, worker-ns per nonzero streamed (%.2f reads of A per SpMV):", m.ReadsPerSpMV)
+	for _, ph := range []string{"head", "forward", "backward"} {
+		fmt.Printf("  %s %.2f", ph, m.NsPerNnz[ph])
+	}
+	fmt.Println()
 	return nil
 }

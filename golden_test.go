@@ -9,6 +9,15 @@ package fbmpk
 // is intended) with
 //
 //	go test -run TestGoldenBits -update-golden .
+//
+// The recording dates from PR 16, which re-associated the sums of the
+// forward-backward sweeps (split accumulation chains, backward entries
+// walked downward) and so moved every fbmpk digest; the standard and
+// level-blocked ones are those of PR 12. A regeneration is justified by
+// an error bound, not by a tolerance: internal/core
+// TestDerivedErrorBound holds every engine and kernel variant to
+// gamma_{k(r+2)} * (|A|^k |x|)_i against an exact math/big reference,
+// a bound that does not depend on summation order.
 
 import (
 	"bufio"

@@ -108,6 +108,7 @@ type Cache struct {
 	lineShift uint
 	clock     int64
 	stats     Stats
+	tap       func(addr uint64, write bool) // tests observe the replayed address stream
 }
 
 // New builds a cache; the configuration must validate. Power-of-two
@@ -167,6 +168,9 @@ func (c *Cache) Read(addr uint64, size int64) { c.access(addr, size, false) }
 func (c *Cache) Write(addr uint64, size int64) { c.access(addr, size, true) }
 
 func (c *Cache) access(addr uint64, size int64, write bool) {
+	if c.tap != nil {
+		c.tap(addr, write)
+	}
 	first := addr >> c.lineShift
 	last := (addr + uint64(size) - 1) >> c.lineShift
 	for ln := first; ln <= last; ln++ {

@@ -255,3 +255,47 @@ func TestTraceSpMVTrafficLowerBound(t *testing.T) {
 		t.Errorf("SpMV read %d bytes < matrix %d", c.Stats().ReadBytes, a.MemoryBytes())
 	}
 }
+
+// TestFBTraceBackwardOrder keeps simulator and kernel the same program:
+// core.fbBackward1 walks rows and each row's entries downward, so the
+// backward sweep's reads of U's column indices and values must each be
+// one strictly descending address stream — within every row and across
+// rows.
+func TestFBTraceBackwardOrder(t *testing.T) {
+	spec, err := matgen.ByName("pwtk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri, err := sparse.Split(spec.Generate(1e-4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// TraceFBMPK places L, then U, first.
+	var l layout
+	placeCSR(&l, tri.L)
+	rU := placeCSR(&l, tri.U)
+	nnz := len(tri.U.Val)
+	var ci, val []uint64
+	c := tinyCache(t, 4096, 4)
+	c.tap = func(addr uint64, write bool) {
+		switch {
+		case addr >= rU.colIdx && addr < rU.colIdx+uint64(nnz)*4:
+			ci = append(ci, addr)
+		case addr >= rU.val && addr < rU.val+uint64(nnz)*8:
+			val = append(val, addr)
+		}
+	}
+	// k = 2: head (U ascending), one forward sweep, one backward sweep.
+	TraceFBMPK(c, tri, 2, true)
+	for name, seq := range map[string][]uint64{"ColIdx": ci, "Val": val} {
+		if len(seq) != 2*nnz {
+			t.Fatalf("U.%s read %d times, want head + backward = %d", name, len(seq), 2*nnz)
+		}
+		back := seq[nnz:]
+		for j := 1; j < len(back); j++ {
+			if back[j] >= back[j-1] {
+				t.Fatalf("U.%s backward read %d at %#x follows %#x: not descending", name, j, back[j], back[j-1])
+			}
+		}
+	}
+}

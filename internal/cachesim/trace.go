@@ -120,11 +120,12 @@ func TraceFBMPK(c *Cache, tri *sparse.Triangular, k int, btb bool) {
 			break
 		}
 		last = t+1 == k
-		// Backward sweep over U.
+		// Backward sweep over U: rows and each row's entries both
+		// downward, the kernel's order (core.fbBackward1).
 		for i := n - 1; i >= 0; i-- {
 			c.Read(tmp+uint64(i)*8, 8)
 			c.Read(rU.rowPtr+uint64(i)*8, 8)
-			for j := tri.U.RowPtr[i]; j < tri.U.RowPtr[i+1]; j++ {
+			for j := tri.U.RowPtr[i+1] - 1; j >= tri.U.RowPtr[i]; j-- {
 				c.Read(rU.colIdx+uint64(j)*4, 4)
 				c.Read(rU.val+uint64(j)*8, 8)
 				col := tri.U.ColIdx[j]

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"fbmpk/internal/matgen"
 	"fbmpk/internal/parallel"
 	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
@@ -203,4 +205,55 @@ func BenchmarkNewPlan(b *testing.B) {
 			}
 		})
 	}
+}
+
+var sweepScale = flag.Float64("sweep-scale", 0.05, "pwtk scale of BenchmarkSweep; 8 is the benchmark's out-of-cache bed (1.1 GB)")
+
+// BenchmarkSweep answers "bandwidth-bound or not" without the repo
+// benchmark: one pipelined forward sweep, one pipelined backward sweep
+// and one tail (last) backward sweep of the scalar BtB pipeline beside
+// sparse.SpMV over the same matrix. ns/nnz is time per matrix entry
+// streamed; MB/s counts the sweep's compulsory traffic, 12 bytes per
+// entry plus what each row moves besides (RowPtr, d, tmp and the vector
+// lines, reads and write-backs), which is where an FB sweep, with half
+// the entries per row of an SpMV, differs. Run with -sweep-scale=8 for
+// the out-of-cache figures DESIGN.md §6 quotes.
+func BenchmarkSweep(b *testing.B) {
+	spec, err := matgen.ByName("pwtk")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := spec.Generate(*sweepScale, 1)
+	tri, err := sparse.Split(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := a.Rows
+	rng := rand.New(rand.NewSource(5))
+	xy0, tmp0 := randVec(rng, 2*n), randVec(rng, n)
+	st := new(fbState)
+	st.shape(n, 1, true)
+	st.tri = tri
+	run := func(name string, nnz, rowBytes int, sweep func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(12*int64(nnz) + int64(rowBytes)*int64(n))
+			for i := 0; i < b.N; i++ {
+				// Same operands every iteration: repeated sweeps would
+				// grow the iterates to Inf.
+				b.StopTimer()
+				copy(st.xy, xy0)
+				copy(st.tmp, tmp0)
+				b.StartTimer()
+				sweep()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nnz), "ns/nnz")
+		})
+	}
+	// Per row: RowPtr 8, x 8, y 8.
+	run("spmv", len(a.Val), 24, func() { sparse.SpMV(a, xy0[:n], st.tmp) })
+	// RowPtr 8, d 8, tmp 8 + 8, the row's xy line 16 + 16.
+	run("forward", len(tri.L.Val)+n, 64, func() { st.forward(0, n, false) })
+	run("backward", len(tri.U.Val), 56, func() { st.backward(0, n, false) })
+	// The tail leaves tmp unwritten.
+	run("tail", len(tri.U.Val), 48, func() { st.backward(0, n, true) })
 }

@@ -99,20 +99,21 @@ func (s *fbState) shape(n, m int, btb bool) {
 
 // forward and backward hand rows [lo, hi) to the sweep kernel of the
 // state's width and layout. Each specialization is kept by a measured
-// ratio (general form / kept form, benchmark/run.sh against the PR 11
-// parent, mpk-cache then mpk-dram):
-//   - scalar m = 1 over the m-wide kernels: fb_mpk_ms 2.25x, 1.60x;
-//   - register-blocked m = 4 over the m-wide kernels: multi_mpk_ms
-//     2.39x, 2.21x;
-//   - m = 4 per layout over a strided m = 4: multi_mpk_ms 1.08x, 1.05x.
+// ratio (general form / kept form, benchmark/run.sh at PR 16, mpk-cache
+// then mpk-dram):
+//   - scalar m = 1 over the m-wide kernels: fb_mpk_ms 3.35x, 2.10x;
+//   - register-blocked m = 4 BtB over the m-wide kernels: multi_mpk_ms
+//     2.60x, 1.77x.
+//
+// The separate layout at m = 4 rides the m-wide kernels: only
+// WithBtB(false) reaches it — no default path, no benchmark metric — so
+// a register-blocked pair of its own is not worth its 121 lines.
 func (s *fbState) forward(lo, hi int, last bool) {
 	switch {
 	case s.m == 1:
 		fbForward1(s.tri, s.it[0], s.it[1], s.tmp, s.stride, lo, hi, last)
 	case s.m == 4 && s.btb:
 		fbForwardBtB4(s.tri, s.xy, s.tmp, lo, hi, last)
-	case s.m == 4:
-		fbForwardSep4(s.tri, s.a, s.b, s.tmp, lo, hi, last)
 	default:
 		fbForwardM(s.tri, s.it[0], s.it[1], s.tmp, s.m, s.stride, lo, hi, last)
 	}
@@ -124,8 +125,6 @@ func (s *fbState) backward(lo, hi int, last bool) {
 		fbBackward1(s.tri, s.it[0], s.it[1], s.tmp, s.stride, lo, hi, last)
 	case s.m == 4 && s.btb:
 		fbBackwardBtB4(s.tri, s.xy, s.tmp, lo, hi, last)
-	case s.m == 4:
-		fbBackwardSep4(s.tri, s.a, s.b, s.tmp, lo, hi, last)
 	default:
 		fbBackwardM(s.tri, s.it[0], s.it[1], s.tmp, s.m, s.stride, lo, hi, last)
 	}
@@ -440,9 +439,7 @@ func (e *fbEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][
 func (e *fbEngine) traffic(k, m int, _ bool) work {
 	fwd := uint64(k+1) / 2
 	bwd := uint64(k) / 2
-	return work{
-		sweeps: uint64(k),
-		spmvs:  uint64(k) * uint64(m),
-		nnz:    e.nnzU + fwd*(e.nnzL+e.nnzD) + bwd*e.nnzU,
-	}
+	wk := work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m)}
+	wk.nnz[phaseHead], wk.nnz[phaseForward], wk.nnz[phaseBackward] = e.nnzU, fwd*(e.nnzL+e.nnzD), bwd*e.nnzU
+	return wk
 }

@@ -391,5 +391,5 @@ func (e *lbEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][
 // of A per SpMV through the cache hierarchy. Its saving is DRAM
 // residency, accounted by cachesim, not here.
 func (e *lbEngine) traffic(k, m int, _ bool) work {
-	return work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m), nnz: uint64(k) * uint64(m) * e.nnzA}
+	return work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m), nnz: [numPhases]uint64{phaseLevel: uint64(k) * uint64(m) * e.nnzA}}
 }

@@ -111,9 +111,9 @@ type planMetrics struct {
 	canceled atomic.Uint64 // executions ended by context cancellation
 	inflight atomic.Int64
 
-	sweeps      atomic.Uint64 // pipeline sweeps (forward or backward passes)
-	spmvs       atomic.Uint64 // SpMV-equivalents served (powers x vectors)
-	nnzStreamed atomic.Uint64 // matrix nonzeros read from memory
+	sweeps   atomic.Uint64            // pipeline sweeps (forward or backward passes)
+	spmvs    atomic.Uint64            // SpMV-equivalents served (powers x vectors)
+	phaseNnz [numPhases]atomic.Uint64 // matrix nonzeros read from memory, by streaming phase
 
 	callNanos atomic.Int64 // wall time inside engine executions
 	phaseWait [numPhases]atomic.Int64
@@ -123,11 +123,11 @@ type planMetrics struct {
 }
 
 // work is the analytic cost of one successful execution, accumulated
-// into the counters by exec.
+// into the counters by exec. nnz is split by the phase that streams it.
 type work struct {
 	sweeps uint64
 	spmvs  uint64
-	nnz    uint64
+	nnz    [numPhases]uint64
 }
 
 func (m *planMetrics) add(w work) {
@@ -137,8 +137,10 @@ func (m *planMetrics) add(w work) {
 	if w.spmvs != 0 {
 		m.spmvs.Add(w.spmvs)
 	}
-	if w.nnz != 0 {
-		m.nnzStreamed.Add(w.nnz)
+	for ph, nnz := range w.nnz {
+		if nnz != 0 {
+			m.phaseNnz[ph].Add(nnz)
+		}
 	}
 }
 
@@ -168,6 +170,11 @@ type PlanMetrics struct {
 	ComputeTime  time.Duration            `json:"compute_time_ns"`
 	PhaseWait    map[string]time.Duration `json:"phase_wait_ns,omitempty"`
 	PhaseCompute map[string]time.Duration `json:"phase_compute_ns,omitempty"`
+	// NsPerNnz is PhaseCompute over the nonzeros streamed in that phase:
+	// worker-nanoseconds per matrix entry, the "bandwidth-bound or not"
+	// figure (12 matrix bytes per entry). Phases are clocked on pooled
+	// plans only, so a serial plan reports none.
+	NsPerNnz map[string]float64 `json:"ns_per_nnz,omitempty"`
 
 	// Latency holds the per-op call duration histogram (log-linear,
 	// 12.5% relative bucket error) with derived p50/p90/p99.
@@ -226,14 +233,13 @@ func (m PlanMetrics) String() string {
 // snapshot materializes the counters. matrixNnz is the plan's nnz(A).
 func (m *planMetrics) snapshot(matrixNnz uint64) PlanMetrics {
 	s := PlanMetrics{
-		Rejected:    m.rejected.Load(),
-		Canceled:    m.canceled.Load(),
-		InFlight:    m.inflight.Load(),
-		Sweeps:      m.sweeps.Load(),
-		SpMVs:       m.spmvs.Load(),
-		NnzStreamed: m.nnzStreamed.Load(),
-		MatrixNnz:   matrixNnz,
-		CallTime:    time.Duration(m.callNanos.Load()),
+		Rejected:  m.rejected.Load(),
+		Canceled:  m.canceled.Load(),
+		InFlight:  m.inflight.Load(),
+		Sweeps:    m.sweeps.Load(),
+		SpMVs:     m.spmvs.Load(),
+		MatrixNnz: matrixNnz,
+		CallTime:  time.Duration(m.callNanos.Load()),
 	}
 	s.CallsByOp = make(map[string]uint64, numOps)
 	for op := opKind(0); op < numOps; op++ {
@@ -246,25 +252,31 @@ func (m *planMetrics) snapshot(matrixNnz uint64) PlanMetrics {
 			s.Latency[op.String()] = m.hist[op].snapshot()
 		}
 	}
-	if matrixNnz > 0 {
-		s.ReadsOfA = float64(s.NnzStreamed) / float64(matrixNnz)
-	}
-	if s.SpMVs > 0 {
-		s.ReadsPerSpMV = s.ReadsOfA / float64(s.SpMVs)
-	}
 	s.PhaseWait = make(map[string]time.Duration, numPhases)
 	s.PhaseCompute = make(map[string]time.Duration, numPhases)
+	s.NsPerNnz = make(map[string]float64, numPhases)
 	for ph := phase(0); ph < numPhases; ph++ {
 		w := time.Duration(m.phaseWait[ph].Load())
 		c := time.Duration(m.phaseComp[ph].Load())
+		nnz := m.phaseNnz[ph].Load()
+		s.NnzStreamed += nnz
 		if w > 0 {
 			s.PhaseWait[phaseNames[ph]] = w
 		}
 		if c > 0 {
 			s.PhaseCompute[phaseNames[ph]] = c
+			if nnz > 0 {
+				s.NsPerNnz[phaseNames[ph]] = float64(c) / float64(nnz)
+			}
 		}
 		s.WaitTime += w
 		s.ComputeTime += c
+	}
+	if matrixNnz > 0 {
+		s.ReadsOfA = float64(s.NnzStreamed) / float64(matrixNnz)
+	}
+	if s.SpMVs > 0 {
+		s.ReadsPerSpMV = s.ReadsOfA / float64(s.SpMVs)
 	}
 	return s
 }

@@ -188,6 +188,7 @@ type stdEngine struct {
 	team   team
 	bounds []int
 	nnzA   uint64
+	ph     phase // the backend's sweep phase
 }
 
 func (e *stdEngine) powers(_ *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
@@ -218,10 +219,11 @@ func (e *stdEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in []
 }
 
 func (e *stdEngine) traffic(k, m int, combos bool) work {
-	wk := work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m), nnz: uint64(k) * e.nnzA}
+	wk := work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m)}
+	wk.nnz[e.ph] = uint64(k) * e.nnzA
 	if combos {
 		wk.sweeps += uint64(k) * uint64(m)
-		wk.nnz += uint64(k) * uint64(m) * e.nnzA
+		wk.nnz[e.ph] += uint64(k) * uint64(m) * e.nnzA
 	}
 	return wk
 }

@@ -246,7 +246,7 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	}
 	if p.eng == EngineStandard {
 		tm := newTeam(p.pool)
-		p.engine = &stdEngine{team: tm, bounds: be.partition(tm.workers()), nnzA: p.nnzA}
+		p.engine = &stdEngine{team: tm, bounds: be.partition(tm.workers()), nnzA: p.nnzA, ph: be.phase()}
 	}
 	if engDec != nil {
 		// Attach the engine arbitration verdict to the tuning report.
@@ -647,7 +647,7 @@ func (p *Plan) SymGSCtx(ctx context.Context, b, x []float64, sweeps int) error {
 		// One symmetric sweep streams L, D, U twice (forward + backward
 		// half-sweeps): 2 nnzA per sweep, 2 SpMV-equivalents.
 		s := uint64(sweeps)
-		return work{sweeps: 2 * s, spmvs: 2 * s, nnz: 2 * s * p.nnzA}, nil
+		return work{sweeps: 2 * s, spmvs: 2 * s, nnz: [numPhases]uint64{phaseSymGS: 2 * s * p.nnzA}}, nil
 	})
 }
 
@@ -709,7 +709,9 @@ func (p *Plan) MPKBatchCtx(ctx context.Context, xs [][]float64, k int) ([][]floa
 			return work{}, err
 		}
 		out = p.permBlock(out, reorder.Perm.UnapplyVec)
-		return work{sweeps: uint64(k), spmvs: uint64(k) * uint64(len(xs)), nnz: uint64(k) * p.nnzA}, nil
+		wk := work{sweeps: uint64(k), spmvs: uint64(k) * uint64(len(xs))}
+		wk.nnz[ep.be.phase()] = uint64(k) * p.nnzA
+		return wk, nil
 	})
 	if err != nil {
 		return nil, err

@@ -113,20 +113,26 @@ func WriteMetrics(w io.Writer, snaps ...PlanSnapshot) error {
 	}
 	pw.family("fbmpk_phase_wait_seconds_total", "Per-worker barrier wait time by pipeline phase.", "counter")
 	for _, s := range snaps {
-		for _, ph := range sortedDurKeys(s.Metrics.PhaseWait) {
+		for _, ph := range sortedKeys(s.Metrics.PhaseWait) {
 			pw.sample("fbmpk_phase_wait_seconds_total", planLabels(s, [2]string{"phase", ph}), s.Metrics.PhaseWait[ph].Seconds())
 		}
 	}
 	pw.family("fbmpk_phase_compute_seconds_total", "Per-worker compute time by pipeline phase.", "counter")
 	for _, s := range snaps {
-		for _, ph := range sortedDurKeys(s.Metrics.PhaseCompute) {
+		for _, ph := range sortedKeys(s.Metrics.PhaseCompute) {
 			pw.sample("fbmpk_phase_compute_seconds_total", planLabels(s, [2]string{"phase", ph}), s.Metrics.PhaseCompute[ph].Seconds())
+		}
+	}
+	pw.family("fbmpk_phase_ns_per_nnz", "Worker compute nanoseconds per matrix nonzero streamed, by pipeline phase (pooled plans).", "gauge")
+	for _, s := range snaps {
+		for _, ph := range sortedKeys(s.Metrics.NsPerNnz) {
+			pw.sample("fbmpk_phase_ns_per_nnz", planLabels(s, [2]string{"phase", ph}), s.Metrics.NsPerNnz[ph])
 		}
 	}
 
 	pw.family("fbmpk_op_latency_seconds", "Call duration by operation (log-linear buckets, 12.5% relative error).", "histogram")
 	for _, s := range snaps {
-		for _, op := range sortedLatKeys(s.Metrics.Latency) {
+		for _, op := range sortedKeys(s.Metrics.Latency) {
 			writeHistogram(pw, planLabels(s), op, s.Metrics.Latency[op])
 		}
 	}
@@ -224,25 +230,7 @@ func escapeHelp(s string) string {
 	return r.Replace(s)
 }
 
-func sortedKeys(m map[string]uint64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedDurKeys(m map[string]time.Duration) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedLatKeys(m map[string]core.OpLatency) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)

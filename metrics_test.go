@@ -126,6 +126,26 @@ func TestPlanMetricsSymGSAndTime(t *testing.T) {
 	if _, ok := m.PhaseCompute["symgs"]; !ok {
 		t.Errorf("PhaseCompute = %v, missing symgs phase", m.PhaseCompute)
 	}
+
+	// NsPerNnz is PhaseCompute over the nonzeros that phase streamed:
+	// one k = 4 MPK streams U in the head, L and D in two forward sweeps
+	// and U in two backward sweeps, and the per-phase counts must add up
+	// to NnzStreamed.
+	if _, err := p.MPK(x, 4); err != nil {
+		t.Fatal(err)
+	}
+	m = p.Metrics()
+	var nnz float64
+	for _, ph := range []string{"symgs", "head", "forward", "backward"} {
+		ns, ok := m.NsPerNnz[ph]
+		if !ok || ns <= 0 {
+			t.Fatalf("NsPerNnz = %v, missing phase %q", m.NsPerNnz, ph)
+		}
+		nnz += float64(m.PhaseCompute[ph]) / ns
+	}
+	if math.Abs(nnz-float64(m.NnzStreamed)) > 1e-6*float64(m.NnzStreamed) {
+		t.Errorf("per-phase nonzeros sum to %.1f, NnzStreamed = %d", nnz, m.NnzStreamed)
+	}
 }
 
 // TestPlanMetricsString checks the expvar contract: String returns the
