@@ -11,10 +11,14 @@ set -eux
 go vet ./...
 go build ./...
 go test ./...
-# Size ratchet (ROADMAP item 2): non-test Go lines under internal/core +
-# internal/sparse only go down; a PR that shrinks them lowers the limit.
+# Size ratchets (ROADMAP item 2): non-test Go lines only go down; a PR
+# that shrinks them lowers the limit to its own count. One for the
+# kernels (internal/core + internal/sparse), one for everything outside
+# benchmark/.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go | grep -v _test.go) | wc -l)
-[ "$lines" -le 6503 ]
+[ "$lines" -le 6467 ]
+lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
+[ "$lines" -le 17327 ]
 # Bounds-check ratchet (PR 16): in the scalar FB sweeps (fbForward1,
 # fbBackward1) the unrolled inner loops read each entry through
 # a window w and must keep one IsInBounds per nonzero — the gather, which
@@ -66,52 +70,17 @@ go test -race ./internal/registry/ -count 1
 go test -race -run 'TestRegistryCachedVsFresh|TestRegistryDebugHandler|TestPlanFingerprint' -count 1 .
 go test -race ./internal/core/ -run 'TestClose' -count 1
 
-# Regenerate the NewPlan build-time record (post side of BENCH_PR5.json)
-# when BENCH_PR5_OUT is set; by default just assert the harness runs.
-BENCH_PR5_OUT=${BENCH_PR5_OUT:-} BENCH_PR5_PHASE=${BENCH_PR5_PHASE:-post} \
-  go test ./internal/bench -run TestWriteBuildBench -count 1
-
-# Observability smoke: a bench run must produce a machine-readable
-# report whose FB plans hold the paper's traffic bound (reads of A per
-# SpMV <= 0.75 at k=4; baseline ~1), and a briefly started debug
-# server must serve valid Prometheus text.
-go build -o /tmp/fbmpk_ci_bench ./cmd/fbmpkbench
-/tmp/fbmpk_ci_bench -exp fig7 -matrices cant,pwtk -scale 0.004 -runs 2 -k 4 \
-  -json /tmp/fbmpk_ci_run.json > /dev/null
-/tmp/fbmpk_ci_bench -check /tmp/fbmpk_ci_run.json
-# The serving-cache experiment must show actual plan reuse: -check
-# fails on a zero cache hit rate or a singleflight miscount.
-/tmp/fbmpk_ci_bench -exp serving-cache -matrices cant,pwtk -scale 0.004 -runs 2 -k 4 \
-  -json /tmp/fbmpk_ci_cache.json > /dev/null
-/tmp/fbmpk_ci_bench -check /tmp/fbmpk_ci_cache.json
-# Autotuner audit: run the backend autotuner on two structurally
-# different matrices and assert (via -check) that the tuner never
-# selects a backend its own micro-benchmark measured slower than CSR,
-# and that both recorded plans read A ~once per SpMV.
-/tmp/fbmpk_ci_bench -exp autotune -matrices cant,G3_circuit -scale 0.01 -runs 3 \
-  -json /tmp/fbmpk_ci_tune.json > /dev/null
-/tmp/fbmpk_ci_bench -check /tmp/fbmpk_ci_tune.json
-# Engine arbitration audit: FB vs level-blocked vs auto on a leveled
-# matrix; -check asserts every engine verdict carries both traffic
-# models, a levelblock verdict is backed by its model (LB bytes <= FB
-# bytes), and the recorded FB comparison plan still holds the paper's
-# reads-of-A bound at k=4. (The cachesim traffic gate — simulated LB
-# DRAM traffic beats the FB model at k >= 4 — runs in `go test ./...`
-# above as TestLevelBlockedTrafficBeatsFBModel.)
-/tmp/fbmpk_ci_bench -exp levelblock -matrices G3_circuit -scale 0.002 -runs 2 \
-  -json /tmp/fbmpk_ci_engine.json > /dev/null
-/tmp/fbmpk_ci_bench -check /tmp/fbmpk_ci_engine.json
-
 # Mutable matrices: the epoch/RCU churn audit under -race (concurrent
 # solvers must see bitwise epoch-pure results while updaters flip the
-# values), then the streaming economics gate — the in-place value swap
-# must be at least 5x cheaper than the full-plan rebuild it replaces.
+# values). What an update costs against a rebuild is update_ms vs
+# build_fb_ms on the benchmark's plan-churn workload, not a gate here.
 go test -race -run 'TestUpdateChurnEpochConsistency' -count 1 .
 go test -race ./internal/core/ -run 'TestUpdateValues' -count 1
-/tmp/fbmpk_ci_bench -exp streaming -matrices cant,G3_circuit -scale 0.02 -runs 3 -k 4 \
-  -json /tmp/fbmpk_ci_stream.json > /dev/null
-/tmp/fbmpk_ci_bench -check /tmp/fbmpk_ci_stream.json
 
+# Observability smoke: a briefly started debug server must serve valid
+# Prometheus text. (The traffic bound, tuner and registry assertions a
+# saved bench report used to be checked for are tests in the suite
+# above; DESIGN.md §8 has the ledger.)
 go build -o /tmp/fbmpk_ci_solve ./cmd/solve
 rm -f /tmp/fbmpk_ci_solve.log
 /tmp/fbmpk_ci_solve -matrix cant -scale 0.003 -method cg -threads 2 \

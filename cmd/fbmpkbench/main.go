@@ -1,16 +1,14 @@
 // Command fbmpkbench regenerates the paper's evaluation tables and
-// figures (and this repo's extra ablations) on synthetic stand-ins of
-// the Table II matrix suite.
+// figures (and the three ablations that quantify a paper section) on
+// synthetic stand-ins of the Table II matrix suite. It prints tables;
+// measuring the system — out of cache, every result verified, runs
+// compared by a tool — is `bash benchmark/run.sh`.
 //
 // Usage:
 //
 //	fbmpkbench -exp fig7,fig9 -scale 0.01 -runs 10 -threads 4
 //	fbmpkbench -exp paper            # every paper table/figure
-//	fbmpkbench -exp all -csv         # everything, machine-readable
-//	fbmpkbench -exp serving -metrics # concurrent serving + plan metrics dump
-//	fbmpkbench -exp fig7 -json run.json  # machine-readable report with plan snapshots
-//	fbmpkbench -check run.json       # assert the FB traffic bound in a saved report
-//	fbmpkbench -http :6060           # serve /metrics, /debug/pprof while running
+//	fbmpkbench -exp all -csv         # plus the ablations, as CSV
 //	fbmpkbench -list                 # show available experiments
 //
 // See DESIGN.md for the experiment index and EXPERIMENTS.md for
@@ -20,17 +18,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"strings"
-	"time"
 
 	"fbmpk/internal/bench"
-	"fbmpk/internal/core"
-	"fbmpk/internal/expo"
-	"fbmpk/internal/serve"
 )
 
 func main() {
@@ -41,14 +32,8 @@ func main() {
 		runs     = flag.Int("runs", 10, "timing repetitions per kernel (paper uses 50)")
 		threads  = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		k        = flag.Int("k", 5, "MPK power for single-k experiments")
-		rhs      = flag.Int("rhs", 4, "right-hand-side block width for multi-RHS experiments")
 		matrices = flag.String("matrices", "", "comma-separated matrix subset (default: all 14)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		metrics  = flag.Bool("metrics", false, "dump each plan's PlanMetrics snapshot (expvar JSON) after its experiment")
-		jsonOut  = flag.String("json", "", "write a machine-readable run report (experiment wall times + plan metrics snapshots) to this file ('-' = stdout)")
-		check    = flag.String("check", "", "validate a saved -json report instead of running: asserts the FB engine read A at most (k+1)/2k <= 0.75 times per SpMV")
-		httpAddr = flag.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address while experiments run")
-		linger   = flag.Duration("linger", 0, "keep the -http debug server up this long after the experiments finish")
 		list     = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -60,243 +45,19 @@ func main() {
 		return
 	}
 
-	if *check != "" {
-		if err := checkReport(*check); err != nil {
-			fmt.Fprintln(os.Stderr, "fbmpkbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("fbmpkbench: %s: report ok\n", *check)
-		return
-	}
-
 	cfg := bench.Config{
-		Scale:   *scale,
-		Seed:    *seed,
-		Runs:    *runs,
-		Threads: *threads,
-		K:       *k,
-		RHS:     *rhs,
-		CSV:     *csv,
-		Metrics: *metrics,
-	}
-	if *matrices != "" {
-		cfg.Matrices = splitList(*matrices)
-	}
-	// The report also backs the debug server's /metrics page, so build
-	// it whenever either consumer is enabled.
-	if *jsonOut != "" || *httpAddr != "" {
-		cfg.Report = bench.NewReport(cfg)
-	}
-	if *httpAddr != "" {
-		addr, hs, err := serveDebug(*httpAddr, cfg.Report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbmpkbench:", err)
-			os.Exit(1)
-		}
-		defer serve.Shutdown(hs, 2*time.Second) //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "fbmpkbench: debug server on http://%s (metrics, debug/pprof)\n", addr)
+		Scale:    *scale,
+		Seed:     *seed,
+		Runs:     *runs,
+		Threads:  *threads,
+		K:        *k,
+		Matrices: splitList(*matrices),
+		CSV:      *csv,
 	}
 	if err := bench.Run(os.Stdout, cfg, splitList(*exps)); err != nil {
 		fmt.Fprintln(os.Stderr, "fbmpkbench:", err)
 		os.Exit(1)
 	}
-	if *jsonOut != "" {
-		if err := writeReport(*jsonOut, cfg.Report); err != nil {
-			fmt.Fprintln(os.Stderr, "fbmpkbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *httpAddr != "" && *linger > 0 {
-		fmt.Fprintf(os.Stderr, "fbmpkbench: lingering %v for scrapes\n", *linger)
-		time.Sleep(*linger)
-	}
-}
-
-func writeReport(path string, r *bench.Report) error {
-	if path == "-" {
-		return r.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// checkReport is the CI gate over a saved -json report: every recorded
-// FB-engine plan must have read A at most (k+1)/(2k) times per SpMV —
-// at k >= 4 that is <= 0.625, comfortably under the 0.75 budget the
-// roadmap sets — while a standard-MPK baseline reads it exactly once.
-func checkReport(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rep, err := bench.ReadReport(f)
-	if err != nil {
-		return err
-	}
-	fb := 0
-	for _, p := range rep.Plans {
-		label := p.Label
-		m := p.Metrics
-		if m.SpMVs == 0 {
-			return fmt.Errorf("%s: plan %q recorded no SpMVs", path, label)
-		}
-		if strings.HasPrefix(label, "levelblock:") {
-			// The level-blocked engine (and an auto plan that resolved to
-			// it) touches each stored entry once per power, so its logical
-			// ReadsPerSpMV is ~1 — its savings are cache-residency, audited
-			// by the cachesim traffic gate, not by this counter. The FB
-			// control in the same experiment must stay on the FB budget.
-			if strings.HasPrefix(label, "levelblock:fb:") {
-				if m.ReadsPerSpMV <= 0 || m.ReadsPerSpMV > 0.75 {
-					return fmt.Errorf("%s: FB control plan %q reads A %.3f times per SpMV, want in (0, 0.75]",
-						path, label, m.ReadsPerSpMV)
-				}
-			} else if m.ReadsPerSpMV <= 0 || m.ReadsPerSpMV > 1.001 {
-				return fmt.Errorf("%s: level-blocked plan %q reads A %.3f times per SpMV, want in (0, 1]",
-					path, label, m.ReadsPerSpMV)
-			}
-			continue
-		}
-		if strings.HasPrefix(label, "baseline:") || strings.HasPrefix(label, "autotune:") {
-			// Standard-engine plans (the FB baselines and both sides of
-			// the autotune comparison) read A exactly once per SpMV
-			// whatever storage format executes it.
-			if m.ReadsPerSpMV < 0.999 {
-				return fmt.Errorf("%s: standard plan %q reads A %.3f times per SpMV, expected ~1",
-					path, label, m.ReadsPerSpMV)
-			}
-			continue
-		}
-		fb++
-		if m.ReadsPerSpMV <= 0 || m.ReadsPerSpMV > 0.75 {
-			return fmt.Errorf("%s: FB plan %q reads A %.3f times per SpMV, want in (0, 0.75]",
-				path, label, m.ReadsPerSpMV)
-		}
-	}
-	if fb == 0 && len(rep.Tunings) == 0 && len(rep.Streams) == 0 {
-		return fmt.Errorf("%s: report contains no FB-engine plan snapshots (run with -json and an experiment that records plans, e.g. fig7)", path)
-	}
-	// Tuning records (autotune experiment): the tuner must never select
-	// a backend its own measurement saw losing to CSR — a non-CSR
-	// winner's sampled time must be strictly below the CSR baseline's.
-	for _, tr := range rep.Tunings {
-		if tr.Experiment == "levelblock" {
-			// Engine arbitration verdicts: the decision must carry both
-			// traffic models, and a blocking winner must be supported by
-			// its own model — level blocking may never be selected while
-			// modeled to move more matrix bytes than the FB pipeline.
-			e := tr.Decision.Engine
-			if e == nil {
-				return fmt.Errorf("%s: tuning %q carries no engine verdict", path, tr.Matrix)
-			}
-			if e.FBModelBytes <= 0 || e.LBModelBytes <= 0 {
-				return fmt.Errorf("%s: tuning %q has degenerate traffic models (fb %d, lb %d)",
-					path, tr.Matrix, e.FBModelBytes, e.LBModelBytes)
-			}
-			if e.Engine == core.EngineLevelBlocked && e.LBModelBytes > e.FBModelBytes {
-				return fmt.Errorf("%s: tuning %q selected level blocking against its own traffic model (lb %d > fb %d bytes)",
-					path, tr.Matrix, e.LBModelBytes, e.FBModelBytes)
-			}
-			continue
-		}
-		var winner, csr *core.TuneCandidate
-		for i := range tr.Decision.Candidates {
-			c := &tr.Decision.Candidates[i]
-			if c.Winner {
-				winner = c
-			}
-			if c.Backend == core.BackendCSR {
-				csr = c
-			}
-		}
-		if winner == nil || csr == nil {
-			return fmt.Errorf("%s: tuning %q lacks a winner or CSR baseline candidate", path, tr.Matrix)
-		}
-		if csr.SampleNs <= 0 {
-			return fmt.Errorf("%s: tuning %q never measured the CSR baseline", path, tr.Matrix)
-		}
-		if winner.Backend != core.BackendCSR {
-			if winner.Pruned || winner.SampleNs <= 0 {
-				return fmt.Errorf("%s: tuning %q selected %v without measuring it", path, tr.Matrix, winner.Backend)
-			}
-			if winner.SampleNs >= csr.SampleNs {
-				return fmt.Errorf("%s: tuning %q selected %v measured at %dns, slower than CSR's %dns",
-					path, tr.Matrix, winner.Backend, winner.SampleNs, csr.SampleNs)
-			}
-		}
-	}
-	// Stream records (streaming experiment): the point of the mutable
-	// plan API is that refreshing values is much cheaper than rebuilding
-	// the plan — require the in-place epoch swap to be at least 5x
-	// faster than a fresh NewPlan on the same matrix.
-	for _, sr := range rep.Streams {
-		if sr.Update <= 0 || sr.Rebuild <= 0 {
-			return fmt.Errorf("%s: stream %q has non-positive timings (update %v, rebuild %v)",
-				path, sr.Matrix, sr.Update, sr.Rebuild)
-		}
-		if sr.Rebuild < 5*sr.Update {
-			return fmt.Errorf("%s: stream %q: in-place update %v vs rebuild %v (%.2fx): want >= 5x",
-				path, sr.Matrix, sr.Update, sr.Rebuild, float64(sr.Rebuild)/float64(sr.Update))
-		}
-	}
-	// Registry snapshots (serving-cache): the cache must have been
-	// exercised and must show reuse — a hit rate of zero means every
-	// acquire rebuilt its plan and the registry did nothing.
-	for _, r := range rep.Registries {
-		s := r.Stats
-		if s.Lookups() == 0 {
-			return fmt.Errorf("%s: registry %q recorded no lookups", path, r.Label)
-		}
-		if s.HitRate() <= 0 {
-			return fmt.Errorf("%s: registry %q hit rate is zero (%d hits, %d coalesced over %d lookups): caching is not taking effect",
-				path, r.Label, s.Hits, s.Coalesced, s.Lookups())
-		}
-		if s.Builds != s.Misses {
-			return fmt.Errorf("%s: registry %q built %d plans for %d misses: singleflight failed to coalesce",
-				path, r.Label, s.Builds, s.Misses)
-		}
-	}
-	return nil
-}
-
-// serveDebug starts a debug HTTP server rendering the report's plan
-// snapshots as Prometheus text, alongside the stock pprof/expvar
-// endpoints. It returns the bound address (the listener may pick a
-// port when addr ends in ":0") and the server so the caller can drain
-// it on the way out.
-func serveDebug(addr string, rep *bench.Report) (string, *http.Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		recs := rep.PlanRecords()
-		snaps := make([]expo.PlanSnapshot, len(recs))
-		for i, r := range recs {
-			snaps[i] = expo.PlanSnapshot{Name: r.Label, Metrics: r.Metrics}
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := expo.WriteMetrics(w, snaps...); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	hs := serve.NewHTTPServer(mux)
-	go hs.Serve(ln) //nolint:errcheck // best-effort debug surface
-	return ln.Addr().String(), hs, nil
 }
 
 func splitList(s string) []string {

@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"fbmpk/internal/bench"
 	"fbmpk/internal/serve"
 )
 
@@ -79,7 +78,7 @@ func checkReport(path string) error {
 		return err
 	}
 	defer f.Close()
-	rep, err := bench.ReadLoadReport(f)
+	rep, err := ReadLoadReport(f)
 	if err != nil {
 		return err
 	}
@@ -210,7 +209,7 @@ func (c *loadClient) fire(op string) (time.Duration, int, string) {
 // their trace IDs.
 const worstTracked = 3
 
-func (c *loadClient) stage(qps float64, dur time.Duration, cycle []string) bench.LoadPoint {
+func (c *loadClient) stage(qps float64, dur time.Duration, cycle []string) LoadPoint {
 	interval := time.Duration(float64(time.Second) / qps)
 	var (
 		mu                       sync.Mutex
@@ -218,7 +217,7 @@ func (c *loadClient) stage(qps float64, dur time.Duration, cycle []string) bench
 		rejected, deadline, errs int
 		wg                       sync.WaitGroup
 		sent                     int
-		worst                    []bench.WorstRequest
+		worst                    []WorstRequest
 	)
 	start := time.Now()
 	for i := 0; ; i++ {
@@ -248,7 +247,7 @@ func (c *loadClient) stage(qps float64, dur time.Duration, cycle []string) bench
 			// their trace IDs link straight to the daemon's flight
 			// recorder and access log.
 			if len(worst) < worstTracked || lat > worst[len(worst)-1].Latency {
-				worst = append(worst, bench.WorstRequest{
+				worst = append(worst, WorstRequest{
 					Op: op, Outcome: outcomeName(out), TraceID: trace, Latency: lat,
 				})
 				sort.Slice(worst, func(i, j int) bool { return worst[i].Latency > worst[j].Latency })
@@ -260,7 +259,7 @@ func (c *loadClient) stage(qps float64, dur time.Duration, cycle []string) bench
 		}(op)
 	}
 	wg.Wait()
-	p := bench.MakeLoadPoint(qps, dur, sent, rejected, deadline, errs, lats)
+	p := MakeLoadPoint(qps, dur, sent, rejected, deadline, errs, lats)
 	p.Worst = worst
 	return p
 }
@@ -343,7 +342,7 @@ func run(addr, matrix string, scale float64, seed uint64, upload, qpsList string
 		return fmt.Errorf("warmup mpk request failed (outcome %d after %v)", out, lat)
 	}
 
-	rep := bench.NewLoadReport(addr, desc)
+	rep := NewLoadReport(addr, desc)
 	rep.MatrixKey = key
 	rep.Mix = cycle
 	rep.K = k

@@ -1,11 +1,14 @@
-package bench
+package main
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
+
+	"fbmpk/internal/bench"
 )
 
 // Load-test reporting: the machine-readable record an fbmpkload run
@@ -18,9 +21,9 @@ import (
 // LoadReport is the result of one load-generator invocation against a
 // running fbmpkd.
 type LoadReport struct {
-	SchemaVersion int      `json:"schema_version"`
-	Timestamp     string   `json:"timestamp,omitempty"`
-	Host          HostInfo `json:"host"`
+	SchemaVersion int            `json:"schema_version"`
+	Timestamp     string         `json:"timestamp,omitempty"`
+	Host          bench.HostInfo `json:"host"`
 	// Target is the daemon base URL the load was offered to.
 	Target string `json:"target"`
 	// Matrix describes the workload matrix (generator spec or file).
@@ -80,7 +83,7 @@ func NewLoadReport(target, matrix string) *LoadReport {
 	return &LoadReport{
 		SchemaVersion: 1,
 		Timestamp:     time.Now().UTC().Format(time.RFC3339),
-		Host:          Host(),
+		Host:          bench.Host(),
 		Target:        target,
 		Matrix:        matrix,
 	}
@@ -113,12 +116,12 @@ func MakeLoadPoint(offered float64, dur time.Duration, sent, rejected, deadline,
 }
 
 // LatencyQuantile returns the nearest-rank q-quantile of an ascending
-// latency slice (0 when empty).
+// latency slice: the ⌈q·n⌉-th smallest entry (0 when empty).
 func LatencyQuantile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(q*float64(len(sorted)) + 0.5)
+	rank := int(math.Ceil(q * float64(len(sorted))))
 	if rank < 1 {
 		rank = 1
 	}
@@ -143,7 +146,7 @@ func (r *LoadReport) WriteJSON(w io.Writer) error {
 func ReadLoadReport(rd io.Reader) (*LoadReport, error) {
 	var r LoadReport
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("bench: parsing load report: %w", err)
+		return nil, fmt.Errorf("parsing load report: %w", err)
 	}
 	return &r, nil
 }

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"bytes"
@@ -28,6 +28,33 @@ func TestMakeLoadPointQuantiles(t *testing.T) {
 	}
 	if p.AchievedQPS != 50 {
 		t.Fatalf("achieved = %g, want 50", p.AchievedQPS)
+	}
+}
+
+// Nearest rank is ⌈q·n⌉, not q·n rounded to nearest: the two differ
+// whenever frac(q·n) < 0.5, which under-reported p90/p99 by one rank.
+func TestLatencyQuantileNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		q    float64
+		rank int
+	}{
+		{7, 0.90, 7},     // ⌈6.3⌉, was 6
+		{160, 0.99, 159}, // ⌈158.4⌉, was 158
+		{100, 0.50, 50},  // exact products keep their rank
+		{3, 0.0, 1},      // clamped up
+		{3, 1.5, 3},      // clamped down
+	} {
+		lat := make([]time.Duration, c.n)
+		for i := range lat {
+			lat[i] = time.Duration(i+1) * time.Millisecond
+		}
+		if got, want := LatencyQuantile(lat, c.q), time.Duration(c.rank)*time.Millisecond; got != want {
+			t.Errorf("n=%d q=%g: got %v, want rank %d = %v", c.n, c.q, got, c.rank, want)
+		}
+	}
+	if got := LatencyQuantile(nil, 0.99); got != 0 {
+		t.Errorf("empty slice: got %v, want 0", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"fbmpk/internal/cachesim"
 	"fbmpk/internal/core"
 	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
@@ -14,12 +13,6 @@ import (
 // ordering and the permuted matrix.
 func abmcPermuted(m *sparse.CSR) (*reorder.ABMCResult, *sparse.CSR, error) {
 	return reorder.ABMCReorder(m, reorder.ABMCOptions{})
-}
-
-// abmcPermutedErr is abmcPermuted for callers that only need the error
-// (pure timing).
-func abmcPermutedErr(m *sparse.CSR) (*reorder.ABMCResult, *sparse.CSR, error) {
-	return abmcPermuted(m)
 }
 
 // AblationBlocks sweeps the ABMC block count — the paper fixes 512 or
@@ -124,87 +117,6 @@ func AblationOrdering(w io.Writer, cfg Config) error {
 		}
 		t.AddRow(s.Name, nat, rcm, abmc)
 	}
-	return cfg.Emit(w, t)
-}
-
-// AblationFormats compares single-SpMV time across the storage formats
-// the execution backends offer (CSR, SELL-C-sigma, BSR) — the
-// future-work direction of Section VII, quantified.
-func AblationFormats(w io.Writer, cfg Config) error {
-	cfg = cfg.Normalize()
-	specs, err := cfg.suite()
-	if err != nil {
-		return err
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation: SpMV time by storage format (scale=%g)", cfg.Scale),
-		Header: []string{"input", "CSR", "SELL-8-64", "BSR-2x2", "SELL pad", "BSR fill"},
-	}
-	for _, s := range specs {
-		m := s.Generate(cfg.Scale, cfg.Seed)
-		x0 := detVec(m.Rows, cfg.Seed)
-		y := make([]float64, m.Rows)
-		sell := sparse.ToSELL(m, 8, 64)
-		bsr := sparse.ToBSR(m, 2, 2)
-		tCSR := Measure(cfg.Runs, func() { sparse.SpMV(m, x0, y) })
-		tSELL := Measure(cfg.Runs, func() { sell.SpMV(x0, y) })
-		tBSR := Measure(cfg.Runs, func() { bsr.SpMV(x0, y) })
-		t.AddRow(s.Name, tCSR.GeoMean.String(), tSELL.GeoMean.String(), tBSR.GeoMean.String(),
-			f2(sell.PaddingRatio()), f2(bsr.FillRatio(m.NNZ())))
-	}
-	return cfg.Emit(w, t)
-}
-
-// AblationWavefront contrasts FBMPK against the level-based wavefront
-// MPK (the LB-MPK-style related work of Section VI) on simulated DRAM
-// traffic: the wavefront scheme keeps all k+1 iterates live, so its
-// traffic degrades as k grows while FBMPK stays near (k+1)/2k.
-func AblationWavefront(w io.Writer, cfg Config) error {
-	cfg = cfg.Normalize()
-	specs, err := cfg.suite()
-	if err != nil {
-		return err
-	}
-	ks := []int{2, 4, 6, 8}
-	header := []string{"input", "pipeline"}
-	for _, k := range ks {
-		header = append(header, fmt.Sprintf("k=%d", k))
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation: DRAM traffic vs baseline, FBMPK and level-based MPK (scale=%g)", cfg.Scale),
-		Header: header,
-	}
-	for _, s := range specs {
-		m := s.Generate(cfg.Scale, cfg.Seed)
-		tri, err := sparse.Split(m)
-		if err != nil {
-			return err
-		}
-		lp, err := core.BFSLevels(m)
-		if err != nil {
-			return err
-		}
-		ws := cachesim.WavefrontSchedule{LevelPtr: lp.LevelPtr, Rows: lp.Rows}
-		ccfg := cachesim.ScaledConfig(m.MemoryBytes(), 8)
-		fbRow := []string{s.Name, "FBMPK"}
-		wfRow := []string{"", "level-based"}
-		for _, k := range ks {
-			std, fb, err := cachesim.CompareMPK(ccfg, m, tri, k, true)
-			if err != nil {
-				return err
-			}
-			wf, err := cachesim.New(ccfg)
-			if err != nil {
-				return err
-			}
-			cachesim.TraceWavefrontMPK(wf, m, ws, k)
-			fbRow = append(fbRow, fmt.Sprintf("%.0f%%", 100*float64(fb.TotalDRAM())/float64(std.TotalDRAM())))
-			wfRow = append(wfRow, fmt.Sprintf("%.0f%%", 100*float64(wf.Stats().TotalDRAM())/float64(std.TotalDRAM())))
-		}
-		t.AddRow(fbRow...)
-		t.AddRow(wfRow...)
-	}
-	t.AddNote("levels per matrix depend on graph diameter; few-level matrices give the wavefront little reuse window")
 	return cfg.Emit(w, t)
 }
 

@@ -1,9 +1,11 @@
-// Package bench is the experiment harness that regenerates every
-// table and figure of the paper's evaluation section (see DESIGN.md
-// for the per-experiment index). Each driver builds the workload,
-// times the kernels following the paper's methodology — geometric mean
-// over repeated runs, preprocessing excluded — and renders the same
-// rows/series the paper reports.
+// Package bench regenerates the tables and figures of the paper's
+// evaluation section, plus the three ablations that quantify a paper
+// section (see DESIGN.md §4 for the per-experiment index). Each driver
+// builds the workload, times the kernels following the paper's
+// methodology — geometric mean over repeated runs, preprocessing
+// excluded — and renders the same rows/series the paper reports. It
+// prints tables and records nothing: measuring the system, out of cache
+// and verified, is the repo benchmark (benchmark/, BENCHMARK.json).
 package bench
 
 import (
@@ -203,19 +205,8 @@ type Config struct {
 	Matrices []string
 	// K is the MPK power for single-k experiments (0 = paper's 5).
 	K int
-	// RHS is the right-hand-side block width for the batched multi-RHS
-	// experiments (0 = 4).
-	RHS int
 	// CSV switches the output format.
 	CSV bool
-	// Metrics makes plan-owning experiments dump each plan's
-	// PlanMetrics snapshot (the expvar JSON) after their table.
-	Metrics bool
-	// Report, when non-nil, collects per-experiment wall times and
-	// per-plan metrics snapshots for machine-readable output
-	// (fbmpkbench -json). The pointer survives the by-value Config
-	// passed to experiment drivers.
-	Report *Report
 }
 
 // Normalize fills defaults in place and returns the config.
@@ -231,9 +222,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.K <= 0 {
 		c.K = 5
-	}
-	if c.RHS <= 0 {
-		c.RHS = 4
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
 
 // Experiment is a named driver regenerating one paper table/figure or
@@ -30,15 +29,7 @@ func Registry() []Experiment {
 		{"fig12", "Fig 12: thread scalability", Fig12},
 		{"abl-blocks", "Ablation: ABMC block-count sweep", AblationBlocks},
 		{"abl-order", "Ablation: natural vs RCM vs ABMC ordering", AblationOrdering},
-		{"abl-formats", "Ablation: CSR vs SELL vs BSR SpMV", AblationFormats},
 		{"abl-parallel", "Ablation: ABMC colors vs level scheduling", AblationParallelism},
-		{"abl-wavefront", "Ablation: FBMPK vs level-based (LB-MPK-style) traffic", AblationWavefront},
-		{"abl-multirhs", "Ablation: batched multi-RHS FBMPK vs m independent runs", MultiRHS},
-		{"autotune", "Backend autotuner verdicts + autotuned vs CSR at full scale", Autotune},
-		{"levelblock", "Engine arbitration: ABMC-FB vs level-blocked vs auto across k", LevelBlock},
-		{"serving", "Serving: concurrent callers on one shared plan + metrics", Serving},
-		{"serving-cache", "Serving: plan registry amortization + singleflight coalescing", ServingCache},
-		{"streaming", "Streaming: in-place value updates vs plan rebuilds across update:solve ratios", Streaming},
 	}
 }
 
@@ -76,11 +67,8 @@ func Run(w io.Writer, cfg Config, names []string) error {
 			}
 		case "paper":
 			for _, e := range Registry() {
-				// Only the paper's own tables/figures: ablations, serving,
-				// the autotuner study, and the streaming-update study are
-				// opt-in.
-				if !strings.HasPrefix(e.Name, "abl-") && !strings.HasPrefix(e.Name, "serving") &&
-					e.Name != "autotune" && e.Name != "levelblock" && e.Name != "streaming" {
+				// Only the paper's own tables/figures: ablations are opt-in.
+				if !strings.HasPrefix(e.Name, "abl-") {
 					want[e.Name] = true
 				}
 			}
@@ -98,12 +86,8 @@ func Run(w io.Writer, cfg Config, names []string) error {
 		if !want[e.Name] {
 			continue
 		}
-		start := time.Now()
 		if err := e.Run(w, cfg); err != nil {
 			return fmt.Errorf("bench: %s: %w", e.Name, err)
-		}
-		if cfg.Report != nil {
-			cfg.Report.addExperiment(ExperimentRecord{Name: e.Name, Duration: time.Since(start)})
 		}
 	}
 	return nil

@@ -6,60 +6,7 @@ import (
 	"fbmpk/internal/core"
 	"fbmpk/internal/matgen"
 	"fbmpk/internal/reorder"
-	"fbmpk/internal/sparse"
 )
-
-// TestWavefrontTrafficDegradesWithK reproduces the paper's Section VI
-// argument against LB-MPK-style schemes: the level-based pipeline must
-// keep all k+1 iterate vectors live, so relative to FBMPK its traffic
-// advantage erodes as k grows (for a cache small enough that the
-// window of live vectors does not fit).
-func TestWavefrontTrafficDegradesWithK(t *testing.T) {
-	spec, err := matgen.ByName("G3_circuit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := spec.Generate(0.02, 1)
-	tri, err := sparse.Split(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := core.BFSLevels(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lp.NumLevels() < 4 {
-		t.Skipf("matrix has only %d levels; wavefront degenerate", lp.NumLevels())
-	}
-	ws := WavefrontSchedule{LevelPtr: lp.LevelPtr, Rows: lp.Rows}
-	cfg := ScaledConfig(m.MemoryBytes(), 16)
-
-	ratioAt := func(k int) (fb, wf float64) {
-		std, fbs, err := CompareMPK(cfg, m, tri, k, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		TraceWavefrontMPK(c, m, ws, k)
-		return float64(fbs.TotalDRAM()) / float64(std.TotalDRAM()),
-			float64(c.Stats().TotalDRAM()) / float64(std.TotalDRAM())
-	}
-
-	fb2, wf2 := ratioAt(2)
-	fb8, wf8 := ratioAt(8)
-	// FBMPK's ratio improves with k; the wavefront's must not improve
-	// relative to FBMPK as k grows.
-	if fb8 >= fb2 {
-		t.Errorf("FBMPK ratio did not improve with k: %.3f -> %.3f", fb2, fb8)
-	}
-	if wf8/fb8 < wf2/fb2*0.95 {
-		t.Errorf("wavefront unexpectedly gained on FBMPK: k=2 %.3f/%.3f, k=8 %.3f/%.3f",
-			wf2, fb2, wf8, fb8)
-	}
-}
 
 // TestLevelBlockedTrafficBeatsFBModel is the CI gate behind the engine
 // autotuner's arbitration: on a banded matrix with deep level structure
@@ -123,26 +70,5 @@ func TestDefaultLevelBlockBytesMatchesXeon(t *testing.T) {
 	if int64(core.DefaultLevelBlockBytes) != ConfigXeon.SizeBytes/2 {
 		t.Errorf("core.DefaultLevelBlockBytes = %d, want ConfigXeon.SizeBytes/2 = %d",
 			core.DefaultLevelBlockBytes, ConfigXeon.SizeBytes/2)
-	}
-}
-
-// TestWavefrontTrafficCorrectAccounting: the wavefront replay touches
-// every matrix byte at least once per full k-sweep set on a cold tiny
-// cache.
-func TestWavefrontTrafficLowerBound(t *testing.T) {
-	spec, err := matgen.ByName("shipsec1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := spec.Generate(0.003, 2)
-	lp, err := core.BFSLevels(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := WavefrontSchedule{LevelPtr: lp.LevelPtr, Rows: lp.Rows}
-	c := MustNew(Config{SizeBytes: 8 << 10, Assoc: 8, LineBytes: 64})
-	TraceWavefrontMPK(c, m, ws, 3)
-	if c.Stats().ReadBytes < m.MemoryBytes() {
-		t.Errorf("wavefront read %d bytes < matrix %d", c.Stats().ReadBytes, m.MemoryBytes())
 	}
 }

@@ -144,48 +144,6 @@ func TraceFBMPK(c *Cache, tri *sparse.Triangular, k int, btb bool) {
 	c.Flush()
 }
 
-// WavefrontSchedule is the slice of (level, power) tiles the
-// level-based MPK executes in order; cachesim needs only the row
-// grouping, passed as levelPtr/rows in the core.LevelPartition layout.
-type WavefrontSchedule struct {
-	LevelPtr []int32
-	Rows     []int32
-}
-
-// TraceWavefrontMPK replays the level-based (LB-MPK-style) wavefront
-// MPK: all k+1 iterate vectors stay live, so its traffic grows with k
-// once the window of active vectors exceeds the cache — the effect the
-// paper cites when comparing against LB-MPK (Section VI).
-func TraceWavefrontMPK(c *Cache, a *sparse.CSR, ws WavefrontSchedule, k int) {
-	var l layout
-	r := placeCSR(&l, a)
-	xs := make([]uint64, k+1)
-	for p := range xs {
-		xs[p] = l.alloc(int64(a.Rows) * 8)
-	}
-	nl := len(ws.LevelPtr) - 1
-	for t := 2; t <= 2*k+nl-1; t++ {
-		for p := 1; p <= k; p++ {
-			lev := t - 2*p
-			if lev < 0 || lev >= nl {
-				continue
-			}
-			src, dst := xs[p-1], xs[p]
-			for _, ri := range ws.Rows[ws.LevelPtr[lev]:ws.LevelPtr[lev+1]] {
-				i := int(ri)
-				c.Read(r.rowPtr+uint64(i)*8, 8)
-				for j := a.RowPtr[i]; j < a.RowPtr[i+1]; j++ {
-					c.Read(r.colIdx+uint64(j)*4, 4)
-					c.Read(r.val+uint64(j)*8, 8)
-					c.Read(src+uint64(a.ColIdx[j])*8, 8)
-				}
-				c.Write(dst+uint64(i)*8, 8)
-			}
-		}
-	}
-	c.Flush()
-}
-
 // LevelBlockSchedule is the level-blocked engine's schedule on the
 // level-permuted matrix: LevelPtr delimits the (contiguous) permuted
 // row range of each BFS level, BlockPtr groups consecutive levels into

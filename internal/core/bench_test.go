@@ -189,9 +189,9 @@ func BenchmarkPlanBuild(b *testing.B) {
 }
 
 // BenchmarkNewPlan measures the full preprocessing pipeline (RCM,
-// block graph + coloring, permutation apply, L+D+U split) at the
-// thread counts BENCH_PR5.json tracks; sub-benchmark names are stable
-// for benchstat across commits.
+// block graph + coloring, permutation apply, L+D+U split) serial and
+// at 8 threads; sub-benchmark names are stable for benchstat across
+// commits.
 func BenchmarkNewPlan(b *testing.B) {
 	a := coreBenchMatrix(b)
 	for _, threads := range []int{1, 8} {

@@ -278,11 +278,6 @@ func WithNumBlocks(n int) Option {
 	return optionFunc(func(o *Options) { o.NumBlocks = n })
 }
 
-// WithColorOrder sets the greedy coloring visit order for ABMC.
-func WithColorOrder(co graph.ColorOrder) Option {
-	return optionFunc(func(o *Options) { o.ColorOrder = co })
-}
-
 // WithForceABMC applies ABMC reordering even for serial execution.
 func WithForceABMC(on bool) Option {
 	return optionFunc(func(o *Options) { o.ForceABMC = on })

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fbmpk/internal/matgen"
 	"fbmpk/internal/sparse"
 )
 
@@ -298,5 +299,96 @@ func TestAutotuneEngineRecordsThreads(t *testing.T) {
 	}
 	if serial.Samples == 0 || par.Samples == 0 {
 		t.Fatalf("600-row matrix should be measured in both modes: %+v vs %+v", serial, par)
+	}
+}
+
+// suiteCSR generates a synthetic stand-in of one Table II matrix.
+func suiteCSR(t *testing.T, name string, scale float64) *sparse.CSR {
+	t.Helper()
+	spec, err := matgen.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec.Generate(scale, 1)
+}
+
+// TestAutotuneWinnerWasMeasuredFaster: the tuner may only leave CSR
+// for a format its own micro-benchmark saw winning — a non-CSR winner
+// was measured (not pruned) and sampled strictly below the CSR
+// baseline — on two structurally different suite matrices (dense
+// blocky rows, short irregular rows).
+func TestAutotuneWinnerWasMeasuredFaster(t *testing.T) {
+	for _, name := range []string{"cant", "G3_circuit"} {
+		d := Autotune(suiteCSR(t, name, 0.01))
+		var winner, csr *TuneCandidate
+		for i := range d.Candidates {
+			c := &d.Candidates[i]
+			if c.Winner {
+				if winner != nil {
+					t.Fatalf("%s: two winners in %+v", name, d.Candidates)
+				}
+				winner = c
+			}
+			if c.Backend == BackendCSR {
+				csr = c
+			}
+		}
+		if winner == nil || csr == nil || csr.SampleNs <= 0 {
+			t.Fatalf("%s: no winner or unmeasured CSR baseline in %+v", name, d.Candidates)
+		}
+		if winner.Backend != d.Backend {
+			t.Fatalf("%s: verdict %v but winner row %v", name, d.Backend, winner.Backend)
+		}
+		if winner.Backend == BackendCSR {
+			continue
+		}
+		if winner.Pruned || winner.SampleNs <= 0 {
+			t.Fatalf("%s: selected %v without measuring it: %+v", name, winner.Backend, *winner)
+		}
+		if winner.SampleNs >= csr.SampleNs {
+			t.Fatalf("%s: selected %v sampled at %d ns, not faster than CSR's %d ns",
+				name, winner.Backend, winner.SampleNs, csr.SampleNs)
+		}
+	}
+}
+
+// TestAutotuneEngineVerdictBackedByModel: every arbitration verdict
+// carries both traffic models, and level blocking is never selected
+// while modeled to move more matrix bytes than the FB pipeline —
+// across the depths where the trade flips, serial and parallel, on a
+// suite matrix, a deep banded grid, and the chain both at the default
+// block budget and at the 64-byte one whose skew overlap inflates the
+// LB model past FB's.
+func TestAutotuneEngineVerdictBackedByModel(t *testing.T) {
+	banded := matgen.Grid(matgen.GridParams{
+		NX: 4096, NY: 1, NZ: 1, DOF: 4, Radius: 1,
+		KeepProb: 1, Symmetric: true, Seed: 1,
+	})
+	chain := chainCSR(2048)
+	for _, in := range []struct {
+		name       string
+		a          *sparse.CSR
+		blockBytes int
+	}{
+		{"G3_circuit", suiteCSR(t, "G3_circuit", 0.002), 0},
+		{"banded", banded, 0},
+		{"chain", chain, 0},
+		{"chain/64B", chain, 64},
+	} {
+		for _, k := range []int{4, 6, 8} {
+			for _, threads := range []int{1, 2} {
+				d, err := AutotuneEngine(in.a, k, in.blockBytes, threads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.FBModelBytes <= 0 || d.LBModelBytes <= 0 {
+					t.Fatalf("%s k=%d t=%d: degenerate traffic models: %+v", in.name, k, threads, d)
+				}
+				if d.Engine == EngineLevelBlocked && d.LBModelBytes > d.FBModelBytes {
+					t.Fatalf("%s k=%d t=%d: level blocking selected against its own model (lb %d > fb %d bytes)",
+						in.name, k, threads, d.LBModelBytes, d.FBModelBytes)
+				}
+			}
+		}
 	}
 }

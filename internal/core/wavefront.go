@@ -8,10 +8,9 @@ import (
 )
 
 // BFS level partition of the matrix graph: the structure behind the
-// level-blocked engine (levelblock.go) and the level-based schedules
-// the cache simulator replays (cachesim.TraceWavefrontMPK,
-// TraceLevelBlockedMPK) — the LB-MPK family of Alappat et al. the paper
-// discusses in Section VI.
+// level-blocked engine (levelblock.go) and the level-blocked schedule
+// the cache simulator replays (cachesim.TraceLevelBlockedMPK) — the
+// LB-MPK family of Alappat et al. the paper discusses in Section VI.
 
 // LevelPartition groups the rows of a square matrix by BFS level of
 // its symmetrized pattern graph (component by component). Every

@@ -29,10 +29,6 @@ type Key [sha256.Size]byte
 // String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// Short returns the first 12 hex digits, the label form used in
-// metrics and logs.
-func (k Key) Short() string { return hex.EncodeToString(k[:6]) }
-
 // Canonicalize maps options onto their equivalence-class
 // representative; see core.Options.Canonical, which NewPlan builds from
 // too, so the key and the plan cannot disagree on what a knob means.

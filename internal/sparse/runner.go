@@ -33,12 +33,3 @@ func ForRanges(r Runner, lo, hi int, body func(id, start, end int)) {
 	}
 	r.ForRanges(lo, hi, body)
 }
-
-// RunnerWorkers returns the scratch-sizing worker count of r: 1 when
-// nil (serial), else r.Workers().
-func RunnerWorkers(r Runner) int {
-	if r == nil {
-		return 1
-	}
-	return r.Workers()
-}

@@ -64,6 +64,20 @@ func TestPlanMetricsReadsPerSpMV(t *testing.T) {
 		t.Errorf("standard ReadsPerSpMV = %.6f, want exactly 1", sm.ReadsPerSpMV)
 	}
 
+	// The level-blocked engine touches every stored entry once per
+	// power: its saving is cache residency (cachesim), not this counter.
+	lb, err := NewPlan(a, WithEngine(EngineLevelBlocked))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	if _, err := lb.MPK(x0, k); err != nil {
+		t.Fatal(err)
+	}
+	if r := lb.Metrics().ReadsPerSpMV; r <= 0 || r > 1.001 {
+		t.Errorf("level-blocked ReadsPerSpMV = %.6f, want in (0, 1]", r)
+	}
+
 	// The multi-RHS pipeline amortizes the same traffic over m vectors.
 	mr, err := NewPlan(a)
 	if err != nil {
