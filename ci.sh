@@ -10,15 +10,23 @@ set -eux
 
 go vet ./...
 go build ./...
+# The m = 4 row primitives (internal/sparse/rowacc*.go) are assembly on
+# amd64 and Go elsewhere: build everything, and vet the two packages that
+# hold and call them, for a platform that takes the Go side. No cgo, so
+# this needs no cross toolchain.
+GOOS=linux GOARCH=arm64 go build ./...
+GOOS=linux GOARCH=arm64 go vet ./internal/sparse ./internal/core
 go test ./...
-# Size ratchets (ROADMAP item 2): non-test Go lines only go down; a PR
+# Size ratchets (ROADMAP item 2): non-test lines only go down; a PR
 # that shrinks them lowers the limit to its own count. One for the
 # kernels (internal/core + internal/sparse), one for everything outside
-# benchmark/.
-lines=$(cat $(ls internal/core/*.go internal/sparse/*.go | grep -v _test.go) | wc -l)
-[ "$lines" -le 6467 ]
-lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 17327 ]
+# benchmark/. Hand-written assembly counts like Go. PR 20 raised both
+# once, on purpose (6,467 and 17,327 before it): the packed m = 4 row
+# primitives, priced in CHANGES.md against what they bought.
+lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
+[ "$lines" -le 6733 ]
+lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
+[ "$lines" -le 17593 ]
 # Bounds-check ratchet (PR 16): in the scalar FB sweeps (fbForward1,
 # fbBackward1) the unrolled inner loops read each entry through
 # a window w and must keep one IsInBounds per nonzero — the gather, which
@@ -175,5 +183,6 @@ go test -run '^$' -fuzz '^FuzzDifferentialBackend$' -fuzztime "$FUZZTIME" .
 go test -run '^$' -fuzz '^FuzzDifferentialLevelBlocked$' -fuzztime "$FUZZTIME" .
 go test -run '^$' -fuzz '^FuzzAPIBoundary$'       -fuzztime "$FUZZTIME" .
 go test -run '^$' -fuzz '^FuzzFBMPKEquivalence$'  -fuzztime "$FUZZTIME" ./internal/core
+go test -run '^$' -fuzz '^FuzzRowAcc$'            -fuzztime "$FUZZTIME" ./internal/sparse
 go test -run '^$' -fuzz '^FuzzRead$'              -fuzztime "$FUZZTIME" ./internal/mmio
 go test -run '^$' -fuzz '^FuzzTraceparent$'       -fuzztime "$FUZZTIME" ./internal/serve

@@ -212,12 +212,15 @@ var sweepScale = flag.Float64("sweep-scale", 0.05, "pwtk scale of BenchmarkSweep
 // BenchmarkSweep answers "bandwidth-bound or not" without the repo
 // benchmark: one pipelined forward sweep, one pipelined backward sweep
 // and one tail (last) backward sweep of the scalar BtB pipeline beside
-// sparse.SpMV over the same matrix. ns/nnz is time per matrix entry
-// streamed; MB/s counts the sweep's compulsory traffic, 12 bytes per
-// entry plus what each row moves besides (RowPtr, d, tmp and the vector
-// lines, reads and write-backs), which is where an FB sweep, with half
-// the entries per row of an SpMV, differs. Run with -sweep-scale=8 for
-// the out-of-cache figures DESIGN.md §6 quotes.
+// sparse.SpMV over the same matrix, then the head and the same three
+// sweeps of the m = 4 BtB pipeline. ns/nnz is time per matrix entry
+// streamed (ns/nnz/rhs divides by the vectors an entry serves); MB/s
+// counts the sweep's compulsory traffic, 12 bytes per entry plus what
+// each row moves besides (RowPtr, d, tmp and the vector lines, reads and
+// write-backs), which is where an FB sweep, with half the entries per
+// row of an SpMV, differs — and an m = 4 sweep, whose row is one whole
+// 64-byte xy line, more so. Run with -sweep-scale=8 for the out-of-cache
+// figures DESIGN.md §6 quotes.
 func BenchmarkSweep(b *testing.B) {
 	spec, err := matgen.ByName("pwtk")
 	if err != nil {
@@ -230,11 +233,12 @@ func BenchmarkSweep(b *testing.B) {
 	}
 	n := a.Rows
 	rng := rand.New(rand.NewSource(5))
-	xy0, tmp0 := randVec(rng, 2*n), randVec(rng, n)
-	st := new(fbState)
+	xy0, tmp0 := randVec(rng, 8*n), randVec(rng, 4*n)
+	st, st4 := new(fbState), new(fbState)
 	st.shape(n, 1, true)
-	st.tri = tri
-	run := func(name string, nnz, rowBytes int, sweep func()) {
+	st4.shape(n, 4, true)
+	st.tri, st4.tri = tri, tri
+	run := func(name string, st *fbState, nnz, rowBytes int, sweep func()) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(12*int64(nnz) + int64(rowBytes)*int64(n))
 			for i := 0; i < b.N; i++ {
@@ -246,14 +250,25 @@ func BenchmarkSweep(b *testing.B) {
 				b.StartTimer()
 				sweep()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nnz), "ns/nnz")
+			perNnz := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(nnz)
+			b.ReportMetric(perNnz, "ns/nnz")
+			if st.m > 1 {
+				b.ReportMetric(perNnz/float64(st.m), "ns/nnz/rhs")
+			}
 		})
 	}
+	nnzL, nnzU := len(tri.L.Val), len(tri.U.Val)
 	// Per row: RowPtr 8, x 8, y 8.
-	run("spmv", len(a.Val), 24, func() { sparse.SpMV(a, xy0[:n], st.tmp) })
+	run("spmv", st, len(a.Val), 24, func() { sparse.SpMV(a, xy0[:n], st.tmp) })
 	// RowPtr 8, d 8, tmp 8 + 8, the row's xy line 16 + 16.
-	run("forward", len(tri.L.Val)+n, 64, func() { st.forward(0, n, false) })
-	run("backward", len(tri.U.Val), 56, func() { st.backward(0, n, false) })
+	run("forward", st, nnzL+n, 64, func() { st.forward(0, n, false) })
+	run("backward", st, nnzU, 56, func() { st.backward(0, n, false) })
 	// The tail leaves tmp unwritten.
-	run("tail", len(tri.U.Val), 48, func() { st.backward(0, n, true) })
+	run("tail", st, nnzU, 48, func() { st.backward(0, n, true) })
+	// m = 4. Head: RowPtr 8, the packed x0 row 32, tmp 32.
+	run("head4", st4, nnzU, 72, func() { sparse.SpMMRange(tri.U, xy0[:4*n], st4.tmp, 4, 0, n) })
+	// RowPtr 8, d 8, tmp 32 + 32, the row's xy line 64 + 64.
+	run("forward4", st4, nnzL+n, 208, func() { st4.forward(0, n, false) })
+	run("backward4", st4, nnzU, 200, func() { st4.backward(0, n, false) })
+	run("tail4", st4, nnzU, 168, func() { st4.backward(0, n, true) })
 }

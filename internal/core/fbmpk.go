@@ -99,15 +99,17 @@ func (s *fbState) shape(n, m int, btb bool) {
 
 // forward and backward hand rows [lo, hi) to the sweep kernel of the
 // state's width and layout. Each specialization is kept by a measured
-// ratio (general form / kept form, benchmark/run.sh at PR 16, mpk-cache
-// then mpk-dram):
-//   - scalar m = 1 over the m-wide kernels: fb_mpk_ms 3.35x, 2.10x;
-//   - register-blocked m = 4 BtB over the m-wide kernels: multi_mpk_ms
-//     2.60x, 1.77x.
+// ratio (general form / kept form, benchmark/run.sh, mpk-cache then
+// mpk-dram):
+//   - scalar m = 1 over the m-wide kernels: fb_mpk_ms 3.35x, 2.10x
+//     (PR 16);
+//   - m = 4 BtB on the packed row primitives over the m-wide kernels:
+//     multi_mpk_ms 4.0x, 2.6x (PR 20, medians of three alternated runs;
+//     2.60x, 1.77x with PR 16's scalar register blocking).
 //
 // The separate layout at m = 4 rides the m-wide kernels: only
 // WithBtB(false) reaches it — no default path, no benchmark metric — so
-// a register-blocked pair of its own is not worth its 121 lines.
+// a pair of its own is not worth its lines.
 func (s *fbState) forward(lo, hi int, last bool) {
 	switch {
 	case s.m == 1:
@@ -145,13 +147,12 @@ func (s *fbState) init(lo, hi int) {
 			even[i*rs] = x[i]
 		}
 	} else {
-		for j, x := range s.xs {
-			for i := lo; i < hi; i++ {
-				s.x0b[i*m+j] = x[i]
-			}
-		}
 		for i := lo; i < hi; i++ {
-			copy(even[i*rs:i*rs+m], s.x0b[i*m:i*m+m])
+			row := s.x0b[i*m : i*m+m]
+			for j, x := range s.xs {
+				row[j] = x[i]
+			}
+			copy(even[i*rs:i*rs+m], row)
 		}
 	}
 	if s.cmb != nil {

@@ -16,9 +16,9 @@ import "fbmpk/internal/sparse"
 // The scalar (m = 1) and m-wide kernels serve both vector layouts
 // through (xe, xo, rs): the even iterate, the odd iterate, and the row
 // stride, with vector j of row i at xe[i*rs+j] / xo[i*rs+j]. Back-to-back
-// is (xy, xy[m:], 2m); separate is (a, b, m). The register-blocked m = 4
-// kernels are BtB only: they read both stripes of a column through one
-// 8-wide window (one bounds check), which the strided form cannot
+// is (xy, xy[m:], 2m); separate is (a, b, m). The m = 4 kernels are BtB
+// only: they read both stripes of a column through one 8-wide window (one
+// bounds check, four packed loads), which the strided form cannot
 // express.
 //
 // Every backward sweep is monotone: rows are walked downward, and so are
@@ -252,122 +252,49 @@ func fbBackwardM(tri *sparse.Triangular, xe, xo, tmp []float64, m, rs, lo, hi in
 	}
 }
 
-// fbForwardBtB4 is the register-blocked m = 4 forward sweep, BtB layout:
-// both stripes' partial sums stay in registers (the same 4-way unrolling
-// discipline as sparse.SpMV). Stripe accesses go through fixed-length
-// windows (xy[cb:cb+8:cb+8]) so a single slice check covers the whole
-// stripe pair — see internal/sparse/spmv.go for the idiom.
+// fbForwardBtB4 is the m = 4 forward sweep, BtB layout: per-row set-up
+// around a row primitive of internal/sparse (rowacc.go; packed SSE2 on
+// amd64), which sums in place. The pipelined sweep hands the 8-lane
+// primitive the row's odd stripe for the next iterate (gathered from the
+// even stripes) and its tmp row for the lookahead (from the odd ones),
+// one 8-wide window per entry; the tail is the first half alone, through
+// the 4-lane one.
 func fbForwardBtB4(tri *sparse.Triangular, xy, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
 	d := tri.D
-	if last {
-		for i := lo; i < hi; i++ {
-			ib := 8 * i
-			xi := xy[ib : ib+8 : ib+8]
-			ti := tmp[4*i : 4*i+4 : 4*i+4]
-			di := d[i]
-			s0 := ti[0] + di*xi[0]
-			s1 := ti[1] + di*xi[1]
-			s2 := ti[2] + di*xi[2]
-			s3 := ti[3] + di*xi[3]
-			cr := ci[rp[i]:rp[i+1]]
-			vr := v[rp[i]:rp[i+1]]
-			vr = vr[:len(cr)]
-			for k := 0; k < len(cr); k++ {
-				cb := 8 * int(cr[k])
-				w := xy[cb : cb+4 : cb+4]
-				vj := vr[k]
-				s0 += vj * w[0]
-				s1 += vj * w[1]
-				s2 += vj * w[2]
-				s3 += vj * w[3]
-			}
-			xi[4], xi[5], xi[6], xi[7] = s0, s1, s2, s3
-		}
-		return
-	}
 	for i := lo; i < hi; i++ {
-		ib := 8 * i
-		xi := xy[ib : ib+8 : ib+8]
-		ti := tmp[4*i : 4*i+4 : 4*i+4]
+		xi := (*[8]float64)(xy[8*i : 8*i+8])
+		ti := (*[4]float64)(tmp[4*i : 4*i+4])
 		di := d[i]
-		s0 := ti[0] + di*xi[0]
-		s1 := ti[1] + di*xi[1]
-		s2 := ti[2] + di*xi[2]
-		s3 := ti[3] + di*xi[3]
-		var u0, u1, u2, u3 float64
-		cr := ci[rp[i]:rp[i+1]]
-		vr := v[rp[i]:rp[i+1]]
-		vr = vr[:len(cr)]
-		for k := 0; k < len(cr); k++ {
-			cb := 8 * int(cr[k])
-			w := xy[cb : cb+8 : cb+8]
-			vj := vr[k]
-			s0 += vj * w[0]
-			s1 += vj * w[1]
-			s2 += vj * w[2]
-			s3 += vj * w[3]
-			u0 += vj * w[4]
-			u1 += vj * w[5]
-			u2 += vj * w[6]
-			u3 += vj * w[7]
+		s := (*[4]float64)(xi[4:])
+		*s = [4]float64{ti[0] + di*xi[0], ti[1] + di*xi[1], ti[2] + di*xi[2], ti[3] + di*xi[3]}
+		if last {
+			sparse.RowAcc4Asc(s, tri.L, i, xy, 8)
+			continue
 		}
-		xi[4], xi[5], xi[6], xi[7] = s0, s1, s2, s3
-		ti[0] = u0 + di*s0
-		ti[1] = u1 + di*s1
-		ti[2] = u2 + di*s2
-		ti[3] = u3 + di*s3
+		*ti = [4]float64{}
+		sparse.RowAcc8Asc(s, ti, tri.L, i, xy)
+		*ti = [4]float64{ti[0] + di*s[0], ti[1] + di*s[1], ti[2] + di*s[2], ti[3] + di*s[3]}
 	}
 }
 
-// fbBackwardBtB4 is the register-blocked m = 4 backward sweep, BtB layout.
+// fbBackwardBtB4 is the m = 4 backward sweep, BtB layout: the lookahead
+// (from the even stripes) sums into the row's tmp, the next iterate (from
+// the odd ones) into its even stripe; the tail reads the odd stripes as
+// xy[4:] at stride 8.
 func fbBackwardBtB4(tri *sparse.Triangular, xy, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	if last {
-		for i := hi - 1; i >= lo; i-- {
-			ti := tmp[4*i : 4*i+4 : 4*i+4]
-			s0, s1, s2, s3 := ti[0], ti[1], ti[2], ti[3]
-			cr := ci[rp[i]:rp[i+1]]
-			vr := v[rp[i]:rp[i+1]]
-			vr = vr[:len(cr)]
-			for k := len(cr) - 1; k >= 0; k-- {
-				cb := 8 * int(cr[k])
-				w := xy[cb+4 : cb+8 : cb+8]
-				vj := vr[k]
-				s0 += vj * w[0]
-				s1 += vj * w[1]
-				s2 += vj * w[2]
-				s3 += vj * w[3]
-			}
-			ib := 8 * i
-			xi := xy[ib : ib+4 : ib+4]
-			xi[0], xi[1], xi[2], xi[3] = s0, s1, s2, s3
-		}
+	if lo >= hi {
 		return
 	}
+	odd := xy[4:]
 	for i := hi - 1; i >= lo; i-- {
-		ti := tmp[4*i : 4*i+4 : 4*i+4]
-		s0, s1, s2, s3 := ti[0], ti[1], ti[2], ti[3]
-		var u0, u1, u2, u3 float64
-		cr := ci[rp[i]:rp[i+1]]
-		vr := v[rp[i]:rp[i+1]]
-		vr = vr[:len(cr)]
-		for k := len(cr) - 1; k >= 0; k-- {
-			cb := 8 * int(cr[k])
-			w := xy[cb : cb+8 : cb+8]
-			vj := vr[k]
-			s0 += vj * w[4]
-			s1 += vj * w[5]
-			s2 += vj * w[6]
-			s3 += vj * w[7]
-			u0 += vj * w[0]
-			u1 += vj * w[1]
-			u2 += vj * w[2]
-			u3 += vj * w[3]
+		xi := (*[4]float64)(xy[8*i : 8*i+4])
+		ti := (*[4]float64)(tmp[4*i : 4*i+4])
+		*xi = [4]float64{ti[0], ti[1], ti[2], ti[3]}
+		if last {
+			sparse.RowAcc4Desc(xi, tri.U, i, odd, 8)
+			continue
 		}
-		ib := 8 * i
-		xi := xy[ib : ib+4 : ib+4]
-		xi[0], xi[1], xi[2], xi[3] = s0, s1, s2, s3
-		ti[0], ti[1], ti[2], ti[3] = u0, u1, u2, u3
+		*ti = [4]float64{}
+		sparse.RowAcc8Desc(ti, xi, tri.U, i, xy)
 	}
 }

@@ -42,8 +42,8 @@ const (
 	// the cache simulator models (cachesim.ConfigXeon.SizeBytes / 2),
 	// leaving the other half for the live iterate-vector window. Kept
 	// as a literal because core cannot import cachesim (cachesim's
-	// trace tests import core); cachesim's wavefront test asserts the
-	// two stay in sync.
+	// trace tests import core); cachesim's
+	// TestDefaultLevelBlockBytesMatchesXeon asserts the two stay in sync.
 	DefaultLevelBlockBytes = 37_486_592 / 2
 
 	// DefaultTuneK is the power the engine autotuner arbitrates for

@@ -19,10 +19,10 @@ func SpMM(a *CSR, x, y []float64, nv int) {
 // SpMMRange computes Y[lo:hi] = (A*X)[lo:hi] for the row range
 // [lo, hi) in the row-major block layout (nv components per row). It is
 // the block analogue of SpMVRange and the building block the batched
-// parallel kernels partition over. The nv = 2 and nv = 4 inner loops
-// keep the per-vector partial sums in registers, mirroring the 4-way
-// unrolled scalar SpMV; other widths accumulate directly into the
-// output stripe.
+// parallel kernels partition over. The nv = 2 loop keeps the per-vector
+// partial sums in registers, nv = 4 (the FB head U*X0) hands each row to
+// the 4-lane row primitive of rowacc.go; other widths accumulate
+// directly into the output stripe.
 func SpMMRange(a *CSR, x, y []float64, nv, lo, hi int) {
 	rp, ci, v := a.RowPtr, a.ColIdx, a.Val
 	switch nv {
@@ -45,21 +45,9 @@ func SpMMRange(a *CSR, x, y []float64, nv, lo, hi int) {
 		}
 	case 4:
 		for i := lo; i < hi; i++ {
-			var s0, s1, s2, s3 float64
-			cr := ci[rp[i]:rp[i+1]]
-			vr := v[rp[i]:rp[i+1]]
-			vr = vr[:len(cr)]
-			for k := 0; k < len(cr); k++ {
-				c := int(cr[k]) * 4
-				xv := x[c : c+4 : c+4]
-				vk := vr[k]
-				s0 += vk * xv[0]
-				s1 += vk * xv[1]
-				s2 += vk * xv[2]
-				s3 += vk * xv[3]
-			}
-			yi := y[4*i : 4*i+4 : 4*i+4]
-			yi[0], yi[1], yi[2], yi[3] = s0, s1, s2, s3
+			yi := (*[4]float64)(y[4*i : 4*i+4])
+			*yi = [4]float64{}
+			RowAcc4Asc(yi, a, i, x, 4)
 		}
 	default:
 		for i := lo; i < hi; i++ {

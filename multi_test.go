@@ -124,3 +124,58 @@ func TestMPKMultiOneShot(t *testing.T) {
 		}
 	}
 }
+
+// TestMPKMultiLaneIndependence: at m = 4 (the packed-arithmetic kernels)
+// the bits of vector j's results do not depend on the other three start
+// vectors — MPKMulti and SSpMVMulti, serial and 4 workers, each lane in
+// turn kept while the rest of the block is replaced. A crossed lane or a
+// broadcast of the wrong value moves bits that a 1e-10 comparison against
+// Algorithm 1 on similar vectors could let through. One matrix has the
+// stand-in's rows of two entries, one rows long enough to loop.
+func TestMPKMultiLaneIndependence(t *testing.T) {
+	const m = 4
+	coeffs := []float64{0.3, -1.2, 0.8, 2.1, -0.5, 0.9}
+	rng := rand.New(rand.NewSource(20))
+	for _, name := range []string{"G3_circuit", "pwtk"} {
+		a, err := GenerateSuiteMatrix(name, 0.004, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, zs := randTestBlock(rng, a.Rows, m), randTestBlock(rng, a.Rows, m)
+		for _, threads := range []int{1, 4} {
+			p, err := NewPlan(a, DefaultOptions(threads))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(block [][]float64) (out [][]float64) {
+				for _, k := range []int{4, 5} {
+					ys, err := p.MPKMulti(block, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, ys...)
+				}
+				ys, err := p.SSpMVMulti(coeffs, block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append(out, ys...)
+			}
+			want := run(xs)
+			for j := 0; j < m; j++ {
+				block := append([][]float64(nil), zs...)
+				block[j] = xs[j]
+				got := run(block)
+				for r := j; r < len(got); r += m {
+					for i := range got[r] {
+						if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+							t.Fatalf("%s threads=%d lane %d result %d row %d: %x, with the other lanes replaced %x",
+								name, threads, j, r/m, i, math.Float64bits(want[r][i]), math.Float64bits(got[r][i]))
+						}
+					}
+				}
+			}
+			p.Close()
+		}
+	}
+}
