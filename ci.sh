@@ -22,11 +22,14 @@ go test ./...
 # kernels (internal/core + internal/sparse), one for everything outside
 # benchmark/. Hand-written assembly counts like Go. PR 20 raised both
 # once, on purpose (6,467 and 17,327 before it): the packed m = 4 row
-# primitives, priced in CHANGES.md against what they bought.
+# primitives, priced in CHANGES.md against what they bought. PR 21
+# raised the second once more (17,593 before it): the one-pass request
+# codec and acquire-by-key, less the expvar publication code, priced
+# the same way.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
 [ "$lines" -le 6733 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 17593 ]
+[ "$lines" -le 17992 ]
 # Bounds-check ratchet (PR 16): in the scalar FB sweeps (fbForward1,
 # fbBackward1) the unrolled inner loops read each entry through
 # a window w and must keep one IsInBounds per nonzero — the gather, which
@@ -73,7 +76,10 @@ go test -race -run 'TestTrace|TestDebugHandler' -count 1 .
 # Plan registry: fingerprint determinism, singleflight coalescing, and
 # a bounded -race churn pass (12 goroutines + evictor against a 3-entry
 # LRU over 6 matrices) plus cached-vs-fresh bitwise determinism across
-# every public entry point and double-Close/Close-in-flight regression.
+# every public entry point and double-Close/Close-in-flight regression;
+# the history model (random Acquire / AcquireKey / UpdateValues / Release
+# / Close sequences in lockstep with a map-backed reference) and its
+# eight-goroutine invariants-only variant run here under -race too.
 go test -race ./internal/registry/ -count 1
 go test -race -run 'TestRegistryCachedVsFresh|TestRegistryDebugHandler|TestPlanFingerprint' -count 1 .
 go test -race ./internal/core/ -run 'TestClose' -count 1
@@ -115,17 +121,14 @@ wait "$SOLVE_PID" 2> /dev/null || true
 # identity, N concurrent clients, trace-ID correlation across header /
 # body / access log / flight recorder / exemplar) under -race, then the
 # tracing-overhead gate — the instrumented request path must stay
-# within 2% of the stripped one — and a live fbmpkd + fbmpkload round
-# trip: start the daemon on an ephemeral port, offer a short open-loop
+# within 2% of the stripped one, plus the noise floor the test measures
+# between two stripped arms and prints — and a live fbmpkd + fbmpkload
+# round trip: start the daemon on an ephemeral port, offer a short open-loop
 # load curve, gate the JSON report (-check: zero hard errors, finite
 # p99), scrape /metrics for the daemon, plan-cache, and build-info
 # families, and SIGTERM it — the drain must exit 0.
 go test -race ./internal/serve/ -count 1
-# The 2% bar sits close to this host's run-to-run noise floor; one
-# retry absorbs transient noisy-neighbor spikes without widening the
-# gate itself.
-FBMPK_OVERHEAD_GATE=1 go test ./internal/serve/ -run TestDetachedOverheadGate -count 1 \
-  || FBMPK_OVERHEAD_GATE=1 go test ./internal/serve/ -run TestDetachedOverheadGate -count 1
+FBMPK_OVERHEAD_GATE=1 go test ./internal/serve/ -run TestDetachedOverheadGate -count 1 -v
 go build -o /tmp/fbmpk_ci_fbmpkd ./cmd/fbmpkd
 go build -o /tmp/fbmpk_ci_fbmpkload ./cmd/fbmpkload
 rm -f /tmp/fbmpk_ci_fbmpkd.log
@@ -186,3 +189,4 @@ go test -run '^$' -fuzz '^FuzzFBMPKEquivalence$'  -fuzztime "$FUZZTIME" ./intern
 go test -run '^$' -fuzz '^FuzzRowAcc$'            -fuzztime "$FUZZTIME" ./internal/sparse
 go test -run '^$' -fuzz '^FuzzRead$'              -fuzztime "$FUZZTIME" ./internal/mmio
 go test -run '^$' -fuzz '^FuzzTraceparent$'       -fuzztime "$FUZZTIME" ./internal/serve
+go test -run '^$' -fuzz '^FuzzOpRequestDecode$'   -fuzztime "$FUZZTIME" ./internal/serve

@@ -7,16 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 
 	"fbmpk/internal/events"
 	"fbmpk/internal/expo"
 )
 
-// Observability surface: execution tracing, Prometheus exposition, and
-// expvar publication for live plans. See the README "Observability"
-// section for a walkthrough.
+// Observability surface: execution tracing, request timelines and the
+// debug HTTP handler (Prometheus exposition, trace export, pprof). See
+// the README "Observability" section for a walkthrough.
 
 // TraceRecorder captures execution spans (calls, pipeline sweeps,
 // per-worker compute sections, color-barrier waits) into bounded
@@ -167,64 +166,4 @@ func debugMux(plans []*Plan, reg *Registry) http.Handler {
 		fmt.Fprintln(w, "  /debug/pprof  profiling")
 	})
 	return mux
-}
-
-// expvarMu serializes PublishExpvar's check-then-publish so concurrent
-// registrations of the same name cannot race into expvar.Publish's
-// duplicate panic.
-var expvarMu sync.Mutex
-
-// PublishExpvar registers the plan's metrics snapshot under name in
-// the process-wide expvar registry, so /debug/vars (and DebugHandler)
-// include it. Unlike expvar.Publish, a second registration of the same
-// name returns an error instead of panicking; expvar has no
-// unregister, so names live for the life of the process. The published
-// variable does not pin the plan's memory past its lifetime: once the
-// plan is closed, the first read freezes a final metrics snapshot and
-// the plan pointer is dropped, so the kernels and workspaces of a
-// closed plan stay collectable while the counters remain scrapable.
-func PublishExpvar(name string, plan *Plan) error {
-	if plan == nil {
-		return fmt.Errorf("fbmpk: PublishExpvar(%q): nil plan", name)
-	}
-	if name == "" {
-		return fmt.Errorf("fbmpk: PublishExpvar: empty name")
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("fbmpk: PublishExpvar: name %q already registered", name)
-	}
-	pub := &expvarPlan{plan: plan}
-	expvar.Publish(name, expvar.Func(pub.value))
-	return nil
-}
-
-// expvarPlan is the state behind one published plan variable. expvar
-// has no unregister, so the closure used to hold the *Plan — and with
-// it the plan's kernels and pooled workspaces — reachable for the life
-// of the process even after Plan.Close. Instead, each read checks for
-// a completed Close and switches to a frozen final snapshot, releasing
-// the plan pointer.
-type expvarPlan struct {
-	mu    sync.Mutex
-	plan  *Plan
-	final *PlanMetrics
-}
-
-func (e *expvarPlan) value() any {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.final != nil {
-		return *e.final
-	}
-	m := e.plan.Metrics()
-	if e.plan.Closed() {
-		// Counters are final once Close completes (every later execution
-		// is rejected at the gate), so this snapshot is the forever
-		// value; the plan itself is no longer needed.
-		e.final = &m
-		e.plan = nil
-	}
-	return m
 }

@@ -54,7 +54,19 @@ const fingerprintBufLen = 8192
 // structure+options key, and the tuner-cache key — hash each array
 // exactly once instead of once per key.
 func Fingerprint(a *sparse.CSR, opt core.Options) Key {
-	return fingerprintWithParts(StructureFingerprint(a), valuesFingerprint(a), a, Canonicalize(opt))
+	s, v := digests(a)
+	return fingerprintWithParts(s, v, a, Canonicalize(opt))
+}
+
+// digests computes the two sub-digests of a side by side: the values
+// hash on its own goroutine while the caller's hashes the structure.
+// They read disjoint arrays and share nothing, so the keys are the ones
+// a back-to-back pass produces, in about the time of the longer half.
+func digests(a *sparse.CSR) (structure, values Key) {
+	done := make(chan Key, 1)
+	go func() { done <- valuesFingerprint(a) }()
+	structure = StructureFingerprint(a)
+	return structure, <-done
 }
 
 // fingerprintWithParts assembles the plan key from precomputed

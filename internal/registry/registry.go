@@ -21,6 +21,10 @@ var (
 	// hold a live reference for (never acquired, or already fully
 	// released).
 	ErrNotAcquired = errors.New("plan not acquired from this registry")
+	// ErrNotCached reports an AcquireKey for a key with no built plan
+	// behind it: never built, evicted, still building, failed, or re-keyed
+	// by a value update. The caller falls back to Acquire with the matrix.
+	ErrNotCached = errors.New("no built plan cached under this key")
 )
 
 // Registry is a ref-counted, LRU-evicting cache of prepared Plans
@@ -91,6 +95,16 @@ type entry struct {
 	done chan struct{} // closed when build finishes (plan/err valid)
 	plan *core.Plan
 	err  error
+}
+
+// built reports whether the entry's build has finished (plan/err valid).
+func (e *entry) built() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Stats is a point-in-time snapshot of registry counters.
@@ -190,26 +204,77 @@ func (r *Registry) AcquireCtx(ctx context.Context, a *sparse.CSR, opts ...core.O
 		return nil, fmt.Errorf("registry: Acquire: %w: %v", core.ErrInvalidMatrix, err)
 	}
 	if err := ctx.Err(); err != nil {
-		r.mu.Lock()
-		r.canceled++
-		r.mu.Unlock()
-		return nil, fmt.Errorf("registry: Acquire canceled: %w", err)
+		return nil, r.canceledErr("Acquire canceled", err)
 	}
-	// One hashing pass per array: the structure digest feeds the plan
-	// key, the miss entry's structure+options key, and (for BackendAuto)
-	// the tuner verdict cache, which is keyed by structure alone so
-	// value updates and option changes reuse the same tuning decision.
+	structKey, key := timedDigests(ctx, a, opt)
+	return r.acquire(ctx, a, opt, structKey, key)
+}
+
+// timedDigests hashes a once — structure and values side by side — and
+// returns the structure digest with the plan key composed from both,
+// recording the pass as the request timeline's registry.fingerprint
+// phase. The structure digest also feeds the miss entry's
+// structure+options key and (for BackendAuto) the tuner verdict cache,
+// which is keyed by structure alone so value updates and option changes
+// reuse the same tuning decision. opt must already be canonicalized.
+func timedDigests(ctx context.Context, a *sparse.CSR, opt core.Options) (structKey, key Key) {
 	tl := events.TimelineFromContext(ctx)
 	var hashStart time.Time
 	if tl != nil {
 		hashStart = time.Now()
 	}
-	structKey := StructureFingerprint(a)
-	key := fingerprintWithParts(structKey, valuesFingerprint(a), a, opt)
+	structKey, valKey := digests(a)
+	key = fingerprintWithParts(structKey, valKey, a, opt)
 	if tl != nil {
 		tl.Phase("registry.fingerprint", hashStart, time.Now())
 	}
+	return structKey, key
+}
 
+// canceledErr counts one abandoned call and wraps the context error.
+func (r *Registry) canceledErr(what string, err error) error {
+	r.mu.Lock()
+	r.canceled++
+	r.mu.Unlock()
+	return fmt.Errorf("registry: %s: %w", what, err)
+}
+
+// AcquireKey returns the built plan cached under key, taking one
+// reference the caller must pair with Release — the handle form of
+// Acquire for a caller that kept the key (PlanFingerprint's result, or
+// the one UpdateValuesKeyed returned) of a matrix it has not mutated
+// since: no matrix is passed, so nothing is validated or hashed. Only a
+// finished, successful build is a hit (counted in Stats.Hits); a key that
+// is absent, evicted, still building, failed, or re-keyed away by a
+// value update returns ErrNotCached, on which the caller falls back to
+// Acquire with the matrix.
+func (r *Registry) AcquireKey(ctx context.Context, key Key) (*core.Plan, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, r.canceledErr("AcquireKey canceled", err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return nil, fmt.Errorf("registry: AcquireKey: %w", ErrRegistryClosed)
+	}
+	e, ok := r.entries[key]
+	if !ok || !e.built() || e.err != nil {
+		return nil, fmt.Errorf("registry: AcquireKey %s: %w", key, ErrNotCached)
+	}
+	e.refs++
+	r.lru.MoveToFront(e.elem)
+	r.hits++
+	events.TimelineFromContext(ctx).Mark("registry.hit", time.Now(), 0)
+	return e.plan, nil
+}
+
+// acquire is AcquireCtx past validation and hashing: the lookup,
+// coalesced wait, or build under a key the caller computed from a.
+func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options, structKey, key Key) (*core.Plan, error) {
+	tl := events.TimelineFromContext(ctx)
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -218,12 +283,7 @@ func (r *Registry) AcquireCtx(ctx context.Context, a *sparse.CSR, opts ...core.O
 	if e, ok := r.entries[key]; ok {
 		e.refs++
 		r.lru.MoveToFront(e.elem)
-		built := false
-		select {
-		case <-e.done:
-			built = true
-		default:
-		}
+		built := e.built()
 		if built {
 			r.hits++
 		} else {
@@ -368,13 +428,7 @@ func (r *Registry) abandonWait(e *entry) {
 	r.mu.Lock()
 	e.refs--
 	r.canceled++
-	built := false
-	select {
-	case <-e.done:
-		built = true
-	default:
-	}
-	shouldClose := built && e.err == nil && e.plan != nil && e.evicted && e.refs == 0
+	shouldClose := e.built() && e.err == nil && e.plan != nil && e.evicted && e.refs == 0
 	p := e.plan
 	r.mu.Unlock()
 	if shouldClose {

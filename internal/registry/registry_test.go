@@ -661,3 +661,91 @@ func TestAcquireCtxChurn(t *testing.T) {
 		t.Fatalf("builds %d != misses %d: singleflight broke under cancellation churn", s.Builds, s.Misses)
 	}
 }
+
+// TestAcquireKey covers the handle form of Acquire: only a finished,
+// successful build under exactly that key is a hit — counted, touched
+// in the LRU, paired with Release — and every other state of the key is
+// ErrNotCached, with nothing counted and no entry created.
+func TestAcquireKey(t *testing.T) {
+	fx := makeFixtures(t, 2)
+	ctx := context.Background()
+	key := Fingerprint(fx[0].a, churnOptions())
+	reg := New(1)
+
+	if _, err := reg.AcquireKey(ctx, key); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("absent key: got %v, want ErrNotCached", err)
+	}
+
+	// Still building: AcquireKey does not join the flight.
+	building := &entry{key: key, refs: 1, done: make(chan struct{})}
+	reg.mu.Lock()
+	building.elem = reg.lru.PushFront(building)
+	reg.entries[key] = building
+	reg.mu.Unlock()
+	if _, err := reg.AcquireKey(ctx, key); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("key still building: got %v, want ErrNotCached", err)
+	}
+	// Finished, but failed (a failed owner unlinks its entry; this is the
+	// window before it does).
+	building.err = errors.New("build failed")
+	close(building.done)
+	if _, err := reg.AcquireKey(ctx, key); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("failed build: got %v, want ErrNotCached", err)
+	}
+	reg.mu.Lock()
+	reg.unlinkLocked(building)
+	reg.mu.Unlock()
+	if s := reg.Stats(); s.Lookups() != 0 || s.Entries != 0 {
+		t.Fatalf("misses by key left state behind: %+v", s)
+	}
+
+	// Built: a hit on the same plan object, by key alone.
+	p, err := reg.Acquire(fx[0].a, churnOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := reg.AcquireKey(canceled, key); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: got %v, want context.Canceled", err)
+	}
+	byKey, err := reg.AcquireKey(ctx, key)
+	if err != nil || byKey != p {
+		t.Fatalf("built key: plan %p (want %p), err %v", byKey, p, err)
+	}
+	y, err := byKey.MPK(fx[0].x, churnPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx[0].checkExact(t, y)
+	if s := reg.Stats(); s.Hits != 1 || s.Misses != 1 || s.Builds != 1 || s.Canceled != 1 || s.Live != 1 {
+		t.Fatalf("after one build and one hit by key: %+v", s)
+	}
+
+	// Both references are real: the entry, evicted by the next build,
+	// stays open until the second Release.
+	other, err := reg.Acquire(fx[1].a, churnOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.AcquireKey(ctx, key); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("evicted key: got %v, want ErrNotCached", err)
+	}
+	if err := reg.Release(p); err != nil || p.Closed() {
+		t.Fatalf("first Release: err %v, closed %v", err, p.Closed())
+	}
+	if err := reg.Release(byKey); err != nil || !p.Closed() {
+		t.Fatalf("second Release: err %v, closed %v", err, p.Closed())
+	}
+	if err := reg.Release(byKey); !errors.Is(err, ErrNotAcquired) {
+		t.Fatalf("third Release: got %v, want ErrNotAcquired", err)
+	}
+	if err := reg.Release(other); err != nil {
+		t.Fatal(err)
+	}
+
+	reg.Close()
+	if _, err := reg.AcquireKey(ctx, Fingerprint(fx[1].a, churnOptions())); !errors.Is(err, ErrRegistryClosed) {
+		t.Fatalf("closed registry: got %v, want ErrRegistryClosed", err)
+	}
+}

@@ -41,32 +41,44 @@ func (r *Registry) UpdateValues(a *sparse.CSR, opts ...core.Option) (*core.Plan,
 // observed before the swap starts and by any fallback Acquire build;
 // the O(nnz) swap itself is not interrupted once started.
 func (r *Registry) UpdateValuesCtx(ctx context.Context, a *sparse.CSR, opts ...core.Option) (*core.Plan, bool, error) {
+	p, _, updated, err := r.UpdateValuesKeyed(ctx, a, opts...)
+	return p, updated, err
+}
+
+// UpdateValuesKeyed is UpdateValuesCtx that also returns the content
+// Key of (a, opts) — what AcquireKey takes for this matrix from here
+// on — so a caller that stores matrices by key does not hash a second
+// time to learn it. a is hashed exactly once per call, whichever way
+// the update goes.
+func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ...core.Option) (*core.Plan, Key, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opt := Canonicalize(core.BuildOptions(opts...))
 	if a == nil {
-		return nil, false, fmt.Errorf("registry: UpdateValues: nil matrix: %w", core.ErrInvalidMatrix)
+		return nil, Key{}, false, fmt.Errorf("registry: UpdateValues: nil matrix: %w", core.ErrInvalidMatrix)
 	}
-	// No Validate pass here: both ways out of this call re-check the
-	// matrix — the in-place path proves the structure elementwise against
-	// the plan's validated original, and the Acquire fallback validates
-	// before building. Fingerprinting below only hashes the arrays as
-	// given, so it is safe on arbitrary input.
+	// No Validate pass before hashing: the in-place path proves the
+	// structure elementwise against the plan's validated original, and
+	// the Acquire fallback validates before it builds. Fingerprinting
+	// only hashes the arrays as given, so it is safe on arbitrary input.
 	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("registry: UpdateValues canceled: %w", err)
+		return nil, Key{}, false, fmt.Errorf("registry: UpdateValues canceled: %w", err)
 	}
-	// One hashing pass per array, shared by both keys.
-	tl := events.TimelineFromContext(ctx)
-	var hashStart time.Time
-	if tl != nil {
-		hashStart = time.Now()
-	}
-	s := StructureFingerprint(a)
-	newKey := fingerprintWithParts(s, valuesFingerprint(a), a, opt)
+	s, newKey := timedDigests(ctx, a, opt)
 	sKey := structOptKeyFromStruct(s, a, opt)
-	if tl != nil {
-		tl.Phase("registry.fingerprint", hashStart, time.Now())
+	// viaAcquire is the way out when no in-place swap is needed or
+	// possible: the ordinary Acquire path — a hit, a coalesced wait or a
+	// build — under the digests computed above.
+	viaAcquire := func() (*core.Plan, Key, bool, error) {
+		if err := a.Validate(); err != nil {
+			return nil, Key{}, false, fmt.Errorf("registry: UpdateValues: %w: %v", core.ErrInvalidMatrix, err)
+		}
+		p, err := r.acquire(ctx, a, opt, s, newKey)
+		if err != nil {
+			return nil, Key{}, false, err
+		}
+		return p, newKey, false, nil
 	}
 
 	// One update at a time: the two-phase re-key below briefly takes the
@@ -78,35 +90,26 @@ func (r *Registry) UpdateValuesCtx(ctx context.Context, a *sparse.CSR, opts ...c
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, false, fmt.Errorf("registry: UpdateValues: %w", ErrRegistryClosed)
+		return nil, Key{}, false, fmt.Errorf("registry: UpdateValues: %w", ErrRegistryClosed)
 	}
 	if _, ok := r.entries[newKey]; ok {
 		// These exact values are already cached (repeated update with
 		// the same payload): a plain hit, no swap needed.
 		r.mu.Unlock()
-		p, err := r.AcquireCtx(ctx, a, opt)
-		return p, false, err
+		return viaAcquire()
 	}
 	var e *entry
 	if curKey, ok := r.structIdx[sKey]; ok {
 		e = r.entries[curKey]
 	}
-	servable := false
-	if e != nil {
-		select {
-		case <-e.done:
-			servable = e.err == nil && e.plan != nil
-		default:
-			// Build still in flight; the fallback Acquire below coalesces
-			// onto it rather than waiting here under updateMu with no
-			// value swap possible anyway.
-		}
-	}
+	// A build still in flight is not servable: the fallback Acquire
+	// coalesces onto it rather than waiting here under updateMu with no
+	// value swap possible anyway.
+	servable := e != nil && e.built() && e.err == nil && e.plan != nil
 	if !servable {
 		r.rebuilt++
 		r.mu.Unlock()
-		p, err := r.AcquireCtx(ctx, a, opt)
-		return p, false, err
+		return viaAcquire()
 	}
 
 	// Phase 1: pin the entry (the reference the caller will Release)
@@ -119,6 +122,7 @@ func (r *Registry) UpdateValuesCtx(ctx context.Context, a *sparse.CSR, opts ...c
 	}
 	r.mu.Unlock()
 
+	tl := events.TimelineFromContext(ctx)
 	var swapStart time.Time
 	if tl != nil {
 		swapStart = time.Now()
@@ -153,10 +157,9 @@ func (r *Registry) UpdateValuesCtx(ctx context.Context, a *sparse.CSR, opts ...c
 			r.mu.Lock()
 			r.rebuilt++
 			r.mu.Unlock()
-			p, aerr := r.AcquireCtx(ctx, a, opt)
-			return p, false, aerr
+			return viaAcquire()
 		}
-		return nil, false, err
+		return nil, Key{}, false, err
 	}
 
 	// Phase 2: re-key under the new content fingerprint. A concurrent
@@ -176,5 +179,5 @@ func (r *Registry) UpdateValuesCtx(ctx context.Context, a *sparse.CSR, opts ...c
 	}
 	r.updated++
 	r.mu.Unlock()
-	return e.plan, true, nil
+	return e.plan, newKey, true, nil
 }

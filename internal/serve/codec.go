@@ -123,6 +123,10 @@ const (
 	KindCanceled   = "canceled"
 	KindClosed     = "closed"
 	KindInternal   = "internal"
+	// KindNonFinite marks a 422: the operation ran, but its result holds
+	// a NaN or infinity and the full vector was asked for, which JSON
+	// cannot carry. "return":"checksum" (or "none") still answers.
+	KindNonFinite = "non_finite"
 )
 
 // ErrorResponse is the JSON body of every non-2xx answer. TraceID

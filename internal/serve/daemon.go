@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,11 +52,6 @@ type Config struct {
 	// and the N most recent errored/shed request timelines retained
 	// for /v1/debug/requests (<= 0 = 16).
 	FlightCapacity int
-
-	// disableObs strips per-request observability (trace IDs,
-	// timelines, histograms, flight recorder, access log). Test-only:
-	// the ≤2% overhead gate compares against this stripped path.
-	disableObs bool
 }
 
 func (c Config) defaultTimeout() time.Duration {
@@ -95,8 +92,14 @@ type Server struct {
 	reg *fbmpk.Registry
 	adm *admission
 
+	// matrices is the uploaded-matrix store. Each matrix sits under the
+	// string form of PlanFingerprint(a, PlanOptions...) — kept beside it
+	// as key — and is never mutated once stored (a value update stores a
+	// new matrix under a new key), so its key stays its fingerprint.
+	// That is what lets handleOp acquire the plan by key, without the
+	// registry validating and hashing the matrix again per request.
 	mu       sync.RWMutex
-	matrices map[string]*fbmpk.Matrix
+	matrices map[string]resident
 
 	started time.Time
 	// outcomes counts finished requests by op and outcome class, the
@@ -107,6 +110,12 @@ type Server struct {
 	obs *obs
 }
 
+// resident is one stored matrix with its fingerprint in registry form.
+type resident struct {
+	a   *fbmpk.Matrix
+	key fbmpk.PlanKey
+}
+
 // New builds a daemon server. Close it to tear down the plan
 // registry after the HTTP layer has drained.
 func New(cfg Config) *Server {
@@ -114,7 +123,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      fbmpk.NewRegistry(cfg.RegistryCapacity),
 		adm:      newAdmission(cfg.MaxInFlight),
-		matrices: make(map[string]*fbmpk.Matrix),
+		matrices: make(map[string]resident),
 		started:  time.Now(),
 		obs:      newObs(cfg),
 	}
@@ -193,10 +202,11 @@ func (s *Server) Handler() http.Handler {
 }
 
 // matrix looks up an uploaded matrix by its fingerprint key.
-func (s *Server) matrix(key string) *fbmpk.Matrix {
+func (s *Server) matrix(key string) (resident, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.matrices[key]
+	m, ok := s.matrices[key]
+	return m, ok
 }
 
 // handleUpload ingests a matrix and answers with its fingerprint key.
@@ -214,7 +224,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		q.fail(w, http.StatusBadRequest, KindBadRequest, err.Error())
 		return
 	}
-	key := fbmpk.PlanFingerprint(a, s.cfg.PlanOptions...).String()
+	fp := fbmpk.PlanFingerprint(a, s.cfg.PlanOptions...)
+	key := fp.String()
 	q.phase("decode", decStart)
 
 	s.mu.Lock()
@@ -226,7 +237,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("matrix store at its %d-matrix limit", s.cfg.maxMatrices()))
 			return
 		}
-		s.matrices[key] = a
+		s.matrices[key] = resident{a: a, key: fp}
 	}
 	s.mu.Unlock()
 
@@ -276,7 +287,7 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 		q.fail(w, http.StatusMethodNotAllowed, KindBadRequest, "POST required")
 		return
 	}
-	if s.matrix(key) == nil {
+	if _, ok := s.matrix(key); !ok {
 		q.fail(w, http.StatusNotFound, KindNotFound,
 			fmt.Sprintf("no matrix with key %q (upload it via POST /v1/matrix)", key))
 		return
@@ -300,7 +311,7 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	acqStart := time.Now()
-	plan, updated, err := s.reg.UpdateValuesCtx(ctx, a, s.cfg.PlanOptions...)
+	plan, fp, updated, err := s.reg.UpdateValuesKeyed(ctx, a, s.cfg.PlanOptions...)
 	if err != nil {
 		q.opErr(w, err)
 		return
@@ -311,10 +322,10 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 
 	// Re-home the resident matrix under its new content key; operation
 	// requests reference the new key from here on.
-	newKey := fbmpk.PlanFingerprint(a, s.cfg.PlanOptions...).String()
+	newKey := fp.String()
 	s.mu.Lock()
 	delete(s.matrices, key)
-	s.matrices[newKey] = a
+	s.matrices[newKey] = resident{a: a, key: fp}
 	s.mu.Unlock()
 
 	q.ok(w, UpdateResponse{
@@ -334,8 +345,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RLock()
 	out := make([]entry, 0, len(s.matrices))
-	for k, a := range s.matrices {
-		out = append(out, entry{Key: k, Rows: a.Rows, NNZ: len(a.Val)})
+	for k, m := range s.matrices {
+		out = append(out, entry{Key: k, Rows: m.a.Rows, NNZ: len(m.a.Val)})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -373,15 +384,25 @@ func (s *Server) handleOp(op string) http.HandlerFunc {
 		}
 		defer s.adm.leave()
 
+		// One pooled buffer holds the request body while it is decoded
+		// (the decoder copies everything it keeps) and then the reply.
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer bodyPool.Put(buf)
+		buf.Reset()
+
 		decStart := time.Now()
 		var req OpRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody())).Decode(&req); err != nil {
+		_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.maxBody()))
+		if err == nil {
+			err = decodeOpRequest(buf.Bytes(), &req)
+		}
+		if err != nil {
 			q.fail(w, http.StatusBadRequest, KindBadRequest, fmt.Sprintf("decoding request: %v", err))
 			return
 		}
 		q.phase("decode", decStart)
-		a := s.matrix(req.Matrix)
-		if a == nil {
+		m, ok := s.matrix(req.Matrix)
+		if !ok {
 			q.fail(w, http.StatusNotFound, KindNotFound,
 				fmt.Sprintf("no matrix with key %q (upload it via POST /v1/matrix)", req.Matrix))
 			return
@@ -394,8 +415,14 @@ func (s *Server) handleOp(op string) http.HandlerFunc {
 		ctx, cancel := context.WithTimeout(q.ctx(r), s.timeout(&req))
 		defer cancel()
 
+		// The store key is the plan key, so the usual request is a lookup;
+		// only a plan that is not there yet, or not there any more
+		// (evicted), takes the matrix through validation and hashing.
 		acqStart := time.Now()
-		plan, err := s.reg.AcquireCtx(ctx, a, s.cfg.PlanOptions...)
+		plan, err := s.reg.AcquireKey(ctx, m.key)
+		if errors.Is(err, fbmpk.ErrNotCached) {
+			plan, err = s.reg.AcquireCtx(ctx, m.a, s.cfg.PlanOptions...)
+		}
 		if err != nil {
 			q.opErr(w, err)
 			return
@@ -445,7 +472,21 @@ func (s *Server) handleOp(op string) http.HandlerFunc {
 				fmt.Sprintf("unknown return shape %q", req.Return))
 			return
 		}
-		q.ok(w, resp)
+		encStart := time.Now()
+		buf.Reset()
+		buf.Grow(len(resp.Result)*maxFloatText + 512) // the reply fits: no regrowth outside the pool
+		reply, err := appendOpResponse(buf.AvailableBuffer(), &resp)
+		var nf *nonFiniteError
+		switch {
+		case errors.As(err, &nf):
+			q.fail(w, http.StatusUnprocessableEntity, KindNonFinite, err.Error())
+		case err != nil:
+			q.fail(w, http.StatusInternalServerError, KindInternal, fmt.Sprintf("encoding response: %v", err))
+		default:
+			writeBody(w, http.StatusOK, append(reply, '\n')) // as json.Encoder ends a document
+			q.phase("encode", encStart)
+			q.finish(http.StatusOK, outcomeOK)
+		}
 	}
 }
 
@@ -599,11 +640,26 @@ func (s *Server) daemonSnapshot() expo.DaemonSnapshot {
 	}
 }
 
-// writeJSON encodes v as the response body with the given status.
+// writeJSON encodes v as the response body with the given status. The
+// body is encoded before the header goes out, so a value encoding/json
+// refuses is a 500 with an error body, not the given status and no
+// bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorResponse{APIVersion: APIVersion,
+			Error: fmt.Sprintf("encoding response: %v", err), Kind: KindInternal})
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody sends an encoded JSON body with its length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write is a client that left
 }
 
 // writeErr encodes an ErrorResponse with the given status and kind.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fbmpk/internal/core"
@@ -40,17 +41,16 @@ type obs struct {
 
 	// disabled strips per-request observability entirely (no trace
 	// IDs, no timelines, no histograms). Reserved for the overhead
-	// gate test, which compares the instrumented path against this
-	// stripped one.
-	disabled bool
+	// gate test, which flips it between blocks of requests to one daemon
+	// to compare the instrumented path against the stripped one.
+	disabled atomic.Bool
 }
 
 func newObs(cfg Config) *obs {
 	return &obs{
-		log:      cfg.Logger,
-		flight:   newFlightRecorder(cfg.FlightCapacity),
-		hists:    make(map[string]*opHist),
-		disabled: cfg.disableObs,
+		log:    cfg.Logger,
+		flight: newFlightRecorder(cfg.FlightCapacity),
+		hists:  make(map[string]*opHist),
 	}
 }
 
@@ -153,7 +153,7 @@ type reqScope struct {
 func (s *Server) begin(w http.ResponseWriter, r *http.Request, op string) *reqScope {
 	start := time.Now()
 	q := &reqScope{s: s, op: op, method: r.Method, path: r.URL.Path, start: start}
-	if s.obs.disabled {
+	if s.obs.disabled.Load() {
 		return q
 	}
 	tc, err := ParseTraceparent(r.Header.Get(TraceparentHeader))

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,11 +47,18 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, hts
 }
 
-// uploadTestMatrix posts the generator spec and returns the key.
+// uploadTestMatrix posts the test matrix's generator spec and returns
+// the key.
 func uploadTestMatrix(t *testing.T, base string) string {
 	t.Helper()
-	spec, _ := json.Marshal(GeneratorSpec{Name: "cant", Scale: 0.004, Seed: 1})
-	resp, err := http.Post(base+"/v1/matrix", "application/json", bytes.NewReader(spec))
+	return uploadSpec(t, base, GeneratorSpec{Name: "cant", Scale: 0.004, Seed: 1}).Key
+}
+
+// uploadSpec posts a generator spec and returns the daemon's answer.
+func uploadSpec(t testing.TB, base string, spec GeneratorSpec) UploadResponse {
+	t.Helper()
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(base+"/v1/matrix", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +74,7 @@ func uploadTestMatrix(t *testing.T, base string) string {
 	if up.Key == "" || up.Rows == 0 || up.NNZ == 0 {
 		t.Fatalf("implausible upload response: %+v", up)
 	}
-	return up.Key
+	return up
 }
 
 // postOp sends one operation request and decodes either response shape.
@@ -674,5 +683,71 @@ func TestLegacyPathRedirects(t *testing.T) {
 	}
 	if up.Key == "" || up.APIVersion != APIVersion {
 		t.Fatalf("redirected upload response: %+v", up)
+	}
+}
+
+// registryPhases returns, per request in arrival order, how many
+// registry.fingerprint, registry.hit and registry.build marks its
+// timeline in the flight recorder carries.
+func registryPhases(s *Server) [][3]int {
+	slowest, _, _ := s.obs.flight.snapshot()
+	sort.Slice(slowest, func(i, j int) bool { return slowest[i].Start.Before(slowest[j].Start) })
+	out := make([][3]int, len(slowest))
+	for i, e := range slowest {
+		for _, p := range e.Phases {
+			for j, name := range [3]string{"registry.fingerprint", "registry.hit", "registry.build"} {
+				if p.Name == name {
+					out[i][j]++
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestOpAcquiresByKey: the store key is the plan key, so a request whose
+// plan is cached reaches it by lookup — a registry.hit and no
+// registry.fingerprint on its timeline — while the first request, and
+// one that finds its plan evicted, go through the matrix and build
+// exactly as before. A value update hashes its matrix once, and the key
+// it answers with is the one the registry holds the plan under.
+func TestOpAcquiresByKey(t *testing.T) {
+	s, hts := newTestServer(t, Config{RegistryCapacity: 1})
+	mpk := func(key string) string {
+		t.Helper()
+		status, out, eresp := postOp(t, hts.URL, "mpk", OpRequest{Matrix: key, K: 3, Return: ReturnChecksum})
+		if status != http.StatusOK {
+			t.Fatalf("mpk: %d %+v", status, eresp)
+		}
+		return out.Checksum
+	}
+	key := uploadTestMatrix(t, hts.URL) // request 0
+	built, hit := mpk(key), mpk(key)    // 1 builds, 2 hits by key
+
+	a2 := testMatrix(t)
+	for i := range a2.Val {
+		a2.Val[i] = 1.5*a2.Val[i] + 0.25
+	}
+	status, up, eresp := postValues(t, hts.URL, key, a2) // 3 swaps in place
+	if status != http.StatusOK || !up.Updated || up.Key != fbmpk.PlanFingerprint(a2, testPlanOpts...).String() {
+		t.Fatalf("values update: %d %+v %+v", status, up, eresp)
+	}
+	updated := mpk(up.Key) // 4 hits under the update's key
+
+	// Another matrix takes the registry's only slot.
+	other := uploadSpec(t, hts.URL, GeneratorSpec{Name: "cant", Scale: 0.004, Seed: 2}) // 5
+	mpk(other.Key)                                                                      // 6 builds, evicting the updated plan
+	rebuilt, hitAgain := mpk(up.Key), mpk(up.Key)                                       // 7 rebuilds from the stored matrix, 8 hits
+
+	if built != hit || built == updated || updated != rebuilt || rebuilt != hitAgain {
+		t.Fatalf("checksums: built %s hit %s | updated %s rebuilt %s hit %s", built, hit, updated, rebuilt, hitAgain)
+	}
+	got := registryPhases(s)
+	want := [][3]int{{}, {1, 0, 1}, {0, 1, 0}, {1, 0, 0}, {0, 1, 0}, {}, {1, 0, 1}, {1, 0, 1}, {0, 1, 0}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fingerprint/hit/build marks per request:\n got %v\nwant %v", got, want)
+	}
+	if st := s.Registry().Stats(); st.Hits != 3 || st.Builds != 3 || st.Updated != 1 {
+		t.Fatalf("registry counters: %+v", st)
 	}
 }

@@ -39,6 +39,13 @@ import (
 // no re-tuning — falling back to an ordinary Acquire build otherwise.
 // See the package documentation's "Mutable matrices" section.
 //
+// AcquireKey is the handle form of Acquire: a caller that kept the
+// PlanKey of a matrix it has not mutated since (PlanFingerprint's
+// result, or the key UpdateValuesKeyed returned) gets the cached plan
+// back without the matrix being validated or hashed again; any key
+// with no built plan behind it is ErrNotCached, and the caller falls
+// back to Acquire.
+//
 // All methods are safe for concurrent use.
 type Registry = registry.Registry
 
@@ -80,4 +87,7 @@ var (
 	// ErrNotAcquired reports a Release of a plan the registry holds no
 	// live reference for.
 	ErrNotAcquired = registry.ErrNotAcquired
+	// ErrNotCached reports an AcquireKey for a key with no built plan
+	// cached under it; fall back to Acquire with the matrix.
+	ErrNotCached = registry.ErrNotCached
 )
