@@ -1,19 +1,23 @@
 package fbmpk
 
 // Differential backend tests: every execution backend (forced SELL,
-// forced BSR, autotuned) must reproduce the split-CSR baseline of the
-// same engine configuration across serial, parallel, forward-backward,
-// and multi-RHS entry points. Backends only change the storage format
-// of the full-matrix kernels — the in-row summation order — so the
-// comparison is against a plan with identical options and the CSR
-// backend, at the tight backendTol rather than the looser cross-engine
-// diffTol. These deterministic sweeps mirror FuzzDifferentialBackend
-// in fuzz_test.go, and ci.sh re-runs them under -race.
+// forced BSR, autotuned) must reproduce the CSR baseline of the same
+// engine configuration across serial, parallel, and multi-RHS entry
+// points. Backends only change the storage format of the standard
+// engine's kernels — the in-row summation order — so the comparison is
+// against a plan with identical options and the CSR backend, at the
+// tight backendTol rather than the looser cross-engine diffTol; under
+// the forward-backward engine, which builds no backend, the option must
+// change nothing at all. These deterministic sweeps mirror
+// FuzzDifferentialBackend in fuzz_test.go, and ci.sh re-runs them under
+// -race.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"fbmpk/internal/core"
 )
 
 // backendTol bounds forced-backend deviation from the CSR backend of
@@ -24,16 +28,17 @@ const backendTol = 1e-12
 // backendEngineCases enumerates the engine configurations each backend
 // is differentially tested under: standard serial/parallel (with and
 // without ABMC reordering, so the SELL sigma sort composes with the
-// block ordering) and forward-backward serial/parallel (whose MPKBatch
-// and SpMM block paths ride the backend even though the sweeps stay on
-// split CSR).
+// block ordering; MPKMulti there is the SpMM block path) and
+// forward-backward serial/parallel, where Backend is canonically inert
+// — the variant builds the very plan the base is, and backendCaseTol
+// holds it to bitwise agreement.
 func backendEngineCases(threads int) []engineCase {
 	cases := []engineCase{
-		{"std/serial", Options{Engine: EngineStandard}},
-		{"std/parallel", Options{Engine: EngineStandard, Threads: threads}},
-		{"std/parallel/abmc", Options{Engine: EngineStandard, Threads: threads, ForceABMC: true, NumBlocks: 8}},
-		{"fb/serial/btb", Options{Engine: EngineForwardBackward, BtB: true}},
-		{"fb/parallel/sep", Options{Engine: EngineForwardBackward, Threads: threads, NumBlocks: 8}},
+		{name: "std/serial", opt: Options{Engine: EngineStandard}},
+		{name: "std/parallel", opt: Options{Engine: EngineStandard, Threads: threads}},
+		{name: "std/parallel/abmc", opt: Options{Engine: EngineStandard, Threads: threads, ForceABMC: true, NumBlocks: 8}},
+		{name: "fb/serial/btb", opt: Options{Engine: EngineForwardBackward, BtB: true}},
+		{name: "fb/parallel/sep", opt: Options{Engine: EngineForwardBackward, Threads: threads, NumBlocks: 8}},
 	}
 	for i := range cases {
 		cases[i].opt.SelfCheck = true
@@ -41,26 +46,44 @@ func backendEngineCases(threads int) []engineCase {
 	return cases
 }
 
-// backendVariants lists the non-default backends under test, including
-// non-canonical SELL spellings (sigma not a chunk multiple) to cover
-// the parameter folding.
-func backendVariants() []engineCase {
-	return []engineCase{
-		{"sell", Options{Backend: BackendSELL}},
-		{"sell/c16", Options{Backend: BackendSELL, SELLChunk: 16, SELLSigma: 100}},
-		{"bsr", Options{Backend: BackendBSR}},
-		{"bsr/b2", Options{Backend: BackendBSR, BSRBlock: 2}},
-		{"auto", Options{Backend: BackendAuto}},
+// backendCaseTol is the deviation a backend variant of case c may show
+// from c's CSR plan: summation-order noise under the standard engine,
+// none under an engine that has no backend to vary.
+func backendCaseTol(c engineCase) float64 {
+	if c.opt.Engine != EngineStandard {
+		return 0
+	}
+	return backendTol
+}
+
+// backendVariant is one non-default backend under test: a Backend
+// value, and for the formats no option can force any more — SELL beyond
+// the default chunk, BSR at a block size the structure does not suggest
+// — the tuner verdict a BackendAuto plan replays to get there, which is
+// how the registry builds such a plan when the tuner picked one.
+type backendVariant struct {
+	name    string
+	backend BackendKind
+	replay  *TuneDecision
+}
+
+func backendVariants() []backendVariant {
+	return []backendVariant{
+		{name: "sell", backend: BackendSELL},
+		{name: "sell/c16", backend: BackendAuto, replay: &TuneDecision{Backend: BackendSELL, Chunk: 16, Sigma: 512}},
+		{name: "bsr", backend: BackendBSR},
+		{name: "bsr/b2", backend: BackendAuto, replay: &TuneDecision{Backend: BackendBSR, Block: 2}},
+		{name: "auto", backend: BackendAuto},
 	}
 }
 
 // withBackend overlays a backend variant onto an engine configuration.
-func withBackend(base Options, v engineCase) Options {
-	base.Backend = v.opt.Backend
-	base.SELLChunk = v.opt.SELLChunk
-	base.SELLSigma = v.opt.SELLSigma
-	base.BSRBlock = v.opt.BSRBlock
-	return base
+func withBackend(base Options, v backendVariant) []Option {
+	base.Backend = v.backend
+	if v.replay == nil {
+		return []Option{base}
+	}
+	return []Option{base, core.WithTunedDecision(*v.replay)}
 }
 
 // TestBackendDifferentialEngines checks MPK (both sweep parities),
@@ -98,9 +121,10 @@ func TestBackendDifferentialEngines(t *testing.T) {
 				}
 				base.Close()
 
+				tol := backendCaseTol(c)
 				for _, v := range backendVariants() {
 					t.Run(fmt.Sprintf("n%d/kind%d/%s/%s", n, kind, c.name, v.name), func(t *testing.T) {
-						p, err := NewPlan(a, withBackend(c.opt, v))
+						p, err := NewPlan(a, withBackend(c.opt, v)...)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -110,21 +134,21 @@ func TestBackendDifferentialEngines(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if d := relMaxDiff(t, got, want4); d > backendTol {
+						if d := relMaxDiff(t, got, want4); d > tol {
 							t.Errorf("MPK k=4: deviation %g", d)
 						}
 						got, err = p.MPK(x0, 5)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if d := relMaxDiff(t, got, want5); d > backendTol {
+						if d := relMaxDiff(t, got, want5); d > tol {
 							t.Errorf("MPK k=5: deviation %g", d)
 						}
 						combo, err := p.SSpMV(coeffs, x0)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if d := relMaxDiff(t, combo, wantCombo); d > backendTol {
+						if d := relMaxDiff(t, combo, wantCombo); d > tol {
 							t.Errorf("SSpMV: deviation %g", d)
 						}
 						all, err := p.MPKAll(x0, 4)
@@ -132,7 +156,7 @@ func TestBackendDifferentialEngines(t *testing.T) {
 							t.Fatal(err)
 						}
 						for pw := 0; pw <= 4; pw++ {
-							if d := relMaxDiff(t, all[pw], wantAll[pw]); d > backendTol {
+							if d := relMaxDiff(t, all[pw], wantAll[pw]); d > tol {
 								t.Errorf("MPKAll power %d: deviation %g", pw, d)
 							}
 						}
@@ -173,9 +197,10 @@ func TestBackendDifferentialMulti(t *testing.T) {
 					}
 					base.Close()
 
+					tol := backendCaseTol(c)
 					for _, v := range backendVariants() {
 						t.Run(fmt.Sprintf("n%d/kind%d/m%d/%s/%s", n, kind, m, c.name, v.name), func(t *testing.T) {
-							p, err := NewPlan(a, withBackend(c.opt, v))
+							p, err := NewPlan(a, withBackend(c.opt, v)...)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -189,10 +214,10 @@ func TestBackendDifferentialMulti(t *testing.T) {
 								t.Fatal(err)
 							}
 							for j := 0; j < m; j++ {
-								if d := relMaxDiff(t, gotK[j], wantK[j]); d > backendTol {
+								if d := relMaxDiff(t, gotK[j], wantK[j]); d > tol {
 									t.Errorf("MPKMulti col %d: deviation %g", j, d)
 								}
-								if d := relMaxDiff(t, gotC[j], wantC[j]); d > backendTol {
+								if d := relMaxDiff(t, gotC[j], wantC[j]); d > tol {
 									t.Errorf("SSpMVMulti col %d: deviation %g", j, d)
 								}
 							}
@@ -220,12 +245,17 @@ func TestBackendDifferentialBaseline(t *testing.T) {
 			}
 			for _, v := range backendVariants() {
 				t.Run(fmt.Sprintf("n%d/kind%d/%s", n, kind, v.name), func(t *testing.T) {
-					opt := withBackend(Options{Engine: EngineStandard, SelfCheck: true}, v)
-					p, err := NewPlan(a, opt)
+					p, err := NewPlan(a, withBackend(Options{Engine: EngineStandard, SelfCheck: true}, v)...)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer p.Close()
+					if want := v.backend.String(); want != "auto" && p.Backend() != want {
+						t.Fatalf("plan executes on %q, want the forced %q", p.Backend(), want)
+					}
+					if v.replay != nil && p.Backend() != v.replay.Backend.String() {
+						t.Fatalf("plan executes on %q, want the replayed %q", p.Backend(), v.replay.Backend)
+					}
 					got, err := p.MPK(x0, 5)
 					if err != nil {
 						t.Fatal(err)

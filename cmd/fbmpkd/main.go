@@ -8,7 +8,7 @@
 // Usage:
 //
 //	fbmpkd -addr :8707 -threads 4
-//	fbmpkd -addr 127.0.0.1:0 -backend auto -registry-cap 8 -log-format json
+//	fbmpkd -addr 127.0.0.1:0 -registry-cap 8 -log-format json
 //
 //	curl -s localhost:8707/v1/matrix -H 'Content-Type: application/json' \
 //	     -d '{"name":"cant","scale":0.01,"seed":1}'
@@ -49,7 +49,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8707", "listen address (host:0 picks a port)")
 		threads     = flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads per plan")
-		backend     = flag.String("backend", "csr", "execution backend: csr | auto | sell | bsr")
 		registryCap = flag.Int("registry-cap", 0, "plan cache capacity (0 = unbounded)")
 		maxInflight = flag.Int("max-inflight", 0, "admission limit on concurrent requests (0 = 4x GOMAXPROCS)")
 		deadline    = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
@@ -67,7 +66,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fbmpkd:", err)
 		os.Exit(1)
 	}
-	if err := run(logger, *addr, *threads, *backend, *registryCap, *maxInflight,
+	if err := run(logger, *addr, *threads, *registryCap, *maxInflight,
 		*deadline, *maxTimeout, *maxBody, *maxMatrices, *drain, *flightCap); err != nil {
 		logger.Error("exiting", "error", err.Error())
 		os.Exit(1)
@@ -93,12 +92,8 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 	}
 }
 
-func run(logger *slog.Logger, addr string, threads int, backend string, registryCap, maxInflight int,
+func run(logger *slog.Logger, addr string, threads int, registryCap, maxInflight int,
 	deadline, maxTimeout time.Duration, maxBody int64, maxMatrices int, drain time.Duration, flightCap int) error {
-	bk, err := fbmpk.ParseBackend(backend)
-	if err != nil {
-		return err
-	}
 	srv := serve.New(serve.Config{
 		RegistryCapacity: registryCap,
 		MaxInFlight:      maxInflight,
@@ -106,7 +101,7 @@ func run(logger *slog.Logger, addr string, threads int, backend string, registry
 		MaxTimeout:       maxTimeout,
 		MaxBodyBytes:     maxBody,
 		MaxMatrices:      maxMatrices,
-		PlanOptions:      []fbmpk.Option{fbmpk.WithThreads(threads), fbmpk.WithBackend(bk)},
+		PlanOptions:      []fbmpk.Option{fbmpk.WithThreads(threads)},
 		Logger:           logger,
 		FlightCapacity:   flightCap,
 	})
@@ -123,7 +118,6 @@ func run(logger *slog.Logger, addr string, threads int, backend string, registry
 		"url", "http://"+ln.Addr().String(),
 		"api_version", serve.APIVersion,
 		"threads", threads,
-		"backend", backend,
 		"go_version", runtime.Version())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -8,7 +8,7 @@
 //	solve -matrix G3_circuit -method chebyshev -degree 8
 //	solve -matrix ldoor -method power
 //	solve -file m.mtx -method cg
-//	solve -matrix audikw_1 -backend auto         # autotuned execution backend
+//	solve -matrix audikw_1 -engine standard -backend auto   # autotuned storage backend (standard engine only)
 //	solve -matrix G3_circuit -engine auto        # arbitrate FBMPK vs level-blocked
 //	solve -matrix cant -trace solve.trace.json   # Chrome/Perfetto execution trace
 //	solve -matrix cant -http :6060 -linger 30s   # /metrics, /trace, /debug/pprof
@@ -39,10 +39,10 @@ func main() {
 		maxIter = flag.Int("maxiter", 2000, "iteration budget")
 		degree  = flag.Int("degree", 8, "chebyshev polynomial degree / krylov s")
 		threads = flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads")
-		backend = flag.String("backend", "csr", "execution backend: csr | auto | sell | bsr")
+		backend = flag.String("backend", "csr", "storage backend of -engine standard (inert under the other engines): csr | auto | sell | bsr")
 		engine  = flag.String("engine", "fbmpk", "MPK engine: fbmpk | standard | levelblock | auto")
 		cache   = flag.Bool("cache", false, "acquire the plan through a fingerprint-keyed plan registry (prints the cache key and counters; -http then also exposes fbmpk_cache_* metrics)")
-		metrics = flag.Bool("metrics", false, "print the plan's PlanMetrics snapshot (expvar JSON) after solving")
+		metrics = flag.Bool("metrics", false, "print the plan's PlanMetrics snapshot (JSON) after solving")
 		trace   = flag.String("trace", "", "record an execution trace of the solve and write Chrome trace-event JSON to this file")
 		addr    = flag.String("http", "", "serve the plan's debug surface (/metrics, /trace, /debug/pprof) on this address")
 		linger  = flag.Duration("linger", 0, "keep the -http debug server up this long after solving (0 with -http = until interrupted)")
@@ -110,7 +110,7 @@ func run(file, matrix string, scale float64, seed uint64, method string, tol flo
 	fmt.Printf("plan build: %v (reorder %v, split %v)\n", bs.BuildTime, bs.ReorderTime, bs.SplitTime)
 	if bs.Backend != "" {
 		line := fmt.Sprintf("plan backend: %s", bs.Backend)
-		if tune := bs.Tune; tune != nil && len(tune.Candidates) > 0 {
+		if tune := bs.Tune; tune != nil {
 			if tune.FromCache {
 				line += " (autotuned, verdict from registry cache)"
 			} else {
@@ -122,8 +122,7 @@ func run(file, matrix string, scale float64, seed uint64, method string, tol flo
 	}
 	if eng == fbmpk.EngineAuto || eng == fbmpk.EngineLevelBlocked {
 		line := fmt.Sprintf("plan engine: %s", plan.Engine())
-		if tune := bs.Tune; tune != nil && tune.Engine != nil {
-			e := tune.Engine
+		if e := bs.EngineTune; e != nil {
 			src := fmt.Sprintf("arbitrated at k=%d: model fb %dB vs lb %dB", e.K, e.FBModelBytes, e.LBModelBytes)
 			if e.FromCache {
 				src = "verdict from registry cache"

@@ -138,11 +138,11 @@ func TestConcurrentSharedPlan(t *testing.T) {
 }
 
 // TestConcurrentSharedPlanSerial repeats the sharing contract for a
-// serial (no worker pool) plan, where the gate admits several
+// serial (no worker pool) plan, where the gate admits up to GOMAXPROCS
 // executions at once over pooled workspaces.
 func TestConcurrentSharedPlanSerial(t *testing.T) {
 	a := concTestMatrix(t, 0.002)
-	p, err := NewPlan(a, WithMaxInFlight(4))
+	p, err := NewPlan(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,12 +102,6 @@ func TestCtxParity(t *testing.T) {
 			}
 			return p.MPKAll(x0, 3)
 		}},
-		{"MPKBatch", func(p *Plan, c bool) (any, error) {
-			if c {
-				return p.MPKBatchCtx(bg, xs, 3)
-			}
-			return p.MPKBatch(xs, 3)
-		}},
 		{"MPKMulti", func(p *Plan, c bool) (any, error) {
 			if c {
 				return p.MPKMultiCtx(bg, xs, 3)

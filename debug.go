@@ -2,7 +2,6 @@ package fbmpk
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -90,7 +89,6 @@ func TimelineFromContext(ctx context.Context) *RequestTimeline {
 //	              ratios, per-op latency histograms)
 //	/trace        Chrome trace-event JSON of the currently attached
 //	              trace recorders (empty document when none)
-//	/debug/vars   expvar JSON
 //	/debug/pprof  Go profiling endpoints
 //
 // Plans are labeled plan0..planN in /metrics, in argument order. The
@@ -147,7 +145,6 @@ func debugMux(plans []*Plan, reg *Registry) http.Handler {
 		w.Header().Set("Content-Disposition", `attachment; filename="fbmpk-trace.json"`)
 		_ = events.WriteChromeTrace(w, recs...)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -162,7 +159,6 @@ func debugMux(plans []*Plan, reg *Registry) http.Handler {
 		fmt.Fprintln(w, "fbmpk debug surface")
 		fmt.Fprintln(w, "  /metrics      Prometheus text exposition")
 		fmt.Fprintln(w, "  /trace        Chrome trace-event JSON (Perfetto)")
-		fmt.Fprintln(w, "  /debug/vars   expvar")
 		fmt.Fprintln(w, "  /debug/pprof  profiling")
 	})
 	return mux

@@ -2,24 +2,72 @@ package fbmpk
 
 // Differential engine tests: every engine combination the library
 // offers — standard/forward-backward, serial/parallel, separate/BtB
-// layout, natural/ABMC/RCM+ABMC ordering — must agree with the serial
-// standard baseline (Algorithm 1) to within floating-point reassociation
-// noise. These deterministic sweeps mirror the fuzz targets in
-// fuzz_test.go so CI exercises the same property without -fuzz.
+// layout, natural/ABMC ordering, the latter also over an RCM-ordered
+// input — must agree with the serial standard baseline (Algorithm 1) to
+// within floating-point reassociation noise. These deterministic sweeps
+// mirror the fuzz targets in fuzz_test.go so CI exercises the same
+// property without -fuzz.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"fbmpk/internal/reorder"
 )
 
 const diffTol = 1e-10
 
-// engineCase names one point of the engine configuration space.
+// engineCase names one point of the engine configuration space. An rcm
+// case plans on the reverse Cuthill-McKee ordering of the test matrix,
+// which the harness applies itself (see matrix): ABMC then blocks an
+// order that scatters the original neighborhoods.
 type engineCase struct {
 	name string
 	opt  Options
+	rcm  bool
+}
+
+// matrix returns the matrix case c plans and is checked on: a, or
+// P·a·Pᵀ for the RCM ordering P of a.
+func (c engineCase) matrix(t testing.TB, a *Matrix) *Matrix {
+	t.Helper()
+	if !c.rcm {
+		return a
+	}
+	p, err := reorder.RCM(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.ApplySym(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// caseInput is a test matrix with the cases that run on it.
+type caseInput struct {
+	a     *Matrix
+	cases []engineCase
+}
+
+// caseInputs splits cases by the matrix they run on: the natural-order
+// cases on a, the rcm cases on a in RCM order. A sweep computes its
+// references once per input and runs that input's cases against them.
+func caseInputs(t testing.TB, a *Matrix, cases []engineCase) []caseInput {
+	in := []caseInput{{a: a}, {}}
+	for _, c := range cases {
+		i := 0
+		if c.rcm {
+			if i = 1; in[i].a == nil {
+				in[i].a = c.matrix(t, a)
+			}
+		}
+		in[i].cases = append(in[i].cases, c)
+	}
+	return in
 }
 
 // engineCases enumerates the engine combinations under differential
@@ -27,24 +75,24 @@ type engineCase struct {
 // plan construction (SelfCheck).
 func engineCases(threads int) []engineCase {
 	cases := []engineCase{
-		{"std/serial", Options{Engine: EngineStandard}},
-		{"std/parallel", Options{Engine: EngineStandard, Threads: threads}},
-		{"std/serial/abmc", Options{Engine: EngineStandard, ForceABMC: true, NumBlocks: 8}},
-		{"std/parallel/abmc", Options{Engine: EngineStandard, Threads: threads, ForceABMC: true, NumBlocks: 8}},
-		{"std/serial/rcm+abmc", Options{Engine: EngineStandard, ForceABMC: true, PreRCM: true, NumBlocks: 8}},
-		{"fb/serial/sep", Options{Engine: EngineForwardBackward}},
-		{"fb/serial/btb", Options{Engine: EngineForwardBackward, BtB: true}},
-		{"fb/serial/sep/abmc", Options{Engine: EngineForwardBackward, ForceABMC: true, NumBlocks: 8}},
-		{"fb/serial/btb/abmc", Options{Engine: EngineForwardBackward, BtB: true, ForceABMC: true, NumBlocks: 8}},
-		{"fb/serial/btb/rcm+abmc", Options{Engine: EngineForwardBackward, BtB: true, ForceABMC: true, PreRCM: true, NumBlocks: 8}},
-		{"fb/parallel/sep", Options{Engine: EngineForwardBackward, Threads: threads, NumBlocks: 8}},
-		{"fb/parallel/btb", Options{Engine: EngineForwardBackward, BtB: true, Threads: threads, NumBlocks: 8}},
-		{"fb/parallel/btb/rcm+abmc", Options{Engine: EngineForwardBackward, BtB: true, Threads: threads, PreRCM: true, NumBlocks: 8}},
-		{"lb/serial", Options{Engine: EngineLevelBlocked}},
-		{"lb/parallel", Options{Engine: EngineLevelBlocked, Threads: threads}},
-		{"lb/serial/tiny-blocks", Options{Engine: EngineLevelBlocked, LevelBlockBytes: 256}},
-		{"auto/serial", Options{Engine: EngineAuto, BtB: true}},
-		{"auto/parallel", Options{Engine: EngineAuto, BtB: true, Threads: threads, NumBlocks: 8}},
+		{name: "std/serial", opt: Options{Engine: EngineStandard}},
+		{name: "std/parallel", opt: Options{Engine: EngineStandard, Threads: threads}},
+		{name: "std/serial/abmc", opt: Options{Engine: EngineStandard, ForceABMC: true, NumBlocks: 8}},
+		{name: "std/parallel/abmc", opt: Options{Engine: EngineStandard, Threads: threads, ForceABMC: true, NumBlocks: 8}},
+		{name: "std/serial/rcm+abmc", opt: Options{Engine: EngineStandard, ForceABMC: true, NumBlocks: 8}, rcm: true},
+		{name: "fb/serial/sep", opt: Options{Engine: EngineForwardBackward}},
+		{name: "fb/serial/btb", opt: Options{Engine: EngineForwardBackward, BtB: true}},
+		{name: "fb/serial/sep/abmc", opt: Options{Engine: EngineForwardBackward, ForceABMC: true, NumBlocks: 8}},
+		{name: "fb/serial/btb/abmc", opt: Options{Engine: EngineForwardBackward, BtB: true, ForceABMC: true, NumBlocks: 8}},
+		{name: "fb/serial/btb/rcm+abmc", opt: Options{Engine: EngineForwardBackward, BtB: true, ForceABMC: true, NumBlocks: 8}, rcm: true},
+		{name: "fb/parallel/sep", opt: Options{Engine: EngineForwardBackward, Threads: threads, NumBlocks: 8}},
+		{name: "fb/parallel/btb", opt: Options{Engine: EngineForwardBackward, BtB: true, Threads: threads, NumBlocks: 8}},
+		{name: "fb/parallel/btb/rcm+abmc", opt: Options{Engine: EngineForwardBackward, BtB: true, Threads: threads, NumBlocks: 8}, rcm: true},
+		{name: "lb/serial", opt: Options{Engine: EngineLevelBlocked}},
+		{name: "lb/parallel", opt: Options{Engine: EngineLevelBlocked, Threads: threads}},
+		{name: "lb/serial/tiny-blocks", opt: Options{Engine: EngineLevelBlocked, LevelBlockBytes: 256}},
+		{name: "auto/serial", opt: Options{Engine: EngineAuto, BtB: true}},
+		{name: "auto/parallel", opt: Options{Engine: EngineAuto, BtB: true, Threads: threads, NumBlocks: 8}},
 	}
 	for i := range cases {
 		cases[i].opt.SelfCheck = true
@@ -155,87 +203,95 @@ func TestDifferentialEngines(t *testing.T) {
 			for i := range ccoeffs {
 				ccoeffs[i] = complex(coeffs[i], coeffs[4-i])
 			}
+			for _, in := range caseInputs(t, a, cases) {
+				differentialEngines(t, fmt.Sprintf("n%d/kind%d", n, kind), in, x0, coeffs, ccoeffs)
+			}
+		}
+	}
+}
 
-			want4, err := StandardMPK(a, x0, 4)
+// differentialEngines runs one input of TestDifferentialEngines: the
+// references on in.a, then every case of in against them.
+func differentialEngines(t *testing.T, prefix string, in caseInput, x0, coeffs []float64, ccoeffs []complex128) {
+	a, n := in.a, in.a.Rows
+	want4, err := StandardMPK(a, x0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want5, err := StandardMPK(a, x0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCombo := refSSpMV(t, a, coeffs, x0)
+	wantAll := make([][]float64, 5)
+	wantAll[0] = x0
+	for p := 1; p <= 4; p++ {
+		wantAll[p], err = StandardMPK(a, x0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, c := range in.cases {
+		t.Run(prefix+"/"+c.name, func(t *testing.T) {
+			p, err := NewPlan(a, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want5, err := StandardMPK(a, x0, 5)
+			defer p.Close()
+
+			got, err := p.MPK(x0, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantCombo := refSSpMV(t, a, coeffs, x0)
-			wantAll := make([][]float64, 5)
-			wantAll[0] = x0
-			for p := 1; p <= 4; p++ {
-				wantAll[p], err = StandardMPK(a, x0, p)
-				if err != nil {
-					t.Fatal(err)
+			if d := relMaxDiff(t, got, want4); d > diffTol {
+				t.Errorf("MPK k=4: deviation %g", d)
+			}
+			got, err = p.MPK(x0, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := relMaxDiff(t, got, want5); d > diffTol {
+				t.Errorf("MPK k=5: deviation %g", d)
+			}
+
+			combo, err := p.SSpMV(coeffs, x0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := relMaxDiff(t, combo, wantCombo); d > diffTol {
+				t.Errorf("SSpMV: deviation %g", d)
+			}
+
+			all, err := p.MPKAll(x0, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pw := 0; pw <= 4; pw++ {
+				if d := relMaxDiff(t, all[pw], wantAll[pw]); d > diffTol {
+					t.Errorf("MPKAll power %d: deviation %g", pw, d)
 				}
 			}
 
-			for _, c := range cases {
-				t.Run(fmt.Sprintf("n%d/kind%d/%s", n, kind, c.name), func(t *testing.T) {
-					p, err := NewPlan(a, c.opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer p.Close()
-
-					got, err := p.MPK(x0, 4)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := relMaxDiff(t, got, want4); d > diffTol {
-						t.Errorf("MPK k=4: deviation %g", d)
-					}
-					got, err = p.MPK(x0, 5)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := relMaxDiff(t, got, want5); d > diffTol {
-						t.Errorf("MPK k=5: deviation %g", d)
-					}
-
-					combo, err := p.SSpMV(coeffs, x0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := relMaxDiff(t, combo, wantCombo); d > diffTol {
-						t.Errorf("SSpMV: deviation %g", d)
-					}
-
-					all, err := p.MPKAll(x0, 4)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for pw := 0; pw <= 4; pw++ {
-						if d := relMaxDiff(t, all[pw], wantAll[pw]); d > diffTol {
-							t.Errorf("MPKAll power %d: deviation %g", pw, d)
-						}
-					}
-
-					re, im, err := p.SSpMVComplex(ccoeffs, x0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantRe := make([]float64, n)
-					wantIm := make([]float64, n)
-					for pw := 0; pw <= 4; pw++ {
-						for i := 0; i < n; i++ {
-							wantRe[i] += real(ccoeffs[pw]) * wantAll[pw][i]
-							wantIm[i] += imag(ccoeffs[pw]) * wantAll[pw][i]
-						}
-					}
-					if d := relMaxDiff(t, re, wantRe); d > diffTol {
-						t.Errorf("SSpMVComplex re: deviation %g", d)
-					}
-					if d := relMaxDiff(t, im, wantIm); d > diffTol {
-						t.Errorf("SSpMVComplex im: deviation %g", d)
-					}
-				})
+			re, im, err := p.SSpMVComplex(ccoeffs, x0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			wantRe := make([]float64, n)
+			wantIm := make([]float64, n)
+			for pw := 0; pw <= 4; pw++ {
+				for i := 0; i < n; i++ {
+					wantRe[i] += real(ccoeffs[pw]) * wantAll[pw][i]
+					wantIm[i] += imag(ccoeffs[pw]) * wantAll[pw][i]
+				}
+			}
+			if d := relMaxDiff(t, re, wantRe); d > diffTol {
+				t.Errorf("SSpMVComplex re: deviation %g", d)
+			}
+			if d := relMaxDiff(t, im, wantIm); d > diffTol {
+				t.Errorf("SSpMVComplex im: deviation %g", d)
+			}
+		})
 	}
 }
 
@@ -247,50 +303,59 @@ func TestDifferentialMulti(t *testing.T) {
 	cases := engineCases(4)
 	for _, n := range []int{0, 1, 3, 17, 33} {
 		for kind := 0; kind < 4; kind++ {
-			a := diffMatrix(rng, n, kind)
+			inputs := caseInputs(t, diffMatrix(rng, n, kind), cases)
 			coeffs := diffVec(rng, 4) // degree 3
 			for _, m := range []int{1, 3, 4} {
 				xs := make([][]float64, m)
 				for j := range xs {
 					xs[j] = diffVec(rng, n)
 				}
-				wantK := make([][]float64, m)
-				wantC := make([][]float64, m)
-				for j := range xs {
-					var err error
-					wantK[j], err = StandardMPK(a, xs[j], 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantC[j] = refSSpMV(t, a, coeffs, xs[j])
-				}
-				for _, c := range cases {
-					t.Run(fmt.Sprintf("n%d/kind%d/m%d/%s", n, kind, m, c.name), func(t *testing.T) {
-						p, err := NewPlan(a, c.opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer p.Close()
-						gotK, err := p.MPKMulti(xs, 3)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotC, err := p.SSpMVMulti(coeffs, xs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for j := 0; j < m; j++ {
-							if d := relMaxDiff(t, gotK[j], wantK[j]); d > diffTol {
-								t.Errorf("MPKMulti col %d: deviation %g", j, d)
-							}
-							if d := relMaxDiff(t, gotC[j], wantC[j]); d > diffTol {
-								t.Errorf("SSpMVMulti col %d: deviation %g", j, d)
-							}
-						}
-					})
+				for _, in := range inputs {
+					differentialMulti(t, fmt.Sprintf("n%d/kind%d/m%d", n, kind, m), in, coeffs, xs)
 				}
 			}
 		}
+	}
+}
+
+// differentialMulti runs one input of TestDifferentialMulti: the
+// references on in.a, then every case of in against them.
+func differentialMulti(t *testing.T, prefix string, in caseInput, coeffs []float64, xs [][]float64) {
+	a, m := in.a, len(xs)
+	wantK := make([][]float64, m)
+	wantC := make([][]float64, m)
+	for j := range xs {
+		var err error
+		wantK[j], err = StandardMPK(a, xs[j], 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantC[j] = refSSpMV(t, a, coeffs, xs[j])
+	}
+	for _, c := range in.cases {
+		t.Run(prefix+"/"+c.name, func(t *testing.T) {
+			p, err := NewPlan(a, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			gotK, err := p.MPKMulti(xs, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotC, err := p.SSpMVMulti(coeffs, xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < m; j++ {
+				if d := relMaxDiff(t, gotK[j], wantK[j]); d > diffTol {
+					t.Errorf("MPKMulti col %d: deviation %g", j, d)
+				}
+				if d := relMaxDiff(t, gotC[j], wantC[j]); d > diffTol {
+					t.Errorf("SSpMVMulti col %d: deviation %g", j, d)
+				}
+			}
+		})
 	}
 }
 

@@ -60,7 +60,7 @@ func TestPlanMethodErrors(t *testing.T) {
 	a := validSquare(t)
 	for _, c := range engineCases(2) {
 		t.Run(c.name, func(t *testing.T) {
-			p, err := NewPlan(a, c.opt)
+			p, err := NewPlan(c.matrix(t, a), c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,9 +105,6 @@ func TestPlanMethodErrors(t *testing.T) {
 			}
 			if _, err := p.MPKMulti([][]float64{x}, 0); !errors.Is(err, ErrBadPower) {
 				t.Errorf("MPKMulti k=0: got %v, want ErrBadPower", err)
-			}
-			if _, err := p.MPKBatch([][]float64{short}, 2); !errors.Is(err, ErrDimension) {
-				t.Errorf("MPKBatch short col: got %v, want ErrDimension", err)
 			}
 			if _, err := p.SSpMVMulti(nil, [][]float64{x}); !errors.Is(err, ErrBadCoeffs) {
 				t.Errorf("SSpMVMulti no coeffs: got %v, want ErrBadCoeffs", err)

@@ -32,10 +32,11 @@
 // # Serving
 //
 // A Plan's preprocessed core is shared safely by any number of
-// goroutines. Executions are admitted through a fair FIFO gate,
-// per-call scratch comes from an internal workspace pool, Plan.Close
-// drains in-flight work and fails late arrivals with ErrClosed, and
-// Plan.Metrics exposes traffic and latency counters (expvar-ready).
+// goroutines. Executions are admitted through a fair FIFO gate — up to
+// GOMAXPROCS at once on a serial plan, one at a time on a plan with a
+// worker pool — per-call scratch comes from an internal workspace pool,
+// Plan.Close drains in-flight work and fails late arrivals with
+// ErrClosed, and Plan.Metrics exposes traffic and latency counters.
 //
 // The context-accepting entry points — MPKCtx, SSpMVCtx, SymGSCtx,
 // MPKMultiCtx, SSpMVMultiCtx, ... — are the primary execution API:
@@ -50,8 +51,11 @@
 // When the matrix's values change but its sparsity pattern does not —
 // PageRank on an evolving graph, time-stepping with changing
 // coefficients — Plan.UpdateValues swaps in the new values without
-// re-running preprocessing: the permutation, split, parallel schedule,
-// and tuned backend are all structure-determined and stay. Updates are
+// re-running preprocessing: the permutation, the index arrays of the
+// one container the plan's engine runs on (the L+D+U split, the
+// standard engine's tuned backend, or the level-ordered matrix), and
+// the parallel schedule are all structure-determined and stay; only
+// that container's values are rebuilt. Updates are
 // epoch/RCU-published: executions already admitted finish bitwise on
 // the values they started with, later admissions see the new values.
 // Registry.UpdateValues is the cache-aware form, re-keying the cached
@@ -141,17 +145,14 @@ type Plan = core.Plan
 // operation, pipeline sweeps, SpMV-equivalents served, matrix nonzeros
 // streamed (ReadsPerSpMV is the paper's (k+1)/2k headline metric), and
 // the wait/compute split per pipeline phase. It marshals to JSON and
-// its String method returns the JSON encoding, so it drops into expvar:
-//
-//	expvar.Publish("fbmpk.plan", expvar.Func(func() any {
-//		return plan.Metrics()
-//	}))
+// its String method returns the JSON encoding.
 type PlanMetrics = core.PlanMetrics
 
-// Options configures a Plan: engine (standard baseline or FBMPK),
-// back-to-back vector layout, thread count, ABMC parameters, and the
-// concurrency bound of the admission gate. An Options value is itself
-// an Option applying wholesale.
+// Options configures a Plan in eight fields: the engine, and what each
+// engine reads — the back-to-back vector layout (FBMPK), thread count,
+// ABMC block count and forcing, the invariant self-check, the storage
+// backend (standard engine) and the level-block budget (level-blocked
+// engine). An Options value is itself an Option applying wholesale.
 type Options = core.Options
 
 // Option is a functional configuration knob for NewPlan; see
@@ -180,41 +181,19 @@ func WithNumBlocks(n int) Option { return core.WithNumBlocks(n) }
 // WithForceABMC applies ABMC reordering even for serial execution.
 func WithForceABMC(on bool) Option { return core.WithForceABMC(on) }
 
-// WithPreRCM toggles the reverse Cuthill-McKee pass before ABMC
-// blocking.
-func WithPreRCM(on bool) Option { return core.WithPreRCM(on) }
-
 // WithSelfCheck toggles the post-construction invariant audit.
 func WithSelfCheck(on bool) Option { return core.WithSelfCheck(on) }
 
-// WithMaxInFlight bounds concurrent executions on a shared plan (see
-// Options.MaxInFlight).
-func WithMaxInFlight(n int) Option { return core.WithMaxInFlight(n) }
-
-// WithBackend selects the storage format of the full-matrix kernels:
-// BackendAuto runs the build-time autotuner, BackendSELL/BackendBSR
-// force a format, BackendCSR (the default) keeps the bitwise-stable
-// split-CSR baseline.
+// WithBackend selects the storage format of the standard engine's
+// sweeps: BackendAuto runs the build-time autotuner, BackendSELL/
+// BackendBSR force a format, BackendCSR (the default) keeps the
+// bitwise-stable CSR baseline. Inert under every other engine, whose
+// plans build and hold no backend.
 func WithBackend(k BackendKind) Option { return core.WithBackend(k) }
-
-// WithSELLChunk sets the SELL-C-sigma chunk height (0 = default 8).
-func WithSELLChunk(c int) Option { return core.WithSELLChunk(c) }
-
-// WithSELLSigma sets the SELL row-sorting window (0 = default 256;
-// 1 disables sorting).
-func WithSELLSigma(s int) Option { return core.WithSELLSigma(s) }
-
-// WithBSRBlock sets the BSR block size (0 = detect from the matrix
-// structure).
-func WithBSRBlock(r int) Option { return core.WithBSRBlock(r) }
 
 // WithLevelBlockBytes sets the cache budget (bytes of matrix data) per
 // level block of the level-blocked engine (0 = DefaultLevelBlockBytes).
 func WithLevelBlockBytes(b int) Option { return core.WithLevelBlockBytes(b) }
-
-// WithTuneK sets the power k the EngineAuto arbitration optimizes for
-// (0 = DefaultTuneK).
-func WithTuneK(k int) Option { return core.WithTuneK(k) }
 
 // Engine selects the MPK pipeline.
 type Engine = core.Engine
@@ -232,8 +211,8 @@ const (
 	// "Level-blocked engine" section.
 	EngineLevelBlocked = core.EngineLevelBlocked
 	// EngineAuto arbitrates between EngineForwardBackward and
-	// EngineLevelBlocked per matrix at build time (see AutotuneEngine
-	// and WithTuneK); Plan.Engine reports the winner.
+	// EngineLevelBlocked per matrix at build time, for power
+	// DefaultTuneK (see AutotuneEngine); Plan.Engine reports the winner.
 	EngineAuto = core.EngineAuto
 )
 
@@ -242,14 +221,13 @@ const (
 // Xeon L3, leaving room for the live iterate-vector window.
 const DefaultLevelBlockBytes = core.DefaultLevelBlockBytes
 
-// DefaultTuneK is the power the EngineAuto arbitration optimizes for
-// when WithTuneK is not given.
+// DefaultTuneK is the power the EngineAuto arbitration optimizes for.
 const DefaultTuneK = core.DefaultTuneK
 
-// BackendKind selects the storage format of the full-matrix SpMV/SpMM
-// kernels (standard-engine sweeps and the SpMM block path; FB sweeps
-// always execute on the split CSR). See the README "Backend
-// autotuning" section.
+// BackendKind selects the storage format of the standard engine's
+// SpMV/SpMM sweeps (FB sweeps execute on the split CSR, level-blocked
+// steps on the level-ordered CSR; neither has a backend). See the
+// README "Backend autotuning" section.
 type BackendKind = core.BackendKind
 
 // Backend values.
@@ -276,8 +254,8 @@ func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
 
 // TuneDecision is the autotuner's verdict for one matrix: the chosen
 // backend configuration plus the candidate table it was selected from.
-// Available from PlanStats.Tune on BackendAuto plans and from Autotune
-// directly.
+// Available from PlanStats.Tune on standard-engine BackendAuto plans
+// and from Autotune directly.
 type TuneDecision = core.TuneDecision
 
 // TuneCandidate is one (format, configuration) the autotuner
@@ -287,14 +265,14 @@ type TuneCandidate = core.TuneCandidate
 // EngineDecision is the EngineAuto arbitration verdict: the chosen MPK
 // engine with the modeled DRAM traffic of both schedules and (for
 // matrices small enough to measure) the serial micro-benchmark times.
-// Available from PlanStats.Tune.Engine on EngineAuto plans and from
+// Available from PlanStats.EngineTune on EngineAuto plans and from
 // AutotuneEngine directly.
 type EngineDecision = core.EngineDecision
 
 // AutotuneEngine arbitrates between the forward-backward and
 // level-blocked engines for matrix a at power k (<= 0 = DefaultTuneK)
-// without building a plan — the same procedure NewPlan runs for
-// EngineAuto plans. blockBytes <= 0 selects DefaultLevelBlockBytes;
+// without building a plan — the procedure NewPlan runs for EngineAuto
+// plans at k = DefaultTuneK. blockBytes <= 0 selects DefaultLevelBlockBytes;
 // threads > 1 measures the parallel kernels the plan would run at that
 // worker count instead of the serial ones.
 func AutotuneEngine(a *Matrix, k, blockBytes, threads int) (*EngineDecision, error) {
@@ -309,8 +287,8 @@ func AutotuneEngine(a *Matrix, k, blockBytes, threads int) (*EngineDecision, err
 
 // Autotune runs the backend micro-benchmark selection for matrix a
 // without building a plan and returns the decision with its full
-// candidate table — the same procedure NewPlan runs for BackendAuto
-// plans. Deterministic sampling: the sampled rows and probe vector are
+// candidate table — the same procedure NewPlan runs for standard-engine
+// BackendAuto plans. Deterministic sampling: the sampled rows and probe vector are
 // fixed functions of the matrix structure.
 func Autotune(a *Matrix) (TuneDecision, error) {
 	if err := validMatrix(a); err != nil {
@@ -320,8 +298,8 @@ func Autotune(a *Matrix) (TuneDecision, error) {
 }
 
 // PlanStats reports the one-off preprocessing cost breakdown of plan
-// construction, including the backend autotuner verdict for
-// BackendAuto plans.
+// construction, including the autotuner verdict a plan took: the
+// backend's (standard engine, BackendAuto) or the engine's (EngineAuto).
 type PlanStats = core.PlanStats
 
 // NewPlan prepares an executor for the square matrix a. Construction

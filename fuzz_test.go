@@ -19,8 +19,9 @@ import (
 
 // fuzzSetup turns two fuzz integers into a matrix + engine case. n
 // spans 0..40 including the degenerate sizes; the matrix kind and the
-// engine case come from the derived rng / cfg selector.
-func fuzzSetup(seed, cfgRaw int64) (*Matrix, engineCase, *rand.Rand) {
+// engine case come from the derived rng / cfg selector. The matrix is
+// the one the case plans and is checked on (RCM-ordered for rcm cases).
+func fuzzSetup(t *testing.T, seed, cfgRaw int64) (*Matrix, engineCase, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	n := rng.Intn(41)
 	kind := rng.Intn(4)
@@ -29,7 +30,8 @@ func fuzzSetup(seed, cfgRaw int64) (*Matrix, engineCase, *rand.Rand) {
 	if cfgRaw < 0 {
 		cfgRaw = -cfgRaw
 	}
-	return a, cases[int(cfgRaw%int64(len(cases)))], rng
+	c := cases[int(cfgRaw%int64(len(cases)))]
+	return c.matrix(t, a), c, rng
 }
 
 func FuzzDifferentialMPK(f *testing.F) {
@@ -37,7 +39,7 @@ func FuzzDifferentialMPK(f *testing.F) {
 	f.Add(int64(7), int64(6), int64(4))
 	f.Add(int64(42), int64(12), int64(8))
 	f.Fuzz(func(t *testing.T, seed, cfgRaw, kRaw int64) {
-		a, c, rng := fuzzSetup(seed, cfgRaw)
+		a, c, rng := fuzzSetup(t, seed, cfgRaw)
 		if kRaw < 0 {
 			kRaw = -kRaw
 		}
@@ -67,7 +69,7 @@ func FuzzDifferentialSSpMV(f *testing.F) {
 	f.Add(int64(9), int64(10), int64(1))
 	f.Add(int64(13), int64(7), int64(2))
 	f.Fuzz(func(t *testing.T, seed, cfgRaw, degRaw int64) {
-		a, c, rng := fuzzSetup(seed, cfgRaw)
+		a, c, rng := fuzzSetup(t, seed, cfgRaw)
 		if degRaw < 0 {
 			degRaw = -degRaw
 		}
@@ -94,7 +96,7 @@ func FuzzDifferentialMulti(f *testing.F) {
 	f.Add(int64(11), int64(11), int64(1))
 	f.Add(int64(17), int64(2), int64(3))
 	f.Fuzz(func(t *testing.T, seed, cfgRaw, mRaw int64) {
-		a, c, rng := fuzzSetup(seed, cfgRaw)
+		a, c, rng := fuzzSetup(t, seed, cfgRaw)
 		if mRaw < 0 {
 			mRaw = -mRaw
 		}
@@ -186,16 +188,16 @@ func FuzzDifferentialSymGS(f *testing.F) {
 
 // FuzzDifferentialBackend is the forced-backend variant of
 // FuzzDifferentialMPK: the extra argument picks a non-default
-// execution backend (SELL with either canonical or odd chunk/sigma
-// spellings, BSR with and without a forced block size, or the
-// autotuner), overlays it on the derived engine case, and requires the
-// result to match the serial standard baseline.
+// execution backend (SELL and BSR forced or, at another chunk or block
+// size, replayed as a tuner verdict; or the autotuner itself), overlays
+// it on the derived engine case — where only the standard engine builds
+// it — and requires the result to match the serial standard baseline.
 func FuzzDifferentialBackend(f *testing.F) {
 	f.Add(int64(5), int64(0), int64(2), int64(0))
 	f.Add(int64(21), int64(4), int64(5), int64(2))
 	f.Add(int64(33), int64(9), int64(3), int64(4))
 	f.Fuzz(func(t *testing.T, seed, cfgRaw, kRaw, beRaw int64) {
-		a, c, rng := fuzzSetup(seed, cfgRaw)
+		a, c, rng := fuzzSetup(t, seed, cfgRaw)
 		if kRaw < 0 {
 			kRaw = -kRaw
 		}
@@ -203,25 +205,18 @@ func FuzzDifferentialBackend(f *testing.F) {
 			beRaw = -beRaw
 		}
 		k := 1 + int(kRaw%8)
-		variants := []Options{
-			{Backend: BackendSELL},
-			{Backend: BackendSELL, SELLChunk: 4, SELLSigma: 50},
-			{Backend: BackendBSR},
-			{Backend: BackendBSR, BSRBlock: 2 + int(beRaw%3)},
-			{Backend: BackendAuto},
-		}
+		variants := backendVariants()
 		v := variants[int(beRaw%int64(len(variants)))]
-		c.opt.Backend = v.Backend
-		c.opt.SELLChunk = v.SELLChunk
-		c.opt.SELLSigma = v.SELLSigma
-		c.opt.BSRBlock = v.BSRBlock
+		if v.replay != nil && v.replay.Backend == BackendBSR {
+			v.replay.Block = 2 + int(beRaw%3) // any size the tuner can pick
+		}
 
 		x0 := diffVec(rng, a.Rows)
 		want, err := StandardMPK(a, x0, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewPlan(a, c.opt)
+		p, err := NewPlan(a, withBackend(c.opt, v)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +340,6 @@ func FuzzAPIBoundary(f *testing.F) {
 			Threads:   next() % 5,
 			NumBlocks: next() % 9,
 			ForceABMC: next()%2 == 1,
-			PreRCM:    next()%2 == 1,
 			SelfCheck: true,
 		}
 		wantErr := func(err error) {

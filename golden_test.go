@@ -214,8 +214,6 @@ func goldenEntryPoints(t *testing.T, plan *Plan, prefix string, got map[string]s
 		out, err := plan.SSpMVMulti(coeffs, xs[:m])
 		rec(fmt.Sprintf("SSpMVMulti%d", m), err, out...)
 	}
-	batch, err := plan.MPKBatch(xs[:3], k)
-	rec("MPKBatch", err, batch...)
 	if plan.Engine() == EngineForwardBackward {
 		sol := make([]float64, len(b))
 		rec("SymGS", plan.SymGS(b, sol, k), sol)

@@ -10,11 +10,12 @@ import (
 )
 
 // BackendKind selects the storage format of the full-matrix SpMV/SpMM
-// execution backend — the kernels behind the standard engine and the
-// block (SpMM) paths of every plan. The forward-backward sweeps always
-// run on the L+D+U split CSR regardless: their Gauss-Seidel-style
-// dependency structure is incompatible with SELL's row sorting and
-// BSR's blocking.
+// execution backend — the kernels behind the standard engine, single
+// vector and block (SpMM) alike. No other engine has one: the
+// forward-backward sweeps run on the L+D+U split CSR, whose
+// Gauss-Seidel-style dependency structure is incompatible with SELL's
+// row sorting and BSR's blocking, and the level-blocked steps on the raw
+// level-ordered CSR (see Options.Canonical).
 type BackendKind int
 
 const (
@@ -50,29 +51,10 @@ func (k BackendKind) String() string {
 	return fmt.Sprintf("Backend(%d)", int(k))
 }
 
-// MarshalJSON renders the kind as its name, keeping bench reports and
-// tuner verdicts human-readable.
+// MarshalJSON renders the kind as its name, keeping tuner verdicts
+// human-readable.
 func (k BackendKind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
-}
-
-// UnmarshalJSON accepts both the name and the legacy integer encoding.
-func (k *BackendKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		got, perr := ParseBackend(s)
-		if perr != nil {
-			return perr
-		}
-		*k = got
-		return nil
-	}
-	var i int
-	if err := json.Unmarshal(b, &i); err != nil {
-		return fmt.Errorf("core: backend kind must be a string or integer: %s", b)
-	}
-	*k = BackendKind(i)
-	return nil
 }
 
 // ParseBackend maps a backend name ("csr", "auto", "sell", "bsr") to
@@ -99,10 +81,8 @@ type execBackend interface {
 	rows() int
 	cols() int
 	partition(parts int) []int
-	spmv(x, y []float64)
 	spmvRange(x, y []float64, lo, hi int)
 	spmm(x, y []float64, nv int)
-	memoryBytes() int64
 	// withValues builds a backend holding a's values in the receiver's
 	// layout, sharing every structure array (a must be the new
 	// execution-order matrix with the structure the receiver was built
@@ -122,10 +102,8 @@ func (b csrBackend) cols() int         { return b.a.Cols }
 func (b csrBackend) partition(parts int) []int {
 	return parallel.PartitionByPtr(b.a.Rows, parts, b.a.RowPtr)
 }
-func (b csrBackend) spmv(x, y []float64)                  { sparse.SpMV(b.a, x, y) }
 func (b csrBackend) spmvRange(x, y []float64, lo, hi int) { sparse.SpMVRange(b.a, x, y, lo, hi) }
 func (b csrBackend) spmm(x, y []float64, nv int)          { sparse.SpMM(b.a, x, y, nv) }
-func (b csrBackend) memoryBytes() int64                   { return b.a.MemoryBytes() }
 func (b csrBackend) withValues(a *sparse.CSR) execBackend { return csrBackend{a: a} }
 
 // sellBackend executes on a SELL-C-sigma conversion of the plan's
@@ -134,10 +112,7 @@ func (b csrBackend) withValues(a *sparse.CSR) execBackend { return csrBackend{a:
 // back, so the backend is transparent to callers. Built from the
 // already-ABMC-permuted matrix, the sigma sort composes with the ABMC
 // ordering instead of fighting it.
-type sellBackend struct {
-	s   *sparse.SELL
-	nnz int64 // logical nonzeros (excludes padding)
-}
+type sellBackend struct{ s *sparse.SELL }
 
 func (b *sellBackend) kind() BackendKind { return BackendSELL }
 func (b *sellBackend) phase() phase      { return phaseStandardSELL }
@@ -161,20 +136,15 @@ func (b *sellBackend) partition(parts int) []int {
 	bounds[len(bounds)-1] = b.s.Rows
 	return bounds
 }
-func (b *sellBackend) spmv(x, y []float64)                  { b.s.SpMV(x, y) }
 func (b *sellBackend) spmvRange(x, y []float64, lo, hi int) { b.s.SpMVRange(x, y, lo, hi) }
 func (b *sellBackend) spmm(x, y []float64, nv int)          { b.s.SpMM(x, y, nv) }
-func (b *sellBackend) memoryBytes() int64                   { return b.s.MemoryBytes() }
 func (b *sellBackend) withValues(a *sparse.CSR) execBackend {
-	return &sellBackend{s: b.s.WithValues(a), nnz: b.nnz}
+	return &sellBackend{s: b.s.WithValues(a)}
 }
 
 // bsrBackend executes on a block-CSR conversion of the plan's
 // execution-order matrix.
-type bsrBackend struct {
-	b   *sparse.BSR
-	nnz int64 // logical nonzeros (excludes zero fill)
-}
+type bsrBackend struct{ b *sparse.BSR }
 
 func (e *bsrBackend) kind() BackendKind { return BackendBSR }
 func (e *bsrBackend) phase() phase      { return phaseStandardBSR }
@@ -198,12 +168,10 @@ func (e *bsrBackend) partition(parts int) []int {
 	bounds[len(bounds)-1] = e.b.Rows
 	return bounds
 }
-func (e *bsrBackend) spmv(x, y []float64)                  { e.b.SpMV(x, y) }
 func (e *bsrBackend) spmvRange(x, y []float64, lo, hi int) { e.b.SpMVRange(x, y, lo, hi) }
 func (e *bsrBackend) spmm(x, y []float64, nv int)          { e.b.SpMM(x, y, nv) }
-func (e *bsrBackend) memoryBytes() int64                   { return e.b.MemoryBytes() }
 func (e *bsrBackend) withValues(a *sparse.CSR) execBackend {
-	return &bsrBackend{b: e.b.WithValues(a), nnz: e.nnz}
+	return &bsrBackend{b: e.b.WithValues(a)}
 }
 
 // buildBackend materializes the execution backend a decision names,
@@ -211,19 +179,20 @@ func (e *bsrBackend) withValues(a *sparse.CSR) execBackend {
 func buildBackend(a *sparse.CSR, dec TuneDecision) execBackend {
 	switch dec.Backend {
 	case BackendSELL:
-		return &sellBackend{s: sparse.ToSELL(a, dec.Chunk, dec.Sigma), nnz: a.NNZ()}
+		return &sellBackend{s: sparse.ToSELL(a, dec.Chunk, dec.Sigma)}
 	case BackendBSR:
-		return &bsrBackend{b: sparse.ToBSR(a, dec.Block, dec.Block), nnz: a.NNZ()}
+		return &bsrBackend{b: sparse.ToBSR(a, dec.Block, dec.Block)}
 	default:
 		return csrBackend{a: a}
 	}
 }
 
-// initBackend resolves the plan's execution backend from the canonical
-// options and the execution-order matrix a: the forced formats build directly
-// (BSR detecting its block size from the structure when none is
-// given), BackendAuto consults an injected registry verdict or runs
-// the autotuner, and the default CSR wraps a with zero extra storage.
+// initBackend resolves the standard engine's execution backend from the
+// canonical options and the execution-order matrix a: the forced formats
+// build directly (SELL at the default chunk and window, BSR at the block
+// size the structure suggests), BackendAuto replays an injected registry
+// verdict or runs the autotuner, and the default CSR wraps a with zero
+// extra storage.
 func (p *Plan) initBackend(opt Options, a *sparse.CSR) (execBackend, error) {
 	start := time.Now()
 	var dec TuneDecision
@@ -231,13 +200,9 @@ func (p *Plan) initBackend(opt Options, a *sparse.CSR) (execBackend, error) {
 	case BackendCSR:
 		dec = TuneDecision{Backend: BackendCSR}
 	case BackendSELL:
-		dec = TuneDecision{Backend: BackendSELL, Chunk: opt.SELLChunk, Sigma: opt.SELLSigma}
+		dec = TuneDecision{Backend: BackendSELL, Chunk: DefaultSELLChunk, Sigma: DefaultSELLSigma}
 	case BackendBSR:
-		blk := opt.BSRBlock
-		if blk == 0 {
-			blk = DetectBSRBlock(a)
-		}
-		dec = TuneDecision{Backend: BackendBSR, Block: blk}
+		dec = TuneDecision{Backend: BackendBSR, Block: DetectBSRBlock(a)}
 	case BackendAuto:
 		if opt.tuned != nil {
 			dec = *opt.tuned
@@ -256,6 +221,6 @@ func (p *Plan) initBackend(opt Options, a *sparse.CSR) (execBackend, error) {
 	return be, nil
 }
 
-// Backend returns the storage format the plan's full-matrix kernels
-// execute on ("csr", "sell", "bsr").
+// Backend returns the storage format the plan's kernels execute on; see
+// PlanStats.Backend.
 func (p *Plan) Backend() string { return p.stats.Backend }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fbmpk/internal/sparse"
@@ -52,15 +53,10 @@ func TestBackendKindJSON(t *testing.T) {
 	if err != nil || string(b) != `"sell"` {
 		t.Fatalf("Marshal = %s, %v", b, err)
 	}
-	var k BackendKind
-	if err := json.Unmarshal([]byte(`"bsr"`), &k); err != nil || k != BackendBSR {
-		t.Fatalf("Unmarshal name = %v, %v", k, err)
-	}
-	if err := json.Unmarshal([]byte(`2`), &k); err != nil || k != BackendSELL {
-		t.Fatalf("Unmarshal legacy int = %v, %v", k, err)
-	}
-	if err := json.Unmarshal([]byte(`"nope"`), &k); err == nil {
-		t.Fatal("Unmarshal accepted an unknown name")
+	// A verdict carries the kind by name.
+	b, err = json.Marshal(TuneDecision{Backend: BackendBSR, Block: 3})
+	if err != nil || !strings.Contains(string(b), `"backend":"bsr"`) {
+		t.Fatalf("Marshal verdict = %s, %v", b, err)
 	}
 }
 
@@ -73,9 +69,27 @@ func TestUnknownBackendRejected(t *testing.T) {
 	}
 }
 
+// TestCanonicalFoldsBackend: Backend is a property of the standard
+// engine exactly as BtB is of the forward-backward one — Canonical keeps
+// it there and folds it to the zero value everywhere else, so no other
+// engine can be asked to build or tune one.
+func TestCanonicalFoldsBackend(t *testing.T) {
+	for _, bk := range []BackendKind{BackendCSR, BackendAuto, BackendSELL, BackendBSR} {
+		for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
+			want := BackendCSR
+			if eng == EngineStandard {
+				want = bk
+			}
+			if got := (Options{Engine: eng, Backend: bk}).Canonical().Backend; got != want {
+				t.Errorf("%v + %v: canonical backend %v, want %v", eng, bk, got, want)
+			}
+		}
+	}
+}
+
 // TestForcedBackendsMatchCSR drives every standard-engine entry point
-// through forced SELL and BSR plans and compares against the CSR
-// baseline plan at 1e-12.
+// (MPKMulti is the SpMM block path) through forced SELL and BSR plans
+// and compares against the CSR baseline plan at 1e-12.
 func TestForcedBackendsMatchCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{23, 96} {
@@ -101,7 +115,7 @@ func TestForcedBackendsMatchCSR(t *testing.T) {
 			if r.xk, err = p.MPK(x0, k); err != nil {
 				t.Fatal(err)
 			}
-			if r.batch, err = p.MPKBatch(xs, k); err != nil {
+			if r.batch, err = p.MPKMulti(xs, k); err != nil {
 				t.Fatal(err)
 			}
 			if r.combo, err = p.SSpMV(coeffs, x0); err != nil {
@@ -121,7 +135,7 @@ func TestForcedBackendsMatchCSR(t *testing.T) {
 				}
 				for j := range base.batch {
 					if d := sparse.RelMaxDiff(got.batch[j], base.batch[j]); d > 1e-12 {
-						t.Fatalf("n=%d threads=%d: MPKBatch[%d] diff %g", n, threads, j, d)
+						t.Fatalf("n=%d threads=%d: MPKMulti[%d] diff %g", n, threads, j, d)
 					}
 				}
 				if d := sparse.RelMaxDiff(got.combo, base.combo); d > 1e-12 {
@@ -181,38 +195,50 @@ func TestDetectBSRBlock(t *testing.T) {
 	}
 }
 
-func TestSELLParamsCanonical(t *testing.T) {
-	cases := []struct{ c, s, wantC, wantS int }{
-		{0, 0, DefaultSELLChunk, DefaultSELLSigma},
-		{8, 0, 8, DefaultSELLSigma},
-		{8, 30, 8, 32}, // sigma rounds up to a chunk multiple
-		{16, 1, 16, 1}, // sigma 1 disables sorting, stays 1
-		{4, 256, 4, 256},
-	}
-	for _, tc := range cases {
-		o := Options{Backend: BackendSELL, SELLChunk: tc.c, SELLSigma: tc.s}.Canonical()
-		if c, s := o.SELLChunk, o.SELLSigma; c != tc.wantC || s != tc.wantS {
-			t.Fatalf("Canonical SELL (%d, %d) = (%d, %d), want (%d, %d)",
-				tc.c, tc.s, c, s, tc.wantC, tc.wantS)
+// TestForcedBackendDefaults: with the chunk, sigma and block-size
+// options gone, a forced SELL plan converts at the default chunk and
+// window and a forced BSR plan at the block size the structure suggests.
+func TestForcedBackendDefaults(t *testing.T) {
+	a := blockCSR(rand.New(rand.NewSource(14)), 40, 3, 3)
+	backendOf := func(k BackendKind) execBackend {
+		t.Helper()
+		p, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(k))
+		if err != nil {
+			t.Fatal(err)
 		}
+		p.Close()
+		return p.state.Load().be
+	}
+	if s := backendOf(BackendSELL).(*sellBackend).s; s.C != DefaultSELLChunk || s.Sigma != DefaultSELLSigma {
+		t.Fatalf("forced SELL built at C=%d sigma=%d, want %d/%d", s.C, s.Sigma, DefaultSELLChunk, DefaultSELLSigma)
+	}
+	if b := backendOf(BackendBSR).(*bsrBackend).b; b.R != 3 || b.R != DetectBSRBlock(a) {
+		t.Fatalf("forced BSR built at R=%d, want the detected 3", b.R)
 	}
 }
 
-// TestPlanStatsBackend verifies forced backends surface through
-// PlanStats, Plan.Backend, and the metrics snapshot.
+// TestPlanStatsBackend verifies that what a plan's kernels execute on
+// surfaces through PlanStats, Plan.Backend, and the metrics snapshot:
+// the forced backend of a standard-engine plan, the split of a
+// forward-backward one (whatever Backend it was asked for), the raw CSR
+// of a level-blocked one.
 func TestPlanStatsBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a := randomCSR(rng, 30, 3)
 	cases := []struct {
+		eng  Engine
 		opt  Option
 		want string
 	}{
-		{WithBackend(BackendCSR), "csr"},
-		{WithBackend(BackendSELL), "sell"},
-		{WithBackend(BackendBSR), "bsr"},
+		{EngineStandard, WithBackend(BackendCSR), "csr"},
+		{EngineStandard, WithBackend(BackendSELL), "sell"},
+		{EngineStandard, WithBackend(BackendBSR), "bsr"},
+		{EngineForwardBackward, WithBackend(BackendCSR), "split"},
+		{EngineForwardBackward, WithBackend(BackendSELL), "split"},
+		{EngineLevelBlocked, WithBackend(BackendBSR), "csr"},
 	}
 	for _, tc := range cases {
-		p, err := NewPlan(a, WithEngine(EngineStandard), tc.opt)
+		p, err := NewPlan(a, WithEngine(tc.eng), tc.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,9 +252,11 @@ func TestPlanStatsBackend(t *testing.T) {
 	}
 }
 
-// TestFBPlanWithBackend verifies a forward-backward plan accepts a
-// non-CSR backend (used by its MPKBatch path) without disturbing the
-// FB pipeline results.
+// TestFBPlanWithBackend verifies that Backend is the standard engine's
+// alone: a forward-backward plan asked for a non-CSR backend builds
+// none and is bitwise the default plan, while the SpMM block path the
+// option does reach — MPKMulti on a standard-engine plan — agrees with
+// the CSR baseline.
 func TestFBPlanWithBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	a := randomCSR(rng, 64, 4)
@@ -243,6 +271,9 @@ func TestFBPlanWithBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	if ep := p.state.Load(); ep.be != nil || ep.a != nil || ep.tri == nil {
+		t.Fatalf("FB plan with BackendSELL holds be=%v a=%v tri=%v, want the split only", ep.be, ep.a, ep.tri)
+	}
 	want, err := base.MPK(x0, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -251,24 +282,33 @@ func TestFBPlanWithBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// FB sweeps run on the split CSR either way: bitwise identical.
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("FB result differs at %d: %g != %g", i, got[i], want[i])
 		}
 	}
 	xs := [][]float64{randVec(rng, 64), randVec(rng, 64)}
-	wb, err := base.MPKBatch(xs, 3)
+	std, err := NewPlan(a, WithEngine(EngineStandard))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := p.MPKBatch(xs, 3)
+	defer std.Close()
+	sell, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(BackendSELL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sell.Close()
+	wb, err := std.MPKMulti(xs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := sell.MPKMulti(xs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := range wb {
 		if d := sparse.RelMaxDiff(gb[j], wb[j]); d > 1e-12 {
-			t.Fatalf("MPKBatch[%d] diff %g", j, d)
+			t.Fatalf("MPKMulti[%d] diff %g", j, d)
 		}
 	}
 }

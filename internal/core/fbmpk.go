@@ -397,12 +397,16 @@ func FBMPKSerialMulti(tri *sparse.Triangular, xs [][]float64, k int, btb bool, c
 }
 
 // fbEngine is the forward-backward engine of a plan: the color schedule
-// over the plan's pool (or the serial one), the layout, and the
-// triangle sizes its traffic accounting needs.
+// over the plan's pool (or the serial one), the layout, the triangle
+// sizes its traffic accounting needs, and the row pointer of the
+// execution-order matrix the split was taken from — all a value update
+// needs to deal fresh values into L, D and U (the matrix itself, a
+// permuted copy when the plan reordered, is let go after the split).
 type fbEngine struct {
 	sch              *colorSchedule
 	btb              bool
 	nnzL, nnzU, nnzD uint64
+	rowPtr           []int64
 }
 
 // newFBEngine splits the execution-order matrix ea (on runner) and
@@ -418,10 +422,14 @@ func newFBEngine(ea *sparse.CSR, ord *reorder.ABMCResult, btb bool, pool *parall
 	if err != nil {
 		return nil, nil, err
 	}
-	e := &fbEngine{sch: sch, btb: btb, nnzL: uint64(len(tri.L.Val)), nnzU: uint64(len(tri.U.Val))}
+	e := &fbEngine{sch: sch, btb: btb, nnzL: uint64(len(tri.L.Val)), nnzU: uint64(len(tri.U.Val)), rowPtr: ea.RowPtr}
 	// nnzD counts explicitly stored diagonal entries.
 	e.nnzD = uint64(len(ea.Val)) - e.nnzL - e.nnzU
 	return e, tri, nil
+}
+
+func (e *fbEngine) revalue(cur *planEpoch, src []float64, slot []int64) *planEpoch {
+	return &planEpoch{tri: cur.tri.WithValues(e.rowPtr, src, slot)}
 }
 
 func (e *fbEngine) powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {

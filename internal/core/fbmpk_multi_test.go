@@ -127,10 +127,11 @@ func TestFBParallelMultiMatchesSerialMulti(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fbm, err := NewFBParallelMultiFrom(tri, ord, pool)
+			fb, err := NewFBParallel(tri, ord, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fbm := NewFBParallelMulti(fb)
 			xs := randBlock(rng, n, m)
 			for _, k := range []int{1, 2, 5} {
 				coeffs := make([]float64, k+1)
@@ -235,10 +236,11 @@ func TestFBParallelMultiRace(t *testing.T) {
 	}
 	pool := parallel.NewPool(8)
 	defer pool.Close()
-	fbm, err := NewFBParallelMultiFrom(tri, ord, pool)
+	fb, err := NewFBParallel(tri, ord, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fbm := NewFBParallelMulti(fb)
 	xs := randBlock(rng, n, 4)
 	coeffs := []float64{1, -0.5, 0.25, -0.125, 0.0625, 0.03125}
 	for _, btb := range []bool{false, true} {

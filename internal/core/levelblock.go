@@ -46,10 +46,10 @@ const (
 	// TestDefaultLevelBlockBytesMatchesXeon asserts the two stay in sync.
 	DefaultLevelBlockBytes = 37_486_592 / 2
 
-	// DefaultTuneK is the power the engine autotuner arbitrates for
-	// when WithTuneK is not given: deep enough that level blocking's
-	// per-block reuse can pay for its schedule overhead, shallow enough
-	// to stay representative of s-step solver practice.
+	// DefaultTuneK is the power the EngineAuto arbitration optimizes
+	// for: deep enough that level blocking's per-block reuse can pay for
+	// its schedule overhead, shallow enough to stay representative of
+	// s-step solver practice.
 	DefaultTuneK = 4
 )
 
@@ -162,9 +162,7 @@ func hookPowers(bLo, bHi, nl, k int) (int, int) {
 }
 
 // spmvRowsCSR is the raw-CSR row-range SpMV of the level-blocked
-// steps. The kernel reads the epoch matrix's arrays directly (not the
-// plan backend): step row ranges move with the skew every pass, which
-// the chunk/block-aligned SELL and BSR range kernels cannot serve.
+// steps, reading the epoch matrix's arrays directly.
 func spmvRowsCSR(a *sparse.CSR, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s := 0.0
@@ -317,9 +315,9 @@ func LevelBlockedMPK(a *sparse.CSR, x0 []float64, k int, blockBytes int, onItera
 }
 
 // lbEngine is the level-blocked engine of a plan. The kernel reads the
-// epoch's raw CSR (not the backend): the skewed step ranges move every
-// pass, which the chunk/block-aligned SELL and BSR range kernels cannot
-// serve.
+// epoch's raw level-ordered CSR: the skewed step ranges move every
+// pass, which the chunk/block-aligned SELL and BSR range kernels could
+// not serve.
 type lbEngine struct {
 	team team
 	ls   *levelSchedule
@@ -346,6 +344,12 @@ func newLBEngine(a *sparse.CSR, blockBytes int, pool *parallel.Pool, runner spar
 	stats.NumBlocks = ls.numBlocks()
 	stats.NumLevels = ls.lp.NumLevels()
 	return &lbEngine{team: newTeam(pool), ls: ls, nnzA: uint64(len(ea.Val))}, ea, nil
+}
+
+func (e *lbEngine) revalue(cur *planEpoch, src []float64, slot []int64) *planEpoch {
+	a := *cur.a
+	a.Val = gatherValues(src, slot)
+	return &planEpoch{a: &a}
 }
 
 // powers runs the schedule with k+1 pooled live iterates. The returned

@@ -29,7 +29,6 @@ type opKind int
 const (
 	opMPK opKind = iota
 	opMPKAll
-	opMPKBatch
 	opMPKMulti
 	opSSpMV
 	opSSpMVMulti
@@ -41,7 +40,6 @@ const (
 var opNames = [numOps]string{
 	opMPK:          "mpk",
 	opMPKAll:       "mpk_all",
-	opMPKBatch:     "mpk_batch",
 	opMPKMulti:     "mpk_multi",
 	opSSpMV:        "sspmv",
 	opSSpMVMulti:   "sspmv_multi",
@@ -96,7 +94,6 @@ var regionNames = [numPhases]string{
 var opRegionNames = [numOps]string{
 	opMPK:          "fbmpk.mpk",
 	opMPKAll:       "fbmpk.mpk_all",
-	opMPKBatch:     "fbmpk.mpk_batch",
 	opMPKMulti:     "fbmpk.mpk_multi",
 	opSSpMV:        "fbmpk.sspmv",
 	opSSpMVMulti:   "fbmpk.sspmv_multi",
@@ -180,9 +177,9 @@ type PlanMetrics struct {
 	// 12.5% relative bucket error) with derived p50/p90/p99.
 	Latency map[string]OpLatency `json:"latency_by_op,omitempty"`
 
-	// Backend is the storage format the plan's full-matrix kernels
-	// execute on ("csr", "sell", "bsr"); exporters attach it as the
-	// fbmpk_backend label.
+	// Backend is the storage format the plan's kernels execute on
+	// (PlanStats.Backend: "csr", "sell", "bsr", or "split" for a
+	// forward-backward plan); exporters attach it as the backend label.
 	Backend string `json:"backend,omitempty"`
 
 	// Build is the one-off construction cost breakdown of the plan
@@ -196,7 +193,6 @@ type PlanMetrics struct {
 // not run (e.g. no ABMC for a serial FB plan).
 type BuildBreakdown struct {
 	Total    time.Duration `json:"total_ns"`
-	RCM      time.Duration `json:"rcm_ns,omitempty"`
 	Graph    time.Duration `json:"graph_ns,omitempty"`
 	Color    time.Duration `json:"color_ns,omitempty"`
 	Perm     time.Duration `json:"perm_ns,omitempty"`
@@ -210,7 +206,6 @@ type BuildBreakdown struct {
 func buildBreakdown(s PlanStats) BuildBreakdown {
 	return BuildBreakdown{
 		Total:    s.BuildTime,
-		RCM:      s.RCMTime,
 		Graph:    s.GraphTime,
 		Color:    s.ColorTime,
 		Perm:     s.PermTime,

@@ -103,22 +103,13 @@ func standardPowers(tm team, bounds []int, env *runEnv, be execBackend, x0 []flo
 	return x, nil
 }
 
-// StandardMPKBatch computes A^k applied to nv vectors at once via
-// SpMM: one pass over the matrix serves the whole block per power, so
-// A is read k times total instead of k*nv — the block analogue of the
-// MPK traffic argument, used by subspace iteration. xs holds the nv
-// start vectors; the result is nv fresh vectors.
-func StandardMPKBatch(a *sparse.CSR, xs [][]float64, k int) ([][]float64, error) {
-	return standardMPKBatch(nil, csrBackend{a: a}, xs, k)
-}
-
-// standardMPKBatch is StandardMPKBatch generalized over the execution
-// backend, with a run environment (cancellation checked once per
-// power).
+// standardMPKBatch computes A^k applied to nv vectors at once via SpMM
+// on the execution backend: one pass over the matrix serves the whole
+// block per power, so A is read k times total instead of k*nv — the
+// block analogue of the MPK traffic argument, used by subspace
+// iteration. xs holds the nv start vectors; the result is nv fresh
+// vectors. Cancellation is checked once per power.
 func standardMPKBatch(env *runEnv, be execBackend, xs [][]float64, k int) ([][]float64, error) {
-	if be.rows() != be.cols() {
-		return nil, fmt.Errorf("core: StandardMPKBatch: %w", sparse.ErrNotSquare)
-	}
 	nv, err := checkMulti(be.rows(), xs, k, nil)
 	if err != nil {
 		return nil, err
@@ -182,13 +173,23 @@ func SSpMVStandard(a *sparse.CSR, coeffs []float64, x0 []float64) ([]float64, er
 }
 
 // stdEngine is the standard engine of a plan: Algorithm 1 on the
-// plan's backend, row-split over the team by the backend's partition
-// (structure-only, so computed once and valid for every epoch).
+// epoch's backend, row-split over the team by the backend's partition
+// (structure-only, so computed once and valid for every epoch). rowPtr
+// and colIdx are the structure of the execution-order matrix the
+// backend was built from — the caller's own arrays unless the plan
+// reordered — which a value update re-wraps for the backend to refill.
 type stdEngine struct {
 	team   team
 	bounds []int
-	nnzA   uint64
+	rowPtr []int64
+	colIdx []int32
 	ph     phase // the backend's sweep phase
+}
+
+func (e *stdEngine) revalue(cur *planEpoch, src []float64, slot []int64) *planEpoch {
+	n := len(e.rowPtr) - 1
+	ea := &sparse.CSR{Rows: n, Cols: n, RowPtr: e.rowPtr, ColIdx: e.colIdx, Val: gatherValues(src, slot)}
+	return &planEpoch{be: cur.be.withValues(ea)}
 }
 
 func (e *stdEngine) powers(_ *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
@@ -219,11 +220,12 @@ func (e *stdEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in []
 }
 
 func (e *stdEngine) traffic(k, m int, combos bool) work {
+	nnzA := uint64(len(e.colIdx))
 	wk := work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m)}
-	wk.nnz[e.ph] = uint64(k) * e.nnzA
+	wk.nnz[e.ph] = uint64(k) * nnzA
 	if combos {
 		wk.sweeps += uint64(k) * uint64(m)
-		wk.nnz[e.ph] += uint64(k) * uint64(m) * e.nnzA
+		wk.nnz[e.ph] += uint64(k) * uint64(m) * nnzA
 	}
 	return wk
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"fbmpk/internal/graph"
 	"fbmpk/internal/reorder"
 )
 
@@ -21,7 +20,7 @@ const (
 	EngineLevelBlocked
 	// EngineAuto arbitrates between EngineForwardBackward and
 	// EngineLevelBlocked per matrix at build time (see AutotuneEngine);
-	// the winner is reported by Plan.Engine and PlanStats.Tune.Engine.
+	// the winner is reported by Plan.Engine and PlanStats.EngineTune.
 	EngineAuto
 )
 
@@ -51,7 +50,9 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineForwardBackward, fmt.Errorf("core: unknown engine %q (have fbmpk, standard, levelblock, auto)", s)
 }
 
-// Options configures a Plan.
+// Options configures a Plan. The engine decides what a plan stores and
+// tunes, so every other field belongs to the engines that read it (see
+// Canonical).
 type Options struct {
 	Engine Engine
 	// BtB enables the back-to-back interleaved vector layout
@@ -59,19 +60,17 @@ type Options struct {
 	BtB bool
 	// Threads > 1 enables the parallel engines with that many workers;
 	// 0 or 1 runs serial. For EngineForwardBackward parallel execution
-	// requires (and implies) ABMC reordering.
+	// requires (and implies) ABMC reordering. A plan with a worker pool
+	// runs one execution at a time (the pool is a single SPMD region);
+	// a serial plan admits up to GOMAXPROCS at once. Excess callers
+	// queue in FIFO order either way.
 	Threads int
 	// NumBlocks is the ABMC block count (0 = paper default 512).
 	NumBlocks int
-	// ColorOrder is the greedy coloring visit order for ABMC.
-	ColorOrder graph.ColorOrder
-	// ForceABMC applies ABMC reordering even for serial execution,
-	// which Table III uses to isolate the reordering's locality effect.
+	// ForceABMC applies ABMC reordering even for serial execution: the
+	// serial-vs-parallel bitwise suites compare a pooled plan against a
+	// serial one on the same ordering.
 	ForceABMC bool
-	// PreRCM applies a reverse Cuthill-McKee pass before blocking, so
-	// ABMC's contiguous blocks cover graph-local rows. Helps matrices
-	// whose natural order scatters neighborhoods (no-op without ABMC).
-	PreRCM bool
 	// SelfCheck audits the plan's preprocessing products after
 	// construction — CSR well-formedness of the execution-order matrix,
 	// exact L+D+U reassembly, permutation bijectivity, and ABMC color
@@ -79,42 +78,25 @@ type Options struct {
 	// invariant is violated. Debug aid: costs one extra pass over the
 	// matrix, nothing per MPK call.
 	SelfCheck bool
-	// MaxInFlight bounds the executions a shared plan admits at once;
-	// excess callers queue in FIFO order. 0 selects the default:
-	// GOMAXPROCS for serial plans. Plans with a worker pool (Threads >
-	// 1) always run one engine invocation at a time — the pool is a
-	// single SPMD region — so MaxInFlight is clamped to 1 there and the
-	// gate only provides fair queueing and close semantics.
-	MaxInFlight int
-	// Backend selects the storage format of the full-matrix SpMV/SpMM
-	// kernels (standard-engine sweeps and the SpMM block path; FB
-	// sweeps always run on the split CSR). The zero value BackendCSR
-	// keeps the bitwise-stable baseline; BackendAuto runs the
-	// autotuner at build time (see Autotune); BackendSELL/BackendBSR
-	// force a format.
+	// Backend selects the storage format the standard engine's SpMV/SpMM
+	// sweeps run on. The zero value BackendCSR keeps the bitwise-stable
+	// baseline; BackendAuto runs the autotuner at build time (see
+	// Autotune); BackendSELL/BackendBSR force a format at
+	// DefaultSELLChunk/DefaultSELLSigma and the DetectBSRBlock size.
+	// Only meaningful for EngineStandard: the forward-backward sweeps
+	// run on the L+D+U split and the level-blocked steps on raw CSR.
 	Backend BackendKind
-	// SELLChunk is the SELL-C-sigma chunk height (0 =
-	// DefaultSELLChunk). Only meaningful for BackendSELL.
-	SELLChunk int
-	// SELLSigma is the SELL row-sorting window (0 = DefaultSELLSigma;
-	// 1 disables sorting). Only meaningful for BackendSELL.
-	SELLSigma int
-	// BSRBlock is the BSR block size (0 = detect from the structure,
-	// see DetectBSRBlock). Only meaningful for BackendBSR.
-	BSRBlock int
 	// LevelBlockBytes is the cache budget (bytes of matrix data) per
 	// level block of the level-blocked engine (0 =
 	// DefaultLevelBlockBytes). Only meaningful for EngineLevelBlocked
 	// and EngineAuto.
 	LevelBlockBytes int
-	// TuneK is the power k the EngineAuto arbitration optimizes for
-	// (0 = DefaultTuneK). Only meaningful for EngineAuto.
-	TuneK int
-	// tuned is a cached autotuner verdict injected by the registry via
-	// WithTunedDecision: a BackendAuto plan replays it instead of
-	// sampling. Excluded from fingerprints and canonicalization — it
-	// is derived state, not configuration.
-	tuned *TuneDecision
+	// tuned and tunedEngine are cached autotuner verdicts injected by
+	// the registry (WithTunedDecision, WithEngineDecision) for a
+	// BackendAuto or EngineAuto plan to replay instead of sampling:
+	// derived state, excluded from fingerprints and canonicalization.
+	tuned       *TuneDecision
+	tunedEngine *EngineDecision
 }
 
 // DefaultOptions returns the configuration the paper evaluates as
@@ -156,9 +138,14 @@ func (o Options) Canonical() Options {
 		// BtB is a property of the FB pipeline's vector layout.
 		o.BtB = false
 	}
+	if o.Engine != EngineStandard {
+		// Backend is a property of the standard engine's sweeps: no
+		// other engine builds, tunes or holds one.
+		o.Backend = BackendCSR
+	}
 	if o.Engine == EngineLevelBlocked {
 		// ABMC never runs, so ForceABMC is inert (and must fold before
-		// the needABMC test below zeroes the blocking knobs it would
+		// the needABMC test below zeroes the block count it would
 		// otherwise pin).
 		o.ForceABMC = false
 	}
@@ -167,10 +154,8 @@ func (o Options) Canonical() Options {
 			o.NumBlocks = reorder.DefaultNumBlocks
 		}
 	} else {
-		// No reordering: the blocking/coloring knobs are inert.
+		// No reordering: the block count is inert.
 		o.NumBlocks = 0
-		o.ColorOrder = 0
-		o.PreRCM = false
 	}
 	if o.Engine == EngineLevelBlocked || auto {
 		// Resolve the block budget so 0 and the explicit default agree;
@@ -180,46 +165,6 @@ func (o Options) Canonical() Options {
 		}
 	} else {
 		o.LevelBlockBytes = 0
-	}
-	if auto {
-		if o.TuneK <= 0 {
-			o.TuneK = DefaultTuneK
-		}
-	} else {
-		// TuneK only parameterizes the EngineAuto arbitration.
-		o.TuneK = 0
-	}
-	if o.Threads > 1 {
-		// A worker pool is a single SPMD region: one execution at a time.
-		o.MaxInFlight = 1
-	} else if o.MaxInFlight < 0 {
-		o.MaxInFlight = 0
-	}
-	switch o.Backend {
-	case BackendSELL:
-		// Resolve defaults and round sigma up to a chunk multiple the way
-		// ToSELL does, so every spelling of one executed SELL
-		// configuration agrees; the BSR knob is inert.
-		if o.SELLChunk <= 0 {
-			o.SELLChunk = DefaultSELLChunk
-		}
-		if o.SELLSigma <= 0 {
-			o.SELLSigma = DefaultSELLSigma
-		}
-		if o.SELLSigma > 1 && o.SELLSigma%o.SELLChunk != 0 {
-			o.SELLSigma += o.SELLChunk - o.SELLSigma%o.SELLChunk
-		}
-		o.BSRBlock = 0
-	case BackendBSR:
-		// SELL knobs are inert; non-positive block sizes all mean
-		// "detect from the structure".
-		o.SELLChunk, o.SELLSigma = 0, 0
-		if o.BSRBlock < 0 {
-			o.BSRBlock = 0
-		}
-	default:
-		// CSR and Auto ignore every format knob (Auto picks its own).
-		o.SELLChunk, o.SELLSigma, o.BSRBlock = 0, 0, 0
 	}
 	return o
 }
@@ -283,47 +228,17 @@ func WithForceABMC(on bool) Option {
 	return optionFunc(func(o *Options) { o.ForceABMC = on })
 }
 
-// WithPreRCM toggles the reverse Cuthill-McKee pass before ABMC
-// blocking.
-func WithPreRCM(on bool) Option {
-	return optionFunc(func(o *Options) { o.PreRCM = on })
-}
-
 // WithSelfCheck toggles the post-construction invariant audit.
 func WithSelfCheck(on bool) Option {
 	return optionFunc(func(o *Options) { o.SelfCheck = on })
 }
 
-// WithMaxInFlight bounds concurrent executions on a shared plan (see
-// Options.MaxInFlight).
-func WithMaxInFlight(n int) Option {
-	return optionFunc(func(o *Options) { o.MaxInFlight = n })
-}
-
-// WithBackend selects the storage format of the full-matrix kernels
-// (see Options.Backend): BackendAuto runs the autotuner at build time,
-// BackendSELL/BackendBSR force a format, BackendCSR (the default)
-// keeps the bitwise-stable split-CSR baseline.
+// WithBackend selects the storage format of the standard engine's
+// sweeps (see Options.Backend): BackendAuto runs the autotuner at build
+// time, BackendSELL/BackendBSR force a format, BackendCSR (the default)
+// keeps the bitwise-stable CSR baseline. Inert under every other engine.
 func WithBackend(k BackendKind) Option {
 	return optionFunc(func(o *Options) { o.Backend = k })
-}
-
-// WithSELLChunk sets the SELL-C-sigma chunk height (0 =
-// DefaultSELLChunk).
-func WithSELLChunk(c int) Option {
-	return optionFunc(func(o *Options) { o.SELLChunk = c })
-}
-
-// WithSELLSigma sets the SELL row-sorting window (0 =
-// DefaultSELLSigma; 1 disables sorting).
-func WithSELLSigma(s int) Option {
-	return optionFunc(func(o *Options) { o.SELLSigma = s })
-}
-
-// WithBSRBlock sets the BSR block size (0 = detect from the matrix
-// structure, see DetectBSRBlock).
-func WithBSRBlock(r int) Option {
-	return optionFunc(func(o *Options) { o.BSRBlock = r })
 }
 
 // WithLevelBlockBytes sets the cache budget (bytes of matrix data) per
@@ -333,18 +248,18 @@ func WithLevelBlockBytes(b int) Option {
 	return optionFunc(func(o *Options) { o.LevelBlockBytes = b })
 }
 
-// WithTuneK sets the power k the EngineAuto arbitration optimizes for
-// (0 = DefaultTuneK). The verdict is cached per (structure, options)
-// key, so plans tuned for different k arbitrate independently.
-func WithTuneK(k int) Option {
-	return optionFunc(func(o *Options) { o.TuneK = k })
-}
-
-// WithTunedDecision injects a cached autotuner verdict: a BackendAuto
-// plan replays the decision instead of sampling. The registry uses
-// this to serve its structure-keyed verdict cache; no-op for other
-// backends. The replayed plan reports Tune.FromCache = true and
-// Tune.Samples = 0.
+// WithTunedDecision injects a cached backend-autotuner verdict: a
+// standard-engine BackendAuto plan replays the decision instead of
+// sampling and reports Tune.FromCache = true, Tune.Samples = 0. The
+// registry uses this to serve its structure-keyed verdict cache; no-op
+// for every other configuration.
 func WithTunedDecision(d TuneDecision) Option {
 	return optionFunc(func(o *Options) { o.tuned = &d })
+}
+
+// WithEngineDecision is WithTunedDecision for the EngineAuto
+// arbitration: the plan replays d when it was measured at the plan's
+// thread count (and at DefaultTuneK), and arbitrates afresh otherwise.
+func WithEngineDecision(d EngineDecision) Option {
+	return optionFunc(func(o *Options) { o.tunedEngine = &d })
 }

@@ -164,16 +164,6 @@ func NewFBParallelMulti(fb *FBParallel) *FBParallelMulti {
 	return &FBParallelMulti{fb: fb}
 }
 
-// NewFBParallelMultiFrom prepares a batched executor directly from the
-// split matrix, ordering, and pool.
-func NewFBParallelMultiFrom(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parallel.Pool) (*FBParallelMulti, error) {
-	fb, err := NewFBParallel(tri, ord, pool)
-	if err != nil {
-		return nil, err
-	}
-	return NewFBParallelMulti(fb), nil
-}
-
 // Run computes A^k x_j for every vector in xs (all in the PERMUTED
 // numbering) with one batched pipeline pass. btb selects the
 // interleaved stripe layout; coeffs (nil or length k+1) additionally

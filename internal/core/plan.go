@@ -24,15 +24,16 @@ import (
 //
 // After construction the structural products of preprocessing — the
 // permutation, the ABMC schedule, the CSR/split/backend index arrays —
-// are never written again. The value-bearing containers live in an
-// epoch (see planEpoch) that UpdateValues can atomically replace with
-// one sharing every structure array; executions load the epoch exactly
-// once at admission and run to completion on it, so in-flight calls
-// are bitwise-unaffected by a concurrent update. Per-call scratch
-// lives in pooled workspaces, so a single Plan is safe for concurrent
-// use by any number of goroutines; executions are admitted through a
-// fair FIFO gate (see Options.MaxInFlight). Close drains in-flight
-// executions and fails later calls with ErrClosed.
+// are never written again. The one value-bearing container the plan's
+// engine runs on lives in an epoch (see planEpoch) that UpdateValues
+// can atomically replace with one sharing every structure array;
+// executions load the epoch exactly once at admission and run to
+// completion on it, so in-flight calls are bitwise-unaffected by a
+// concurrent update. Per-call scratch lives in pooled workspaces, so a
+// single Plan is safe for concurrent use by any number of goroutines;
+// executions are admitted through a fair FIFO gate (see
+// Options.Threads). Close drains in-flight executions and fails later
+// calls with ErrClosed.
 type Plan struct {
 	eng    Engine // resolved engine (EngineAuto arbitrated at build)
 	engine engine // the kernels behind eng; entry points know nothing else about it
@@ -61,9 +62,8 @@ type Plan struct {
 	updates     atomic.Uint64
 	updateNanos atomic.Int64
 
-	// nnzA is the nonzero count of the execution-order matrix, the
-	// denominator of the traffic accounting. Structure-only, so constant
-	// across epochs.
+	// nnzA is the nonzero count of the matrix, the denominator of the
+	// traffic accounting. Structure-only, so constant across epochs.
 	nnzA uint64
 
 	gate     *parallel.Gate
@@ -94,33 +94,52 @@ type engine interface {
 	// combos marks a powersMulti call with coefficients (a powers call
 	// accumulates its combination for free in every engine).
 	traffic(k, m int, combos bool) work
+	// revalue builds the successor of epoch cur for a matrix with the
+	// plan's structure and the value array src (original entry order):
+	// execution-order entry j takes src[slot[j]], or src[j] when the
+	// plan did not reorder and slot is nil. Only the engine's own
+	// container is rebuilt, sharing every structure array with cur.
+	revalue(cur *planEpoch, src []float64, slot []int64) *planEpoch
 }
 
-// planEpoch bundles the value-bearing containers of one matrix-value
-// generation: the execution-order matrix, the kernel backend over it,
-// and the L+D+U split (nil for the standard engine). Successive epochs
-// share every structure array (RowPtr, ColIdx, chunk/block maps, the
-// permutation) and differ only in value payloads, so an epoch swap is
-// O(nnz) allocation, never a re-preprocess.
+// gatherValues returns the execution-order value array of revalue's
+// (src, slot) pair, always a fresh slice: the epoch must not see later
+// caller writes to src.
+func gatherValues(src []float64, slot []int64) []float64 {
+	if slot == nil {
+		return append([]float64(nil), src...)
+	}
+	vals := make([]float64, len(slot))
+	for j, from := range slot {
+		vals[j] = src[from]
+	}
+	return vals
+}
+
+// planEpoch is one matrix-value generation of a plan: the container the
+// plan's engine reads its values from, and nothing else. Exactly one
+// field is set — the engine decides which — so a plan stores the matrix
+// once, in the form it executes. Successive epochs share every
+// structure array (RowPtr, ColIdx, chunk/block maps) and differ only in
+// value payloads, so an epoch swap is O(nnz) allocation, never a
+// re-preprocess.
 type planEpoch struct {
 	seq uint64
-	a   *sparse.CSR        // matrix in execution order (permuted if ABMC)
-	be  execBackend        // full-matrix kernel backend over a
-	tri *sparse.Triangular // split of a (FB engines)
+	be  execBackend        // standard engine: the kernel backend over the execution-order matrix
+	tri *sparse.Triangular // forward-backward engine: the L+D+U split
+	a   *sparse.CSR        // level-blocked engine: the level-ordered matrix
 }
 
 // PlanStats reports the one-off preprocessing cost of building a plan
 // — the quantity Fig 11 of the paper normalizes to SpMV invocations —
 // broken down by stage. For parallel plans (Threads > 1) the O(nnz)
 // stages (block-graph discovery, permutation apply, L+D+U split) run
-// row-parallel on the plan's worker pool; RCM and the greedy coloring
-// stay serial, the first because its BFS is inherently sequential and
-// the second because a deterministic visit order is what keeps cached
-// and fresh plans bitwise identical.
+// row-parallel on the plan's worker pool; the greedy coloring stays
+// serial, because a deterministic visit order is what keeps cached and
+// fresh plans bitwise identical.
 type PlanStats struct {
 	BuildTime   time.Duration // total NewPlan wall time
-	ReorderTime time.Duration // ABMC total: RCM + graph + color + apply
-	RCMTime     time.Duration // reverse Cuthill-McKee pre-pass (serial)
+	ReorderTime time.Duration // ABMC total: graph + color + apply
 	GraphTime   time.Duration // block-graph discovery (parallel)
 	ColorTime   time.Duration // greedy coloring (serial by design)
 	PermTime    time.Duration // symmetric permutation apply (parallel)
@@ -131,16 +150,23 @@ type PlanStats struct {
 	// ParallelPrep reports whether preprocessing ran on the worker
 	// pool (Threads > 1) rather than the serial path.
 	ParallelPrep bool
-	// Backend is the storage format the plan's full-matrix kernels
-	// execute on ("csr", "sell", "bsr").
+	// Backend is what the plan's kernels execute on: the standard
+	// engine's backend format ("csr", "sell", "bsr"), "split" for the
+	// forward-backward L+D+U, "csr" for the level-ordered matrix.
 	Backend string
-	// TuneTime is the backend resolution cost: autotuner sampling (if
-	// any) plus format conversion.
+	// TuneTime is what build-time tuning cost: the backend resolution
+	// (autotuner sampling, if any, plus format conversion) of a
+	// standard-engine plan, the engine arbitration of an EngineAuto one.
 	TuneTime time.Duration
-	// Tune is the autotuner's verdict, nil unless the plan was built
-	// with BackendAuto. FromCache marks a verdict replayed from the
-	// registry; Samples counts the micro-benchmark invocations paid.
+	// Tune is the backend autotuner's verdict, nil unless the plan was
+	// built with the standard engine and BackendAuto. FromCache marks a
+	// verdict replayed from the registry; Samples counts the
+	// micro-benchmark invocations paid.
 	Tune *TuneDecision
+	// EngineTune is the EngineAuto arbitration verdict, nil unless the
+	// plan was built with EngineAuto (which never tunes a backend: both
+	// candidate engines run on their own containers).
+	EngineTune *EngineDecision
 	// Updates counts completed UpdateValues epoch swaps; UpdateTime is
 	// their cumulative wall time. An update never re-tunes, re-orders,
 	// or re-splits, so BuildTime and TuneTime stay the one-off costs of
@@ -175,27 +201,24 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 
 	// EngineAuto resolves to a concrete engine before any preprocessing:
 	// the arbitration (or a cached verdict injected via
-	// WithTunedDecision) decides which reorder, split, and kernel the
+	// WithEngineDecision) decides which reorder, split, and kernel the
 	// rest of the build prepares.
 	p.eng = opt.Engine
-	var engDec *EngineDecision
-	var engElapsed time.Duration
 	if opt.Engine == EngineAuto {
-		engStart := time.Now()
-		if t := opt.tuned; t != nil && t.Engine != nil && t.Engine.K == opt.TuneK && t.Engine.Threads == opt.Threads {
-			d := *t.Engine
-			d.FromCache = true
-			d.Samples = 0
-			engDec = &d
+		start := time.Now()
+		dec := opt.tunedEngine
+		if dec != nil && dec.K == DefaultTuneK && dec.Threads == opt.Threads {
+			d := *dec
+			d.FromCache, d.Samples = true, 0
+			dec = &d
 		} else {
-			d, err := AutotuneEngine(a, opt.TuneK, opt.LevelBlockBytes, opt.Threads)
-			if err != nil {
+			var err error
+			if dec, err = AutotuneEngine(a, DefaultTuneK, opt.LevelBlockBytes, opt.Threads); err != nil {
 				return nil, err
 			}
-			engDec = d
 		}
-		p.eng = engDec.Engine
-		engElapsed = time.Since(engStart)
+		p.eng, p.stats.EngineTune = dec.Engine, dec
+		p.stats.TuneTime = time.Since(start)
 	}
 
 	// The worker pool is created before preprocessing so the O(nnz)
@@ -214,7 +237,11 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		return nil, err
 	}
 
-	ea := a // matrix in execution order (replaced if a reorder applies)
+	// ea is the matrix in execution order (a itself unless a reorder
+	// applies). Only the engine's own container outlives the build: the
+	// forward-backward engine splits ea and lets a permuted copy go, the
+	// other two wrap it.
+	ea := a
 	if opt.needABMC(p.eng) {
 		b, err := p.reorderABMC(a, opt, runner)
 		if err != nil {
@@ -222,54 +249,43 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		}
 		ea = b
 	}
-	var tri *sparse.Triangular
+	ep := &planEpoch{}
 	switch p.eng {
 	case EngineForwardBackward:
-		e, t, err := newFBEngine(ea, p.ord, opt.BtB, p.pool, runner, &p.stats)
+		e, tri, err := newFBEngine(ea, p.ord, opt.BtB, p.pool, runner, &p.stats)
 		if err != nil {
 			return fail(err)
 		}
-		p.engine, tri = e, t
+		p.engine, ep.tri = e, tri
+		p.stats.Backend = "split"
 	case EngineLevelBlocked:
 		e, b, err := newLBEngine(a, opt.LevelBlockBytes, p.pool, runner, &p.stats)
 		if err != nil {
 			return fail(err)
 		}
-		p.engine, p.perm, ea = e, e.ls.perm, b
+		p.engine, p.perm, ea, ep.a = e, e.ls.perm, b, b
+		p.stats.Backend = BackendCSR.String()
+	default:
+		// The backend resolves after reordering so the autotuner samples
+		// (and the format conversion covers) the execution-order matrix.
+		be, err := p.initBackend(opt, ea)
+		if err != nil {
+			return fail(err)
+		}
+		tm := newTeam(p.pool)
+		p.engine = &stdEngine{team: tm, bounds: be.partition(tm.workers()), rowPtr: ea.RowPtr, colIdx: ea.ColIdx, ph: be.phase()}
+		ep.be = be
 	}
 	p.nnzA = uint64(len(ea.Val))
-	// The backend resolves after reordering so the autotuner samples
-	// (and the format conversion covers) the execution-order matrix.
-	be, err := p.initBackend(opt, ea)
-	if err != nil {
-		return fail(err)
-	}
-	if p.eng == EngineStandard {
-		tm := newTeam(p.pool)
-		p.engine = &stdEngine{team: tm, bounds: be.partition(tm.workers()), nnzA: p.nnzA, ph: be.phase()}
-	}
-	if engDec != nil {
-		// Attach the engine arbitration verdict to the tuning report.
-		// initBackend fills stats.Tune only for BackendAuto; an
-		// EngineAuto plan on a fixed backend gets a fresh record here so
-		// the registry can persist and replay the verdict either way.
-		if p.stats.Tune == nil {
-			p.stats.Tune = &TuneDecision{Backend: opt.Backend, FromCache: engDec.FromCache}
-		} else {
-			p.stats.Tune.FromCache = p.stats.Tune.FromCache && engDec.FromCache
-		}
-		p.stats.Tune.Engine = engDec
-		p.stats.Tune.Samples += engDec.Samples
-		p.stats.TuneTime += engElapsed
-	}
-	p.state.Store(&planEpoch{a: ea, be: be, tri: tri})
-	capacity := opt.MaxInFlight
-	if capacity == 0 {
-		capacity = runtime.GOMAXPROCS(0)
+	p.state.Store(ep)
+	capacity := runtime.GOMAXPROCS(0)
+	if p.pool != nil {
+		// A worker pool is a single SPMD region: one execution at a time.
+		capacity = 1
 	}
 	p.gate = parallel.NewGate(capacity)
 	if opt.SelfCheck {
-		if err := p.audit(ea, tri); err != nil {
+		if err := p.audit(ea, ep.tri); err != nil {
 			p.Close()
 			return nil, err
 		}
@@ -278,44 +294,20 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	return p, nil
 }
 
-// reorderABMC applies the ABMC ordering (behind an optional RCM
-// pre-pass) to a, records it as the plan's permutation, and returns the
-// permuted matrix.
+// reorderABMC applies the ABMC ordering to a, records it as the plan's
+// permutation, and returns the permuted matrix.
 func (p *Plan) reorderABMC(a *sparse.CSR, opt Options, runner sparse.Runner) (*sparse.CSR, error) {
 	start := time.Now()
-	base := a
-	var pre reorder.Perm
-	if opt.PreRCM {
-		rcm, err := reorder.RCM(a)
-		if err != nil {
-			return nil, err
-		}
-		rm, err := rcm.ApplySymPool(a, runner)
-		if err != nil {
-			return nil, err
-		}
-		base, pre = rm, rcm
-		p.stats.RCMTime = time.Since(start)
-	}
-	ord, err := reorder.ABMC(base, reorder.ABMCOptions{
-		NumBlocks:  opt.NumBlocks,
-		ColorOrder: opt.ColorOrder,
-		Pool:       runner,
-	})
+	ord, err := reorder.ABMC(a, reorder.ABMCOptions{NumBlocks: opt.NumBlocks, Pool: runner})
 	if err != nil {
 		return nil, err
 	}
 	permStart := time.Now()
-	b, err := ord.Perm.ApplySymPool(base, runner)
+	b, err := ord.Perm.ApplySymPool(a, runner)
 	if err != nil {
 		return nil, err
 	}
 	p.stats.PermTime = time.Since(permStart)
-	if pre != nil {
-		// Fold the RCM pre-pass into the ABMC permutation so the
-		// rest of the plan sees a single combined ordering.
-		ord.Perm = ord.Perm.Compose(pre)
-	}
 	p.stats.ReorderTime = time.Since(start)
 	p.stats.GraphTime = ord.GraphTime
 	p.stats.ColorTime = ord.ColorTime
@@ -446,7 +438,7 @@ func (p *Plan) Workers() int {
 }
 
 // Ordering returns the ABMC result when reordering was applied, else
-// nil. The matrix held by the plan is in this ordering.
+// nil. What the plan holds of the matrix is in this ordering.
 func (p *Plan) Ordering() *reorder.ABMCResult { return p.ord }
 
 // Engine returns the engine the plan executes with. For plans built
@@ -454,10 +446,6 @@ func (p *Plan) Ordering() *reorder.ABMCResult { return p.ord }
 // (EngineForwardBackward or EngineLevelBlocked); otherwise it echoes
 // Options.Engine.
 func (p *Plan) Engine() Engine { return p.eng }
-
-// Matrix returns the current epoch's matrix in execution order
-// (permuted when ABMC was applied). Callers must not modify it.
-func (p *Plan) Matrix() *sparse.CSR { return p.state.Load().a }
 
 // exec is the admission wrapper every entry point runs through: it
 // takes a gate slot (FIFO-fair, failing with ErrClosed after Close and
@@ -679,39 +667,6 @@ func (p *Plan) MPKAllCtx(ctx context.Context, x0 []float64, k int) ([][]float64,
 			return work{}, err
 		}
 		return p.engine.traffic(k, 1, false), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MPKBatch computes A^k applied to a block of vectors via the SpMM
-// kernel (one matrix pass per power serves the whole block). The block
-// path always uses the standard pipeline — the blocked matrix reuse
-// across vectors already amortizes the traffic the FB pipeline would
-// save across powers. Results come back in the original ordering.
-func (p *Plan) MPKBatch(xs [][]float64, k int) ([][]float64, error) {
-	return p.MPKBatchCtx(context.Background(), xs, k)
-}
-
-// MPKBatchCtx is MPKBatch honoring ctx.
-func (p *Plan) MPKBatchCtx(ctx context.Context, xs [][]float64, k int) ([][]float64, error) {
-	var out [][]float64
-	err := p.exec(ctx, opMPKBatch, func(ws *workspace, env *runEnv, ep *planEpoch) (work, error) {
-		// Validated here because permuting needs well-formed vectors.
-		if _, err := checkMulti(p.n, xs, k, nil); err != nil {
-			return work{}, err
-		}
-		var err error
-		out, err = standardMPKBatch(env, ep.be, p.permBlock(xs, reorder.Perm.ApplyVec), k)
-		if err != nil {
-			return work{}, err
-		}
-		out = p.permBlock(out, reorder.Perm.UnapplyVec)
-		wk := work{sweeps: uint64(k), spmvs: uint64(k) * uint64(len(xs))}
-		wk.nnz[ep.be.phase()] = uint64(k) * p.nnzA
-		return wk, nil
 	})
 	if err != nil {
 		return nil, err

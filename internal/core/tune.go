@@ -29,13 +29,14 @@ import (
 // bitwise identical.
 
 const (
-	// DefaultSELLChunk is the SELL-C-sigma chunk height used when
-	// WithSELLChunk is not given: 8 rows matches the widest SIMD lane
-	// count the flat kernels target while keeping padding modest.
+	// DefaultSELLChunk is the SELL-C-sigma chunk height of a forced
+	// BackendSELL and the tuner's first SELL candidate: 8 rows matches
+	// the widest SIMD lane count the flat kernels target while keeping
+	// padding modest.
 	DefaultSELLChunk = 8
-	// DefaultSELLSigma is the default sigma sorting window: wide enough
-	// to squeeze padding on irregular degree distributions, narrow
-	// enough to keep the sort local to the ABMC block structure.
+	// DefaultSELLSigma is the sigma sorting window that goes with it:
+	// wide enough to squeeze padding on irregular degree distributions,
+	// narrow enough to keep the sort local to the ABMC block structure.
 	DefaultSELLSigma = 256
 
 	// tuneSampleRows bounds the sample: matrices at most this tall are
@@ -117,10 +118,6 @@ type TuneDecision struct {
 	// Candidates is the full table the decision was made from, in the
 	// fixed evaluation order.
 	Candidates []TuneCandidate `json:"candidates,omitempty"`
-	// Engine is the EngineAuto arbitration verdict, nil unless the plan
-	// was built with EngineAuto (see AutotuneEngine). Cached and
-	// replayed alongside the backend verdict.
-	Engine *EngineDecision `json:"engine,omitempty"`
 }
 
 // EngineDecision is the EngineAuto arbitration verdict: which MPK
@@ -130,8 +127,9 @@ type TuneDecision struct {
 // serial micro-benchmark times behind the choice.
 type EngineDecision struct {
 	Engine Engine `json:"engine"`
-	// K is the power the arbitration optimized for (Options.TuneK
-	// resolved); a cached verdict is only replayed at the same K.
+	// K is the power the arbitration optimized for (DefaultTuneK in a
+	// plan build; AutotuneEngine takes any); a cached verdict is only
+	// replayed when it was taken at DefaultTuneK.
 	K int `json:"k"`
 	// Threads is the worker count the measured tie-break ran with (0 =
 	// serial). A plan that will run parallel is arbitrated with the
@@ -194,8 +192,8 @@ func bsrModelBytesPerNNZ(rows int, nnz, nnzb int64, r int) float64 {
 }
 
 // DetectBSRBlock picks the block size in {2, 3, 4} with the lowest
-// modeled bytes/nnz for matrix a — the structure-only detector used
-// when BackendBSR is forced without an explicit block size. FEM
+// modeled bytes/nnz for matrix a — the structure-only detector that
+// sizes a forced BackendBSR. FEM
 // matrices with d degrees of freedom per node have near-perfect d x d
 // blocks, which the fill-aware model identifies without measurement.
 func DetectBSRBlock(a *sparse.CSR) int {
@@ -307,8 +305,8 @@ func measureSpMV(kernel func()) int64 {
 // Autotune runs the backend selection for matrix a and returns the
 // decision with its full candidate table. It is exported so cmd tools
 // can show the verdict for a matrix without building a plan; NewPlan
-// calls it for BackendAuto options when the registry has no cached
-// verdict.
+// calls it for a standard-engine BackendAuto plan when the registry
+// has no cached verdict.
 func Autotune(a *sparse.CSR) TuneDecision {
 	s := tuneSample(a)
 	nnz := s.NNZ()
@@ -401,8 +399,11 @@ func Autotune(a *sparse.CSR) TuneDecision {
 // backend tuner's margin does; the executed result of either verdict
 // is bitwise identical across plans.
 func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision, error) {
-	opt := Options{Engine: EngineAuto, TuneK: k, LevelBlockBytes: blockBytes, Threads: threads}.Canonical()
-	k, threads = opt.TuneK, opt.Threads
+	if k <= 0 {
+		k = DefaultTuneK
+	}
+	opt := Options{Engine: EngineAuto, LevelBlockBytes: blockBytes, Threads: threads}.Canonical()
+	threads = opt.Threads
 	ls, err := newLevelSchedule(a, opt.LevelBlockBytes)
 	if err != nil {
 		return nil, err

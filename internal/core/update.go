@@ -14,8 +14,9 @@ import (
 // while the sparsity pattern does not. UpdateValues exploits exactly
 // that split: with the structure verified identical, the permutation,
 // the ABMC schedule, the L+D+U index arrays, the backend layout, and
-// the autotuner verdict all remain valid, and only the value payloads
-// are rebuilt (an O(nnz) gather, no re-preprocessing).
+// the autotuner verdict all remain valid, and only the value payload of
+// the one container the plan's engine runs on is rebuilt (an O(nnz)
+// gather, no re-preprocessing).
 //
 // Concurrency model: epoch/RCU. Each execution pins the plan's value
 // epoch once at admission (Plan.exec) and runs to completion on it, so
@@ -71,43 +72,26 @@ func (p *Plan) UpdateValuesCtx(ctx context.Context, a *sparse.CSR) error {
 	if err := p.sameStructure(a); err != nil {
 		return err
 	}
+	if p.perm != nil && p.valMap == nil {
+		// Lazily built (and then reused for every later update):
+		// exec-order slot -> original value index, replaying the
+		// ApplySym gather order so the result is bitwise identical
+		// to a fresh NewPlan on a.
+		m, err := p.perm.ValueMap(a)
+		if err != nil {
+			return fmt.Errorf("core: UpdateValues: %w", err)
+		}
+		p.valMap = m
+	}
+	// The engine rebuilds its container straight from a's values —
+	// through the slot map for reordered plans — serially: the worker
+	// pool may be mid-execution on the old epoch (that concurrency is
+	// the point), and an O(nnz) fill is already far below NewPlan's
+	// full pipeline cost.
 	cur := p.state.Load()
-
-	// Build the execution-order matrix of the new epoch: it shares the
-	// (already permuted) structure arrays of the current one and gets a
-	// fresh value array — gathered through the cached slot map for
-	// reordered plans, copied verbatim otherwise. The copy insulates
-	// the epoch from later caller writes to a.Val.
-	nv := make([]float64, len(cur.a.Val))
-	if p.perm != nil {
-		if p.valMap == nil {
-			// Lazily built (and then reused for every later update):
-			// exec-order slot -> original value index, replaying the
-			// ApplySym gather order so the result is bitwise identical
-			// to a fresh NewPlan on a.
-			m, err := p.perm.ValueMap(a)
-			if err != nil {
-				return fmt.Errorf("core: UpdateValues: %w", err)
-			}
-			p.valMap = m
-		}
-		for i, src := range p.valMap {
-			nv[i] = a.Val[src]
-		}
-	} else {
-		copy(nv, a.Val)
-	}
-	ea := &sparse.CSR{Rows: cur.a.Rows, Cols: cur.a.Cols,
-		RowPtr: cur.a.RowPtr, ColIdx: cur.a.ColIdx, Val: nv}
-
-	var tri *sparse.Triangular
-	if cur.tri != nil {
-		// Serial refill: the worker pool may be mid-execution on the old
-		// epoch (that concurrency is the point), and an O(nnz) fill is
-		// already far below NewPlan's full pipeline cost.
-		tri = cur.tri.WithValues(ea, nil)
-	}
-	p.state.Store(&planEpoch{seq: cur.seq + 1, a: ea, be: cur.be.withValues(ea), tri: tri})
+	next := p.engine.revalue(cur, a.Val, p.valMap)
+	next.seq = cur.seq + 1
+	p.state.Store(next)
 	p.updates.Add(1)
 	p.updateNanos.Add(time.Since(start).Nanoseconds())
 	return nil

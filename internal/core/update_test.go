@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fbmpk/internal/sparse"
@@ -54,14 +56,11 @@ func TestUpdateValuesBitwise(t *testing.T) {
 	}{
 		{"fb-serial", DefaultOptions(0)},
 		{"fb-parallel", DefaultOptions(4)},
-		{"fb-serial-abmc-rcm", func() Options {
-			o := DefaultOptions(0)
-			o.ForceABMC = true
-			o.PreRCM = true
-			return o
-		}()},
+		{"fb-serial-abmc", Options{Engine: EngineForwardBackward, BtB: true, ForceABMC: true}},
+		{"standard-csr-abmc", Options{Engine: EngineStandard, Threads: 2, ForceABMC: true}},
 		{"standard-sell", Options{Engine: EngineStandard, Backend: BackendSELL}},
 		{"standard-bsr", Options{Engine: EngineStandard, Backend: BackendBSR}},
+		{"levelblock", Options{Engine: EngineLevelBlocked, Threads: 2, LevelBlockBytes: 4 << 10}},
 	}
 	const k = 4
 	x0 := randVec(rng, a1.Rows)
@@ -255,4 +254,81 @@ func TestUpdateValuesDoesNotAliasCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitwiseEqual(t, "MPK after caller scribble", got, want)
+}
+
+// TestEpochHoldsOneContainer is the storage invariant: whatever its
+// options, a plan's epoch holds the one container its engine runs on —
+// the backend (standard), the split (forward-backward), the
+// level-ordered matrix (level-blocked) — and nothing else, before and
+// after a value update. Backend is set to Auto throughout: only the
+// standard engine may build one.
+func TestEpochHoldsOneContainer(t *testing.T) {
+	rng := rand.New(rand.NewSource(86))
+	a := randomSymCSR(rng, 200, 4)
+	b := cloneWithValues(a, func(_ int, v float64) float64 { return 3 * v })
+	for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
+		for _, threads := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/t%d", eng, threads), func(t *testing.T) {
+				p, err := NewPlan(a, Options{Engine: eng, BtB: true, Threads: threads, ForceABMC: true, Backend: BackendAuto})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				check := func(when string) {
+					t.Helper()
+					ep := p.state.Load()
+					want := map[Engine][3]bool{
+						EngineStandard:        {true, false, false},
+						EngineForwardBackward: {false, true, false},
+						EngineLevelBlocked:    {false, false, true},
+					}[p.Engine()]
+					if got := [3]bool{ep.be != nil, ep.tri != nil, ep.a != nil}; got != want {
+						t.Fatalf("%s: %v plan holds (be, tri, a) = %v, want %v", when, p.Engine(), got, want)
+					}
+				}
+				check("after NewPlan")
+				if tuned := p.Stats().Tune != nil; tuned != (eng == EngineStandard) {
+					t.Fatalf("backend tuner ran = %v on a %v plan", tuned, eng)
+				}
+				if err := p.UpdateValues(b); err != nil {
+					t.Fatal(err)
+				}
+				check("after UpdateValues")
+			})
+		}
+	}
+}
+
+// TestUpdateValuesFBAllocatesSplitOnly: a pooled (so ABMC-reordered)
+// forward-backward plan deals an update's values straight into fresh
+// L, D and U arrays through the slot map — no execution-order copy of
+// the full value array in between. Counted in bytes: one update must
+// allocate less than the split's value arrays plus half a full-matrix
+// value array. (That the result is bitwise a fresh build is
+// TestUpdateValuesBitwise/fb-parallel.)
+func TestUpdateValuesFBAllocatesSplitOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(87))
+	a := randomSymCSR(rng, 4000, 6)
+	b := cloneWithValues(a, func(_ int, v float64) float64 { return v - 0.5 })
+	p, err := NewPlan(a, DefaultOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.UpdateValues(b); err != nil { // builds and caches the slot map
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := p.UpdateValues(a); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	tri := p.state.Load().tri
+	split := 8 * uint64(len(tri.L.Val)+len(tri.U.Val)+len(tri.D))
+	full := 8 * uint64(len(a.Val))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= split+full/2 {
+		t.Fatalf("one update allocated %d bytes; the split's values are %d, a full value array %d more", got, split, full)
+	}
 }

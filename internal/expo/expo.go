@@ -26,8 +26,9 @@ type PlanSnapshot struct {
 }
 
 // planLabels returns the base label set of a plan's series: the plan
-// name plus, when the plan reports its execution backend, the
-// fbmpk backend label ("csr", "sell", "bsr") on the same series.
+// name plus, when the plan reports what its kernels execute on, the
+// backend label ("csr", "sell", "bsr"; "split" for a forward-backward
+// plan) on the same series.
 // Snapshots without a backend (older callers) keep the plan-only
 // label set, so existing scrapes are unchanged.
 func planLabels(s PlanSnapshot, extra ...[2]string) labels {
@@ -97,7 +98,7 @@ func WriteMetrics(w io.Writer, snaps ...PlanSnapshot) error {
 			stage string
 			d     time.Duration
 		}{
-			{"total", b.Total}, {"rcm", b.RCM}, {"graph", b.Graph},
+			{"total", b.Total}, {"graph", b.Graph},
 			{"color", b.Color}, {"perm", b.Perm}, {"split", b.Split},
 		} {
 			if st.d == 0 && st.stage != "total" {

@@ -211,35 +211,17 @@ func FromCSRPattern(a *sparse.CSR) (*Adj, error) {
 	return g, nil
 }
 
-// ColorOrder selects the vertex visit order for greedy coloring.
-type ColorOrder int
-
-const (
-	// NaturalOrder visits vertices 0..n-1. For ABMC block graphs this
-	// preserves locality of the original row order.
-	NaturalOrder ColorOrder = iota
-	// LargestDegreeFirst visits high-degree vertices first, typically
-	// reducing the color count on irregular graphs.
-	LargestDegreeFirst
-)
-
 // GreedyColor computes a distance-1 coloring: adjacent vertices get
-// different colors. It returns the color of each vertex and the number
-// of colors used. Colors are compacted to 0..numColors-1.
-func GreedyColor(g *Adj, order ColorOrder) ([]int32, int) {
+// different colors. Vertices are visited 0..n-1 — for ABMC block graphs
+// that preserves the locality of the original row order — and each
+// takes the smallest color no neighbor holds. It returns the color of
+// each vertex and the number of colors used, compacted to
+// 0..numColors-1.
+func GreedyColor(g *Adj) ([]int32, int) {
 	n := g.N
 	color := make([]int32, n)
 	for i := range color {
 		color[i] = -1
-	}
-	visit := make([]int32, n)
-	for i := range visit {
-		visit[i] = int32(i)
-	}
-	if order == LargestDegreeFirst {
-		sort.SliceStable(visit, func(x, y int) bool {
-			return g.Degree(int(visit[x])) > g.Degree(int(visit[y]))
-		})
 	}
 	// forbidden[c] == v marks color c as used by a neighbor of v; the
 	// stamp trick avoids clearing the array each vertex.
@@ -248,7 +230,7 @@ func GreedyColor(g *Adj, order ColorOrder) ([]int32, int) {
 		forbidden[i] = -1
 	}
 	maxColor := int32(-1)
-	for _, v := range visit {
+	for v := int32(0); int(v) < n; v++ {
 		for _, u := range g.Neighbors(int(v)) {
 			if c := color[u]; c >= 0 {
 				forbidden[c] = v

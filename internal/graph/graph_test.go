@@ -93,7 +93,7 @@ func TestBlockGraphTridiagonal(t *testing.T) {
 			t.Errorf("block %d degree = %d, want %d", v, g.Degree(v), wantDeg)
 		}
 	}
-	color, nc := GreedyColor(g, NaturalOrder)
+	color, nc := GreedyColor(g)
 	if nc != 2 {
 		t.Errorf("path coloring used %d colors, want 2", nc)
 	}
@@ -115,8 +115,8 @@ func TestBlockGraphBadBlocks(t *testing.T) {
 	}
 }
 
-// Property: greedy coloring is always valid, for both visit orders,
-// and uses at most maxDegree+1 colors.
+// Property: greedy coloring is always valid and uses at most
+// maxDegree+1 colors.
 func TestGreedyColorPropertyQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -133,16 +133,8 @@ func TestGreedyColorPropertyQuick(t *testing.T) {
 				maxDeg = d
 			}
 		}
-		for _, ord := range []ColorOrder{NaturalOrder, LargestDegreeFirst} {
-			color, nc := GreedyColor(g, ord)
-			if ValidateColoring(g, color, nc) != nil {
-				return false
-			}
-			if nc > maxDeg+1 {
-				return false
-			}
-		}
-		return true
+		color, nc := GreedyColor(g)
+		return ValidateColoring(g, color, nc) == nil && nc <= maxDeg+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -151,12 +143,12 @@ func TestGreedyColorPropertyQuick(t *testing.T) {
 
 func TestGreedyColorSingletonAndEmpty(t *testing.T) {
 	g := &Adj{N: 1, Ptr: []int64{0, 0}}
-	color, nc := GreedyColor(g, NaturalOrder)
+	color, nc := GreedyColor(g)
 	if nc != 1 || color[0] != 0 {
 		t.Errorf("singleton coloring = %v (%d colors)", color, nc)
 	}
 	g0 := &Adj{N: 0, Ptr: []int64{0}}
-	_, nc0 := GreedyColor(g0, NaturalOrder)
+	_, nc0 := GreedyColor(g0)
 	if nc0 != 0 {
 		t.Errorf("empty graph used %d colors", nc0)
 	}
@@ -179,18 +171,15 @@ func TestValidateColoringCatchesErrors(t *testing.T) {
 	}
 }
 
-func TestLargestDegreeFirstOnStar(t *testing.T) {
-	// Star graph: hub 0 with 5 leaves. Both orders must find the
-	// optimal 2 colors here.
+func TestGreedyColorStar(t *testing.T) {
+	// Star graph: hub 0 with 5 leaves, optimally 2 colors.
 	g := &Adj{N: 6, Ptr: []int64{0, 5, 6, 7, 8, 9, 10},
 		Nbr: []int32{1, 2, 3, 4, 5, 0, 0, 0, 0, 0}}
-	for _, ord := range []ColorOrder{NaturalOrder, LargestDegreeFirst} {
-		color, nc := GreedyColor(g, ord)
-		if nc != 2 {
-			t.Errorf("order %v: star used %d colors, want 2", ord, nc)
-		}
-		if err := ValidateColoring(g, color, nc); err != nil {
-			t.Error(err)
-		}
+	color, nc := GreedyColor(g)
+	if nc != 2 {
+		t.Errorf("star used %d colors, want 2", nc)
+	}
+	if err := ValidateColoring(g, color, nc); err != nil {
+		t.Error(err)
 	}
 }

@@ -73,12 +73,13 @@ func digests(a *sparse.CSR) (structure, values Key) {
 // structure and values digests. opt must already be canonicalized.
 func fingerprintWithParts(s, v Key, a *sparse.CSR, opt core.Options) Key {
 	h := sha256.New()
-	var buf [16 + 18*8]byte
+	var buf [16 + 11*8]byte
 	// The tag version moves whenever the key layout changes (v2 added
 	// the backend words, v3 switched to sub-digest composition, v4 added
-	// the level-blocked engine words), so keys from different layouts
-	// can never collide.
-	n := copy(buf[:], "fbmpk-plan-v4\x00")
+	// the level-blocked engine words, v5 dropped the words of the seven
+	// options that went), so keys from different layouts can never
+	// collide.
+	n := copy(buf[:], "fbmpk-plan-v5\x00")
 	for _, w := range headerWords(a, opt) {
 		binary.LittleEndian.PutUint64(buf[n:], w)
 		n += 8
@@ -118,14 +119,14 @@ func valuesFingerprint(a *sparse.CSR) Key {
 // headerWords flattens the dimensions and canonical options into
 // fixed-position words so every field occupies its own slot in the
 // digest input (no ambiguity between adjacent fields).
-func headerWords(a *sparse.CSR, opt core.Options) [18]uint64 {
+func headerWords(a *sparse.CSR, opt core.Options) [11]uint64 {
 	b2u := func(b bool) uint64 {
 		if b {
 			return 1
 		}
 		return 0
 	}
-	return [18]uint64{
+	return [11]uint64{
 		uint64(a.Rows),
 		uint64(a.Cols),
 		uint64(a.NNZ()),
@@ -133,17 +134,10 @@ func headerWords(a *sparse.CSR, opt core.Options) [18]uint64 {
 		b2u(opt.BtB),
 		uint64(opt.Threads),
 		uint64(opt.NumBlocks),
-		uint64(opt.ColorOrder),
 		b2u(opt.ForceABMC),
-		b2u(opt.PreRCM),
 		b2u(opt.SelfCheck),
-		uint64(opt.MaxInFlight),
 		uint64(opt.Backend),
-		uint64(opt.SELLChunk),
-		uint64(opt.SELLSigma),
-		uint64(opt.BSRBlock),
 		uint64(opt.LevelBlockBytes),
-		uint64(opt.TuneK),
 	}
 }
 
@@ -160,8 +154,8 @@ func structOptKey(a *sparse.CSR, opt core.Options) Key {
 // fingerprint, so callers needing several keys hash the structure once.
 func structOptKeyFromStruct(s Key, a *sparse.CSR, opt core.Options) Key {
 	h := sha256.New()
-	// v2: the option words grew the level-blocked engine fields.
-	h.Write([]byte("fbmpk-structopt-v2\x00"))
+	// v3: one word per field of core.Options, eight since seven went.
+	h.Write([]byte("fbmpk-structopt-v3\x00"))
 	h.Write(s[:])
 	var buf [8]byte
 	// Option words only: dimensions and nnz are already covered by the

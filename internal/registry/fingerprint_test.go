@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fbmpk/internal/core"
-	"fbmpk/internal/graph"
 	"fbmpk/internal/sparse"
 )
 
@@ -107,12 +106,6 @@ func TestFingerprintOptionSensitivity(t *testing.T) {
 	o.NumBlocks = 256
 	perturb["NumBlocks"] = o
 	o = base
-	o.ColorOrder = graph.LargestDegreeFirst
-	perturb["ColorOrder"] = o
-	o = base
-	o.PreRCM = true
-	perturb["PreRCM"] = o
-	o = base
 	o.SelfCheck = true
 	perturb["SelfCheck"] = o
 
@@ -133,10 +126,11 @@ func TestFingerprintOptionSensitivity(t *testing.T) {
 	if Fingerprint(a, o) == serialKey {
 		t.Error("ForceABMC not reflected in serial key")
 	}
-	o = serial
-	o.MaxInFlight = 2
-	if Fingerprint(a, o) == serialKey {
-		t.Error("MaxInFlight not reflected in serial key")
+	lb := core.Options{Engine: core.EngineLevelBlocked}
+	o = lb
+	o.LevelBlockBytes = 4096
+	if Fingerprint(a, o) == Fingerprint(a, lb) {
+		t.Error("LevelBlockBytes not reflected in level-blocked key")
 	}
 }
 
@@ -173,16 +167,9 @@ func TestFingerprintCanonicalEquivalence(t *testing.T) {
 		}()},
 		{"BtB inert for standard engine", core.Options{Engine: core.EngineStandard},
 			core.Options{Engine: core.EngineStandard, BtB: true}},
-		{"ABMC knobs inert without ABMC", core.DefaultOptions(0), func() core.Options {
+		{"NumBlocks inert without ABMC", core.DefaultOptions(0), func() core.Options {
 			o := core.DefaultOptions(0)
 			o.NumBlocks = 99
-			o.ColorOrder = graph.LargestDegreeFirst
-			o.PreRCM = true
-			return o
-		}()},
-		{"MaxInFlight clamped for pool plans", core.DefaultOptions(4), func() core.Options {
-			o := core.DefaultOptions(4)
-			o.MaxInFlight = 7
 			return o
 		}()},
 	}
@@ -193,128 +180,43 @@ func TestFingerprintCanonicalEquivalence(t *testing.T) {
 	}
 }
 
-// TestFingerprintBackendSensitivity flips the backend knobs one at a
-// time and requires distinct keys for configurations that execute
-// differently.
+// TestFingerprintBackendSensitivity requires distinct keys for the
+// backends a standard-engine plan can execute on, and that folding the
+// backend under the other engines does not fold the engine with it.
 func TestFingerprintBackendSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := testCSR(rng, 80, 4)
-	base := core.Options{Engine: core.EngineStandard}
-	baseKey := Fingerprint(a, base)
-
-	perturb := map[string]core.Options{}
-	o := base
-	o.Backend = core.BackendSELL
-	perturb["Backend=sell"] = o
-	o = base
-	o.Backend = core.BackendBSR
-	perturb["Backend=bsr"] = o
-	o = base
-	o.Backend = core.BackendAuto
-	perturb["Backend=auto"] = o
-	o = base
-	o.Backend = core.BackendSELL
-	o.SELLChunk = 16
-	perturb["SELLChunk=16"] = o
-	o = base
-	o.Backend = core.BackendSELL
-	o.SELLSigma = 512
-	perturb["SELLSigma=512"] = o
-	o = base
-	o.Backend = core.BackendBSR
-	o.BSRBlock = 2
-	perturb["BSRBlock=2"] = o
-
-	seen := map[Key]string{baseKey: "base"}
-	for name, po := range perturb {
+	seen := map[Key]string{}
+	for name, po := range map[string]core.Options{
+		"standard+csr":  {Engine: core.EngineStandard},
+		"standard+sell": {Engine: core.EngineStandard, Backend: core.BackendSELL},
+		"standard+bsr":  {Engine: core.EngineStandard, Backend: core.BackendBSR},
+		"standard+auto": {Engine: core.EngineStandard, Backend: core.BackendAuto},
+		"fb+auto":       {Engine: core.EngineForwardBackward, Backend: core.BackendAuto},
+		"lb+auto":       {Engine: core.EngineLevelBlocked, Backend: core.BackendAuto},
+	} {
 		k := Fingerprint(a, po)
 		if prev, dup := seen[k]; dup {
-			t.Errorf("backend knob %s collides with %s", name, prev)
+			t.Errorf("%s collides with %s", name, prev)
 		}
 		seen[k] = name
 	}
 }
 
-// TestFingerprintBackendCanonicalEquivalence verifies equivalent
-// backend spellings collapse to one registry key: defaults vs explicit
-// values, sigma rounded to a chunk multiple, and format knobs inert
-// for the selected backend.
+// TestFingerprintBackendCanonicalEquivalence: Backend belongs to the
+// standard engine, so under every other engine all four values are one
+// registry key — fb+sell and fb+csr build the same plan.
 func TestFingerprintBackendCanonicalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := testCSR(rng, 80, 4)
-	std := func() core.Options { return core.Options{Engine: core.EngineStandard} }
-
-	pairs := []struct {
-		name string
-		x, y core.Options
-	}{
-		{"SELL defaults vs explicit", func() core.Options {
-			o := std()
-			o.Backend = core.BackendSELL
-			return o
-		}(), func() core.Options {
-			o := std()
-			o.Backend = core.BackendSELL
-			o.SELLChunk = core.DefaultSELLChunk
-			o.SELLSigma = core.DefaultSELLSigma
-			return o
-		}()},
-		{"SELL sigma rounds up to chunk multiple", func() core.Options {
-			o := std()
-			o.Backend = core.BackendSELL
-			o.SELLChunk = 16
-			o.SELLSigma = 100
-			return o
-		}(), func() core.Options {
-			o := std()
-			o.Backend = core.BackendSELL
-			o.SELLChunk = 16
-			o.SELLSigma = 112
-			return o
-		}()},
-		{"SELL knobs inert for CSR backend", std(), func() core.Options {
-			o := std()
-			o.SELLChunk = 32
-			o.SELLSigma = 64
-			o.BSRBlock = 3
-			return o
-		}()},
-		{"SELL knobs inert for BSR backend", func() core.Options {
-			o := std()
-			o.Backend = core.BackendBSR
-			return o
-		}(), func() core.Options {
-			o := std()
-			o.Backend = core.BackendBSR
-			o.SELLChunk = 32
-			o.SELLSigma = 64
-			return o
-		}()},
-		{"BSR knob inert for SELL backend", func() core.Options {
-			o := std()
-			o.Backend = core.BackendSELL
-			return o
-		}(), func() core.Options {
-			o := std()
-			o.Backend = core.BackendSELL
-			o.BSRBlock = 4
-			return o
-		}()},
-		{"format knobs inert for auto backend", func() core.Options {
-			o := std()
-			o.Backend = core.BackendAuto
-			return o
-		}(), func() core.Options {
-			o := std()
-			o.Backend = core.BackendAuto
-			o.SELLChunk = 32
-			o.BSRBlock = 2
-			return o
-		}()},
-	}
-	for _, p := range pairs {
-		if Fingerprint(a, p.x) != Fingerprint(a, p.y) {
-			t.Errorf("%s: keys differ but plans are interchangeable", p.name)
+	for _, eng := range []core.Engine{core.EngineForwardBackward, core.EngineLevelBlocked, core.EngineAuto} {
+		base := core.Options{Engine: eng, BtB: true, Threads: 2}
+		for _, bk := range []core.BackendKind{core.BackendAuto, core.BackendSELL, core.BackendBSR} {
+			o := base
+			o.Backend = bk
+			if Fingerprint(a, o) != Fingerprint(a, base) {
+				t.Errorf("%v+%v and %v+csr key differently but build the same plan", eng, bk, eng)
+			}
 		}
 	}
 }

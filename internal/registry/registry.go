@@ -72,13 +72,17 @@ type Registry struct {
 	rebuilt       uint64
 	buildTime     time.Duration
 
-	// tunings caches autotuner verdicts keyed by StructureFingerprint.
-	// Verdicts are a few hundred bytes and survive plan LRU eviction on
-	// purpose: re-acquiring an evicted matrix re-runs preprocessing but
-	// never re-pays tuner sampling.
-	tunings    map[Key]core.TuneDecision
-	tuneHits   uint64
-	tuneMisses uint64
+	// tunings and engineTunings cache the two autotuner verdicts — the
+	// standard engine's backend, EngineAuto's engine — keyed by
+	// StructureFingerprint. A plan tunes one or the other, never both,
+	// so each is cached and replayed on its own. Verdicts are a few
+	// hundred bytes and survive plan LRU eviction on purpose:
+	// re-acquiring an evicted matrix re-runs preprocessing but never
+	// re-pays tuner sampling.
+	tunings       map[Key]core.TuneDecision
+	engineTunings map[Key]core.EngineDecision
+	tuneHits      uint64
+	tuneMisses    uint64
 }
 
 // entry is one cached (or in-flight) plan. refs counts outstanding
@@ -132,10 +136,10 @@ type Stats struct {
 	// the preprocessing cost the cache's hits avoided paying again.
 	BuildTime time.Duration `json:"build_time_ns"`
 
-	// TuneHits counts BackendAuto builds served a cached autotuner
-	// verdict (zero sampling); TuneMisses counts builds that ran the
-	// tuner; TuneVerdicts is the number of structure-keyed verdicts
-	// currently cached.
+	// TuneHits counts BackendAuto and EngineAuto builds served a cached
+	// autotuner verdict (zero sampling); TuneMisses counts builds that
+	// ran their tuner; TuneVerdicts is the number of structure-keyed
+	// verdicts (backend and engine) currently cached.
 	TuneHits     uint64 `json:"tune_hits"`
 	TuneMisses   uint64 `json:"tune_misses"`
 	TuneVerdicts int    `json:"tune_verdicts"`
@@ -166,7 +170,9 @@ func New(capacity int) *Registry {
 		byPlan:    make(map[*core.Plan]*entry),
 		lru:       list.New(),
 		structIdx: make(map[Key]Key),
-		tunings:   make(map[Key]core.TuneDecision),
+
+		tunings:       make(map[Key]core.TuneDecision),
+		engineTunings: make(map[Key]core.EngineDecision),
 	}
 }
 
@@ -214,9 +220,9 @@ func (r *Registry) AcquireCtx(ctx context.Context, a *sparse.CSR, opts ...core.O
 // returns the structure digest with the plan key composed from both,
 // recording the pass as the request timeline's registry.fingerprint
 // phase. The structure digest also feeds the miss entry's
-// structure+options key and (for BackendAuto) the tuner verdict cache,
-// which is keyed by structure alone so value updates and option changes
-// reuse the same tuning decision. opt must already be canonicalized.
+// structure+options key and the tuner verdict caches, which are keyed
+// by structure alone so value updates and option changes reuse the same
+// tuning decision. opt must already be canonicalized.
 func timedDigests(ctx context.Context, a *sparse.CSR, opt core.Options) (structKey, key Key) {
 	tl := events.TimelineFromContext(ctx)
 	var hashStart time.Time
@@ -331,26 +337,21 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	r.structIdx[e.sKey] = key
 	r.misses++
 	buildOpts := []core.Option{opt}
-	useBackend := opt.Backend == core.BackendAuto
-	useEngine := opt.Engine == core.EngineAuto
-	if useBackend || useEngine {
-		// A cached verdict is only injected when it carries everything
-		// this plan would tune: a backend candidate table for
-		// BackendAuto, and an engine arbitration at the plan's TuneK
-		// (canonicalized, so resolved) and thread count for EngineAuto.
-		// A partial or differently-parameterized verdict counts as a
-		// miss and is re-tuned (the persist below merges, so the halves
-		// accumulate).
-		eth := opt.Threads
-		if eth <= 1 {
-			eth = 0
-		}
-		dec, ok := r.tunings[structKey]
-		usable := ok &&
-			(!useBackend || len(dec.Candidates) > 0) &&
-			(!useEngine || (dec.Engine != nil && dec.Engine.K == opt.TuneK && dec.Engine.Threads == eth))
-		if usable {
+	// opt is canonical, so BackendAuto means a standard-engine plan and
+	// the two cases exclude each other. An engine verdict is only
+	// replayed at the thread count it was measured at; any other counts
+	// as a miss and is re-arbitrated (the persist below overwrites).
+	switch {
+	case opt.Backend == core.BackendAuto:
+		if dec, ok := r.tunings[structKey]; ok {
 			buildOpts = append(buildOpts, core.WithTunedDecision(dec))
+			r.tuneHits++
+		} else {
+			r.tuneMisses++
+		}
+	case opt.Engine == core.EngineAuto:
+		if dec, ok := r.engineTunings[structKey]; ok && dec.Threads == opt.Threads {
+			buildOpts = append(buildOpts, core.WithEngineDecision(dec))
 			r.tuneHits++
 		} else {
 			r.tuneMisses++
@@ -377,23 +378,13 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 		r.builds++
 		r.buildTime += elapsed
 		r.byPlan[plan] = e
-		if tune := plan.Stats().Tune; tune != nil && !tune.FromCache {
-			// Persist the fresh verdict for the next build of this
-			// structure, merging with whatever half is already cached: a
-			// fixed-backend EngineAuto plan contributes only an engine
-			// arbitration and must not clobber a cached backend
-			// candidate table, and vice versa.
-			t := *tune
-			if prev, ok := r.tunings[structKey]; ok {
-				if t.Engine == nil {
-					t.Engine = prev.Engine
-				}
-				if len(t.Candidates) == 0 && len(prev.Candidates) > 0 {
-					prev.Engine = t.Engine
-					t = prev
-				}
-			}
-			r.tunings[structKey] = t
+		// Persist a fresh verdict for the next build of this structure.
+		st := plan.Stats()
+		if t := st.Tune; t != nil && !t.FromCache {
+			r.tunings[structKey] = *t
+		}
+		if t := st.EngineTune; t != nil && !t.FromCache {
+			r.engineTunings[structKey] = *t
 		}
 	}
 	close(e.done)
@@ -540,7 +531,7 @@ func (r *Registry) Stats() Stats {
 		BuildTime:     r.buildTime,
 		TuneHits:      r.tuneHits,
 		TuneMisses:    r.tuneMisses,
-		TuneVerdicts:  len(r.tunings),
+		TuneVerdicts:  len(r.tunings) + len(r.engineTunings),
 	}
 }
 

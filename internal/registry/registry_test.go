@@ -482,8 +482,10 @@ func TestRegistryTuneVerdictCache(t *testing.T) {
 	}
 }
 
-// TestRegistryTuneCountersInertForCSR checks non-auto Acquires never
-// touch the verdict cache or its counters.
+// TestRegistryTuneCountersInertForCSR checks Acquires with nothing to
+// tune never touch the verdict cache or its counters: forced backends
+// on the standard engine, and BackendAuto under an engine that has no
+// backend (the forward-backward plan must not run the backend tuner).
 func TestRegistryTuneCountersInertForCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	a := testCSR(rng, 100, 4)
@@ -493,10 +495,15 @@ func TestRegistryTuneCountersInertForCSR(t *testing.T) {
 		{Engine: core.EngineStandard},
 		{Engine: core.EngineStandard, Backend: core.BackendSELL},
 		{Engine: core.EngineStandard, Backend: core.BackendBSR},
+		{Engine: core.EngineForwardBackward, BtB: true, Threads: 2, Backend: core.BackendAuto},
+		{Engine: core.EngineLevelBlocked, Backend: core.BackendAuto},
 	} {
 		p, err := reg.Acquire(a, opt)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st := p.Stats(); st.Tune != nil || st.EngineTune != nil {
+			t.Fatalf("%+v: plan ran a tuner: %+v", opt, st)
 		}
 		if err := reg.Release(p); err != nil {
 			t.Fatal(err)
@@ -504,7 +511,7 @@ func TestRegistryTuneCountersInertForCSR(t *testing.T) {
 	}
 	s := reg.Stats()
 	if s.TuneHits != 0 || s.TuneMisses != 0 || s.TuneVerdicts != 0 {
-		t.Fatalf("forced backends touched the tune cache: %+v", s)
+		t.Fatalf("plans with nothing to tune touched the tune cache: %+v", s)
 	}
 }
 

@@ -14,8 +14,6 @@ type ABMCOptions struct {
 	// implementation defaults to 512 or 1024 blocks; 0 selects 512
 	// (or n for tiny matrices).
 	NumBlocks int
-	// ColorOrder selects the greedy coloring visit order.
-	ColorOrder graph.ColorOrder
 	// Pool, when non-nil, parallelizes the O(nnz) preprocessing passes
 	// (block-graph discovery and, in ABMCReorder, the symmetric
 	// permutation apply). The greedy coloring itself stays serial: its
@@ -95,7 +93,7 @@ func ABMC(a *sparse.CSR, opt ABMCOptions) (*ABMCResult, error) {
 	}
 	graphTime := time.Since(graphStart)
 	colorStart := time.Now()
-	color, numColors := graph.GreedyColor(bg, opt.ColorOrder)
+	color, numColors := graph.GreedyColor(bg)
 	colorTime := time.Since(colorStart)
 
 	// 3. Stable counting sort of blocks by color.

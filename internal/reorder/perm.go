@@ -49,19 +49,6 @@ func (p Perm) Inverse() Perm {
 	return q
 }
 
-// Compose returns the permutation r = p after q: applying r is
-// equivalent to applying q first, then p. r[i] = q[p[i]].
-func (p Perm) Compose(q Perm) Perm {
-	if len(p) != len(q) {
-		panic("reorder: Compose length mismatch")
-	}
-	r := make(Perm, len(p))
-	for i := range p {
-		r[i] = q[p[i]]
-	}
-	return r
-}
-
 // ApplyVec gathers x into y: y[new] = x[p[new]]. x and y must not
 // alias.
 func (p Perm) ApplyVec(x, y []float64) {

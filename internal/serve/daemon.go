@@ -40,7 +40,7 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxMatrices caps resident uploaded matrices (<= 0 = 64).
 	MaxMatrices int
-	// PlanOptions are the fixed build options (threads, backend, ...)
+	// PlanOptions are the fixed build options (threads, engine, ...)
 	// every plan the daemon builds uses; they are part of the
 	// fingerprint keys handed back from upload.
 	PlanOptions []fbmpk.Option
@@ -150,7 +150,7 @@ func (s *Server) Close() { s.reg.Close() }
 //	GET  /healthz                 readiness probe
 //	GET  /metrics                 Prometheus text: daemon counters + plan cache
 //	GET  /trace                   flight-recorder timelines as a Chrome trace document
-//	/debug/vars, /debug/pprof     via RegistryDebugHandler
+//	/debug/pprof                  via RegistryDebugHandler
 //
 // The pre-versioning unversioned paths (/matrix, /mpk, ...) answer
 // with a 308 permanent redirect to their /v1 twin — method and body
@@ -174,11 +174,11 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	// The existing debug surface handles expvar and pprof; its own
-	// /metrics is superseded by the daemon's (which embeds the same
-	// registry families), and /trace by the flight-recorder export
-	// below (request timelines, not per-plan lanes — daemon plans run
-	// with no lane recorder attached).
+	// The existing debug surface handles pprof; its own /metrics is
+	// superseded by the daemon's (which embeds the same registry
+	// families), and /trace by the flight-recorder export below
+	// (request timelines, not per-plan lanes — daemon plans run with no
+	// lane recorder attached).
 	dbg := fbmpk.RegistryDebugHandler(s.reg)
 	mux.Handle("/debug/", dbg)
 	mux.HandleFunc("/trace", s.handleFlightTrace)
@@ -196,7 +196,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "  POST /v1/solve                {\"matrix\":key,\"sweeps\":2}")
 		fmt.Fprintln(w, "  GET  /v1/matrices             resident matrices")
 		fmt.Fprintln(w, "  GET  /metrics                 Prometheus text exposition")
-		fmt.Fprintln(w, "  GET  /debug/...               expvar, pprof; /trace")
+		fmt.Fprintln(w, "  GET  /debug/pprof             profiling; /trace")
 	})
 	return mux
 }

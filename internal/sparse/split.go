@@ -102,14 +102,18 @@ func SplitPool(a *CSR, r Runner) (*Triangular, error) {
 	return t, nil
 }
 
-// WithValues builds a new Triangular holding a's values in t's
-// structure: L and U share t's RowPtr/ColIdx arrays, only Val and D
-// are freshly allocated. a must have exactly the structure t was split
-// from (same RowPtr/ColIdx as the original input); the caller is
-// responsible for that check — WithValues only re-runs the fill pass.
-// The receiver is not modified, so readers of the old epoch keep
-// seeing the old values.
-func (t *Triangular) WithValues(a *CSR, r Runner) *Triangular {
+// WithValues builds a new Triangular holding, in t's structure, fresh
+// values for the matrix t was split from: rowPtr is that matrix's row
+// pointer and its entry j takes vals[slot[j]] (vals[j] when slot is
+// nil), so a caller holding the values of a permutation of that matrix
+// passes the slot map instead of materializing the permuted array.
+// Entries are dealt in the order Split consumed them, the only one
+// sorted rows allow: a row's strictly-lower run into L, its stored
+// diagonal entry if it has one more entry than L and U account for,
+// its strictly-upper run into U. L and U share t's RowPtr/ColIdx; Val
+// and D are fresh and the receiver is not modified, so readers of the
+// old values keep them. The caller vouches for the structure.
+func (t *Triangular) WithValues(rowPtr []int64, vals []float64, slot []int64) *Triangular {
 	n := t.N
 	nt := &Triangular{
 		N: n,
@@ -119,26 +123,28 @@ func (t *Triangular) WithValues(a *CSR, r Runner) *Triangular {
 			Val: make([]float64, t.U.NNZ())},
 		D: make([]float64, n),
 	}
-	// Identical to SplitPool's pass 2: structure is fixed, so each row
-	// writes its pre-computed disjoint L/U ranges.
-	ForRanges(r, 0, n, func(_, start, end int) {
-		for i := start; i < end; i++ {
-			cols, vals := a.Row(i)
-			wl, wu := nt.L.RowPtr[i], nt.U.RowPtr[i]
-			for k, c := range cols {
-				switch {
-				case int(c) < i:
-					nt.L.Val[wl] = vals[k]
-					wl++
-				case int(c) > i:
-					nt.U.Val[wu] = vals[k]
-					wu++
-				default:
-					nt.D[i] = vals[k]
-				}
-			}
+	at := func(j int64) float64 {
+		if slot != nil {
+			j = slot[j]
 		}
-	})
+		return vals[j]
+	}
+	for i := 0; i < n; i++ {
+		j := rowPtr[i]
+		for w := nt.L.RowPtr[i]; w < nt.L.RowPtr[i+1]; w++ {
+			nt.L.Val[w] = at(j)
+			j++
+		}
+		uLo, uHi := nt.U.RowPtr[i], nt.U.RowPtr[i+1]
+		if rowPtr[i+1]-j > uHi-uLo {
+			nt.D[i] = at(j)
+			j++
+		}
+		for w := uLo; w < uHi; w++ {
+			nt.U.Val[w] = at(j)
+			j++
+		}
+	}
 	return nt
 }
 

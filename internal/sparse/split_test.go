@@ -132,3 +132,55 @@ func TestSplitValidateCatchesCorruption(t *testing.T) {
 		t.Error("Validate accepted L entry on diagonal")
 	}
 }
+
+// TestTriangularWithValues: dealing a value array into an existing
+// split — directly, or through a slot map as a reordered plan does — is
+// bitwise the split of the matrix holding those values, on rows with
+// and without a stored diagonal and on empty rows.
+func TestTriangularWithValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := 60
+	coo := NewCOO(n, n, 5*n)
+	for i := 0; i < n; i++ {
+		if i%3 != 0 {
+			coo.Add(i, i, 1+rng.Float64()) // every third row has no stored diagonal
+		}
+		for k := 0; k < i%5; k++ { // rows 0, 5, ... are empty or diagonal-only
+			coo.Add(i, rng.Intn(n), rng.NormFloat64())
+		}
+	}
+	a := coo.ToCSR()
+	tri, err := Split(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// New values live in a shuffled array; slot[j] says where entry j's is.
+	slot := make([]int64, len(a.Val))
+	for j, p := range rng.Perm(len(a.Val)) {
+		slot[j] = int64(p)
+	}
+	b := a.Clone()
+	shuffled := make([]float64, len(a.Val))
+	for j := range b.Val {
+		b.Val[j] = rng.NormFloat64()
+		shuffled[slot[j]] = b.Val[j]
+	}
+	want, err := Split(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*Triangular{
+		"identity": tri.WithValues(a.RowPtr, b.Val, nil),
+		"slot map": tri.WithValues(a.RowPtr, shuffled, slot),
+	} {
+		if MaxAbsDiff(got.L.Val, want.L.Val) != 0 || MaxAbsDiff(got.U.Val, want.U.Val) != 0 || MaxAbsDiff(got.D, want.D) != 0 {
+			t.Errorf("%s: values differ from a fresh split", name)
+		}
+		if &got.L.ColIdx[0] != &tri.L.ColIdx[0] || &got.U.RowPtr[0] != &tri.U.RowPtr[0] {
+			t.Errorf("%s: structure arrays not shared with the receiver", name)
+		}
+	}
+	if MaxAbsDiff(tri.D, want.D) == 0 {
+		t.Error("receiver was modified")
+	}
+}

@@ -254,8 +254,8 @@ func checkAgainstStandard(t *testing.T, p *Plan, a *Matrix, x0 []float64, k int)
 // test for the engine arbitration: the first EngineAuto Acquire runs
 // the arbitration (fresh verdict, nonzero samples on a measurable
 // matrix), a second Acquire with a different plan key but the same
-// structure, TuneK, and thread count replays it with zero samples, and
-// a verdict arbitrated at one thread count is NOT replayed at another.
+// structure and thread count replays it with zero samples, and a
+// verdict arbitrated at one thread count is NOT replayed at another.
 func TestRegistryEngineVerdictReplay(t *testing.T) {
 	a, err := GenerateSuiteMatrix("G3_circuit", 0.002, 3)
 	if err != nil {
@@ -269,15 +269,15 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Release(p1)
-	t1 := p1.Stats().Tune
-	if t1 == nil || t1.Engine == nil {
-		t.Fatalf("EngineAuto plan carries no engine verdict: %+v", t1)
+	t1 := p1.Stats().EngineTune
+	if t1 == nil {
+		t.Fatal("EngineAuto plan carries no engine verdict")
 	}
-	if t1.Engine.FromCache || t1.Engine.Samples == 0 {
-		t.Fatalf("first Acquire should have arbitrated fresh with samples: %+v", t1.Engine)
+	if t1.FromCache || t1.Samples == 0 {
+		t.Fatalf("first Acquire should have arbitrated fresh with samples: %+v", t1)
 	}
-	if t1.Engine.K != DefaultTuneK || t1.Engine.Threads != 0 {
-		t.Fatalf("serial arbitration recorded k=%d threads=%d: %+v", t1.Engine.K, t1.Engine.Threads, t1.Engine)
+	if t1.K != DefaultTuneK || t1.Threads != 0 {
+		t.Fatalf("serial arbitration recorded k=%d threads=%d: %+v", t1.K, t1.Threads, t1)
 	}
 
 	// Different plan key (self-check layer), same structure and tuning
@@ -296,14 +296,14 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 	if after.TuneHits != before.TuneHits+1 {
 		t.Fatalf("second Acquire should have replayed the verdict: %+v -> %+v", before, after)
 	}
-	t2 := p2.Stats().Tune
-	if t2 == nil || t2.Engine == nil || !t2.Engine.FromCache || t2.Engine.Samples != 0 {
+	t2 := p2.Stats().EngineTune
+	if t2 == nil || !t2.FromCache || t2.Samples != 0 {
 		t.Fatalf("replayed verdict should be zero-sample: %+v", t2)
 	}
-	if t2.Engine.Engine != t1.Engine.Engine || t2.Engine.K != t1.Engine.K ||
-		t2.Engine.FBModelBytes != t1.Engine.FBModelBytes || t2.Engine.LBModelBytes != t1.Engine.LBModelBytes ||
-		t2.Engine.NumLevels != t1.Engine.NumLevels || t2.Engine.NumBlocks != t1.Engine.NumBlocks {
-		t.Fatalf("replayed verdict %+v != fresh %+v", t2.Engine, t1.Engine)
+	if t2.Engine != t1.Engine || t2.K != t1.K ||
+		t2.FBModelBytes != t1.FBModelBytes || t2.LBModelBytes != t1.LBModelBytes ||
+		t2.NumLevels != t1.NumLevels || t2.NumBlocks != t1.NumBlocks {
+		t.Fatalf("replayed verdict %+v != fresh %+v", t2, t1)
 	}
 	if p2.Engine() != p1.Engine() {
 		t.Fatalf("replayed verdict resolved a different engine: %v vs %v", p2.Engine(), p1.Engine())
@@ -341,8 +341,8 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 	if after.TuneHits != before.TuneHits {
 		t.Fatalf("serial verdict replayed for a parallel plan: %+v -> %+v", before, after)
 	}
-	t3 := p3.Stats().Tune
-	if t3 == nil || t3.Engine == nil || t3.Engine.FromCache || t3.Engine.Threads != 4 {
+	t3 := p3.Stats().EngineTune
+	if t3 == nil || t3.FromCache || t3.Threads != 4 {
 		t.Fatalf("parallel plan should have arbitrated fresh at 4 threads: %+v", t3)
 	}
 }
@@ -365,8 +365,8 @@ func TestRegistryForcedEngineSweep(t *testing.T) {
 		if p.Engine() != eng {
 			t.Fatalf("forced engine %v resolved to %v", eng, p.Engine())
 		}
-		if tune := p.Stats().Tune; tune != nil && tune.Engine != nil {
-			t.Fatalf("forced engine %v ran the arbitration: %+v", eng, tune.Engine)
+		if tune := p.Stats().EngineTune; tune != nil {
+			t.Fatalf("forced engine %v ran the arbitration: %+v", eng, tune)
 		}
 		if err := reg.Release(p); err != nil {
 			t.Fatal(err)

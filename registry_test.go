@@ -37,8 +37,6 @@ func registryEntryPoints() []entryPoint {
 		{"MPKCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return one(p.MPKCtx(ctx, x, k)) }},
 		{"MPKAll", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKAll(x, k) }},
 		{"MPKAllCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKAllCtx(ctx, x, k) }},
-		{"MPKBatch", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKBatch(multi(x), k) }},
-		{"MPKBatchCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKBatchCtx(ctx, multi(x), k) }},
 		{"MPKMulti", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKMulti(multi(x), k) }},
 		{"MPKMultiCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKMultiCtx(ctx, multi(x), k) }},
 		{"SSpMV", false, func(p *Plan, x []float64) ([][]float64, error) { return one(p.SSpMV(coeffs, x)) }},
@@ -174,9 +172,9 @@ func TestRegistryDebugHandler(t *testing.T) {
 		`fbmpk_cache_entries{registry="registry"} 1`,
 		`fbmpk_cache_live{registry="registry"} 1`,
 		`fbmpk_cache_hit_rate{registry="registry"} 0.5`,
-		`fbmpk_build_seconds{plan="plan0",backend="csr",stage="total"}`,
-		`fbmpk_build_seconds{plan="plan0",backend="csr",stage="split"}`,
-		`fbmpk_calls_total{plan="plan0",backend="csr",op="mpk"} 1`,
+		`fbmpk_build_seconds{plan="plan0",backend="split",stage="total"}`,
+		`fbmpk_build_seconds{plan="plan0",backend="split",stage="split"}`,
+		`fbmpk_calls_total{plan="plan0",backend="split",op="mpk"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)

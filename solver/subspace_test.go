@@ -97,9 +97,10 @@ func TestSubspaceIterationErrors(t *testing.T) {
 	}
 }
 
-func TestPlanMPKBatch(t *testing.T) {
-	// Batch path (including the reordered parallel plan) must equal
-	// per-vector MPK.
+func TestPlanMPKMulti(t *testing.T) {
+	// The block path subspace iteration advances on — SpMM under the
+	// standard engine, the batched pipeline on the reordered parallel
+	// FB plan — must equal per-vector MPK.
 	a, err := fbmpk.GenerateSuiteMatrix("cant", 0.002, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestPlanMPKBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		xs := [][]float64{pseudoVec(a.Rows, 1), pseudoVec(a.Rows, 2), pseudoVec(a.Rows, 3)}
-		out, err := p.MPKBatch(xs, 4)
+		out, err := p.MPKMulti(xs, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,10 +129,10 @@ func TestPlanMPKBatch(t *testing.T) {
 				}
 			}
 		}
-		if _, err := p.MPKBatch(nil, 2); err == nil {
+		if _, err := p.MPKMulti(nil, 2); err == nil {
 			t.Error("accepted empty batch")
 		}
-		if _, err := p.MPKBatch([][]float64{make([]float64, a.Rows-1)}, 2); err == nil {
+		if _, err := p.MPKMulti([][]float64{make([]float64, a.Rows-1)}, 2); err == nil {
 			t.Error("accepted short vector")
 		}
 		p.Close()

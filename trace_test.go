@@ -1,7 +1,7 @@
 package fbmpk
 
 // Tests of the observability tentpole: the debug HTTP surface
-// (/metrics, /trace, /debug/vars), trace capture under the
+// (/metrics, /trace, /debug/pprof), trace capture under the
 // concurrent-serving stress pattern, and the zero-cost-when-disabled
 // contract of the trace recorder at the plan level.
 
@@ -56,10 +56,10 @@ func TestDebugHandlerMetrics(t *testing.T) {
 		t.Fatalf("metrics content type %q", ctype)
 	}
 	for _, want := range []string{
-		`fbmpk_calls_total{plan="plan0",backend="csr",op="mpk"} 3`,
-		`fbmpk_reads_of_a_per_spmv{plan="plan0",backend="csr"}`,
-		`fbmpk_op_latency_seconds_bucket{plan="plan0",backend="csr",op="mpk",le="+Inf"} 3`,
-		`fbmpk_op_latency_seconds_count{plan="plan0",backend="csr",op="mpk"} 3`,
+		`fbmpk_calls_total{plan="plan0",backend="split",op="mpk"} 3`,
+		`fbmpk_reads_of_a_per_spmv{plan="plan0",backend="split"}`,
+		`fbmpk_op_latency_seconds_bucket{plan="plan0",backend="split",op="mpk",le="+Inf"} 3`,
+		`fbmpk_op_latency_seconds_count{plan="plan0",backend="split",op="mpk"} 3`,
 		"# TYPE fbmpk_op_latency_seconds histogram",
 	} {
 		if !strings.Contains(body, want) {
@@ -67,10 +67,11 @@ func TestDebugHandlerMetrics(t *testing.T) {
 		}
 	}
 
-	vars, _ := getBody(t, srv, "/debug/vars")
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(vars), &doc); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
+	// Nothing publishes an expvar; the surface no longer mounts one.
+	if resp, err := srv.Client().Get(srv.URL + "/debug/vars"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != 404 {
+		t.Fatalf("GET /debug/vars: status %d, want 404", resp.StatusCode)
 	}
 
 	index, _ := getBody(t, srv, "/")
