@@ -9,6 +9,10 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"fbmpk/internal/core"
+	"fbmpk/internal/graph"
+	"fbmpk/internal/reorder"
 )
 
 func validSquare(t *testing.T) *Matrix {
@@ -166,6 +170,28 @@ func TestPackageFunctionErrors(t *testing.T) {
 
 	if err := SaveMatrixMarket(filepath.Join(t.TempDir(), "x.mtx"), nil); !errors.Is(err, ErrInvalidMatrix) {
 		t.Errorf("SaveMatrixMarket nil matrix: got %v, want ErrInvalidMatrix", err)
+	}
+}
+
+// TestBuildPrimitivesRejectRectangular reaches under the public API,
+// which validates before any of these runs: every structure-building
+// primitive that needs a square matrix must say so with the same
+// sentinel, whichever package it lives in.
+func TestBuildPrimitivesRejectRectangular(t *testing.T) {
+	rect := mustTriplets(t, 2, 3, 1).ToCSR()
+	for name, call := range map[string]func() error{
+		"graph.FromCSRPattern": func() error { _, err := graph.FromCSRPattern(rect); return err },
+		"graph.BlockGraph":     func() error { _, err := graph.BlockGraph(rect, []int32{0, 2}); return err },
+		"core.BFSLevels":       func() error { _, err := core.BFSLevels(rect); return err },
+		"reorder.RCM":          func() error { _, err := reorder.RCM(rect); return err },
+		"reorder.ABMC":         func() error { _, err := reorder.ABMC(rect, reorder.ABMCOptions{}); return err },
+		"Perm.ApplySym":        func() error { _, err := reorder.Identity(2).ApplySym(rect); return err },
+		"Perm.ValueMap":        func() error { _, err := reorder.Identity(2).ValueMap(rect); return err },
+		"LevelBlockedMPK":      func() error { _, err := LevelBlockedMPK(rect, []float64{1, 2}, 2, 0); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrNotSquare) {
+			t.Errorf("%s on a 2x3 matrix: got %v, want ErrNotSquare", name, err)
+		}
 	}
 }
 

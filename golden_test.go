@@ -10,12 +10,15 @@ package fbmpk
 //
 //	go test -run TestGoldenBits -update-golden .
 //
-// The recording dates from PR 16, which re-associated the sums of the
+// Each engine's digests date from the last change to its arithmetic:
+// the fbmpk ones from PR 16, which re-associated the sums of the
 // forward-backward sweeps (split accumulation chains, backward entries
-// walked downward) and so moved every fbmpk digest; the standard and
-// level-blocked ones are those of PR 12. A regeneration is justified by
-// an error bound, not by a tolerance: internal/core
-// TestDerivedErrorBound holds every engine and kernel variant to
+// walked downward); the standard ones from PR 12; the level-blocked
+// ones from PR 24, when that engine's steps moved from a private
+// one-accumulator loop to sparse.SpMVRange and its four. A regeneration
+// is justified by an error bound, not by a tolerance: internal/core
+// TestDerivedErrorBound holds every engine and kernel variant — the
+// level-blocked paths since PR 24, before its digests moved — to
 // gamma_{k(r+2)} * (|A|^k |x|)_i against an exact math/big reference,
 // a bound that does not depend on summation order.
 

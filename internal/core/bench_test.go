@@ -272,3 +272,24 @@ func BenchmarkSweep(b *testing.B) {
 	run("backward4", st4, nnzU, 200, func() { st4.backward(0, n, false) })
 	run("tail4", st4, nnzU, 168, func() { st4.backward(0, n, true) })
 }
+
+var buildScale = flag.Float64("build-scale", 0.2, "pwtk scale of BenchmarkBFSLevels; 8 is the benchmark's out-of-cache bed (1.1 GB)")
+
+// BenchmarkBFSLevels times the level schedule's BFS — the stage a
+// level-blocked build spends outside the permutation — as MB/s of CSR
+// walked, with -benchmem showing what it allocates beside the matrix.
+func BenchmarkBFSLevels(b *testing.B) {
+	spec, err := matgen.ByName("pwtk")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := spec.Generate(*buildScale, 1)
+	b.SetBytes(12 * a.NNZ())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BFSLevels(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -148,6 +148,11 @@ func fbPaths(one func(x []float64, k int, btb bool) ([]float64, error), multi fu
 	return paths
 }
 
+// lbBoundBlockBytes cuts the n <= 200 matrices below into several level
+// blocks, so the skewed passes (not one degenerate block) are what the
+// bound is checked on.
+const lbBoundBlockBytes = 2 << 10
+
 func TestDerivedErrorBound(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
@@ -178,7 +183,8 @@ func TestDerivedErrorBound(t *testing.T) {
 				ys, _, err := FBMPKSerialMulti(tri, xs, k, btb, nil)
 				return ys, err
 			}),
-			mpkPath{"standard", perVector(func(x []float64, k int) ([]float64, error) { return StandardMPK(a, x, k, nil) })})
+			mpkPath{"standard", perVector(func(x []float64, k int) ([]float64, error) { return StandardMPK(a, x, k, nil) })},
+			mpkPath{"levelblock", perVector(func(x []float64, k int) ([]float64, error) { return LevelBlockedMPK(a, x, k, lbBoundBlockBytes, nil) })})
 		checkBound(t, name+"/t1", a, xs, serial)
 
 		// Four workers, in the ABMC numbering the schedule needs.
@@ -195,6 +201,12 @@ func TestDerivedErrorBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		fbm := NewFBParallelMulti(fb)
+		// The level-blocked plan re-permutes pa by BFS level internally
+		// and answers in pa's numbering, like every plan.
+		lb, err := NewPlan(pa, Options{Engine: EngineLevelBlocked, Threads: 4, LevelBlockBytes: lbBoundBlockBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
 		pxs := make([][]float64, len(xs))
 		for j, x := range xs {
 			pxs[j] = make([]float64, n)
@@ -209,7 +221,9 @@ func TestDerivedErrorBound(t *testing.T) {
 				ys, _, err := fbm.Run(xs, k, btb, nil)
 				return ys, err
 			}),
-			mpkPath{"standard", perVector(func(x []float64, k int) ([]float64, error) { return StandardMPKParallel(pa, x, k, pool, nil) })})
+			mpkPath{"standard", perVector(func(x []float64, k int) ([]float64, error) { return StandardMPKParallel(pa, x, k, pool, nil) })},
+			mpkPath{"levelblock", perVector(lb.MPK)})
 		checkBound(t, name+"/t4", pa, pxs, par)
+		lb.Close()
 	}
 }

@@ -123,23 +123,12 @@ func (ls *levelSchedule) passBounds(b, k int) (int, int) {
 	return lo, ls.lp.NumLevels() + k - 1
 }
 
-// clampLevel clips a skewed bound into the valid level range.
-func clampLevel(l, nl int) int {
-	if l < 0 {
-		return 0
-	}
-	if l > nl {
-		return nl
-	}
-	return l
-}
-
 // stepRange returns the permuted row range of power p in pass b, empty
 // (lo >= hi) when the skewed window falls outside the level range.
 func (ls *levelSchedule) stepRange(bLo, bHi, p int) (int, int) {
 	nl := ls.lp.NumLevels()
-	lo := clampLevel(bLo-(p-1), nl)
-	hi := clampLevel(bHi-(p-1), nl)
+	lo := max(0, min(bLo-(p-1), nl))
+	hi := max(0, min(bHi-(p-1), nl))
 	if lo >= hi {
 		return 0, 0
 	}
@@ -161,26 +150,16 @@ func hookPowers(bLo, bHi, nl, k int) (int, int) {
 	return pLo, pHi
 }
 
-// spmvRowsCSR is the raw-CSR row-range SpMV of the level-blocked
-// steps, reading the epoch matrix's arrays directly.
-func spmvRowsCSR(a *sparse.CSR, x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := 0.0
-		for j := a.RowPtr[i]; j < a.RowPtr[i+1]; j++ {
-			s += a.Val[j] * x[a.ColIdx[j]]
-		}
-		y[i] = s
-	}
-}
-
 // levelBlockedPowers runs the skewed block schedule over the
 // level-permuted matrix a. xs holds the k+1 live iterate vectors with
 // xs[0] already filled (permuted order); on return xs[k] = A^k x0 in
 // permuted order. Within each (pass, power) step all rows are
 // independent, so the team's workers split the step's row range evenly
-// and barrier between steps; each row is one ordered dot product, so
-// results are bitwise identical for any worker count. onIterate
-// observes each power a pass completed, ascending, on worker 0.
+// and barrier between steps; each row is one sparse.SpMVRange dot
+// product — the standard engine's kernel, its four accumulators joined
+// in a fixed order — so results are bitwise identical for any worker
+// count. onIterate observes each power a pass completed, ascending, on
+// worker 0.
 func levelBlockedPowers(tm team, env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [][]float64, k int, onIterate IterateFunc) error {
 	nl := ls.lp.NumLevels()
 	if nl == 0 {
@@ -210,7 +189,7 @@ func levelBlockedPowers(tm team, env *runEnv, a *sparse.CSR, ls *levelSchedule, 
 				if !skip {
 					wLo := lo + (hi-lo)*id/w
 					wHi := lo + (hi-lo)*(id+1)/w
-					spmvRowsCSR(a, xs[p-1], xs[p], wLo, wHi)
+					sparse.SpMVRange(a, xs[p-1], xs[p], wLo, wHi)
 				}
 				tm.sync(clock, phaseLevel, int32(b))
 				if !skip && env.canceled() {
@@ -335,6 +314,7 @@ func newLBEngine(a *sparse.CSR, blockBytes int, pool *parallel.Pool, runner spar
 		return nil, nil, err
 	}
 	permStart := time.Now()
+	stats.GraphTime = permStart.Sub(start)
 	ea, err := ls.perm.ApplySymPool(a, runner)
 	if err != nil {
 		return nil, nil, err

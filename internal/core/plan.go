@@ -139,8 +139,8 @@ type planEpoch struct {
 // fresh plans bitwise identical.
 type PlanStats struct {
 	BuildTime   time.Duration // total NewPlan wall time
-	ReorderTime time.Duration // ABMC total: graph + color + apply
-	GraphTime   time.Duration // block-graph discovery (parallel)
+	ReorderTime time.Duration // reordering total: ABMC graph + color + apply, or level schedule + apply
+	GraphTime   time.Duration // ABMC block-graph discovery (parallel), or the level schedule: BFS + block grouping (serial)
 	ColorTime   time.Duration // greedy coloring (serial by design)
 	PermTime    time.Duration // symmetric permutation apply (parallel)
 	SplitTime   time.Duration // A = L + D + U (parallel)

@@ -449,8 +449,8 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 	}
 	for b := 0; b <= ls.numBlocks(); b++ {
 		bLo, bHi := ls.passBounds(b, k)
-		lo := clampLevel(bLo-(k-1), nl)
-		hi := clampLevel(bHi, nl)
+		lo := max(0, min(bLo-(k-1), nl))
+		hi := min(bHi, nl)
 		if lo < hi {
 			dec.LBModelBytes += 12 * (levelNnz[hi] - levelNnz[lo])
 		}

@@ -32,10 +32,16 @@ func (lp *LevelPartition) NumLevels() int { return len(lp.LevelPtr) - 1 }
 // preserves the |Δlevel| <= 1 property (there are no edges between
 // components) while giving the level-blocked engine fine-grained
 // boundaries to cut cache blocks at.
+//
+// The traversal runs over graph.FromCSRPattern's adjacency — each row
+// merged once with its row of the pattern-only transpose, no value
+// copied. A level is a BFS distance whatever order neighbors are visited
+// in and Rows is a counting sort by level, so the partition does not
+// depend on how the adjacency was assembled.
 func BFSLevels(a *sparse.CSR) (*LevelPartition, error) {
 	g, err := graph.FromCSRPattern(a)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: BFSLevels: %w", err)
 	}
 	n := g.N
 	level := make([]int32, n)
@@ -49,11 +55,9 @@ func BFSLevels(a *sparse.CSR) (*LevelPartition, error) {
 			continue
 		}
 		level[start] = maxLevel + 1
-		queue = queue[:0]
-		queue = append(queue, int32(start))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], int32(start))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
 			if level[v] > maxLevel {
 				maxLevel = level[v]
 			}

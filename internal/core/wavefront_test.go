@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"fbmpk/internal/matgen"
 	"fbmpk/internal/sparse"
 )
 
@@ -80,5 +83,130 @@ func TestBFSLevelsDisconnected(t *testing.T) {
 	}
 	if lp.NumLevels() != 6 {
 		t.Errorf("NumLevels = %d, want 6", lp.NumLevels())
+	}
+}
+
+// bfsLevelsOracle is BFSLevels as it was first written: transpose the
+// matrix values and all, materialize the merged, deduplicated,
+// self-loop-free adjacency of the symmetrized pattern row by row (sort
+// and compact, no two-pointer merge), and run the BFS over that. Kept as
+// the formulation the pattern-transpose one must match array for array.
+func bfsLevelsOracle(a *sparse.CSR) *LevelPartition {
+	n := a.Rows
+	t := a.Transpose()
+	nbrs := make([][]int32, n)
+	for i := range nbrs {
+		ca, _ := a.Row(i)
+		cb, _ := t.Row(i)
+		both := append(slices.Clone(ca), cb...)
+		slices.Sort(both)
+		for _, c := range slices.Compact(both) {
+			if int(c) != i {
+				nbrs[i] = append(nbrs[i], c)
+			}
+		}
+	}
+	level := make([]int32, n)
+	for i := range level {
+		level[i] = -1
+	}
+	maxLevel := int32(-1)
+	for start := 0; start < n; start++ {
+		if level[start] >= 0 {
+			continue
+		}
+		level[start] = maxLevel + 1
+		for queue := []int32{int32(start)}; len(queue) > 0; queue = queue[1:] {
+			v := queue[0]
+			maxLevel = max(maxLevel, level[v])
+			for _, u := range nbrs[v] {
+				if level[u] < 0 {
+					level[u] = level[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
+	nl := int(maxLevel) + 1
+	lp := &LevelPartition{Level: level, LevelPtr: make([]int32, nl+1)}
+	for l := 0; l < nl; l++ {
+		for i, li := range level {
+			if int(li) == l {
+				lp.Rows = append(lp.Rows, int32(i))
+			}
+		}
+		lp.LevelPtr[l+1] = int32(len(lp.Rows))
+	}
+	return lp
+}
+
+func TestBFSLevelsMatchesAdjacencyOracle(t *testing.T) {
+	beds := map[string]*sparse.CSR{}
+	for si, spec := range matgen.Suite() {
+		beds[spec.Name] = spec.Generate(0.002, uint64(si)+1)
+	}
+	diag := sparse.NewCOO(40, 40, 40)
+	for i := 0; i < 40; i++ {
+		diag.Add(i, i, 1)
+	}
+	beds["diagonal"] = diag.ToCSR()
+	// Several components, one of them a row with no entry at all.
+	comps := sparse.NewCOO(30, 30, 80)
+	for i := 0; i+3 < 30; i += 5 {
+		comps.AddSym(i, i+2, 1)
+		comps.AddSym(i+2, i+3, 1)
+		comps.AddSym(i+1, i+3, 1)
+	}
+	beds["components"] = comps.ToCSR()
+	// A directed pattern: each edge stored one way only, so half the
+	// neighbors of a row exist only in the transpose; no diagonal.
+	rng := rand.New(rand.NewSource(9))
+	dir := sparse.NewCOO(120, 120, 400)
+	for i := 0; i+1 < 120; i++ {
+		if i%7 != 0 {
+			dir.Add(i+1, i, 1)
+		}
+		dir.Add(rng.Intn(i+1), i, 1)
+	}
+	beds["directed"] = dir.ToCSR()
+	beds["empty"] = sparse.NewCOO(0, 0, 0).ToCSR()
+
+	for name, a := range beds {
+		got, err := BFSLevels(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := bfsLevelsOracle(a)
+		if !slices.Equal(got.Level, want.Level) || !slices.Equal(got.LevelPtr, want.LevelPtr) || !slices.Equal(got.Rows, want.Rows) {
+			t.Errorf("%s (n=%d): level partition differs from the merged-adjacency oracle (%d levels vs %d)",
+				name, a.Rows, got.NumLevels(), want.NumLevels())
+		}
+		if name == "diagonal" && got.NumLevels() != a.Rows {
+			t.Errorf("diagonal: %d levels, want %d singletons", got.NumLevels(), a.Rows)
+		}
+	}
+}
+
+// TestBFSLevelsAllocation is the tripwire against a value transpose
+// (12 bytes an entry, a whole second matrix) coming back: the pattern
+// transpose and the merged adjacency are 4 bytes an entry each,
+// everything else O(n).
+func TestBFSLevelsAllocation(t *testing.T) {
+	spec, err := matgen.ByName("pwtk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := spec.Generate(0.02, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lp, err := BFSLevels(a)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr := uint64(12*a.NNZ()) + uint64(8*(a.Rows+1))
+	limit := csr*3/4 + uint64(48*a.Rows+4*lp.NumLevels())
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("BFSLevels allocated %d bytes on a %d-byte CSR, limit %d", got, csr, limit)
 	}
 }

@@ -49,7 +49,7 @@ func BlockGraph(a *sparse.CSR, blockPtr []int32) (*Adj, error) {
 // therefore the whole ABMC ordering — deterministic.
 func BlockGraphPool(a *sparse.CSR, blockPtr []int32, r sparse.Runner) (*Adj, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("graph: BlockGraph needs a square matrix, got %dx%d", a.Rows, a.Cols)
+		return nil, fmt.Errorf("graph: BlockGraph: %dx%d matrix: %w", a.Rows, a.Cols, sparse.ErrNotSquare)
 	}
 	nb := len(blockPtr) - 1
 	if nb < 0 || blockPtr[0] != 0 || int(blockPtr[nb]) != a.Rows {
@@ -120,7 +120,7 @@ func BlockGraphPool(a *sparse.CSR, blockPtr []int32, r sparse.Runner) (*Adj, err
 	merged := make([][]int32, nb)
 	sparse.ForRanges(r, 0, nb, func(_, start, end int) {
 		for b := start; b < end; b++ {
-			merged[b] = mergeSorted(outs[b], ins[b])
+			merged[b] = appendUnion(make([]int32, 0, len(outs[b])+len(ins[b])), outs[b], ins[b], int32(b))
 		}
 	})
 	g := &Adj{N: nb, Ptr: make([]int64, nb+1)}
@@ -136,10 +136,10 @@ func BlockGraphPool(a *sparse.CSR, blockPtr []int32, r sparse.Runner) (*Adj, err
 	return g, nil
 }
 
-// mergeSorted returns the sorted union of two ascending slices with
-// duplicates dropped.
-func mergeSorted(x, y []int32) []int32 {
-	out := make([]int32, 0, len(x)+len(y))
+// appendUnion appends to dst the sorted union of two ascending slices,
+// duplicates and the value skip (the vertex itself: no self-loops)
+// dropped.
+func appendUnion(dst, x, y []int32, skip int32) []int32 {
 	p, q := 0, 0
 	for p < len(x) || q < len(y) {
 		var v int32
@@ -155,58 +155,29 @@ func mergeSorted(x, y []int32) []int32 {
 			p++
 			q++
 		}
-		out = append(out, v)
+		if v != skip {
+			dst = append(dst, v)
+		}
 	}
-	return out
+	return dst
 }
 
 // FromCSRPattern builds the row-level adjacency of a square matrix's
-// symmetrized pattern (used by RCM). Self-loops are dropped.
+// symmetrized pattern (used by RCM). Self-loops are dropped. One merge
+// of each row of a with the same row of the pattern-only transpose; the
+// neighbor array starts at nnz(a), which is exact for a structurally
+// symmetric matrix with a full diagonal, and grows otherwise.
 func FromCSRPattern(a *sparse.CSR) (*Adj, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("graph: FromCSRPattern needs a square matrix")
+		return nil, fmt.Errorf("graph: FromCSRPattern: %dx%d matrix: %w", a.Rows, a.Cols, sparse.ErrNotSquare)
 	}
 	n := a.Rows
-	t := a.Transpose()
-	g := &Adj{N: n, Ptr: make([]int64, n+1)}
-	// Merge row i of a and t, dropping the diagonal and duplicates.
-	counts := make([]int64, n)
-	merge := func(i int, emit func(int32)) {
-		ca, _ := a.Row(i)
-		cb, _ := t.Row(i)
-		p, q := 0, 0
-		for p < len(ca) || q < len(cb) {
-			var c int32
-			switch {
-			case q >= len(cb) || (p < len(ca) && ca[p] < cb[q]):
-				c = ca[p]
-				p++
-			case p >= len(ca) || cb[q] < ca[p]:
-				c = cb[q]
-				q++
-			default:
-				c = ca[p]
-				p++
-				q++
-			}
-			if int(c) != i {
-				emit(c)
-			}
-		}
-	}
+	tPtr, tIdx := a.TransposePattern()
+	g := &Adj{N: n, Ptr: make([]int64, n+1), Nbr: make([]int32, 0, a.NNZ())}
 	for i := 0; i < n; i++ {
-		merge(i, func(int32) { counts[i]++ })
-	}
-	for i := 0; i < n; i++ {
-		g.Ptr[i+1] = g.Ptr[i] + counts[i]
-	}
-	g.Nbr = make([]int32, g.Ptr[n])
-	for i := 0; i < n; i++ {
-		w := g.Ptr[i]
-		merge(i, func(c int32) {
-			g.Nbr[w] = c
-			w++
-		})
+		cols, _ := a.Row(i)
+		g.Nbr = appendUnion(g.Nbr, cols, tIdx[tPtr[i]:tPtr[i+1]], int32(i))
+		g.Ptr[i+1] = int64(len(g.Nbr))
 	}
 	return g, nil
 }

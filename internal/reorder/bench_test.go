@@ -43,20 +43,6 @@ func BenchmarkRCM(b *testing.B) {
 	}
 }
 
-func BenchmarkApplySym(b *testing.B) {
-	a := reorderBenchMatrix(b)
-	res, err := ABMC(a, ABMCOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := res.Perm.ApplySym(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLevelsLower(b *testing.B) {
 	a := reorderBenchMatrix(b)
 	tri, err := sparse.Split(a)

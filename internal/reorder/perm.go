@@ -7,6 +7,7 @@ package reorder
 
 import (
 	"fmt"
+	"slices"
 
 	"fbmpk/internal/sparse"
 )
@@ -70,51 +71,76 @@ func (p Perm) UnapplyVec(y, x []float64) {
 	}
 }
 
+// permutedRows walks the rows of B = P·A·Pᵀ, row-parallel over r (nil =
+// serial), and returns B's row pointer. emit receives each output row i
+// with the slot base it starts at and its entries in ascending
+// new-column order, each packed newcol<<32 | offset of the entry in
+// source row p[i]; keys is scratch, valid for the call only. Packing
+// makes the row one flat sort of machine words, and because a
+// permutation maps a row's distinct columns to distinct columns no two
+// keys tie on the high half, so the order is the one a stable sort by
+// column gives. A row whose mapped columns already ascend (every row
+// under the identity, most under a block-preserving ordering) skips the
+// sort. The caller has checked p against a (checkSym).
+func (p Perm) permutedRows(a *sparse.CSR, r sparse.Runner, emit func(i int, base int64, keys []uint64)) []int64 {
+	inv := p.Inverse()
+	n := a.Rows
+	rowPtr := make([]int64, n+1)
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] = rowPtr[i] + int64(a.RowNNZ(int(p[i])))
+	}
+	sparse.ForRanges(r, 0, n, func(_, start, end int) {
+		var keys []uint64
+		for i := start; i < end; i++ {
+			cols, _ := a.Row(int(p[i]))
+			keys = keys[:0]
+			ascending, prev := true, int32(-1)
+			for k, c := range cols {
+				nc := inv[c]
+				ascending = ascending && nc > prev
+				prev = nc
+				keys = append(keys, uint64(nc)<<32|uint64(k))
+			}
+			if !ascending {
+				slices.Sort(keys)
+			}
+			emit(i, rowPtr[i], keys)
+		}
+	})
+	return rowPtr
+}
+
+// checkSym reports whether p can symmetrically permute a: a square, p
+// of its order.
+func (p Perm) checkSym(a *sparse.CSR) error {
+	if a.Rows != a.Cols {
+		return fmt.Errorf("reorder: symmetric permutation of a %dx%d matrix: %w", a.Rows, a.Cols, sparse.ErrNotSquare)
+	}
+	if len(p) != a.Rows {
+		return fmt.Errorf("reorder: perm length %d != matrix rows %d", len(p), a.Rows)
+	}
+	return nil
+}
+
 // ValueMap returns, for each nonzero slot of ApplySym(a)'s value
 // array, the index of the source entry in a.Val: if b = P·A·Pᵀ, then
 // b.Val[k] == a.Val[m[k]]. The map depends only on a's structure and
 // p, so a plan can keep it and gather fresh execution-order values
 // from any matrix with identical structure without re-running the
-// symmetric permutation. The entry ordering replays ApplySymPool's
-// gather-then-insertion-sort exactly, so the gathered array is bitwise
-// identical to a fresh ApplySym.
+// symmetric permutation. It is read off the same ordered rows ApplySym
+// writes, so the gathered array is bitwise identical to a fresh
+// ApplySym.
 func (p Perm) ValueMap(a *sparse.CSR) ([]int64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("reorder: ValueMap: %w", sparse.ErrNotSquare)
+	if err := p.checkSym(a); err != nil {
+		return nil, err
 	}
-	if len(p) != a.Rows {
-		return nil, fmt.Errorf("reorder: perm length %d != matrix rows %d", len(p), a.Rows)
-	}
-	inv := p.Inverse()
-	n := a.Rows
 	m := make([]int64, a.NNZ())
-	type ent struct {
-		c   int32
-		src int64
-	}
-	var buf []ent
-	w := int64(0)
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(int(p[i]))
-		base := a.RowPtr[int(p[i])]
-		buf = buf[:0]
-		for k, c := range cols {
-			buf = append(buf, ent{inv[c], base + int64(k)})
+	p.permutedRows(a, nil, func(i int, base int64, keys []uint64) {
+		src := a.RowPtr[p[i]]
+		for k, key := range keys {
+			m[base+int64(k)] = src + int64(uint32(key))
 		}
-		for x := 1; x < len(buf); x++ {
-			e := buf[x]
-			y := x - 1
-			for y >= 0 && buf[y].c > e.c {
-				buf[y+1] = buf[y]
-				y--
-			}
-			buf[y+1] = e
-		}
-		for _, e := range buf {
-			m[w] = e.src
-			w++
-		}
-	}
+	})
 	return m, nil
 }
 
@@ -132,52 +158,21 @@ func (p Perm) ApplySym(a *sparse.CSR) (*sparse.CSR, error) {
 // apply for any worker count; only the O(n) row-pointer prefix sum
 // stays serial.
 func (p Perm) ApplySymPool(a *sparse.CSR, r sparse.Runner) (*sparse.CSR, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("reorder: ApplySym: %w", sparse.ErrNotSquare)
+	if err := p.checkSym(a); err != nil {
+		return nil, err
 	}
-	if len(p) != a.Rows {
-		return nil, fmt.Errorf("reorder: perm length %d != matrix rows %d", len(p), a.Rows)
-	}
-	inv := p.Inverse()
-	n := a.Rows
 	b := &sparse.CSR{
-		Rows:   n,
-		Cols:   n,
-		RowPtr: make([]int64, n+1),
+		Rows:   a.Rows,
+		Cols:   a.Rows,
 		ColIdx: make([]int32, a.NNZ()),
 		Val:    make([]float64, a.NNZ()),
 	}
-	for i := 0; i < n; i++ {
-		b.RowPtr[i+1] = b.RowPtr[i] + int64(a.RowNNZ(int(p[i])))
-	}
-	type ent struct {
-		c int32
-		v float64
-	}
-	sparse.ForRanges(r, 0, n, func(_, start, end int) {
-		var buf []ent
-		for i := start; i < end; i++ {
-			cols, vals := a.Row(int(p[i]))
-			buf = buf[:0]
-			for k, c := range cols {
-				buf = append(buf, ent{inv[c], vals[k]})
-			}
-			// Insertion sort: rows are short and nearly sorted for
-			// locality-preserving permutations.
-			for x := 1; x < len(buf); x++ {
-				e := buf[x]
-				y := x - 1
-				for y >= 0 && buf[y].c > e.c {
-					buf[y+1] = buf[y]
-					y--
-				}
-				buf[y+1] = e
-			}
-			base := b.RowPtr[i]
-			for k, e := range buf {
-				b.ColIdx[base+int64(k)] = e.c
-				b.Val[base+int64(k)] = e.v
-			}
+	b.RowPtr = p.permutedRows(a, r, func(i int, base int64, keys []uint64) {
+		_, vals := a.Row(int(p[i]))
+		cols, out := b.ColIdx[base:], b.Val[base:]
+		for k, key := range keys {
+			cols[k] = int32(key >> 32)
+			out[k] = vals[uint32(key)]
 		}
 	})
 	return b, nil

@@ -174,32 +174,44 @@ func (m *CSR) maxDiff(o *CSR) float64 {
 // Transpose returns a new CSR holding the transpose, computed with the
 // usual two-pass counting algorithm (O(nnz + rows + cols)).
 func (m *CSR) Transpose() *CSR {
-	nnz := m.NNZ()
-	t := &CSR{
-		Rows:   m.Cols,
-		Cols:   m.Rows,
-		RowPtr: make([]int64, m.Cols+1),
-		ColIdx: make([]int32, nnz),
-		Val:    make([]float64, nnz),
-	}
+	t := &CSR{Rows: m.Cols, Cols: m.Rows, Val: make([]float64, m.NNZ())}
+	t.RowPtr, t.ColIdx = m.transpose(t.Val)
+	return t
+}
+
+// TransposePattern returns the row pointers and column indices of the
+// transpose and never touches the values: what a graph traversal of
+// the symmetrized pattern needs beside m's own rows, at a third of
+// Transpose's allocation.
+func (m *CSR) TransposePattern() (rowPtr []int64, colIdx []int32) {
+	return m.transpose(nil)
+}
+
+// transpose builds the transposed structure and, when val is non-nil,
+// scatters the values into it alongside.
+func (m *CSR) transpose(val []float64) (rowPtr []int64, colIdx []int32) {
+	rowPtr = make([]int64, m.Cols+1)
+	colIdx = make([]int32, m.NNZ())
 	for _, c := range m.ColIdx {
-		t.RowPtr[c+1]++
+		rowPtr[c+1]++
 	}
 	for i := 0; i < m.Cols; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
+		rowPtr[i+1] += rowPtr[i]
 	}
 	next := make([]int64, m.Cols)
-	copy(next, t.RowPtr[:m.Cols])
+	copy(next, rowPtr[:m.Cols])
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			c := m.ColIdx[k]
 			dst := next[c]
 			next[c]++
-			t.ColIdx[dst] = int32(i)
-			t.Val[dst] = m.Val[k]
+			colIdx[dst] = int32(i)
+			if val != nil {
+				val[dst] = m.Val[k]
+			}
 		}
 	}
-	return t
+	return rowPtr, colIdx
 }
 
 // Diagonal extracts the main diagonal into a dense vector of length
