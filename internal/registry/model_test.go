@@ -188,7 +188,7 @@ func TestRegistryHistoryModel(t *testing.T) {
 	b := newModelBed(t)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	staleRuns := 0
+	heldAcrossUpdate := 0
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		reg, m := New(modelCapacity), &refRegistry{structIdx: map[int]int{}}
@@ -278,13 +278,13 @@ func TestRegistryHistoryModel(t *testing.T) {
 				// A held plan is alive whatever happened to its entry, and
 				// holds the values the model says its entry holds now. When
 				// those are not the ones it was obtained under, an in-place
-				// update went by while the reference was held: the known
-				// hazard TestKnownHazardHeldReferenceSeesUpdate names.
+				// update went by while the reference was held — the contract
+				// TestHeldReferenceExecutesOnLatestValues states.
 				if h.p.Closed() || b.valueSet(t, h.p, h.e.s) != h.e.v {
 					t.Fatalf("seed %d step %d: held plan closed (%v) or off the model's values", seed, step, h.p.Closed())
 				}
 				if h.e.v != h.v {
-					staleRuns++
+					heldAcrossUpdate++
 				}
 				if err := reg.Release(h.p); err != nil {
 					t.Fatalf("seed %d step %d: Release: %v", seed, step, err)
@@ -318,17 +318,17 @@ func TestRegistryHistoryModel(t *testing.T) {
 		}
 		reg.Close()
 	}
-	t.Logf("%d held references executed on values newer than their key's (known hazard)", staleRuns)
+	t.Logf("%d held references executed on values newer than their key's", heldAcrossUpdate)
 }
 
-// TestKnownHazardHeldReferenceSeesUpdate is the expected failure the
-// history model runs into and steps around: a reference acquired under
-// key K1 and still held when UpdateValues swaps the same plan to K2
-// executes on K2's values afterwards — only executions already admitted
-// finish on the old epoch. Closing it means pinning the epoch at
-// Acquire, which is ROADMAP item 4(b)'s follow-up; this test states the
-// wanted behaviour and skips, by name, while the hazard stands.
-func TestKnownHazardHeldReferenceSeesUpdate(t *testing.T) {
+// TestHeldReferenceExecutesOnLatestValues holds the registry to the
+// contract its godoc states: a reference is to the plan, not to a value
+// generation. One acquired under key K1 and still held when UpdateValues
+// swaps the same plan to K2 executes on K2's values from then on — only
+// executions already admitted finish on the old epoch (core's
+// TestUpdateValues* and the root churn audit hold that half) — and K1
+// stops being acquirable.
+func TestHeldReferenceExecutesOnLatestValues(t *testing.T) {
 	b := newModelBed(t)
 	reg := New(0)
 	defer reg.Close()
@@ -337,26 +337,28 @@ func TestKnownHazardHeldReferenceSeesUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Release(p1) //nolint:errcheck // release of a held plan
+	if got := b.valueSet(t, p1, 0); got != 0 {
+		t.Fatalf("before the update the held plan computes value set %d, want 0", got)
+	}
 	p2, updated, err := reg.UpdateValues(b.a[0][1], churnOptions())
 	if err != nil || !updated || p2 != p1 {
 		t.Fatalf("UpdateValues: in place %v, same plan %v, err %v", updated, p2 == p1, err)
 	}
 	defer reg.Release(p2) //nolint:errcheck // release of a held plan
-	switch b.valueSet(t, p1, 0) {
-	case 0:
-	case 1:
-		t.Skip("known hazard: a reference taken under K1 before an in-place update executes on K2's values (ROADMAP 4(b) follow-up)")
-	default:
-		t.Fatal("held reference computes neither value set")
+	if got := b.valueSet(t, p1, 0); got != 1 {
+		t.Fatalf("after the update the held plan computes value set %d, want 1 (the latest)", got)
+	}
+	if _, err := reg.AcquireKey(context.Background(), b.key[0][0]); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("the old key after the update: %v, want ErrNotCached", err)
 	}
 }
 
 // TestRegistryHistoryConcurrent runs the same operation mix from eight
 // goroutines (under -race in ci.sh). No model can say which interleaving
 // happened, so it checks invariants only: every plan handed out computes
-// one of its structure's two value sets and nothing else (which one is
-// the hazard above), no held plan is ever closed, every reference
-// releases, and the counters add up.
+// one of its structure's two value sets and nothing else (which one
+// depends on the updates that went by), no held plan is ever closed,
+// every reference releases, and the counters add up.
 func TestRegistryHistoryConcurrent(t *testing.T) {
 	b := newModelBed(t)
 	reg := New(modelCapacity)

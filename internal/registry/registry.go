@@ -183,7 +183,11 @@ func New(capacity int) *Registry {
 // one key coalesce onto a single build.
 //
 // The caller must not mutate a or close the returned plan while the
-// reference is held (Release, not Close, is the hand-back).
+// reference is held (Release, not Close, is the hand-back). The
+// reference is to the plan, not to a value generation: if UpdateValues
+// swaps this plan's values in place while it is held, executions started
+// afterwards run on the latest values; only executions already admitted
+// finish on the values they were admitted under.
 func (r *Registry) Acquire(a *sparse.CSR, opts ...core.Option) (*core.Plan, error) {
 	return r.AcquireCtx(context.Background(), a, opts...)
 }
@@ -201,40 +205,48 @@ func (r *Registry) AcquireCtx(ctx context.Context, a *sparse.CSR, opts ...core.O
 		ctx = context.Background()
 	}
 	opt := Canonicalize(core.BuildOptions(opts...))
-	// Validate before hashing so a malformed CSR fails fast with the
-	// same typed error NewPlan would return, instead of a bogus key.
 	if a == nil {
 		return nil, fmt.Errorf("registry: Acquire: nil matrix: %w", core.ErrInvalidMatrix)
 	}
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("registry: Acquire: %w: %v", core.ErrInvalidMatrix, err)
-	}
 	if err := ctx.Err(); err != nil {
+		// A malformed matrix outranks a canceled context, as it did when
+		// validation was a pass of its own ahead of this check.
+		if verr := a.Validate(); verr != nil {
+			return nil, fmt.Errorf("registry: Acquire: %w: %v", core.ErrInvalidMatrix, verr)
+		}
 		return nil, r.canceledErr("Acquire canceled", err)
 	}
-	structKey, key := timedDigests(ctx, a, opt)
+	// One pass validates and hashes, so a malformed CSR fails with the
+	// same typed error NewPlan would return instead of getting a key.
+	structKey, key, err := timedDigests(ctx, a, opt, true)
+	if err != nil {
+		return nil, fmt.Errorf("registry: Acquire: %w: %v", core.ErrInvalidMatrix, err)
+	}
 	return r.acquire(ctx, a, opt, structKey, key)
 }
 
-// timedDigests hashes a once — structure and values side by side — and
-// returns the structure digest with the plan key composed from both,
-// recording the pass as the request timeline's registry.fingerprint
-// phase. The structure digest also feeds the miss entry's
-// structure+options key and the tuner verdict caches, which are keyed
-// by structure alone so value updates and option changes reuse the same
-// tuning decision. opt must already be canonicalized.
-func timedDigests(ctx context.Context, a *sparse.CSR, opt core.Options) (structKey, key Key) {
+// timedDigests makes the one content pass over a (contentDigests; with
+// validate it is CSR.Validate too, and err its error) and returns the
+// structure digest with the plan key composed from it and the values
+// digest, recording the whole pass as the request timeline's
+// registry.fingerprint phase. The structure digest also feeds the miss
+// entry's structure+options key and the tuner verdict caches, which are
+// keyed by structure alone so value updates and option changes reuse the
+// same tuning decision. opt must already be canonicalized.
+func timedDigests(ctx context.Context, a *sparse.CSR, opt core.Options, validate bool) (structKey, key Key, err error) {
 	tl := events.TimelineFromContext(ctx)
 	var hashStart time.Time
 	if tl != nil {
 		hashStart = time.Now()
 	}
-	structKey, valKey := digests(a)
-	key = fingerprintWithParts(structKey, valKey, a, opt)
+	structKey, valKey, err := contentDigests(a, validate)
+	if err == nil {
+		key = fingerprintWithParts(structKey, valKey, a, opt)
+	}
 	if tl != nil {
 		tl.Phase("registry.fingerprint", hashStart, time.Now())
 	}
-	return structKey, key
+	return structKey, key, err
 }
 
 // canceledErr counts one abandoned call and wraps the context error.
@@ -253,7 +265,9 @@ func (r *Registry) canceledErr(what string, err error) error {
 // finished, successful build is a hit (counted in Stats.Hits); a key that
 // is absent, evicted, still building, failed, or re-keyed away by a
 // value update returns ErrNotCached, on which the caller falls back to
-// Acquire with the matrix.
+// Acquire with the matrix. As with Acquire, the reference follows the
+// plan through later in-place updates: it executes on the latest values,
+// not on the ones key named when it was taken.
 func (r *Registry) AcquireKey(ctx context.Context, key Key) (*core.Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()

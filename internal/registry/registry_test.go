@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -383,8 +384,19 @@ func TestRegistryRejectsBadMatrix(t *testing.T) {
 	if _, err := reg.Acquire(bad); !errors.Is(err, core.ErrInvalidMatrix) {
 		t.Errorf("short RowPtr: got %v, want ErrInvalidMatrix", err)
 	}
-	if s := reg.Stats(); s.Lookups() != 0 {
-		t.Errorf("rejected inputs counted as lookups: %+v", s)
+	// Column damage is found inside the content pass; the error is still
+	// CSR.Validate's, and still outranks an already canceled context.
+	desc := &sparse.CSR{Rows: 2, Cols: 3, RowPtr: []int64{0, 2, 3}, ColIdx: []int32{2, 1, 0}, Val: []float64{1, 2, 3}}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, ctx := range []context.Context{context.Background(), canceled} {
+		_, err := reg.AcquireCtx(ctx, desc)
+		if !errors.Is(err, core.ErrInvalidMatrix) || !strings.HasSuffix(err.Error(), desc.Validate().Error()) {
+			t.Errorf("descending columns (ctx err %v): got %v, want ErrInvalidMatrix: %v", ctx.Err(), err, desc.Validate())
+		}
+	}
+	if s := reg.Stats(); s.Lookups() != 0 || s.Canceled != 0 {
+		t.Errorf("rejected inputs counted as lookups or cancellations: %+v", s)
 	}
 }
 

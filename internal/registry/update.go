@@ -32,7 +32,11 @@ import (
 // reference and must pair it with Release.
 //
 // In-flight executions on the updated plan finish on the values they
-// were admitted under; see Plan.UpdateValues for the epoch model.
+// were admitted under; see Plan.UpdateValues for the epoch model. Every
+// other reference to that plan — taken by Acquire or AcquireKey before
+// the update and still held — executes on a's values from here on: an
+// in-place update moves the plan, and all its holders, to the latest
+// values.
 func (r *Registry) UpdateValues(a *sparse.CSR, opts ...core.Option) (*core.Plan, bool, error) {
 	return r.UpdateValuesCtx(context.Background(), a, opts...)
 }
@@ -58,14 +62,14 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 	if a == nil {
 		return nil, Key{}, false, fmt.Errorf("registry: UpdateValues: nil matrix: %w", core.ErrInvalidMatrix)
 	}
-	// No Validate pass before hashing: the in-place path proves the
-	// structure elementwise against the plan's validated original, and
-	// the Acquire fallback validates before it builds. Fingerprinting
-	// only hashes the arrays as given, so it is safe on arbitrary input.
+	// The hash-only content pass: the in-place path proves the structure
+	// elementwise against the plan's validated original, and the Acquire
+	// fallback validates before it builds. Hashing cuts the arrays by
+	// their lengths alone, so it is safe on arbitrary input.
 	if err := ctx.Err(); err != nil {
 		return nil, Key{}, false, fmt.Errorf("registry: UpdateValues canceled: %w", err)
 	}
-	s, newKey := timedDigests(ctx, a, opt)
+	s, newKey, _ := timedDigests(ctx, a, opt, false)
 	sKey := structOptKeyFromStruct(s, a, opt)
 	// viaAcquire is the way out when no in-place swap is needed or
 	// possible: the ordinary Acquire path — a hit, a coalesced wait or a

@@ -37,7 +37,11 @@ import (
 // the same options), it swaps the plan's value epoch in place and
 // re-keys the entry to the new content fingerprint — no preprocessing,
 // no re-tuning — falling back to an ordinary Acquire build otherwise.
-// See the package documentation's "Mutable matrices" section.
+// A reference is to the plan, not to a value generation: one held
+// across an in-place update executes on the latest values afterwards
+// (only executions already admitted finish on the values they were
+// admitted under). See the package documentation's "Mutable matrices"
+// section.
 //
 // AcquireKey is the handle form of Acquire: a caller that kept the
 // PlanKey of a matrix it has not mutated since (PlanFingerprint's
