@@ -188,14 +188,20 @@ func BenchmarkPlanBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkNewPlan measures the full preprocessing pipeline (RCM,
-// block graph + coloring, permutation apply, L+D+U split) serial and
-// at 8 threads; sub-benchmark names are stable for benchstat across
-// commits.
+// BenchmarkNewPlan measures the forward-backward plan build on pwtk at
+// -sweep-scale: serial (the L+D+U split alone) and at 2 threads (ABMC
+// block graph + coloring, then the fused permute-and-split) — the host
+// has two cores. Sub-benchmark names are stable across commits; compare
+// two commits by alternating built test binaries.
 func BenchmarkNewPlan(b *testing.B) {
-	a := coreBenchMatrix(b)
-	for _, threads := range []int{1, 8} {
+	spec, err := matgen.ByName("pwtk")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := spec.Generate(*sweepScale, 1)
+	for _, threads := range []int{1, 2} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			b.SetBytes(12 * a.NNZ())
 			for i := 0; i < b.N; i++ {
 				p, err := NewPlan(a, DefaultOptions(threads))
 				if err != nil {
@@ -207,7 +213,7 @@ func BenchmarkNewPlan(b *testing.B) {
 	}
 }
 
-var sweepScale = flag.Float64("sweep-scale", 0.05, "pwtk scale of BenchmarkSweep; 8 is the benchmark's out-of-cache bed (1.1 GB)")
+var sweepScale = flag.Float64("sweep-scale", 0.05, "pwtk scale of BenchmarkSweep and BenchmarkNewPlan; 8 is the benchmark's out-of-cache bed (1.1 GB), 0.2 its plan-churn bed")
 
 // BenchmarkSweep answers "bandwidth-bound or not" without the repo
 // benchmark: one pipelined forward sweep, one pipelined backward sweep

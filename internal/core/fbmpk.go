@@ -399,9 +399,9 @@ func FBMPKSerialMulti(tri *sparse.Triangular, xs [][]float64, k int, btb bool, c
 // fbEngine is the forward-backward engine of a plan: the color schedule
 // over the plan's pool (or the serial one), the layout, the triangle
 // sizes its traffic accounting needs, and the row pointer of the
-// execution-order matrix the split was taken from — all a value update
-// needs to deal fresh values into L, D and U (the matrix itself, a
-// permuted copy when the plan reordered, is let go after the split).
+// execution-order matrix the split is of — all a value update needs to
+// deal fresh values into L, D and U (that matrix itself is never built
+// when the plan reordered).
 type fbEngine struct {
 	sch              *colorSchedule
 	btb              bool
@@ -409,11 +409,21 @@ type fbEngine struct {
 	rowPtr           []int64
 }
 
-// newFBEngine splits the execution-order matrix ea (on runner) and
-// schedules the sweeps: over ord's colors on pool, or serially.
-func newFBEngine(ea *sparse.CSR, ord *reorder.ABMCResult, btb bool, pool *parallel.Pool, runner sparse.Runner, stats *PlanStats) (*fbEngine, *sparse.Triangular, error) {
+// splitOrdered returns the L+D+U split of a in ord's ordering (a's own
+// when ord is nil), on r, and the row pointer of a in that ordering.
+func splitOrdered(a *sparse.CSR, ord *reorder.ABMCResult, r sparse.Runner) (*sparse.Triangular, []int64, error) {
+	if ord != nil {
+		return ord.Perm.SplitSym(a, r)
+	}
+	tri, err := sparse.SplitPool(a, r)
+	return tri, a.RowPtr, err
+}
+
+// newFBEngine splits a in ord's ordering (on runner) and schedules the
+// sweeps: over ord's colors on pool, or serially.
+func newFBEngine(a *sparse.CSR, ord *reorder.ABMCResult, btb bool, pool *parallel.Pool, runner sparse.Runner, stats *PlanStats) (*fbEngine, *sparse.Triangular, error) {
 	start := time.Now()
-	tri, err := sparse.SplitPool(ea, runner)
+	tri, rowPtr, err := splitOrdered(a, ord, runner)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -422,9 +432,9 @@ func newFBEngine(ea *sparse.CSR, ord *reorder.ABMCResult, btb bool, pool *parall
 	if err != nil {
 		return nil, nil, err
 	}
-	e := &fbEngine{sch: sch, btb: btb, nnzL: uint64(len(tri.L.Val)), nnzU: uint64(len(tri.U.Val)), rowPtr: ea.RowPtr}
+	e := &fbEngine{sch: sch, btb: btb, nnzL: uint64(len(tri.L.Val)), nnzU: uint64(len(tri.U.Val)), rowPtr: rowPtr}
 	// nnzD counts explicitly stored diagonal entries.
-	e.nnzD = uint64(len(ea.Val)) - e.nnzL - e.nnzU
+	e.nnzD = uint64(len(a.Val)) - e.nnzL - e.nnzU
 	return e, tri, nil
 }
 

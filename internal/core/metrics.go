@@ -202,7 +202,9 @@ type BuildBreakdown struct {
 	Parallel bool          `json:"parallel"`
 }
 
-// buildBreakdown renders PlanStats into the snapshot form.
+// buildBreakdown renders PlanStats into the snapshot form. A fused
+// permute-and-split build reports its one pass as Split and no Perm
+// (see PlanStats).
 func buildBreakdown(s PlanStats) BuildBreakdown {
 	return BuildBreakdown{
 		Total:    s.BuildTime,

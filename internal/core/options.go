@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fbmpk/internal/reorder"
+	"fbmpk/internal/sparse"
 )
 
 // Engine selects the MPK computation pipeline.
@@ -97,6 +98,9 @@ type Options struct {
 	// derived state, excluded from fingerprints and canonicalization.
 	tuned       *TuneDecision
 	tunedEngine *EngineDecision
+	// validated is the matrix the registry has already proven
+	// well-formed (WithValidated); derived state like the two above.
+	validated *sparse.CSR
 }
 
 // DefaultOptions returns the configuration the paper evaluates as
@@ -255,6 +259,16 @@ func WithLevelBlockBytes(b int) Option {
 // for every other configuration.
 func WithTunedDecision(d TuneDecision) Option {
 	return optionFunc(func(o *Options) { o.tuned = &d })
+}
+
+// WithValidated vouches that a passes a.Validate() as it stands, so a
+// NewPlan of that very matrix does not prove it again: the registry's
+// content pass checks every CSR invariant while it hashes, and a second
+// pass is most of a tenth of a cold build. A plan for any other matrix
+// validates as ever. Like the tuner verdicts this is derived state —
+// outside fingerprints, canonicalization and the root package.
+func WithValidated(a *sparse.CSR) Option {
+	return optionFunc(func(o *Options) { o.validated = a })
 }
 
 // WithEngineDecision is WithTunedDecision for the EngineAuto

@@ -121,56 +121,3 @@ func newColorSchedule(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *par
 	s.dense = parallel.PartitionRows(n, w, func(int) int64 { return 1 })
 	return s, nil
 }
-
-// FBParallel executes the forward-backward pipeline in parallel over
-// an ABMC-ordered matrix: the standalone form of the parallel FB engine
-// used by tests and tools. The pool is borrowed, not owned.
-type FBParallel struct {
-	tri *sparse.Triangular
-	sch *colorSchedule
-}
-
-// NewFBParallel prepares a parallel FBMPK executor. tri must be the
-// split of the ABMC-permuted matrix; ord the ordering that produced it.
-func NewFBParallel(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parallel.Pool) (*FBParallel, error) {
-	sch, err := newColorSchedule(tri, ord, pool)
-	if err != nil {
-		return nil, err
-	}
-	return &FBParallel{tri: tri, sch: sch}, nil
-}
-
-// Run computes A^k x0 (x0 and the result in the PERMUTED numbering).
-// btb selects the interleaved layout; coeffs (nil or length k+1)
-// additionally accumulates the SSpMV combination.
-func (f *FBParallel) Run(x0 []float64, k int, btb bool, coeffs []float64) (xk, combo []float64, err error) {
-	return f.RunCapture(x0, k, btb, coeffs, nil)
-}
-
-// RunCapture is Run with an iterate observer: onIterate fires after
-// every completed power, on worker 0 (see fbState.work).
-func (f *FBParallel) RunCapture(x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
-	return fbPowers(f.sch, new(fbState), nil, f.tri, x0, k, btb, coeffs, onIterate)
-}
-
-// FBParallelMulti is FBParallel for a block of right-hand sides: same
-// schedule, every slot m stripes wide.
-type FBParallelMulti struct {
-	fb *FBParallel
-}
-
-// NewFBParallelMulti wraps a prepared FBParallel for batched execution.
-func NewFBParallelMulti(fb *FBParallel) *FBParallelMulti {
-	return &FBParallelMulti{fb: fb}
-}
-
-// Run computes A^k x_j for every vector in xs (all in the PERMUTED
-// numbering) with one batched pipeline pass. btb selects the
-// interleaved stripe layout; coeffs (nil or length k+1) additionally
-// accumulates the SSpMV combination for every vector.
-func (f *FBParallelMulti) Run(xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
-	return fbPowersMulti(f.fb.sch, new(fbState), nil, f.fb.tri, xs, k, btb, coeffs)
-}
-
-// Workers returns the worker count of the underlying executor's pool.
-func (f *FBParallelMulti) Workers() int { return f.fb.sch.team.workers() }

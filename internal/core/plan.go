@@ -136,14 +136,17 @@ type planEpoch struct {
 // stages (block-graph discovery, permutation apply, L+D+U split) run
 // row-parallel on the plan's worker pool; the greedy coloring stays
 // serial, because a deterministic visit order is what keeps cached and
-// fresh plans bitwise identical.
+// fresh plans bitwise identical. A forward-backward plan on an ABMC
+// ordering permutes and splits in one pass (reorder.Perm.SplitSym):
+// the whole pass is SplitTime, PermTime stays zero, and ReorderTime is
+// the ordering alone.
 type PlanStats struct {
 	BuildTime   time.Duration // total NewPlan wall time
 	ReorderTime time.Duration // reordering total: ABMC graph + color + apply, or level schedule + apply
 	GraphTime   time.Duration // ABMC block-graph discovery (parallel), or the level schedule: BFS + block grouping (serial)
 	ColorTime   time.Duration // greedy coloring (serial by design)
-	PermTime    time.Duration // symmetric permutation apply (parallel)
-	SplitTime   time.Duration // A = L + D + U (parallel)
+	PermTime    time.Duration // symmetric permutation apply (parallel); zero when fused into the split
+	SplitTime   time.Duration // A = L + D + U (parallel), permutation included when fused
 	NumColors   int           // 0 when no ABMC was applied
 	NumBlocks   int           // ABMC blocks, or level blocks for the level-blocked engine
 	NumLevels   int           // BFS levels of the level-blocked schedule (0 otherwise)
@@ -187,8 +190,10 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	if a == nil {
 		return nil, fmt.Errorf("core: NewPlan: nil matrix: %w", ErrInvalidMatrix)
 	}
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("core: NewPlan: %w: %v", ErrInvalidMatrix, err)
+	if opt.validated != a {
+		if err := a.Validate(); err != nil {
+			return nil, fmt.Errorf("core: NewPlan: %w: %v", ErrInvalidMatrix, err)
+		}
 	}
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("core: NewPlan: %w", sparse.ErrNotSquare)
@@ -237,22 +242,19 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		return nil, err
 	}
 
-	// ea is the matrix in execution order (a itself unless a reorder
-	// applies). Only the engine's own container outlives the build: the
-	// forward-backward engine splits ea and lets a permuted copy go, the
-	// other two wrap it.
-	ea := a
 	if opt.needABMC(p.eng) {
-		b, err := p.reorderABMC(a, opt, runner)
-		if err != nil {
+		if err := p.orderABMC(a, opt, runner); err != nil {
 			return fail(err)
 		}
-		ea = b
 	}
+	// ea is the matrix in execution order, for the two engines that wrap
+	// it. The forward-backward engine never holds one: it splits a
+	// straight into its ordering.
+	ea := a
 	ep := &planEpoch{}
 	switch p.eng {
 	case EngineForwardBackward:
-		e, tri, err := newFBEngine(ea, p.ord, opt.BtB, p.pool, runner, &p.stats)
+		e, tri, err := newFBEngine(a, p.ord, opt.BtB, p.pool, runner, &p.stats)
 		if err != nil {
 			return fail(err)
 		}
@@ -266,6 +268,16 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		p.engine, p.perm, ea, ep.a = e, e.ls.perm, b, b
 		p.stats.Backend = BackendCSR.String()
 	default:
+		if p.ord != nil {
+			start := time.Now()
+			b, err := p.perm.ApplySymPool(a, runner)
+			if err != nil {
+				return fail(err)
+			}
+			p.stats.PermTime = time.Since(start)
+			p.stats.ReorderTime += p.stats.PermTime
+			ea = b
+		}
 		// The backend resolves after reordering so the autotuner samples
 		// (and the format conversion covers) the execution-order matrix.
 		be, err := p.initBackend(opt, ea)
@@ -285,7 +297,16 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	}
 	p.gate = parallel.NewGate(capacity)
 	if opt.SelfCheck {
-		if err := p.audit(ea, ep.tri); err != nil {
+		var err error
+		if ep.tri != nil && p.ord != nil {
+			// The fused build held no permuted matrix to audit its split
+			// against; this is the option's one extra pass.
+			ea, err = p.perm.ApplySym(a)
+		}
+		if err == nil {
+			err = p.audit(ea, ep.tri)
+		}
+		if err != nil {
 			p.Close()
 			return nil, err
 		}
@@ -294,20 +315,15 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	return p, nil
 }
 
-// reorderABMC applies the ABMC ordering to a, records it as the plan's
-// permutation, and returns the permuted matrix.
-func (p *Plan) reorderABMC(a *sparse.CSR, opt Options, runner sparse.Runner) (*sparse.CSR, error) {
+// orderABMC computes the ABMC ordering of a and records it as the
+// plan's permutation. Applying it is the engine's business: fused into
+// the split (forward-backward) or a permuted copy (standard).
+func (p *Plan) orderABMC(a *sparse.CSR, opt Options, runner sparse.Runner) error {
 	start := time.Now()
 	ord, err := reorder.ABMC(a, reorder.ABMCOptions{NumBlocks: opt.NumBlocks, Pool: runner})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	permStart := time.Now()
-	b, err := ord.Perm.ApplySymPool(a, runner)
-	if err != nil {
-		return nil, err
-	}
-	p.stats.PermTime = time.Since(permStart)
 	p.stats.ReorderTime = time.Since(start)
 	p.stats.GraphTime = ord.GraphTime
 	p.stats.ColorTime = ord.ColorTime
@@ -315,11 +331,11 @@ func (p *Plan) reorderABMC(a *sparse.CSR, opt Options, runner sparse.Runner) (*s
 	p.stats.NumBlocks = ord.NumBlocks()
 	p.ord = ord
 	p.perm = ord.Perm
-	return b, nil
+	return nil
 }
 
 // audit runs the internal/check invariant validators over the plan's
-// preprocessing products.
+// preprocessing products; a is the matrix in execution order.
 func (p *Plan) audit(a *sparse.CSR, tri *sparse.Triangular) error {
 	if err := check.CSR(a); err != nil {
 		return err

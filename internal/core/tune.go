@@ -489,7 +489,7 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 	var pool *parallel.Pool
 	var runner sparse.Runner
 	var ord *reorder.ABMCResult
-	fa, xf := a, x
+	xf := x
 	if threads > 0 {
 		pool = parallel.NewPoolNamed(threads, "tune")
 		defer pool.Close()
@@ -497,13 +497,10 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 		if ord, err = reorder.ABMC(a, reorder.ABMCOptions{Pool: pool}); err != nil {
 			return nil, err
 		}
-		if fa, err = ord.Perm.ApplySymPool(a, pool); err != nil {
-			return nil, err
-		}
 		xf = make([]float64, a.Rows)
 		ord.Perm.ApplyVec(x, xf)
 	}
-	tri, err := sparse.SplitPool(fa, runner)
+	tri, _, err := splitOrdered(a, ord, runner)
 	if err != nil {
 		return nil, err
 	}

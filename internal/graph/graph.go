@@ -8,7 +8,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fbmpk/internal/sparse"
 )
@@ -90,7 +90,7 @@ func BlockGraphPool(a *sparse.CSR, blockPtr []int32, r sparse.Runner) (*Adj, err
 					}
 				}
 			}
-			sort.Slice(list, func(x, y int) bool { return list[x] < list[y] })
+			slices.Sort(list)
 			outs[b] = list
 		}
 	})

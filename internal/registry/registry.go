@@ -350,7 +350,8 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	r.entries[key] = e
 	r.structIdx[e.sKey] = key
 	r.misses++
-	buildOpts := []core.Option{opt}
+	// Every caller validated a on the way here, so the build need not.
+	buildOpts := []core.Option{opt, core.WithValidated(a)}
 	// opt is canonical, so BackendAuto means a standard-engine plan and
 	// the two cases exclude each other. An engine verdict is only
 	// replayed at the thread count it was measured at; any other counts

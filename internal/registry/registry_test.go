@@ -395,6 +395,12 @@ func TestRegistryRejectsBadMatrix(t *testing.T) {
 			t.Errorf("descending columns (ctx err %v): got %v, want ErrInvalidMatrix: %v", ctx.Err(), err, desc.Validate())
 		}
 	}
+	// The other road into a build — UpdateValues with nothing to update —
+	// vouches for the matrix to NewPlan as Acquire does, so it must have
+	// validated it first, with the same error.
+	if _, _, err := reg.UpdateValues(desc); !errors.Is(err, core.ErrInvalidMatrix) || !strings.HasSuffix(err.Error(), desc.Validate().Error()) {
+		t.Errorf("UpdateValues of descending columns: got %v, want ErrInvalidMatrix: %v", err, desc.Validate())
+	}
 	if s := reg.Stats(); s.Lookups() != 0 || s.Canceled != 0 {
 		t.Errorf("rejected inputs counted as lookups or cancellations: %+v", s)
 	}

@@ -15,7 +15,8 @@ import (
 
 // The symmetric permutation as it was first written — gather each row
 // into (column, value) pairs, stable insertion sort by column — kept as
-// the oracle the packed-key routine is held to, bit for bit.
+// the oracle the run-based routines (ApplySymPool, ValueMap, and
+// SplitSym through sparse.Split of it) are held to, bit for bit.
 
 func applySymOracle(p Perm, a *sparse.CSR) *sparse.CSR {
 	inv := p.Inverse()
@@ -119,18 +120,42 @@ func sameCSR(x, y *sparse.CSR) bool {
 		slices.Equal(x.ColIdx, y.ColIdx) && slices.Equal(x.Val, y.Val)
 }
 
-// checkApplySym holds ApplySymPool (1 and 4 workers) and ValueMap to
-// the oracles on one matrix and permutation.
-func checkApplySym(t *testing.T, pool *parallel.Pool, a *sparse.CSR, p Perm) {
+func sameSplit(x, y *sparse.Triangular) bool {
+	return x.N == y.N && sameCSR(x.L, y.L) && sameCSR(x.U, y.U) && slices.Equal(x.D, y.D)
+}
+
+// checkApplySym holds ApplySymPool, SplitSym (each serial and on every
+// pool) and ValueMap to the oracles on one matrix and permutation:
+// the permuted matrix bit for bit, its sparse.Split bit for bit.
+func checkApplySym(t *testing.T, pools []*parallel.Pool, a *sparse.CSR, p Perm) {
 	t.Helper()
 	want := applySymOracle(p, a)
-	for _, r := range []sparse.Runner{nil, pool} {
+	wantTri, err := sparse.Split(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := []sparse.Runner{nil}
+	for _, pool := range pools {
+		runners = append(runners, pool)
+	}
+	for _, r := range runners {
+		workers := 1
+		if r != nil {
+			workers = r.Workers()
+		}
 		got, err := p.ApplySymPool(a, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameCSR(got, want) {
-			t.Fatalf("ApplySymPool (pooled=%v) differs from the insertion-sort oracle, n=%d nnz=%d", r != nil, a.Rows, a.NNZ())
+			t.Fatalf("ApplySymPool (%d workers) differs from the insertion-sort oracle, n=%d nnz=%d", workers, a.Rows, a.NNZ())
+		}
+		tri, rowPtr, err := p.SplitSym(a, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSplit(tri, wantTri) || !slices.Equal(rowPtr, want.RowPtr) {
+			t.Fatalf("SplitSym (%d workers) differs from Split of the oracle, n=%d nnz=%d", workers, a.Rows, a.NNZ())
 		}
 	}
 	m, err := p.ValueMap(a)
@@ -148,12 +173,119 @@ func checkApplySym(t *testing.T, pool *parallel.Pool, a *sparse.CSR, p Perm) {
 	}
 }
 
+// testPools are the worker counts the bitwise suites run beside the
+// serial path: the host's two, and one that does not divide evenly.
+func testPools(tb testing.TB) []*parallel.Pool {
+	pools := []*parallel.Pool{parallel.NewPool(2), parallel.NewPool(3)}
+	tb.Cleanup(func() {
+		for _, pool := range pools {
+			pool.Close()
+		}
+	})
+	return pools
+}
+
+// blockShuffle moves whole blocks of width rows, every third block
+// staying where it is: the shape of an ABMC ordering with its hazard
+// made common — blocks with the same shift and others landing between
+// them, so sorted runs overlap and rows take the per-entry fallback.
+func blockShuffle(rng *rand.Rand, n, width int) Perm {
+	nb := (n + width - 1) / width
+	order := make([]int, 0, nb)
+	var moving []int
+	for b := 0; b < nb; b++ {
+		order = append(order, b)
+		// Only full-width blocks trade places, so the others keep their
+		// offsets.
+		if b%3 != 0 && (b+1)*width <= n {
+			moving = append(moving, b)
+		}
+	}
+	rng.Shuffle(len(moving), func(i, j int) {
+		order[moving[i]], order[moving[j]] = order[moving[j]], order[moving[i]]
+	})
+	p := make(Perm, 0, n)
+	for _, b := range order {
+		for i := b * width; i < min((b+1)*width, n); i++ {
+			p = append(p, int32(i))
+		}
+	}
+	return p
+}
+
+// TestPermutedRowsKinds runs every shape of permutation the run
+// decomposition distinguishes — one run a row (identity), runs in
+// reverse (reversal), a few block segments (ABMC), scattered columns
+// (BFS levels, a random shuffle, an even/odd de-interleave) and block
+// segments that overlap once sorted (blockShuffle) — over patterns with
+// empty rows, rows without a diagonal and the degenerate orders 0 and 1.
+func TestPermutedRowsKinds(t *testing.T) {
+	pools := testPools(t)
+	rng := rand.New(rand.NewSource(26))
+	for _, a := range []*sparse.CSR{
+		randomPattern(rng, 0, 3), randomPattern(rng, 1, 3), randomSym(rng, 1, 0),
+		randomPattern(rng, 97, 9), randomPattern(rng, 400, 30), randomSym(rng, 333, 5), tridiag(64),
+	} {
+		n := a.Rows
+		abmc, err := ABMC(a, ABMCOptions{NumBlocks: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversal, shuffled, deinterleave := Identity(n), Identity(n), make(Perm, 0, n)
+		slices.Reverse(reversal)
+		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for parity := 0; parity < 2; parity++ {
+			for i := parity; i < n; i += 2 {
+				deinterleave = append(deinterleave, int32(i))
+			}
+		}
+		for name, p := range map[string]Perm{
+			"identity": Identity(n), "reversal": reversal, "abmc": abmc.Perm, "level": levelPerm(t, a),
+			"shuffle": shuffled, "deinterleave": deinterleave, "blocks": blockShuffle(rng, n, 4),
+		} {
+			if err := p.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			t.Run(name, func(t *testing.T) { checkApplySym(t, pools, a, p) })
+		}
+	}
+}
+
+// TestPermutedRowsOverlapFallback pins the one case sorted run heads do
+// not settle: rows 4 and 11 trade places, so in row 0 the eight columns
+// that stay are one run over new columns 0..9 and column 11 lands on 4,
+// inside it. The row must come out entry by entry, in order.
+func TestPermutedRowsOverlapFallback(t *testing.T) {
+	coo := sparse.NewCOO(12, 12, 9)
+	for _, c := range []int{0, 1, 2, 3, 6, 7, 8, 9, 11} {
+		coo.Add(0, c, float64(c+1))
+	}
+	a := coo.ToCSR()
+	p := Identity(12)
+	p[4], p[11] = 11, 4
+	var newCols []int32
+	p.permutedRows(a, p.Inverse(), nil, func(i int, _ int64, heads []uint64, starts []int32) {
+		if i != 0 {
+			return
+		}
+		if starts != nil {
+			t.Errorf("row 0 came out as %d runs, want entry by entry", len(heads))
+		}
+		for _, h := range heads {
+			newCols = append(newCols, int32(h>>32))
+		}
+	})
+	if !slices.Equal(newCols, []int32{0, 1, 2, 3, 4, 6, 7, 8, 9}) {
+		t.Errorf("row 0 new columns %v, want 0..4, 6..9", newCols)
+	}
+	checkApplySym(t, nil, a, p)
+}
+
 func FuzzApplySym(f *testing.F) {
 	for _, s := range [][3]uint64{{1, 0, 3}, {2, 1, 3}, {3, 17, 4}, {4, 60, 9}, {5, 200, 30}} {
 		f.Add(s[0], uint16(s[1]), uint8(s[2]))
 	}
-	pool := parallel.NewPool(4)
-	f.Cleanup(pool.Close)
+	pools := testPools(f)
 	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16, perRow uint8) {
 		n := int(n16 % 300)
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -168,8 +300,26 @@ func FuzzApplySym(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, p := range []Perm{Identity(n), random, abmc.Perm, levelPerm(t, a)} {
-			checkApplySym(t, pool, a, p)
+			checkApplySym(t, pools, a, p)
 		}
+	})
+}
+
+// FuzzPermutedRows aims at the run decomposition itself: a random
+// pattern under a seeded shuffle of row blocks whose width the fuzzer
+// picks, from single rows (every entry its own run) to a few wide
+// blocks (long runs, overlaps when same-shift blocks straddle a moved
+// one).
+func FuzzPermutedRows(f *testing.F) {
+	for _, s := range [][4]uint64{{1, 0, 3, 1}, {2, 1, 3, 2}, {3, 40, 12, 4}, {4, 150, 30, 7}, {5, 290, 6, 64}} {
+		f.Add(s[0], uint16(s[1]), uint8(s[2]), uint8(s[3]))
+	}
+	pools := testPools(f)
+	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16, perRow, width uint8) {
+		n := int(n16 % 300)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		a := randomPattern(rng, n, int(perRow%40))
+		checkApplySym(t, pools, a, blockShuffle(rng, n, 1+int(width)))
 	})
 }
 
