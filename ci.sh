@@ -1,11 +1,11 @@
 #!/bin/sh
-# Repo verification: vet, build, full test suite, a short -race pass
-# over the concurrent engines (worker pool, barrier, parallel FBMPK and
-# its batched multi-RHS executor, plus the root differential sweeps),
-# and a fuzz smoke stage that gives every fuzz target a short random
-# exploration budget (-fuzz runs one target per invocation, hence one
-# line per target; seed corpora under testdata/fuzz/ already ran as
-# plain tests in the suite above).
+# Repo verification: vet, build, the full test suite, the size and
+# bounds-check ratchets, every test of the six packages that run
+# concurrent code once more under -race (timed), the printed gauges, two
+# live daemons, and a fuzz smoke stage that gives every fuzz target a
+# short random exploration budget (-fuzz runs one target per invocation;
+# seed corpora under testdata/fuzz/ already ran as plain tests in the
+# suite above).
 set -eux
 
 go vet ./...
@@ -17,29 +17,13 @@ go build ./...
 GOOS=linux GOARCH=arm64 go build ./...
 GOOS=linux GOARCH=arm64 go vet ./internal/sparse ./internal/core
 go test ./...
-# Size ratchets (ROADMAP item 2): non-test lines only go down; a PR
-# that shrinks them lowers the limit to its own count. One for the
-# kernels (internal/core + internal/sparse), one for everything outside
-# benchmark/. Hand-written assembly counts like Go. PR 20 raised both
-# once, on purpose (6,467 and 17,327 before it): the packed m = 4 row
-# primitives, priced in CHANGES.md against what they bought. PR 21
-# raised the second once more (17,593 before it): the one-pass request
-# codec and acquire-by-key, less the expvar publication code, priced
-# the same way. PR 22 lowered both (6,733 and 17,992 before it); PR 24
-# lowered both again (6,500 and 17,679 before it): the level-blocked steps' private
-# kernel, ValueMap's second gather-and-sort and FromCSRPattern's double
-# merge paid for the pattern-only transpose. PR 25 raised the second
-# once (17,641 before it, +141): internal/registry/fingerprint.go 213 ->
-# 332 — the content pass (leaf dealing, the fused RowPtr/ColIdx checks,
-# the big-endian staging encoder) less the two streaming encoders,
-# fingerprintBufLen and structOptKey — and 22 lines of godoc for the
-# held-reference contract and the canceled-context path; priced in
-# CHANGES.md against acquire_exec_ms 33.4 -> 22.6 ms on plan-churn. The
-# core + sparse ratchet did not move. PR 26 lowered both (6,496 and
-# 17,782 before it): the fused permute-and-split (internal/reorder/perm.go
-# 179 -> 322) and NewPlan's share of it (+39 in core) were paid for by
-# cmd/mpk (145) and the FBParallel/FBParallelMulti wrappers, which only
-# core's own tests called and which now live in parallel_test.go (52).
+# Size ratchets (ROADMAP item 2): non-test lines, hand-written assembly
+# counted like Go, only go down — a PR that shrinks them lowers the limit
+# to its own count, one that must raise one prices the rise in CHANGES.md
+# (which has the history). The first measures the kernels (internal/core
+# + internal/sparse): the FB sweeps exist in near-copies, and this is
+# where a new one would land. The second measures everything outside
+# benchmark/: what a reader has to hold to change the system.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
 [ "$lines" -le 6482 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
@@ -68,76 +52,39 @@ awk '
   /fbsweeps\.go:[0-9]+:[0-9]+: Found IsInBounds/ { split($0, f, ":"); if (f[2] in win) checks++ }
   END { printf "fbsweeps.go scalar sweeps: %d IsInBounds for %d unrolled nonzeros\n", checks, nnz; exit !(nnz > 0 && checks <= nnz) }
 ' internal/core/fbsweeps.go /tmp/fbmpk_ci_bce.txt
-go test -race ./internal/parallel/ -count 1
-go test -race ./internal/core/ -run 'Parallel|Multi' -count 1
-# TestGoldenBits rides along: result bits of every entry point, engine
-# and worker count against recorded digests — the FB ones from PR 16,
-# when the sweeps re-associated their sums (split accumulators, entries
-# of the backward sweep walked downward), the level-blocked ones from
-# PR 24, when its steps took the shared four-accumulator SpMV kernel.
-# What licensed moving them is the derived bound gamma_{k(r+2)} *
-# |A|^k|x| that internal/core TestDerivedErrorBound holds every engine
-# and kernel variant to against math/big.
-go test -race -run 'Differential|TestGoldenBits' -count 1 .
-# Level-blocked engine: the dedicated differential battery (serial vs
-# parallel bitwise, vs standard and ABMC-FB within tolerance, degenerate
-# level shapes) and the engine-verdict registry replay, under -race.
-go test -race -run 'TestDifferentialLevelBlocked|TestLevelBlockedDegenerate|TestRegistryEngineVerdict|TestRegistryForcedEngine' -count 1 .
-# Its build primitives against the formulations they replaced (kept as
-# test-only oracles): BFS levels vs the merged-adjacency BFS over a value
-# transpose; the run-based symmetric permutation, ValueMap and the fused
-# permute-and-split (SplitSym) vs gather + insertion sort, and
-# sparse.Split of it, serial and at 2 and 3 workers (the permutation
-# kinds of TestPermutedRowsKinds, FuzzApplySym's and FuzzPermutedRows'
-# seeds); and the allocation guards that trip if a value transpose, a
-# second full-size copy or the FB build's permuted copy comes back. Then
-# what the two cost, printed, not gated (-build-scale=8 is the
-# benchmark's 1.1 GB bed).
-go test -race ./internal/core/ -run 'TestBFSLevels|TestFBPlanBuildAllocation|TestSelfCheckAuditsFusedSplit' -count 1
-go test -race ./internal/reorder/ -run 'ApplySym|PermutedRows' -count 1
-go test ./internal/core -run '^$' -bench 'BFSLevels' -benchtime 5x
-go test ./internal/reorder -run '^$' -bench 'ApplySym' -benchtime 5x
-# Forced-backend differential sweep (SELL-C-sigma, BSR, auto, and the
-# two replayed-verdict configurations) across the standard engine's
-# serial/parallel/multi-RHS paths under -race: every backend must agree
-# with CSR bitwise-modulo-summation-order (<= 1e-12). The FB rows no
-# longer ride a backend — an FB plan builds none — and instead hold the
-# option to changing nothing, bitwise.
-go test -race -run 'TestBackendDifferential' -count 1 .
-# Concurrent-serving contract: shared plan under >= 8 goroutines,
-# cancellation, graceful close, metrics accounting (bounded iterations).
-go test -race -run 'TestConcurrent|TestPlan(Cancellation|Close|Metrics)' -count 1 .
-# Trace capture under the same concurrent-serving stress (well-nested
-# spans per lane, bounded rings, debug HTTP surface).
-go test -race -run 'TestTrace|TestDebugHandler' -count 1 .
-
-# Plan registry: fingerprint determinism, singleflight coalescing, and
-# a bounded -race churn pass (12 goroutines + evictor against a 3-entry
-# LRU over 6 matrices) plus cached-vs-fresh bitwise determinism across
-# every public entry point and double-Close/Close-in-flight regression;
-# the history model (random Acquire / AcquireKey / UpdateValues / Release
-# / Close sequences in lockstep with a map-backed reference) and its
-# eight-goroutine invariants-only variant run here under -race too.
-go test -race ./internal/registry/ -count 1
-# The content pass (one read of the matrix per registry call: validation
-# fused into a tree of SHA-256 leaves dealt to GOMAXPROCS workers) must
-# key identically with one worker — the -race line above runs it with
-# this host's count and TestFingerprintWorkerIndependence with 1, 2 and
-# 8 — and its big-endian staging encoder must at least compile. Then
-# what it costs on the plan-churn bed in MB/s, one and two workers,
-# beside CSR.Validate and a bare sha256.Sum256 (printed, not gated).
+# Race detector: every test of the six packages that run concurrent code
+# (worker pool and barrier; the engines, their batched executors, Close
+# and UpdateValues; the conformance table — every engine x option x entry
+# point, see DESIGN.md section 5 — with the concurrent-serving, trace and
+# update-churn suites; the registry's churn and history model; the daemon;
+# the pooled permutation builders). No -run filters: a new test is
+# race-checked because it exists. The m = 4 row primitives are their Go
+# forms here (rowacc_noasm.go), TestGoldenBits included, so both forms
+# are held to the same digests.
+race_start=$(date +%s)
+go test -race -count 1 .
+go test -race -count 1 ./internal/core
+go test -race -count 1 ./internal/registry
+go test -race -count 1 ./internal/serve
+go test -race -count 1 ./internal/reorder
+go test -race -count 1 ./internal/parallel
+echo "race section: $(($(date +%s) - race_start)) s"
+# The registry's content pass (one read of the matrix per call:
+# validation fused into a tree of SHA-256 leaves dealt to GOMAXPROCS
+# workers) must key identically with one worker — the -race line above
+# runs it with this host's count and TestFingerprintWorkerIndependence
+# with 1, 2 and 8 — and its big-endian staging encoder must at least
+# compile.
 GOMAXPROCS=1 go test -run 'Fingerprint' ./internal/registry/ -count 1
 GOOS=linux GOARCH=s390x go build ./internal/registry/
+# What the build primitives and the content pass cost, printed, not
+# gated: BFS levels and the run-based symmetric permutation against the
+# formulations they replaced (-build-scale=8 is the benchmark's 1.1 GB
+# bed), the content pass in MB/s on the plan-churn bed beside
+# CSR.Validate and a bare sha256.Sum256.
+go test ./internal/core -run '^$' -bench 'BFSLevels' -benchtime 5x
+go test ./internal/reorder -run '^$' -bench 'ApplySym' -benchtime 5x
 go test ./internal/registry -run '^$' -bench 'Fingerprint' -cpu 1,2 -benchtime 5x
-go test -race -run 'TestRegistryCachedVsFresh|TestRegistryDebugHandler|TestPlanFingerprint' -count 1 .
-go test -race ./internal/core/ -run 'TestClose' -count 1
-
-# Mutable matrices: the epoch/RCU churn audit under -race (concurrent
-# solvers must see bitwise epoch-pure results while updaters flip the
-# values). What an update costs against a rebuild is update_ms vs
-# build_fb_ms on the benchmark's plan-churn workload, not a gate here.
-go test -race -run 'TestUpdateChurnEpochConsistency' -count 1 .
-go test -race ./internal/core/ -run 'TestUpdateValues' -count 1
 
 # Observability smoke: a briefly started debug server must serve valid
 # Prometheus text. (The traffic bound, tuner and registry assertions a
@@ -164,10 +111,10 @@ kill "$SOLVE_PID" 2> /dev/null || true
 wait "$SOLVE_PID" 2> /dev/null || true
 [ "$scrape_ok" -eq 1 ]
 
-# Serving daemon end-to-end: the full contract suite (deadline
-# propagation, deterministic 429 shed, graceful-drain bitwise
-# identity, N concurrent clients, trace-ID correlation across header /
-# body / access log / flight recorder / exemplar) under -race, then the
+# Serving daemon end-to-end (its contract suite — deadline propagation,
+# deterministic 429 shed, graceful-drain bitwise identity, N concurrent
+# clients, trace-ID correlation across header / body / access log /
+# flight recorder / exemplar — ran under -race above): the
 # tracing-overhead gate — the instrumented request path must stay
 # within 2% of the stripped one, plus the noise floor the test measures
 # between two stripped arms and prints — and a live fbmpkd + fbmpkload
@@ -175,7 +122,6 @@ wait "$SOLVE_PID" 2> /dev/null || true
 # load curve, gate the JSON report (-check: zero hard errors, finite
 # p99), scrape /metrics for the daemon, plan-cache, and build-info
 # families, and SIGTERM it — the drain must exit 0.
-go test -race ./internal/serve/ -count 1
 FBMPK_OVERHEAD_GATE=1 go test ./internal/serve/ -run TestDetachedOverheadGate -count 1 -v
 go build -o /tmp/fbmpk_ci_fbmpkd ./cmd/fbmpkd
 go build -o /tmp/fbmpk_ci_fbmpkload ./cmd/fbmpkload
@@ -226,13 +172,10 @@ wait "$FBMPKD_PID"
 grep -q 'msg="drained cleanly"' /tmp/fbmpk_ci_fbmpkd.log
 
 FUZZTIME=${FUZZTIME:-10s}
-go test -run '^$' -fuzz '^FuzzDifferentialMPK$'   -fuzztime "$FUZZTIME" .
-go test -run '^$' -fuzz '^FuzzDifferentialSSpMV$' -fuzztime "$FUZZTIME" .
-go test -run '^$' -fuzz '^FuzzDifferentialMulti$' -fuzztime "$FUZZTIME" .
-go test -run '^$' -fuzz '^FuzzDifferentialSymGS$' -fuzztime "$FUZZTIME" .
-go test -run '^$' -fuzz '^FuzzDifferentialBackend$' -fuzztime "$FUZZTIME" .
-go test -run '^$' -fuzz '^FuzzDifferentialLevelBlocked$' -fuzztime "$FUZZTIME" .
-go test -run '^$' -fuzz '^FuzzAPIBoundary$'       -fuzztime "$FUZZTIME" .
+for target in FuzzDifferentialMPK FuzzDifferentialSSpMV FuzzDifferentialMulti FuzzDifferentialSymGS \
+  FuzzDifferentialBackend FuzzDifferentialLevelBlocked FuzzAPIBoundary; do
+  go test -run '^$' -fuzz "^$target\$" -fuzztime "$FUZZTIME" .
+done
 go test -run '^$' -fuzz '^FuzzFBMPKEquivalence$'  -fuzztime "$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz '^FuzzApplySym$'          -fuzztime "$FUZZTIME" ./internal/reorder
 go test -run '^$' -fuzz '^FuzzPermutedRows$'      -fuzztime "$FUZZTIME" ./internal/reorder

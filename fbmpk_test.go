@@ -1,9 +1,14 @@
 package fbmpk
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
+
+	"fbmpk/internal/core"
+	"fbmpk/internal/graph"
+	"fbmpk/internal/reorder"
 )
 
 func normInfTest(x []float64) float64 {
@@ -106,7 +111,7 @@ func TestTripletsBuilder(t *testing.T) {
 	// A*[1,1,1] = [1,3,4]; A*[1,3,4] = [2-3, 9, 16] = [-1,9,16].
 	want := []float64{-1, 9, 16}
 	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-12 {
+		if x[i] != want[i] { // small integers: every product and sum is exact
 			t.Fatalf("x = %v, want %v", x, want)
 		}
 	}
@@ -140,5 +145,151 @@ func TestSuiteNamesComplete(t *testing.T) {
 	}
 	if _, err := GenerateSuiteMatrix("not-a-matrix", 0.01, 1); err == nil {
 		t.Error("accepted unknown suite matrix")
+	}
+}
+
+// The error boundary of the package-level functions (the Plan methods'
+// is the typed-error column of the conformance table): every misuse
+// returns an error wrapping one of the exported sentinels — matchable
+// with errors.Is — instead of panicking. See README "Error semantics".
+
+func TestNewPlanRejectsBadMatrices(t *testing.T) {
+	if _, err := NewPlan(nil, Options{}); !errors.Is(err, ErrInvalidMatrix) {
+		t.Errorf("nil matrix: got %v, want ErrInvalidMatrix", err)
+	}
+
+	rect := mustTriplets(t, 2, 3, 1).ToCSR()
+	if _, err := NewPlan(rect, Options{}); !errors.Is(err, ErrNotSquare) {
+		t.Errorf("rectangular matrix: got %v, want ErrNotSquare", err)
+	}
+
+	// Structurally corrupt CSR: row pointers not monotone.
+	corrupt := &Matrix{
+		Rows: 2, Cols: 2,
+		RowPtr: []int64{0, 2, 1},
+		ColIdx: []int32{0, 1},
+		Val:    []float64{1, 1},
+	}
+	if _, err := NewPlan(corrupt, Options{}); !errors.Is(err, ErrInvalidMatrix) {
+		t.Errorf("corrupt CSR: got %v, want ErrInvalidMatrix", err)
+	}
+
+	// Column index out of range.
+	badCol := &Matrix{
+		Rows: 2, Cols: 2,
+		RowPtr: []int64{0, 1, 2},
+		ColIdx: []int32{0, 5},
+		Val:    []float64{1, 1},
+	}
+	if _, err := NewPlan(badCol, Options{}); !errors.Is(err, ErrInvalidMatrix) {
+		t.Errorf("out-of-range column: got %v, want ErrInvalidMatrix", err)
+	}
+}
+
+func TestPackageFunctionErrors(t *testing.T) {
+	a := chains(1, 4, -1)
+	x := []float64{1, 2, 3, 4}
+
+	if _, err := StandardMPK(nil, x, 2); !errors.Is(err, ErrInvalidMatrix) {
+		t.Errorf("StandardMPK nil matrix: got %v, want ErrInvalidMatrix", err)
+	}
+	if _, err := StandardMPK(a, x, 0); !errors.Is(err, ErrBadPower) {
+		t.Errorf("StandardMPK k=0: got %v, want ErrBadPower", err)
+	}
+	if _, err := StandardMPK(a, x[:2], 2); !errors.Is(err, ErrDimension) {
+		t.Errorf("StandardMPK short x: got %v, want ErrDimension", err)
+	}
+
+	if _, err := MPK(nil, x, 2, Options{}); !errors.Is(err, ErrInvalidMatrix) {
+		t.Errorf("MPK nil matrix: got %v, want ErrInvalidMatrix", err)
+	}
+	if _, err := SSpMV(a, nil, x, Options{}); !errors.Is(err, ErrBadCoeffs) {
+		t.Errorf("SSpMV no coeffs: got %v, want ErrBadCoeffs", err)
+	}
+	if _, err := MPKMulti(a, nil, 2, Options{}); !errors.Is(err, ErrEmptyBlock) {
+		t.Errorf("MPKMulti empty block: got %v, want ErrEmptyBlock", err)
+	}
+	if _, err := SSpMVMulti(a, []float64{1}, nil, Options{}); !errors.Is(err, ErrEmptyBlock) {
+		t.Errorf("SSpMVMulti empty block: got %v, want ErrEmptyBlock", err)
+	}
+
+	if err := Verify(a, x, x[:2], 1, 1e-10); !errors.Is(err, ErrDimension) {
+		t.Errorf("Verify short result: got %v, want ErrDimension", err)
+	}
+
+	if err := SaveMatrixMarket(filepath.Join(t.TempDir(), "x.mtx"), nil); !errors.Is(err, ErrInvalidMatrix) {
+		t.Errorf("SaveMatrixMarket nil matrix: got %v, want ErrInvalidMatrix", err)
+	}
+}
+
+// TestBuildPrimitivesRejectRectangular reaches under the public API,
+// which validates before any of these runs: every structure-building
+// primitive that needs a square matrix must say so with the same
+// sentinel, whichever package it lives in.
+func TestBuildPrimitivesRejectRectangular(t *testing.T) {
+	rect := mustTriplets(t, 2, 3, 1).ToCSR()
+	for name, call := range map[string]func() error{
+		"graph.FromCSRPattern": func() error { _, err := graph.FromCSRPattern(rect); return err },
+		"graph.BlockGraph":     func() error { _, err := graph.BlockGraph(rect, []int32{0, 2}); return err },
+		"core.BFSLevels":       func() error { _, err := core.BFSLevels(rect); return err },
+		"reorder.RCM":          func() error { _, err := reorder.RCM(rect); return err },
+		"reorder.ABMC":         func() error { _, err := reorder.ABMC(rect, reorder.ABMCOptions{}); return err },
+		"Perm.ApplySym":        func() error { _, err := reorder.Identity(2).ApplySym(rect); return err },
+		"Perm.ValueMap":        func() error { _, err := reorder.Identity(2).ValueMap(rect); return err },
+		"LevelBlockedMPK":      func() error { _, err := LevelBlockedMPK(rect, []float64{1, 2}, 2, 0); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrNotSquare) {
+			t.Errorf("%s on a 2x3 matrix: got %v, want ErrNotSquare", name, err)
+		}
+	}
+}
+
+// TestNewTripletsRejectsNegativeArgs checks that the builder reports
+// negative dimensions and capacity hints as typed errors instead of
+// clamping them.
+func TestNewTripletsRejectsNegativeArgs(t *testing.T) {
+	if _, err := NewTriplets(-1, 3, 0); !errors.Is(err, ErrInvalidMatrix) {
+		t.Errorf("negative rows: got %v, want ErrInvalidMatrix", err)
+	}
+	if _, err := NewTriplets(3, -1, 0); !errors.Is(err, ErrInvalidMatrix) {
+		t.Errorf("negative cols: got %v, want ErrInvalidMatrix", err)
+	}
+	if _, err := NewTriplets(3, 3, -1); !errors.Is(err, ErrInvalidMatrix) {
+		t.Errorf("negative capHint: got %v, want ErrInvalidMatrix", err)
+	}
+	if tr, err := NewTriplets(0, 0, 0); err != nil || tr == nil {
+		t.Errorf("zero-dimensional builder: got (%v, %v), want a usable builder", tr, err)
+	}
+}
+
+// TestMPKMultiOneShot: the package-level one-shot block wrappers build
+// the plan their options name and return what its methods return.
+func TestMPKMultiOneShot(t *testing.T) {
+	b := zoo(t, "golden")[0]
+	coeffs, _, _, _ := polynomial(2)
+	for _, opt := range []Options{DefaultOptions(2), DefaultOptions(1)} {
+		p, err := NewPlan(b.a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		got, err := MPKMulti(b.a, b.block(4), 3, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.MPKMulti(b.block(4), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare(t, "MPKMulti one-shot vs plan", got, want, nil)
+		got, err = SSpMVMulti(b.a, coeffs, b.block(4), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = p.SSpMVMulti(coeffs, b.block(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare(t, "SSpMVMulti one-shot vs plan", got, want, nil)
 	}
 }

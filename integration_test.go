@@ -59,51 +59,6 @@ func TestEndToEndFileToSolve(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeAcrossSuite cross-checks standard vs FBMPK (serial
-// and parallel) on every matrix of the evaluation suite at tiny scale:
-// the full Table II workload diversity, one correctness sweep.
-func TestEnginesAgreeAcrossSuite(t *testing.T) {
-	for _, name := range fbmpk.SuiteNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			a, err := fbmpk.GenerateSuiteMatrix(name, 0.001, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x0 := make([]float64, a.Rows)
-			for i := range x0 {
-				x0[i] = 1 + float64(i%5)*0.25
-			}
-			const k = 4
-			want, err := fbmpk.StandardMPK(a, x0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scale := 1.0
-			for _, v := range want {
-				if math.Abs(v) > scale {
-					scale = math.Abs(v)
-				}
-			}
-			for _, opt := range []fbmpk.Options{
-				{Engine: fbmpk.EngineForwardBackward},
-				{Engine: fbmpk.EngineForwardBackward, BtB: true},
-				fbmpk.DefaultOptions(2),
-			} {
-				got, err := fbmpk.MPK(a, x0, k, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range got {
-					if math.Abs(got[i]-want[i]) > 1e-8*scale {
-						t.Fatalf("opt %+v: mismatch at %d", opt, i)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestKrylovThenChebyshev chains two solver components: spectrum
 // bounds from Gershgorin feed a Chebyshev solve whose residual is then
 // verified through the plan.

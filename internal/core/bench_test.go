@@ -194,11 +194,7 @@ func BenchmarkPlanBuild(b *testing.B) {
 // has two cores. Sub-benchmark names are stable across commits; compare
 // two commits by alternating built test binaries.
 func BenchmarkNewPlan(b *testing.B) {
-	spec, err := matgen.ByName("pwtk")
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := spec.Generate(*sweepScale, 1)
+	a := sweepBed(b, "pwtk")
 	for _, threads := range []int{1, 2} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			b.SetBytes(12 * a.NNZ())
@@ -213,7 +209,66 @@ func BenchmarkNewPlan(b *testing.B) {
 	}
 }
 
-var sweepScale = flag.Float64("sweep-scale", 0.05, "pwtk scale of BenchmarkSweep and BenchmarkNewPlan; 8 is the benchmark's out-of-cache bed (1.1 GB), 0.2 its plan-churn bed")
+var (
+	sweepScale  = flag.Float64("sweep-scale", 0.05, "scale of the matrix of BenchmarkSweep, BenchmarkNewPlan and BenchmarkStandardBackends; pwtk at 8 is the benchmark's out-of-cache bed (1.1 GB), at 0.2 its plan-churn bed")
+	sweepMatrix = flag.String("sweep-matrix", "pwtk", "suite matrix of BenchmarkStandardBackends")
+	lbBytes     = flag.Int("lb-bytes", 0, "LevelBlockBytes of BenchmarkSweep's level-blocked case (0 = DefaultLevelBlockBytes)")
+)
+
+// sweepBeds keeps the generated beds across the re-runs of -count: at
+// scale 8 generation is most of a round.
+var sweepBeds = map[string]*sparse.CSR{}
+
+func sweepBed(b *testing.B, name string) *sparse.CSR {
+	b.Helper()
+	key := fmt.Sprint(name, *sweepScale)
+	if sweepBeds[key] == nil {
+		spec, err := matgen.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweepBeds[key] = spec.Generate(*sweepScale, 1)
+	}
+	return sweepBeds[key]
+}
+
+// BenchmarkStandardBackends is the gauge of ROADMAP 2(b): standard-engine
+// MPK, k = 6, one thread, under each storage format and under the tuner,
+// on -sweep-matrix at -sweep-scale. Each case builds its plan, times it
+// and lets it go, so no two formats are resident at once; the auto case
+// logs the format the tuner picked. -count repeats a case back to back:
+// for interleaved rounds run the built test binary once per round.
+// DESIGN.md §10 has the beds and the numbers.
+func BenchmarkStandardBackends(b *testing.B) {
+	a := sweepBed(b, *sweepMatrix)
+	x := sparse.Ones(a.Rows)
+	for _, kind := range []BackendKind{BackendCSR, BackendSELL, BackendBSR, BackendAuto} {
+		b.Run(kind.String(), func(b *testing.B) {
+			p, err := NewPlan(a, Options{Engine: EngineStandard, Backend: kind})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			if kind == BackendAuto {
+				b.Logf("%s x%g: the tuner picked %s", *sweepMatrix, *sweepScale, p.Backend())
+			}
+			// One call outside the clock: it first-touches the plan's
+			// workspace and the heap the results recycle from, which on
+			// this VM (a fresh page costs 2 to 17 us) is a tenth of a
+			// sweep on the vector-bound beds.
+			if _, err := p.MPK(x, 6); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(6 * a.MemoryBytes())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.MPK(x, 6); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkSweep answers "bandwidth-bound or not" without the repo
 // benchmark: one pipelined forward sweep, one pipelined backward sweep
@@ -226,13 +281,12 @@ var sweepScale = flag.Float64("sweep-scale", 0.05, "pwtk scale of BenchmarkSweep
 // write-backs), which is where an FB sweep, with half the entries per
 // row of an SpMV, differs — and an m = 4 sweep, whose row is one whole
 // 64-byte xy line, more so. Run with -sweep-scale=8 for the out-of-cache
-// figures DESIGN.md §6 quotes.
+// figures DESIGN.md §6 quotes. Last come two whole k = 6 MPKs, ROADMAP
+// 2(a)'s gauge: the standard engine's six plain sweeps (std6) and the
+// level-blocked engine at -lb-bytes (lb6, with its level and block
+// counts) — DESIGN.md §14 has the budget sweep.
 func BenchmarkSweep(b *testing.B) {
-	spec, err := matgen.ByName("pwtk")
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := spec.Generate(*sweepScale, 1)
+	a := sweepBed(b, "pwtk")
 	tri, err := sparse.Split(a)
 	if err != nil {
 		b.Fatal(err)
@@ -277,6 +331,33 @@ func BenchmarkSweep(b *testing.B) {
 	run("forward4", st4, nnzL+n, 208, func() { st4.forward(0, n, false) })
 	run("backward4", st4, nnzU, 200, func() { st4.backward(0, n, false) })
 	run("tail4", st4, nnzU, 168, func() { st4.backward(0, n, true) })
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{{"std6", Options{Engine: EngineStandard}}, {"lb6", Options{Engine: EngineLevelBlocked, LevelBlockBytes: *lbBytes}}} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := NewPlan(a, c.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			if _, err := p.MPK(xy0[:n], 6); err != nil { // first touch, as in BenchmarkStandardBackends
+				b.Fatal(err)
+			}
+			b.SetBytes(6 * a.MemoryBytes())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.MPK(xy0[:n], 6); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(6*len(a.Val)), "ns/nnz")
+			if st := p.Stats(); st.NumLevels > 0 {
+				b.ReportMetric(float64(st.NumLevels), "levels")
+				b.ReportMetric(float64(st.NumBlocks), "blocks")
+			}
+		})
+	}
 }
 
 var buildScale = flag.Float64("build-scale", 0.2, "pwtk scale of BenchmarkBFSLevels; 8 is the benchmark's out-of-cache bed (1.1 GB)")

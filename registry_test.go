@@ -1,60 +1,11 @@
 package fbmpk
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
-
-// entryPoint runs one public Plan operation and flattens its outputs
-// to a single vector stream for bitwise comparison.
-type entryPoint struct {
-	name    string
-	needsFB bool // SymGS requires the L+D+U split (FB engine only)
-	run     func(p *Plan, x []float64) ([][]float64, error)
-}
-
-func registryEntryPoints() []entryPoint {
-	const k = 3
-	coeffs := []float64{1, 0.5, 0.25, 0.125}
-	multi := func(x []float64) [][]float64 {
-		xs := make([][]float64, 3)
-		for j := range xs {
-			xs[j] = make([]float64, len(x))
-			for i := range x {
-				xs[j][i] = x[i] + float64(j)
-			}
-		}
-		return xs
-	}
-	one := func(y []float64, err error) ([][]float64, error) { return [][]float64{y}, err }
-	ctx := context.Background()
-	return []entryPoint{
-		{"MPK", false, func(p *Plan, x []float64) ([][]float64, error) { return one(p.MPK(x, k)) }},
-		{"MPKCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return one(p.MPKCtx(ctx, x, k)) }},
-		{"MPKAll", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKAll(x, k) }},
-		{"MPKAllCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKAllCtx(ctx, x, k) }},
-		{"MPKMulti", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKMulti(multi(x), k) }},
-		{"MPKMultiCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKMultiCtx(ctx, multi(x), k) }},
-		{"SSpMV", false, func(p *Plan, x []float64) ([][]float64, error) { return one(p.SSpMV(coeffs, x)) }},
-		{"SSpMVCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return one(p.SSpMVCtx(ctx, coeffs, x)) }},
-		{"SSpMVMulti", false, func(p *Plan, x []float64) ([][]float64, error) { return p.SSpMVMulti(coeffs, multi(x)) }},
-		{"SSpMVMultiCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return p.SSpMVMultiCtx(ctx, coeffs, multi(x)) }},
-		{"SymGS", true, func(p *Plan, x []float64) ([][]float64, error) {
-			sol := make([]float64, len(x))
-			err := p.SymGS(x, sol, 2)
-			return [][]float64{sol}, err
-		}},
-		{"SymGSCtx", true, func(p *Plan, x []float64) ([][]float64, error) {
-			sol := make([]float64, len(x))
-			err := p.SymGSCtx(ctx, x, sol, 2)
-			return [][]float64{sol}, err
-		}},
-	}
-}
 
 // TestRegistryCachedVsFreshDeterminism is the cache's correctness
 // oath: for every public entry point, a plan served from the registry
@@ -62,78 +13,40 @@ func registryEntryPoints() []entryPoint {
 // with the same options, across serial/parallel and both engines.
 // Anything less would make caching observable to numerical code.
 func TestRegistryCachedVsFreshDeterminism(t *testing.T) {
-	a, err := GenerateSuiteMatrix("cant", 0.01, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	x := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-
+	b := zoo(t, "golden")[0]
 	reg := NewRegistry(8)
 	defer reg.Close()
 
-	for _, threads := range []int{1, 4} {
-		for _, engine := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked} {
-			opts := DefaultOptions(threads)
-			opts.Engine = engine
-			name := fmt.Sprintf("threads=%d/engine=%v", threads, engine)
-			t.Run(name, func(t *testing.T) {
-				fresh, err := NewPlan(a, opts)
-				if err != nil {
-					t.Fatalf("fresh NewPlan: %v", err)
-				}
-				defer fresh.Close()
-
-				// Warm the cache, then acquire again: the second
-				// Acquire must be a hit (no rebuild).
-				warm, err := reg.Acquire(a, opts)
-				if err != nil {
-					t.Fatalf("warming Acquire: %v", err)
-				}
-				before := reg.Stats()
-				cached, err := reg.Acquire(a, opts)
-				if err != nil {
-					t.Fatalf("hit Acquire: %v", err)
-				}
-				defer reg.Release(warm)
-				defer reg.Release(cached)
-				after := reg.Stats()
-				if after.Hits != before.Hits+1 || after.Builds != before.Builds {
-					t.Fatalf("second Acquire was not a pure hit: %+v -> %+v", before, after)
-				}
-				if cached.Stats().BuildTime <= 0 {
-					t.Error("cached plan lost its build-time stats")
-				}
-
-				for _, ep := range registryEntryPoints() {
-					if ep.needsFB && engine != EngineForwardBackward {
-						continue
-					}
-					want, err := ep.run(fresh, x)
-					if err != nil {
-						t.Fatalf("%s on fresh plan: %v", ep.name, err)
-					}
-					got, err := ep.run(cached, x)
-					if err != nil {
-						t.Fatalf("%s on cached plan: %v", ep.name, err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s: output count %d vs %d", ep.name, len(got), len(want))
-					}
-					for v := range want {
-						for i := range want[v] {
-							if got[v][i] != want[v][i] {
-								t.Fatalf("%s: output %d diverges at [%d]: cached %g fresh %g",
-									ep.name, v, i, got[v][i], want[v][i])
-							}
-						}
-					}
-				}
-			})
+	for _, c := range goldenRows() {
+		if c.opt.Engine == EngineForwardBackward && !c.opt.BtB {
+			continue // one layout: the paths name threads and engine
 		}
+		opts := c.opt
+		t.Run(fmt.Sprintf("threads=%d/engine=%v", max(1, opts.Threads), opts.Engine), func(t *testing.T) {
+			// Warm the cache, then acquire again: the second
+			// Acquire must be a hit (no rebuild).
+			warm, err := reg.Acquire(b.a, opts)
+			if err != nil {
+				t.Fatalf("warming Acquire: %v", err)
+			}
+			before := reg.Stats()
+			cached, err := reg.Acquire(b.a, opts)
+			if err != nil {
+				t.Fatalf("hit Acquire: %v", err)
+			}
+			defer reg.Release(warm)
+			defer reg.Release(cached)
+			after := reg.Stats()
+			if after.Hits != before.Hits+1 || after.Builds != before.Builds {
+				t.Fatalf("second Acquire was not a pure hit: %+v -> %+v", before, after)
+			}
+			if cached.Stats().BuildTime <= 0 {
+				t.Error("cached plan lost its build-time stats")
+			}
+			x := &cell{T: t, b: b, c: c, g: groups(nil)[0], p: cached, memo: map[string]vecs{}}
+			x.bitwise(c, "a fresh plan of")
+			twinned(x)
+		})
 	}
 }
 
@@ -203,5 +116,131 @@ func TestPlanFingerprintPublic(t *testing.T) {
 	}
 	if PlanFingerprint(a, WithThreads(2)) == k1 {
 		t.Error("distinct thread counts share a key")
+	}
+}
+
+// TestRegistryEngineVerdictReplay mirrors the backend verdict-cache
+// test for the engine arbitration: the first EngineAuto Acquire runs
+// the arbitration (fresh verdict, nonzero samples on a measurable
+// matrix), a second Acquire with a different plan key but the same
+// structure and thread count replays it with zero samples, and a
+// verdict arbitrated at one thread count is NOT replayed at another.
+func TestRegistryEngineVerdictReplay(t *testing.T) {
+	a, err := GenerateSuiteMatrix("G3_circuit", 0.002, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(8)
+	defer reg.Close()
+
+	p1, err := reg.Acquire(a, WithEngine(EngineAuto), WithBtB(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Release(p1)
+	t1 := p1.Stats().EngineTune
+	if t1 == nil {
+		t.Fatal("EngineAuto plan carries no engine verdict")
+	}
+	if t1.FromCache || t1.Samples == 0 {
+		t.Fatalf("first Acquire should have arbitrated fresh with samples: %+v", t1)
+	}
+	if t1.K != DefaultTuneK || t1.Threads != 0 {
+		t.Fatalf("serial arbitration recorded k=%d threads=%d: %+v", t1.K, t1.Threads, t1)
+	}
+
+	// Different plan key (self-check layer), same structure and tuning
+	// parameters: the verdict replays from the registry with zero
+	// samples and identical fields.
+	before := reg.Stats()
+	p2, err := reg.Acquire(a, WithEngine(EngineAuto), WithBtB(true), WithSelfCheck(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Release(p2)
+	after := reg.Stats()
+	if after.Builds != before.Builds+1 {
+		t.Fatalf("self-check option should force a distinct plan build: %+v -> %+v", before, after)
+	}
+	if after.TuneHits != before.TuneHits+1 {
+		t.Fatalf("second Acquire should have replayed the verdict: %+v -> %+v", before, after)
+	}
+	t2 := p2.Stats().EngineTune
+	if t2 == nil || !t2.FromCache || t2.Samples != 0 {
+		t.Fatalf("replayed verdict should be zero-sample: %+v", t2)
+	}
+	if t2.Engine != t1.Engine || t2.K != t1.K ||
+		t2.FBModelBytes != t1.FBModelBytes || t2.LBModelBytes != t1.LBModelBytes ||
+		t2.NumLevels != t1.NumLevels || t2.NumBlocks != t1.NumBlocks {
+		t.Fatalf("replayed verdict %+v != fresh %+v", t2, t1)
+	}
+	if p2.Engine() != p1.Engine() {
+		t.Fatalf("replayed verdict resolved a different engine: %v vs %v", p2.Engine(), p1.Engine())
+	}
+
+	// Same results from cached-verdict and fresh-verdict plans: the
+	// arbitration outcome is injected, so both plans executed the same
+	// engine and must agree bitwise.
+	x0 := vec(a.Rows, 41)
+	y1, err := p1.MPK(x0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y2, err := p2.MPK(x0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range y1 {
+		if y1[i] != y2[i] {
+			t.Fatalf("cached-verdict plan diverges bitwise at [%d]: %g vs %g", i, y1[i], y2[i])
+		}
+	}
+
+	// A parallel plan arbitrates with the parallel kernels: the serial
+	// verdict must not be replayed for it, and its own verdict records
+	// the thread count.
+	before = reg.Stats()
+	p3, err := reg.Acquire(a, WithEngine(EngineAuto), WithBtB(true), WithThreads(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Release(p3)
+	after = reg.Stats()
+	if after.TuneHits != before.TuneHits {
+		t.Fatalf("serial verdict replayed for a parallel plan: %+v -> %+v", before, after)
+	}
+	t3 := p3.Stats().EngineTune
+	if t3 == nil || t3.FromCache || t3.Threads != 4 {
+		t.Fatalf("parallel plan should have arbitrated fresh at 4 threads: %+v", t3)
+	}
+}
+
+// TestRegistryForcedEngineSweep: forced-engine plans never consult or
+// populate the engine verdict cache — only EngineAuto arbitrates.
+func TestRegistryForcedEngineSweep(t *testing.T) {
+	a, err := GenerateSuiteMatrix("cant", 0.002, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(8)
+	defer reg.Close()
+
+	for _, eng := range []Engine{EngineForwardBackward, EngineStandard, EngineLevelBlocked} {
+		p, err := reg.Acquire(a, WithEngine(eng))
+		if err != nil {
+			t.Fatalf("engine %v: %v", eng, err)
+		}
+		if p.Engine() != eng {
+			t.Fatalf("forced engine %v resolved to %v", eng, p.Engine())
+		}
+		if tune := p.Stats().EngineTune; tune != nil {
+			t.Fatalf("forced engine %v ran the arbitration: %+v", eng, tune)
+		}
+		if err := reg.Release(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := reg.Stats(); s.TuneHits != 0 {
+		t.Fatalf("forced-engine sweep touched the verdict cache: %+v", s)
 	}
 }
