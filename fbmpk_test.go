@@ -229,7 +229,7 @@ func TestPackageFunctionErrors(t *testing.T) {
 func TestBuildPrimitivesRejectRectangular(t *testing.T) {
 	rect := mustTriplets(t, 2, 3, 1).ToCSR()
 	for name, call := range map[string]func() error{
-		"graph.FromCSRPattern": func() error { _, err := graph.FromCSRPattern(rect); return err },
+		"graph.FromCSRPattern": func() error { _, err := graph.FromCSRPattern(rect, nil); return err },
 		"graph.BlockGraph":     func() error { _, err := graph.BlockGraph(rect, []int32{0, 2}); return err },
 		"core.BFSLevels":       func() error { _, err := core.BFSLevels(rect); return err },
 		"reorder.RCM":          func() error { _, err := reorder.RCM(rect); return err },

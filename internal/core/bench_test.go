@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"fbmpk/internal/matgen"
 	"fbmpk/internal/parallel"
@@ -188,24 +189,37 @@ func BenchmarkPlanBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkNewPlan measures the forward-backward plan build on pwtk at
-// -sweep-scale: serial (the L+D+U split alone) and at 2 threads (ABMC
-// block graph + coloring, then the fused permute-and-split) — the host
-// has two cores. Sub-benchmark names are stable across commits; compare
-// two commits by alternating built test binaries.
+// BenchmarkNewPlan measures the plan builds on pwtk at -sweep-scale
+// (0.2 is the plan-churn bed): forward-backward serial (the L+D+U split
+// alone) and at 2 threads (ABMC block graph + coloring, then the fused
+// permute-and-split), and level-blocked at 1 and 2 threads (adjacency
+// and BFS, then the bucket permutation), each with its GraphTime and
+// PermTime per build. Sub-benchmark names are stable across commits;
+// compare two commits by alternating built test binaries.
 func BenchmarkNewPlan(b *testing.B) {
 	a := sweepBed(b, "pwtk")
-	for _, threads := range []int{1, 2} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			b.SetBytes(12 * a.NNZ())
-			for i := 0; i < b.N; i++ {
-				p, err := NewPlan(a, DefaultOptions(threads))
-				if err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		eng  Engine
+	}{{"", EngineForwardBackward}, {"lb/", EngineLevelBlocked}} {
+		for _, threads := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%sthreads=%d", c.name, threads), func(b *testing.B) {
+				b.SetBytes(12 * a.NNZ())
+				opt := DefaultOptions(threads)
+				opt.Engine = c.eng
+				var graph, perm time.Duration
+				for i := 0; i < b.N; i++ {
+					p, err := NewPlan(a, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					graph, perm = graph+p.Stats().GraphTime, perm+p.Stats().PermTime
+					p.Close()
 				}
-				p.Close()
-			}
-		})
+				b.ReportMetric(float64(graph.Microseconds())/1e3/float64(b.N), "graph-ms")
+				b.ReportMetric(float64(perm.Microseconds())/1e3/float64(b.N), "perm-ms")
+			})
+		}
 	}
 }
 
@@ -364,19 +378,29 @@ var buildScale = flag.Float64("build-scale", 0.2, "pwtk scale of BenchmarkBFSLev
 
 // BenchmarkBFSLevels times the level schedule's BFS — the stage a
 // level-blocked build spends outside the permutation — as MB/s of CSR
-// walked, with -benchmem showing what it allocates beside the matrix.
+// walked, with the allocations beside the matrix, serial and with the
+// adjacency on two workers (what a 2-thread plan build runs).
 func BenchmarkBFSLevels(b *testing.B) {
 	spec, err := matgen.ByName("pwtk")
 	if err != nil {
 		b.Fatal(err)
 	}
 	a := spec.Generate(*buildScale, 1)
-	b.SetBytes(12 * a.NNZ())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BFSLevels(a); err != nil {
-			b.Fatal(err)
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	for _, r := range []sparse.Runner{nil, pool} {
+		workers := 1
+		if r != nil {
+			workers = r.Workers()
 		}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(12 * a.NNZ())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bfsLevels(a, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -386,16 +386,6 @@ func FBMPKSerial(tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs [
 	return fbPowers(serialSchedule(tri), new(fbState), nil, tri, x0, k, btb, coeffs, onIterate)
 }
 
-// FBMPKSerialMulti runs the batched forward-backward MPK on a split
-// matrix: it computes A^k x_j for every vector in xs with one pipeline
-// pass, returning the results as fresh vectors. btb selects the
-// interleaved stripe layout. coeffs, when non-nil (length k+1), also
-// accumulates combo_j = sum coeffs[i] * A^i * x_j for every vector
-// (returned second, else nil).
-func FBMPKSerialMulti(tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
-	return fbPowersMulti(serialSchedule(tri), new(fbState), nil, tri, xs, k, btb, coeffs)
-}
-
 // fbEngine is the forward-backward engine of a plan: the color schedule
 // over the plan's pool (or the serial one), the layout, the triangle
 // sizes its traffic accounting needs, and the row pointer of the

@@ -262,3 +262,13 @@ func TestFBParallelMultiRace(t *testing.T) {
 		}
 	}
 }
+
+// FBMPKSerialMulti runs the batched forward-backward MPK on a split
+// matrix: it computes A^k x_j for every vector in xs with one pipeline
+// pass, returning the results as fresh vectors. btb selects the
+// interleaved stripe layout. coeffs, when non-nil (length k+1), also
+// accumulates combo_j = sum coeffs[i] * A^i * x_j for every vector
+// (returned second, else nil).
+func FBMPKSerialMulti(tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
+	return fbPowersMulti(serialSchedule(tri), new(fbState), nil, tri, xs, k, btb, coeffs)
+}

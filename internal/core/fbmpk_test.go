@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -292,4 +293,23 @@ func TestFBMPKZeroDiagonal(t *testing.T) {
 			t.Fatalf("zero-diagonal k=%d diff %g", k, d)
 		}
 	}
+}
+
+// SSpMVStandard evaluates y = sum_{i=0..k} coeffs[i] * A^i * x0 with
+// the standard engine (k = len(coeffs)-1 SpMV sweeps).
+func SSpMVStandard(a *sparse.CSR, coeffs []float64, x0 []float64) ([]float64, error) {
+	if len(coeffs) == 0 {
+		return nil, fmt.Errorf("core: SSpMV needs at least one coefficient: %w", ErrBadCoeffs)
+	}
+	if len(x0) != a.Rows {
+		return nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), a.Rows, ErrDimension)
+	}
+	y, hook := comboHook(coeffs, x0)
+	if len(coeffs) == 1 {
+		return y, nil
+	}
+	if _, err := StandardMPK(a, x0, len(coeffs)-1, hook); err != nil {
+		return nil, err
+	}
+	return y, nil
 }

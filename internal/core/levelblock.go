@@ -69,13 +69,14 @@ type levelSchedule struct {
 
 func (ls *levelSchedule) numBlocks() int { return len(ls.blockPtr) - 1 }
 
-// newLevelSchedule computes BFS levels of a and groups them into
-// blocks of at most blockBytes of matrix data (already resolved, see
-// Options.Canonical). Blocks always align to level boundaries and hold
-// at least one level, so a single level larger than the budget becomes
-// its own (oversized) block.
-func newLevelSchedule(a *sparse.CSR, blockBytes int) (*levelSchedule, error) {
-	lp, err := BFSLevels(a)
+// newLevelSchedule computes BFS levels of a, the adjacency built on r's
+// workers (nil = serial), and groups them into blocks of at most
+// blockBytes of matrix data (already resolved, see Options.Canonical).
+// Blocks always align to level boundaries and hold at least one level,
+// so a single level larger than the budget becomes its own (oversized)
+// block.
+func newLevelSchedule(a *sparse.CSR, blockBytes int, r sparse.Runner) (*levelSchedule, error) {
+	lp, err := bfsLevels(a, r)
 	if err != nil {
 		return nil, err
 	}
@@ -85,6 +86,69 @@ func newLevelSchedule(a *sparse.CSR, blockBytes int) (*levelSchedule, error) {
 		blockPtr: GroupLevels(a, lp, blockBytes),
 		bytes:    blockBytes,
 	}, nil
+}
+
+// permute returns the level-ordered matrix P·A·Pᵀ of a (P = lp.Rows),
+// bitwise what reorder.Perm.ApplySym returns, without sorting a row.
+// Rows lists a level's rows in source order, so the new column numbers
+// ascend with the old inside one level, and every entry of a level-l row
+// has its column in level l-1, l or l+1, whose new numbers lie wholly
+// below, within and above row l's own level. A permuted row is therefore
+// its source row split stably into those three buckets and concatenated,
+// which one pass counts and a second places — row-parallel over r (nil =
+// serial), each row into its own precomputed range. The bucket index is
+// also the check: an entry whose column lies two or more levels away
+// fails the call with ErrInvalidMatrix before anything is indexed by it.
+func (ls *levelSchedule) permute(a *sparse.CSR, r sparse.Runner) (*sparse.CSR, error) {
+	n, level, perm, inv := a.Rows, ls.lp.Level, ls.lp.Rows, ls.perm.Inverse()
+	b := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int64, n+1),
+		ColIdx: make([]int32, a.NNZ()), Val: make([]float64, a.NNZ())}
+	for i, old := range perm {
+		b.RowPtr[i+1] = b.RowPtr[i] + a.RowPtr[old+1] - a.RowPtr[old]
+	}
+	colIdx, val := b.ColIdx, b.Val
+	// Ranges ascend with the worker id, so the first error by id is the
+	// one at the lowest row, whatever the worker count.
+	errs := make([]error, 1)
+	if r != nil {
+		errs = make([]error, r.Workers())
+	}
+	sparse.ForRanges(r, 0, n, func(id, start, end int) {
+		for i := start; i < end; i++ {
+			src := a.RowPtr[perm[i]]
+			cols := a.ColIdx[src:a.RowPtr[perm[i]+1]]
+			below := level[perm[i]] - 1
+			// Bucket d of an entry is 0, 1 or 2, so sum(d) = n1 + 2·n2
+			// and sum(d>>1) = n2.
+			var sum, n2 int64
+			for _, c := range cols {
+				d := uint32(level[c] - below)
+				if d > 2 {
+					errs[id] = fmt.Errorf("core: level-blocked build: entry (%d,%d) spans levels %d and %d: %w",
+						perm[i], c, below+1, level[c], ErrInvalidMatrix)
+					return
+				}
+				sum += int64(d)
+				n2 += int64(d >> 1)
+			}
+			// Where each bucket starts; a fourth slot lets d&3 index it
+			// without a bounds check.
+			n1 := sum - 2*n2
+			at := [4]int64{b.RowPtr[i], b.RowPtr[i+1] - n2 - n1, b.RowPtr[i+1] - n2}
+			vals := a.Val[src : src+int64(len(cols))]
+			for k, c := range cols {
+				d := uint32(level[c]-below) & 3
+				colIdx[at[d]], val[at[d]] = inv[c], vals[k]
+				at[d]++
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // GroupLevels greedily packs consecutive BFS levels into blocks whose
@@ -262,11 +326,11 @@ func LevelBlockedMPK(a *sparse.CSR, x0 []float64, k int, blockBytes int, onItera
 		return nil, err
 	}
 	opt := Options{Engine: EngineLevelBlocked, LevelBlockBytes: blockBytes}.Canonical()
-	ls, err := newLevelSchedule(a, opt.LevelBlockBytes)
+	ls, err := newLevelSchedule(a, opt.LevelBlockBytes, nil)
 	if err != nil {
 		return nil, err
 	}
-	pa, err := ls.perm.ApplySym(a)
+	pa, err := ls.permute(a, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -306,16 +370,17 @@ type lbEngine struct {
 // newLBEngine runs the level-blocked preprocessing on the original
 // matrix a — BFS levels, the level-contiguous permutation, the
 // cache-budget block grouping — and returns the engine with the matrix
-// in its execution order.
+// in its execution order. The adjacency and the permutation run on the
+// plan's workers (runner; nil = serial).
 func newLBEngine(a *sparse.CSR, blockBytes int, pool *parallel.Pool, runner sparse.Runner, stats *PlanStats) (*lbEngine, *sparse.CSR, error) {
 	start := time.Now()
-	ls, err := newLevelSchedule(a, blockBytes)
+	ls, err := newLevelSchedule(a, blockBytes, runner)
 	if err != nil {
 		return nil, nil, err
 	}
 	permStart := time.Now()
 	stats.GraphTime = permStart.Sub(start)
-	ea, err := ls.perm.ApplySymPool(a, runner)
+	ea, err := ls.permute(a, runner)
 	if err != nil {
 		return nil, nil, err
 	}

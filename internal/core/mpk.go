@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 
-	"fbmpk/internal/parallel"
 	"fbmpk/internal/sparse"
 )
 
@@ -40,15 +39,6 @@ func StandardMPK(a *sparse.CSR, x0 []float64, k int, onIterate IterateFunc) ([]f
 		}
 	}
 	return x, nil
-}
-
-// StandardMPKParallel is the baseline with a row-parallel SpMV kernel:
-// rows are partitioned by nonzero count once, and the workers
-// barrier-synchronize between the k invocations. This mirrors the
-// paper's baseline methodology ("the same optimized SpMV kernel").
-func StandardMPKParallel(a *sparse.CSR, x0 []float64, k int, pool *parallel.Pool, onIterate IterateFunc) ([]float64, error) {
-	be := csrBackend{a: a}
-	return standardPowers(newTeam(pool), be.partition(pool.Workers()), nil, be, x0, k, onIterate)
 }
 
 // standardPowers is the standard engine's kernel, generalized over the
@@ -151,25 +141,6 @@ func comboHook(coeffs, x0 []float64) ([]float64, IterateFunc) {
 			sparse.AXPY(c, x, combo)
 		}
 	}
-}
-
-// SSpMVStandard evaluates y = sum_{i=0..k} coeffs[i] * A^i * x0 with
-// the standard engine (k = len(coeffs)-1 SpMV sweeps).
-func SSpMVStandard(a *sparse.CSR, coeffs []float64, x0 []float64) ([]float64, error) {
-	if len(coeffs) == 0 {
-		return nil, fmt.Errorf("core: SSpMV needs at least one coefficient: %w", ErrBadCoeffs)
-	}
-	if len(x0) != a.Rows {
-		return nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), a.Rows, ErrDimension)
-	}
-	y, hook := comboHook(coeffs, x0)
-	if len(coeffs) == 1 {
-		return y, nil
-	}
-	if _, err := StandardMPK(a, x0, len(coeffs)-1, hook); err != nil {
-		return nil, err
-	}
-	return y, nil
 }
 
 // stdEngine is the standard engine of a plan: Algorithm 1 on the

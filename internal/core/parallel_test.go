@@ -374,3 +374,12 @@ func (f *FBParallelMulti) Run(xs [][]float64, k int, btb bool, coeffs []float64)
 
 // Workers returns the worker count of the underlying executor's pool.
 func (f *FBParallelMulti) Workers() int { return f.fb.sch.team.workers() }
+
+// StandardMPKParallel is the baseline with a row-parallel SpMV kernel:
+// rows are partitioned by nonzero count once, and the workers
+// barrier-synchronize between the k invocations. This mirrors the
+// paper's baseline methodology ("the same optimized SpMV kernel").
+func StandardMPKParallel(a *sparse.CSR, x0 []float64, k int, pool *parallel.Pool, onIterate IterateFunc) ([]float64, error) {
+	be := csrBackend{a: a}
+	return standardPowers(newTeam(pool), be.partition(pool.Workers()), nil, be, x0, k, onIterate)
+}

@@ -143,7 +143,7 @@ type planEpoch struct {
 type PlanStats struct {
 	BuildTime   time.Duration // total NewPlan wall time
 	ReorderTime time.Duration // reordering total: ABMC graph + color + apply, or level schedule + apply
-	GraphTime   time.Duration // ABMC block-graph discovery (parallel), or the level schedule: BFS + block grouping (serial)
+	GraphTime   time.Duration // ABMC block-graph discovery (parallel), or the level schedule: adjacency (parallel) + BFS + block grouping
 	ColorTime   time.Duration // greedy coloring (serial by design)
 	PermTime    time.Duration // symmetric permutation apply (parallel); zero when fused into the split
 	SplitTime   time.Duration // A = L + D + U (parallel), permutation included when fused

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"fbmpk/internal/parallel"
-	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
 )
 
@@ -20,14 +18,6 @@ import (
 // making the library usable as the smoother substrate of a multigrid
 // or HPCG-style solver — the third application class (multigrid
 // methods [22]) the paper's introduction motivates.
-
-// SymGSSerial applies sweeps symmetric Gauss-Seidel iterations to
-// A x = b in place on x. Rows with a zero diagonal are skipped (their
-// x entry is left unchanged), matching common practice for
-// saddle-point test matrices.
-func SymGSSerial(tri *sparse.Triangular, b, x []float64, sweeps int) error {
-	return symGS(serialSchedule(tri), nil, tri, b, x, sweeps)
-}
 
 // symGS runs sweeps SYMGS iterations over the color schedule sch —
 // colors ascending in the forward half-sweep, descending in the
@@ -117,28 +107,4 @@ func symGSBackwardRange(tri *sparse.Triangular, b, x []float64, lo, hi int) {
 		}
 		x[i] = s / d[i]
 	}
-}
-
-// SymGSParallel applies SYMGS with ABMC multi-color parallelization:
-// the standalone form of the plan's parallel smoother. tri and ord must
-// describe the same permuted matrix; b and x are in the permuted
-// ordering.
-type SymGSParallel struct {
-	tri *sparse.Triangular
-	sch *colorSchedule
-}
-
-// NewSymGSParallel prepares a parallel SYMGS executor over an
-// ABMC-ordered split matrix.
-func NewSymGSParallel(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parallel.Pool) (*SymGSParallel, error) {
-	sch, err := newColorSchedule(tri, ord, pool)
-	if err != nil {
-		return nil, err
-	}
-	return &SymGSParallel{tri: tri, sch: sch}, nil
-}
-
-// Apply runs sweeps SYMGS iterations on x in place.
-func (g *SymGSParallel) Apply(b, x []float64, sweeps int) error {
-	return symGS(g.sch, nil, g.tri, b, x, sweeps)
 }

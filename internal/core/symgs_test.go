@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,15 @@ func residualNorm(a *sparse.CSR, b, x []float64) float64 {
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	return sparse.Norm2(r)
+	return norm2(r)
+}
+
+func norm2(x []float64) float64 {
+	s := 0.0
+	for _, v := range x {
+		s += v * v
+	}
+	return math.Sqrt(s)
 }
 
 func TestSymGSSerialConverges(t *testing.T) {
@@ -64,7 +73,7 @@ func TestSymGSSerialConverges(t *testing.T) {
 		}
 		prev = cur
 	}
-	if prev > 1e-3*sparse.Norm2(b) {
+	if prev > 1e-3*norm2(b) {
 		t.Errorf("residual after 6 sweeps still %g", prev)
 	}
 }
@@ -184,4 +193,36 @@ func TestSymGSParallelErrors(t *testing.T) {
 	if _, err := NewSymGSParallel(tri, badOrd, pool); err == nil {
 		t.Error("accepted mismatched ordering")
 	}
+}
+
+// SymGSSerial applies sweeps symmetric Gauss-Seidel iterations to
+// A x = b in place on x. Rows with a zero diagonal are skipped (their
+// x entry is left unchanged), matching common practice for
+// saddle-point test matrices.
+func SymGSSerial(tri *sparse.Triangular, b, x []float64, sweeps int) error {
+	return symGS(serialSchedule(tri), nil, tri, b, x, sweeps)
+}
+
+// SymGSParallel applies SYMGS with ABMC multi-color parallelization:
+// the standalone form of the plan's parallel smoother. tri and ord must
+// describe the same permuted matrix; b and x are in the permuted
+// ordering.
+type SymGSParallel struct {
+	tri *sparse.Triangular
+	sch *colorSchedule
+}
+
+// NewSymGSParallel prepares a parallel SYMGS executor over an
+// ABMC-ordered split matrix.
+func NewSymGSParallel(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parallel.Pool) (*SymGSParallel, error) {
+	sch, err := newColorSchedule(tri, ord, pool)
+	if err != nil {
+		return nil, err
+	}
+	return &SymGSParallel{tri: tri, sch: sch}, nil
+}
+
+// Apply runs sweeps SYMGS iterations on x in place.
+func (g *SymGSParallel) Apply(b, x []float64, sweeps int) error {
+	return symGS(g.sch, nil, g.tri, b, x, sweeps)
 }

@@ -404,7 +404,7 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 	}
 	opt := Options{Engine: EngineAuto, LevelBlockBytes: blockBytes, Threads: threads}.Canonical()
 	threads = opt.Threads
-	ls, err := newLevelSchedule(a, opt.LevelBlockBytes)
+	ls, err := newLevelSchedule(a, opt.LevelBlockBytes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -476,7 +476,7 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 	// the level-permuted matrix), min-of-reps, on a throwaway pool of
 	// the plan's worker count (none for a serial plan).
 	x := tuneVector(a.Cols, uint64(a.Rows)<<32^uint64(a.NNZ()))
-	pa, err := ls.perm.ApplySym(a)
+	pa, err := ls.permute(a, nil)
 	if err != nil {
 		return nil, err
 	}

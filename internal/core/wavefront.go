@@ -37,9 +37,17 @@ func (lp *LevelPartition) NumLevels() int { return len(lp.LevelPtr) - 1 }
 // merged once with its row of the pattern-only transpose, no value
 // copied. A level is a BFS distance whatever order neighbors are visited
 // in and Rows is a counting sort by level, so the partition does not
-// depend on how the adjacency was assembled.
+// depend on how the adjacency was assembled. Rows therefore lists a
+// level's rows in source order, which is what lets levelSchedule.permute
+// place a permuted row without sorting it.
 func BFSLevels(a *sparse.CSR) (*LevelPartition, error) {
-	g, err := graph.FromCSRPattern(a)
+	return bfsLevels(a, nil)
+}
+
+// bfsLevels is BFSLevels with the adjacency built on r's workers (nil =
+// serial); the traversal itself is serial.
+func bfsLevels(a *sparse.CSR, r sparse.Runner) (*LevelPartition, error) {
+	g, err := graph.FromCSRPattern(a, r)
 	if err != nil {
 		return nil, fmt.Errorf("core: BFSLevels: %w", err)
 	}

@@ -9,6 +9,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"fbmpk/internal/sparse"
 )
@@ -163,23 +164,119 @@ func appendUnion(dst, x, y []int32, skip int32) []int32 {
 }
 
 // FromCSRPattern builds the row-level adjacency of a square matrix's
-// symmetrized pattern (used by RCM). Self-loops are dropped. One merge
-// of each row of a with the same row of the pattern-only transpose; the
-// neighbor array starts at nnz(a), which is exact for a structurally
-// symmetric matrix with a full diagonal, and grows otherwise.
-func FromCSRPattern(a *sparse.CSR) (*Adj, error) {
+// symmetrized pattern (BFS levels, RCM). Self-loops are dropped. One
+// merge of each row of a with the same row of the pattern-only
+// transpose; the neighbor array starts at nnz(a), which is exact for a
+// structurally symmetric matrix with a full diagonal, and grows
+// otherwise. Both passes run over r's workers (nil = serial), each on a
+// contiguous chunk of rows of about equal nonzeros. A chunk merges into
+// the stretch of the neighbor array its own entries span, which holds
+// its neighbors unless the pattern is not symmetric (append then moves
+// them to a buffer of their own), and the chunks are then moved down
+// behind one another. The adjacency is the same for any worker count,
+// and one worker is the serial path and its allocation.
+func FromCSRPattern(a *sparse.CSR, r sparse.Runner) (*Adj, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("graph: FromCSRPattern: %dx%d matrix: %w", a.Rows, a.Cols, sparse.ErrNotSquare)
 	}
 	n := a.Rows
-	tPtr, tIdx := a.TransposePattern()
+	chunks := rowChunks(a, r)
+	tPtr, tIdx := transposePattern(a, chunks, r)
 	g := &Adj{N: n, Ptr: make([]int64, n+1), Nbr: make([]int32, 0, a.NNZ())}
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		g.Nbr = appendUnion(g.Nbr, cols, tIdx[tPtr[i]:tPtr[i+1]], int32(i))
-		g.Ptr[i+1] = int64(len(g.Nbr))
+	nbrs := make([][]int32, len(chunks)-1)
+	sparse.ForRanges(r, 0, len(nbrs), func(_, start, end int) {
+		for w := start; w < end; w++ {
+			lo, hi := chunks[w], chunks[w+1]
+			nbr := g.Nbr[a.RowPtr[lo]:a.RowPtr[lo]:a.RowPtr[hi]]
+			for i := lo; i < hi; i++ {
+				cols, _ := a.Row(i)
+				nbr = appendUnion(nbr, cols, tIdx[tPtr[i]:tPtr[i+1]], int32(i))
+				g.Ptr[i+1] = int64(len(nbr))
+			}
+			nbrs[w] = nbr
+		}
+	})
+	if len(nbrs) == 1 {
+		g.Nbr = nbrs[0]
+		return g, nil
 	}
+	// Moving a chunk down never reaches a stretch not yet moved, unless
+	// one outgrew its stretch: then all of them are copied out.
+	dst, total, spilled := g.Nbr, 0, false
+	for w, nbr := range nbrs {
+		total += len(nbr)
+		spilled = spilled || len(nbr) > int(a.RowPtr[chunks[w+1]]-a.RowPtr[chunks[w]])
+	}
+	if spilled {
+		dst = make([]int32, 0, total)
+	}
+	// Chunk w's row pointers count from its own start.
+	for w, nbr := range nbrs {
+		off := int64(len(dst))
+		dst = append(dst, nbr...)
+		for i := chunks[w]; i < chunks[w+1]; i++ {
+			g.Ptr[i+1] += off
+		}
+	}
+	g.Nbr = dst
 	return g, nil
+}
+
+// rowChunks cuts a's rows into one contiguous chunk per worker of r
+// (one chunk when r is nil) of about equal nonzeros: chunk w is rows
+// chunks[w]..chunks[w+1].
+func rowChunks(a *sparse.CSR, r sparse.Runner) []int {
+	w := 1
+	if r != nil {
+		w = r.Workers()
+	}
+	chunks := make([]int, w+1)
+	for c := 1; c < w; c++ {
+		share := a.NNZ() * int64(c) / int64(w)
+		chunks[c] = sort.Search(a.Rows, func(i int) bool { return a.RowPtr[i] >= share })
+	}
+	chunks[w] = a.Rows
+	return chunks
+}
+
+// transposePattern returns the row pointers and column indices of aᵀ and
+// never touches a value. Each chunk of a's rows counts its columns into
+// a cursor array of its own, so the scatter runs chunk by chunk on r's
+// workers, and a chunk's rows land behind those of the chunks before it:
+// every transposed row ascends, as the serial scatter leaves it.
+func transposePattern(a *sparse.CSR, chunks []int, r sparse.Runner) (rowPtr []int64, colIdx []int32) {
+	n := a.Cols
+	rowPtr, colIdx = make([]int64, n+1), make([]int32, a.NNZ())
+	next := make([][]int64, len(chunks)-1)
+	sparse.ForRanges(r, 0, len(next), func(_, start, end int) {
+		for w := start; w < end; w++ {
+			cnt := make([]int64, n)
+			for _, c := range a.ColIdx[a.RowPtr[chunks[w]]:a.RowPtr[chunks[w+1]]] {
+				cnt[c]++
+			}
+			next[w] = cnt
+		}
+	})
+	for c := 0; c < n; c++ {
+		at := rowPtr[c]
+		for _, cur := range next {
+			at, cur[c] = at+cur[c], at
+		}
+		rowPtr[c+1] = at
+	}
+	sparse.ForRanges(r, 0, len(next), func(_, start, end int) {
+		for w := start; w < end; w++ {
+			cur := next[w]
+			for i := chunks[w]; i < chunks[w+1]; i++ {
+				cols, _ := a.Row(i)
+				for _, c := range cols {
+					colIdx[cur[c]] = int32(i)
+					cur[c]++
+				}
+			}
+		}
+	})
+	return rowPtr, colIdx
 }
 
 // GreedyColor computes a distance-1 coloring: adjacent vertices get

@@ -2,9 +2,11 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"fbmpk/internal/parallel"
 	"fbmpk/internal/sparse"
 )
 
@@ -42,7 +44,7 @@ func TestFromCSRPattern(t *testing.T) {
 	coo.Add(2, 1, 1)
 	coo.Add(2, 2, 1)
 	coo.Add(2, 0, 1) // asymmetric
-	g, err := FromCSRPattern(coo.ToCSR())
+	g, err := FromCSRPattern(coo.ToCSR(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +57,71 @@ func TestFromCSRPattern(t *testing.T) {
 	}
 }
 
+// TestFromCSRPatternWorkers: the chunked adjacency equals the serial one
+// array for array at every worker count — on symmetric patterns, where
+// each chunk's neighbors fit the stretch its entries span, on directed
+// ones, where chunks outgrow it and are copied out, on one where only
+// the first chunk outgrows it yet all fit the array (moved in place, it
+// would overwrite the second before that moved), and on matrices with
+// fewer rows than workers.
+func TestFromCSRPatternWorkers(t *testing.T) {
+	var pools []*parallel.Pool
+	for _, w := range []int{2, 3, 4} {
+		pools = append(pools, parallel.NewPool(w))
+	}
+	defer func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	}()
+	rng := rand.New(rand.NewSource(30))
+	directed := func(n, perRow int) *sparse.CSR {
+		coo := sparse.NewCOO(n, n, n*perRow)
+		for i := 0; i < n; i++ {
+			for k := rng.Intn(perRow + 1); k > 0; k-- {
+				coo.Add(i, rng.Intn(n), 1)
+			}
+		}
+		return coo.ToCSR()
+	}
+	// A directed cycle of 60 rows (two neighbors a row, one entry), then a
+	// symmetric tridiagonal of 60.
+	firstSpills := sparse.NewCOO(120, 120, 240)
+	for i := 0; i < 60; i++ {
+		firstSpills.Add(i, (i+1)%60, 1)
+		firstSpills.Add(60+i, 60+i, 1)
+		if i > 0 {
+			firstSpills.AddSym(59+i, 60+i, 1)
+		}
+	}
+	for name, a := range map[string]*sparse.CSR{
+		"first chunk spills": firstSpills.ToCSR(),
+		"symmetric":          randomSym(rng, 500, 4),
+		"directed":           directed(400, 6),
+		"one row":            directed(1, 1),
+		"empty":              sparse.NewCOO(0, 0, 0).ToCSR(),
+		"three":              randomSym(rng, 3, 1),
+		"no entries":         sparse.NewCOO(7, 7, 0).ToCSR(),
+	} {
+		want, err := FromCSRPattern(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pools {
+			got, err := FromCSRPattern(a, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.N != want.N || !slices.Equal(got.Ptr, want.Ptr) || !slices.Equal(got.Nbr, want.Nbr) {
+				t.Errorf("%s: adjacency on %d workers differs from the serial one", name, p.Workers())
+			}
+		}
+	}
+}
+
 func TestFromCSRPatternRejectsRectangular(t *testing.T) {
 	m := &sparse.CSR{Rows: 2, Cols: 3, RowPtr: []int64{0, 0, 0}}
-	if _, err := FromCSRPattern(m); err == nil {
+	if _, err := FromCSRPattern(m, nil); err == nil {
 		t.Error("accepted rectangular matrix")
 	}
 }

@@ -70,7 +70,7 @@ func valueMapOracle(p Perm, a *sparse.CSR) []int64 {
 // package cannot import): unlike ABMC's it scatters a row's columns.
 func levelPerm(tb testing.TB, a *sparse.CSR) Perm {
 	tb.Helper()
-	g, err := graph.FromCSRPattern(a)
+	g, err := graph.FromCSRPattern(a, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -358,10 +358,11 @@ func TestApplySymAllocation(t *testing.T) {
 
 var buildScale = flag.Float64("build-scale", 0.2, "pwtk scale of BenchmarkApplySym; 8 is the benchmark's out-of-cache bed (1.1 GB)")
 
-// BenchmarkApplySym times the symmetric permutation under the two
-// shapes of ordering a plan build applies: ABMC's (blocks move, rows
-// inside a block keep their order, so mapped rows are nearly sorted)
-// and BFS levels (a row's columns scatter). The level case only
+// BenchmarkApplySym times the symmetric permutation under two shapes of
+// ordering: ABMC's (blocks move, rows inside a block keep their order,
+// so mapped rows are nearly sorted) and BFS levels (a row's columns
+// scatter; the level-blocked build places such rows without a sort, in
+// internal/core, and is held to this routine). The level case only
 // separates from the ABMC one on a large bed (-build-scale=8): at the
 // default scale the stand-in's levels follow the row order.
 func BenchmarkApplySym(b *testing.B) {

@@ -228,8 +228,9 @@ func (p Perm) ApplySymPool(a *sparse.CSR, r sparse.Runner) (*sparse.CSR, error) 
 	b.RowPtr = p.permutedRows(a, p.Inverse(), r, func(i int, w int64, heads []uint64, starts []int32) {
 		cols, vals := a.Row(int(p[i]))
 		if starts == nil {
-			// The flat loop a scattering order (the level-blocked build's)
-			// spends its time in; runOf's detour is a third of it.
+			// The flat loop a row that scatters (an ABMC row over many
+			// blocks, cage14's) spends its time in; runOf's detour is a
+			// third of it.
 			for _, h := range heads {
 				b.ColIdx[w], b.Val[w] = int32(h>>32), vals[uint32(h)]
 				w++

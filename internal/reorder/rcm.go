@@ -17,7 +17,7 @@ import (
 // pseudo-peripheral vertex, visiting neighbors in ascending-degree
 // order; the concatenated order is then reversed.
 func RCM(a *sparse.CSR) (Perm, error) {
-	g, err := graph.FromCSRPattern(a)
+	g, err := graph.FromCSRPattern(a, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -53,18 +53,8 @@ func (c *COO) Len() int { return len(c.V) }
 // ToCSR converts the triplets to CSR, sorting each row's columns
 // ascending and summing duplicates. Entries that sum to exactly zero
 // are retained (pattern preservation matters for reordering
-// experiments); use ToCSRDropZeros to drop them.
+// experiments).
 func (c *COO) ToCSR() *CSR {
-	return c.toCSR(false)
-}
-
-// ToCSRDropZeros converts to CSR like ToCSR but removes entries whose
-// accumulated value is exactly zero.
-func (c *COO) ToCSRDropZeros() *CSR {
-	return c.toCSR(true)
-}
-
-func (c *COO) toCSR(dropZeros bool) *CSR {
 	n := len(c.V)
 	// Counting sort by row, then sort columns within each row. This is
 	// O(nnz log(row width)) and allocation-lean, which matters because
@@ -103,9 +93,6 @@ func (c *COO) toCSR(dropZeros bool) *CSR {
 				sum += val[k]
 				k++
 			}
-			if dropZeros && sum == 0 {
-				continue
-			}
 			colIdx[w] = ccol
 			val[w] = sum
 			w++
@@ -131,26 +118,4 @@ func (r rowSorter) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
 func (r rowSorter) Swap(i, j int) {
 	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
 	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
-}
-
-// FromDense builds a CSR matrix from a dense row-major matrix, storing
-// every nonzero entry. Intended for tests.
-func FromDense(d [][]float64) *CSR {
-	rows := len(d)
-	cols := 0
-	if rows > 0 {
-		cols = len(d[0])
-	}
-	coo := NewCOO(rows, cols, rows)
-	for i := 0; i < rows; i++ {
-		if len(d[i]) != cols {
-			panic("sparse: ragged dense matrix")
-		}
-		for j := 0; j < cols; j++ {
-			if d[i][j] != 0 {
-				coo.Add(i, j, d[i][j])
-			}
-		}
-	}
-	return coo.ToCSR()
 }

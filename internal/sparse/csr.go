@@ -174,44 +174,23 @@ func (m *CSR) maxDiff(o *CSR) float64 {
 // Transpose returns a new CSR holding the transpose, computed with the
 // usual two-pass counting algorithm (O(nnz + rows + cols)).
 func (m *CSR) Transpose() *CSR {
-	t := &CSR{Rows: m.Cols, Cols: m.Rows, Val: make([]float64, m.NNZ())}
-	t.RowPtr, t.ColIdx = m.transpose(t.Val)
-	return t
-}
-
-// TransposePattern returns the row pointers and column indices of the
-// transpose and never touches the values: what a graph traversal of
-// the symmetrized pattern needs beside m's own rows, at a third of
-// Transpose's allocation.
-func (m *CSR) TransposePattern() (rowPtr []int64, colIdx []int32) {
-	return m.transpose(nil)
-}
-
-// transpose builds the transposed structure and, when val is non-nil,
-// scatters the values into it alongside.
-func (m *CSR) transpose(val []float64) (rowPtr []int64, colIdx []int32) {
-	rowPtr = make([]int64, m.Cols+1)
-	colIdx = make([]int32, m.NNZ())
+	t := &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: make([]int64, m.Cols+1), ColIdx: make([]int32, m.NNZ()), Val: make([]float64, m.NNZ())}
 	for _, c := range m.ColIdx {
-		rowPtr[c+1]++
+		t.RowPtr[c+1]++
 	}
 	for i := 0; i < m.Cols; i++ {
-		rowPtr[i+1] += rowPtr[i]
+		t.RowPtr[i+1] += t.RowPtr[i]
 	}
 	next := make([]int64, m.Cols)
-	copy(next, rowPtr[:m.Cols])
+	copy(next, t.RowPtr[:m.Cols])
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			c := m.ColIdx[k]
-			dst := next[c]
+			t.ColIdx[next[c]], t.Val[next[c]] = int32(i), m.Val[k]
 			next[c]++
-			colIdx[dst] = int32(i)
-			if val != nil {
-				val[dst] = m.Val[k]
-			}
 		}
 	}
-	return rowPtr, colIdx
+	return t
 }
 
 // Diagonal extracts the main diagonal into a dense vector of length
@@ -264,42 +243,6 @@ func (m *CSR) Equal(o *CSR) bool {
 		}
 	}
 	return true
-}
-
-// AlmostEqual reports whether two matrices share a pattern and their
-// values differ by at most tol entrywise.
-func (m *CSR) AlmostEqual(o *CSR, tol float64) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols || m.NNZ() != o.NNZ() {
-		return false
-	}
-	for i := range m.RowPtr {
-		if m.RowPtr[i] != o.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range m.ColIdx {
-		if m.ColIdx[k] != o.ColIdx[k] {
-			return false
-		}
-		if math.Abs(m.Val[k]-o.Val[k]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// ToDense expands the matrix into a row-major dense matrix. Intended
-// for tests and tiny examples only.
-func (m *CSR) ToDense() [][]float64 {
-	d := make([][]float64, m.Rows)
-	for i := range d {
-		d[i] = make([]float64, m.Cols)
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			d[i][c] = vals[k]
-		}
-	}
-	return d
 }
 
 // ErrNotSquare is returned by operations requiring a square matrix.

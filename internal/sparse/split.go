@@ -148,34 +148,6 @@ func (t *Triangular) WithValues(rowPtr []int64, vals []float64, slot []int64) *T
 	return nt
 }
 
-// Recompose rebuilds the full matrix L + D + U as CSR. Diagonal entries
-// are always stored, even when zero, so Recompose(Split(a)) equals a
-// for matrices with a full stored diagonal; for matrices with missing
-// diagonal entries the result has an explicit zero there.
-func (t *Triangular) Recompose() *CSR {
-	n := t.N
-	nnz := t.L.NNZ() + t.U.NNZ() + int64(n)
-	m := &CSR{
-		Rows:   n,
-		Cols:   n,
-		RowPtr: make([]int64, n+1),
-		ColIdx: make([]int32, 0, nnz),
-		Val:    make([]float64, 0, nnz),
-	}
-	for i := 0; i < n; i++ {
-		lc, lv := t.L.Row(i)
-		m.ColIdx = append(m.ColIdx, lc...)
-		m.Val = append(m.Val, lv...)
-		m.ColIdx = append(m.ColIdx, int32(i))
-		m.Val = append(m.Val, t.D[i])
-		uc, uv := t.U.Row(i)
-		m.ColIdx = append(m.ColIdx, uc...)
-		m.Val = append(m.Val, uv...)
-		m.RowPtr[i+1] = int64(len(m.ColIdx))
-	}
-	return m
-}
-
 // MemoryBytes returns the storage footprint of the split layout
 // (L and U CSR arrays plus the diagonal vector), for Table IV.
 func (t *Triangular) MemoryBytes() int64 {

@@ -20,42 +20,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) float64 {
-	var s0, s1 float64
-	n := len(x)
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-	}
-	if i < n {
-		s0 += x[i] * y[i]
-	}
-	return s0 + s1
-}
-
-// Norm2 returns the Euclidean norm of x, guarding against overflow by
-// scaling with the max magnitude.
-func Norm2(x []float64) float64 {
-	maxAbs := 0.0
-	for _, v := range x {
-		a := math.Abs(v)
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		r := v / maxAbs
-		s += r * r
-	}
-	return maxAbs * math.Sqrt(s)
-}
-
 // NormInf returns the max-magnitude entry of x.
 func NormInf(x []float64) float64 {
 	m := 0.0
