@@ -27,7 +27,7 @@ go test ./...
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
 [ "$lines" -le 6326 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 17709 ]
+[ "$lines" -le 17655 ]
 # Knob ratchet (ROADMAP item 2, "Options <= 8 fields"): the exported
 # fields of core.Options, counted from the source. A new option has to
 # displace one.
@@ -79,18 +79,22 @@ echo "race section: $(($(date +%s) - race_start)) s"
 # compile.
 GOMAXPROCS=1 go test -run 'Fingerprint' ./internal/registry/ -count 1
 GOOS=linux GOARCH=s390x go build ./internal/registry/
-# What the build primitives and the content pass cost, printed, not
-# gated: BFS levels (serial and with the adjacency on two workers) and
-# the run-based symmetric permutation against the formulations they
-# replaced (-build-scale=8 is the benchmark's 1.1 GB bed), one build of
+# What the build primitives, the content pass and the codec cost,
+# printed, not gated: BFS levels (serial and with the adjacency on two
+# workers) and the run-based symmetric permutation against the
+# formulations they replaced (-build-scale=8 is the benchmark's 1.1 GB
+# bed), one build of
 # each plan kind — forward-backward and level-blocked, 1 and 2 threads,
 # with their graph and permutation stages — so a build regression shows
-# here, and the content pass in MB/s on the plan-churn bed beside
-# CSR.Validate and a bare sha256.Sum256.
+# here, the content pass in MB/s on the plan-churn bed beside
+# CSR.Validate and a bare sha256.Sum256, and the daemon's codec on the
+# serve-vec body beside encoding/json with a request's
+# decode/acquire/execute/encode split from the daemon's own timelines.
 go test ./internal/core -run '^$' -bench 'BFSLevels' -benchtime 5x
 go test ./internal/core -run '^$' -bench 'NewPlan' -benchtime 1x
 go test ./internal/reorder -run '^$' -bench 'ApplySym' -benchtime 5x
 go test ./internal/registry -run '^$' -bench 'Fingerprint' -cpu 1,2 -benchtime 5x
+go test ./internal/serve -run '^$' -bench 'OpDecode|OpEncode|OpRequestBudget' -benchtime 3x
 
 # Observability smoke: a briefly started debug server must serve valid
 # Prometheus text. (The traffic bound, tuner and registry assertions a
@@ -190,3 +194,4 @@ go test -run '^$' -fuzz '^FuzzContentPassValidate$' -fuzztime "$FUZZTIME" ./inte
 go test -run '^$' -fuzz '^FuzzRead$'              -fuzztime "$FUZZTIME" ./internal/mmio
 go test -run '^$' -fuzz '^FuzzTraceparent$'       -fuzztime "$FUZZTIME" ./internal/serve
 go test -run '^$' -fuzz '^FuzzOpRequestDecode$'   -fuzztime "$FUZZTIME" ./internal/serve
+go test -run '^$' -fuzz '^FuzzJSONFloat$'         -fuzztime "$FUZZTIME" ./internal/serve

@@ -10,11 +10,11 @@ import (
 )
 
 // The operation codec: OpRequest bodies decoded, and OpResponse bodies
-// encoded, in one pass over the floats, with the strconv calls
-// encoding/json itself ends in; every other member, every body that is
-// not the plain shape and every accept/reject decision stays
-// encoding/json's. FuzzOpRequestDecode and TestOpResponseMatchesStdlib
-// hold the two to stdlib parity, floats bitwise.
+// encoded, in one pass over the floats, each number read and written by
+// jsonfloat.go; every other member, every body that is not the plain
+// shape and every accept/reject decision stays encoding/json's.
+// FuzzOpRequestDecode and TestOpResponseMatchesStdlib hold the two to
+// stdlib parity, floats bitwise.
 
 // bodyPool recycles the buffer an operation request reads its body into
 // and then builds its reply in. sync.Pool drops its contents at GC, so a
@@ -196,14 +196,17 @@ func parseFloatArray(data []byte, i int) (out []float64, end int) {
 	if closing := bytes.IndexByte(data[i:], ']'); closing >= 0 {
 		out = make([]float64, 0, bytes.Count(data[i:i+closing], []byte{','})+1)
 	}
+	pow := pow10Table()
 	for {
-		j := skipNumber(data, i)
+		f, j, exact := parseJSONNumber(data, i, pow)
 		if j < 0 {
 			return nil, -1
 		}
-		f, err := strconv.ParseFloat(string(data[i:j]), 64)
-		if err != nil {
-			return nil, -1
+		if !exact {
+			var err error
+			if f, err = strconv.ParseFloat(string(data[i:j]), 64); err != nil {
+				return nil, -1
+			}
 		}
 		out = append(out, f)
 		i = skipSpace(data, j)
@@ -218,46 +221,6 @@ func parseFloatArray(data []byte, i int) (out []float64, end int) {
 		}
 		i = skipSpace(data, i+1)
 	}
-}
-
-// skipNumber returns the index past the JSON-grammar number at data[i]
-// — -?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)? — or -1. The grammar is
-// checked here because ParseFloat alone admits more (+1, .5, 0x10, 1_0,
-// nan); the caller checks that a delimiter follows.
-func skipNumber(data []byte, i int) int {
-	if i < len(data) && data[i] == '-' {
-		i++
-	}
-	if i < len(data) && data[i] == '0' {
-		i++
-	} else if i = skipDigits(data, i); i < 0 {
-		return -1
-	}
-	if i < len(data) && data[i] == '.' {
-		if i = skipDigits(data, i+1); i < 0 {
-			return -1
-		}
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		i = skipDigits(data, i)
-	}
-	return i
-}
-
-// skipDigits returns the index past the run of digits at data[i], -1 if
-// there is none.
-func skipDigits(data []byte, i int) int {
-	start := i
-	for i < len(data) && data[i]-'0' <= 9 {
-		i++
-	}
-	if i == start {
-		return -1
-	}
-	return i
 }
 
 // nonFiniteError reports a result vector JSON cannot carry.
@@ -292,6 +255,7 @@ func appendOpResponse(dst []byte, resp *OpResponse) ([]byte, error) {
 	const opening = `"result":[`
 	cut := bytes.Index(b, []byte(opening+"0]")) + len(opening)
 	dst = append(dst, b[:cut]...)
+	pow := pow10Table()
 	for i, f := range resp.Result {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return dst, &nonFiniteError{index: i, value: f}
@@ -299,23 +263,7 @@ func appendOpResponse(dst []byte, resp *OpResponse) ([]byte, error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONFloat(dst, f)
+		dst = appendJSONFloat(dst, f, pow)
 	}
 	return append(dst, b[cut+1:]...), nil
-}
-
-// appendJSONFloat appends a finite f in encoding/json's float64 form:
-// the shortest digits that round-trip, exponent form only below 1e-6 or
-// from 1e21 up, and a two-digit negative exponent trimmed (e-07 → e-7).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
 }

@@ -89,12 +89,22 @@ func FuzzOpRequestDecode(f *testing.F) {
 }
 
 // TestOpRequestDecodeTakesThePlainPath guards the gain, not the result:
-// the bodies the benchmark and fbmpkload send must not fall back.
+// the bodies the benchmark and fbmpkload send must not fall back to
+// encoding/json, and no float of the serve-vec body to ParseFloat.
 func TestOpRequestDecodeTakesThePlainPath(t *testing.T) {
 	body, _ := json.Marshal(OpRequest{Matrix: "k", K: 6, X0: DefaultVector(100), Return: ReturnFull})
 	var req OpRequest
 	if !decodeOpPlain(body, &req) {
 		t.Fatalf("a json.Marshal-ed OpRequest fell back to encoding/json: %.80s", body)
+	}
+	body, x := serveVecBody(t)
+	i := bytes.Index(body, []byte(`"x0":[`)) + len(`"x0":[`)
+	for n := range x {
+		f, end, exact := parseJSONNumber(body, i, pow10Table())
+		if !exact || f != x[n] {
+			t.Fatalf("x0[%d] = %v read as %v, fast path %v", n, x[n], f, exact)
+		}
+		i = end + 1
 	}
 }
 
