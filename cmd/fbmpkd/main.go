@@ -16,16 +16,15 @@
 //	     -d '{"matrix":"<key>","k":5,"return":"checksum"}'
 //	curl -s localhost:8707/v1/matrix/<key>/values --data-binary @new.mtx
 //
-// The wire contract is versioned: endpoints live under /v1/, every
-// response carries "api_version", and legacy unversioned paths answer
-// 308 redirects to their /v1 homes. A values POST updates the cached
+// The wire contract is versioned: endpoints live under /v1/ and every
+// response carries "api_version". A values POST updates the cached
 // plan in place when the structure is unchanged (epoch/RCU swap) and
 // rebuilds otherwise.
 //
 // Every request is traced: the daemon accepts or generates a W3C
 // traceparent, logs one structured access record per request
-// (-log-level, -log-format), and retains the slowest and most recent
-// failed request timelines at /v1/debug/requests. See the README
+// (-log-level, -log-format), and retains the 16 slowest and 16 most
+// recent failed request timelines at /v1/debug/requests. See the README
 // "Observability" section for the walkthrough.
 package main
 
@@ -56,7 +55,6 @@ func main() {
 		maxBody     = flag.Int64("max-body", 256<<20, "request body size cap in bytes")
 		maxMatrices = flag.Int("max-matrices", 64, "resident uploaded matrix cap")
 		drain       = flag.Duration("drain", 30*time.Second, "in-flight grace period on SIGTERM/SIGINT")
-		flightCap   = flag.Int("flight-recorder", 0, "request timelines retained per flight-recorder set (0 = 16)")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text | json")
 	)
@@ -67,7 +65,7 @@ func main() {
 		os.Exit(1)
 	}
 	if err := run(logger, *addr, *threads, *registryCap, *maxInflight,
-		*deadline, *maxTimeout, *maxBody, *maxMatrices, *drain, *flightCap); err != nil {
+		*deadline, *maxTimeout, *maxBody, *maxMatrices, *drain); err != nil {
 		logger.Error("exiting", "error", err.Error())
 		os.Exit(1)
 	}
@@ -93,7 +91,7 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 }
 
 func run(logger *slog.Logger, addr string, threads int, registryCap, maxInflight int,
-	deadline, maxTimeout time.Duration, maxBody int64, maxMatrices int, drain time.Duration, flightCap int) error {
+	deadline, maxTimeout time.Duration, maxBody int64, maxMatrices int, drain time.Duration) error {
 	srv := serve.New(serve.Config{
 		RegistryCapacity: registryCap,
 		MaxInFlight:      maxInflight,
@@ -103,7 +101,6 @@ func run(logger *slog.Logger, addr string, threads int, registryCap, maxInflight
 		MaxMatrices:      maxMatrices,
 		PlanOptions:      []fbmpk.Option{fbmpk.WithThreads(threads)},
 		Logger:           logger,
-		FlightCapacity:   flightCap,
 	})
 	defer srv.Close()
 

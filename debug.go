@@ -120,6 +120,7 @@ func debugMux(plans []*Plan, reg *Registry) http.Handler {
 			snaps = append(snaps, expo.PlanSnapshot{
 				Name:    fmt.Sprintf("plan%d", i),
 				Metrics: p.Metrics(),
+				Stats:   p.Stats(),
 			})
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

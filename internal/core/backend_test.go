@@ -218,8 +218,8 @@ func TestForcedBackendDefaults(t *testing.T) {
 }
 
 // TestPlanStatsBackend verifies that what a plan's kernels execute on
-// surfaces through PlanStats, Plan.Backend, and the metrics snapshot:
-// the forced backend of a standard-engine plan, the split of a
+// surfaces through PlanStats and Plan.Backend (the exposition's backend
+// label reads PlanStats): the forced backend of a standard-engine plan, the split of a
 // forward-backward one (whatever Backend it was asked for), the raw CSR
 // of a level-blocked one.
 func TestPlanStatsBackend(t *testing.T) {
@@ -244,9 +244,6 @@ func TestPlanStatsBackend(t *testing.T) {
 		}
 		if p.Backend() != tc.want || p.Stats().Backend != tc.want {
 			t.Fatalf("backend = %q / %q, want %q", p.Backend(), p.Stats().Backend, tc.want)
-		}
-		if m := p.Metrics(); m.Backend != tc.want {
-			t.Fatalf("metrics backend = %q, want %q", m.Backend, tc.want)
 		}
 		p.Close()
 	}

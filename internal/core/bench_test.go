@@ -298,7 +298,7 @@ func BenchmarkStandardBackends(b *testing.B) {
 // figures DESIGN.md §6 quotes. Last come two whole k = 6 MPKs, ROADMAP
 // 2(a)'s gauge: the standard engine's six plain sweeps (std6) and the
 // level-blocked engine at -lb-bytes (lb6, with its level and block
-// counts) — DESIGN.md §14 has the budget sweep.
+// counts) — DESIGN.md §13 has the budget sweep.
 func BenchmarkSweep(b *testing.B) {
 	a := sweepBed(b, "pwtk")
 	tri, err := sparse.Split(a)

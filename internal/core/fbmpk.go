@@ -232,7 +232,7 @@ func (s *fbState) work(id int) {
 			ph = phaseForward
 		}
 		last := t == s.k
-		clock.beginSweep(ph)
+		clock.beginSweep()
 		for ci := 0; ci < nc; ci++ {
 			c := ci
 			if p == 0 {

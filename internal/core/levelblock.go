@@ -242,7 +242,7 @@ func levelBlockedPowers(tm team, env *runEnv, a *sparse.CSR, ls *levelSchedule, 
 		skip := false
 		for b := 0; b <= nb; b++ {
 			bLo, bHi := ls.passBounds(b, k)
-			clock.beginSweep(phaseLevel)
+			clock.beginSweep()
 			for p := 1; p <= k; p++ {
 				lo, hi := ls.stepRange(bLo, bHi, p)
 				if lo >= hi {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
-	rtrace "runtime/trace"
 	"sync/atomic"
 	"time"
 
@@ -16,12 +14,9 @@ import (
 // matrix streamed from memory (the quantity behind the paper's
 // (k+1)/2 "reads of A" headline), and per-phase wait vs. compute time
 // measured by the parallel workers. PlanMetrics is the immutable
-// snapshot; it marshals to JSON and implements fmt.Stringer with the
-// JSON encoding, which makes it directly usable as an expvar.Var:
-//
-//	expvar.Publish("fbmpk.plan", expvar.Func(func() any {
-//		return plan.Metrics()
-//	}))
+// snapshot; it marshals to JSON, and its String is that encoding (what
+// `solve -metrics` prints). The one-off build cost is not a counter:
+// it stays in PlanStats.
 
 // opKind enumerates the Plan entry points for per-operation counters.
 type opKind int
@@ -75,30 +70,6 @@ var phaseNames = [numPhases]string{
 	phaseStandardSELL: "standard_sell",
 	phaseStandardBSR:  "standard_bsr",
 	phaseLevel:        "level",
-}
-
-// regionNames are the static labels mirrored into runtime/trace
-// regions when a Go execution trace is active (static so StartRegion
-// never allocates a label).
-var regionNames = [numPhases]string{
-	phaseHead:         "fbmpk.head",
-	phaseForward:      "fbmpk.forward",
-	phaseBackward:     "fbmpk.backward",
-	phaseStandard:     "fbmpk.standard",
-	phaseSymGS:        "fbmpk.symgs",
-	phaseStandardSELL: "fbmpk.standard_sell",
-	phaseStandardBSR:  "fbmpk.standard_bsr",
-	phaseLevel:        "fbmpk.level",
-}
-
-var opRegionNames = [numOps]string{
-	opMPK:          "fbmpk.mpk",
-	opMPKAll:       "fbmpk.mpk_all",
-	opMPKMulti:     "fbmpk.mpk_multi",
-	opSSpMV:        "fbmpk.sspmv",
-	opSSpMVMulti:   "fbmpk.sspmv_multi",
-	opSSpMVComplex: "fbmpk.sspmv_complex",
-	opSymGS:        "fbmpk.symgs",
 }
 
 // planMetrics is the live atomic counter set owned by a Plan.
@@ -176,49 +147,10 @@ type PlanMetrics struct {
 	// Latency holds the per-op call duration histogram (log-linear,
 	// 12.5% relative bucket error) with derived p50/p90/p99.
 	Latency map[string]OpLatency `json:"latency_by_op,omitempty"`
-
-	// Backend is the storage format the plan's kernels execute on
-	// (PlanStats.Backend: "csr", "sell", "bsr", or "split" for a
-	// forward-backward plan); exporters attach it as the backend label.
-	Backend string `json:"backend,omitempty"`
-
-	// Build is the one-off construction cost breakdown of the plan
-	// (PlanStats rendered into the snapshot), so the /metrics surface
-	// can report how much preprocessing a cache hit amortizes away.
-	Build BuildBreakdown `json:"build"`
 }
 
-// BuildBreakdown is the plan-construction stage breakdown carried in
-// a PlanMetrics snapshot. Stage fields are zero when the stage did
-// not run (e.g. no ABMC for a serial FB plan).
-type BuildBreakdown struct {
-	Total    time.Duration `json:"total_ns"`
-	Graph    time.Duration `json:"graph_ns,omitempty"`
-	Color    time.Duration `json:"color_ns,omitempty"`
-	Perm     time.Duration `json:"perm_ns,omitempty"`
-	Split    time.Duration `json:"split_ns,omitempty"`
-	Reorder  time.Duration `json:"reorder_ns,omitempty"`
-	Tune     time.Duration `json:"tune_ns,omitempty"`
-	Parallel bool          `json:"parallel"`
-}
-
-// buildBreakdown renders PlanStats into the snapshot form. A fused
-// permute-and-split build reports its one pass as Split and no Perm
-// (see PlanStats).
-func buildBreakdown(s PlanStats) BuildBreakdown {
-	return BuildBreakdown{
-		Total:    s.BuildTime,
-		Graph:    s.GraphTime,
-		Color:    s.ColorTime,
-		Perm:     s.PermTime,
-		Split:    s.SplitTime,
-		Reorder:  s.ReorderTime,
-		Tune:     s.TuneTime,
-		Parallel: s.ParallelPrep,
-	}
-}
-
-// String renders the snapshot as JSON, satisfying expvar.Var.
+// String renders the snapshot as JSON: the line `solve -metrics`
+// prints after a solve.
 func (m PlanMetrics) String() string {
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -340,8 +272,7 @@ func (e *runEnv) serialClock() *phaseClock {
 // treats the span since the previous mark as that category. With a
 // recorder attached each mark additionally emits a span event
 // (compute section or barrier wait) on the clock's lane, and
-// beginSweep/endSweep bracket whole pipeline sweeps — mirrored into
-// runtime/trace regions when a Go execution trace is running.
+// beginSweep/endSweep bracket whole pipeline sweeps.
 type phaseClock struct {
 	met        *planMetrics
 	rec        *events.Recorder
@@ -349,7 +280,6 @@ type phaseClock struct {
 	seq        uint64
 	t          time.Time
 	sweepStart time.Time
-	region     *rtrace.Region
 	wait       [numPhases]int64
 	comp       [numPhases]int64
 }
@@ -383,17 +313,12 @@ func (c *phaseClock) endWait(ph phase, color int32) {
 }
 
 // beginSweep marks the start of one pipeline sweep (the span until the
-// matching endSweep). It opens a runtime/trace region when a Go
-// execution trace is active; otherwise it only copies the current
-// mark, so the disabled cost is nil-check + one atomic load.
-func (c *phaseClock) beginSweep(ph phase) {
+// matching endSweep) by copying the current mark: no clock read.
+func (c *phaseClock) beginSweep() {
 	if c == nil {
 		return
 	}
 	c.sweepStart = c.t
-	if rtrace.IsEnabled() {
-		c.region = rtrace.StartRegion(context.Background(), regionNames[ph])
-	}
 }
 
 // endSweep emits the sweep span using the time of the last mark as the
@@ -406,10 +331,6 @@ func (c *phaseClock) endSweep(ph phase, arg int32) {
 	}
 	if c.rec != nil {
 		c.rec.Span(c.lane, events.KindSweep, phaseNames[ph], arg, c.seq, c.sweepStart, c.t)
-	}
-	if c.region != nil {
-		c.region.End()
-		c.region = nil
 	}
 }
 

@@ -63,7 +63,7 @@ func standardPowers(tm team, bounds []int, env *runEnv, be execBackend, x0 []flo
 		lo, hi := bounds[id], bounds[id+1]
 		src, dst := x, y
 		for power := 1; power <= k; power++ {
-			clock.beginSweep(ph)
+			clock.beginSweep()
 			if !skip {
 				be.spmvRange(src, dst, lo, hi)
 			}
@@ -112,7 +112,7 @@ func standardMPKBatch(env *runEnv, be execBackend, xs [][]float64, k int) ([][]f
 		if env.canceled() {
 			return nil, errCanceledRun
 		}
-		clock.beginSweep(ph)
+		clock.beginSweep()
 		be.spmm(x, y, nv)
 		x, y = y, x
 		clock.endCompute(ph, -1)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -412,13 +411,9 @@ func (p *Plan) Stats() PlanStats {
 
 // Metrics returns a point-in-time snapshot of the plan's execution
 // counters; see PlanMetrics. Safe to call at any time, including
-// concurrently with executions.
-func (p *Plan) Metrics() PlanMetrics {
-	m := p.metrics.snapshot(p.nnzA)
-	m.Build = buildBreakdown(p.stats)
-	m.Backend = p.stats.Backend
-	return m
-}
+// concurrently with executions. What the build cost and what the
+// kernels execute on are PlanStats, not counters.
+func (p *Plan) Metrics() PlanMetrics { return p.metrics.snapshot(p.nnzA) }
 
 // StartTrace attaches an event recorder: subsequent executions record
 // call, sweep, compute, and barrier spans into it until StopTrace.
@@ -517,21 +512,10 @@ func (p *Plan) exec(ctx context.Context, op opKind, fn func(ws *workspace, env *
 		env.flag = flag
 	}
 	ws := p.acquire()
-	var region *rtrace.Region
-	if rtrace.IsEnabled() {
-		rctx := ctx
-		if rctx == nil {
-			rctx = context.Background()
-		}
-		region = rtrace.StartRegion(rctx, opRegionNames[op])
-	}
 	start := time.Now()
 	wk, err := fn(ws, env, ep)
 	end := time.Now()
 	elapsed := end.Sub(start)
-	if region != nil {
-		region.End()
-	}
 	if env.rec != nil {
 		env.rec.SpanTagged(env.lane, events.KindCall, opNames[op], -1, env.seq, start, end, tl.TraceID())
 	}

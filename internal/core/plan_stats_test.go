@@ -100,9 +100,6 @@ func TestPlanStatsStagesCoverReorder(t *testing.T) {
 			t.Errorf("%s: graph %v + color %v + perm %v leave %.1f%% of reorder %v in no stage",
 				c.name, st.GraphTime, st.ColorTime, st.PermTime, 100*gap, st.ReorderTime)
 		}
-		if m := buildBreakdown(st); m.Graph != st.GraphTime || m.Perm != st.PermTime || m.Reorder != st.ReorderTime {
-			t.Errorf("%s: build breakdown %+v does not carry the stages of %+v", c.name, m, st)
-		}
 	}
 }
 

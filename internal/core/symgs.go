@@ -38,7 +38,7 @@ func symGS(sch *colorSchedule, env *runEnv, tri *sparse.Triangular, b, x []float
 		clock := tm.clock(env, id)
 		skip := false
 		for h := 1; h <= 2*sweeps; h++ { // half-sweeps: odd forward, even backward
-			clock.beginSweep(phaseSymGS)
+			clock.beginSweep()
 			for ci := 0; ci < nc; ci++ {
 				c := ci
 				if h&1 == 0 {

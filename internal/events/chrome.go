@@ -62,54 +62,6 @@ func WriteChromeTrace(w io.Writer, recs ...*Recorder) error {
 	return bw.Flush()
 }
 
-// TimelineExport is one request timeline prepared for the Chrome
-// export: a display name for its row, the trace ID, the request's
-// start offset from the export origin (so concurrent requests line up
-// on one time axis), its total duration, and the recorded phases.
-type TimelineExport struct {
-	Name   string
-	Trace  string
-	Start  time.Duration
-	Total  time.Duration
-	Phases []Phase
-}
-
-// WriteChromeTimelines writes request timelines as one Chrome
-// trace-event JSON document: each timeline becomes a tid under pid 1
-// with a whole-request "request" span and one complete event per
-// phase, all tagged with the trace ID, so a flight-recorder capture
-// drops straight into Perfetto.
-func WriteChromeTimelines(w io.Writer, tls []TimelineExport) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	emit := func(s string) {
-		if !first {
-			bw.WriteByte(',')
-		}
-		first = false
-		bw.WriteString("\n")
-		bw.WriteString(s)
-	}
-	for tid, tl := range tls {
-		emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`,
-			tid, strconv.Quote(tl.Name)))
-		trace := `,"trace":` + strconv.Quote(tl.Trace)
-		emit(fmt.Sprintf(`{"name":"request","cat":"request","ph":"X","ts":%s,"dur":%s,"pid":1,"tid":%d,"args":{"seq":0,"arg":0%s}}`,
-			micros(tl.Start), micros(tl.Total), tid, trace))
-		for _, ph := range tl.Phases {
-			emit(fmt.Sprintf(`{"name":%s,"cat":"phase","ph":"X","ts":%s,"dur":%s,"pid":1,"tid":%d,"args":{"seq":0,"arg":%d%s}}`,
-				strconv.Quote(ph.Name), micros(tl.Start+ph.Start), micros(ph.Dur), tid, ph.Arg, trace))
-		}
-	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 func laneName(r *Recorder, laneID int) string {
 	if laneID < r.callers {
 		return fmt.Sprintf("caller %d", laneID)

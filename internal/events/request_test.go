@@ -2,7 +2,6 @@ package events
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -90,45 +89,6 @@ func TestTimelineContextRoundTrip(t *testing.T) {
 	base := context.Background()
 	if ctx2 := ContextWithTimeline(base, nil); ctx2 != base {
 		t.Fatal("nil timeline changed the context")
-	}
-}
-
-func TestWriteChromeTimelines(t *testing.T) {
-	start := time.Unix(50, 0)
-	tl := NewTimeline("4bf92f3577b34da6a3ce929d0e0e4736", start)
-	tl.Phase("plan.admission", start, start.Add(time.Millisecond))
-	tl.Phase("plan.execute", start.Add(time.Millisecond), start.Add(5*time.Millisecond))
-	exp := []TimelineExport{{
-		Name:   "mpk ok 4bf92f35 (5ms)",
-		Trace:  tl.TraceID(),
-		Start:  0,
-		Total:  5 * time.Millisecond,
-		Phases: tl.Snapshot(),
-	}}
-	var sb strings.Builder
-	if err := WriteChromeTimelines(&sb, exp); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v\n%s", err, sb.String())
-	}
-	var xEvents, withTrace int
-	for _, ev := range doc.TraceEvents {
-		if ev["ph"] == "X" {
-			xEvents++
-			if args, ok := ev["args"].(map[string]any); ok {
-				if args["trace"] == tl.TraceID() {
-					withTrace++
-				}
-			}
-		}
-	}
-	// One whole-request span + two phases, all trace-tagged.
-	if xEvents != 3 || withTrace != 3 {
-		t.Fatalf("got %d X events (%d trace-tagged), want 3/3\n%s", xEvents, withTrace, sb.String())
 	}
 }
 

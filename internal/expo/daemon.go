@@ -2,27 +2,16 @@ package expo
 
 import (
 	"bufio"
-	"fmt"
 	"io"
-	"time"
 
 	"fbmpk/internal/core"
 )
 
 // Daemon-side metric families of fbmpkd, rendered through the same
 // hand-rolled writer the plan and registry families use, so the whole
-// /metrics document comes off one lint-clean exposition path. The
-// request-latency histograms carry OpenMetrics-style exemplars — the
-// trace ID of the slowest recent request appended to the bucket its
-// latency falls in — giving the p99 tail a one-curl jump from a
-// /metrics scrape into /v1/debug/requests.
-
-// Exemplar links one histogram bucket to a concrete traced request.
-type Exemplar struct {
-	TraceID string
-	Value   time.Duration
-	At      time.Time
-}
+// /metrics document comes off one lint-clean exposition path. Metrics
+// are aggregates only: which request was slow, and its trace ID, is
+// the flight recorder's (/v1/debug/requests).
 
 // DaemonRequestCount is one (op, outcome) finished-request counter.
 type DaemonRequestCount struct {
@@ -31,13 +20,11 @@ type DaemonRequestCount struct {
 	Count   uint64
 }
 
-// DaemonOpLatency is one (op, outcome) request-latency histogram with
-// its optional exemplar.
+// DaemonOpLatency is one (op, outcome) request-latency histogram.
 type DaemonOpLatency struct {
-	Op       string
-	Outcome  string
-	Latency  core.OpLatency
-	Exemplar *Exemplar
+	Op      string
+	Outcome string
+	Latency core.OpLatency
 }
 
 // DaemonSnapshot is the daemon-side metric state WriteDaemonMetrics
@@ -56,9 +43,6 @@ type DaemonSnapshot struct {
 }
 
 // WriteDaemonMetrics renders the fbmpkd families as Prometheus text.
-// Exemplars use the OpenMetrics suffix syntax ("... # {trace_id=...}
-// value timestamp"); strict classic-format parsers should scrape with
-// exemplars stripped (the daemon's /metrics?exemplars=0).
 func WriteDaemonMetrics(w io.Writer, s DaemonSnapshot) error {
 	pw := &promWriter{bw: bufio.NewWriter(w)}
 
@@ -82,42 +66,11 @@ func WriteDaemonMetrics(w io.Writer, s DaemonSnapshot) error {
 
 	pw.family("fbmpkd_request_seconds", "Request service time by op and outcome (log-linear buckets, 12.5% relative error).", "histogram")
 	for _, l := range s.Latency {
-		writeRequestHistogram(pw, l)
+		writeHistogram(pw, "fbmpkd_request_seconds", labels{{"op", l.Op}, {"outcome", l.Outcome}}, l.Latency)
 	}
 
 	if pw.err != nil {
 		return pw.err
 	}
 	return pw.bw.Flush()
-}
-
-// writeRequestHistogram renders one (op, outcome) histogram. The
-// exemplar attaches to the first bucket whose upper bound covers its
-// value — with the slowest-recent-request exemplar policy, that is
-// the bucket the latency tail lives in.
-func writeRequestHistogram(pw *promWriter, l DaemonOpLatency) {
-	base := labels{{"op", l.Op}, {"outcome", l.Outcome}}
-	with := func(extra ...[2]string) labels {
-		return append(append(labels(nil), base...), extra...)
-	}
-	exemplarPending := l.Exemplar != nil && l.Exemplar.TraceID != ""
-	attach := func(le time.Duration, last bool) string {
-		if !exemplarPending || (!last && l.Exemplar.Value > le) {
-			return ""
-		}
-		exemplarPending = false
-		return fmt.Sprintf(" # {trace_id=\"%s\"} %s %d",
-			escapeLabel(l.Exemplar.TraceID),
-			formatFloat(l.Exemplar.Value.Seconds()),
-			l.Exemplar.At.Unix())
-	}
-	for _, b := range l.Latency.Buckets {
-		pw.sampleSuffix("fbmpkd_request_seconds_bucket",
-			with([2]string{"le", formatFloat(b.Le.Seconds())}),
-			float64(b.Count), attach(b.Le, false))
-	}
-	pw.sampleSuffix("fbmpkd_request_seconds_bucket",
-		with([2]string{"le", "+Inf"}), float64(l.Latency.Count), attach(0, true))
-	pw.sample("fbmpkd_request_seconds_sum", base, l.Latency.Sum.Seconds())
-	pw.sample("fbmpkd_request_seconds_count", base, float64(l.Latency.Count))
 }

@@ -1,8 +1,6 @@
 package expo
 
 import (
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +9,7 @@ import (
 )
 
 // daemonSnapshotFixture builds a deterministic daemon snapshot with
-// two histogram series, one carrying an exemplar.
+// two histogram series.
 func daemonSnapshotFixture() DaemonSnapshot {
 	var okHist, shedHist core.LatencyHist
 	for _, d := range []time.Duration{
@@ -34,42 +32,10 @@ func daemonSnapshotFixture() DaemonSnapshot {
 			{Op: "mpk", Outcome: "overload", Count: 3},
 		},
 		Latency: []DaemonOpLatency{
-			{Op: "mpk", Outcome: "ok", Latency: okHist.Snapshot(), Exemplar: &Exemplar{
-				TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
-				Value:   40 * time.Millisecond,
-				At:      time.Unix(1722000000, 0),
-			}},
+			{Op: "mpk", Outcome: "ok", Latency: okHist.Snapshot()},
 			{Op: "mpk", Outcome: "overload", Latency: shedHist.Snapshot()},
 		},
 	}
-}
-
-// exemplarRE matches the OpenMetrics exemplar suffix the daemon
-// histograms append to one bucket line.
-var exemplarRE = regexp.MustCompile(`^\{trace_id="[0-9a-f]{32}"\} [0-9.eE+-]+ [0-9]+$`)
-
-// stripExemplars validates and removes exemplar suffixes so the
-// classic-format linter can parse the rest, returning the stripped
-// text and the number of exemplars seen.
-func stripExemplars(t *testing.T, text string) (string, int) {
-	t.Helper()
-	var sb strings.Builder
-	n := 0
-	for _, line := range strings.Split(text, "\n") {
-		if body, ex, ok := strings.Cut(line, " # "); ok && !strings.HasPrefix(line, "#") {
-			if !strings.Contains(body, "_bucket") {
-				t.Fatalf("exemplar on a non-bucket line: %q", line)
-			}
-			if !exemplarRE.MatchString(ex) {
-				t.Fatalf("malformed exemplar %q on line %q", ex, line)
-			}
-			n++
-			line = body
-		}
-		sb.WriteString(line)
-		sb.WriteString("\n")
-	}
-	return sb.String(), n
 }
 
 func TestWriteDaemonMetricsFormatValid(t *testing.T) {
@@ -77,11 +43,7 @@ func TestWriteDaemonMetricsFormatValid(t *testing.T) {
 	if err := WriteDaemonMetrics(&sb, daemonSnapshotFixture()); err != nil {
 		t.Fatal(err)
 	}
-	text, exemplars := stripExemplars(t, sb.String())
-	if exemplars != 1 {
-		t.Fatalf("got %d exemplars, want exactly 1 (one per exemplar-carrying series)", exemplars)
-	}
-	samples := parseProm(t, text)
+	samples := parseProm(t, sb.String())
 
 	find := func(name, labels string) *sample {
 		for i := range samples {
@@ -102,41 +64,5 @@ func TestWriteDaemonMetricsFormatValid(t *testing.T) {
 	}
 	if s := find("fbmpkd_request_seconds_bucket", "op=mpk,outcome=overload,le=+Inf"); s == nil || s.value != 1 {
 		t.Fatalf("overload +Inf bucket wrong: %+v", s)
-	}
-}
-
-// TestDaemonExemplarOnTailBucket pins the attachment rule: the
-// exemplar rides the first bucket whose upper bound covers its value —
-// the tail bucket under the slowest-recent-request policy.
-func TestDaemonExemplarOnTailBucket(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteDaemonMetrics(&sb, daemonSnapshotFixture()); err != nil {
-		t.Fatal(err)
-	}
-	var exLine string
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.Contains(line, " # {trace_id=") {
-			exLine = line
-			break
-		}
-	}
-	if exLine == "" {
-		t.Fatal("no exemplar line emitted")
-	}
-	if !strings.Contains(exLine, `outcome="ok"`) {
-		t.Fatalf("exemplar on wrong series: %q", exLine)
-	}
-	// The 40ms observation lives in a bucket whose le is >= 0.04 and,
-	// with 12.5% relative error, < 0.05.
-	le := regexp.MustCompile(`le="([0-9.eE+-]+|\+Inf)"`).FindStringSubmatch(exLine)
-	if le == nil {
-		t.Fatalf("no le label on exemplar line %q", exLine)
-	}
-	if le[1] == "+Inf" {
-		t.Fatalf("exemplar overflowed to +Inf bucket: %q", exLine)
-	}
-	v, err := strconv.ParseFloat(le[1], 64)
-	if err != nil || v < 0.04 || v > 0.05 {
-		t.Fatalf("exemplar bucket le=%s not the 40ms tail bucket: %q", le[1], exLine)
 	}
 }

@@ -1,9 +1,10 @@
-// Package expo renders PlanMetrics snapshots in the Prometheus text
-// exposition format (version 0.0.4, the format every Prometheus-
-// compatible scraper accepts). The writer is hand-rolled — the repo
-// takes no dependency on a client library — and deterministic: metric
-// families appear in a fixed order and series within a family are
-// sorted by label value, so output is directly diffable and testable.
+// Package expo renders plan, plan-cache and daemon snapshots in the
+// Prometheus text exposition format (version 0.0.4, the format every
+// Prometheus-compatible scraper accepts). The writer is hand-rolled —
+// the repo takes no dependency on a client library — and
+// deterministic: metric families appear in a fixed order and series
+// within a family are sorted by label value, so output is directly
+// diffable and testable.
 package expo
 
 import (
@@ -19,22 +20,24 @@ import (
 	"fbmpk/internal/core"
 )
 
-// PlanSnapshot pairs a plan's scrape label with its metrics snapshot.
+// PlanSnapshot pairs a plan's scrape label with its counter snapshot
+// and its build record (Plan.Stats), which the backend label and
+// fbmpk_build_seconds are read from.
 type PlanSnapshot struct {
 	Name    string
 	Metrics core.PlanMetrics
+	Stats   core.PlanStats
 }
 
 // planLabels returns the base label set of a plan's series: the plan
 // name plus, when the plan reports what its kernels execute on, the
 // backend label ("csr", "sell", "bsr"; "split" for a forward-backward
-// plan) on the same series.
-// Snapshots without a backend (older callers) keep the plan-only
-// label set, so existing scrapes are unchanged.
+// plan) on the same series. A snapshot without stats keeps the
+// plan-only label set.
 func planLabels(s PlanSnapshot, extra ...[2]string) labels {
 	l := labels{{"plan", s.Name}}
-	if s.Metrics.Backend != "" {
-		l = append(l, [2]string{"backend", s.Metrics.Backend})
+	if s.Stats.Backend != "" {
+		l = append(l, [2]string{"backend", s.Stats.Backend})
 	}
 	return append(l, extra...)
 }
@@ -93,13 +96,13 @@ func WriteMetrics(w io.Writer, snaps ...PlanSnapshot) error {
 
 	pw.family("fbmpk_build_seconds", "One-off plan construction wall time by preprocessing stage.", "gauge")
 	for _, s := range snaps {
-		b := s.Metrics.Build
+		b := s.Stats
 		for _, st := range []struct {
 			stage string
 			d     time.Duration
 		}{
-			{"total", b.Total}, {"graph", b.Graph},
-			{"color", b.Color}, {"perm", b.Perm}, {"split", b.Split},
+			{"total", b.BuildTime}, {"graph", b.GraphTime},
+			{"color", b.ColorTime}, {"perm", b.PermTime}, {"split", b.SplitTime},
 		} {
 			if st.d == 0 && st.stage != "total" {
 				continue // stage did not run for this plan shape
@@ -134,7 +137,7 @@ func WriteMetrics(w io.Writer, snaps ...PlanSnapshot) error {
 	pw.family("fbmpk_op_latency_seconds", "Call duration by operation (log-linear buckets, 12.5% relative error).", "histogram")
 	for _, s := range snaps {
 		for _, op := range sortedKeys(s.Metrics.Latency) {
-			writeHistogram(pw, planLabels(s), op, s.Metrics.Latency[op])
+			writeHistogram(pw, "fbmpk_op_latency_seconds", planLabels(s, [2]string{"op", op}), s.Metrics.Latency[op])
 		}
 	}
 	if pw.err != nil {
@@ -143,19 +146,18 @@ func WriteMetrics(w io.Writer, snaps ...PlanSnapshot) error {
 	return pw.bw.Flush()
 }
 
-func writeHistogram(pw *promWriter, base labels, op string, lat core.OpLatency) {
+// writeHistogram renders one cumulative histogram family member: the
+// le buckets, +Inf, _sum and _count, each under the base label set.
+func writeHistogram(pw *promWriter, name string, base labels, lat core.OpLatency) {
 	with := func(extra ...[2]string) labels {
 		return append(append(labels(nil), base...), extra...)
 	}
 	for _, b := range lat.Buckets {
-		pw.sample("fbmpk_op_latency_seconds_bucket",
-			with([2]string{"op", op}, [2]string{"le", formatFloat(b.Le.Seconds())}),
-			float64(b.Count))
+		pw.sample(name+"_bucket", with([2]string{"le", formatFloat(b.Le.Seconds())}), float64(b.Count))
 	}
-	pw.sample("fbmpk_op_latency_seconds_bucket",
-		with([2]string{"op", op}, [2]string{"le", "+Inf"}), float64(lat.Count))
-	pw.sample("fbmpk_op_latency_seconds_sum", with([2]string{"op", op}), lat.Sum.Seconds())
-	pw.sample("fbmpk_op_latency_seconds_count", with([2]string{"op", op}), float64(lat.Count))
+	pw.sample(name+"_bucket", with([2]string{"le", "+Inf"}), float64(lat.Count))
+	pw.sample(name+"_sum", base, lat.Sum.Seconds())
+	pw.sample(name+"_count", base, float64(lat.Count))
 }
 
 type labels [][2]string
@@ -172,12 +174,6 @@ func (w *promWriter) family(name, help, typ string) {
 }
 
 func (w *promWriter) sample(name string, ls labels, v float64) {
-	w.sampleSuffix(name, ls, v, "")
-}
-
-// sampleSuffix emits a sample line with a trailing annotation (the
-// OpenMetrics exemplar syntax); suffix "" is a plain sample.
-func (w *promWriter) sampleSuffix(name string, ls labels, v float64, suffix string) {
 	var sb strings.Builder
 	sb.WriteString(name)
 	if len(ls) > 0 {
@@ -193,7 +189,7 @@ func (w *promWriter) sampleSuffix(name string, ls labels, v float64, suffix stri
 		}
 		sb.WriteByte('}')
 	}
-	w.printf("%s %s%s\n", sb.String(), formatFloat(v), suffix)
+	w.printf("%s %s\n", sb.String(), formatFloat(v))
 }
 
 func (w *promWriter) printf(format string, args ...any) {

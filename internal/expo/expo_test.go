@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"math"
 	"math/rand"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"fbmpk/internal/core"
 	"fbmpk/internal/matgen"
+	"fbmpk/internal/registry"
 )
 
 // buildSnapshot runs a real plan through a few operations so the
@@ -326,4 +328,72 @@ func TestLabelEscaping(t *testing.T) {
 	}
 	// The lint parser must accept the escaped output.
 	parseProm(t, text)
+}
+
+// TestExpositionGolden holds the whole exposition byte for byte: the
+// plan families of three fixed snapshots (a parallel forward-backward
+// plan with its build stages, a SELL plan, and one without stats), the
+// plan-cache families and the daemon families, against
+// testdata/exposition.golden. The golden was rendered while the build
+// stages and the backend label still came from copies in PlanMetrics
+// and the daemon histograms still carried exemplars (stripped from
+// it), so it pins that moving both to their one source changed no
+// byte a scraper reads.
+func TestExpositionGolden(t *testing.T) {
+	var h, hs core.LatencyHist
+	for _, d := range []time.Duration{300 * time.Microsecond, 1200 * time.Microsecond, 7 * time.Millisecond} {
+		h.Observe(d)
+	}
+	hs.Observe(45 * time.Millisecond)
+	fb := PlanSnapshot{Name: "fb", Metrics: core.PlanMetrics{
+		CallsByOp: map[string]uint64{"mpk": 3}, Calls: 3, Rejected: 1, Canceled: 2, InFlight: 1,
+		Sweeps: 24, SpMVs: 12, NnzStreamed: 7000, MatrixNnz: 1000, ReadsOfA: 7, ReadsPerSpMV: 7.0 / 12,
+		CallTime:     8500 * time.Microsecond,
+		PhaseWait:    map[string]time.Duration{"forward": time.Millisecond, "backward": 1500 * time.Microsecond},
+		PhaseCompute: map[string]time.Duration{"forward": 3 * time.Millisecond, "backward": 2500 * time.Microsecond, "head": 700 * time.Microsecond},
+		NsPerNnz:     map[string]float64{"forward": 1.25, "backward": 0.875, "head": 1.4},
+		Latency:      map[string]core.OpLatency{"mpk": h.Snapshot()},
+	}, Stats: core.PlanStats{
+		BuildTime: 12 * time.Millisecond, GraphTime: 2 * time.Millisecond, ColorTime: time.Millisecond,
+		SplitTime: 4 * time.Millisecond, ReorderTime: 3500 * time.Microsecond, ParallelPrep: true, Backend: "split",
+	}}
+	sell := PlanSnapshot{Name: "sell", Metrics: core.PlanMetrics{
+		CallsByOp: map[string]uint64{"sspmv": 1}, Calls: 1, Sweeps: 4, SpMVs: 4, NnzStreamed: 4000, MatrixNnz: 1000,
+		ReadsOfA: 4, ReadsPerSpMV: 1, CallTime: 45 * time.Millisecond,
+		Latency: map[string]core.OpLatency{"sspmv": hs.Snapshot()},
+	}, Stats: core.PlanStats{
+		BuildTime: 3 * time.Millisecond, PermTime: 250 * time.Microsecond, TuneTime: 2 * time.Millisecond, Backend: "sell",
+	}}
+	reg := RegistrySnapshot{Name: "registry", Stats: registry.Stats{
+		Capacity: 4, Entries: 3, Live: 1, Hits: 17, Misses: 5, Coalesced: 2, Canceled: 1, Builds: 4,
+		BuildFailures: 1, Evictions: 1, Updated: 6, Rebuilt: 1, BuildTime: 95 * time.Millisecond,
+	}}
+
+	var sb strings.Builder
+	if err := WriteMetrics(&sb, fb, sell, PlanSnapshot{Name: "bare"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRegistryMetrics(&sb, reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDaemonMetrics(&sb, daemonSnapshotFixture()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/exposition.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(sb.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range got {
+		if i >= len(wantLines) || got[i] != wantLines[i] {
+			w := "<end of golden>"
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			t.Fatalf("exposition differs from the golden at line %d:\n got %q\nwant %q", i+1, got[i], w)
+		}
+	}
+	if len(got) != len(wantLines) {
+		t.Fatalf("exposition has %d lines, the golden %d", len(got), len(wantLines))
+	}
 }

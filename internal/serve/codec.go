@@ -14,9 +14,8 @@ import (
 // O(1) in the matrix size.
 //
 // The wire contract is versioned: every endpoint lives under a
-// /v1/... path, every response body carries an explicit api_version
-// field, and the unversioned legacy paths answer with a permanent
-// redirect to their /v1 twin. See DESIGN.md for the full contract.
+// /v1/... path and every response body carries an explicit api_version
+// field. See DESIGN.md for the full contract.
 
 // APIVersion is the wire-contract version stamped into every response
 // body and reflected in the /v1/... path prefix. It moves only on a
@@ -102,7 +101,7 @@ type OpRequest struct {
 // OpResponse is the success body of an operation request. TraceID is
 // the request's W3C trace ID (also echoed in the Traceparent response
 // header), the key that joins this response to the daemon's access
-// log, /metrics exemplars, and /v1/debug/requests timelines.
+// log and /v1/debug/requests timelines.
 type OpResponse struct {
 	APIVersion string    `json:"api_version"`
 	Op         string    `json:"op"`

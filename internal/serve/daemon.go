@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"fbmpk"
-	"fbmpk/internal/events"
 	"fbmpk/internal/expo"
 	"fbmpk/internal/mmio"
 )
@@ -48,10 +47,6 @@ type Config struct {
 	// per finished request). nil disables access logging; tracing,
 	// histograms, and the flight recorder stay on regardless.
 	Logger *slog.Logger
-	// FlightCapacity sizes each flight-recorder set — the N slowest
-	// and the N most recent errored/shed request timelines retained
-	// for /v1/debug/requests (<= 0 = 16).
-	FlightCapacity int
 }
 
 func (c Config) defaultTimeout() time.Duration {
@@ -106,7 +101,7 @@ type Server struct {
 	// daemon's contribution to /metrics beyond the registry families.
 	outcomes sync.Map // "op|outcome" -> *atomic.Uint64
 	// obs is the request-observability state: access logger, flight
-	// recorder, per-(op, outcome) latency histograms with exemplars.
+	// recorder, per-(op, outcome) latency histograms.
 	obs *obs
 }
 
@@ -125,7 +120,7 @@ func New(cfg Config) *Server {
 		adm:      newAdmission(cfg.MaxInFlight),
 		matrices: make(map[string]resident),
 		started:  time.Now(),
-		obs:      newObs(cfg),
+		obs:      newObs(cfg.Logger),
 	}
 }
 
@@ -149,12 +144,10 @@ func (s *Server) Close() { s.reg.Close() }
 //	GET  /v1/debug/requests       flight recorder: slowest + recently failed request timelines
 //	GET  /healthz                 readiness probe
 //	GET  /metrics                 Prometheus text: daemon counters + plan cache
-//	GET  /trace                   flight-recorder timelines as a Chrome trace document
 //	/debug/pprof                  via RegistryDebugHandler
 //
-// The pre-versioning unversioned paths (/matrix, /mpk, ...) answer
-// with a 308 permanent redirect to their /v1 twin — method and body
-// preserved — and will be dropped after one release.
+// Any other path, the pre-versioning aliases (/matrix, /mpk, ...)
+// included, is a 404 with a not_found body.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/matrix", s.handleUpload)
@@ -164,24 +157,17 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/solve", s.handleOp("solve"))
 	mux.HandleFunc("/v1/matrices", s.handleList)
 	mux.HandleFunc("/v1/debug/requests", s.handleDebugRequests)
-	for _, p := range []string{"/matrix", "/mpk", "/sspmv", "/solve", "/matrices"} {
-		// 308, not 301: clients followed off the legacy alias must
-		// re-send the POST body, which 301 historically downgrades to GET.
-		mux.Handle(p, http.RedirectHandler("/v1"+p, http.StatusPermanentRedirect))
-	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	// The existing debug surface handles pprof; its own /metrics is
-	// superseded by the daemon's (which embeds the same registry
-	// families), and /trace by the flight-recorder export below
-	// (request timelines, not per-plan lanes — daemon plans run with no
-	// lane recorder attached).
-	dbg := fbmpk.RegistryDebugHandler(s.reg)
-	mux.Handle("/debug/", dbg)
-	mux.HandleFunc("/trace", s.handleFlightTrace)
+	// Only pprof is taken from the library's debug surface: its /metrics
+	// is superseded by the daemon's (which embeds the same registry
+	// families), and its /trace has nothing to show — daemon plans run
+	// with no lane recorder, and a request's phases are the flight
+	// recorder's.
+	mux.Handle("/debug/", fbmpk.RegistryDebugHandler(s.reg))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			writeErr(w, http.StatusNotFound, KindNotFound, "no such endpoint")
@@ -195,8 +181,9 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "  POST /v1/sspmv                {\"matrix\":key,\"coeffs\":[...]}")
 		fmt.Fprintln(w, "  POST /v1/solve                {\"matrix\":key,\"sweeps\":2}")
 		fmt.Fprintln(w, "  GET  /v1/matrices             resident matrices")
+		fmt.Fprintln(w, "  GET  /v1/debug/requests       slowest and recently failed request timelines")
 		fmt.Fprintln(w, "  GET  /metrics                 Prometheus text exposition")
-		fmt.Fprintln(w, "  GET  /debug/pprof             profiling; /trace")
+		fmt.Fprintln(w, "  GET  /debug/pprof             profiling")
 	})
 	return mux
 }
@@ -336,8 +323,23 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// getOnly answers 405 with an error body to anything but GET and
+// reports whether the request may proceed. The read-only endpoints it
+// guards run outside a reqScope: they do no plan work, so they are
+// neither counted nor logged.
+func getOnly(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodGet {
+		return true
+	}
+	writeErr(w, http.StatusMethodNotAllowed, KindBadRequest, "GET required")
+	return false
+}
+
 // handleList reports the resident matrices.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	if !getOnly(w, r) {
+		return
+	}
 	type entry struct {
 		Key  string `json:"key"`
 		Rows int    `json:"rows"`
@@ -540,7 +542,10 @@ func (s *Server) count(op, outcome string) {
 // handleDebugRequests serves the flight-recorder capture: the N
 // slowest request timelines since startup and the N most recent
 // errored/shed ones, trace IDs and phase breakdowns included.
-func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
+	if !getOnly(w, r) {
+		return
+	}
 	slowest, failures, seen := s.obs.flight.snapshot()
 	writeJSON(w, http.StatusOK, DebugRequestsResponse{
 		APIVersion:   APIVersion,
@@ -550,54 +555,11 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleFlightTrace renders the flight-recorder timelines as one
-// Chrome trace-event document (one row per retained request, aligned
-// on a shared time axis), loadable in Perfetto.
-func (s *Server) handleFlightTrace(w http.ResponseWriter, _ *http.Request) {
-	slowest, failures, _ := s.obs.flight.snapshot()
-	entries := append(slowest, failures...)
-	var origin time.Time
-	for _, e := range entries {
-		if origin.IsZero() || e.Start.Before(origin) {
-			origin = e.Start
-		}
-	}
-	tls := make([]events.TimelineExport, len(entries))
-	for i, e := range entries {
-		tls[i] = events.TimelineExport{
-			Name: fmt.Sprintf("%s %s %s (%v)", e.Op, e.Outcome,
-				shortTrace(e.TraceID), e.Total.Round(time.Microsecond)),
-			Trace:  e.TraceID,
-			Start:  e.Start.Sub(origin),
-			Total:  e.Total,
-			Phases: e.Phases,
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = events.WriteChromeTimelines(w, tls)
-}
-
-func shortTrace(id string) string {
-	if len(id) > 8 {
-		return id[:8]
-	}
-	return id
-}
-
 // handleMetrics renders the daemon families (via the shared expo
-// writer, request histograms with trace-ID exemplars included)
-// followed by the plan-cache families, as one text document.
-// ?exemplars=0 drops the OpenMetrics exemplar suffixes for strict
-// classic-format parsers.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// writer) followed by the plan-cache families, as one text document.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	snap := s.daemonSnapshot()
-	if r != nil && r.URL.Query().Get("exemplars") == "0" {
-		for i := range snap.Latency {
-			snap.Latency[i].Exemplar = nil
-		}
-	}
-	_ = expo.WriteDaemonMetrics(w, snap)
+	_ = expo.WriteDaemonMetrics(w, s.daemonSnapshot())
 	_ = expo.WriteRegistryMetrics(w, expo.RegistrySnapshot{Name: "registry", Stats: s.reg.Stats()})
 }
 

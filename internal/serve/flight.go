@@ -13,12 +13,11 @@ import (
 // timelines seen since startup plus a ring of the N most recent
 // errored/shed ones, each with its trace ID and per-phase breakdown.
 // Both sets are fixed-size — a saturated recorder forgets, it never
-// grows — and surface as JSON at /v1/debug/requests and as rows of
-// the daemon's Chrome trace export.
+// grows — and surface as JSON at /v1/debug/requests, which holds a
+// request's trace ID and phases with the access log; /metrics, neither.
 
-// defaultFlightCap is the per-set retention when Config.FlightCapacity
-// is unset.
-const defaultFlightCap = 16
+// flightCap is the daemon's per-set retention.
+const flightCap = 16
 
 // FlightEntry is one retained request timeline.
 type FlightEntry struct {
@@ -52,10 +51,8 @@ type flightRecorder struct {
 	seen   uint64
 }
 
+// newFlightRecorder retains capacity (> 0) entries per set.
 func newFlightRecorder(capacity int) *flightRecorder {
-	if capacity <= 0 {
-		capacity = defaultFlightCap
-	}
 	return &flightRecorder{cap: capacity}
 }
 

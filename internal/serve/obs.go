@@ -15,21 +15,18 @@ import (
 	"fbmpk/internal/expo"
 )
 
-// Request-scoped observability: every daemon request runs inside a
-// reqScope that carries its W3C trace context, its phase timeline
-// (threaded down through context into the registry and the plan), and
-// settles — exactly once — the per-(op, outcome) counters and latency
-// histograms, the flight recorder, and the structured access log.
+// Request-scoped observability: every upload, update and operation
+// request runs inside a reqScope that carries its W3C trace context,
+// its phase timeline (threaded down through context into the registry
+// and the plan), and settles — exactly once — the per-(op, outcome)
+// counters and latency histograms, the flight recorder, and the
+// structured access log. Each fact has one home: aggregates go to
+// /metrics, a request's trace ID and phases to the flight recorder and
+// the access log.
 
 // outcomeOK is the outcome class of a 200 answer; error outcomes reuse
 // the ErrorResponse kind strings (KindOverload, KindDeadline, ...).
 const outcomeOK = "ok"
-
-// exemplarWindow bounds how long a histogram exemplar survives without
-// being displaced: within the window only a slower request replaces
-// it, after the window any traced request does, so /metrics exemplars
-// stay recent without a background sweeper.
-const exemplarWindow = time.Minute
 
 // obs is the daemon's request-observability state.
 type obs struct {
@@ -37,7 +34,7 @@ type obs struct {
 	flight *flightRecorder
 
 	mu    sync.RWMutex
-	hists map[string]*opHist // "op|outcome"
+	hists map[string]*core.LatencyHist // "op|outcome"
 
 	// disabled strips per-request observability entirely (no trace
 	// IDs, no timelines, no histograms). Reserved for the overhead
@@ -46,17 +43,17 @@ type obs struct {
 	disabled atomic.Bool
 }
 
-func newObs(cfg Config) *obs {
+func newObs(log *slog.Logger) *obs {
 	return &obs{
-		log:    cfg.Logger,
-		flight: newFlightRecorder(cfg.FlightCapacity),
-		hists:  make(map[string]*opHist),
+		log:    log,
+		flight: newFlightRecorder(flightCap),
+		hists:  make(map[string]*core.LatencyHist),
 	}
 }
 
 // hist returns the live histogram for one (op, outcome) pair,
 // creating it on first use.
-func (o *obs) hist(op, outcome string) *opHist {
+func (o *obs) hist(op, outcome string) *core.LatencyHist {
 	key := op + "|" + outcome
 	o.mu.RLock()
 	h := o.hists[key]
@@ -67,22 +64,21 @@ func (o *obs) hist(op, outcome string) *opHist {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if h = o.hists[key]; h == nil {
-		h = &opHist{}
+		h = &core.LatencyHist{}
 		o.hists[key] = h
 	}
 	return h
 }
 
-// snapshotHists materializes every (op, outcome) histogram with its
-// exemplar for the /metrics exposition.
+// snapshotHists materializes every (op, outcome) histogram for the
+// /metrics exposition.
 func (o *obs) snapshotHists() []expo.DaemonOpLatency {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	out := make([]expo.DaemonOpLatency, 0, len(o.hists))
 	for key, h := range o.hists {
 		op, outcome, _ := cutKey(key)
-		lat, ex := h.snapshot()
-		out = append(out, expo.DaemonOpLatency{Op: op, Outcome: outcome, Latency: lat, Exemplar: ex})
+		out = append(out, expo.DaemonOpLatency{Op: op, Outcome: outcome, Latency: h.Snapshot()})
 	}
 	return out
 }
@@ -95,43 +91,6 @@ func cutKey(key string) (op, outcome string, ok bool) {
 	}
 	return key, "", false
 }
-
-// opHist is one (op, outcome) pair's request-latency histogram plus
-// its current exemplar: the trace ID of the slowest recent request,
-// which lands on the bucket the p99 tail lives in.
-type opHist struct {
-	hist core.LatencyHist
-
-	mu      sync.Mutex
-	exTrace string
-	exVal   time.Duration
-	exAt    time.Time
-}
-
-func (h *opHist) observe(d time.Duration, trace string, now time.Time) {
-	h.hist.Observe(d)
-	if trace == "" {
-		return
-	}
-	h.mu.Lock()
-	if d >= h.exVal || now.Sub(h.exAt) > exemplarWindow {
-		h.exTrace, h.exVal, h.exAt = trace, d, now
-	}
-	h.mu.Unlock()
-}
-
-func (h *opHist) snapshot() (core.OpLatency, *expo.Exemplar) {
-	lat := h.hist.Snapshot()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.exTrace == "" {
-		return lat, nil
-	}
-	return lat, &expo.Exemplar{TraceID: h.exTrace, Value: h.exVal, At: h.exAt}
-}
-
-// p50 returns the current median of the histogram (0 when empty).
-func (h *opHist) p50() time.Duration { return h.hist.Snapshot().P50 }
 
 // reqScope is one request's observability context, created by
 // Server.begin and settled exactly once by ok/fail/finish.
@@ -207,16 +166,16 @@ func (q *reqScope) shed(w http.ResponseWriter, msg string) {
 }
 
 func (s *Server) retryAfterSecs(op string) int {
-	secs := int(math.Ceil(s.obs.hist(op, outcomeOK).p50().Seconds()))
+	secs := int(math.Ceil(s.obs.hist(op, outcomeOK).Snapshot().P50.Seconds()))
 	if secs < 1 {
 		secs = 1
 	}
 	return secs
 }
 
-// finish settles the scope: outcome counter, latency histogram with
-// exemplar, flight recorder, access log. Idempotent so belt-and-braces
-// double settlement cannot double count.
+// finish settles the scope: outcome counter, latency histogram, flight
+// recorder, access log. Idempotent so belt-and-braces double
+// settlement cannot double count.
 func (q *reqScope) finish(status int, outcome string) {
 	if q.done {
 		return
@@ -226,11 +185,10 @@ func (q *reqScope) finish(status int, outcome string) {
 	if q.tl == nil {
 		return
 	}
-	now := time.Now()
-	total := now.Sub(q.start)
+	total := time.Since(q.start)
 	trace := q.tc.TraceIDString()
 	o := q.s.obs
-	o.hist(q.op, outcome).observe(total, trace, now)
+	o.hist(q.op, outcome).Observe(total)
 	o.flight.observe(FlightEntry{
 		TraceID: trace, Op: q.op, Outcome: outcome, Status: status,
 		Start: q.start, Total: total, Phases: q.tl.Snapshot(),

@@ -304,8 +304,9 @@ func BenchmarkOpEncode(b *testing.B) {
 // the median decode / acquire / plan.execute / encode phase per request,
 // beside the client's ns/op.
 func BenchmarkOpRequestBudget(b *testing.B) {
-	s := New(Config{PlanOptions: testPlanOpts, FlightCapacity: b.N + 8})
+	s := New(Config{PlanOptions: testPlanOpts})
 	defer s.Close()
+	s.obs.flight = newFlightRecorder(b.N + 8) // keep every request's timeline
 	hts := httptest.NewServer(s.Handler())
 	defer hts.Close()
 	up := uploadSpec(b, hts.URL, GeneratorSpec{Name: "G3_circuit", Scale: 0.05, Seed: 1})

@@ -646,43 +646,43 @@ func TestValuesUpdateEndpoint(t *testing.T) {
 	}
 }
 
-// TestLegacyPathRedirects verifies the unversioned aliases answer with
-// a method-preserving permanent redirect to their /v1 twin.
+// TestLegacyPathRedirects: the pre-versioning aliases are gone — each
+// answers 404 with the not_found body, like the daemon's retired /trace
+// and any other unknown path — and the read-only endpoints answer 405
+// with an error body to anything but GET.
 func TestLegacyPathRedirects(t *testing.T) {
 	_, hts := newTestServer(t, Config{})
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	for _, p := range []string{"/matrix", "/mpk", "/sspmv", "/solve", "/matrices"} {
-		resp, err := client.Post(hts.URL+p, "application/json", strings.NewReader("{}"))
+	for _, c := range []struct {
+		method, path string
+		status       int
+		kind         string
+	}{
+		{http.MethodPost, "/matrix", http.StatusNotFound, KindNotFound},
+		{http.MethodPost, "/mpk", http.StatusNotFound, KindNotFound},
+		{http.MethodPost, "/sspmv", http.StatusNotFound, KindNotFound},
+		{http.MethodPost, "/solve", http.StatusNotFound, KindNotFound},
+		{http.MethodGet, "/matrices", http.StatusNotFound, KindNotFound},
+		{http.MethodGet, "/trace", http.StatusNotFound, KindNotFound},
+		{http.MethodPost, "/v1/matrices", http.StatusMethodNotAllowed, KindBadRequest},
+		{http.MethodDelete, "/v1/debug/requests", http.StatusMethodNotAllowed, KindBadRequest},
+	} {
+		req, _ := http.NewRequest(c.method, hts.URL+c.path, strings.NewReader("{}"))
+		resp, err := client.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Fatalf("%s: status %d, want 308", p, resp.StatusCode)
+		var eresp ErrorResponse
+		if err := json.Unmarshal(raw, &eresp); err != nil {
+			t.Fatalf("%s %s: %s with a body that is not an ErrorResponse: %q", c.method, c.path, resp.Status, raw)
 		}
-		if loc := resp.Header.Get("Location"); loc != "/v1"+p {
-			t.Fatalf("%s: Location %q, want %q", p, loc, "/v1"+p)
+		if resp.StatusCode != c.status || eresp.Kind != c.kind || eresp.APIVersion != APIVersion || eresp.Error == "" {
+			t.Fatalf("%s %s: %d %+v, want %d kind %q", c.method, c.path, resp.StatusCode, eresp, c.status, c.kind)
 		}
-	}
-
-	// A client following the redirect reaches the real endpoint.
-	spec, _ := json.Marshal(GeneratorSpec{Name: "cant", Scale: 0.004, Seed: 1})
-	resp, err := http.Post(hts.URL+"/matrix", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("redirected upload: status %d", resp.StatusCode)
-	}
-	var up UploadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
-		t.Fatal(err)
-	}
-	if up.Key == "" || up.APIVersion != APIVersion {
-		t.Fatalf("redirected upload response: %+v", up)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // trace ID, and echoes a new server span under the same trace back to
 // the client. A missing or malformed header restarts the trace with a
 // freshly generated ID — the restart semantics the spec prescribes —
-// so every request ends up with exactly one well-formed trace ID
-// threaded through logs, metrics exemplars, and the flight recorder.
+// so every request ends up with exactly one well-formed trace ID,
+// carried by the response, the access log and the flight recorder.
 
 // TraceparentHeader is the canonical header name.
 const TraceparentHeader = "traceparent"
@@ -134,7 +134,7 @@ func fillRand(b []byte) {
 }
 
 // TraceIDString returns the 32-hex-char trace ID — the correlation
-// key logs, exemplars, and the flight recorder share.
+// key the response, the access log and the flight recorder share.
 func (tc TraceContext) TraceIDString() string { return hex.EncodeToString(tc.TraceID[:]) }
 
 // String renders the context as a version-00 traceparent header.

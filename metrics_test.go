@@ -162,8 +162,8 @@ func TestPlanMetricsSymGSAndTime(t *testing.T) {
 	}
 }
 
-// TestPlanMetricsString checks the expvar contract: String returns the
-// JSON encoding of the snapshot.
+// TestPlanMetricsString checks what `solve -metrics` prints: String
+// returns the JSON encoding of the snapshot.
 func TestPlanMetricsString(t *testing.T) {
 	a, err := GenerateSuiteMatrix("cant", 0.002, 3)
 	if err != nil {
