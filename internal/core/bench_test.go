@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -223,8 +224,120 @@ func BenchmarkNewPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkUpdateValues measures one value swap (Plan.UpdateValues) on
+// pwtk at -sweep-scale (0.2 is the plan-churn bed, which ci.sh runs),
+// alternating two value sets over shared structure arrays as the
+// benchmark's registry leg does: forward-backward at 2 threads (the
+// ABMC slot gather) and serial (the row-segment copies), the standard
+// engine under ForceABMC and the level-blocked engine (the flat
+// gather). core-ms is PlanStats.UpdateTime per swap, the time inside
+// the update lock.
+func BenchmarkUpdateValues(b *testing.B) {
+	a := sweepBed(b, "pwtk")
+	alt := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: make([]float64, len(a.Val))}
+	for i, v := range a.Val {
+		alt.Val[i] = 1.25 * v
+	}
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{
+		{"fb/threads=2", DefaultOptions(2)},
+		{"fb/threads=1", DefaultOptions(1)},
+		{"std/abmc", Options{Engine: EngineStandard, Threads: 2, ForceABMC: true}},
+		{"lb/threads=2", Options{Engine: EngineLevelBlocked, Threads: 2}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := NewPlan(a, c.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			if err := p.UpdateValues(alt); err != nil { // builds the slot map
+				b.Fatal(err)
+			}
+			b.SetBytes(12 * a.NNZ())
+			warm := p.Stats().UpdateTime
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.UpdateValues([2]*sparse.CSR{a, alt}[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			core := p.Stats().UpdateTime - warm
+			b.ReportMetric(float64(core.Microseconds())/1e3/float64(b.N), "core-ms")
+		})
+	}
+}
+
+// BenchmarkMPKBesideUpdates measures what value swaps cost the
+// executions they overlap: one k = 6 MPK on a 2-thread forward-backward
+// plan on pwtk at -sweep-scale, alone ("quiet") and while another
+// goroutine swaps the plan's values every 20 ms ("updating"). The swap
+// runs beside the plan's pool, not on it, so where the pool already
+// holds every core the two compete for CPUs. p50-ms and p95-ms are
+// per-call latencies; swaps is how many updates ran during the timed
+// calls.
+func BenchmarkMPKBesideUpdates(b *testing.B) {
+	a := sweepBed(b, "pwtk")
+	alt := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: make([]float64, len(a.Val))}
+	for i, v := range a.Val {
+		alt.Val[i] = 1.25 * v
+	}
+	p, err := NewPlan(a, DefaultOptions(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.UpdateValues(alt); err != nil { // builds the slot map
+		b.Fatal(err)
+	}
+	x := sparse.Ones(a.Rows)
+	for _, updating := range []bool{false, true} {
+		b.Run(map[bool]string{false: "quiet", true: "updating"}[updating], func(b *testing.B) {
+			stop, done := make(chan struct{}), make(chan int)
+			go func() {
+				tick := time.NewTicker(20 * time.Millisecond)
+				defer tick.Stop()
+				swaps := 0
+				for ; ; swaps++ {
+					select {
+					case <-stop:
+						done <- swaps
+						return
+					case <-tick.C:
+					}
+					if updating {
+						if err := p.UpdateValues([2]*sparse.CSR{a, alt}[swaps%2]); err != nil {
+							b.Error(err)
+						}
+					}
+				}
+			}()
+			lat := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range lat {
+				start := time.Now()
+				if _, err := p.MPK(x, 6); err != nil {
+					b.Fatal(err)
+				}
+				lat[i] = time.Since(start)
+			}
+			b.StopTimer()
+			close(stop)
+			swaps := <-done
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1e3, "p50-ms")
+			b.ReportMetric(float64(lat[len(lat)*95/100].Microseconds())/1e3, "p95-ms")
+			if updating {
+				b.ReportMetric(float64(swaps), "swaps")
+			}
+		})
+	}
+}
+
 var (
-	sweepScale  = flag.Float64("sweep-scale", 0.05, "scale of the matrix of BenchmarkSweep, BenchmarkNewPlan and BenchmarkStandardBackends; pwtk at 8 is the benchmark's out-of-cache bed (1.1 GB), at 0.2 its plan-churn bed")
+	sweepScale  = flag.Float64("sweep-scale", 0.05, "scale of the matrix of BenchmarkSweep, BenchmarkNewPlan, BenchmarkUpdateValues and BenchmarkStandardBackends; pwtk at 8 is the benchmark's out-of-cache bed (1.1 GB), at 0.2 its plan-churn bed")
 	sweepMatrix = flag.String("sweep-matrix", "pwtk", "suite matrix of BenchmarkStandardBackends")
 	lbBytes     = flag.Int("lb-bytes", 0, "LevelBlockBytes of BenchmarkSweep's level-blocked case (0 = DefaultLevelBlockBytes)")
 )

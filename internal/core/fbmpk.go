@@ -429,7 +429,9 @@ func newFBEngine(a *sparse.CSR, ord *reorder.ABMCResult, btb bool, pool *paralle
 }
 
 func (e *fbEngine) revalue(cur *planEpoch, src []float64, slot []int64) *planEpoch {
-	return &planEpoch{tri: cur.tri.WithValues(e.rowPtr, src, slot)}
+	tri, fill := cur.tri.WithValues(e.rowPtr, src, slot)
+	parallel.DealRows(e.rowPtr, fill)
+	return &planEpoch{tri: tri}
 }
 
 func (e *fbEngine) powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {

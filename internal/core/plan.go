@@ -103,15 +103,17 @@ type engine interface {
 
 // gatherValues returns the execution-order value array of revalue's
 // (src, slot) pair, always a fresh slice: the epoch must not see later
-// caller writes to src.
+// caller writes to src. Through a slot map the gather is dealt in
+// ranges to GOMAXPROCS transient goroutines; without one it is a single
+// copy into memory the allocator need not clear first.
 func gatherValues(src []float64, slot []int64) []float64 {
 	if slot == nil {
 		return append([]float64(nil), src...)
 	}
 	vals := make([]float64, len(slot))
-	for j, from := range slot {
-		vals[j] = src[from]
-	}
+	parallel.DealRanges(len(slot), func(lo, hi int) {
+		sparse.FillValues(vals[lo:], src, slot, int64(lo), int64(hi))
+	})
 	return vals
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -43,28 +44,31 @@ func (p *Plan) UpdateValues(a *sparse.CSR) error {
 	return p.UpdateValuesCtx(context.Background(), a)
 }
 
-// UpdateValuesCtx is UpdateValues honoring ctx while waiting for the
-// update lock; the swap itself is a bounded O(nnz) pass and is not
-// interrupted once started.
+// UpdateValuesCtx is UpdateValues honoring ctx up to the swap: a call
+// canceled before it takes the update lock, or while it waits for it,
+// fails with the context's error and changes nothing. The swap itself
+// is a bounded O(nnz) pass and is not interrupted once started.
 func (p *Plan) UpdateValuesCtx(ctx context.Context, a *sparse.CSR) error {
 	if a == nil {
 		return fmt.Errorf("core: UpdateValues: nil matrix: %w", ErrInvalidMatrix)
 	}
-	// No full Validate pass here: sameStructure compares RowPtr and
-	// ColIdx elementwise against the plan's retained, already-validated
-	// structure, which proves every structural invariant Validate would.
-	// Only the value-array length needs its own check.
+	// No full Validate pass here: sameStructure proves RowPtr and ColIdx
+	// equal to the plan's retained, already-validated structure, which
+	// proves every structural invariant Validate would. Only the
+	// value-array length needs its own check.
 	if len(a.Val) != len(a.ColIdx) {
 		return fmt.Errorf("core: UpdateValues: len(Val)=%d, want nnz=%d: %w",
 			len(a.Val), len(a.ColIdx), ErrInvalidMatrix)
 	}
+	p.updateMu.Lock()
+	defer p.updateMu.Unlock()
 	if ctx != nil {
+		// Checked after the lock, which cannot observe ctx: a call
+		// canceled before it or while it waited returns here.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: UpdateValues canceled: %w", err)
 		}
 	}
-	p.updateMu.Lock()
-	defer p.updateMu.Unlock()
 	if p.Closed() {
 		return fmt.Errorf("core: UpdateValues: %w", ErrClosed)
 	}
@@ -84,10 +88,10 @@ func (p *Plan) UpdateValuesCtx(ctx context.Context, a *sparse.CSR) error {
 		p.valMap = m
 	}
 	// The engine rebuilds its container straight from a's values —
-	// through the slot map for reordered plans — serially: the worker
-	// pool may be mid-execution on the old epoch (that concurrency is
-	// the point), and an O(nnz) fill is already far below NewPlan's
-	// full pipeline cost.
+	// through the slot map for reordered plans — on transient goroutines:
+	// the plan's pool may be mid-execution on the old epoch (that
+	// concurrency is the point), so the swap shares the CPUs with it
+	// rather than queue behind it (BenchmarkMPKBesideUpdates prices that).
 	cur := p.state.Load()
 	next := p.engine.revalue(cur, a.Val, p.valMap)
 	next.seq = cur.seq + 1
@@ -98,8 +102,8 @@ func (p *Plan) UpdateValuesCtx(ctx context.Context, a *sparse.CSR) error {
 }
 
 // sameStructure verifies that a has exactly the sparsity pattern of
-// the matrix the plan was built from, by elementwise comparison
-// against the retained original structure arrays.
+// the matrix the plan was built from, against the retained original
+// structure arrays.
 func (p *Plan) sameStructure(a *sparse.CSR) error {
 	if a.Rows != p.n || a.Cols != p.n {
 		return fmt.Errorf("core: UpdateValues: %dx%d matrix for an n=%d plan: %w",
@@ -109,17 +113,28 @@ func (p *Plan) sameStructure(a *sparse.CSR) error {
 		return fmt.Errorf("core: UpdateValues: nnz %d != plan nnz %d: %w",
 			len(a.ColIdx), len(p.srcColIdx), ErrStructureChanged)
 	}
-	for i, v := range p.srcRowPtr {
-		if a.RowPtr[i] != v {
-			return fmt.Errorf("core: UpdateValues: row pointer delta at row %d: %w",
-				i, ErrStructureChanged)
-		}
+	if i := firstDelta(a.RowPtr, p.srcRowPtr); i >= 0 {
+		return fmt.Errorf("core: UpdateValues: row pointer delta at row %d: %w",
+			i, ErrStructureChanged)
 	}
-	for i, v := range p.srcColIdx {
-		if a.ColIdx[i] != v {
-			return fmt.Errorf("core: UpdateValues: column index delta at slot %d: %w",
-				i, ErrStructureChanged)
-		}
+	if i := firstDelta(a.ColIdx, p.srcColIdx); i >= 0 {
+		return fmt.Errorf("core: UpdateValues: column index delta at slot %d: %w",
+			i, ErrStructureChanged)
 	}
 	return nil
+}
+
+// firstDelta returns the first index at which x and y (of equal length)
+// differ, or -1. The arrays are compared as bytes — the runtime's
+// vectorized memequal, which returns at once when x and y are the same
+// memory — and only a mismatch is rescanned entry by entry.
+func firstDelta[T int64 | int32](x, y []T) int {
+	if !bytes.Equal(sparse.RawBytes(x), sparse.RawBytes(y)) {
+		for i := range x {
+			if x[i] != y[i] {
+				return i
+			}
+		}
+	}
+	return -1
 }

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
+	"fbmpk/internal/parallel"
 	"fbmpk/internal/sparse"
 )
 
@@ -331,4 +336,154 @@ func TestUpdateValuesFBAllocatesSplitOnly(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= split+full/2 {
 		t.Fatalf("one update allocated %d bytes; the split's values are %d, a full value array %d more", got, split, full)
 	}
+}
+
+// TestGatherValues: the execution-order gather of the standard and
+// level-blocked engines is the serial loop's array at 1, 2 and 3
+// workers — through a slot map and without one — on arrays of 0, 1 and
+// several dealt ranges, and never aliases the caller's values.
+func TestGatherValues(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(89))
+	for _, m := range []int{0, 1, 3*parallel.DealChunk + 17} {
+		src := randVec(rng, m)
+		slot := make([]int64, m)
+		for j, p := range rng.Perm(m) {
+			slot[j] = int64(p)
+		}
+		want := make([]float64, m)
+		for j, from := range slot {
+			want[j] = src[from]
+		}
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			bitwiseEqual(t, fmt.Sprintf("m=%d procs=%d slot map", m, procs), gatherValues(src, slot), want)
+			got := gatherValues(src, nil)
+			bitwiseEqual(t, fmt.Sprintf("m=%d procs=%d identity", m, procs), got, src)
+			if m > 0 && &got[0] == &src[0] {
+				t.Fatalf("m=%d: identity gather aliases the caller's values", m)
+			}
+		}
+	}
+}
+
+// TestUpdateValuesStructureDeltaNamesFirst: the structure proof compares
+// whole arrays as bytes, yet a rejected update names the first row
+// pointer, else the first column index, that differs — with the text
+// the elementwise scan wrote — wherever the deltas sit.
+func TestUpdateValuesStructureDeltaNamesFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(90))
+	a := randomSymCSR(rng, 400, 3)
+	p, err := NewPlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	n, nnz := a.Rows, len(a.ColIdx)
+	// moveRow shifts the boundary between rows i-1 and i by one entry;
+	// moveCol lowers the first column of the row holding slot k, keeping
+	// it sorted. Each changes one array only.
+	moveRow := func(b *sparse.CSR, i int) {
+		for ; b.RowPtr[i]+1 >= b.RowPtr[i+1]; i++ {
+		}
+		b.RowPtr[i]++
+	}
+	moveCol := func(b *sparse.CSR, k int) {
+		r := sort.Search(n, func(r int) bool { return b.RowPtr[r+1] > int64(k) })
+		for ; b.ColIdx[b.RowPtr[r]] == 0; r++ {
+		}
+		b.ColIdx[b.RowPtr[r]]--
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(b *sparse.CSR)
+	}{
+		{"rowptr-first", func(b *sparse.CSR) { moveRow(b, 3) }},
+		{"rowptr-last", func(b *sparse.CSR) { moveRow(b, n-10) }},
+		{"rowptr-first-and-last", func(b *sparse.CSR) { moveRow(b, n-10); moveRow(b, 7) }},
+		{"colidx-first", func(b *sparse.CSR) { moveCol(b, 10) }},
+		{"colidx-last", func(b *sparse.CSR) { moveCol(b, nnz-20) }},
+		{"colidx-first-and-last", func(b *sparse.CSR) { moveCol(b, nnz-20); moveCol(b, 9) }},
+		{"both-arrays", func(b *sparse.CSR) { moveCol(b, 10); moveRow(b, n-10) }},
+		// The proof compares, it does not validate: a bare edit on the
+		// first or last entry of an array must be named too.
+		{"rowptr-start", func(b *sparse.CSR) { b.RowPtr[0]++ }},
+		{"rowptr-end", func(b *sparse.CSR) { b.RowPtr[n]++ }},
+		{"colidx-start", func(b *sparse.CSR) { b.ColIdx[0]++ }},
+		{"colidx-end", func(b *sparse.CSR) { b.ColIdx[nnz-1]++ }},
+	} {
+		b := cloneWithValues(a, func(_ int, v float64) float64 { return v })
+		tc.edit(b)
+		var want string // the elementwise scan's error
+		for i := range a.RowPtr {
+			if want == "" && a.RowPtr[i] != b.RowPtr[i] {
+				want = fmt.Sprintf("core: UpdateValues: row pointer delta at row %d: %v", i, ErrStructureChanged)
+			}
+		}
+		for i := range a.ColIdx {
+			if want == "" && a.ColIdx[i] != b.ColIdx[i] {
+				want = fmt.Sprintf("core: UpdateValues: column index delta at slot %d: %v", i, ErrStructureChanged)
+			}
+		}
+		if err := p.UpdateValues(b); err == nil || err.Error() != want || !errors.Is(err, ErrStructureChanged) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, want)
+		}
+	}
+	if got := p.Epoch(); got != 0 {
+		t.Fatalf("epoch after rejected updates = %d, want 0", got)
+	}
+}
+
+// TestUpdateValuesCanceledWhileWaiting: an update whose context is
+// canceled while it waits for the update lock returns the context's
+// error once it gets the lock, and leaves the epoch and the values as
+// they were.
+func TestUpdateValuesCanceledWhileWaiting(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	a := randomSymCSR(rng, 200, 4)
+	p, err := NewPlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	x0 := randVec(rng, a.Rows)
+	before, err := p.MPK(x0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	p.updateMu.Lock()
+	done := make(chan error)
+	go func() {
+		done <- p.UpdateValuesCtx(ctx, cloneWithValues(a, func(_ int, v float64) float64 { return 2 * v }))
+	}()
+	waitForLockWaiter(t, "(*Plan).UpdateValuesCtx")
+	cancel()
+	p.updateMu.Unlock()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("update canceled while waiting: err = %v, want context.Canceled", err)
+	}
+	if got := p.Epoch(); got != 0 {
+		t.Fatalf("epoch after canceled update = %d, want 0", got)
+	}
+	after, err := p.MPK(x0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwiseEqual(t, "MPK after canceled update", after, before)
+}
+
+// waitForLockWaiter returns once some goroutine is blocked taking a
+// mutex inside the function fn names.
+func waitForLockWaiter(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "Mutex).Lock") && strings.Contains(g, fn) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine blocked on a mutex in %s", fn)
 }

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -222,5 +224,71 @@ func TestPartitionByPtrAndBlocks(t *testing.T) {
 	}
 	if bb[1] < 1 || bb[1] > 5 {
 		t.Fatalf("interior bound out of range: %v", bb)
+	}
+}
+
+// TestDeal: Deal calls body once per index and DealRanges covers [0, n)
+// with its fixed ranges exactly once, at any GOMAXPROCS.
+func TestDeal(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 5, 2*DealChunk + 3} {
+			seen := make([]atomic.Int32, n)
+			Deal(n, func(i int) { seen[i].Add(1) })
+			DealRanges(n, func(lo, hi int) {
+				if lo%DealChunk != 0 || hi != min(lo+DealChunk, n) {
+					t.Errorf("procs=%d n=%d: range [%d, %d)", procs, n, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					seen[i].Add(1)
+				}
+			})
+			for i := range seen {
+				if c := seen[i].Load(); c != 2 {
+					t.Fatalf("procs=%d n=%d: index %d dealt %d times, want once by each", procs, n, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestDealRows: DealRows hands out every row that starts before the
+// last entry exactly once, with the range its first slot lies in —
+// empty rows, rows that straddle a range edge and a row longer than two
+// ranges included — and leaves out the empty rows after the last entry.
+func TestDealRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(3))
+	ptr := []int64{0}
+	for i := 0; i < 5000; i++ {
+		l := int64(rng.Intn(3) * rng.Intn(100))
+		if i == 2500 {
+			l = 2*DealChunk + 7
+		}
+		ptr = append(ptr, ptr[i]+l)
+	}
+	nnz := ptr[len(ptr)-1]
+	ptr = append(ptr, nnz, nnz) // two empty rows after the last entry
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		seen := make([]atomic.Int32, len(ptr)-1)
+		DealRows(ptr, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if ptr[i]/DealChunk != ptr[lo]/DealChunk {
+					t.Errorf("procs=%d: rows %d and %d start in different ranges", procs, lo, i)
+				}
+				seen[i].Add(1)
+			}
+		})
+		for i := range seen {
+			want := int32(0)
+			if ptr[i] < nnz {
+				want = 1
+			}
+			if c := seen[i].Load(); c != want {
+				t.Fatalf("procs=%d: row %d (first slot %d of %d) dealt %d times, want %d", procs, i, ptr[i], nnz, c, want)
+			}
+		}
 	}
 }

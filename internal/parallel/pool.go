@@ -1,8 +1,9 @@
 // Package parallel provides the threading substrate for the parallel
 // kernels: a persistent worker pool (so the per-color phases of FBMPK
 // do not pay goroutine fork/join on every sweep), a reusable barrier
-// for the color-phase synchronization, and an nnz-balanced row
-// partitioner for the head/tail SpMV phases.
+// for the color-phase synchronization, an nnz-balanced row partitioner
+// for the head/tail SpMV phases, and Deal, which spreads a one-off pass
+// over transient goroutines.
 package parallel
 
 import (

@@ -17,13 +17,11 @@ import (
 	"errors"
 	"hash"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"fbmpk/internal/core"
+	"fbmpk/internal/parallel"
 	"fbmpk/internal/sparse"
 )
 
@@ -102,11 +100,11 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // SHA-256 over (array id, index of the leaf's first entry, the entries
 // as little-endian bytes), so a leaf's bytes cannot stand in for another
 // array's or another position's; a root is SHA-256 over a tagged header
-// and its arrays' leaf digests in order. Leaves are dealt through one
-// atomic counter to min(GOMAXPROCS, leaves) goroutines, the caller among
-// them, so the workers finish together whatever the ratio of structure
-// to values; leaf boundaries are constants, so neither the worker count
-// nor the order leaves were taken in reaches a key.
+// and its arrays' leaf digests in order. Leaves are dealt one at a time
+// to min(GOMAXPROCS, leaves) goroutines (parallel.Deal), so the workers
+// finish together whatever the ratio of structure to values; leaf
+// boundaries are constants, so neither the worker count nor the order
+// leaves were taken in reaches a key.
 //
 // With validate, the O(1) shape checks and the RowPtr monotonicity pass
 // complete before any worker starts, so every row range a worker walks
@@ -126,44 +124,26 @@ func contentDigests(a *sparse.CSR, validate bool) (structure, values Key, err er
 	}
 	leaves := make([]Key, first[3])
 
-	var next atomic.Int64
 	var failed atomic.Bool
-	work := func() {
-		h := sha256.New()
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= len(leaves) {
-				return
-			}
-			arr := arrRowPtr
-			for i >= first[arr+1] {
-				arr++
-			}
-			lo := (i - first[arr]) * leafEntries
-			hi := min(lo+leafEntries, lens[arr])
-			if validate && arr == arrColIdx && !colsValid(a, lo, hi) {
-				failed.Store(true)
-				return
-			}
-			h.Reset()
-			var prefix [16]byte
-			binary.LittleEndian.PutUint64(prefix[:], uint64(arr))
-			binary.LittleEndian.PutUint64(prefix[8:], uint64(lo))
-			h.Write(prefix[:])
-			writeLeaf(h, a, arr, lo, hi, hostLittleEndian)
-			h.Sum(leaves[i][:0])
+	parallel.Deal(len(leaves), func(i int) {
+		arr := arrRowPtr
+		for i >= first[arr+1] {
+			arr++
 		}
-	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(leaves)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+		lo := (i - first[arr]) * leafEntries
+		hi := min(lo+leafEntries, lens[arr])
+		if failed.Load() || validate && arr == arrColIdx && !colsValid(a, lo, hi) {
+			failed.Store(true)
+			return
+		}
+		h := sha256.New()
+		var prefix [16]byte
+		binary.LittleEndian.PutUint64(prefix[:], uint64(arr))
+		binary.LittleEndian.PutUint64(prefix[8:], uint64(lo))
+		h.Write(prefix[:])
+		writeLeaf(h, a, arr, lo, hi, hostLittleEndian)
+		h.Sum(leaves[i][:0])
+	})
 	if failed.Load() {
 		if err := a.Validate(); err != nil {
 			return Key{}, Key{}, err
@@ -229,11 +209,11 @@ func writeLeaf(h hash.Hash, a *sparse.CSR, arr, lo, hi int, inPlace bool) {
 	if inPlace {
 		switch arr {
 		case arrRowPtr:
-			h.Write(rawBytes(a.RowPtr[lo:hi]))
+			h.Write(sparse.RawBytes(a.RowPtr[lo:hi]))
 		case arrColIdx:
-			h.Write(rawBytes(a.ColIdx[lo:hi]))
+			h.Write(sparse.RawBytes(a.ColIdx[lo:hi]))
 		default:
-			h.Write(rawBytes(a.Val[lo:hi]))
+			h.Write(sparse.RawBytes(a.Val[lo:hi]))
 		}
 		return
 	}
@@ -257,11 +237,6 @@ func writeLeaf(h hash.Hash, a *sparse.CSR, arr, lo, hi int, inPlace bool) {
 		}
 	}
 	h.Write(buf[:n])
-}
-
-// rawBytes views the memory of s as bytes.
-func rawBytes[T int64 | int32 | float64](s []T) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
 // root digests a tag, header words and leaf digests into one Key.

@@ -535,7 +535,7 @@ func BenchmarkFingerprint(b *testing.B) {
 		{"hash", total, func() { sinkKey = Fingerprint(a, opt) }},
 		{"validate+hash", total, func() { sinkKey, _, sinkErr = contentDigests(a, true) }},
 		{"Validate", total, func() { sinkErr = a.Validate() }},
-		{"sha256", int64(8 * len(a.Val)), func() { sinkKey = sha256.Sum256(rawBytes(a.Val)) }},
+		{"sha256", int64(8 * len(a.Val)), func() { sinkKey = sha256.Sum256(sparse.RawBytes(a.Val)) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(bc.bytes)

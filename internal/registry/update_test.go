@@ -1,9 +1,13 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"fbmpk/internal/core"
 	"fbmpk/internal/sparse"
@@ -208,4 +212,62 @@ func TestRegistryUpdateValuesClosed(t *testing.T) {
 	if _, _, err := reg.UpdateValues(a, churnOptions()); !errors.Is(err, ErrRegistryClosed) {
 		t.Fatalf("UpdateValues on closed registry: %v, want ErrRegistryClosed", err)
 	}
+}
+
+// TestRegistryUpdateValuesCanceledWhileWaiting: an update canceled while
+// it waits for the registry's update lock fails with the context's
+// error, the entry it took out of the key map is back under its old
+// key, the plan keeps its values, and Stats.Updated does not move.
+func TestRegistryUpdateValuesCanceledWhileWaiting(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	a1 := testCSR(rng, 96, 4)
+	opt := core.Options{Engine: core.EngineForwardBackward, Threads: 2}
+	reg := New(0)
+	defer reg.Close()
+	p, err := reg.Acquire(a1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Release(p) //nolint:errcheck // release of a just-acquired plan
+	oldKey := Fingerprint(a1, opt)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	reg.updateMu.Lock()
+	done := make(chan error)
+	go func() {
+		_, _, err := reg.UpdateValuesCtx(ctx, valueVariant(a1, 2, 0), opt)
+		done <- err
+	}()
+	waitForLockWaiter(t, "(*Registry).UpdateValuesKeyed")
+	cancel()
+	reg.updateMu.Unlock()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("update canceled while waiting: err = %v, want context.Canceled", err)
+	}
+	if st := reg.Stats(); st.Updated != 0 {
+		t.Fatalf("Stats.Updated = %d after a canceled update, want 0", st.Updated)
+	}
+	hit, err := reg.AcquireKey(context.Background(), oldKey)
+	if err != nil {
+		t.Fatalf("entry not back under its old key: %v", err)
+	}
+	defer reg.Release(hit) //nolint:errcheck // release of a just-acquired plan
+	if hit != p || hit.Epoch() != 0 {
+		t.Fatalf("old key serves plan %p at epoch %d, want %p at epoch 0", hit, hit.Epoch(), p)
+	}
+}
+
+// waitForLockWaiter returns once some goroutine is blocked taking a
+// mutex inside the function fn names.
+func waitForLockWaiter(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "Mutex).Lock") && strings.Contains(g, fn) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine blocked on a mutex in %s", fn)
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // CSR is a sparse matrix in compressed sparse row format, as described
@@ -257,4 +258,9 @@ func (m *CSR) String() string {
 // (Table IV of the paper compares this against the split format).
 func (m *CSR) MemoryBytes() int64 {
 	return int64(len(m.RowPtr))*8 + int64(len(m.ColIdx))*4 + int64(len(m.Val))*8
+}
+
+// RawBytes views the memory of s as bytes, in the host's byte order.
+func RawBytes[T int64 | int32 | float64](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
 }

@@ -113,39 +113,45 @@ func SplitPool(a *CSR, r Runner) (*Triangular, error) {
 // its strictly-upper run into U. L and U share t's RowPtr/ColIdx; Val
 // and D are fresh and the receiver is not modified, so readers of the
 // old values keep them. The caller vouches for the structure.
-func (t *Triangular) WithValues(rowPtr []int64, vals []float64, slot []int64) *Triangular {
+//
+// fill(lo, hi) writes the values of rows [lo, hi); nt is complete once
+// the calls cover every row that holds an entry. Each call writes only
+// its own rows' slots, so calls on disjoint ranges may run concurrently,
+// and how the rows were cut never reaches the result.
+func (t *Triangular) WithValues(rowPtr []int64, vals []float64, slot []int64) (nt *Triangular, fill func(lo, hi int)) {
 	n := t.N
-	nt := &Triangular{
+	lv, uv, d := make([]float64, t.L.NNZ()), make([]float64, t.U.NNZ()), make([]float64, n)
+	nt = &Triangular{
 		N: n,
-		L: &CSR{Rows: n, Cols: n, RowPtr: t.L.RowPtr, ColIdx: t.L.ColIdx,
-			Val: make([]float64, t.L.NNZ())},
-		U: &CSR{Rows: n, Cols: n, RowPtr: t.U.RowPtr, ColIdx: t.U.ColIdx,
-			Val: make([]float64, t.U.NNZ())},
-		D: make([]float64, n),
+		L: &CSR{Rows: n, Cols: n, RowPtr: t.L.RowPtr, ColIdx: t.L.ColIdx, Val: lv},
+		U: &CSR{Rows: n, Cols: n, RowPtr: t.U.RowPtr, ColIdx: t.U.ColIdx, Val: uv},
+		D: d,
 	}
-	at := func(j int64) float64 {
-		if slot != nil {
-			j = slot[j]
-		}
-		return vals[j]
-	}
-	for i := 0; i < n; i++ {
-		j := rowPtr[i]
-		for w := nt.L.RowPtr[i]; w < nt.L.RowPtr[i+1]; w++ {
-			nt.L.Val[w] = at(j)
-			j++
-		}
-		uLo, uHi := nt.U.RowPtr[i], nt.U.RowPtr[i+1]
-		if rowPtr[i+1]-j > uHi-uLo {
-			nt.D[i] = at(j)
-			j++
-		}
-		for w := uLo; w < uHi; w++ {
-			nt.U.Val[w] = at(j)
-			j++
+	return nt, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			// Row i's entries: L's run [j, dj), then U's run [uj, rowPtr[i+1])
+			// and, when that leaves room for one, the diagonal at dj.
+			j, lLo, uLo := rowPtr[i], t.L.RowPtr[i], t.U.RowPtr[i]
+			dj := j + t.L.RowPtr[i+1] - lLo
+			uj := rowPtr[i+1] - (t.U.RowPtr[i+1] - uLo)
+			FillValues(lv[lLo:], vals, slot, j, dj)
+			FillValues(d[i:], vals, slot, dj, uj)
+			FillValues(uv[uLo:], vals, slot, uj, rowPtr[i+1])
 		}
 	}
-	return nt
+}
+
+// FillValues writes the values of entries [j, end) to dst: a copy of
+// vals[j:end], or through a slot map vals[slot[j]], ..., vals[slot[end-1]].
+func FillValues(dst, vals []float64, slot []int64, j, end int64) {
+	if slot == nil {
+		copy(dst, vals[j:end])
+		return
+	}
+	dst = dst[:end-j]
+	for k, s := range slot[j:end] {
+		dst[k] = vals[s]
+	}
 }
 
 // MemoryBytes returns the storage footprint of the split layout

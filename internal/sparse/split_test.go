@@ -1,9 +1,15 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"fbmpk/internal/parallel"
 )
 
 func TestSplitPaperExample(t *testing.T) {
@@ -134,55 +140,106 @@ func TestSplitValidateCatchesCorruption(t *testing.T) {
 }
 
 // TestTriangularWithValues: dealing a value array into an existing
-// split — directly, or through a slot map as a reordered plan does — is
-// bitwise the split of the matrix holding those values, on rows with
-// and without a stored diagonal and on empty rows.
+// split — directly (row-segment copies), or through a slot map as a
+// reordered plan does (the gather) — is bitwise the split of the matrix
+// holding those values, whether the rows are filled in one call, dealt
+// by parallel.DealRows at 1, 2 and 3 workers, or cut at random and
+// filled last range first; on rows with and without a stored diagonal,
+// on empty rows, on rows that straddle the edges of the dealt chunks,
+// and at n = 0 and 1.
 func TestTriangularWithValues(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(9))
-	n := 60
-	coo := NewCOO(n, n, 5*n)
-	for i := 0; i < n; i++ {
-		if i%3 != 0 {
-			coo.Add(i, i, 1+rng.Float64()) // every third row has no stored diagonal
+	for _, n := range []int{0, 1, 30000} {
+		coo := NewCOO(n, n, 8*n)
+		for i := 0; i < n; i++ {
+			if i%3 != 0 || n == 1 {
+				coo.Add(i, i, 1+rng.Float64()) // every third row has no stored diagonal
+			}
+			for k := 0; k < i%13; k++ { // rows 0, 13, ... are empty or diagonal-only
+				coo.Add(i, rng.Intn(n), rng.NormFloat64())
+			}
 		}
-		for k := 0; k < i%5; k++ { // rows 0, 5, ... are empty or diagonal-only
-			coo.Add(i, rng.Intn(n), rng.NormFloat64())
+		a := coo.ToCSR()
+		if n > 1 {
+			edges := 0
+			for i := 0; i < n; i++ {
+				if a.RowPtr[i]/parallel.DealChunk != (a.RowPtr[i+1]-1)/parallel.DealChunk && a.RowPtr[i+1] > a.RowPtr[i] {
+					edges++
+				}
+			}
+			if want := int(a.NNZ()-1) / parallel.DealChunk; edges != want || want < 2 {
+				t.Fatalf("n=%d: %d rows straddle a chunk edge, want one per edge (%d)", n, edges, want)
+			}
+		}
+		tri, err := Split(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// New values live in a shuffled array; slot[j] says where entry j's is.
+		slot := make([]int64, len(a.Val))
+		for j, p := range rng.Perm(len(a.Val)) {
+			slot[j] = int64(p)
+		}
+		b := a.Clone()
+		shuffled := make([]float64, len(a.Val))
+		for j := range b.Val {
+			b.Val[j] = rng.NormFloat64()
+			shuffled[slot[j]] = b.Val[j]
+		}
+		want, err := Split(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := append([]int{0, n}, rng.Perm(n + 1)[:min(n+1, 40)]...)
+		sort.Sort(sort.Reverse(sort.IntSlice(cuts)))
+		fills := map[string]func(fill func(lo, hi int)){
+			"one call": func(fill func(lo, hi int)) { fill(0, n) },
+			"cut": func(fill func(lo, hi int)) {
+				for k := 1; k < len(cuts); k++ {
+					fill(cuts[k], cuts[k-1])
+				}
+			},
+		}
+		for _, procs := range []int{1, 2, 3} {
+			fills[fmt.Sprintf("procs=%d", procs)] = func(fill func(lo, hi int)) {
+				runtime.GOMAXPROCS(procs)
+				parallel.DealRows(a.RowPtr, fill)
+			}
+		}
+		for how, deal := range fills {
+			for name, vals := range map[string][]float64{"identity": b.Val, "slot map": shuffled} {
+				var s []int64
+				if name == "slot map" {
+					s = slot
+				}
+				got, fill := tri.WithValues(a.RowPtr, vals, s)
+				deal(fill)
+				if !sameBits(got.L.Val, want.L.Val) || !sameBits(got.U.Val, want.U.Val) || !sameBits(got.D, want.D) {
+					t.Errorf("n=%d %s %s: values differ from a fresh split", n, how, name)
+				}
+				if n > 1 && (&got.L.ColIdx[0] != &tri.L.ColIdx[0] || &got.U.RowPtr[0] != &tri.U.RowPtr[0]) {
+					t.Errorf("n=%d %s: structure arrays not shared with the receiver", n, name)
+				}
+			}
+		}
+		if n > 0 && sameBits(tri.D, want.D) {
+			t.Errorf("n=%d: receiver was modified", n)
 		}
 	}
-	a := coo.ToCSR()
-	tri, err := Split(a)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// sameBits reports whether x and y hold the same float64 bit patterns.
+func sameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
 	}
-	// New values live in a shuffled array; slot[j] says where entry j's is.
-	slot := make([]int64, len(a.Val))
-	for j, p := range rng.Perm(len(a.Val)) {
-		slot[j] = int64(p)
-	}
-	b := a.Clone()
-	shuffled := make([]float64, len(a.Val))
-	for j := range b.Val {
-		b.Val[j] = rng.NormFloat64()
-		shuffled[slot[j]] = b.Val[j]
-	}
-	want, err := Split(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]*Triangular{
-		"identity": tri.WithValues(a.RowPtr, b.Val, nil),
-		"slot map": tri.WithValues(a.RowPtr, shuffled, slot),
-	} {
-		if MaxAbsDiff(got.L.Val, want.L.Val) != 0 || MaxAbsDiff(got.U.Val, want.U.Val) != 0 || MaxAbsDiff(got.D, want.D) != 0 {
-			t.Errorf("%s: values differ from a fresh split", name)
-		}
-		if &got.L.ColIdx[0] != &tri.L.ColIdx[0] || &got.U.RowPtr[0] != &tri.U.RowPtr[0] {
-			t.Errorf("%s: structure arrays not shared with the receiver", name)
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
 		}
 	}
-	if MaxAbsDiff(tri.D, want.D) == 0 {
-		t.Error("receiver was modified")
-	}
+	return true
 }
 
 // Recompose rebuilds the full matrix L + D + U as CSR. Diagonal entries
