@@ -774,10 +774,18 @@ func (x *cell) bitwise(other config, what string) {
 }
 
 // inert: a spelling Canonical folds away builds its representative's
-// plan (where two builds are the same plan at all: the tuners time).
+// plan (where two builds are the same plan at all: the tuners time), and
+// the arbitrated engine is no engine of its own — an auto row builds
+// the forced plan of the engine it resolved to, under its options.
 func inert(x *cell) {
 	if x.c.canon != nil && x.c.deterministic() {
 		x.bitwise(*x.c.canon, "its representative")
+	}
+	if x.c.opt.Engine == EngineAuto {
+		forced := x.c
+		forced.opt.Engine = x.p.Engine()
+		forced.name = fmt.Sprintf("%v (forced)", forced.opt.Engine)
+		x.bitwise(forced, "the plan of")
 	}
 }
 
@@ -995,13 +1003,13 @@ func backendRows() (out []config) {
 // The diff beds: agreement and the bitwise columns that ride its results,
 // by backend spelling and entry point group.
 func TestDifferentialEngines(t *testing.T) {
-	table(t, zoo(t, "diff"), csrRows(), groups(single), agreement, parallel)
+	table(t, zoo(t, "diff"), csrRows(), groups(single), agreement, parallel, inert)
 }
 func TestDifferentialMulti(t *testing.T) {
-	table(t, zoo(t, "diff"), csrRows(), groups(batched), agreement, parallel, lanes)
+	table(t, zoo(t, "diff"), csrRows(), groups(batched), agreement, parallel, inert, lanes)
 }
 func TestDifferentialSymGS(t *testing.T) {
-	table(t, zoo(t, "diff"), csrRows(), groups(sweeps), agreement, parallel)
+	table(t, zoo(t, "diff"), csrRows(), groups(sweeps), agreement, parallel, inert)
 }
 func TestBackendDifferentialEngines(t *testing.T) {
 	table(t, zoo(t, "diff"), backendRows(), groups(single), agreement, inert, parallel)
@@ -1020,10 +1028,10 @@ func TestBackendDifferentialBaseline(t *testing.T) {
 // The degenerate and level shapes: every entry point, every column that
 // leaves the plan as it found it, then rejects.
 func TestDegenerateShapes(t *testing.T) {
-	table(t, zoo(t, "degenerate"), where(wide), groups(nil), agreement, parallel, lanes, rejects)
+	table(t, zoo(t, "degenerate"), where(wide), groups(nil), agreement, parallel, inert, lanes, rejects)
 }
 func TestLevelBlockedDegenerateShapes(t *testing.T) {
-	table(t, zoo(t, "levels"), where(wide), groups(nil), agreement, parallel, lanes, rejects)
+	table(t, zoo(t, "levels"), where(wide), groups(nil), agreement, parallel, inert, lanes, rejects)
 }
 
 // The generated suite matrices: real level structure, long rows (cant)
@@ -1032,7 +1040,7 @@ func TestLevelBlockedDegenerateShapes(t *testing.T) {
 // fourteen, single and batched.
 func TestDifferentialLevelBlocked(t *testing.T) {
 	rows := where(func(c config) bool { return !c.opt.ForceABMC && (wide(c) || c.opt.Threads == 4 && c.own()) })
-	table(t, zoo(t, "golden")[:1], rows, groups(nil), agreement, parallel)
+	table(t, zoo(t, "golden")[:1], rows, groups(nil), agreement, parallel, inert)
 }
 func TestMPKMultiLaneIndependence(t *testing.T) {
 	table(t, zoo(t, "golden")[:1], where(fbPlain), groups(func(name string) bool { return name == "m4" || name == "m5" }), lanes, parallel)

@@ -212,7 +212,14 @@ const (
 	EngineLevelBlocked = core.EngineLevelBlocked
 	// EngineAuto arbitrates between EngineForwardBackward and
 	// EngineLevelBlocked per matrix at build time, for power
-	// DefaultTuneK (see AutotuneEngine); Plan.Engine reports the winner.
+	// DefaultTuneK. The plan models both engines' DRAM traffic from the
+	// matrix's level schedule and picks outright when the model is
+	// one-sided or the matrix is too large to time; otherwise it builds
+	// both candidates exactly as forced plans of the same options, times
+	// each, keeps the faster (level blocking must win by 15 %) and drops
+	// the other. Plan.Engine reports the winner and PlanStats.EngineTune
+	// the verdict; the plan computes what a forced plan of that engine
+	// computes, bit for bit.
 	EngineAuto = core.EngineAuto
 )
 
@@ -254,8 +261,7 @@ func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
 
 // TuneDecision is the autotuner's verdict for one matrix: the chosen
 // backend configuration plus the candidate table it was selected from.
-// Available from PlanStats.Tune on standard-engine BackendAuto plans
-// and from Autotune directly.
+// Available from PlanStats.Tune on standard-engine BackendAuto plans.
 type TuneDecision = core.TuneDecision
 
 // TuneCandidate is one (format, configuration) the autotuner
@@ -264,38 +270,10 @@ type TuneCandidate = core.TuneCandidate
 
 // EngineDecision is the EngineAuto arbitration verdict: the chosen MPK
 // engine with the modeled DRAM traffic of both schedules and (for
-// matrices small enough to measure) the serial micro-benchmark times.
-// Available from PlanStats.EngineTune on EngineAuto plans and from
-// AutotuneEngine directly.
+// matrices small enough to measure) the times of the two candidate
+// engines the plan build made. Available from PlanStats.EngineTune on
+// EngineAuto plans.
 type EngineDecision = core.EngineDecision
-
-// AutotuneEngine arbitrates between the forward-backward and
-// level-blocked engines for matrix a at power k (<= 0 = DefaultTuneK)
-// without building a plan — the procedure NewPlan runs for EngineAuto
-// plans at k = DefaultTuneK. blockBytes <= 0 selects DefaultLevelBlockBytes;
-// threads > 1 measures the parallel kernels the plan would run at that
-// worker count instead of the serial ones.
-func AutotuneEngine(a *Matrix, k, blockBytes, threads int) (*EngineDecision, error) {
-	if err := validMatrix(a); err != nil {
-		return nil, err
-	}
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("fbmpk: AutotuneEngine: %w", ErrNotSquare)
-	}
-	return core.AutotuneEngine(a, k, blockBytes, threads)
-}
-
-// Autotune runs the backend micro-benchmark selection for matrix a
-// without building a plan and returns the decision with its full
-// candidate table — the same procedure NewPlan runs for standard-engine
-// BackendAuto plans. Deterministic sampling: the sampled rows and probe vector are
-// fixed functions of the matrix structure.
-func Autotune(a *Matrix) (TuneDecision, error) {
-	if err := validMatrix(a); err != nil {
-		return TuneDecision{}, err
-	}
-	return core.Autotune(a), nil
-}
 
 // PlanStats reports the one-off preprocessing cost breakdown of plan
 // construction, including the autotuner verdict a plan took: the

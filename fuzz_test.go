@@ -48,7 +48,7 @@ func FuzzDifferentialMPK(f *testing.F) {
 	f.Add(int64(7), int64(6), int64(4))
 	f.Add(int64(42), int64(12), int64(8))
 	f.Fuzz(func(t *testing.T, seed, cfgRaw, kRaw int64) {
-		fuzzCell(t, seed, cfgRaw, configs(), 1+index(kRaw, maxPower), []func(*cell){agreement, parallel}, "MPK", "MPKAll")
+		fuzzCell(t, seed, cfgRaw, configs(), 1+index(kRaw, maxPower), []func(*cell){agreement, parallel, inert}, "MPK", "MPKAll")
 	})
 }
 
@@ -57,7 +57,7 @@ func FuzzDifferentialSSpMV(f *testing.F) {
 	f.Add(int64(9), int64(10), int64(1))
 	f.Add(int64(13), int64(7), int64(2))
 	f.Fuzz(func(t *testing.T, seed, cfgRaw, degRaw int64) {
-		fuzzCell(t, seed, cfgRaw, configs(), index(degRaw, maxPower+1), []func(*cell){agreement, parallel}, "SSpMV", "SSpMVComplex")
+		fuzzCell(t, seed, cfgRaw, configs(), index(degRaw, maxPower+1), []func(*cell){agreement, parallel, inert}, "SSpMV", "SSpMVComplex")
 	})
 }
 
@@ -67,7 +67,7 @@ func FuzzDifferentialMulti(f *testing.F) {
 	f.Add(int64(17), int64(2), int64(3))
 	f.Fuzz(func(t *testing.T, seed, cfgRaw, mRaw int64) {
 		m := []string{"1", "3", "4", "5"}[index(mRaw, 4)]
-		fuzzCell(t, seed, cfgRaw, configs(), 1+index(seed, maxPower), []func(*cell){agreement, parallel, lanes}, "MPKMulti"+m, "SSpMVMulti"+m)
+		fuzzCell(t, seed, cfgRaw, configs(), 1+index(seed, maxPower), []func(*cell){agreement, parallel, inert, lanes}, "MPKMulti"+m, "SSpMVMulti"+m)
 	})
 }
 

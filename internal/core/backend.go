@@ -26,7 +26,7 @@ const (
 	// CSR to rounding (<= 1e-12 relative) rather than bitwise.
 	BackendCSR BackendKind = iota
 	// BackendAuto lets the plan's autotuner pick the format per matrix
-	// by modeled-plus-measured bytes per nonzero; see Autotune.
+	// by modeled-plus-measured bytes per nonzero (autotune, tune.go).
 	BackendAuto
 	// BackendSELL forces the SELL-C-sigma backend (chunked column-major
 	// storage with sigma-window row sorting).
@@ -188,12 +188,12 @@ func buildBackend(a *sparse.CSR, dec TuneDecision) execBackend {
 }
 
 // initBackend resolves the standard engine's execution backend from the
-// canonical options and the execution-order matrix a: the forced formats
-// build directly (SELL at the default chunk and window, BSR at the block
-// size the structure suggests), BackendAuto replays an injected registry
-// verdict or runs the autotuner, and the default CSR wraps a with zero
-// extra storage.
-func (p *Plan) initBackend(opt Options, a *sparse.CSR) (execBackend, error) {
+// canonical options and the execution-order matrix a, recording the
+// verdict and its cost in stats: the forced formats build directly (SELL
+// at the default chunk and window, BSR at the block size the structure
+// suggests), BackendAuto replays an injected registry verdict or runs
+// the autotuner, and the default CSR wraps a with zero extra storage.
+func initBackend(opt Options, a *sparse.CSR, stats *PlanStats) (execBackend, error) {
 	start := time.Now()
 	var dec TuneDecision
 	switch opt.Backend {
@@ -209,15 +209,15 @@ func (p *Plan) initBackend(opt Options, a *sparse.CSR) (execBackend, error) {
 			dec.FromCache = true
 			dec.Samples = 0
 		} else {
-			dec = Autotune(a)
+			dec = autotune(a)
 		}
-		p.stats.Tune = &dec
+		stats.Tune = &dec
 	default:
 		return nil, fmt.Errorf("core: NewPlan: unknown backend kind %d: %w", int(opt.Backend), ErrBadBackend)
 	}
 	be := buildBackend(a, dec)
-	p.stats.Backend = dec.Backend.String()
-	p.stats.TuneTime = time.Since(start)
+	stats.Backend = dec.Backend.String()
+	stats.TuneTime = time.Since(start)
 	return be, nil
 }
 

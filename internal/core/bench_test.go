@@ -195,30 +195,38 @@ func BenchmarkPlanBuild(b *testing.B) {
 // alone) and at 2 threads (ABMC block graph + coloring, then the fused
 // permute-and-split), and level-blocked at 1 and 2 threads (adjacency
 // and BFS, then the bucket permutation), each with its GraphTime and
-// PermTime per build. Sub-benchmark names are stable across commits;
-// compare two commits by alternating built test binaries.
+// PermTime per build, and the EngineAuto build at 1 and 2 threads (the
+// level schedule and both traffic models, then the winner alone or both
+// candidates and their timed runs), with its TuneTime — what the build
+// cost beyond the winner's own preparation — per build as tune-ms.
+// Sub-benchmark names are stable across commits; compare two commits by
+// alternating built test binaries.
 func BenchmarkNewPlan(b *testing.B) {
 	a := sweepBed(b, "pwtk")
 	for _, c := range []struct {
 		name string
 		eng  Engine
-	}{{"", EngineForwardBackward}, {"lb/", EngineLevelBlocked}} {
+	}{{"", EngineForwardBackward}, {"lb/", EngineLevelBlocked}, {"auto/", EngineAuto}} {
 		for _, threads := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%sthreads=%d", c.name, threads), func(b *testing.B) {
 				b.SetBytes(12 * a.NNZ())
 				opt := DefaultOptions(threads)
 				opt.Engine = c.eng
-				var graph, perm time.Duration
+				var graph, perm, tune time.Duration
 				for i := 0; i < b.N; i++ {
 					p, err := NewPlan(a, opt)
 					if err != nil {
 						b.Fatal(err)
 					}
-					graph, perm = graph+p.Stats().GraphTime, perm+p.Stats().PermTime
+					st := p.Stats()
+					graph, perm, tune = graph+st.GraphTime, perm+st.PermTime, tune+st.TuneTime
 					p.Close()
 				}
 				b.ReportMetric(float64(graph.Microseconds())/1e3/float64(b.N), "graph-ms")
 				b.ReportMetric(float64(perm.Microseconds())/1e3/float64(b.N), "perm-ms")
+				if c.eng == EngineAuto {
+					b.ReportMetric(float64(tune.Microseconds())/1e3/float64(b.N), "tune-ms")
+				}
 			})
 		}
 	}

@@ -64,7 +64,8 @@ type levelSchedule struct {
 	// blockPtr groups consecutive levels: block b covers levels
 	// [blockPtr[b], blockPtr[b+1]), and blockPtr[len-1] = NumLevels.
 	blockPtr []int32
-	bytes    int // resolved block budget
+	bytes    int           // resolved block budget
+	took     time.Duration // what computing the schedule cost (PlanStats.GraphTime)
 }
 
 func (ls *levelSchedule) numBlocks() int { return len(ls.blockPtr) - 1 }
@@ -76,6 +77,7 @@ func (ls *levelSchedule) numBlocks() int { return len(ls.blockPtr) - 1 }
 // so a single level larger than the budget becomes its own (oversized)
 // block.
 func newLevelSchedule(a *sparse.CSR, blockBytes int, r sparse.Runner) (*levelSchedule, error) {
+	start := time.Now()
 	lp, err := bfsLevels(a, r)
 	if err != nil {
 		return nil, err
@@ -85,6 +87,7 @@ func newLevelSchedule(a *sparse.CSR, blockBytes int, r sparse.Runner) (*levelSch
 		perm:     reorder.Perm(lp.Rows),
 		blockPtr: GroupLevels(a, lp, blockBytes),
 		bytes:    blockBytes,
+		took:     time.Since(start),
 	}, nil
 }
 
@@ -367,25 +370,20 @@ type lbEngine struct {
 	nnzA uint64
 }
 
-// newLBEngine runs the level-blocked preprocessing on the original
-// matrix a — BFS levels, the level-contiguous permutation, the
-// cache-budget block grouping — and returns the engine with the matrix
-// in its execution order. The adjacency and the permutation run on the
-// plan's workers (runner; nil = serial).
-func newLBEngine(a *sparse.CSR, blockBytes int, pool *parallel.Pool, runner sparse.Runner, stats *PlanStats) (*lbEngine, *sparse.CSR, error) {
+// newLBEngine finishes the level-blocked preprocessing of the original
+// matrix a on its level schedule ls (BFS levels and cache-budget block
+// grouping): it applies the level-contiguous permutation, on the plan's
+// workers (runner; nil = serial), and returns the engine with the
+// matrix in its execution order.
+func newLBEngine(a *sparse.CSR, ls *levelSchedule, pool *parallel.Pool, runner sparse.Runner, stats *PlanStats) (*lbEngine, *sparse.CSR, error) {
 	start := time.Now()
-	ls, err := newLevelSchedule(a, blockBytes, runner)
-	if err != nil {
-		return nil, nil, err
-	}
-	permStart := time.Now()
-	stats.GraphTime = permStart.Sub(start)
 	ea, err := ls.permute(a, runner)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.PermTime = time.Since(permStart)
-	stats.ReorderTime = time.Since(start)
+	stats.GraphTime = ls.took
+	stats.PermTime = time.Since(start)
+	stats.ReorderTime = stats.GraphTime + stats.PermTime
 	stats.NumBlocks = ls.numBlocks()
 	stats.NumLevels = ls.lp.NumLevels()
 	return &lbEngine{team: newTeam(pool), ls: ls, nnzA: uint64(len(ea.Val))}, ea, nil

@@ -20,8 +20,8 @@ const (
 	// resident block (see internal/core/levelblock.go).
 	EngineLevelBlocked
 	// EngineAuto arbitrates between EngineForwardBackward and
-	// EngineLevelBlocked per matrix at build time (see AutotuneEngine);
-	// the winner is reported by Plan.Engine and PlanStats.EngineTune.
+	// EngineLevelBlocked per matrix at build time (see NewPlan); the
+	// winner is reported by Plan.Engine and PlanStats.EngineTune.
 	EngineAuto
 )
 
@@ -82,7 +82,7 @@ type Options struct {
 	// Backend selects the storage format the standard engine's SpMV/SpMM
 	// sweeps run on. The zero value BackendCSR keeps the bitwise-stable
 	// baseline; BackendAuto runs the autotuner at build time (see
-	// Autotune); BackendSELL/BackendBSR force a format at
+	// TuneDecision); BackendSELL/BackendBSR force a format at
 	// DefaultSELLChunk/DefaultSELLSigma and the DetectBSRBlock size.
 	// Only meaningful for EngineStandard: the forward-backward sweeps
 	// run on the L+D+U split and the level-blocked steps on raw CSR.
@@ -255,8 +255,9 @@ func WithLevelBlockBytes(b int) Option {
 // WithTunedDecision injects a cached backend-autotuner verdict: a
 // standard-engine BackendAuto plan replays the decision instead of
 // sampling and reports Tune.FromCache = true, Tune.Samples = 0. The
-// registry uses this to serve its structure-keyed verdict cache; no-op
-// for every other configuration.
+// caller vouches that d was taken for this matrix structure under these
+// options — the registry serves its verdict cache keyed by exactly that;
+// no-op for every other configuration.
 func WithTunedDecision(d TuneDecision) Option {
 	return optionFunc(func(o *Options) { o.tuned = &d })
 }
@@ -272,8 +273,8 @@ func WithValidated(a *sparse.CSR) Option {
 }
 
 // WithEngineDecision is WithTunedDecision for the EngineAuto
-// arbitration: the plan replays d when it was measured at the plan's
-// thread count (and at DefaultTuneK), and arbitrates afresh otherwise.
+// arbitration: the plan builds only d's engine when d was taken at
+// DefaultTuneK, and arbitrates afresh otherwise.
 func WithEngineDecision(d EngineDecision) Option {
 	return optionFunc(func(o *Options) { o.tunedEngine = &d })
 }

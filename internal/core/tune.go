@@ -3,8 +3,6 @@ package core
 import (
 	"time"
 
-	"fbmpk/internal/parallel"
-	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
 )
 
@@ -17,8 +15,13 @@ import (
 // beat CSR by tuneMargin on the sample to be selected, because the
 // sample flatters formats with conversion costs the model does not
 // see. The decision is recorded in PlanStats and cacheable in the
-// registry keyed by the matrix structure fingerprint, so the second
-// Acquire of the same structure skips sampling entirely.
+// registry keyed by the matrix structure and plan options, so the
+// second Acquire of the same (structure, options) skips sampling.
+//
+// The EngineAuto rule lives here too — its traffic models, margins and
+// rep counts (engineModel, EngineDecision.settle) — while the
+// candidates it times are built and run by NewPlan (arbitrate, in
+// plan.go) with the constructors a forced plan uses.
 //
 // Determinism: candidate order, the sampled rows, and the probe vector
 // are all fixed functions of the matrix structure (no math/rand, no
@@ -67,8 +70,8 @@ const (
 	// arbitration: LB pays k+1 live iterates and a skewed schedule, so a
 	// marginal model win is not worth switching engines for.
 	engineTuneMargin = 0.85
-	// engineTuneReps measures each engine's serial kernel this many
-	// times (min-of-reps), on top of one warm-up run.
+	// engineTuneReps times each candidate engine this many times
+	// (min-of-reps), on top of one warm-up run.
 	engineTuneReps = 3
 	// engineTuneMeasureNNZ bounds the matrices the arbitration
 	// micro-measures end to end; above it the k-power runs would
@@ -124,18 +127,16 @@ type TuneDecision struct {
 // engine (forward-backward or level-blocked) a plan should execute
 // with for one matrix structure at power K, with the modeled per-pass
 // DRAM traffic and (when the matrix was small enough to measure) the
-// serial micro-benchmark times behind the choice.
+// times of the plan's own candidate engines behind the choice.
 type EngineDecision struct {
 	Engine Engine `json:"engine"`
-	// K is the power the arbitration optimized for (DefaultTuneK in a
-	// plan build; AutotuneEngine takes any); a cached verdict is only
-	// replayed when it was taken at DefaultTuneK.
+	// K is the power the arbitration optimized for (DefaultTuneK); an
+	// injected verdict taken at another power is not replayed.
 	K int `json:"k"`
-	// Threads is the worker count the measured tie-break ran with (0 =
-	// serial). A plan that will run parallel is arbitrated with the
-	// parallel kernels — barrier cost and scheduling overhead rank the
-	// engines differently than the serial kernels do — and a cached
-	// verdict is only replayed at the same thread count.
+	// Threads is the worker count of the plan the verdict was taken for
+	// (0 = serial): the tie-break times the candidates on the plan's own
+	// pool, since barrier cost and scheduling overhead rank the engines
+	// differently than the serial kernels do.
 	Threads int `json:"threads,omitempty"`
 	// NumLevels and NumBlocks describe the level schedule the
 	// level-blocked candidate would execute.
@@ -147,8 +148,8 @@ type EngineDecision struct {
 	// reads the levels its skewed steps touch once).
 	FBModelBytes int64 `json:"fb_model_bytes"`
 	LBModelBytes int64 `json:"lb_model_bytes"`
-	// FBSampleNs/LBSampleNs are the min-of-reps serial kernel times (0
-	// when the decision was model-only).
+	// FBSampleNs/LBSampleNs are the min-of-reps k-power times of the two
+	// candidate engines (0 when the decision was model-only).
 	FBSampleNs int64 `json:"fb_sample_ns,omitempty"`
 	LBSampleNs int64 `json:"lb_sample_ns,omitempty"`
 	// Samples counts the kernel invocations the arbitration cost (0
@@ -287,12 +288,12 @@ func tuneVector(n int, seed uint64) []float64 {
 	return x
 }
 
-// measureSpMV runs kernel once to warm caches, then tuneReps times,
-// returning the minimum duration in nanoseconds.
-func measureSpMV(kernel func()) int64 {
+// measure runs kernel once to warm caches, then reps times, returning
+// the minimum duration in nanoseconds.
+func measure(reps int, kernel func()) int64 {
 	kernel()
 	best := int64(0)
-	for rep := 0; rep < tuneReps; rep++ {
+	for rep := 0; rep < reps; rep++ {
 		start := time.Now()
 		kernel()
 		if d := time.Since(start).Nanoseconds(); best == 0 || d < best {
@@ -302,12 +303,11 @@ func measureSpMV(kernel func()) int64 {
 	return best
 }
 
-// Autotune runs the backend selection for matrix a and returns the
-// decision with its full candidate table. It is exported so cmd tools
-// can show the verdict for a matrix without building a plan; NewPlan
-// calls it for a standard-engine BackendAuto plan when the registry
-// has no cached verdict.
-func Autotune(a *sparse.CSR) TuneDecision {
+// autotune runs the backend selection for the execution-order matrix a
+// of a standard-engine BackendAuto plan that was given no verdict to
+// replay, and returns the decision with its full candidate table
+// (PlanStats.Tune).
+func autotune(a *sparse.CSR) TuneDecision {
 	s := tuneSample(a)
 	nnz := s.NNZ()
 	x := tuneVector(s.Cols, uint64(a.Rows)<<32^uint64(a.NNZ()))
@@ -318,7 +318,7 @@ func Autotune(a *sparse.CSR) TuneDecision {
 
 	// CSR is always measured: it is the baseline every margin is
 	// relative to.
-	csrNs := measureSpMV(func() { sparse.SpMV(s, x, y) })
+	csrNs := measure(tuneReps, func() { sparse.SpMV(s, x, y) })
 	dec.Samples += tuneReps + 1
 	cands := []TuneCandidate{{
 		Backend:          BackendCSR,
@@ -335,7 +335,7 @@ func Autotune(a *sparse.CSR) TuneDecision {
 		if model > csrModel*tunePruneSlack {
 			c.Pruned = true
 		} else {
-			c.SampleNs = measureSpMV(func() { sl.SpMV(x, y) })
+			c.SampleNs = measure(tuneReps, func() { sl.SpMV(x, y) })
 			c.GBps = gbps(model, nnz, c.SampleNs)
 			dec.Samples += tuneReps + 1
 		}
@@ -359,7 +359,7 @@ func Autotune(a *sparse.CSR) TuneDecision {
 			if cands[i].Backend == BackendBSR && cands[i].Block == bestR {
 				b := sparse.ToBSR(s, bestR, bestR)
 				cands[i].Pruned = false
-				cands[i].SampleNs = measureSpMV(func() { b.SpMV(x, y) })
+				cands[i].SampleNs = measure(tuneReps, func() { b.SpMV(x, y) })
 				cands[i].GBps = gbps(bestModel, nnz, cands[i].SampleNs)
 				dec.Samples += tuneReps + 1
 			}
@@ -384,35 +384,19 @@ func Autotune(a *sparse.CSR) TuneDecision {
 	return dec
 }
 
-// AutotuneEngine arbitrates between the forward-backward and
-// level-blocked engines for matrix a at power k (<= 0 selects
-// DefaultTuneK): model the DRAM traffic of both schedules from the
-// level structure, decide deterministically when the model is
-// one-sided, and micro-measure the kernels as tie-break when the
-// matrix is small enough to afford it. blockBytes <= 0 selects
-// DefaultLevelBlockBytes. The tie-break measures the kernels at the
-// plan's worker count (threads <= 1 is serial) — the serial and
-// parallel rankings genuinely differ on barrier-sensitive hosts, so
-// the verdict must come from the execution mode it will serve.
-// Deterministic given the matrix structure except for the measured
-// tie-break, which the engineTuneMargin guards the same way the
-// backend tuner's margin does; the executed result of either verdict
-// is bitwise identical across plans.
-func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision, error) {
-	if k <= 0 {
-		k = DefaultTuneK
-	}
-	opt := Options{Engine: EngineAuto, LevelBlockBytes: blockBytes, Threads: threads}.Canonical()
-	threads = opt.Threads
-	ls, err := newLevelSchedule(a, opt.LevelBlockBytes, nil)
-	if err != nil {
-		return nil, err
-	}
+// engineModel is the model half of the EngineAuto rule for matrix a at
+// power k: it models the DRAM traffic of both engines' k-power passes
+// from a's level schedule ls and decides outright when the model is
+// one-sided (level blocking modeled above tunePruneSlack × FB's bytes:
+// FB) or the matrix is too large to time (above engineTuneMeasureNNZ:
+// level blocking only below engineTuneMargin × FB's bytes). timed
+// reports that neither holds, so the verdict waits for the timed
+// tie-break (EngineDecision.settle). A pure function of the structure.
+func engineModel(a *sparse.CSR, ls *levelSchedule, k int) (dec *EngineDecision, timed bool) {
 	nl := ls.lp.NumLevels()
-	dec := &EngineDecision{
+	dec = &EngineDecision{
 		Engine:    EngineForwardBackward,
 		K:         k,
-		Threads:   threads,
 		NumLevels: nl,
 		NumBlocks: ls.numBlocks(),
 	}
@@ -459,7 +443,7 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 	if dec.LBModelBytes > int64(float64(dec.FBModelBytes)*tunePruneSlack) {
 		// The model already rules level blocking out (deep skew overlap
 		// or too many tiny blocks): deterministic FB, nothing measured.
-		return dec, nil
+		return dec, false
 	}
 	if a.NNZ() > engineTuneMeasureNNZ {
 		// Too large to run 2*(reps+1) k-power sweeps at build time;
@@ -467,75 +451,20 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 		if float64(dec.LBModelBytes) < engineTuneMargin*float64(dec.FBModelBytes) {
 			dec.Engine = EngineLevelBlocked
 		}
-		return dec, nil
+		return dec, false
 	}
-
-	// Measured tie-break: both kernels end to end, including the
-	// schedules they would really execute (FB on the L+D+U split —
-	// ABMC-ordered on a default-config ordering when parallel — LB on
-	// the level-permuted matrix), min-of-reps, on a throwaway pool of
-	// the plan's worker count (none for a serial plan).
-	x := tuneVector(a.Cols, uint64(a.Rows)<<32^uint64(a.NNZ()))
-	pa, err := ls.permute(a, nil)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([][]float64, k+1)
-	for p := range xs {
-		xs[p] = make([]float64, a.Rows)
-	}
-	ls.perm.ApplyVec(x, xs[0])
-	x0p := sparse.CopyVec(xs[0])
-	var pool *parallel.Pool
-	var runner sparse.Runner
-	var ord *reorder.ABMCResult
-	xf := x
-	if threads > 0 {
-		pool = parallel.NewPoolNamed(threads, "tune")
-		defer pool.Close()
-		runner = pool
-		if ord, err = reorder.ABMC(a, reorder.ABMCOptions{Pool: pool}); err != nil {
-			return nil, err
-		}
-		xf = make([]float64, a.Rows)
-		ord.Perm.ApplyVec(x, xf)
-	}
-	tri, _, err := splitOrdered(a, ord, runner)
-	if err != nil {
-		return nil, err
-	}
-	sch, err := newColorSchedule(tri, ord, pool)
-	if err != nil {
-		return nil, err
-	}
-	var st fbState
-	dec.FBSampleNs = measureEngine(func() {
-		_, _, _ = fbPowers(sch, &st, nil, tri, xf, k, true, nil, nil)
-	})
-	dec.LBSampleNs = measureEngine(func() {
-		copy(xs[0], x0p)
-		_ = levelBlockedPowers(sch.team, nil, pa, ls, xs, k, nil)
-	})
-	dec.Samples = 2 * (engineTuneReps + 1)
-	if float64(dec.LBSampleNs) < engineTuneMargin*float64(dec.FBSampleNs) {
-		dec.Engine = EngineLevelBlocked
-	}
-	return dec, nil
+	return dec, true
 }
 
-// measureEngine runs kernel once warm, then engineTuneReps times,
-// returning the minimum duration in nanoseconds.
-func measureEngine(kernel func()) int64 {
-	kernel()
-	best := int64(0)
-	for rep := 0; rep < engineTuneReps; rep++ {
-		start := time.Now()
-		kernel()
-		if d := time.Since(start).Nanoseconds(); best == 0 || d < best {
-			best = d
-		}
+// settle is the measured half of the rule: given the min-of-reps times
+// of both candidate engines (each timed by measure at engineTuneReps),
+// level blocking wins only below engineTuneMargin × FB's time.
+func (d *EngineDecision) settle(fbNs, lbNs int64) {
+	d.FBSampleNs, d.LBSampleNs = fbNs, lbNs
+	d.Samples = 2 * (engineTuneReps + 1)
+	if float64(lbNs) < engineTuneMargin*float64(fbNs) {
+		d.Engine = EngineLevelBlocked
 	}
-	return best
 }
 
 // gbps converts a modeled per-nnz traffic and a measured duration into

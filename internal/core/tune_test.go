@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fbmpk/internal/matgen"
+	"fbmpk/internal/parallel"
 	"fbmpk/internal/sparse"
 )
 
@@ -104,8 +105,8 @@ func TestTuneVectorDeterministic(t *testing.T) {
 func TestAutotuneDeterministicVerdict(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := irregularCSR(rng, 2000)
-	d1 := Autotune(a)
-	d2 := Autotune(a)
+	d1 := autotune(a)
+	d2 := autotune(a)
 	if d1.Backend != BackendCSR || d2.Backend != BackendCSR {
 		t.Fatalf("verdicts: %v / %v, want csr both times", d1.Backend, d2.Backend)
 	}
@@ -138,7 +139,7 @@ func TestAutotuneDeterministicVerdict(t *testing.T) {
 func TestAutotuneModelFavorsBSROnBlockMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := blockCSR(rng, 700, 3, 4)
-	d := Autotune(a)
+	d := autotune(a)
 	var csrModel, bsr3Model float64
 	var bsr3Pruned = true
 	for _, c := range d.Candidates {
@@ -250,54 +251,70 @@ func chainCSR(n int) *sparse.CSR {
 
 // TestAutotuneEngineModelOneSidedIsDeterministic: with a tiny block
 // budget on a deep chain, every pass's skewed tail re-reads k-1 extra
-// levels, so the LB model exceeds FB's and the verdict is FB with
-// zero samples — a pure function of the structure, identical across
-// calls.
+// levels, so the LB model exceeds FB's and the rule decides FB from the
+// model alone — a pure function of the structure, identical across
+// calls — and an Auto plan under that budget builds only the FB engine
+// and times nothing.
 func TestAutotuneEngineModelOneSidedIsDeterministic(t *testing.T) {
 	a := chainCSR(2048)
-	d1, err := AutotuneEngine(a, 6, 64, 1)
+	ls, err := newLevelSchedule(a, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Engine != EngineForwardBackward || d1.Samples != 0 {
-		t.Fatalf("deep chain with 64-byte blocks should be model-decided FB: %+v", d1)
+	d1, timed := engineModel(a, ls, 6)
+	if d1.Engine != EngineForwardBackward || timed {
+		t.Fatalf("deep chain with 64-byte blocks should be model-decided FB: %+v (timed %v)", d1, timed)
 	}
 	if d1.LBModelBytes <= d1.FBModelBytes {
 		t.Fatalf("skew overlap should inflate the LB model: %+v", d1)
 	}
-	d2, err := AutotuneEngine(a, 6, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2, _ := engineModel(a, ls, 6)
 	if *d1 != *d2 {
 		t.Fatalf("model-only verdict not deterministic: %+v vs %+v", d1, d2)
 	}
 	if d1.NumLevels != 2048 {
 		t.Fatalf("chain of 2048 rows has %d levels, want 2048", d1.NumLevels)
 	}
+	p, err := NewPlan(a, WithEngine(EngineAuto), WithLevelBlockBytes(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	st := p.Stats()
+	if d := st.EngineTune; p.Engine() != EngineForwardBackward || d == nil || d.Samples != 0 || d.FBSampleNs != 0 {
+		t.Fatalf("model-decided Auto plan: engine %v, verdict %+v", p.Engine(), d)
+	}
+	if st.Backend != "split" || st.NumLevels != 0 {
+		t.Fatalf("model-decided FB plan reports a level build: %+v", st)
+	}
 }
 
-// TestAutotuneEngineRecordsThreads: the verdict carries the worker
-// count the tie-break measured with (0 = serial), and the models are
-// thread-independent.
+// TestAutotuneEngineRecordsThreads: an Auto plan's verdict carries the
+// plan's worker count (0 = serial), the tie-break timed both candidates
+// in either mode, and the models are thread-independent.
 func TestAutotuneEngineRecordsThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := randomCSR(rng, 600, 4)
-	serial, err := AutotuneEngine(a, 4, 0, 1)
-	if err != nil {
-		t.Fatal(err)
+	verdict := func(threads int) *EngineDecision {
+		p, err := NewPlan(a, WithEngine(EngineAuto), WithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		d := p.Stats().EngineTune
+		if d == nil || p.Engine() != d.Engine {
+			t.Fatalf("threads=%d: plan runs %v under verdict %+v", threads, p.Engine(), d)
+		}
+		return d
 	}
-	par, err := AutotuneEngine(a, 4, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, par := verdict(1), verdict(3)
 	if serial.Threads != 0 || par.Threads != 3 {
 		t.Fatalf("threads recorded as %d / %d, want 0 / 3", serial.Threads, par.Threads)
 	}
 	if serial.FBModelBytes != par.FBModelBytes || serial.LBModelBytes != par.LBModelBytes {
 		t.Fatalf("traffic models must not depend on threads: %+v vs %+v", serial, par)
 	}
-	if serial.Samples == 0 || par.Samples == 0 {
+	if serial.Samples == 0 || par.Samples == 0 || serial.FBSampleNs == 0 || par.LBSampleNs == 0 {
 		t.Fatalf("600-row matrix should be measured in both modes: %+v vs %+v", serial, par)
 	}
 }
@@ -319,7 +336,7 @@ func suiteCSR(t *testing.T, name string, scale float64) *sparse.CSR {
 // blocky rows, short irregular rows).
 func TestAutotuneWinnerWasMeasuredFaster(t *testing.T) {
 	for _, name := range []string{"cant", "G3_circuit"} {
-		d := Autotune(suiteCSR(t, name, 0.01))
+		d := autotune(suiteCSR(t, name, 0.01))
 		var winner, csr *TuneCandidate
 		for i := range d.Candidates {
 			c := &d.Candidates[i]
@@ -353,9 +370,10 @@ func TestAutotuneWinnerWasMeasuredFaster(t *testing.T) {
 }
 
 // TestAutotuneEngineVerdictBackedByModel: every arbitration verdict
-// carries both traffic models, and level blocking is never selected
-// while modeled to move more matrix bytes than the FB pipeline —
-// across the depths where the trade flips, serial and parallel, on a
+// carries both traffic models, the build arbitrate returns runs the
+// engine the verdict names, and level blocking is never selected while
+// modeled to move more matrix bytes than the FB pipeline — across the
+// depths where the trade flips, serial and on a two-worker pool, on a
 // suite matrix, a deep banded grid, and the chain both at the default
 // block budget and at the 64-byte one whose skew overlap inflates the
 // LB model past FB's.
@@ -365,6 +383,8 @@ func TestAutotuneEngineVerdictBackedByModel(t *testing.T) {
 		KeepProb: 1, Symmetric: true, Seed: 1,
 	})
 	chain := chainCSR(2048)
+	pool := parallel.NewPool(2)
+	defer pool.Close()
 	for _, in := range []struct {
 		name       string
 		a          *sparse.CSR
@@ -377,9 +397,20 @@ func TestAutotuneEngineVerdictBackedByModel(t *testing.T) {
 	} {
 		for _, k := range []int{4, 6, 8} {
 			for _, threads := range []int{1, 2} {
-				d, err := AutotuneEngine(in.a, k, in.blockBytes, threads)
+				opt := Options{Engine: EngineAuto, BtB: true, Threads: threads, LevelBlockBytes: in.blockBytes}.Canonical()
+				var b *build
+				var err error
+				if threads > 1 {
+					b, err = arbitrate(in.a, opt, k, pool, pool)
+				} else {
+					b, err = arbitrate(in.a, opt, k, nil, nil)
+				}
 				if err != nil {
 					t.Fatal(err)
+				}
+				d := b.stats.EngineTune
+				if d == nil || d.K != k || b.eng != d.Engine {
+					t.Fatalf("%s k=%d t=%d: build runs %v under verdict %+v", in.name, k, threads, b.eng, d)
 				}
 				if d.FBModelBytes <= 0 || d.LBModelBytes <= 0 {
 					t.Fatalf("%s k=%d t=%d: degenerate traffic models: %+v", in.name, k, threads, d)

@@ -51,24 +51,13 @@ func Canonicalize(opt core.Options) core.Options { return opt.Canonical() }
 // and values digests, each of which is the root of a two-level tree
 // over fixed-size leaves of the arrays (contentDigests). Composing from
 // the two roots lets callers that need several keys for one matrix —
-// Acquire computes the plan key, the structure+options key, and the
-// tuner-cache key — read each array exactly once instead of once per
-// key. Fingerprint only hashes: it is safe on a matrix that would not
-// pass Validate.
+// Acquire computes the plan key and the structure+options key, which
+// also keys the tuner verdicts — read each array exactly once instead
+// of once per key. Fingerprint only hashes: it is safe on a matrix that
+// would not pass Validate.
 func Fingerprint(a *sparse.CSR, opt core.Options) Key {
 	s, v, _ := contentDigests(a, false)
 	return fingerprintWithParts(s, v, a, Canonicalize(opt))
-}
-
-// StructureFingerprint digests only the matrix sparsity structure —
-// dimensions, row pointers, column indices; no values, no options. It
-// keys the registry's autotuner verdict cache: the tuner's decision
-// depends on the access pattern, not the numeric values, so plans for
-// the same structure under different options (or value updates in an
-// iterative sequence) reuse one verdict.
-func StructureFingerprint(a *sparse.CSR) Key {
-	s, _, _ := contentDigests(a, false)
-	return s
 }
 
 // leafEntries is how many entries of RowPtr, ColIdx or Val one leaf of
@@ -297,8 +286,9 @@ func headerWords(a *sparse.CSR, opt core.Options) [11]uint64 {
 // canonical option words: the identity of "a cached plan that could
 // serve this matrix after an in-place value update".
 // Registry.UpdateValues uses it to find the entry whose values to swap —
-// same structure, same options, any values. opt must already be
-// canonicalized.
+// same structure, same options, any values — and the tuner verdict
+// caches key by it, since a verdict holds for exactly those plans. opt
+// must already be canonicalized.
 func structOptKeyFromStruct(s Key, a *sparse.CSR, opt core.Options) Key {
 	// v4: the structure digest is a tree root. Option words only:
 	// dimensions and nnz are already covered by the structure digest.

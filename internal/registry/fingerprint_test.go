@@ -284,15 +284,21 @@ func TestFingerprintBackendCanonicalEquivalence(t *testing.T) {
 	}
 }
 
-// TestStructureFingerprint checks the tuner verdict cache key: values
-// don't participate (a value flip keys identically) while any
-// structural change — index, row pointer, dimension — does.
+// TestStructureFingerprint checks contentDigests' structure root, which
+// the structure+options key (and with it in-place updates and the tuner
+// verdicts) is composed from: values don't participate (a value flip
+// keys identically) while any structural change — index, row pointer,
+// dimension — does.
 func TestStructureFingerprint(t *testing.T) {
+	structure := func(a *sparse.CSR) Key {
+		s, _, _ := contentDigests(a, false)
+		return s
+	}
 	rng := rand.New(rand.NewSource(7))
 	a := testCSR(rng, 100, 4)
-	base := StructureFingerprint(a)
+	base := structure(a)
 
-	if StructureFingerprint(cloneCSR(a)) != base {
+	if structure(cloneCSR(a)) != base {
 		t.Fatal("identical clone keys differently")
 	}
 
@@ -300,7 +306,7 @@ func TestStructureFingerprint(t *testing.T) {
 	for i := range val.Val {
 		val.Val[i] *= 2
 	}
-	if StructureFingerprint(val) != base {
+	if structure(val) != base {
 		t.Fatal("value-only change altered the structure key")
 	}
 
@@ -311,22 +317,22 @@ func TestStructureFingerprint(t *testing.T) {
 			break
 		}
 	}
-	if StructureFingerprint(idx) == base {
+	if structure(idx) == base {
 		t.Fatal("column-index change not reflected in structure key")
 	}
 
 	dim := cloneCSR(a)
 	dim.Cols++
-	if StructureFingerprint(dim) == base {
+	if structure(dim) == base {
 		t.Fatal("dimension change not reflected in structure key")
 	}
 
 	// Leaf by leaf on a matrix of three leaves an array.
 	big := leafyCSR(2)
-	base = StructureFingerprint(big)
+	base = structure(big)
 	differs := func(what string) {
 		t.Helper()
-		if StructureFingerprint(big) == base {
+		if structure(big) == base {
 			t.Errorf("%s not reflected in structure key", what)
 		}
 	}
@@ -357,11 +363,11 @@ func TestStructureFingerprint(t *testing.T) {
 	big.Rows--
 	differs("Rows alone")
 	big.Rows++
-	if StructureFingerprint(big) != base {
+	if structure(big) != base {
 		t.Fatal("perturbations not undone")
 	}
 	swapLeaves(big.Val)
-	if StructureFingerprint(big) != base {
+	if structure(big) != base {
 		t.Fatal("value-only change altered the structure key of a multi-leaf matrix")
 	}
 }

@@ -73,12 +73,16 @@ type Registry struct {
 	buildTime     time.Duration
 
 	// tunings and engineTunings cache the two autotuner verdicts — the
-	// standard engine's backend, EngineAuto's engine — keyed by
-	// StructureFingerprint. A plan tunes one or the other, never both,
-	// so each is cached and replayed on its own. Verdicts are a few
-	// hundred bytes and survive plan LRU eviction on purpose:
-	// re-acquiring an evicted matrix re-runs preprocessing but never
-	// re-pays tuner sampling.
+	// standard engine's backend, EngineAuto's engine — keyed by the
+	// (structure, options) key of the entry that tuned them (entry.sKey):
+	// what a tuner measures depends on the options as well as the
+	// pattern (the backend tuner samples the execution-order matrix, the
+	// engine tie-break times the plan's own candidates), so a verdict
+	// replays for other values of that structure and never under other
+	// options. A plan tunes one or the other, never both, so each is
+	// cached and replayed on its own. Verdicts are a few hundred bytes and
+	// survive plan LRU eviction on purpose: re-acquiring an evicted matrix
+	// re-runs preprocessing but never re-pays tuner sampling.
 	tunings       map[Key]core.TuneDecision
 	engineTunings map[Key]core.EngineDecision
 	tuneHits      uint64
@@ -138,8 +142,8 @@ type Stats struct {
 
 	// TuneHits counts BackendAuto and EngineAuto builds served a cached
 	// autotuner verdict (zero sampling); TuneMisses counts builds that
-	// ran their tuner; TuneVerdicts is the number of structure-keyed
-	// verdicts (backend and engine) currently cached.
+	// ran their tuner; TuneVerdicts is the number of verdicts (backend
+	// and engine, one per structure and options) currently cached.
 	TuneHits     uint64 `json:"tune_hits"`
 	TuneMisses   uint64 `json:"tune_misses"`
 	TuneVerdicts int    `json:"tune_verdicts"`
@@ -218,22 +222,20 @@ func (r *Registry) AcquireCtx(ctx context.Context, a *sparse.CSR, opts ...core.O
 	}
 	// One pass validates and hashes, so a malformed CSR fails with the
 	// same typed error NewPlan would return instead of getting a key.
-	structKey, key, err := timedDigests(ctx, a, opt, true)
+	sKey, key, err := timedDigests(ctx, a, opt, true)
 	if err != nil {
 		return nil, fmt.Errorf("registry: Acquire: %w: %v", core.ErrInvalidMatrix, err)
 	}
-	return r.acquire(ctx, a, opt, structKey, key)
+	return r.acquire(ctx, a, opt, sKey, key)
 }
 
 // timedDigests makes the one content pass over a (contentDigests; with
 // validate it is CSR.Validate too, and err its error) and returns the
-// structure digest with the plan key composed from it and the values
-// digest, recording the whole pass as the request timeline's
-// registry.fingerprint phase. The structure digest also feeds the miss
-// entry's structure+options key and the tuner verdict caches, which are
-// keyed by structure alone so value updates and option changes reuse the
-// same tuning decision. opt must already be canonicalized.
-func timedDigests(ctx context.Context, a *sparse.CSR, opt core.Options, validate bool) (structKey, key Key, err error) {
+// two keys composed from its digests — the (structure, options) key
+// that finds a plan to update in place and names its tuner verdicts,
+// and the plan key — recording the whole pass as the request timeline's
+// registry.fingerprint phase. opt must already be canonicalized.
+func timedDigests(ctx context.Context, a *sparse.CSR, opt core.Options, validate bool) (sKey, key Key, err error) {
 	tl := events.TimelineFromContext(ctx)
 	var hashStart time.Time
 	if tl != nil {
@@ -241,12 +243,13 @@ func timedDigests(ctx context.Context, a *sparse.CSR, opt core.Options, validate
 	}
 	structKey, valKey, err := contentDigests(a, validate)
 	if err == nil {
+		sKey = structOptKeyFromStruct(structKey, a, opt)
 		key = fingerprintWithParts(structKey, valKey, a, opt)
 	}
 	if tl != nil {
 		tl.Phase("registry.fingerprint", hashStart, time.Now())
 	}
-	return structKey, key, err
+	return sKey, key, err
 }
 
 // canceledErr counts one abandoned call and wraps the context error.
@@ -292,8 +295,8 @@ func (r *Registry) AcquireKey(ctx context.Context, key Key) (*core.Plan, error) 
 }
 
 // acquire is AcquireCtx past validation and hashing: the lookup,
-// coalesced wait, or build under a key the caller computed from a.
-func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options, structKey, key Key) (*core.Plan, error) {
+// coalesced wait, or build under the keys the caller computed from a.
+func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options, sKey, key Key) (*core.Plan, error) {
 	tl := events.TimelineFromContext(ctx)
 	r.mu.Lock()
 	if r.closed {
@@ -345,7 +348,7 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	}
 
 	// Miss: insert a building entry and become the flight owner.
-	e := &entry{key: key, sKey: structOptKeyFromStruct(structKey, a, opt), refs: 1, done: make(chan struct{})}
+	e := &entry{key: key, sKey: sKey, refs: 1, done: make(chan struct{})}
 	e.elem = r.lru.PushFront(e)
 	r.entries[key] = e
 	r.structIdx[e.sKey] = key
@@ -353,19 +356,17 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	// Every caller validated a on the way here, so the build need not.
 	buildOpts := []core.Option{opt, core.WithValidated(a)}
 	// opt is canonical, so BackendAuto means a standard-engine plan and
-	// the two cases exclude each other. An engine verdict is only
-	// replayed at the thread count it was measured at; any other counts
-	// as a miss and is re-arbitrated (the persist below overwrites).
+	// the two cases exclude each other.
 	switch {
 	case opt.Backend == core.BackendAuto:
-		if dec, ok := r.tunings[structKey]; ok {
+		if dec, ok := r.tunings[sKey]; ok {
 			buildOpts = append(buildOpts, core.WithTunedDecision(dec))
 			r.tuneHits++
 		} else {
 			r.tuneMisses++
 		}
 	case opt.Engine == core.EngineAuto:
-		if dec, ok := r.engineTunings[structKey]; ok && dec.Threads == opt.Threads {
+		if dec, ok := r.engineTunings[sKey]; ok {
 			buildOpts = append(buildOpts, core.WithEngineDecision(dec))
 			r.tuneHits++
 		} else {
@@ -393,13 +394,14 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 		r.builds++
 		r.buildTime += elapsed
 		r.byPlan[plan] = e
-		// Persist a fresh verdict for the next build of this structure.
+		// Persist a fresh verdict for the next build of this structure
+		// under these options.
 		st := plan.Stats()
 		if t := st.Tune; t != nil && !t.FromCache {
-			r.tunings[structKey] = *t
+			r.tunings[sKey] = *t
 		}
 		if t := st.EngineTune; t != nil && !t.FromCache {
-			r.engineTunings[structKey] = *t
+			r.engineTunings[sKey] = *t
 		}
 	}
 	close(e.done)

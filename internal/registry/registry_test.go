@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fbmpk/internal/core"
+	"fbmpk/internal/matgen"
 	"fbmpk/internal/sparse"
 )
 
@@ -406,12 +408,16 @@ func TestRegistryRejectsBadMatrix(t *testing.T) {
 	}
 }
 
-// TestRegistryTuneVerdictCache is the ISSUE acceptance criterion for
-// the autotuner cache: the first BackendAuto Acquire of a structure
-// runs the tuner (samples > 0), and every later build of the same
-// structure — different options, different values, even after the plan
-// itself was LRU-evicted — replays the cached verdict with zero
-// tuning samples.
+// TestRegistryTuneVerdictCache is the autotuner cache's contract: the
+// first BackendAuto Acquire of a structure under some options runs the
+// tuner (samples > 0); later builds of that structure under the same
+// options — other values, or after the plan itself was LRU-evicted —
+// replay the cached verdict with zero samples, and builds under other
+// options tune afresh, because what the tuner samples is the
+// execution-order matrix those options shape. On audikw_1's stand-in a
+// verdict taken under ForceABMC once served the natural-order plan: CSR
+// from cache, where every fresh natural-order build samples another
+// candidate table.
 func TestRegistryTuneVerdictCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	a := testCSR(rng, 300, 5)
@@ -436,8 +442,7 @@ func TestRegistryTuneVerdictCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same structure, different options: new plan key (fresh build) but
-	// the verdict replays from cache with zero samples.
+	// Same structure, other options: a verdict of their own.
 	withThreads := auto
 	withThreads.Threads = 3
 	p2, err := reg.Acquire(a, withThreads)
@@ -445,21 +450,18 @@ func TestRegistryTuneVerdictCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = reg.Stats()
-	if s.TuneHits != 1 || s.TuneMisses != 1 {
+	if s.TuneHits != 0 || s.TuneMisses != 2 || s.TuneVerdicts != 2 {
 		t.Fatalf("after second Acquire: %+v", s)
 	}
-	t2 := p2.Stats().Tune
-	if t2 == nil || !t2.FromCache || t2.Samples != 0 {
-		t.Fatalf("second build should have replayed the verdict: %+v", t2)
-	}
-	if t2.Backend != t1.Backend || t2.Chunk != t1.Chunk || t2.Sigma != t1.Sigma || t2.Block != t1.Block {
-		t.Fatalf("replayed decision %+v != fresh %+v", t2, t1)
+	if t2 := p2.Stats().Tune; t2 == nil || t2.FromCache || t2.Samples == 0 {
+		t.Fatalf("other options should have tuned afresh: %+v", t2)
 	}
 	if err := reg.Release(p2); err != nil {
 		t.Fatal(err)
 	}
 
-	// Same structure, different values: still a verdict hit.
+	// Same structure and options, other values: the verdict replays
+	// with zero samples.
 	b := cloneCSR(a)
 	for i := range b.Val {
 		b.Val[i] += 0.5
@@ -468,8 +470,15 @@ func TestRegistryTuneVerdictCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s = reg.Stats(); s.TuneHits != 2 {
+	if s = reg.Stats(); s.TuneHits != 1 {
 		t.Fatalf("value-only change should reuse the verdict: %+v", s)
+	}
+	t3 := p3.Stats().Tune
+	if t3 == nil || !t3.FromCache || t3.Samples != 0 {
+		t.Fatalf("value-only change should replay the verdict: %+v", t3)
+	}
+	if t3.Backend != t1.Backend || t3.Chunk != t1.Chunk || t3.Sigma != t1.Sigma || t3.Block != t1.Block {
+		t.Fatalf("replayed decision %+v != fresh %+v", t3, t1)
 	}
 	if err := reg.Release(p3); err != nil {
 		t.Fatal(err)
@@ -491,12 +500,89 @@ func TestRegistryTuneVerdictCache(t *testing.T) {
 	}
 	defer reg.Release(p5)
 	s = reg.Stats()
-	if s.TuneHits != 3 || s.TuneMisses != 1 {
+	if s.TuneHits != 2 || s.TuneMisses != 2 {
 		t.Fatalf("verdict should survive plan eviction: %+v", s)
 	}
 	t5 := p5.Stats().Tune
 	if t5 == nil || !t5.FromCache || t5.Samples != 0 {
 		t.Fatalf("post-eviction build should replay the verdict: %+v", t5)
+	}
+
+	// The reproduction: ForceABMC first, then natural order. The
+	// natural-order plan samples its own matrix — its candidate table,
+	// whose models are a function of the sampled structure, is a fresh
+	// natural-order plan's — and a later replay of its verdict builds
+	// what a fresh plan handed that verdict builds, bit for bit.
+	spec, err := matgen.ByName("audikw_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	aud := spec.Generate(0.02, 1)
+	natural := core.Options{Engine: core.EngineStandard, Backend: core.BackendAuto}
+	abmc := natural
+	abmc.ForceABMC = true
+	reg2 := New(0)
+	defer reg2.Close()
+	pa, err := reg2.Acquire(aud, abmc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Release(pa)
+	pn, err := reg2.Acquire(aud, natural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Release(pn)
+	tn := pn.Stats().Tune
+	if tn == nil || tn.FromCache || tn.Samples == 0 {
+		t.Fatalf("natural-order plan replayed the ForceABMC verdict: %+v", tn)
+	}
+	fresh, err := core.NewPlan(aud, natural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	models := func(d *core.TuneDecision) (m []float64) {
+		for _, c := range d.Candidates {
+			m = append(m, c.ModelBytesPerNNZ)
+		}
+		return m
+	}
+	if got, want := models(tn), models(fresh.Stats().Tune); !slices.Equal(got, want) {
+		t.Fatalf("natural-order verdict modeled %v, a fresh natural-order plan %v", got, want)
+	}
+	audB := cloneCSR(aud)
+	for i := range audB.Val {
+		audB.Val[i] *= 1.5
+	}
+	pr, err := reg2.Acquire(audB, natural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Release(pr)
+	tr := pr.Stats().Tune
+	if tr == nil || !tr.FromCache || tr.Backend != tn.Backend || tr.Block != tn.Block || tr.Chunk != tn.Chunk {
+		t.Fatalf("same options, other values should replay %+v: %+v", tn, tr)
+	}
+	want, err := core.NewPlan(audB, natural, core.WithTunedDecision(*tn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	x := make([]float64, aud.Rows)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	yr, err := pr.MPK(x, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yw, err := want.MPK(x, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(yr, yw) {
+		t.Fatal("the replayed plan differs from a fresh plan with its verdict")
 	}
 }
 

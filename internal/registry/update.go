@@ -69,8 +69,7 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 	if err := ctx.Err(); err != nil {
 		return nil, Key{}, false, fmt.Errorf("registry: UpdateValues canceled: %w", err)
 	}
-	s, newKey, _ := timedDigests(ctx, a, opt, false)
-	sKey := structOptKeyFromStruct(s, a, opt)
+	sKey, newKey, _ := timedDigests(ctx, a, opt, false)
 	// viaAcquire is the way out when no in-place swap is needed or
 	// possible: the ordinary Acquire path — a hit, a coalesced wait or a
 	// build — under the digests computed above.
@@ -78,7 +77,7 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 		if err := a.Validate(); err != nil {
 			return nil, Key{}, false, fmt.Errorf("registry: UpdateValues: %w: %v", core.ErrInvalidMatrix, err)
 		}
-		p, err := r.acquire(ctx, a, opt, s, newKey)
+		p, err := r.acquire(ctx, a, opt, sKey, newKey)
 		if err != nil {
 			return nil, Key{}, false, err
 		}

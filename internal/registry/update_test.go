@@ -31,7 +31,7 @@ func valueVariant(a *sparse.CSR, scale, shift float64) *sparse.CSR {
 
 // TestRegistryUpdateValuesTransition covers the fingerprint-transition
 // contract of an in-place update: the plan fingerprint moves (values
-// are content), the structure fingerprint does not, the same plan
+// are content), the structure+options key does not, the same plan
 // object keeps serving under the new key, and a later rebuild of this
 // structure replays the cached autotuner verdict with zero samples.
 func TestRegistryUpdateValuesTransition(t *testing.T) {
@@ -45,8 +45,10 @@ func TestRegistryUpdateValuesTransition(t *testing.T) {
 	if key1 == key2 {
 		t.Fatal("value change did not move the plan fingerprint")
 	}
-	if StructureFingerprint(a1) != StructureFingerprint(a2) {
-		t.Fatal("value change moved the structure fingerprint")
+	s1, _, _ := timedDigests(context.Background(), a1, opt, false)
+	s2, _, _ := timedDigests(context.Background(), a2, opt, false)
+	if s1 != s2 {
+		t.Fatal("value change moved the structure+options key")
 	}
 
 	reg := New(0)
@@ -101,9 +103,9 @@ func TestRegistryUpdateValuesTransition(t *testing.T) {
 	}
 
 	// The old content key is gone: re-acquiring the original values
-	// builds a second plan — but the structure-keyed tune verdict
-	// replays with zero samples, so even the rebuild path never re-runs
-	// the tuner on a known structure.
+	// builds a second plan — but the tune verdict, keyed by structure
+	// and options, replays with zero samples, so even the rebuild path
+	// never re-runs the tuner on a known structure.
 	pOld, err := reg.Acquire(a1, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -122,9 +122,11 @@ func TestPlanFingerprintPublic(t *testing.T) {
 // TestRegistryEngineVerdictReplay mirrors the backend verdict-cache
 // test for the engine arbitration: the first EngineAuto Acquire runs
 // the arbitration (fresh verdict, nonzero samples on a measurable
-// matrix), a second Acquire with a different plan key but the same
-// structure and thread count replays it with zero samples, and a
-// verdict arbitrated at one thread count is NOT replayed at another.
+// matrix); an Acquire of the same structure under the same options —
+// other values — replays it with zero samples and builds exactly the
+// forced plan of the engine it names; and any other options arbitrate
+// afresh: another thread count, and another block budget, under which
+// a verdict once replayed with the other budget's block count.
 func TestRegistryEngineVerdictReplay(t *testing.T) {
 	a, err := GenerateSuiteMatrix("G3_circuit", 0.002, 3)
 	if err != nil {
@@ -132,8 +134,9 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 	}
 	reg := NewRegistry(8)
 	defer reg.Close()
+	auto := []Option{WithEngine(EngineAuto), WithBtB(true)}
 
-	p1, err := reg.Acquire(a, WithEngine(EngineAuto), WithBtB(true))
+	p1, err := reg.Acquire(a, auto...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,21 +152,23 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 		t.Fatalf("serial arbitration recorded k=%d threads=%d: %+v", t1.K, t1.Threads, t1)
 	}
 
-	// Different plan key (self-check layer), same structure and tuning
-	// parameters: the verdict replays from the registry with zero
-	// samples and identical fields.
+	// Same structure and options, other values: a distinct plan whose
+	// verdict replays from the registry with zero samples and identical
+	// fields.
+	b := *a
+	b.Val = make([]float64, len(a.Val))
+	for i, v := range a.Val {
+		b.Val[i] = 2*v - 0.5
+	}
 	before := reg.Stats()
-	p2, err := reg.Acquire(a, WithEngine(EngineAuto), WithBtB(true), WithSelfCheck(true))
+	p2, err := reg.Acquire(&b, auto...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Release(p2)
 	after := reg.Stats()
-	if after.Builds != before.Builds+1 {
-		t.Fatalf("self-check option should force a distinct plan build: %+v -> %+v", before, after)
-	}
-	if after.TuneHits != before.TuneHits+1 {
-		t.Fatalf("second Acquire should have replayed the verdict: %+v -> %+v", before, after)
+	if after.Builds != before.Builds+1 || after.TuneHits != before.TuneHits+1 {
+		t.Fatalf("other values should build a plan on the replayed verdict: %+v -> %+v", before, after)
 	}
 	t2 := p2.Stats().EngineTune
 	if t2 == nil || !t2.FromCache || t2.Samples != 0 {
@@ -174,33 +179,37 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 		t2.NumLevels != t1.NumLevels || t2.NumBlocks != t1.NumBlocks {
 		t.Fatalf("replayed verdict %+v != fresh %+v", t2, t1)
 	}
-	if p2.Engine() != p1.Engine() {
-		t.Fatalf("replayed verdict resolved a different engine: %v vs %v", p2.Engine(), p1.Engine())
+	if p2.Engine() != t1.Engine {
+		t.Fatalf("replayed verdict resolved a different engine: %v vs %v", p2.Engine(), t1.Engine)
 	}
 
-	// Same results from cached-verdict and fresh-verdict plans: the
-	// arbitration outcome is injected, so both plans executed the same
-	// engine and must agree bitwise.
+	// Fresh and replayed verdicts both build the forced plan of their
+	// engine under the same options, bit for bit.
 	x0 := vec(a.Rows, 41)
-	y1, err := p1.MPK(x0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y2, err := p2.MPK(x0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("cached-verdict plan diverges bitwise at [%d]: %g vs %g", i, y1[i], y2[i])
+	for _, c := range []struct {
+		p *Plan
+		a *Matrix
+	}{{p1, a}, {p2, &b}} {
+		forced, err := NewPlan(c.a, append(auto, WithEngine(c.p.Engine()))...)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer forced.Close()
+		got, err := c.p.MPK(x0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := forced.MPK(x0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare(t, fmt.Sprintf("%v plan vs the forced plan", c.p.Engine()), vecs{got}, vecs{want}, nil)
 	}
 
-	// A parallel plan arbitrates with the parallel kernels: the serial
-	// verdict must not be replayed for it, and its own verdict records
-	// the thread count.
+	// Other options arbitrate afresh. A parallel plan times the
+	// candidates on its own pool, and its verdict records the count.
 	before = reg.Stats()
-	p3, err := reg.Acquire(a, WithEngine(EngineAuto), WithBtB(true), WithThreads(4))
+	p3, err := reg.Acquire(a, append(auto, WithThreads(4))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +221,31 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 	t3 := p3.Stats().EngineTune
 	if t3 == nil || t3.FromCache || t3.Threads != 4 {
 		t.Fatalf("parallel plan should have arbitrated fresh at 4 threads: %+v", t3)
+	}
+
+	// The reproduction: a verdict taken under 256-byte blocks must not
+	// serve the default budget. The default-budget plan models the
+	// schedule a fresh default-budget plan models.
+	reg2 := NewRegistry(8)
+	defer reg2.Close()
+	tiny, err := reg2.Acquire(a, append(auto, WithLevelBlockBytes(256))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Release(tiny)
+	def, err := reg2.Acquire(a, auto...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Release(def)
+	fresh, err := NewPlan(a, auto...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	td, tf := def.Stats().EngineTune, fresh.Stats().EngineTune
+	if td == nil || td.FromCache || td.NumBlocks != tf.NumBlocks || td.LBModelBytes != tf.LBModelBytes {
+		t.Fatalf("default-budget plan took verdict %+v, a fresh one %+v (256-byte verdict %+v)", td, tf, tiny.Stats().EngineTune)
 	}
 }
 
