@@ -354,16 +354,12 @@ func StandardMPK(a *Matrix, x0 []float64, k int) ([]float64, error) {
 	return core.StandardMPK(a, x0, k, nil)
 }
 
-// LevelBlockedMPK computes A^k x0 with the serial level-blocked
-// schedule (blockBytes <= 0 = DefaultLevelBlockBytes) — the standalone
-// form of EngineLevelBlocked used by tests and tools; build a plan
-// with WithEngine(EngineLevelBlocked) for the pooled, parallel,
-// cancellable form.
+// LevelBlockedMPK computes A^k x0 with a one-shot serial plan of the
+// level-blocked engine (blockBytes <= 0 = DefaultLevelBlockBytes); build
+// a plan with WithEngine(EngineLevelBlocked) for repeated, parallel or
+// cancellable calls.
 func LevelBlockedMPK(a *Matrix, x0 []float64, k int, blockBytes int) ([]float64, error) {
-	if err := validMatrix(a); err != nil {
-		return nil, err
-	}
-	return core.LevelBlockedMPK(a, x0, k, blockBytes, nil)
+	return MPK(a, x0, k, WithEngine(EngineLevelBlocked), WithLevelBlockBytes(blockBytes))
 }
 
 // validMatrix is the package-level error boundary for functions that

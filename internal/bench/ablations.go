@@ -78,7 +78,7 @@ func AblationOrdering(w io.Writer, cfg Config) error {
 			return "", err
 		}
 		tm := Measure(cfg.Runs, func() {
-			if _, _, err := core.FBMPKSerial(tri, x0, cfg.K, true, nil, nil); err != nil {
+			if _, err := core.FBMPKSerial(tri, x0, cfg.K, true, nil, nil); err != nil {
 				panic(err)
 			}
 		})

@@ -69,20 +69,18 @@ func ParseBackend(s string) (BackendKind, error) {
 }
 
 // execBackend abstracts the full-matrix kernels over the storage
-// format, so the standard serial/parallel/batched drivers stay
-// format-agnostic. Range bounds follow each backend's partition
-// contract: partition returns worker row bounds aligned to the
-// format's storage granularity (any row for CSR, chunk-aligned storage
-// rows for SELL, block-row-aligned rows for BSR), and spmvRange of
-// disjoint ranges writes disjoint y entries.
+// format, so the standard engine's one driver stays format-agnostic.
+// Range bounds follow each backend's partition contract: partition
+// returns worker row bounds aligned to the format's storage granularity
+// (any row for CSR, chunk-aligned storage rows for SELL, block-row-
+// aligned rows for BSR), and spmmRange of disjoint ranges writes
+// disjoint y entries. spmmRange at nv = 1 is the format's SpMV range
+// kernel, so a single vector runs exactly what SpMV runs.
 type execBackend interface {
 	kind() BackendKind
 	phase() phase
-	rows() int
-	cols() int
 	partition(parts int) []int
-	spmvRange(x, y []float64, lo, hi int)
-	spmm(x, y []float64, nv int)
+	spmmRange(x, y []float64, nv, lo, hi int)
 	// withValues builds a backend holding a's values in the receiver's
 	// layout, sharing every structure array (a must be the new
 	// execution-order matrix with the structure the receiver was built
@@ -97,13 +95,12 @@ type csrBackend struct{ a *sparse.CSR }
 
 func (b csrBackend) kind() BackendKind { return BackendCSR }
 func (b csrBackend) phase() phase      { return phaseStandard }
-func (b csrBackend) rows() int         { return b.a.Rows }
-func (b csrBackend) cols() int         { return b.a.Cols }
 func (b csrBackend) partition(parts int) []int {
 	return parallel.PartitionByPtr(b.a.Rows, parts, b.a.RowPtr)
 }
-func (b csrBackend) spmvRange(x, y []float64, lo, hi int) { sparse.SpMVRange(b.a, x, y, lo, hi) }
-func (b csrBackend) spmm(x, y []float64, nv int)          { sparse.SpMM(b.a, x, y, nv) }
+func (b csrBackend) spmmRange(x, y []float64, nv, lo, hi int) {
+	sparse.SpMMRange(b.a, x, y, nv, lo, hi)
+}
 func (b csrBackend) withValues(a *sparse.CSR) execBackend { return csrBackend{a: a} }
 
 // sellBackend executes on a SELL-C-sigma conversion of the plan's
@@ -116,8 +113,6 @@ type sellBackend struct{ s *sparse.SELL }
 
 func (b *sellBackend) kind() BackendKind { return BackendSELL }
 func (b *sellBackend) phase() phase      { return phaseStandardSELL }
-func (b *sellBackend) rows() int         { return b.s.Rows }
-func (b *sellBackend) cols() int         { return b.s.Cols }
 func (b *sellBackend) partition(parts int) []int {
 	// Weight chunks by their padded storage (the slots the kernel
 	// actually streams), then convert chunk bounds to storage rows.
@@ -136,8 +131,13 @@ func (b *sellBackend) partition(parts int) []int {
 	bounds[len(bounds)-1] = b.s.Rows
 	return bounds
 }
-func (b *sellBackend) spmvRange(x, y []float64, lo, hi int) { b.s.SpMVRange(x, y, lo, hi) }
-func (b *sellBackend) spmm(x, y []float64, nv int)          { b.s.SpMM(x, y, nv) }
+func (b *sellBackend) spmmRange(x, y []float64, nv, lo, hi int) {
+	if nv == 1 {
+		b.s.SpMVRange(x, y, lo, hi)
+	} else {
+		b.s.SpMMRange(x, y, nv, lo, hi)
+	}
+}
 func (b *sellBackend) withValues(a *sparse.CSR) execBackend {
 	return &sellBackend{s: b.s.WithValues(a)}
 }
@@ -148,8 +148,6 @@ type bsrBackend struct{ b *sparse.BSR }
 
 func (e *bsrBackend) kind() BackendKind { return BackendBSR }
 func (e *bsrBackend) phase() phase      { return phaseStandardBSR }
-func (e *bsrBackend) rows() int         { return e.b.Rows }
-func (e *bsrBackend) cols() int         { return e.b.Cols }
 func (e *bsrBackend) partition(parts int) []int {
 	// Weight block rows by stored blocks, then scale to scalar rows so
 	// every boundary is block-row-aligned.
@@ -168,8 +166,13 @@ func (e *bsrBackend) partition(parts int) []int {
 	bounds[len(bounds)-1] = e.b.Rows
 	return bounds
 }
-func (e *bsrBackend) spmvRange(x, y []float64, lo, hi int) { e.b.SpMVRange(x, y, lo, hi) }
-func (e *bsrBackend) spmm(x, y []float64, nv int)          { e.b.SpMM(x, y, nv) }
+func (e *bsrBackend) spmmRange(x, y []float64, nv, lo, hi int) {
+	if nv == 1 {
+		e.b.SpMVRange(x, y, lo, hi)
+	} else {
+		e.b.SpMMRange(x, y, nv, lo, hi)
+	}
+}
 func (e *bsrBackend) withValues(a *sparse.CSR) execBackend {
 	return &bsrBackend{b: e.b.WithValues(a)}
 }

@@ -40,7 +40,7 @@ func BenchmarkFBMPKSerialSeparate(b *testing.B) {
 	x0 := sparse.Ones(a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := FBMPKSerial(tri, x0, 5, false, nil, nil); err != nil {
+		if _, err := FBMPKSerial(tri, x0, 5, false, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkFBMPKSerialBtB(b *testing.B) {
 	x0 := sparse.Ones(a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := FBMPKSerial(tri, x0, 5, true, nil, nil); err != nil {
+		if _, err := FBMPKSerial(tri, x0, 5, true, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func BenchmarkFBMPKParallel(b *testing.B) {
 	x0 := sparse.Ones(a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := fb.Run(x0, 5, true, nil); err != nil {
+		if _, err := fb.Run(x0, 5, true, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -115,7 +115,7 @@ func BenchmarkFBParallelMulti(b *testing.B) {
 	}
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fbm.Run(xs, k, true, nil); err != nil {
+			if _, err := fbm.Run(xs, k, true, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -123,7 +123,7 @@ func BenchmarkFBParallelMulti(b *testing.B) {
 	b.Run("independent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := range xs {
-				if _, _, err := fb.Run(xs[j], k, true, nil); err != nil {
+				if _, err := fb.Run(xs[j], k, true, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -153,7 +153,7 @@ func BenchmarkFBMPKSerialMulti(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("m=%d/%s", m, name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := FBMPKSerialMulti(tri, xs, k, btb, nil); err != nil {
+					if _, err := FBMPKSerialMulti(tri, xs, k, btb, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -369,39 +369,50 @@ func sweepBed(b *testing.B, name string) *sparse.CSR {
 
 // BenchmarkStandardBackends is the gauge of ROADMAP 2(b): standard-engine
 // MPK, k = 6, one thread, under each storage format and under the tuner,
-// on -sweep-matrix at -sweep-scale. Each case builds its plan, times it
-// and lets it go, so no two formats are resident at once; the auto case
-// logs the format the tuner picked. -count repeats a case back to back:
-// for interleaved rounds run the built test binary once per round.
-// DESIGN.md §10 has the beds and the numbers.
+// on -sweep-matrix at -sweep-scale; each format's multi4-t2 case is
+// MPKMulti on four vectors on a 2-thread plan, the block path on the
+// plan's team. Each case builds its plan, times it and lets it go, so no
+// two formats are resident at once; the auto case logs the format the
+// tuner picked. -count repeats a case back to back: for interleaved
+// rounds run the built test binary once per round. DESIGN.md §10 has the
+// beds and the numbers.
 func BenchmarkStandardBackends(b *testing.B) {
 	a := sweepBed(b, *sweepMatrix)
 	x := sparse.Ones(a.Rows)
+	xs := [][]float64{x, x, x, x}
 	for _, kind := range []BackendKind{BackendCSR, BackendSELL, BackendBSR, BackendAuto} {
-		b.Run(kind.String(), func(b *testing.B) {
-			p, err := NewPlan(a, Options{Engine: EngineStandard, Backend: kind})
-			if err != nil {
-				b.Fatal(err)
+		for _, multi := range []bool{false, true} {
+			name, threads := kind.String(), 0
+			call := func(p *Plan) (err error) { _, err = p.MPK(x, 6); return err }
+			if multi {
+				name, threads = name+"/multi4-t2", 2
+				call = func(p *Plan) (err error) { _, err = p.MPKMulti(xs, 6); return err }
 			}
-			defer p.Close()
-			if kind == BackendAuto {
-				b.Logf("%s x%g: the tuner picked %s", *sweepMatrix, *sweepScale, p.Backend())
-			}
-			// One call outside the clock: it first-touches the plan's
-			// workspace and the heap the results recycle from, which on
-			// this VM (a fresh page costs 2 to 17 us) is a tenth of a
-			// sweep on the vector-bound beds.
-			if _, err := p.MPK(x, 6); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(6 * a.MemoryBytes())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.MPK(x, 6); err != nil {
+			b.Run(name, func(b *testing.B) {
+				p, err := NewPlan(a, Options{Engine: EngineStandard, Backend: kind, Threads: threads})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				defer p.Close()
+				if kind == BackendAuto {
+					b.Logf("%s x%g: the tuner picked %s", *sweepMatrix, *sweepScale, p.Backend())
+				}
+				// One call outside the clock: it first-touches the plan's
+				// workspace and the heap the results recycle from, which on
+				// a 2-vCPU VM where a fresh page costs 2 to 17 us is a tenth
+				// of a sweep on the vector-bound beds.
+				if err := call(p); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(6 * a.MemoryBytes())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := call(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

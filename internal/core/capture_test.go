@@ -31,7 +31,7 @@ func TestFBParallelRunCapture(t *testing.T) {
 		for _, btb := range []bool{false, true} {
 			for _, k := range []int{1, 4, 5} {
 				var seen []int
-				_, _, err := fb.RunCapture(px, k, btb, nil, func(p int, x []float64) {
+				_, err := fb.RunCapture(px, k, btb, nil, func(p int, x []float64) {
 					seen = append(seen, p)
 					want := refMPK(b, px, p)
 					if d := sparse.RelMaxDiff(x, want); d > 1e-10 {

@@ -174,18 +174,21 @@ func TestDerivedErrorBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		slb, err := NewPlan(a, Options{Engine: EngineLevelBlocked, LevelBlockBytes: lbBoundBlockBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
 		serial := append(fbPaths(
 			func(x []float64, k int, btb bool) ([]float64, error) {
-				y, _, err := FBMPKSerial(tri, x, k, btb, nil, nil)
-				return y, err
+				return FBMPKSerial(tri, x, k, btb, nil, nil)
 			},
 			func(xs [][]float64, k int, btb bool) ([][]float64, error) {
-				ys, _, err := FBMPKSerialMulti(tri, xs, k, btb, nil)
-				return ys, err
+				return FBMPKSerialMulti(tri, xs, k, btb, nil)
 			}),
 			mpkPath{"standard", perVector(func(x []float64, k int) ([]float64, error) { return StandardMPK(a, x, k, nil) })},
-			mpkPath{"levelblock", perVector(func(x []float64, k int) ([]float64, error) { return LevelBlockedMPK(a, x, k, lbBoundBlockBytes, nil) })})
+			mpkPath{"levelblock", perVector(slb.MPK)})
 		checkBound(t, name+"/t1", a, xs, serial)
+		slb.Close()
 
 		// Four workers, in the ABMC numbering the schedule needs.
 		ord, pa, err := reorder.ABMCReorder(a, reorder.ABMCOptions{NumBlocks: 16})
@@ -214,12 +217,10 @@ func TestDerivedErrorBound(t *testing.T) {
 		}
 		par := append(fbPaths(
 			func(x []float64, k int, btb bool) ([]float64, error) {
-				y, _, err := fb.Run(x, k, btb, nil)
-				return y, err
+				return fb.Run(x, k, btb, nil)
 			},
 			func(xs [][]float64, k int, btb bool) ([][]float64, error) {
-				ys, _, err := fbm.Run(xs, k, btb, nil)
-				return ys, err
+				return fbm.Run(xs, k, btb, nil)
 			}),
 			mpkPath{"standard", perVector(func(x []float64, k int) ([]float64, error) { return StandardMPKParallel(pa, x, k, pool, nil) })},
 			mpkPath{"levelblock", perVector(lb.MPK)})

@@ -334,40 +334,40 @@ func checkMulti(n int, xs [][]float64, k int, coeffs []float64) (int, error) {
 }
 
 // fbPowers is the single-vector face of the driver: A^k x0 in a fresh
-// slice, plus the combination when coeffs is non-nil.
-func fbPowers(sch *colorSchedule, st *fbState, env *runEnv, tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
+// slice, or only the combination when coeffs is non-nil, or nil when
+// hook has been shown every iterate.
+func fbPowers(sch *colorSchedule, st *fbState, env *runEnv, tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs []float64, hook IterateFunc) ([]float64, error) {
 	n := tri.N
 	if err := checkPowers(n, len(x0), k, coeffs); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st.shape(n, 1, btb)
 	st.one[0] = x0
 	// At m = 1 the row-major combination block is the combination.
-	combo, err = st.run(sch, env, tri, st.one[:], k, coeffs, hook)
-	if err != nil {
-		return nil, nil, err
+	combo, err := st.run(sch, env, tri, st.one[:], k, coeffs, hook)
+	if err != nil || coeffs != nil || hook != nil {
+		return combo, err
 	}
-	return st.vector(k&1, make([]float64, n)), combo, nil
+	return st.vector(k&1, make([]float64, n)), nil
 }
 
-// fbPowersMulti is the batched face: A^k x_j for every vector in xs,
-// plus combo_j = sum coeffs[i] * A^i * x_j when coeffs is non-nil.
-func fbPowersMulti(sch *colorSchedule, st *fbState, env *runEnv, tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
+// fbPowersMulti is the batched face: A^k x_j for every vector in xs, or
+// only combo_j = sum coeffs[i] * A^i * x_j when coeffs is non-nil.
+func fbPowersMulti(sch *colorSchedule, st *fbState, env *runEnv, tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) ([][]float64, error) {
 	n := tri.N
 	m, err := checkMulti(n, xs, k, coeffs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st.shape(n, m, btb)
 	cmb, err := st.run(sch, env, tri, xs, k, coeffs, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	xks = st.vectors(k&1, n)
 	if cmb != nil {
-		combos = sparse.UnpackVectors(cmb, n, m)
+		return sparse.UnpackVectors(cmb, n, m), nil
 	}
-	return xks, combos, nil
+	return st.vectors(k&1, n), nil
 }
 
 // serialSchedule is the one-color, one-inline-worker schedule of tri.
@@ -376,13 +376,13 @@ func serialSchedule(tri *sparse.Triangular) *colorSchedule {
 	return sch
 }
 
-// FBMPKSerial runs the forward-backward MPK on a split matrix:
-// it computes A^k x0 and returns it in a fresh slice.
-// btb selects the interleaved vector layout. coeffs, when non-nil,
-// must have length k+1 and makes the kernel also accumulate
-// combo = sum coeffs[i] * A^i * x0 (returned second, else nil).
-// onIterate, when non-nil, observes a copy of each iterate.
-func FBMPKSerial(tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
+// FBMPKSerial runs the forward-backward MPK on a split matrix: it
+// computes A^k x0 and returns it in a fresh slice. btb selects the
+// interleaved vector layout. coeffs, when non-nil, must have length k+1
+// and makes the call return combo = sum coeffs[i] * A^i * x0 instead.
+// onIterate, when non-nil, observes a copy of each iterate, and the
+// call returns nil.
+func FBMPKSerial(tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) ([]float64, error) {
 	return fbPowers(serialSchedule(tri), new(fbState), nil, tri, x0, k, btb, coeffs, onIterate)
 }
 
@@ -434,11 +434,11 @@ func (e *fbEngine) revalue(cur *planEpoch, src []float64, slot []int64) *planEpo
 	return &planEpoch{tri: tri}
 }
 
-func (e *fbEngine) powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
+func (e *fbEngine) powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) ([]float64, error) {
 	return fbPowers(e.sch, &ws.fb, env, ep.tri, in, k, e.btb, coeffs, hook)
 }
 
-func (e *fbEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) (xks, combos [][]float64, err error) {
+func (e *fbEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) ([][]float64, error) {
 	return fbPowersMulti(e.sch, &ws.fb, env, ep.tri, in, k, e.btb, coeffs)
 }
 

@@ -34,12 +34,12 @@ func TestFBMPKSerialMultiMatchesIndependent(t *testing.T) {
 			xs := randBlock(rng, n, m)
 			for _, k := range []int{1, 2, 3, 6, 7} {
 				for _, btb := range []bool{false, true} {
-					got, _, err := FBMPKSerialMulti(tri, xs, k, btb, nil)
+					got, err := FBMPKSerialMulti(tri, xs, k, btb, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for j := 0; j < m; j++ {
-						want, _, err := FBMPKSerial(tri, xs[j], k, btb, nil, nil)
+						want, err := FBMPKSerial(tri, xs[j], k, btb, nil, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -69,23 +69,21 @@ func TestFBMPKSerialMultiCombo(t *testing.T) {
 				coeffs[i] = rng.NormFloat64()
 			}
 			for _, btb := range []bool{false, true} {
-				gotX, gotC, err := FBMPKSerialMulti(tri, xs, k, btb, coeffs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotC == nil {
-					t.Fatalf("m=%d k=%d btb=%v: nil combos with coeffs", m, k, btb)
-				}
-				for j := 0; j < m; j++ {
-					wantX, wantC, err := FBMPKSerial(tri, xs[j], k, btb, coeffs, nil)
+				// The iterates come from a second, coefficient-free call:
+				// given coefficients, the pipeline returns only combinations.
+				for name, cs := range map[string][]float64{"xk": nil, "combo": coeffs} {
+					got, err := FBMPKSerialMulti(tri, xs, k, btb, cs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if d := sparse.RelMaxDiff(gotX[j], wantX); d > 1e-12 {
-						t.Fatalf("m=%d k=%d btb=%v vector %d xk: diff %g", m, k, btb, j, d)
-					}
-					if d := sparse.RelMaxDiff(gotC[j], wantC); d > 1e-12 {
-						t.Fatalf("m=%d k=%d btb=%v vector %d combo: diff %g", m, k, btb, j, d)
+					for j := 0; j < m; j++ {
+						want, err := FBMPKSerial(tri, xs[j], k, btb, cs, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d := sparse.RelMaxDiff(got[j], want); d > 1e-12 {
+							t.Fatalf("m=%d k=%d btb=%v vector %d %s: diff %g", m, k, btb, j, name, d)
+						}
 					}
 				}
 			}
@@ -98,16 +96,16 @@ func TestFBMPKSerialMultiErrors(t *testing.T) {
 	a := randomCSR(rng, 8, 2)
 	tri, _ := sparse.Split(a)
 	xs := randBlock(rng, 8, 2)
-	if _, _, err := FBMPKSerialMulti(tri, nil, 2, true, nil); err == nil {
+	if _, err := FBMPKSerialMulti(tri, nil, 2, true, nil); err == nil {
 		t.Error("accepted empty block")
 	}
-	if _, _, err := FBMPKSerialMulti(tri, [][]float64{xs[0], xs[1][:5]}, 2, true, nil); err == nil {
+	if _, err := FBMPKSerialMulti(tri, [][]float64{xs[0], xs[1][:5]}, 2, true, nil); err == nil {
 		t.Error("accepted ragged block")
 	}
-	if _, _, err := FBMPKSerialMulti(tri, xs, 0, true, nil); err == nil {
+	if _, err := FBMPKSerialMulti(tri, xs, 0, true, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, _, err := FBMPKSerialMulti(tri, xs, 3, true, []float64{1, 2}); err == nil {
+	if _, err := FBMPKSerialMulti(tri, xs, 3, true, []float64{1, 2}); err == nil {
 		t.Error("accepted wrong-length coeffs")
 	}
 }
@@ -139,20 +137,19 @@ func TestFBParallelMultiMatchesSerialMulti(t *testing.T) {
 					coeffs[i] = rng.NormFloat64()
 				}
 				for _, btb := range []bool{false, true} {
-					gotX, gotC, err := fbm.Run(xs, k, btb, coeffs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantX, wantC, err := FBMPKSerialMulti(tri, xs, k, btb, coeffs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j := 0; j < m; j++ {
-						if d := sparse.RelMaxDiff(gotX[j], wantX[j]); d > 1e-12 {
-							t.Fatalf("w=%d m=%d k=%d btb=%v vector %d xk: diff %g", workers, m, k, btb, j, d)
+					for name, cs := range map[string][]float64{"xk": nil, "combo": coeffs} {
+						got, err := fbm.Run(xs, k, btb, cs)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if d := sparse.RelMaxDiff(gotC[j], wantC[j]); d > 1e-12 {
-							t.Fatalf("w=%d m=%d k=%d btb=%v vector %d combo: diff %g", workers, m, k, btb, j, d)
+						want, err := FBMPKSerialMulti(tri, xs, k, btb, cs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for j := 0; j < m; j++ {
+							if d := sparse.RelMaxDiff(got[j], want[j]); d > 1e-12 {
+								t.Fatalf("w=%d m=%d k=%d btb=%v vector %d %s: diff %g", workers, m, k, btb, j, name, d)
+							}
 						}
 					}
 				}
@@ -244,20 +241,19 @@ func TestFBParallelMultiRace(t *testing.T) {
 	xs := randBlock(rng, n, 4)
 	coeffs := []float64{1, -0.5, 0.25, -0.125, 0.0625, 0.03125}
 	for _, btb := range []bool{false, true} {
-		gotX, gotC, err := fbm.Run(xs, 5, btb, coeffs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantX, wantC, err := FBMPKSerialMulti(tri, xs, 5, btb, coeffs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range xs {
-			if d := sparse.RelMaxDiff(gotX[j], wantX[j]); d > 1e-12 {
-				t.Fatalf("btb=%v vector %d xk: diff %g", btb, j, d)
+		for name, cs := range map[string][]float64{"xk": nil, "combo": coeffs} {
+			got, err := fbm.Run(xs, 5, btb, cs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if d := sparse.RelMaxDiff(gotC[j], wantC[j]); d > 1e-12 {
-				t.Fatalf("btb=%v vector %d combo: diff %g", btb, j, d)
+			want, err := FBMPKSerialMulti(tri, xs, 5, btb, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range xs {
+				if d := sparse.RelMaxDiff(got[j], want[j]); d > 1e-12 {
+					t.Fatalf("btb=%v vector %d %s: diff %g", btb, j, name, d)
+				}
 			}
 		}
 	}
@@ -266,9 +262,8 @@ func TestFBParallelMultiRace(t *testing.T) {
 // FBMPKSerialMulti runs the batched forward-backward MPK on a split
 // matrix: it computes A^k x_j for every vector in xs with one pipeline
 // pass, returning the results as fresh vectors. btb selects the
-// interleaved stripe layout. coeffs, when non-nil (length k+1), also
-// accumulates combo_j = sum coeffs[i] * A^i * x_j for every vector
-// (returned second, else nil).
-func FBMPKSerialMulti(tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
+// interleaved stripe layout. coeffs, when non-nil (length k+1), makes it
+// return combo_j = sum coeffs[i] * A^i * x_j for every vector instead.
+func FBMPKSerialMulti(tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) ([][]float64, error) {
 	return fbPowersMulti(serialSchedule(tri), new(fbState), nil, tri, xs, k, btb, coeffs)
 }

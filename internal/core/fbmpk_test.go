@@ -108,7 +108,7 @@ func TestFBMPKSerialMatchesStandard(t *testing.T) {
 		for k := 1; k <= 9; k++ {
 			want := refMPK(a, x0, k)
 			for _, btb := range []bool{false, true} {
-				got, _, err := FBMPKSerial(tri, x0, k, btb, nil, nil)
+				got, err := FBMPKSerial(tri, x0, k, btb, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +131,7 @@ func TestFBMPKSerialQuickProperty(t *testing.T) {
 			return false
 		}
 		x0 := randVec(rng, n)
-		got, _, err := FBMPKSerial(tri, x0, k, btb, nil, nil)
+		got, err := FBMPKSerial(tri, x0, k, btb, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -150,7 +150,7 @@ func TestFBMPKIteratesObserved(t *testing.T) {
 	x0 := randVec(rng, n)
 	for _, btb := range []bool{false, true} {
 		var got []int
-		_, _, err := FBMPKSerial(tri, x0, 5, btb, nil, func(p int, x []float64) {
+		_, err := FBMPKSerial(tri, x0, 5, btb, nil, func(p int, x []float64) {
 			got = append(got, p)
 			want := refMPK(a, x0, p)
 			if d := sparse.RelMaxDiff(x, want); d > 1e-11 {
@@ -198,7 +198,7 @@ func TestSSpMVAgainstHorner(t *testing.T) {
 			t.Fatalf("trial %d: standard SSpMV diff %g", trial, d)
 		}
 		for _, btb := range []bool{false, true} {
-			_, combo, err := FBMPKSerial(tri, x0, k, btb, coeffs, nil)
+			combo, err := FBMPKSerial(tri, x0, k, btb, coeffs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,13 +232,13 @@ func TestFBMPKErrors(t *testing.T) {
 	a := randomCSR(rng, 6, 2)
 	tri, _ := sparse.Split(a)
 	x := randVec(rng, 6)
-	if _, _, err := FBMPKSerial(tri, x[:5], 2, true, nil, nil); err == nil {
+	if _, err := FBMPKSerial(tri, x[:5], 2, true, nil, nil); err == nil {
 		t.Error("accepted short x0")
 	}
-	if _, _, err := FBMPKSerial(tri, x, 0, true, nil, nil); err == nil {
+	if _, err := FBMPKSerial(tri, x, 0, true, nil, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, _, err := FBMPKSerial(tri, x, 3, true, []float64{1, 2}, nil); err == nil {
+	if _, err := FBMPKSerial(tri, x, 3, true, []float64{1, 2}, nil); err == nil {
 		t.Error("accepted wrong-length coeffs")
 	}
 }
@@ -257,7 +257,7 @@ func TestFBMPKDiagonalOnlyMatrix(t *testing.T) {
 	for k := 1; k <= 4; k++ {
 		want := refMPK(a, x0, k)
 		for _, btb := range []bool{false, true} {
-			got, _, err := FBMPKSerial(tri, x0, k, btb, nil, nil)
+			got, err := FBMPKSerial(tri, x0, k, btb, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +285,7 @@ func TestFBMPKZeroDiagonal(t *testing.T) {
 	x0 := randVec(rng, n)
 	for _, k := range []int{1, 2, 3, 6} {
 		want := refMPK(a, x0, k)
-		got, _, err := FBMPKSerial(tri, x0, k, true, nil, nil)
+		got, err := FBMPKSerial(tri, x0, k, true, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -313,53 +313,6 @@ func (ls *levelSchedule) validatePermuted(pa *sparse.CSR) error {
 	return nil
 }
 
-// LevelBlockedMPK computes A^k x0 with the serial level-blocked
-// schedule — the standalone form of EngineLevelBlocked used by tests,
-// tools, and the cache-model validation; plans built with the engine
-// add worker-pool parallelism, pooled workspaces, and admission on
-// top of the identical schedule. blockBytes <= 0 selects
-// DefaultLevelBlockBytes. onIterate observes each completed power in
-// the ORIGINAL row ordering (the slice is kernel scratch — copy it to
-// retain it).
-func LevelBlockedMPK(a *sparse.CSR, x0 []float64, k int, blockBytes int, onIterate IterateFunc) ([]float64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("core: LevelBlockedMPK: %w", sparse.ErrNotSquare)
-	}
-	if err := checkPowers(a.Rows, len(x0), k, nil); err != nil {
-		return nil, err
-	}
-	opt := Options{Engine: EngineLevelBlocked, LevelBlockBytes: blockBytes}.Canonical()
-	ls, err := newLevelSchedule(a, opt.LevelBlockBytes, nil)
-	if err != nil {
-		return nil, err
-	}
-	pa, err := ls.permute(a, nil)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	xs := make([][]float64, k+1)
-	for p := range xs {
-		xs[p] = make([]float64, n)
-	}
-	ls.perm.ApplyVec(x0, xs[0])
-	var hook IterateFunc
-	var scratch []float64
-	if onIterate != nil {
-		scratch = make([]float64, n)
-		hook = func(power int, x []float64) {
-			ls.perm.UnapplyVec(x, scratch)
-			onIterate(power, scratch)
-		}
-	}
-	if err := levelBlockedPowers(team{}, nil, pa, ls, xs, k, hook); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	ls.perm.UnapplyVec(xs[k], out)
-	return out, nil
-}
-
 // lbEngine is the level-blocked engine of a plan. The kernel reads the
 // epoch's raw level-ordered CSR: the skewed step ranges move every
 // pass, which the chunk/block-aligned SELL and BSR range kernels could
@@ -395,43 +348,33 @@ func (e *lbEngine) revalue(cur *planEpoch, src []float64, slot []int64) *planEpo
 	return &planEpoch{a: &a}
 }
 
-// powers runs the schedule with k+1 pooled live iterates. The returned
-// xk aliases workspace scratch — the plan unpermutes (copying) before
-// it escapes.
-func (e *lbEngine) powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
+// powers runs the schedule with k+1 pooled live iterates. A returned
+// A^k in aliases workspace scratch — the plan unpermutes (copying)
+// before it escapes.
+func (e *lbEngine) powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) ([]float64, error) {
 	if err := checkPowers(len(in), len(in), k, coeffs); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	var combo []float64
 	if coeffs != nil {
 		combo, hook = comboHook(coeffs, in)
 	}
 	xs := ws.lvl(len(in), k)
 	copy(xs[0], in)
 	if err := levelBlockedPowers(e.team, env, ep.a, e.ls, xs, k, hook); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return xs[k], combo, nil
+	if hook != nil {
+		return combo, nil // nil when the caller's own hook saw the iterates
+	}
+	return xs[k], nil
 }
 
 // powersMulti is one schedule pass per vector: the pipeline keeps k+1
 // iterates live per vector, so the batch runs sequentially over vectors
 // rather than widening the working set m-fold.
-func (e *lbEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) (xks, combos [][]float64, err error) {
-	xks = make([][]float64, len(in))
-	if coeffs != nil {
-		combos = make([][]float64, len(in))
-	}
-	for j, x := range in {
-		xk, combo, err := e.powers(ws, env, ep, x, k, coeffs, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		xks[j] = sparse.CopyVec(xk)
-		if coeffs != nil {
-			combos[j] = combo
-		}
-	}
-	return xks, combos, nil
+func (e *lbEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) ([][]float64, error) {
+	return eachVector(e, ws, env, ep, in, k, coeffs)
 }
 
 // traffic: the kernel runs one plain SpMV per (power, vector) — 1 read

@@ -41,22 +41,17 @@ func StandardMPK(a *sparse.CSR, x0 []float64, k int, onIterate IterateFunc) ([]f
 	return x, nil
 }
 
-// standardPowers is the standard engine's kernel, generalized over the
-// execution backend: k SpMV sweeps, each split over the team by bounds
-// (worker row bounds from be.partition, aligned to the backend's
-// storage granularity so ranges write disjoint y entries), with one
-// barrier per power. onIterate fires on worker 0 behind a second
-// barrier, so the iterate is stable while observed.
-func standardPowers(tm team, bounds []int, env *runEnv, be execBackend, x0 []float64, k int, onIterate IterateFunc) ([]float64, error) {
-	if be.rows() != be.cols() {
-		return nil, fmt.Errorf("core: StandardMPK: %w", sparse.ErrNotSquare)
-	}
-	if err := checkPowers(be.rows(), len(x0), k, nil); err != nil {
-		return nil, err
-	}
+// standardPowers is the standard engine's one driver, for every block
+// width and worker count: k sweeps of the backend's range kernel over
+// the nv row-major vectors of x (nv = 1: plain SpMV), each split over
+// the team by bounds (worker row bounds from be.partition, aligned to
+// the backend's storage granularity so ranges write disjoint y
+// entries), with one barrier per power. x is overwritten; the result is
+// x or a fresh block of its size. onIterate fires on worker 0 behind a
+// second barrier, so the iterate is stable while observed.
+func standardPowers(tm team, bounds []int, env *runEnv, be execBackend, x []float64, nv, k int, onIterate IterateFunc) ([]float64, error) {
 	ph := be.phase()
-	x := sparse.CopyVec(x0)
-	y := make([]float64, be.rows())
+	y := make([]float64, len(x))
 	tm.run(bodyFunc(func(id int) {
 		clock := tm.clock(env, id)
 		skip := false
@@ -65,7 +60,7 @@ func standardPowers(tm team, bounds []int, env *runEnv, be execBackend, x0 []flo
 		for power := 1; power <= k; power++ {
 			clock.beginSweep()
 			if !skip {
-				be.spmvRange(src, dst, lo, hi)
+				be.spmmRange(src, dst, nv, lo, hi)
 			}
 			src, dst = dst, src
 			// All writers must finish before anyone reads dst as the
@@ -93,34 +88,6 @@ func standardPowers(tm team, bounds []int, env *runEnv, be execBackend, x0 []flo
 	return x, nil
 }
 
-// standardMPKBatch computes A^k applied to nv vectors at once via SpMM
-// on the execution backend: one pass over the matrix serves the whole
-// block per power, so A is read k times total instead of k*nv — the
-// block analogue of the MPK traffic argument, used by subspace
-// iteration. xs holds the nv start vectors; the result is nv fresh
-// vectors. Cancellation is checked once per power.
-func standardMPKBatch(env *runEnv, be execBackend, xs [][]float64, k int) ([][]float64, error) {
-	nv, err := checkMulti(be.rows(), xs, k, nil)
-	if err != nil {
-		return nil, err
-	}
-	ph := be.phase()
-	x := sparse.PackVectors(xs)
-	y := make([]float64, len(x))
-	clock := env.serialClock()
-	for power := 0; power < k; power++ {
-		if env.canceled() {
-			return nil, errCanceledRun
-		}
-		clock.beginSweep()
-		be.spmm(x, y, nv)
-		x, y = y, x
-		clock.endCompute(ph, -1)
-		clock.endSweep(ph, int32(power+1))
-	}
-	return sparse.UnpackVectors(x, be.rows(), nv), nil
-}
-
 // scaled returns c*x in a fresh vector.
 func scaled(c float64, x []float64) []float64 {
 	y := make([]float64, len(x))
@@ -143,6 +110,26 @@ func comboHook(coeffs, x0 []float64) ([]float64, IterateFunc) {
 	}
 }
 
+// eachVector is powersMulti as one powers call per vector: the
+// level-blocked engine's batched path, and the standard engine's for
+// combinations, which need each vector's iterates and its block sweep
+// does not show them. A^k x may alias workspace scratch the next vector
+// reuses, so it is copied out; a combination is already fresh.
+func eachVector(e engine, ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) ([][]float64, error) {
+	out := make([][]float64, len(in))
+	for j, x := range in {
+		y, err := e.powers(ws, env, ep, x, k, coeffs, nil)
+		if err != nil {
+			return nil, err
+		}
+		if coeffs == nil {
+			y = sparse.CopyVec(y)
+		}
+		out[j] = y
+	}
+	return out, nil
+}
+
 // stdEngine is the standard engine of a plan: Algorithm 1 on the
 // epoch's backend, row-split over the team by the backend's partition
 // (structure-only, so computed once and valid for every epoch). rowPtr
@@ -163,40 +150,43 @@ func (e *stdEngine) revalue(cur *planEpoch, src []float64, slot []int64) *planEp
 	return &planEpoch{be: cur.be.withValues(ea)}
 }
 
-func (e *stdEngine) powers(_ *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error) {
+func (e *stdEngine) powers(_ *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) ([]float64, error) {
 	if err := checkPowers(len(in), len(in), k, coeffs); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	var combo []float64
 	if coeffs != nil {
 		combo, hook = comboHook(coeffs, in)
 	}
-	xk, err = standardPowers(e.team, e.bounds, env, ep.be, in, k, hook)
-	return xk, combo, err
+	xk, err := standardPowers(e.team, e.bounds, env, ep.be, sparse.CopyVec(in), 1, k, hook)
+	if err != nil || hook == nil {
+		return xk, err
+	}
+	return combo, nil // nil when the caller's own hook saw the iterates
 }
 
-// powersMulti advances the block with one SpMM sweep per power. The
-// SpMM sweep retains no iterates, so combinations re-run every vector
-// through powers: m extra k-power passes, which traffic accounts for.
-func (e *stdEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) (xks, combos [][]float64, err error) {
-	if xks, err = standardMPKBatch(env, ep.be, in, k); err != nil || coeffs == nil {
-		return xks, nil, err
+// powersMulti advances the block with one SpMM sweep per power on the
+// team. A combination needs every iterate of its vector, which the
+// block sweep does not show, so combinations run vector by vector.
+func (e *stdEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) ([][]float64, error) {
+	if coeffs != nil {
+		return eachVector(e, ws, env, ep, in, k, coeffs)
 	}
-	combos = make([][]float64, len(in))
-	for j, x := range in {
-		if _, combos[j], err = e.powers(ws, env, ep, x, k, coeffs, nil); err != nil {
-			return nil, nil, err
-		}
+	xk, err := standardPowers(e.team, e.bounds, env, ep.be, sparse.PackVectors(in), len(in), k, nil)
+	if err != nil {
+		return nil, err
 	}
-	return xks, combos, nil
+	return sparse.UnpackVectors(xk, len(in[0]), len(in)), nil
 }
 
+// traffic: k sweeps over A serve the whole block (1/m reads of A per
+// SpMV); combinations take k sweeps per vector (1 read per SpMV).
 func (e *stdEngine) traffic(k, m int, combos bool) work {
-	nnzA := uint64(len(e.colIdx))
-	wk := work{sweeps: uint64(k), spmvs: uint64(k) * uint64(m)}
-	wk.nnz[e.ph] = uint64(k) * nnzA
+	sweeps := uint64(k)
 	if combos {
-		wk.sweeps += uint64(k) * uint64(m)
-		wk.nnz[e.ph] += uint64(k) * uint64(m) * nnzA
+		sweeps *= uint64(m)
 	}
+	wk := work{sweeps: sweeps, spmvs: uint64(k) * uint64(m)}
+	wk.nnz[e.ph] = sweeps * uint64(len(e.colIdx))
 	return wk
 }

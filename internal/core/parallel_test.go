@@ -103,7 +103,7 @@ func TestFBParallelMatchesStandard(t *testing.T) {
 				for _, k := range []int{1, 2, 3, 6, 7} {
 					wantPerm := refMPK(b, px, k)
 					for _, btb := range []bool{false, true} {
-						got, _, err := fb.Run(px, k, btb, nil)
+						got, err := fb.Run(px, k, btb, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -144,7 +144,7 @@ func TestFBParallelCombo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, btb := range []bool{false, true} {
-		_, combo, err := fb.Run(px, k, btb, coeffs)
+		combo, err := fb.Run(px, k, btb, coeffs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,13 +165,13 @@ func TestFBParallelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fb.Run(make([]float64, 29), 2, true, nil); err == nil {
+	if _, err := fb.Run(make([]float64, 29), 2, true, nil); err == nil {
 		t.Error("accepted short x0")
 	}
-	if _, _, err := fb.Run(make([]float64, 30), 0, true, nil); err == nil {
+	if _, err := fb.Run(make([]float64, 30), 0, true, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, _, err := fb.Run(make([]float64, 30), 2, true, []float64{1}); err == nil {
+	if _, err := fb.Run(make([]float64, 30), 2, true, []float64{1}); err == nil {
 		t.Error("accepted short coeffs")
 	}
 	// Mismatched ordering size.
@@ -341,15 +341,16 @@ func NewFBParallel(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parall
 }
 
 // Run computes A^k x0 (x0 and the result in the PERMUTED numbering).
-// btb selects the interleaved layout; coeffs (nil or length k+1)
-// additionally accumulates the SSpMV combination.
-func (f *FBParallel) Run(x0 []float64, k int, btb bool, coeffs []float64) (xk, combo []float64, err error) {
+// btb selects the interleaved layout; coeffs (nil or length k+1) makes
+// it return the SSpMV combination instead.
+func (f *FBParallel) Run(x0 []float64, k int, btb bool, coeffs []float64) ([]float64, error) {
 	return f.RunCapture(x0, k, btb, coeffs, nil)
 }
 
 // RunCapture is Run with an iterate observer: onIterate fires after
-// every completed power, on worker 0 (see fbState.work).
-func (f *FBParallel) RunCapture(x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
+// every completed power, on worker 0 (see fbState.work), and the call
+// returns nil.
+func (f *FBParallel) RunCapture(x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) ([]float64, error) {
 	return fbPowers(f.sch, new(fbState), nil, f.tri, x0, k, btb, coeffs, onIterate)
 }
 
@@ -366,9 +367,9 @@ func NewFBParallelMulti(fb *FBParallel) *FBParallelMulti {
 
 // Run computes A^k x_j for every vector in xs (all in the PERMUTED
 // numbering) with one batched pipeline pass. btb selects the
-// interleaved stripe layout; coeffs (nil or length k+1) additionally
-// accumulates the SSpMV combination for every vector.
-func (f *FBParallelMulti) Run(xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
+// interleaved stripe layout; coeffs (nil or length k+1) makes it return
+// the SSpMV combination of every vector instead.
+func (f *FBParallelMulti) Run(xs [][]float64, k int, btb bool, coeffs []float64) ([][]float64, error) {
 	return fbPowersMulti(f.fb.sch, new(fbState), nil, f.fb.tri, xs, k, btb, coeffs)
 }
 
@@ -381,5 +382,5 @@ func (f *FBParallelMulti) Workers() int { return f.fb.sch.team.workers() }
 // paper's baseline methodology ("the same optimized SpMV kernel").
 func StandardMPKParallel(a *sparse.CSR, x0 []float64, k int, pool *parallel.Pool, onIterate IterateFunc) ([]float64, error) {
 	be := csrBackend{a: a}
-	return standardPowers(newTeam(pool), be.partition(pool.Workers()), nil, be, x0, k, onIterate)
+	return standardPowers(newTeam(pool), be.partition(pool.Workers()), nil, be, sparse.CopyVec(x0), 1, k, onIterate)
 }

@@ -81,17 +81,19 @@ type Plan struct {
 // ws is the call's workspace, env its cancellation/metrics/trace
 // environment, ep its pinned value epoch.
 type engine interface {
-	// powers computes A^k in. With coeffs (length k+1) it also returns
-	// combo = sum coeffs[i] * A^i * in; with hook it shows each
-	// completed iterate to hook (scratch — copy to retain). No entry
-	// point sets both. xk may alias workspace scratch.
-	powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) (xk, combo []float64, err error)
-	// powersMulti is powers for a block of vectors, returning fresh
-	// vectors.
-	powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) (xks, combos [][]float64, err error)
+	// powers returns only what its entry point hands back: A^k in,
+	// which may alias workspace scratch; with coeffs (length k+1) the
+	// fresh combination sum coeffs[i] * A^i * in instead; with hook nil,
+	// having shown each completed iterate to hook (scratch — copy to
+	// retain). No entry point sets both.
+	powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) ([]float64, error)
+	// powersMulti is powers for a block of vectors, without a hook,
+	// returning fresh vectors: A^k x_j, or the combinations.
+	powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in [][]float64, k int, coeffs []float64) ([][]float64, error)
 	// traffic is the analytic work of computing k powers for m vectors;
 	// combos marks a powersMulti call with coefficients (a powers call
-	// accumulates its combination for free in every engine).
+	// accumulates its combination for free in every engine; a batched
+	// one may run vector by vector).
 	traffic(k, m int, combos bool) work
 	// revalue builds the successor of epoch cur for a matrix with the
 	// plan's structure and the value array src (original entry order):
@@ -401,7 +403,7 @@ func arbitrate(a *sparse.CSR, opt Options, k int, pool *parallel.Pool, runner sp
 // the right size, no cancel flag), so their error is dropped.
 func (b *build) timePowers(x []float64, k int) int64 {
 	ws := &workspace{}
-	return measure(engineTuneReps, func() { _, _, _ = b.engine.powers(ws, nil, b.ep, x, k, nil, nil) })
+	return measure(engineTuneReps, func() { _, _ = b.engine.powers(ws, nil, b.ep, x, k, nil, nil) })
 }
 
 // audit runs the internal/check invariant validators over the plan's
@@ -624,7 +626,7 @@ func (p *Plan) permIn(ws *workspace, x []float64) []float64 {
 // permOut returns the execution-order vector v in the original row
 // ordering: a fresh vector when the plan reordered, else v itself.
 func (p *Plan) permOut(v []float64) []float64 {
-	if p.perm == nil || v == nil {
+	if p.perm == nil {
 		return v
 	}
 	out := make([]float64, p.n)
@@ -637,7 +639,7 @@ func (p *Plan) permOut(v []float64) []float64 {
 // UnapplyVec on the way out — into fresh vectors; the block itself when
 // the plan did not reorder.
 func (p *Plan) permBlock(vs [][]float64, apply func(reorder.Perm, []float64, []float64)) [][]float64 {
-	if p.perm == nil || vs == nil {
+	if p.perm == nil {
 		return vs
 	}
 	out := make([][]float64, len(vs))
@@ -660,7 +662,7 @@ func (p *Plan) MPK(x0 []float64, k int) ([]float64, error) {
 func (p *Plan) MPKCtx(ctx context.Context, x0 []float64, k int) ([]float64, error) {
 	var xk []float64
 	err := p.exec(ctx, opMPK, func(ws *workspace, env *runEnv, ep *planEpoch) (wk work, err error) {
-		xk, _, wk, err = p.run(ws, env, ep, x0, k, nil)
+		xk, wk, err = p.run(ws, env, ep, x0, k, nil)
 		return wk, err
 	})
 	if err != nil {
@@ -734,7 +736,7 @@ func (p *Plan) MPKAllCtx(ctx context.Context, x0 []float64, k int) ([][]float64,
 				out[power] = sparse.CopyVec(x)
 			}
 		}
-		if _, _, err := p.engine.powers(ws, env, ep, p.permIn(ws, x0), k, nil, hook); err != nil {
+		if _, err := p.engine.powers(ws, env, ep, p.permIn(ws, x0), k, nil, hook); err != nil {
 			return work{}, err
 		}
 		return p.engine.traffic(k, 1, false), nil
@@ -751,8 +753,8 @@ func (p *Plan) MPKAllCtx(ctx context.Context, x0 []float64, k int) ([][]float64,
 // engine: every sweep of L/U advances all m vectors, so each matrix
 // read serves 2*m SpMV applications (asymptotically 1/(2m) reads of A
 // per SpMV, versus 1 for plain MPK and 1/2 for single-vector FBMPK).
-// Standard-engine plans fall back to the SpMM block path, which
-// amortizes across vectors but not across powers.
+// Standard-engine plans run one SpMM sweep per power on the plan's
+// team, which amortizes across vectors but not across powers.
 func (p *Plan) MPKMulti(xs [][]float64, k int) ([][]float64, error) {
 	return p.MPKMultiCtx(context.Background(), xs, k)
 }
@@ -761,7 +763,7 @@ func (p *Plan) MPKMulti(xs [][]float64, k int) ([][]float64, error) {
 func (p *Plan) MPKMultiCtx(ctx context.Context, xs [][]float64, k int) ([][]float64, error) {
 	var xks [][]float64
 	err := p.exec(ctx, opMPKMulti, func(ws *workspace, env *runEnv, ep *planEpoch) (wk work, err error) {
-		xks, _, wk, err = p.runMulti(ws, env, ep, xs, k, nil)
+		xks, wk, err = p.runMulti(ws, env, ep, xs, k, nil)
 		return wk, err
 	})
 	if err != nil {
@@ -771,10 +773,10 @@ func (p *Plan) MPKMultiCtx(ctx context.Context, xs [][]float64, k int) ([][]floa
 }
 
 // SSpMVMulti computes, for every start vector x_j in the block,
-// combo_j = sum_{i=0..len(coeffs)-1} coeffs[i] * A^i * x_j in one
-// batched pipeline pass, returning m fresh vectors in the original row
-// ordering. The same coefficients apply to every vector (the block
-// polynomial-filter case of s-step and block Krylov methods).
+// combo_j = sum_{i=0..len(coeffs)-1} coeffs[i] * A^i * x_j as m fresh
+// vectors in the original row ordering: one batched pass on a forward-
+// backward plan, one pass per vector on the others. The same coefficients
+// apply to every vector (block polynomial filters, s-step Krylov).
 func (p *Plan) SSpMVMulti(coeffs []float64, xs [][]float64) ([][]float64, error) {
 	return p.SSpMVMultiCtx(context.Background(), coeffs, xs)
 }
@@ -797,7 +799,7 @@ func (p *Plan) SSpMVMultiCtx(ctx context.Context, coeffs []float64, xs [][]float
 			}
 			return work{}, nil
 		}
-		_, combos, wk, err = p.runMulti(ws, env, ep, xs, len(coeffs)-1, coeffs)
+		combos, wk, err = p.runMulti(ws, env, ep, xs, len(coeffs)-1, coeffs)
 		return wk, err
 	})
 	if err != nil {
@@ -806,17 +808,18 @@ func (p *Plan) SSpMVMultiCtx(ctx context.Context, coeffs []float64, xs [][]float
 	return combos, nil
 }
 
-// runMulti is a batched engine run: permute in, k powers, permute out.
-func (p *Plan) runMulti(ws *workspace, env *runEnv, ep *planEpoch, xs [][]float64, k int, coeffs []float64) (xks, combos [][]float64, wk work, err error) {
+// runMulti is a batched engine run: permute in, k powers (or, with
+// coeffs, only the combinations), permute out.
+func (p *Plan) runMulti(ws *workspace, env *runEnv, ep *planEpoch, xs [][]float64, k int, coeffs []float64) ([][]float64, work, error) {
 	m, err := checkMulti(p.n, xs, k, coeffs)
 	if err != nil {
-		return nil, nil, work{}, err
+		return nil, work{}, err
 	}
-	xks, combos, err = p.engine.powersMulti(ws, env, ep, p.permBlock(xs, reorder.Perm.ApplyVec), k, coeffs)
+	out, err := p.engine.powersMulti(ws, env, ep, p.permBlock(xs, reorder.Perm.ApplyVec), k, coeffs)
 	if err != nil {
-		return nil, nil, work{}, err
+		return nil, work{}, err
 	}
-	return p.permBlock(xks, reorder.Perm.UnapplyVec), p.permBlock(combos, reorder.Perm.UnapplyVec), p.engine.traffic(k, m, coeffs != nil), nil
+	return p.permBlock(out, reorder.Perm.UnapplyVec), p.engine.traffic(k, m, coeffs != nil), nil
 }
 
 // SSpMV computes sum_{i=0..len(coeffs)-1} coeffs[i] * A^i * x0 in the
@@ -843,7 +846,7 @@ func (p *Plan) SSpMVCtx(ctx context.Context, coeffs, x0 []float64) ([]float64, e
 			combo = scaled(coeffs[0], x0)
 			return work{}, nil
 		}
-		_, combo, wk, err = p.run(ws, env, ep, x0, len(coeffs)-1, coeffs)
+		combo, wk, err = p.run(ws, env, ep, x0, len(coeffs)-1, coeffs)
 		return wk, err
 	})
 	if err != nil {
@@ -887,7 +890,7 @@ func (p *Plan) SSpMVComplexCtx(ctx context.Context, coeffs []complex128, x0 []fl
 				sparse.AXPY(c, x, im)
 			}
 		}
-		if _, _, err := p.engine.powers(ws, env, ep, in, k, nil, hook); err != nil {
+		if _, err := p.engine.powers(ws, env, ep, in, k, nil, hook); err != nil {
 			return work{}, err
 		}
 		re, im = p.permOut(re), p.permOut(im)
@@ -899,15 +902,15 @@ func (p *Plan) SSpMVComplexCtx(ctx context.Context, coeffs []complex128, x0 []fl
 	return re, im, nil
 }
 
-// run is a single-vector engine run: permute in, k powers (and the
-// combination, with coeffs), permute out.
-func (p *Plan) run(ws *workspace, env *runEnv, ep *planEpoch, x0 []float64, k int, coeffs []float64) (xk, combo []float64, wk work, err error) {
+// run is a single-vector engine run: permute in, k powers (or, with
+// coeffs, only the combination), permute out.
+func (p *Plan) run(ws *workspace, env *runEnv, ep *planEpoch, x0 []float64, k int, coeffs []float64) ([]float64, work, error) {
 	if len(x0) != p.n {
-		return nil, nil, work{}, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), p.n, ErrDimension)
+		return nil, work{}, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), p.n, ErrDimension)
 	}
-	xk, combo, err = p.engine.powers(ws, env, ep, p.permIn(ws, x0), k, coeffs, nil)
+	out, err := p.engine.powers(ws, env, ep, p.permIn(ws, x0), k, coeffs, nil)
 	if err != nil {
-		return nil, nil, work{}, err
+		return nil, work{}, err
 	}
-	return p.permOut(xk), p.permOut(combo), p.engine.traffic(k, 1, false), nil
+	return p.permOut(out), p.engine.traffic(k, 1, false), nil
 }

@@ -130,6 +130,45 @@ func TestFBPlanBuildAllocation(t *testing.T) {
 	}
 }
 
+// TestFBSSpMVAllocation is the tripwire against a discarded iterate
+// coming back into SSpMV: a warm call on a 2-thread forward-backward
+// plan allocates the combination and its copy in the caller's ordering —
+// two n-vectors — and nothing else that scales with n. The 0.5 vector
+// is headroom; a gathered A^k x0 and its unpermuted copy would be two
+// more.
+func TestFBSSpMVAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	spec, err := matgen.ByName("pwtk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := spec.Generate(0.05, 1)
+	p, err := NewPlan(a, DefaultOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	x := randVec(rand.New(rand.NewSource(27)), a.Rows)
+	coeffs := []float64{1, 0.5, 0.25, 0.125, 0.0625}
+	var best uint64
+	for i := 0; i <= 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := p.SSpMV(coeffs, x); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; i == 1 || (i > 1 && got < best) {
+			best = got // call 0 warms the workspace pool
+		}
+	}
+	if limit := uint64(5*a.Rows*8/2 + 4<<10); best > limit {
+		t.Errorf("warm SSpMV on a 2-thread FB plan allocated %d bytes at best, limit %d (n = %d)", best, limit, a.Rows)
+	}
+}
+
 // TestSelfCheckAuditsFusedSplit: the fused build holds no permuted
 // matrix, so WithSelfCheck rebuilds one and holds the split to it. A
 // sound plan passes inside NewPlan; the same audit must then refuse

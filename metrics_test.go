@@ -194,7 +194,8 @@ func TestPlanMetricsString(t *testing.T) {
 // engine's SSpMV to one pass over the powers: the combination
 // accumulates from the iterate hook of the same k sweeps that produce
 // A^k x0, so the plan streams A exactly k times (1 read per SpMV) — for
-// any worker count, with the same result bits.
+// any worker count, with the same result bits. SSpMVMulti streams it k
+// times per vector, and MPKMulti's block sweeps run on the plan's team.
 func TestPlanMetricsStandardSSpMVSingleSweep(t *testing.T) {
 	a, err := GenerateSuiteMatrix("cant", 0.004, 3)
 	if err != nil {
@@ -230,5 +231,45 @@ func TestPlanMetricsStandardSSpMVSingleSweep(t *testing.T) {
 				t.Fatalf("threads=%d: y[%d] = %g differs from serial %g", threads, i, y[i], ref[i])
 			}
 		}
+	}
+	// SSpMVMulti is one such pass per vector and nothing more: no block
+	// pass whose powers the combinations would discard.
+	xs := [][]float64{x0, randVec(rng, a.Rows), randVec(rng, a.Rows)}
+	for _, threads := range []int{0, 2} {
+		for _, m := range []int{1, 3} {
+			p, err := NewPlan(a, WithEngine(EngineStandard), WithThreads(threads))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ys, err := p.SSpMVMulti(coeffs, xs[:m])
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2 := p.Metrics()
+			p.Close()
+			if want := uint64(k * m); m2.Sweeps != want || m2.SpMVs != want {
+				t.Errorf("threads=%d m=%d: SSpMVMulti Sweeps = %d, SpMVs = %d, want %d each", threads, m, m2.Sweeps, m2.SpMVs, want)
+			}
+			if m2.ReadsPerSpMV != 1 {
+				t.Errorf("threads=%d m=%d: SSpMVMulti ReadsPerSpMV = %.6f, want exactly 1", threads, m, m2.ReadsPerSpMV)
+			}
+			for i := range ref {
+				if ys[0][i] != ref[i] {
+					t.Fatalf("threads=%d m=%d: combo 0 [%d] = %g differs from SSpMV %g", threads, m, i, ys[0][i], ref[i])
+				}
+			}
+		}
+	}
+	// The block path runs on the plan's workers, whose clocks time it.
+	p, err := NewPlan(a, WithEngine(EngineStandard), WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.MPKMulti(xs, 3); err != nil {
+		t.Fatal(err)
+	}
+	if c := p.Metrics().PhaseCompute["standard"]; c <= 0 {
+		t.Errorf("2-thread standard MPKMulti: PhaseCompute[standard] = %v, want the workers' time", c)
 	}
 }

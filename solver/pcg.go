@@ -69,22 +69,27 @@ func (m *JacobiPreconditioner) Precondition(r, z []float64) error {
 // PCG solves A x = b with preconditioned conjugate gradients. M nil
 // degrades to plain CG. Stopping and error semantics match CG.
 func PCG(p *fbmpk.Plan, b []float64, m Preconditioner, tol float64, maxIter int) (*CGResult, error) {
+	return pcg("PCG", p, b, m, tol, maxIter)
+}
+
+// pcg is the one conjugate-gradient loop behind CG and PCG; name
+// prefixes its errors. Without a preconditioner z aliases r, so <r, z>
+// is the <r, r> of plain CG.
+func pcg(name string, p *fbmpk.Plan, b []float64, m Preconditioner, tol float64, maxIter int) (*CGResult, error) {
 	n := len(b)
 	if n != p.N() {
-		return nil, fmt.Errorf("solver: PCG: b length %d != n %d", n, p.N())
+		return nil, fmt.Errorf("solver: %s: b length %d != n %d", name, n, p.N())
 	}
 	if maxIter < 1 {
-		return nil, fmt.Errorf("solver: PCG: maxIter=%d must be >= 1", maxIter)
+		return nil, fmt.Errorf("solver: %s: maxIter=%d must be >= 1", name, maxIter)
 	}
 	x := make([]float64, n)
 	r := append([]float64(nil), b...)
-	z := make([]float64, n)
-	applyM := func() error {
-		if m == nil {
-			copy(z, r)
-			return nil
-		}
-		return m.Precondition(r, z)
+	z := r
+	applyM := func() error { return nil }
+	if m != nil {
+		z = make([]float64, n)
+		applyM = func() error { return m.Precondition(r, z) }
 	}
 	if err := applyM(); err != nil {
 		return nil, err
@@ -103,7 +108,7 @@ func PCG(p *fbmpk.Plan, b []float64, m Preconditioner, tol float64, maxIter int)
 		}
 		pap := dot(pdir, ap)
 		if pap <= 0 {
-			return res, fmt.Errorf("solver: PCG: %w (non-positive curvature %g)", ErrBreakdown, pap)
+			return res, fmt.Errorf("solver: %s: %w (non-positive curvature %g; matrix not SPD?)", name, ErrBreakdown, pap)
 		}
 		alpha := rz / pap
 		axpy(alpha, pdir, x)
@@ -119,8 +124,8 @@ func PCG(p *fbmpk.Plan, b []float64, m Preconditioner, tol float64, maxIter int)
 		}
 		rzNew := dot(r, z)
 		if rzNew <= 0 && m != nil {
-			return res, fmt.Errorf("solver: PCG: %w (preconditioner not positive definite, <r,z>=%g)",
-				ErrBreakdown, rzNew)
+			return res, fmt.Errorf("solver: %s: %w (preconditioner not positive definite, <r,z>=%g)",
+				name, ErrBreakdown, rzNew)
 		}
 		beta := rzNew / rz
 		for i := range pdir {
@@ -128,8 +133,8 @@ func PCG(p *fbmpk.Plan, b []float64, m Preconditioner, tol float64, maxIter int)
 		}
 		rz = rzNew
 	}
-	return res, fmt.Errorf("solver: PCG after %d iterations, residual %g: %w",
-		maxIter, res.Residuals[len(res.Residuals)-1]/bnorm, ErrNotConverged)
+	return res, fmt.Errorf("solver: %s after %d iterations, residual %g: %w",
+		name, maxIter, res.Residuals[len(res.Residuals)-1]/bnorm, ErrNotConverged)
 }
 
 // ConditionEstimate roughly estimates kappa(A) = lambda_max/lambda_min

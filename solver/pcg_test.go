@@ -29,9 +29,17 @@ func TestPCGPlainMatchesCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Identical recurrence, identical arithmetic.
+	// Identical recurrence, identical arithmetic: z = r makes <r, z> the
+	// <r, r> CG divides by, so every iterate and residual agrees bit for bit.
 	if cg.Iterations != pcg.Iterations {
-		t.Errorf("plain PCG took %d iterations, CG %d", pcg.Iterations, cg.Iterations)
+		t.Fatalf("plain PCG took %d iterations, CG %d", pcg.Iterations, cg.Iterations)
+	}
+	for name, pair := range map[string][2][]float64{"X": {cg.X, pcg.X}, "Residuals": {cg.Residuals, pcg.Residuals}} {
+		for i := range pair[0] {
+			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+				t.Fatalf("%s[%d]: CG %v, plain PCG %v", name, i, pair[0][i], pair[1][i])
+			}
+		}
 	}
 }
 

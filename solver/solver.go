@@ -77,50 +77,9 @@ type CGResult struct {
 // CG solves A x = b for symmetric positive-definite A with the
 // conjugate gradient method, stopping when ||r|| <= tol*||b|| or after
 // maxIter iterations (then it returns the best iterate wrapped with
-// ErrNotConverged).
+// ErrNotConverged). It is PCG without a preconditioner.
 func CG(p *fbmpk.Plan, b []float64, tol float64, maxIter int) (*CGResult, error) {
-	n := len(b)
-	if n != p.N() {
-		return nil, fmt.Errorf("solver: CG: b length %d != n %d", n, p.N())
-	}
-	if maxIter < 1 {
-		return nil, fmt.Errorf("solver: CG: maxIter=%d must be >= 1", maxIter)
-	}
-	x := make([]float64, n)
-	r := append([]float64(nil), b...)
-	pdir := append([]float64(nil), b...)
-	rr := dot(r, r)
-	bnorm := norm2(b)
-	if bnorm == 0 {
-		return &CGResult{X: x, Residuals: []float64{0}}, nil
-	}
-	res := &CGResult{X: x, Residuals: []float64{math.Sqrt(rr)}}
-	for it := 0; it < maxIter; it++ {
-		ap, err := apply(p, pdir)
-		if err != nil {
-			return nil, err
-		}
-		pap := dot(pdir, ap)
-		if pap <= 0 {
-			return res, fmt.Errorf("solver: CG: %w (non-positive curvature %g; matrix not SPD?)", ErrBreakdown, pap)
-		}
-		alpha := rr / pap
-		axpy(alpha, pdir, x)
-		axpy(-alpha, ap, r)
-		rrNew := dot(r, r)
-		res.Iterations = it + 1
-		res.Residuals = append(res.Residuals, math.Sqrt(rrNew))
-		if math.Sqrt(rrNew) <= tol*bnorm {
-			return res, nil
-		}
-		beta := rrNew / rr
-		for i := range pdir {
-			pdir[i] = r[i] + beta*pdir[i]
-		}
-		rr = rrNew
-	}
-	return res, fmt.Errorf("solver: CG after %d iterations, residual %g: %w",
-		maxIter, res.Residuals[len(res.Residuals)-1]/bnorm, ErrNotConverged)
+	return pcg("CG", p, b, nil, tol, maxIter)
 }
 
 // ChebyshevCoeffs returns the monomial coefficients c_0..c_k (c_k = 0)
