@@ -9,7 +9,7 @@
 //	solve -matrix ldoor -method power
 //	solve -file m.mtx -method cg
 //	solve -matrix audikw_1 -engine standard -backend auto   # autotuned storage backend (standard engine only)
-//	solve -matrix G3_circuit -engine auto        # arbitrate FBMPK vs level-blocked
+//	solve -matrix G3_circuit -engine auto        # the recommended engine (today FBMPK)
 //	solve -matrix cant -trace solve.trace.json   # Chrome/Perfetto execution trace
 //	solve -matrix cant -http :6060 -linger 30s   # /metrics, /trace, /debug/pprof
 package main
@@ -121,20 +121,7 @@ func run(file, matrix string, scale float64, seed uint64, method string, tol flo
 		fmt.Println(line)
 	}
 	if eng == fbmpk.EngineAuto || eng == fbmpk.EngineLevelBlocked {
-		line := fmt.Sprintf("plan engine: %s", plan.Engine())
-		if e := bs.EngineTune; e != nil {
-			src := fmt.Sprintf("arbitrated at k=%d: model fb %dB vs lb %dB", e.K, e.FBModelBytes, e.LBModelBytes)
-			if e.FromCache {
-				src = "verdict from registry cache"
-			} else if e.Samples > 0 {
-				src += fmt.Sprintf(", sampled fb %dns vs lb %dns", e.FBSampleNs, e.LBSampleNs)
-				if e.Threads > 0 {
-					src += fmt.Sprintf(" at %d threads", e.Threads)
-				}
-			}
-			line += fmt.Sprintf(" (%s; %d levels in %d blocks)", src, e.NumLevels, e.NumBlocks)
-		}
-		fmt.Println(line)
+		fmt.Printf("plan engine: %s\n", plan.Engine())
 	}
 	if metrics {
 		// Dump the traffic/time counters accumulated across the whole

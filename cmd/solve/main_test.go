@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -101,4 +104,51 @@ func TestSolveCacheWithAutoBackend(t *testing.T) {
 	if err := run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "auto", "fbmpk", true, false, "", "", 0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSolveEngineAuto: -engine auto is the forward-backward plan under
+// another spelling, so CG converges in the iteration count of -engine
+// fbmpk, and the plan engine line names fbmpk.
+func TestSolveEngineAuto(t *testing.T) {
+	iters := map[string]string{}
+	for _, engine := range []string{"fbmpk", "auto"} {
+		out := captureStdout(t, func() error {
+			return run("", "G3_circuit", 0.002, 1, "cg", 1e-8, 500, 8, 2, "csr", engine, false, false, "", "", 0)
+		})
+		m := regexp.MustCompile(`CG converged in (\d+) iterations`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("-engine %s printed no iteration count:\n%s", engine, out)
+		}
+		iters[engine] = m[1]
+		if engine == "auto" && !strings.Contains(out, "plan engine: fbmpk\n") {
+			t.Fatalf("-engine auto did not report the fbmpk engine:\n%s", out)
+		}
+	}
+	if iters["auto"] != iters["fbmpk"] {
+		t.Fatalf("-engine auto took %s iterations, -engine fbmpk %s", iters["auto"], iters["fbmpk"])
+	}
+}
+
+// captureStdout returns what fn printed to os.Stdout.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	err = fn()
+	os.Stdout = stdout
+	w.Close()
+	b := <-out
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -436,8 +436,13 @@ func configs() []config {
 							}
 							c.name = c.name[1:]
 							key := fmt.Sprintf("%+v|%v", c.opt.Canonical(), c.rcm)
-							if eng == EngineStandard {
+							switch eng {
+							case EngineStandard:
 								key += be.name // a replayed verdict is not in Options
+							case EngineAuto:
+								// Canonical resolves Auto to FB: its rows stay
+								// rows, held to the forced plan by inert.
+								key += "auto" + map[int]string{256: "/tiny-blocks"}[lbb]
 							}
 							if i, ok := at[key]; ok {
 								configRows[i].inert = append(configRows[i].inert, c)
@@ -473,14 +478,17 @@ func where(keep func(config) bool) (out []config) {
 func (c config) plain() bool { return !c.opt.ForceABMC && c.opt.LevelBlockBytes == 0 }
 
 // deterministic reports the rows whose plan is a function of matrix and
-// options alone: the two tuners time candidates, so two builds may differ.
+// options alone: the backend tuner times candidates, so two builds may
+// differ.
 func (c config) deterministic() bool {
-	return c.opt.Engine != EngineAuto && (c.opt.Engine != EngineStandard || c.opt.Backend != BackendAuto || c.replay != nil)
+	return c.opt.Engine != EngineStandard || c.opt.Backend != BackendAuto || c.replay != nil
 }
 
 // own reports the rows of a forced engine (and layout) on its own storage,
 // default ordering and budget.
-func (c config) own() bool { return c.plain() && c.deterministic() && c.opt.Backend == BackendCSR }
+func (c config) own() bool {
+	return c.plain() && c.deterministic() && c.opt.Backend == BackendCSR && c.opt.Engine != EngineAuto
+}
 
 // ---------------------------------------------------------------------
 // entryPoints: every Plan method that computes, both twins.
@@ -774,8 +782,8 @@ func (x *cell) bitwise(other config, what string) {
 }
 
 // inert: a spelling Canonical folds away builds its representative's
-// plan (where two builds are the same plan at all: the tuners time), and
-// the arbitrated engine is no engine of its own — an auto row builds
+// plan (where two builds are the same plan at all: the backend tuner
+// times), and EngineAuto is no engine of its own — an auto row builds
 // the forced plan of the engine it resolved to, under its options.
 func inert(x *cell) {
 	if x.c.canon != nil && x.c.deterministic() {
@@ -794,7 +802,7 @@ func inert(x *cell) {
 // the workers imply it.
 func parallel(x *cell) {
 	if s := x.c; s.opt.Threads > 1 && s.deterministic() {
-		s.opt.Threads, s.opt.ForceABMC = 0, s.opt.ForceABMC || s.opt.Engine == EngineForwardBackward
+		s.opt.Threads, s.opt.ForceABMC = 0, s.opt.ForceABMC || s.opt.Canonical().Engine == EngineForwardBackward
 		x.bitwise(s, "the serial twin of")
 	}
 }
@@ -971,8 +979,8 @@ func refusesDelta(x *cell) {
 // (TestMoreThreadsThanRows, TestDifferentialLevelBlocked, TestGoldenBits).
 
 // wide are the rows of the shards over whole zoo groups: at most two
-// workers, and the arbitrated engine (whose plans are one of the other
-// two engines') on plain rows only.
+// workers, and EngineAuto (whose plans are the forward-backward
+// engine's) on plain rows only.
 func wide(c config) bool { return c.opt.Threads <= 2 && (c.opt.Engine != EngineAuto || c.plain()) }
 
 func fbPlain(c config) bool { return c.plain() && wide(c) && c.opt.Engine == EngineForwardBackward }

@@ -210,16 +210,11 @@ const (
 	// vectors for ~1 read of A per k-power sequence. See the README
 	// "Level-blocked engine" section.
 	EngineLevelBlocked = core.EngineLevelBlocked
-	// EngineAuto arbitrates between EngineForwardBackward and
-	// EngineLevelBlocked per matrix at build time, for power
-	// DefaultTuneK. The plan models both engines' DRAM traffic from the
-	// matrix's level schedule and picks outright when the model is
-	// one-sided or the matrix is too large to time; otherwise it builds
-	// both candidates exactly as forced plans of the same options, times
-	// each, keeps the faster (level blocking must win by 15 %) and drops
-	// the other. Plan.Engine reports the winner and PlanStats.EngineTune
-	// the verdict; the plan computes what a forced plan of that engine
-	// computes, bit for bit.
+	// EngineAuto is the engine this host's model recommends — today
+	// forward-backward. It resolves to EngineForwardBackward with no
+	// level schedule, model or timing: an Auto plan is the forced FB plan
+	// of the same options, under the same registry key, and Plan.Engine
+	// reports EngineForwardBackward.
 	EngineAuto = core.EngineAuto
 )
 
@@ -227,9 +222,6 @@ const (
 // WithLevelBlockBytes is not given: half of the simulated reference
 // Xeon L3, leaving room for the live iterate-vector window.
 const DefaultLevelBlockBytes = core.DefaultLevelBlockBytes
-
-// DefaultTuneK is the power the EngineAuto arbitration optimizes for.
-const DefaultTuneK = core.DefaultTuneK
 
 // BackendKind selects the storage format of the standard engine's
 // SpMV/SpMM sweeps (FB sweeps execute on the split CSR, level-blocked
@@ -268,16 +260,9 @@ type TuneDecision = core.TuneDecision
 // considered, with its modeled bytes/nnz and sampled throughput.
 type TuneCandidate = core.TuneCandidate
 
-// EngineDecision is the EngineAuto arbitration verdict: the chosen MPK
-// engine with the modeled DRAM traffic of both schedules and (for
-// matrices small enough to measure) the times of the two candidate
-// engines the plan build made. Available from PlanStats.EngineTune on
-// EngineAuto plans.
-type EngineDecision = core.EngineDecision
-
 // PlanStats reports the one-off preprocessing cost breakdown of plan
-// construction, including the autotuner verdict a plan took: the
-// backend's (standard engine, BackendAuto) or the engine's (EngineAuto).
+// construction, including the backend autotuner's verdict of a
+// standard-engine BackendAuto plan.
 type PlanStats = core.PlanStats
 
 // NewPlan prepares an executor for the square matrix a. Construction

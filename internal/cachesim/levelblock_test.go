@@ -8,8 +8,9 @@ import (
 	"fbmpk/internal/reorder"
 )
 
-// TestLevelBlockedTrafficBeatsFBModel is the CI gate behind the engine
-// autotuner's arbitration: on a banded matrix with deep level structure
+// TestLevelBlockedTrafficBeatsFBModel holds the simulator's side of the
+// level-blocked trade (cachesim is its traffic authority, ROADMAP 2(a)):
+// on a banded matrix with deep level structure
 // the traced level-blocked traffic must undercut the FB pipeline's
 // matrix-read model (U streamed 1+floor(k/2) times, L and D ceil(k/2)
 // times) once k is deep enough (k >= 4) — the regime where blocking's

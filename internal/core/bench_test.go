@@ -195,12 +195,10 @@ func BenchmarkPlanBuild(b *testing.B) {
 // alone) and at 2 threads (ABMC block graph + coloring, then the fused
 // permute-and-split), and level-blocked at 1 and 2 threads (adjacency
 // and BFS, then the bucket permutation), each with its GraphTime and
-// PermTime per build, and the EngineAuto build at 1 and 2 threads (the
-// level schedule and both traffic models, then the winner alone or both
-// candidates and their timed runs), with its TuneTime — what the build
-// cost beyond the winner's own preparation — per build as tune-ms.
-// Sub-benchmark names are stable across commits; compare two commits by
-// alternating built test binaries.
+// PermTime per build, and the EngineAuto build at 1 and 2 threads, which
+// is the forward-backward build under another spelling and must cost
+// what it does. Sub-benchmark names are stable across commits; compare
+// two commits by alternating built test binaries.
 func BenchmarkNewPlan(b *testing.B) {
 	a := sweepBed(b, "pwtk")
 	for _, c := range []struct {
@@ -212,21 +210,18 @@ func BenchmarkNewPlan(b *testing.B) {
 				b.SetBytes(12 * a.NNZ())
 				opt := DefaultOptions(threads)
 				opt.Engine = c.eng
-				var graph, perm, tune time.Duration
+				var graph, perm time.Duration
 				for i := 0; i < b.N; i++ {
 					p, err := NewPlan(a, opt)
 					if err != nil {
 						b.Fatal(err)
 					}
 					st := p.Stats()
-					graph, perm, tune = graph+st.GraphTime, perm+st.PermTime, tune+st.TuneTime
+					graph, perm = graph+st.GraphTime, perm+st.PermTime
 					p.Close()
 				}
 				b.ReportMetric(float64(graph.Microseconds())/1e3/float64(b.N), "graph-ms")
 				b.ReportMetric(float64(perm.Microseconds())/1e3/float64(b.N), "perm-ms")
-				if c.eng == EngineAuto {
-					b.ReportMetric(float64(tune.Microseconds())/1e3/float64(b.N), "tune-ms")
-				}
 			})
 		}
 	}
@@ -427,10 +422,17 @@ func BenchmarkStandardBackends(b *testing.B) {
 // write-backs), which is where an FB sweep, with half the entries per
 // row of an SpMV, differs — and an m = 4 sweep, whose row is one whole
 // 64-byte xy line, more so. Run with -sweep-scale=8 for the out-of-cache
-// figures DESIGN.md §6 quotes. Last come two whole k = 6 MPKs, ROADMAP
-// 2(a)'s gauge: the standard engine's six plain sweeps (std6) and the
-// level-blocked engine at -lb-bytes (lb6, with its level and block
-// counts) — DESIGN.md §13 has the budget sweep.
+// figures DESIGN.md §6 quotes. Last come whole k = 6 MPKs, ROADMAP
+// 1(a)'s gauge: the standard engine's six plain sweeps (std6) and the
+// forward-backward pipeline (fb6), serial and on a two-worker pool
+// (-t2), then the level-blocked engine at -lb-bytes (lb6, with its level
+// and block counts; DESIGN.md §13 has the budget sweep). Each builds its
+// plan, makes one warm call, times MPKs and closes the plan, so one plan
+// is resident at a time, and reports ms/MPK, reads of A per SpMV
+// (PlanMetrics.ReadsPerSpMV) and, on a pool, the ABMC colours and the
+// wait share of the timed calls, PlanMetrics' WaitTime over WaitTime +
+// ComputeTime. Run the two-thread cases with -cpu 2; DESIGN.md §6 has
+// the readings.
 func BenchmarkSweep(b *testing.B) {
 	a := sweepBed(b, "pwtk")
 	tri, err := sparse.Split(a)
@@ -480,7 +482,13 @@ func BenchmarkSweep(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		opt  Options
-	}{{"std6", Options{Engine: EngineStandard}}, {"lb6", Options{Engine: EngineLevelBlocked, LevelBlockBytes: *lbBytes}}} {
+	}{
+		{"std6", Options{Engine: EngineStandard}},
+		{"std6-t2", Options{Engine: EngineStandard, Threads: 2}},
+		{"fb6", DefaultOptions(1)},
+		{"fb6-t2", DefaultOptions(2)},
+		{"lb6", Options{Engine: EngineLevelBlocked, LevelBlockBytes: *lbBytes}},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			p, err := NewPlan(a, c.opt)
 			if err != nil {
@@ -490,6 +498,7 @@ func BenchmarkSweep(b *testing.B) {
 			if _, err := p.MPK(xy0[:n], 6); err != nil { // first touch, as in BenchmarkStandardBackends
 				b.Fatal(err)
 			}
+			warm := p.Metrics()
 			b.SetBytes(6 * a.MemoryBytes())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -497,8 +506,19 @@ func BenchmarkSweep(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			m, st := p.Metrics(), p.Stats()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(6*len(a.Val)), "ns/nnz")
-			if st := p.Stats(); st.NumLevels > 0 {
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/MPK")
+			b.ReportMetric(m.ReadsPerSpMV, "reads/SpMV")
+			if wait, busy := m.WaitTime-warm.WaitTime, m.ComputeTime-warm.ComputeTime; wait+busy > 0 {
+				// Phases are clocked on pooled plans only.
+				b.ReportMetric(float64(wait)/float64(wait+busy), "wait-share")
+			}
+			if st.NumColors > 0 {
+				b.ReportMetric(float64(st.NumColors), "colours")
+			}
+			if st.NumLevels > 0 {
 				b.ReportMetric(float64(st.NumLevels), "levels")
 				b.ReportMetric(float64(st.NumBlocks), "blocks")
 			}

@@ -36,22 +36,14 @@ import (
 // mutually independent plain-SpMV rows, which is where the worker pool
 // parallelizes; one barrier per step orders step against step.
 
-const (
-	// DefaultLevelBlockBytes is the block budget used when
-	// WithLevelBlockBytes is not given: half of the reference Xeon L3
-	// the cache simulator models (cachesim.ConfigXeon.SizeBytes / 2),
-	// leaving the other half for the live iterate-vector window. Kept
-	// as a literal because core cannot import cachesim (cachesim's
-	// trace tests import core); cachesim's
-	// TestDefaultLevelBlockBytesMatchesXeon asserts the two stay in sync.
-	DefaultLevelBlockBytes = 37_486_592 / 2
-
-	// DefaultTuneK is the power the EngineAuto arbitration optimizes
-	// for: deep enough that level blocking's per-block reuse can pay for
-	// its schedule overhead, shallow enough to stay representative of
-	// s-step solver practice.
-	DefaultTuneK = 4
-)
+// DefaultLevelBlockBytes is the block budget used when
+// WithLevelBlockBytes is not given: half of the reference Xeon L3
+// the cache simulator models (cachesim.ConfigXeon.SizeBytes / 2),
+// leaving the other half for the live iterate-vector window. Kept
+// as a literal because core cannot import cachesim (cachesim's
+// trace tests import core); cachesim's
+// TestDefaultLevelBlockBytesMatchesXeon asserts the two stay in sync.
+const DefaultLevelBlockBytes = 37_486_592 / 2
 
 // levelSchedule is the preprocessing product of the level-blocked
 // engine: the BFS level partition of the original matrix (whose Rows

@@ -19,9 +19,10 @@ const (
 	// grouped into cache-budget blocks, all k powers executed over each
 	// resident block (see internal/core/levelblock.go).
 	EngineLevelBlocked
-	// EngineAuto arbitrates between EngineForwardBackward and
-	// EngineLevelBlocked per matrix at build time (see NewPlan); the
-	// winner is reported by Plan.Engine and PlanStats.EngineTune.
+	// EngineAuto is the engine this host's model recommends — today
+	// forward-backward: Canonical resolves it to EngineForwardBackward,
+	// so an Auto plan is the forced FB plan, built the same way and
+	// keyed the same in the registry. Plan.Engine reports the engine.
 	EngineAuto
 )
 
@@ -89,17 +90,15 @@ type Options struct {
 	Backend BackendKind
 	// LevelBlockBytes is the cache budget (bytes of matrix data) per
 	// level block of the level-blocked engine (0 =
-	// DefaultLevelBlockBytes). Only meaningful for EngineLevelBlocked
-	// and EngineAuto.
+	// DefaultLevelBlockBytes). Only meaningful for EngineLevelBlocked.
 	LevelBlockBytes int
-	// tuned and tunedEngine are cached autotuner verdicts injected by
-	// the registry (WithTunedDecision, WithEngineDecision) for a
-	// BackendAuto or EngineAuto plan to replay instead of sampling:
-	// derived state, excluded from fingerprints and canonicalization.
-	tuned       *TuneDecision
-	tunedEngine *EngineDecision
+	// tuned is a cached backend-autotuner verdict injected by the
+	// registry (WithTunedDecision) for a BackendAuto plan to replay
+	// instead of sampling: derived state, excluded from fingerprints and
+	// canonicalization.
+	tuned *TuneDecision
 	// validated is the matrix the registry has already proven
-	// well-formed (WithValidated); derived state like the two above.
+	// well-formed (WithValidated); derived state like tuned.
 	validated *sparse.CSR
 }
 
@@ -114,13 +113,13 @@ func DefaultOptions(threads int) Options {
 	}
 }
 
-// needABMC reports whether a plan executing engine eng under o
-// reorders with ABMC: on request for any engine that keeps row order
-// free (the level schedule supplies its own ordering), and always for
-// the parallel FB pipeline, whose color barriers are the ABMC colors.
-func (o Options) needABMC(eng Engine) bool {
-	return (o.ForceABMC && eng != EngineLevelBlocked) ||
-		(o.Threads > 1 && eng == EngineForwardBackward)
+// needABMC reports whether a plan under o reorders with ABMC: on
+// request for any engine that keeps row order free (the level schedule
+// supplies its own ordering), and always for the parallel FB pipeline,
+// whose color barriers are the ABMC colors.
+func (o Options) needABMC() bool {
+	return (o.ForceABMC && o.Engine != EngineLevelBlocked) ||
+		(o.Threads > 1 && o.Engine == EngineForwardBackward)
 }
 
 // Canonical maps options onto their equivalence-class representative:
@@ -128,17 +127,18 @@ func (o Options) needABMC(eng Engine) bool {
 // fields are resolved, so option sets that build interchangeable plans
 // are equal regardless of how the caller spelled them (struct literal
 // vs functional options, Threads 0 vs 1, NumBlocks 0 vs the 512
-// default, ...). NewPlan builds from the canonical form and the
-// registry fingerprints it, so what a knob means is decided here and
-// nowhere else. An EngineAuto configuration keeps every knob either
-// candidate engine reads, since the arbitration may resolve to either.
+// default, EngineAuto vs the engine it resolves to, ...). NewPlan builds
+// from the canonical form and the registry fingerprints it, so what a
+// knob means is decided here and nowhere else.
 func (o Options) Canonical() Options {
+	if o.Engine == EngineAuto {
+		o.Engine = EngineForwardBackward
+	}
 	if o.Threads <= 1 {
 		// 0 and 1 both select the serial engines.
 		o.Threads = 0
 	}
-	auto := o.Engine == EngineAuto
-	if o.Engine != EngineForwardBackward && !auto {
+	if o.Engine != EngineForwardBackward {
 		// BtB is a property of the FB pipeline's vector layout.
 		o.BtB = false
 	}
@@ -153,7 +153,7 @@ func (o Options) Canonical() Options {
 		// otherwise pin).
 		o.ForceABMC = false
 	}
-	if o.needABMC(o.Engine) || (auto && o.needABMC(EngineForwardBackward)) {
+	if o.needABMC() {
 		if o.NumBlocks <= 0 {
 			o.NumBlocks = reorder.DefaultNumBlocks
 		}
@@ -161,7 +161,7 @@ func (o Options) Canonical() Options {
 		// No reordering: the block count is inert.
 		o.NumBlocks = 0
 	}
-	if o.Engine == EngineLevelBlocked || auto {
+	if o.Engine == EngineLevelBlocked {
 		// Resolve the block budget so 0 and the explicit default agree;
 		// inert for the other engines.
 		if o.LevelBlockBytes <= 0 {
@@ -266,15 +266,8 @@ func WithTunedDecision(d TuneDecision) Option {
 // NewPlan of that very matrix does not prove it again: the registry's
 // content pass checks every CSR invariant while it hashes, and a second
 // pass is most of a tenth of a cold build. A plan for any other matrix
-// validates as ever. Like the tuner verdicts this is derived state —
+// validates as ever. Like the tuner verdict this is derived state —
 // outside fingerprints, canonicalization and the root package.
 func WithValidated(a *sparse.CSR) Option {
 	return optionFunc(func(o *Options) { o.validated = a })
-}
-
-// WithEngineDecision is WithTunedDecision for the EngineAuto
-// arbitration: the plan builds only d's engine when d was taken at
-// DefaultTuneK, and arbitrates afresh otherwise.
-func WithEngineDecision(d EngineDecision) Option {
-	return optionFunc(func(o *Options) { o.tunedEngine = &d })
 }

@@ -34,7 +34,7 @@ import (
 // Options.Threads). Close drains in-flight executions and fails later
 // calls with ErrClosed.
 type Plan struct {
-	eng    Engine // resolved engine (EngineAuto arbitrated at build)
+	eng    Engine // resolved engine (EngineAuto canonicalized away)
 	engine engine // the kernels behind eng; entry points know nothing else about it
 	n      int
 	ord    *reorder.ABMCResult // non-nil when ABMC was applied
@@ -162,19 +162,14 @@ type PlanStats struct {
 	Backend string
 	// TuneTime is what build-time tuning cost: the backend resolution
 	// (autotuner sampling, if any, plus format conversion) of a
-	// standard-engine plan; for an EngineAuto one, what the build cost
-	// beyond preparing the winner — the models, the level schedule when
-	// FB won, and, when timed, the losing candidate's build and the runs.
+	// standard-engine plan; zero for the other engines, which tune
+	// nothing.
 	TuneTime time.Duration
 	// Tune is the backend autotuner's verdict, nil unless the plan was
 	// built with the standard engine and BackendAuto. FromCache marks a
 	// verdict replayed from the registry; Samples counts the
 	// micro-benchmark invocations paid.
 	Tune *TuneDecision
-	// EngineTune is the EngineAuto arbitration verdict, nil unless the
-	// plan was built with EngineAuto (which never tunes a backend: both
-	// candidate engines run on their own containers).
-	EngineTune *EngineDecision
 	// Updates counts completed UpdateValues epoch swaps; UpdateTime is
 	// their cumulative wall time. An update never re-tunes, re-orders,
 	// or re-splits, so BuildTime and TuneTime stay the one-off costs of
@@ -218,22 +213,15 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		p.pool = parallel.NewPoolNamed(opt.Threads, "plan")
 		runner = p.pool
 	}
-	var b *build
-	var err error
-	if opt.Engine == EngineAuto {
-		b, err = arbitrate(a, opt, DefaultTuneK, p.pool, runner)
-	} else {
-		b, err = prepare(a, opt, opt.Engine, nil, p.pool, runner)
-	}
+	ep, ea, err := p.prepare(a, opt, runner)
 	if err != nil {
 		if p.pool != nil {
 			p.pool.Close()
 		}
 		return nil, err
 	}
-	p.eng, p.engine, p.ord, p.perm, p.stats = b.eng, b.engine, b.ord, b.perm, b.stats
 	p.stats.ParallelPrep = p.pool != nil
-	p.state.Store(b.ep)
+	p.state.Store(ep)
 	capacity := runtime.GOMAXPROCS(0)
 	if p.pool != nil {
 		// A worker pool is a single SPMD region: one execution at a time.
@@ -241,14 +229,13 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	}
 	p.gate = parallel.NewGate(capacity)
 	if opt.SelfCheck {
-		ea := b.ea
-		if b.ep.tri != nil && p.ord != nil {
+		if ep.tri != nil && p.ord != nil {
 			// The fused build held no permuted matrix to audit its split
 			// against; this is the option's one extra pass.
 			ea, err = p.perm.ApplySym(a)
 		}
 		if err == nil {
-			err = p.audit(ea, b.ep.tri)
+			err = p.audit(ea, ep.tri)
 		}
 		if err != nil {
 			p.Close()
@@ -259,151 +246,72 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	return p, nil
 }
 
-// build is one engine prepared for a plan: its kernels and first value
-// epoch, the execution-order permutation with the ABMC ordering behind
-// it (when there is one), the matrix in execution order for the engines
-// that wrap one (the forward-backward engine splits a straight into its
-// ordering and holds a itself here), and what preparing it cost — its
-// BuildTime the whole preparation, until NewPlan sets the plan's.
-type build struct {
-	eng    Engine
-	engine engine
-	ep     *planEpoch
-	ord    *reorder.ABMCResult
-	perm   reorder.Perm
-	ea     *sparse.CSR
-	stats  PlanStats
-}
-
-// prepare builds engine eng (never EngineAuto) for a under opt on the
-// plan's pool — the one constructor path of every plan, forced or
-// arbitrated: the ABMC ordering when eng runs on one, then the engine's
-// own preprocessing. A level-blocked build adopts ls, a's level
-// schedule already built under opt, instead of running BFS again (nil:
-// it builds its own).
-func prepare(a *sparse.CSR, opt Options, eng Engine, ls *levelSchedule, pool *parallel.Pool, runner sparse.Runner) (*build, error) {
-	start := time.Now()
-	b := &build{eng: eng, ep: &planEpoch{}, ea: a}
-	if opt.needABMC(eng) {
+// prepare builds opt's engine for a on the plan's pool — the one
+// constructor path of every plan: the ABMC ordering when the engine runs
+// on one, then the engine's own preprocessing. It sets the plan's
+// engine, ordering, permutation and stage times, and returns the first
+// value epoch and the matrix in execution order for the engines that
+// wrap one (the forward-backward engine splits a straight into its
+// ordering and returns a itself).
+func (p *Plan) prepare(a *sparse.CSR, opt Options, runner sparse.Runner) (*planEpoch, *sparse.CSR, error) {
+	p.eng = opt.Engine
+	ep, ea := &planEpoch{}, a
+	if opt.needABMC() {
 		// Applying the ordering is the engine's business: fused into the
 		// split (forward-backward) or a permuted copy (standard).
+		start := time.Now()
 		ord, err := reorder.ABMC(a, reorder.ABMCOptions{NumBlocks: opt.NumBlocks, Pool: runner})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		b.stats.ReorderTime = time.Since(start)
-		b.stats.GraphTime = ord.GraphTime
-		b.stats.ColorTime = ord.ColorTime
-		b.stats.NumColors = ord.NumColors
-		b.stats.NumBlocks = ord.NumBlocks()
-		b.ord, b.perm = ord, ord.Perm
+		p.stats.ReorderTime = time.Since(start)
+		p.stats.GraphTime = ord.GraphTime
+		p.stats.ColorTime = ord.ColorTime
+		p.stats.NumColors = ord.NumColors
+		p.stats.NumBlocks = ord.NumBlocks()
+		p.ord, p.perm = ord, ord.Perm
 	}
-	switch eng {
+	switch opt.Engine {
 	case EngineForwardBackward:
-		e, tri, err := newFBEngine(a, b.ord, opt.BtB, pool, runner, &b.stats)
+		e, tri, err := newFBEngine(a, p.ord, opt.BtB, p.pool, runner, &p.stats)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		b.engine, b.ep.tri = e, tri
-		b.stats.Backend = "split"
+		p.engine, ep.tri = e, tri
+		p.stats.Backend = "split"
 	case EngineLevelBlocked:
-		if ls != nil {
-			// Built for this plan before the call: its cost is this build's.
-			start = start.Add(-ls.took)
-		} else {
-			var err error
-			if ls, err = newLevelSchedule(a, opt.LevelBlockBytes, runner); err != nil {
-				return nil, err
-			}
-		}
-		e, la, err := newLBEngine(a, ls, pool, runner, &b.stats)
+		ls, err := newLevelSchedule(a, opt.LevelBlockBytes, runner)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		b.engine, b.perm, b.ea, b.ep.a = e, ls.perm, la, la
-		b.stats.Backend = BackendCSR.String()
+		e, la, err := newLBEngine(a, ls, p.pool, runner, &p.stats)
+		if err != nil {
+			return nil, nil, err
+		}
+		p.engine, p.perm, ea, ep.a = e, ls.perm, la, la
+		p.stats.Backend = BackendCSR.String()
 	default:
-		if b.ord != nil {
+		if p.ord != nil {
 			permStart := time.Now()
-			pa, err := b.perm.ApplySymPool(a, runner)
+			pa, err := p.perm.ApplySymPool(a, runner)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			b.stats.PermTime = time.Since(permStart)
-			b.stats.ReorderTime += b.stats.PermTime
-			b.ea = pa
+			p.stats.PermTime = time.Since(permStart)
+			p.stats.ReorderTime += p.stats.PermTime
+			ea = pa
 		}
 		// The backend resolves after reordering so the autotuner samples
 		// (and the format conversion covers) the execution-order matrix.
-		be, err := initBackend(opt, b.ea, &b.stats)
+		be, err := initBackend(opt, ea, &p.stats)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		tm := newTeam(pool)
-		b.engine = &stdEngine{team: tm, bounds: be.partition(tm.workers()), rowPtr: b.ea.RowPtr, colIdx: b.ea.ColIdx, ph: be.phase()}
-		b.ep.be = be
+		tm := newTeam(p.pool)
+		p.engine = &stdEngine{team: tm, bounds: be.partition(tm.workers()), rowPtr: ea.RowPtr, colIdx: ea.ColIdx, ph: be.phase()}
+		ep.be = be
 	}
-	b.stats.BuildTime = time.Since(start)
-	return b, nil
-}
-
-// arbitrate is the EngineAuto build at power k. A verdict injected with
-// WithEngineDecision is replayed: only its engine is built. Otherwise
-// a's level schedule is built once, on the plan's workers, and the rule
-// runs on both traffic models computed from it (engineModel). When the
-// model decides, only the winner is built — a level-blocked one on
-// that schedule. When the rule calls for the tie-break, both candidates
-// are built by prepare, as forced plans of the same options would be,
-// each is timed through its own engine's powers on the plan's pool
-// (EngineDecision.settle), and the loser is dropped. The winner's stats
-// carry the verdict, and TuneTime is what the build cost beyond the
-// winner's own preparation.
-func arbitrate(a *sparse.CSR, opt Options, k int, pool *parallel.Pool, runner sparse.Runner) (*build, error) {
-	start := time.Now()
-	var dec *EngineDecision
-	var ls *levelSchedule
-	timed := false
-	if d := opt.tunedEngine; d != nil && d.K == k {
-		replay := *d
-		replay.FromCache, replay.Samples = true, 0
-		dec = &replay
-	} else {
-		var err error
-		if ls, err = newLevelSchedule(a, opt.LevelBlockBytes, runner); err != nil {
-			return nil, err
-		}
-		dec, timed = engineModel(a, ls, k)
-		dec.Threads = opt.Threads
-	}
-	win, err := prepare(a, opt, dec.Engine, ls, pool, runner)
-	if err != nil {
-		return nil, err
-	}
-	if timed {
-		// The model never picks level blocking when it calls for the
-		// tie-break, so win is the forward-backward candidate.
-		lb, err := prepare(a, opt, EngineLevelBlocked, ls, pool, runner)
-		if err != nil {
-			return nil, err
-		}
-		x := tuneVector(a.Cols, uint64(a.Rows)<<32^uint64(a.NNZ()))
-		dec.settle(win.timePowers(x, k), lb.timePowers(x, k))
-		if dec.Engine == EngineLevelBlocked {
-			win = lb
-		}
-	}
-	win.stats.EngineTune = dec
-	win.stats.TuneTime = time.Since(start) - win.stats.BuildTime
-	return win, nil
-}
-
-// timePowers times k powers of x (any vector of the plan's size: timing
-// does not need it in execution order) through the build's engine, min
-// of engineTuneReps after one warm-up. The runs cannot fail (k >= 1, x
-// the right size, no cancel flag), so their error is dropped.
-func (b *build) timePowers(x []float64, k int) int64 {
-	ws := &workspace{}
-	return measure(engineTuneReps, func() { _, _ = b.engine.powers(ws, nil, b.ep, x, k, nil, nil) })
+	return ep, ea, nil
 }
 
 // audit runs the internal/check invariant validators over the plan's
@@ -525,10 +433,8 @@ func (p *Plan) Workers() int {
 // nil. What the plan holds of the matrix is in this ordering.
 func (p *Plan) Ordering() *reorder.ABMCResult { return p.ord }
 
-// Engine returns the engine the plan executes with. For plans built
-// with EngineAuto this is the arbitration winner
-// (EngineForwardBackward or EngineLevelBlocked); otherwise it echoes
-// Options.Engine.
+// Engine returns the engine the plan executes with: Options.Engine,
+// with EngineAuto resolved (see Options.Canonical).
 func (p *Plan) Engine() Engine { return p.eng }
 
 // exec is the admission wrapper every entry point runs through: it

@@ -18,11 +18,6 @@ import (
 // registry keyed by the matrix structure and plan options, so the
 // second Acquire of the same (structure, options) skips sampling.
 //
-// The EngineAuto rule lives here too — its traffic models, margins and
-// rep counts (engineModel, EngineDecision.settle) — while the
-// candidates it times are built and run by NewPlan (arbitrate, in
-// plan.go) with the constructors a forced plan uses.
-//
 // Determinism: candidate order, the sampled rows, and the probe vector
 // are all fixed functions of the matrix structure (no math/rand, no
 // wall-clock seeding) — time.Now is used only to measure durations.
@@ -64,21 +59,6 @@ const (
 	// tunePruneSlack keeps a candidate for measurement only when its
 	// modeled bytes/nnz is within this factor of CSR's.
 	tunePruneSlack = 1.05
-
-	// engineTuneMargin is the fraction of FBMPK's cost (modeled bytes or
-	// measured time) level blocking must beat to win the EngineAuto
-	// arbitration: LB pays k+1 live iterates and a skewed schedule, so a
-	// marginal model win is not worth switching engines for.
-	engineTuneMargin = 0.85
-	// engineTuneReps times each candidate engine this many times
-	// (min-of-reps), on top of one warm-up run.
-	engineTuneReps = 3
-	// engineTuneMeasureNNZ bounds the matrices the arbitration
-	// micro-measures end to end; above it the k-power runs would
-	// dominate NewPlan, so the decision falls back to the traffic model
-	// alone (which is also where the model is most reliable: both
-	// engines are DRAM-bound at that size).
-	engineTuneMeasureNNZ = 4_000_000
 )
 
 // TuneCandidate is one (format, config) the autotuner considered.
@@ -121,42 +101,6 @@ type TuneDecision struct {
 	// Candidates is the full table the decision was made from, in the
 	// fixed evaluation order.
 	Candidates []TuneCandidate `json:"candidates,omitempty"`
-}
-
-// EngineDecision is the EngineAuto arbitration verdict: which MPK
-// engine (forward-backward or level-blocked) a plan should execute
-// with for one matrix structure at power K, with the modeled per-pass
-// DRAM traffic and (when the matrix was small enough to measure) the
-// times of the plan's own candidate engines behind the choice.
-type EngineDecision struct {
-	Engine Engine `json:"engine"`
-	// K is the power the arbitration optimized for (DefaultTuneK); an
-	// injected verdict taken at another power is not replayed.
-	K int `json:"k"`
-	// Threads is the worker count of the plan the verdict was taken for
-	// (0 = serial): the tie-break times the candidates on the plan's own
-	// pool, since barrier cost and scheduling overhead rank the engines
-	// differently than the serial kernels do.
-	Threads int `json:"threads,omitempty"`
-	// NumLevels and NumBlocks describe the level schedule the
-	// level-blocked candidate would execute.
-	NumLevels int `json:"num_levels"`
-	NumBlocks int `json:"num_blocks"`
-	// FBModelBytes models the matrix bytes a k-power FBMPK pass streams
-	// from DRAM ((k+1)/2 reads of A); LBModelBytes models the
-	// level-blocked schedule's per-pass streamed footprint (each pass
-	// reads the levels its skewed steps touch once).
-	FBModelBytes int64 `json:"fb_model_bytes"`
-	LBModelBytes int64 `json:"lb_model_bytes"`
-	// FBSampleNs/LBSampleNs are the min-of-reps k-power times of the two
-	// candidate engines (0 when the decision was model-only).
-	FBSampleNs int64 `json:"fb_sample_ns,omitempty"`
-	LBSampleNs int64 `json:"lb_sample_ns,omitempty"`
-	// Samples counts the kernel invocations the arbitration cost (0
-	// when model-only or replayed from the registry).
-	Samples int `json:"samples"`
-	// FromCache marks a verdict replayed from the registry.
-	FromCache bool `json:"from_cache,omitempty"`
 }
 
 // csrModelBytesPerNNZ models one CSR SpMV: 12 bytes per stored entry
@@ -382,89 +326,6 @@ func autotune(a *sparse.CSR) TuneDecision {
 	dec.Block = cands[winner].Block
 	dec.Candidates = cands
 	return dec
-}
-
-// engineModel is the model half of the EngineAuto rule for matrix a at
-// power k: it models the DRAM traffic of both engines' k-power passes
-// from a's level schedule ls and decides outright when the model is
-// one-sided (level blocking modeled above tunePruneSlack × FB's bytes:
-// FB) or the matrix is too large to time (above engineTuneMeasureNNZ:
-// level blocking only below engineTuneMargin × FB's bytes). timed
-// reports that neither holds, so the verdict waits for the timed
-// tie-break (EngineDecision.settle). A pure function of the structure.
-func engineModel(a *sparse.CSR, ls *levelSchedule, k int) (dec *EngineDecision, timed bool) {
-	nl := ls.lp.NumLevels()
-	dec = &EngineDecision{
-		Engine:    EngineForwardBackward,
-		K:         k,
-		NumLevels: nl,
-		NumBlocks: ls.numBlocks(),
-	}
-
-	// FB traffic model: the (k+1)/2-reads-of-A result, in bytes (12 per
-	// stored entry). The triangle census is one O(nnz) scan — no Split.
-	var nnzL, nnzU, nnzD int64
-	for i := 0; i < a.Rows; i++ {
-		for j := a.RowPtr[i]; j < a.RowPtr[i+1]; j++ {
-			switch c := int(a.ColIdx[j]); {
-			case c < i:
-				nnzL++
-			case c > i:
-				nnzU++
-			default:
-				nnzD++
-			}
-		}
-	}
-	fwd, bwd := int64(k+1)/2, int64(k)/2
-	dec.FBModelBytes = 12 * (nnzU + fwd*(nnzL+nnzD) + bwd*nnzU)
-
-	// LB traffic model: every pass streams the union of the levels its
-	// k skewed steps touch once (the block itself plus up to k-1 levels
-	// of skewed tail); cache residency within the pass is the premise
-	// the block budget enforces.
-	levelNnz := make([]int64, nl+1)
-	for l := 0; l < nl; l++ {
-		var s int64
-		for _, r := range ls.lp.Rows[ls.lp.LevelPtr[l]:ls.lp.LevelPtr[l+1]] {
-			s += a.RowPtr[r+1] - a.RowPtr[r]
-		}
-		levelNnz[l+1] = levelNnz[l] + s
-	}
-	for b := 0; b <= ls.numBlocks(); b++ {
-		bLo, bHi := ls.passBounds(b, k)
-		lo := max(0, min(bLo-(k-1), nl))
-		hi := min(bHi, nl)
-		if lo < hi {
-			dec.LBModelBytes += 12 * (levelNnz[hi] - levelNnz[lo])
-		}
-	}
-
-	if dec.LBModelBytes > int64(float64(dec.FBModelBytes)*tunePruneSlack) {
-		// The model already rules level blocking out (deep skew overlap
-		// or too many tiny blocks): deterministic FB, nothing measured.
-		return dec, false
-	}
-	if a.NNZ() > engineTuneMeasureNNZ {
-		// Too large to run 2*(reps+1) k-power sweeps at build time;
-		// trust the model with the engine margin.
-		if float64(dec.LBModelBytes) < engineTuneMargin*float64(dec.FBModelBytes) {
-			dec.Engine = EngineLevelBlocked
-		}
-		return dec, false
-	}
-	return dec, true
-}
-
-// settle is the measured half of the rule: given the min-of-reps times
-// of both candidate engines (each timed by measure at engineTuneReps),
-// level blocking wins only below engineTuneMargin × FB's time.
-func (d *EngineDecision) settle(fbNs, lbNs int64) {
-	d.FBSampleNs, d.LBSampleNs = fbNs, lbNs
-	d.Samples = 2 * (engineTuneReps + 1)
-	if float64(lbNs) < engineTuneMargin*float64(fbNs) {
-		d.Engine = EngineLevelBlocked
-	}
 }
 
 // gbps converts a modeled per-nnz traffic and a measured duration into

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"fbmpk/internal/matgen"
-	"fbmpk/internal/parallel"
 	"fbmpk/internal/sparse"
 )
 
@@ -249,73 +249,51 @@ func chainCSR(n int) *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// TestAutotuneEngineModelOneSidedIsDeterministic: with a tiny block
-// budget on a deep chain, every pass's skewed tail re-reads k-1 extra
-// levels, so the LB model exceeds FB's and the rule decides FB from the
-// model alone — a pure function of the structure, identical across
-// calls — and an Auto plan under that budget builds only the FB engine
-// and times nothing.
-func TestAutotuneEngineModelOneSidedIsDeterministic(t *testing.T) {
-	a := chainCSR(2048)
-	ls, err := newLevelSchedule(a, 64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, timed := engineModel(a, ls, 6)
-	if d1.Engine != EngineForwardBackward || timed {
-		t.Fatalf("deep chain with 64-byte blocks should be model-decided FB: %+v (timed %v)", d1, timed)
-	}
-	if d1.LBModelBytes <= d1.FBModelBytes {
-		t.Fatalf("skew overlap should inflate the LB model: %+v", d1)
-	}
-	d2, _ := engineModel(a, ls, 6)
-	if *d1 != *d2 {
-		t.Fatalf("model-only verdict not deterministic: %+v vs %+v", d1, d2)
-	}
-	if d1.NumLevels != 2048 {
-		t.Fatalf("chain of 2048 rows has %d levels, want 2048", d1.NumLevels)
-	}
-	p, err := NewPlan(a, WithEngine(EngineAuto), WithLevelBlockBytes(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	st := p.Stats()
-	if d := st.EngineTune; p.Engine() != EngineForwardBackward || d == nil || d.Samples != 0 || d.FBSampleNs != 0 {
-		t.Fatalf("model-decided Auto plan: engine %v, verdict %+v", p.Engine(), d)
-	}
-	if st.Backend != "split" || st.NumLevels != 0 {
-		t.Fatalf("model-decided FB plan reports a level build: %+v", st)
+// autoIsForcedFB holds an EngineAuto plan of a under opt, at 0, 1 and 2
+// threads, to the forced forward-backward plan of the same options: it
+// runs that engine, built no level schedule, spent nothing on tuning,
+// and returns the forced plan's bits from MPK at power k.
+func autoIsForcedFB(t *testing.T, name string, a *sparse.CSR, opt Options, k int) {
+	t.Helper()
+	x := tuneVector(a.Rows, uint64(k))
+	for _, threads := range []int{0, 1, 2} {
+		opt.Threads = threads
+		var got, want []float64
+		for _, eng := range []Engine{EngineAuto, EngineForwardBackward} {
+			opt.Engine = eng
+			p, err := NewPlan(a, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := p.Stats(); p.Engine() != EngineForwardBackward || st.NumLevels != 0 || st.TuneTime != 0 {
+				t.Fatalf("%s t=%d: %v plan runs %v with %d levels and %v of tuning", name, threads, eng, p.Engine(), st.NumLevels, st.TuneTime)
+			}
+			y, err := p.MPK(x, k)
+			p.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want = want, y
+		}
+		bitwiseEqual(t, fmt.Sprintf("%s t=%d k=%d: Auto vs forced FB", name, threads, k), got, want)
 	}
 }
 
-// TestAutotuneEngineRecordsThreads: an Auto plan's verdict carries the
-// plan's worker count (0 = serial), the tie-break timed both candidates
-// in either mode, and the models are thread-independent.
+// TestAutotuneEngineModelOneSidedIsDeterministic: the deep chain under a
+// 64-byte block budget, where level blocking's skewed passes would
+// re-read k-1 extra levels each, is an FB plan as any other — the
+// budget is a level-blocked knob, inert under Auto.
+func TestAutotuneEngineModelOneSidedIsDeterministic(t *testing.T) {
+	autoIsForcedFB(t, "chain/64B", chainCSR(2048), Options{BtB: true, LevelBlockBytes: 64}, 6)
+}
+
+// TestAutotuneEngineRecordsThreads: an Auto plan at any worker count is
+// the forced FB plan at that count — serial, and on the ABMC colours of
+// a two-worker pool — on a nonsymmetric random matrix, both layouts.
 func TestAutotuneEngineRecordsThreads(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	a := randomCSR(rng, 600, 4)
-	verdict := func(threads int) *EngineDecision {
-		p, err := NewPlan(a, WithEngine(EngineAuto), WithThreads(threads))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		d := p.Stats().EngineTune
-		if d == nil || p.Engine() != d.Engine {
-			t.Fatalf("threads=%d: plan runs %v under verdict %+v", threads, p.Engine(), d)
-		}
-		return d
-	}
-	serial, par := verdict(1), verdict(3)
-	if serial.Threads != 0 || par.Threads != 3 {
-		t.Fatalf("threads recorded as %d / %d, want 0 / 3", serial.Threads, par.Threads)
-	}
-	if serial.FBModelBytes != par.FBModelBytes || serial.LBModelBytes != par.LBModelBytes {
-		t.Fatalf("traffic models must not depend on threads: %+v vs %+v", serial, par)
-	}
-	if serial.Samples == 0 || par.Samples == 0 || serial.FBSampleNs == 0 || par.LBSampleNs == 0 {
-		t.Fatalf("600-row matrix should be measured in both modes: %+v vs %+v", serial, par)
+	a := randomCSR(rand.New(rand.NewSource(33)), 600, 4)
+	for _, btb := range []bool{false, true} {
+		autoIsForcedFB(t, fmt.Sprintf("random/btb=%v", btb), a, Options{BtB: btb}, 4)
 	}
 }
 
@@ -369,22 +347,17 @@ func TestAutotuneWinnerWasMeasuredFaster(t *testing.T) {
 	}
 }
 
-// TestAutotuneEngineVerdictBackedByModel: every arbitration verdict
-// carries both traffic models, the build arbitrate returns runs the
-// engine the verdict names, and level blocking is never selected while
-// modeled to move more matrix bytes than the FB pipeline — across the
-// depths where the trade flips, serial and on a two-worker pool, on a
-// suite matrix, a deep banded grid, and the chain both at the default
-// block budget and at the 64-byte one whose skew overlap inflates the
-// LB model past FB's.
+// TestAutotuneEngineVerdictBackedByModel: nothing is modeled or timed
+// to pick the engine, so the Auto plan is the forced FB plan at every
+// depth, on beds whose level structure a traffic model would rank
+// differently: a suite matrix, a deep banded grid, and the chain at the
+// default block budget and at the 64-byte one.
 func TestAutotuneEngineVerdictBackedByModel(t *testing.T) {
 	banded := matgen.Grid(matgen.GridParams{
 		NX: 4096, NY: 1, NZ: 1, DOF: 4, Radius: 1,
 		KeepProb: 1, Symmetric: true, Seed: 1,
 	})
 	chain := chainCSR(2048)
-	pool := parallel.NewPool(2)
-	defer pool.Close()
 	for _, in := range []struct {
 		name       string
 		a          *sparse.CSR
@@ -396,30 +369,7 @@ func TestAutotuneEngineVerdictBackedByModel(t *testing.T) {
 		{"chain/64B", chain, 64},
 	} {
 		for _, k := range []int{4, 6, 8} {
-			for _, threads := range []int{1, 2} {
-				opt := Options{Engine: EngineAuto, BtB: true, Threads: threads, LevelBlockBytes: in.blockBytes}.Canonical()
-				var b *build
-				var err error
-				if threads > 1 {
-					b, err = arbitrate(in.a, opt, k, pool, pool)
-				} else {
-					b, err = arbitrate(in.a, opt, k, nil, nil)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := b.stats.EngineTune
-				if d == nil || d.K != k || b.eng != d.Engine {
-					t.Fatalf("%s k=%d t=%d: build runs %v under verdict %+v", in.name, k, threads, b.eng, d)
-				}
-				if d.FBModelBytes <= 0 || d.LBModelBytes <= 0 {
-					t.Fatalf("%s k=%d t=%d: degenerate traffic models: %+v", in.name, k, threads, d)
-				}
-				if d.Engine == EngineLevelBlocked && d.LBModelBytes > d.FBModelBytes {
-					t.Fatalf("%s k=%d t=%d: level blocking selected against its own model (lb %d > fb %d bytes)",
-						in.name, k, threads, d.LBModelBytes, d.FBModelBytes)
-				}
-			}
+			autoIsForcedFB(t, in.name, in.a, Options{BtB: true, LevelBlockBytes: in.blockBytes}, k)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func Canonicalize(opt core.Options) core.Options { return opt.Canonical() }
 // over fixed-size leaves of the arrays (contentDigests). Composing from
 // the two roots lets callers that need several keys for one matrix —
 // Acquire computes the plan key and the structure+options key, which
-// also keys the tuner verdicts — read each array exactly once instead
+// also keys the tuner verdict — read each array exactly once instead
 // of once per key. Fingerprint only hashes: it is safe on a matrix that
 // would not pass Validate.
 func Fingerprint(a *sparse.CSR, opt core.Options) Key {
@@ -287,7 +287,7 @@ func headerWords(a *sparse.CSR, opt core.Options) [11]uint64 {
 // serve this matrix after an in-place value update".
 // Registry.UpdateValues uses it to find the entry whose values to swap —
 // same structure, same options, any values — and the tuner verdict
-// caches key by it, since a verdict holds for exactly those plans. opt
+// cache keys by it, since a verdict holds for exactly those plans. opt
 // must already be canonicalized.
 func structOptKeyFromStruct(s Key, a *sparse.CSR, opt core.Options) Key {
 	// v4: the structure digest is a tree root. Option words only:

@@ -72,21 +72,17 @@ type Registry struct {
 	rebuilt       uint64
 	buildTime     time.Duration
 
-	// tunings and engineTunings cache the two autotuner verdicts — the
-	// standard engine's backend, EngineAuto's engine — keyed by the
+	// tunings caches the backend autotuner's verdicts keyed by the
 	// (structure, options) key of the entry that tuned them (entry.sKey):
-	// what a tuner measures depends on the options as well as the
-	// pattern (the backend tuner samples the execution-order matrix, the
-	// engine tie-break times the plan's own candidates), so a verdict
+	// the tuner samples the execution-order matrix, so what it measures
+	// depends on the options as well as the pattern, and a verdict
 	// replays for other values of that structure and never under other
-	// options. A plan tunes one or the other, never both, so each is
-	// cached and replayed on its own. Verdicts are a few hundred bytes and
-	// survive plan LRU eviction on purpose: re-acquiring an evicted matrix
-	// re-runs preprocessing but never re-pays tuner sampling.
-	tunings       map[Key]core.TuneDecision
-	engineTunings map[Key]core.EngineDecision
-	tuneHits      uint64
-	tuneMisses    uint64
+	// options. Verdicts are a few hundred bytes and survive plan LRU
+	// eviction on purpose: re-acquiring an evicted matrix re-runs
+	// preprocessing but never re-pays tuner sampling.
+	tunings    map[Key]core.TuneDecision
+	tuneHits   uint64
+	tuneMisses uint64
 }
 
 // entry is one cached (or in-flight) plan. refs counts outstanding
@@ -140,10 +136,10 @@ type Stats struct {
 	// the preprocessing cost the cache's hits avoided paying again.
 	BuildTime time.Duration `json:"build_time_ns"`
 
-	// TuneHits counts BackendAuto and EngineAuto builds served a cached
-	// autotuner verdict (zero sampling); TuneMisses counts builds that
-	// ran their tuner; TuneVerdicts is the number of verdicts (backend
-	// and engine, one per structure and options) currently cached.
+	// TuneHits counts BackendAuto builds served a cached backend
+	// verdict (zero sampling); TuneMisses counts builds that ran the
+	// tuner; TuneVerdicts is the number of verdicts (one per structure
+	// and options) currently cached.
 	TuneHits     uint64 `json:"tune_hits"`
 	TuneMisses   uint64 `json:"tune_misses"`
 	TuneVerdicts int    `json:"tune_verdicts"`
@@ -174,9 +170,7 @@ func New(capacity int) *Registry {
 		byPlan:    make(map[*core.Plan]*entry),
 		lru:       list.New(),
 		structIdx: make(map[Key]Key),
-
-		tunings:       make(map[Key]core.TuneDecision),
-		engineTunings: make(map[Key]core.EngineDecision),
+		tunings:   make(map[Key]core.TuneDecision),
 	}
 }
 
@@ -232,7 +226,7 @@ func (r *Registry) AcquireCtx(ctx context.Context, a *sparse.CSR, opts ...core.O
 // timedDigests makes the one content pass over a (contentDigests; with
 // validate it is CSR.Validate too, and err its error) and returns the
 // two keys composed from its digests — the (structure, options) key
-// that finds a plan to update in place and names its tuner verdicts,
+// that finds a plan to update in place and names its tuner verdict,
 // and the plan key — recording the whole pass as the request timeline's
 // registry.fingerprint phase. opt must already be canonicalized.
 func timedDigests(ctx context.Context, a *sparse.CSR, opt core.Options, validate bool) (sKey, key Key, err error) {
@@ -355,19 +349,10 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	r.misses++
 	// Every caller validated a on the way here, so the build need not.
 	buildOpts := []core.Option{opt, core.WithValidated(a)}
-	// opt is canonical, so BackendAuto means a standard-engine plan and
-	// the two cases exclude each other.
-	switch {
-	case opt.Backend == core.BackendAuto:
+	// opt is canonical, so BackendAuto means a standard-engine plan.
+	if opt.Backend == core.BackendAuto {
 		if dec, ok := r.tunings[sKey]; ok {
 			buildOpts = append(buildOpts, core.WithTunedDecision(dec))
-			r.tuneHits++
-		} else {
-			r.tuneMisses++
-		}
-	case opt.Engine == core.EngineAuto:
-		if dec, ok := r.engineTunings[sKey]; ok {
-			buildOpts = append(buildOpts, core.WithEngineDecision(dec))
 			r.tuneHits++
 		} else {
 			r.tuneMisses++
@@ -396,12 +381,8 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 		r.byPlan[plan] = e
 		// Persist a fresh verdict for the next build of this structure
 		// under these options.
-		st := plan.Stats()
-		if t := st.Tune; t != nil && !t.FromCache {
+		if t := plan.Stats().Tune; t != nil && !t.FromCache {
 			r.tunings[sKey] = *t
-		}
-		if t := st.EngineTune; t != nil && !t.FromCache {
-			r.engineTunings[sKey] = *t
 		}
 	}
 	close(e.done)
@@ -548,7 +529,7 @@ func (r *Registry) Stats() Stats {
 		BuildTime:     r.buildTime,
 		TuneHits:      r.tuneHits,
 		TuneMisses:    r.tuneMisses,
-		TuneVerdicts:  len(r.tunings) + len(r.engineTunings),
+		TuneVerdicts:  len(r.tunings),
 	}
 }
 

@@ -606,7 +606,7 @@ func TestRegistryTuneCountersInertForCSR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := p.Stats(); st.Tune != nil || st.EngineTune != nil {
+		if st := p.Stats(); st.Tune != nil {
 			t.Fatalf("%+v: plan ran a tuner: %+v", opt, st)
 		}
 		if err := reg.Release(p); err != nil {

@@ -119,14 +119,11 @@ func TestPlanFingerprintPublic(t *testing.T) {
 	}
 }
 
-// TestRegistryEngineVerdictReplay mirrors the backend verdict-cache
-// test for the engine arbitration: the first EngineAuto Acquire runs
-// the arbitration (fresh verdict, nonzero samples on a measurable
-// matrix); an Acquire of the same structure under the same options —
-// other values — replays it with zero samples and builds exactly the
-// forced plan of the engine it names; and any other options arbitrate
-// afresh: another thread count, and another block budget, under which
-// a verdict once replayed with the other budget's block count.
+// TestRegistryEngineVerdictReplay: EngineAuto is the forward-backward
+// engine under another spelling, so there is no engine verdict to
+// cache or replay — an Auto Acquire followed by an FB Acquire of the
+// same matrix is one build and one hit on the same plan, and no tuner
+// counter moves.
 func TestRegistryEngineVerdictReplay(t *testing.T) {
 	a, err := GenerateSuiteMatrix("G3_circuit", 0.002, 3)
 	if err != nil {
@@ -134,123 +131,32 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 	}
 	reg := NewRegistry(8)
 	defer reg.Close()
-	auto := []Option{WithEngine(EngineAuto), WithBtB(true)}
 
-	p1, err := reg.Acquire(a, auto...)
+	auto, err := reg.Acquire(a, WithEngine(EngineAuto), WithBtB(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Release(p1)
-	t1 := p1.Stats().EngineTune
-	if t1 == nil {
-		t.Fatal("EngineAuto plan carries no engine verdict")
-	}
-	if t1.FromCache || t1.Samples == 0 {
-		t.Fatalf("first Acquire should have arbitrated fresh with samples: %+v", t1)
-	}
-	if t1.K != DefaultTuneK || t1.Threads != 0 {
-		t.Fatalf("serial arbitration recorded k=%d threads=%d: %+v", t1.K, t1.Threads, t1)
-	}
-
-	// Same structure and options, other values: a distinct plan whose
-	// verdict replays from the registry with zero samples and identical
-	// fields.
-	b := *a
-	b.Val = make([]float64, len(a.Val))
-	for i, v := range a.Val {
-		b.Val[i] = 2*v - 0.5
-	}
-	before := reg.Stats()
-	p2, err := reg.Acquire(&b, auto...)
+	defer reg.Release(auto)
+	fb, err := reg.Acquire(a, WithEngine(EngineForwardBackward), WithBtB(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Release(p2)
-	after := reg.Stats()
-	if after.Builds != before.Builds+1 || after.TuneHits != before.TuneHits+1 {
-		t.Fatalf("other values should build a plan on the replayed verdict: %+v -> %+v", before, after)
+	defer reg.Release(fb)
+	s := reg.Stats()
+	if fb != auto || s.Builds != 1 || s.Hits != 1 {
+		t.Fatalf("Auto then FB Acquire: same plan %v, %d builds and %d hits, want one build and one hit", fb == auto, s.Builds, s.Hits)
 	}
-	t2 := p2.Stats().EngineTune
-	if t2 == nil || !t2.FromCache || t2.Samples != 0 {
-		t.Fatalf("replayed verdict should be zero-sample: %+v", t2)
+	if s.TuneVerdicts != 0 || s.TuneHits != 0 || s.TuneMisses != 0 {
+		t.Fatalf("an Auto plan touched the verdict cache: %+v", s)
 	}
-	if t2.Engine != t1.Engine || t2.K != t1.K ||
-		t2.FBModelBytes != t1.FBModelBytes || t2.LBModelBytes != t1.LBModelBytes ||
-		t2.NumLevels != t1.NumLevels || t2.NumBlocks != t1.NumBlocks {
-		t.Fatalf("replayed verdict %+v != fresh %+v", t2, t1)
-	}
-	if p2.Engine() != t1.Engine {
-		t.Fatalf("replayed verdict resolved a different engine: %v vs %v", p2.Engine(), t1.Engine)
-	}
-
-	// Fresh and replayed verdicts both build the forced plan of their
-	// engine under the same options, bit for bit.
-	x0 := vec(a.Rows, 41)
-	for _, c := range []struct {
-		p *Plan
-		a *Matrix
-	}{{p1, a}, {p2, &b}} {
-		forced, err := NewPlan(c.a, append(auto, WithEngine(c.p.Engine()))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer forced.Close()
-		got, err := c.p.MPK(x0, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := forced.MPK(x0, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compare(t, fmt.Sprintf("%v plan vs the forced plan", c.p.Engine()), vecs{got}, vecs{want}, nil)
-	}
-
-	// Other options arbitrate afresh. A parallel plan times the
-	// candidates on its own pool, and its verdict records the count.
-	before = reg.Stats()
-	p3, err := reg.Acquire(a, append(auto, WithThreads(4))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Release(p3)
-	after = reg.Stats()
-	if after.TuneHits != before.TuneHits {
-		t.Fatalf("serial verdict replayed for a parallel plan: %+v -> %+v", before, after)
-	}
-	t3 := p3.Stats().EngineTune
-	if t3 == nil || t3.FromCache || t3.Threads != 4 {
-		t.Fatalf("parallel plan should have arbitrated fresh at 4 threads: %+v", t3)
-	}
-
-	// The reproduction: a verdict taken under 256-byte blocks must not
-	// serve the default budget. The default-budget plan models the
-	// schedule a fresh default-budget plan models.
-	reg2 := NewRegistry(8)
-	defer reg2.Close()
-	tiny, err := reg2.Acquire(a, append(auto, WithLevelBlockBytes(256))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg2.Release(tiny)
-	def, err := reg2.Acquire(a, auto...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg2.Release(def)
-	fresh, err := NewPlan(a, auto...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	td, tf := def.Stats().EngineTune, fresh.Stats().EngineTune
-	if td == nil || td.FromCache || td.NumBlocks != tf.NumBlocks || td.LBModelBytes != tf.LBModelBytes {
-		t.Fatalf("default-budget plan took verdict %+v, a fresh one %+v (256-byte verdict %+v)", td, tf, tiny.Stats().EngineTune)
+	if auto.Engine() != EngineForwardBackward {
+		t.Fatalf("Auto plan runs %v", auto.Engine())
 	}
 }
 
-// TestRegistryForcedEngineSweep: forced-engine plans never consult or
-// populate the engine verdict cache — only EngineAuto arbitrates.
+// TestRegistryForcedEngineSweep: forced-engine plans resolve to the
+// engine they name and never consult or populate the verdict cache —
+// only a standard-engine BackendAuto plan tunes.
 func TestRegistryForcedEngineSweep(t *testing.T) {
 	a, err := GenerateSuiteMatrix("cant", 0.002, 3)
 	if err != nil {
@@ -267,8 +173,8 @@ func TestRegistryForcedEngineSweep(t *testing.T) {
 		if p.Engine() != eng {
 			t.Fatalf("forced engine %v resolved to %v", eng, p.Engine())
 		}
-		if tune := p.Stats().EngineTune; tune != nil {
-			t.Fatalf("forced engine %v ran the arbitration: %+v", eng, tune)
+		if tune := p.Stats().Tune; tune != nil {
+			t.Fatalf("forced engine %v ran the tuner: %+v", eng, tune)
 		}
 		if err := reg.Release(p); err != nil {
 			t.Fatal(err)
