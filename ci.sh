@@ -25,9 +25,9 @@ go test ./...
 # where a new one would land. The second measures everything outside
 # benchmark/: what a reader has to hold to change the system.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
-[ "$lines" -le 5950 ]
+[ "$lines" -le 5830 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 17013 ]
+[ "$lines" -le 16861 ]
 # Knob ratchet (ROADMAP item 2, "Options <= 8 fields"): the exported
 # fields of core.Options, counted from the source. A new option has to
 # displace one.
@@ -88,8 +88,11 @@ GOOS=linux GOARCH=s390x go build ./internal/registry/
 # against the formulations they replaced (-build-scale=8 is the
 # benchmark's 1.1 GB bed), one build of each plan kind — forward-backward,
 # level-blocked and EngineAuto (the forward-backward build under another
-# spelling), 1 and 2 threads, with their graph and permutation stages —
-# so a build regression shows here, the whole k = 6 MPKs of ROADMAP
+# spelling), 1 and 2 threads, with their graph and permutation stages,
+# and the serial standard build on CSR and under BackendAuto (its
+# structure census) — so a build regression shows here, the off-line
+# profile behind BackendAuto's cost table (one iteration: its fit, not
+# the table's medians, DESIGN.md section 10), the whole k = 6 MPKs of ROADMAP
 # 1(a)'s gauge (standard and forward-backward, serial and on two
 # workers, with colours, reads of A per SpMV and the wait share), one
 # value swap on the
@@ -101,6 +104,7 @@ GOOS=linux GOARCH=s390x go build ./internal/registry/
 # decode/acquire/execute/encode split from the daemon's own timelines.
 go test ./internal/core -run '^$' -bench 'BFSLevels' -benchtime 5x
 go test ./internal/core -run '^$' -bench 'NewPlan' -benchtime 1x
+go test ./internal/core -run '^$' -bench 'BackendProfile' -benchtime 1x
 go test ./internal/core -run '^$' -bench 'Sweep/(std6|fb6)' -benchtime 1x
 go test ./internal/core -run '^$' -bench 'UpdateValues' -benchtime 5x -sweep-scale=0.2
 go test ./internal/reorder -run '^$' -bench 'ApplySym' -benchtime 5x

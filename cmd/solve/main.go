@@ -8,7 +8,7 @@
 //	solve -matrix G3_circuit -method chebyshev -degree 8
 //	solve -matrix ldoor -method power
 //	solve -file m.mtx -method cg
-//	solve -matrix audikw_1 -engine standard -backend auto   # autotuned storage backend (standard engine only)
+//	solve -matrix audikw_1 -engine standard -backend auto   # storage format picked by census (standard engine only)
 //	solve -matrix G3_circuit -engine auto        # the recommended engine (today FBMPK)
 //	solve -matrix cant -trace solve.trace.json   # Chrome/Perfetto execution trace
 //	solve -matrix cant -http :6060 -linger 30s   # /metrics, /trace, /debug/pprof
@@ -21,6 +21,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strconv"
 	"time"
 
 	"fbmpk"
@@ -111,12 +112,16 @@ func run(file, matrix string, scale float64, seed uint64, method string, tol flo
 	if bs.Backend != "" {
 		line := fmt.Sprintf("plan backend: %s", bs.Backend)
 		if tune := bs.Tune; tune != nil {
-			if tune.FromCache {
-				line += " (autotuned, verdict from registry cache)"
-			} else {
-				line += fmt.Sprintf(" (autotuned in %v, %d samples over %d rows)",
-					bs.TuneTime, tune.Samples, tune.SampleRows)
+			// The census's candidates, each priced relative to CSR's.
+			line += fmt.Sprintf(" (auto in %v, census of %d rows, price vs csr:", bs.TuneTime, tune.SampleRows)
+			for _, c := range tune.Candidates {
+				name := c.Backend.String()
+				if c.Block > 0 {
+					name += strconv.Itoa(c.Block)
+				}
+				line += fmt.Sprintf(" %s %.2f", name, c.PriceNs/tune.Candidates[0].PriceNs)
 			}
+			line += ")"
 		}
 		fmt.Println(line)
 	}

@@ -81,28 +81,53 @@ func TestSolveWritesTrace(t *testing.T) {
 	}
 }
 
+// TestSolveBackends: the standard engine on the forced and the census's
+// backend solves as on CSR — CG converges in -backend csr's iteration
+// count on the audikw_1 stand-in, whose census picks BSR at 3 x 3.
 func TestSolveBackends(t *testing.T) {
-	// Forced and autotuned execution backends must solve identically;
-	// the backend line in the output is checked by eye, the solve
-	// result by CG convergence.
+	solve := func(t *testing.T, backend string) (out, iters string) {
+		out = captureStdout(t, func() error {
+			return run("", "audikw_1", 0.002, 1, "cg", 1e-8, 500, 8, 2, backend, "standard", false, false, "", "", 0)
+		})
+		m := regexp.MustCompile(`CG converged in (\d+) iterations`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("-backend %s printed no iteration count:\n%s", backend, out)
+		}
+		return out, m[1]
+	}
+	_, want := solve(t, "csr")
 	for _, backend := range []string{"sell", "bsr", "auto"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
-			if err := run("", "audikw_1", 0.002, 1, "cg", 1e-8, 500, 8, 2, backend, "fbmpk", false, false, "", "", 0); err != nil {
-				t.Fatal(err)
+			out, iters := solve(t, backend)
+			if iters != want {
+				t.Fatalf("-backend %s took %s iterations, -backend csr %s", backend, iters, want)
+			}
+			line := "plan backend: " + backend + "\n"
+			if backend == "auto" {
+				line = "plan backend: bsr (auto in "
+			}
+			if !strings.Contains(out, line) {
+				t.Fatalf("-backend %s did not print %q:\n%s", backend, line, out)
 			}
 		})
 	}
-	if err := run("", "cant", 0.002, 1, "cg", 1e-8, 10, 4, 1, "ellpack", "fbmpk", false, false, "", "", 0); err == nil {
+	if err := run("", "cant", 0.002, 1, "cg", 1e-8, 10, 4, 1, "ellpack", "standard", false, false, "", "", 0); err == nil {
 		t.Error("accepted unknown backend")
 	}
 }
 
+// TestSolveCacheWithAutoBackend: -cache -backend auto builds through the
+// registry, which keeps no verdicts — the plan runs the census like any
+// other, and the backend line prints each candidate's price relative to
+// CSR's, and nothing of samples or a verdict cache.
 func TestSolveCacheWithAutoBackend(t *testing.T) {
-	// -cache -backend auto: the registry caches the tuner verdict under
-	// the structure fingerprint; one-shot here, but must not error.
-	if err := run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "auto", "fbmpk", true, false, "", "", 0); err != nil {
-		t.Fatal(err)
+	out := captureStdout(t, func() error {
+		return run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "auto", "standard", true, false, "", "", 0)
+	})
+	line := regexp.MustCompile(`plan backend: (csr|sell|bsr) \(auto in [^,]+, census of \d+ rows, price vs csr: csr 1\.00 sell \d+\.\d\d bsr[234] \d+\.\d\d\)\n`)
+	if !line.MatchString(out) || strings.Contains(out, "samples") || strings.Contains(out, "cache") {
+		t.Fatalf("no census line, or one about samples or a cache:\n%s", out)
 	}
 }
 

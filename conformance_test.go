@@ -26,7 +26,6 @@ import (
 	"strings"
 	"testing"
 
-	"fbmpk/internal/core"
 	"fbmpk/internal/reorder"
 )
 
@@ -342,27 +341,22 @@ func diff(t testing.TB, n int) (out []*bed) {
 // ---------------------------------------------------------------------
 // configs: the option space, cut by Options.Canonical.
 
-// config is one row of the option space: a spelling of Options, plus the
-// replayed tuner verdict no option can force and whether the row runs on
-// the RCM ordering of its bed. The spellings Canonical folds onto a
-// config — they differ from it only in knobs its engine never reads —
-// ride along as inert, each naming its representative in canon.
+// config is one row of the option space: a spelling of Options, and
+// whether the row runs on the RCM ordering of its bed. The spellings
+// Canonical folds onto a config — they differ from it only in knobs its
+// engine never reads — ride along as inert, each naming its
+// representative in canon.
 type config struct {
-	name   string
-	opt    Options
-	replay *TuneDecision
-	rcm    bool
-	inert  []config
-	canon  *config
+	name  string
+	opt   Options
+	rcm   bool
+	inert []config
+	canon *config
 }
 
 func (c config) plan(t testing.TB, b *bed) *Plan {
 	t.Helper()
-	opts := []Option{c.opt}
-	if c.replay != nil {
-		opts = append(opts, core.WithTunedDecision(*c.replay))
-	}
-	p, err := NewPlan(b.a, opts...)
+	p, err := NewPlan(b.a, c.opt)
 	if err != nil {
 		t.Fatalf("%s/%s: NewPlan: %v", b.name, c.name, err)
 	}
@@ -396,24 +390,20 @@ var configRows []config
 
 // configs enumerates Engine x Threads {serial, 2 ("parallel": this host's
 // cores), 4, 8} x BtB x ordering {natural, ForceABMC, RCM then ForceABMC}
-// x LevelBlockBytes {default, 256} x Backend {csr, sell, bsr, auto and
-// the two replayed verdicts}, SelfCheck on, and keeps the first spelling
-// of every Canonical class: what a knob means is decided in one place,
-// and the test space is cut there too.
+// x LevelBlockBytes {default, 256} x Backend {csr, sell, bsr, auto, and
+// sell and bsr again as sell/c16 and bsr/b2}, SelfCheck on, and keeps
+// the first spelling of every Canonical class: what a knob means is
+// decided in one place, and the test space is cut there too.
 func configs() []config {
 	if configRows != nil {
 		return configRows
 	}
 	engines := map[Engine]string{EngineStandard: "std", EngineForwardBackward: "fb", EngineLevelBlocked: "lb", EngineAuto: "auto"}
 	workers := map[int]string{0: "serial", 2: "parallel", 4: "t4", 8: "t8"}
-	backends := []config{
-		{name: "", opt: Options{Backend: BackendCSR}},
-		{name: "sell", opt: Options{Backend: BackendSELL}},
-		{name: "sell/c16", opt: Options{Backend: BackendAuto}, replay: &TuneDecision{Backend: BackendSELL, Chunk: 16, Sigma: 512}},
-		{name: "bsr", opt: Options{Backend: BackendBSR}},
-		{name: "bsr/b2", opt: Options{Backend: BackendAuto}, replay: &TuneDecision{Backend: BackendBSR, Block: 2}},
-		{name: "auto", opt: Options{Backend: BackendAuto}},
-	}
+	backends := []struct {
+		name string
+		kind BackendKind
+	}{{"", BackendCSR}, {"sell", BackendSELL}, {"sell/c16", BackendSELL}, {"bsr", BackendBSR}, {"bsr/b2", BackendBSR}, {"auto", BackendAuto}}
 	at := map[string]int{}
 	for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
 		for _, th := range []int{0, 2, 4, 8} {
@@ -427,8 +417,8 @@ func configs() []config {
 				for _, ord := range []string{"", "abmc", "rcm+abmc"} {
 					for _, lbb := range []int{0, 256} {
 						for _, be := range backends {
-							c := config{replay: be.replay, rcm: ord == "rcm+abmc", opt: Options{Engine: eng, Threads: th, BtB: btb, NumBlocks: 16,
-								ForceABMC: ord != "", LevelBlockBytes: lbb, Backend: be.opt.Backend, SelfCheck: true}}
+							c := config{rcm: ord == "rcm+abmc", opt: Options{Engine: eng, Threads: th, BtB: btb, NumBlocks: 16,
+								ForceABMC: ord != "", LevelBlockBytes: lbb, Backend: be.kind, SelfCheck: true}}
 							for _, part := range []string{engines[eng], workers[th], layout, ord, map[int]string{256: "tiny-blocks"}[lbb], be.name} {
 								if part != "" {
 									c.name += "/" + part
@@ -438,7 +428,10 @@ func configs() []config {
 							key := fmt.Sprintf("%+v|%v", c.opt.Canonical(), c.rcm)
 							switch eng {
 							case EngineStandard:
-								key += be.name // a replayed verdict is not in Options
+								// sell/c16 and bsr/b2 spell the forced formats
+								// a second time, kept as rows so their test
+								// names stay.
+								key += be.name
 							case EngineAuto:
 								// Canonical resolves Auto to FB: its rows stay
 								// rows, held to the forced plan by inert.
@@ -477,17 +470,10 @@ func where(keep func(config) bool) (out []config) {
 // plain reports the rows at the default ordering and block budget.
 func (c config) plain() bool { return !c.opt.ForceABMC && c.opt.LevelBlockBytes == 0 }
 
-// deterministic reports the rows whose plan is a function of matrix and
-// options alone: the backend tuner times candidates, so two builds may
-// differ.
-func (c config) deterministic() bool {
-	return c.opt.Engine != EngineStandard || c.opt.Backend != BackendAuto || c.replay != nil
-}
-
 // own reports the rows of a forced engine (and layout) on its own storage,
 // default ordering and budget.
 func (c config) own() bool {
-	return c.plain() && c.deterministic() && c.opt.Backend == BackendCSR && c.opt.Engine != EngineAuto
+	return c.plain() && c.opt.Backend == BackendCSR && c.opt.Engine != EngineAuto
 }
 
 // ---------------------------------------------------------------------
@@ -782,11 +768,12 @@ func (x *cell) bitwise(other config, what string) {
 }
 
 // inert: a spelling Canonical folds away builds its representative's
-// plan (where two builds are the same plan at all: the backend tuner
-// times), and EngineAuto is no engine of its own — an auto row builds
-// the forced plan of the engine it resolved to, under its options.
+// plan, and neither Auto is a choice of its own — an EngineAuto row
+// builds the forced plan of the engine it resolved to, and a standard
+// BackendAuto row the forced plan of the backend it reports, under its
+// options.
 func inert(x *cell) {
-	if x.c.canon != nil && x.c.deterministic() {
+	if x.c.canon != nil {
 		x.bitwise(*x.c.canon, "its representative")
 	}
 	if x.c.opt.Engine == EngineAuto {
@@ -795,13 +782,23 @@ func inert(x *cell) {
 		forced.name = fmt.Sprintf("%v (forced)", forced.opt.Engine)
 		x.bitwise(forced, "the plan of")
 	}
+	if x.c.opt.Engine == EngineStandard && x.c.opt.Backend == BackendAuto {
+		forced := x.c
+		kind, err := ParseBackend(x.p.Backend())
+		if err != nil {
+			x.Fatal(err)
+		}
+		forced.opt.Backend = kind
+		forced.name = fmt.Sprintf("%v (forced)", kind)
+		x.bitwise(forced, "the plan of")
+	}
 }
 
 // parallel: a plan with workers returns the bits of the serial plan on
 // the same ordering — the same options at Threads 0, ABMC forced where
 // the workers imply it.
 func parallel(x *cell) {
-	if s := x.c; s.opt.Threads > 1 && s.deterministic() {
+	if s := x.c; s.opt.Threads > 1 {
 		s.opt.Threads, s.opt.ForceABMC = 0, s.opt.ForceABMC || s.opt.Canonical().Engine == EngineForwardBackward
 		x.bitwise(s, "the serial twin of")
 	}
@@ -828,13 +825,10 @@ func lanes(x *cell) {
 	})
 }
 
-// reports: a plan forced or replayed onto a backend says so (the tuner's
-// own pick is its business).
+// reports: a plan forced onto a backend says so (BackendAuto's pick is
+// the inert column's business).
 func reports(x *cell) {
 	want := x.c.opt.Backend.String()
-	if x.c.replay != nil {
-		want = x.c.replay.Backend.String()
-	}
 	if got := x.p.Backend(); x.c.opt.Engine == EngineStandard && want != "auto" && got != want {
 		x.Errorf("plan executes on backend %q, want %q", got, want)
 	}
@@ -936,12 +930,10 @@ func pure(x *cell) {
 	if x.p.Epoch() != epoch+1 {
 		x.Errorf("epoch %d after one update of epoch %d", x.p.Epoch(), epoch)
 	}
-	if x.c.deterministic() {
-		fresh := x.c.plan(x, &other)
-		x.calls(func(ep entryPoint, k int, label string) {
-			compare(x, label+": updated plan vs a fresh one", x.run(x.p, x.b, ep, k), x.run(fresh, x.b, ep, k), nil)
-		})
-	}
+	fresh := x.c.plan(x, &other)
+	x.calls(func(ep entryPoint, k int, label string) {
+		compare(x, label+": updated plan vs a fresh one", x.run(x.p, x.b, ep, k), x.run(fresh, x.b, ep, k), nil)
+	})
 	if err := x.p.UpdateValues(x.b.a); err != nil {
 		x.Fatal(err)
 	}

@@ -53,7 +53,7 @@
 // coefficients — Plan.UpdateValues swaps in the new values without
 // re-running preprocessing: the permutation, the index arrays of the
 // one container the plan's engine runs on (the L+D+U split, the
-// standard engine's tuned backend, or the level-ordered matrix), and
+// standard engine's backend format, or the level-ordered matrix), and
 // the parallel schedule are all structure-determined and stay; only
 // that container's values are rebuilt. Updates are
 // epoch/RCU-published: executions already admitted finish bitwise on
@@ -185,10 +185,10 @@ func WithForceABMC(on bool) Option { return core.WithForceABMC(on) }
 func WithSelfCheck(on bool) Option { return core.WithSelfCheck(on) }
 
 // WithBackend selects the storage format of the standard engine's
-// sweeps: BackendAuto runs the build-time autotuner, BackendSELL/
-// BackendBSR force a format, BackendCSR (the default) keeps the
-// bitwise-stable CSR baseline. Inert under every other engine, whose
-// plans build and hold no backend.
+// sweeps: BackendSELL/BackendBSR force a format, BackendAuto picks CSR,
+// SELL or BSR from the matrix structure at build time, BackendCSR (the
+// default) keeps the bitwise-stable CSR baseline. Inert under every
+// other engine, whose plans build and hold no backend.
 func WithBackend(k BackendKind) Option { return core.WithBackend(k) }
 
 // WithLevelBlockBytes sets the cache budget (bytes of matrix data) per
@@ -226,7 +226,7 @@ const DefaultLevelBlockBytes = core.DefaultLevelBlockBytes
 // BackendKind selects the storage format of the standard engine's
 // SpMV/SpMM sweeps (FB sweeps execute on the split CSR, level-blocked
 // steps on the level-ordered CSR; neither has a backend). See the
-// README "Backend autotuning" section.
+// README "Backend selection" section.
 type BackendKind = core.BackendKind
 
 // Backend values.
@@ -234,8 +234,11 @@ const (
 	// BackendCSR keeps the split-CSR baseline kernels (the default;
 	// bitwise-stable across plan rebuilds).
 	BackendCSR = core.BackendCSR
-	// BackendAuto picks the format per matrix with the build-time
-	// autotuner; results match CSR to <= 1e-12 relative.
+	// BackendAuto picks the format per matrix from a census of what each
+	// would store, priced by a per-format cost table (a matrix with
+	// shorter rows than the table was profiled on stays on CSR); nothing
+	// is timed, so the plan is bitwise the forced plan of the format it
+	// names (Plan.Backend), and matches CSR to <= 1e-12 relative.
 	BackendAuto = core.BackendAuto
 	// BackendSELL forces the SELL-C-sigma backend.
 	BackendSELL = core.BackendSELL
@@ -251,18 +254,18 @@ func ParseBackend(s string) (BackendKind, error) { return core.ParseBackend(s) }
 // "auto") to its Engine; intended for command-line flags.
 func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
 
-// TuneDecision is the autotuner's verdict for one matrix: the chosen
-// backend configuration plus the candidate table it was selected from.
+// TuneDecision is BackendAuto's verdict for one matrix structure: the
+// chosen format plus the priced candidates it was selected from.
 // Available from PlanStats.Tune on standard-engine BackendAuto plans.
 type TuneDecision = core.TuneDecision
 
-// TuneCandidate is one (format, configuration) the autotuner
-// considered, with its modeled bytes/nnz and sampled throughput.
+// TuneCandidate is one format configuration BackendAuto priced: what it
+// stores of the census sample, and the modeled time of that.
 type TuneCandidate = core.TuneCandidate
 
 // PlanStats reports the one-off preprocessing cost breakdown of plan
-// construction, including the backend autotuner's verdict of a
-// standard-engine BackendAuto plan.
+// construction, including the BackendAuto verdict of a standard-engine
+// plan.
 type PlanStats = core.PlanStats
 
 // NewPlan prepares an executor for the square matrix a. Construction

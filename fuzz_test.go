@@ -95,16 +95,8 @@ func FuzzDifferentialBackend(f *testing.F) {
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed, cfgRaw, kRaw, beRaw int64) {
+	f.Fuzz(func(t *testing.T, seed, cfgRaw, kRaw, _ int64) {
 		c := rows[index(cfgRaw, len(rows))]
-		if c.replay != nil && c.replay.Backend == BackendBSR {
-			c.replay = &TuneDecision{Backend: BackendBSR, Block: 2 + index(beRaw, 3)} // any size the tuner can pick
-			// ... and the same one for the plan an inert spelling is held to.
-			if c.canon != nil {
-				rep := *c.canon
-				rep.replay, c.canon = c.replay, &rep
-			}
-		}
 		fuzzCell(t, seed, 0, []config{c}, 1+index(kRaw, maxPower), []func(*cell){agreement, inert, parallel}, "MPK", "MPKMulti4")
 	})
 }

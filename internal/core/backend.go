@@ -21,12 +21,15 @@ type BackendKind int
 const (
 	// BackendCSR keeps the split-CSR baseline kernels (the default).
 	// CSR results are bitwise-stable across plan rebuilds, which is why
-	// it stays the zero value: opting into another backend (or the
-	// autotuner) changes the in-row summation order, so results match
-	// CSR to rounding (<= 1e-12 relative) rather than bitwise.
+	// it stays the zero value: opting into another backend (or a non-CSR
+	// verdict of BackendAuto) changes the in-row summation order, so
+	// results match CSR to rounding (<= 1e-12 relative) rather than
+	// bitwise.
 	BackendCSR BackendKind = iota
-	// BackendAuto lets the plan's autotuner pick the format per matrix
-	// by modeled-plus-measured bytes per nonzero (autotune, tune.go).
+	// BackendAuto picks the format per matrix from its structure alone:
+	// a census of what CSR, SELL and BSR would store, priced by a
+	// committed per-format cost table (autotune, tune.go). The plan is
+	// the forced plan of the format it picks, bit for bit.
 	BackendAuto
 	// BackendSELL forces the SELL-C-sigma backend (chunked column-major
 	// storage with sigma-window row sorting).
@@ -51,8 +54,8 @@ func (k BackendKind) String() string {
 	return fmt.Sprintf("Backend(%d)", int(k))
 }
 
-// MarshalJSON renders the kind as its name, keeping tuner verdicts
-// human-readable.
+// MarshalJSON renders the kind as its name, keeping BackendAuto
+// verdicts human-readable.
 func (k BackendKind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
 }
@@ -177,49 +180,35 @@ func (e *bsrBackend) withValues(a *sparse.CSR) execBackend {
 	return &bsrBackend{b: e.b.WithValues(a)}
 }
 
-// buildBackend materializes the execution backend a decision names,
-// converting the execution-order matrix when the format is not CSR.
-func buildBackend(a *sparse.CSR, dec TuneDecision) execBackend {
-	switch dec.Backend {
-	case BackendSELL:
-		return &sellBackend{s: sparse.ToSELL(a, dec.Chunk, dec.Sigma)}
-	case BackendBSR:
-		return &bsrBackend{b: sparse.ToBSR(a, dec.Block, dec.Block)}
-	default:
-		return csrBackend{a: a}
-	}
-}
-
 // initBackend resolves the standard engine's execution backend from the
 // canonical options and the execution-order matrix a, recording the
-// verdict and its cost in stats: the forced formats build directly (SELL
-// at the default chunk and window, BSR at the block size the structure
-// suggests), BackendAuto replays an injected registry verdict or runs
-// the autotuner, and the default CSR wraps a with zero extra storage.
+// format and its cost in stats: SELL builds at the default chunk and
+// window, BSR at DetectBSRBlock's size, BackendAuto builds whichever of
+// those (or CSR) its census picks, and CSR wraps a with zero extra
+// storage.
 func initBackend(opt Options, a *sparse.CSR, stats *PlanStats) (execBackend, error) {
 	start := time.Now()
-	var dec TuneDecision
-	switch opt.Backend {
-	case BackendCSR:
-		dec = TuneDecision{Backend: BackendCSR}
-	case BackendSELL:
-		dec = TuneDecision{Backend: BackendSELL, Chunk: DefaultSELLChunk, Sigma: DefaultSELLSigma}
-	case BackendBSR:
-		dec = TuneDecision{Backend: BackendBSR, Block: DetectBSRBlock(a)}
+	kind, block := opt.Backend, 0
+	switch kind {
 	case BackendAuto:
-		if opt.tuned != nil {
-			dec = *opt.tuned
-			dec.FromCache = true
-			dec.Samples = 0
-		} else {
-			dec = autotune(a)
-		}
+		dec := autotune(a)
 		stats.Tune = &dec
+		kind, block = dec.Backend, dec.Block
+	case BackendBSR:
+		block = DetectBSRBlock(a)
+	}
+	var be execBackend
+	switch kind {
+	case BackendCSR:
+		be = csrBackend{a: a}
+	case BackendSELL:
+		be = &sellBackend{s: sparse.ToSELL(a, DefaultSELLChunk, DefaultSELLSigma)}
+	case BackendBSR:
+		be = &bsrBackend{b: sparse.ToBSR(a, block, block)}
 	default:
 		return nil, fmt.Errorf("core: NewPlan: unknown backend kind %d: %w", int(opt.Backend), ErrBadBackend)
 	}
-	be := buildBackend(a, dec)
-	stats.Backend = dec.Backend.String()
+	stats.Backend = kind.String()
 	stats.TuneTime = time.Since(start)
 	return be, nil
 }

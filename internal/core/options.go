@@ -82,9 +82,10 @@ type Options struct {
 	SelfCheck bool
 	// Backend selects the storage format the standard engine's SpMV/SpMM
 	// sweeps run on. The zero value BackendCSR keeps the bitwise-stable
-	// baseline; BackendAuto runs the autotuner at build time (see
-	// TuneDecision); BackendSELL/BackendBSR force a format at
-	// DefaultSELLChunk/DefaultSELLSigma and the DetectBSRBlock size.
+	// baseline; BackendSELL/BackendBSR force a format at
+	// DefaultSELLChunk/DefaultSELLSigma and the DetectBSRBlock size;
+	// BackendAuto picks one of those three from the matrix structure (see
+	// TuneDecision) and builds that forced plan.
 	// Only meaningful for EngineStandard: the forward-backward sweeps
 	// run on the L+D+U split and the level-blocked steps on raw CSR.
 	Backend BackendKind
@@ -92,13 +93,9 @@ type Options struct {
 	// level block of the level-blocked engine (0 =
 	// DefaultLevelBlockBytes). Only meaningful for EngineLevelBlocked.
 	LevelBlockBytes int
-	// tuned is a cached backend-autotuner verdict injected by the
-	// registry (WithTunedDecision) for a BackendAuto plan to replay
-	// instead of sampling: derived state, excluded from fingerprints and
-	// canonicalization.
-	tuned *TuneDecision
 	// validated is the matrix the registry has already proven
-	// well-formed (WithValidated); derived state like tuned.
+	// well-formed (WithValidated): derived state, excluded from
+	// fingerprints and canonicalization.
 	validated *sparse.CSR
 }
 
@@ -238,9 +235,10 @@ func WithSelfCheck(on bool) Option {
 }
 
 // WithBackend selects the storage format of the standard engine's
-// sweeps (see Options.Backend): BackendAuto runs the autotuner at build
-// time, BackendSELL/BackendBSR force a format, BackendCSR (the default)
-// keeps the bitwise-stable CSR baseline. Inert under every other engine.
+// sweeps (see Options.Backend): BackendSELL/BackendBSR force a format,
+// BackendAuto picks CSR, SELL or BSR from a structure census at build
+// time, BackendCSR (the default) keeps the bitwise-stable CSR baseline.
+// Inert under every other engine.
 func WithBackend(k BackendKind) Option {
 	return optionFunc(func(o *Options) { o.Backend = k })
 }
@@ -252,22 +250,12 @@ func WithLevelBlockBytes(b int) Option {
 	return optionFunc(func(o *Options) { o.LevelBlockBytes = b })
 }
 
-// WithTunedDecision injects a cached backend-autotuner verdict: a
-// standard-engine BackendAuto plan replays the decision instead of
-// sampling and reports Tune.FromCache = true, Tune.Samples = 0. The
-// caller vouches that d was taken for this matrix structure under these
-// options — the registry serves its verdict cache keyed by exactly that;
-// no-op for every other configuration.
-func WithTunedDecision(d TuneDecision) Option {
-	return optionFunc(func(o *Options) { o.tuned = &d })
-}
-
 // WithValidated vouches that a passes a.Validate() as it stands, so a
 // NewPlan of that very matrix does not prove it again: the registry's
 // content pass checks every CSR invariant while it hashes, and a second
 // pass is most of a tenth of a cold build. A plan for any other matrix
-// validates as ever. Like the tuner verdict this is derived state —
-// outside fingerprints, canonicalization and the root package.
+// validates as ever. This is derived state — outside fingerprints,
+// canonicalization and the root package.
 func WithValidated(a *sparse.CSR) Option {
 	return optionFunc(func(o *Options) { o.validated = a })
 }

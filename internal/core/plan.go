@@ -160,15 +160,13 @@ type PlanStats struct {
 	// engine's backend format ("csr", "sell", "bsr"), "split" for the
 	// forward-backward L+D+U, "csr" for the level-ordered matrix.
 	Backend string
-	// TuneTime is what build-time tuning cost: the backend resolution
-	// (autotuner sampling, if any, plus format conversion) of a
-	// standard-engine plan; zero for the other engines, which tune
-	// nothing.
+	// TuneTime is what the backend resolution cost: BackendAuto's
+	// census, if any, plus the format conversion of a standard-engine
+	// plan; zero for the other engines, which hold no backend.
 	TuneTime time.Duration
-	// Tune is the backend autotuner's verdict, nil unless the plan was
-	// built with the standard engine and BackendAuto. FromCache marks a
-	// verdict replayed from the registry; Samples counts the
-	// micro-benchmark invocations paid.
+	// Tune is BackendAuto's verdict with its priced candidates, nil
+	// unless the plan was built with the standard engine and
+	// BackendAuto.
 	Tune *TuneDecision
 	// Updates counts completed UpdateValues epoch swaps; UpdateTime is
 	// their cumulative wall time. An update never re-tunes, re-orders,
@@ -301,8 +299,8 @@ func (p *Plan) prepare(a *sparse.CSR, opt Options, runner sparse.Runner) (*planE
 			p.stats.ReorderTime += p.stats.PermTime
 			ea = pa
 		}
-		// The backend resolves after reordering so the autotuner samples
-		// (and the format conversion covers) the execution-order matrix.
+		// The backend resolves after reordering so the census (and the
+		// format conversion) covers the execution-order matrix.
 		be, err := initBackend(opt, ea, &p.stats)
 		if err != nil {
 			return nil, nil, err

@@ -1,36 +1,25 @@
 package core
 
-import (
-	"time"
+import "fbmpk/internal/sparse"
 
-	"fbmpk/internal/sparse"
-)
-
-// OSKI-style backend autotuner. At NewPlan time (BackendAuto) the
-// tuner extracts a bounded, deterministic row sample of the
-// execution-order matrix, models the memory traffic per nonzero of
-// each candidate format, prunes candidates the model already rules
-// out, micro-benchmarks the survivors on the sample, and picks the
-// winner by measured time with a safety margin: a non-CSR format must
-// beat CSR by tuneMargin on the sample to be selected, because the
-// sample flatters formats with conversion costs the model does not
-// see. The decision is recorded in PlanStats and cacheable in the
-// registry keyed by the matrix structure and plan options, so the
-// second Acquire of the same (structure, options) skips sampling.
-//
-// Determinism: candidate order, the sampled rows, and the probe vector
-// are all fixed functions of the matrix structure (no math/rand, no
-// wall-clock seeding) — time.Now is used only to measure durations.
-// Measured times do vary run to run, which is why the margin exists;
-// the *executed result* of any decision is identical for a given
-// backend config, so cached-vs-fresh plans with the same verdict are
-// bitwise identical.
+// OSKI-style backend selection, split as OSKI splits it (arXiv
+// 1203.2739): an off-line profile of what one SpMV costs per stored entry
+// and per stored row in each format on the machine (backendCosts), and
+// an on-line census of what a matrix would store in each. At NewPlan time
+// (BackendAuto) the census counts, over a bounded, deterministic row
+// sample of the execution-order matrix, the entries each candidate
+// stores (SELL padding and BSR fill included) and its rows (block rows
+// for BSR); the table prices them, and a non-CSR candidate wins only at
+// tuneMargin of CSR's price or below. Nothing is timed: the verdict is a
+// pure function of the matrix structure, so an Auto plan is the forced
+// plan of the format it names, bit for bit, and there is nothing to
+// cache or replay.
 
 const (
 	// DefaultSELLChunk is the SELL-C-sigma chunk height of a forced
-	// BackendSELL and the tuner's first SELL candidate: 8 rows matches
-	// the widest SIMD lane count the flat kernels target while keeping
-	// padding modest.
+	// BackendSELL and of the SELL candidate: 8 rows matches the widest
+	// SIMD lane count the flat kernels target while keeping padding
+	// modest.
 	DefaultSELLChunk = 8
 	// DefaultSELLSigma is the sigma sorting window that goes with it:
 	// wide enough to squeeze padding on irregular degree distributions,
@@ -38,301 +27,183 @@ const (
 	DefaultSELLSigma = 256
 
 	// tuneSampleRows bounds the sample: matrices at most this tall are
-	// measured whole, larger ones via tuneStripes aligned stripes of
+	// counted whole, larger ones via tuneStripes aligned stripes of
 	// tuneStripeRows rows each.
 	tuneSampleRows = 4096
 	tuneStripes    = 4
-	// tuneStripeRows is a multiple of tuneAlign so stacked stripes
-	// preserve the block phase of every candidate block size end to
-	// end, not just at stripe starts.
+	// tuneStripeRows is a multiple of tuneAlign, so a stripe is whole
+	// block rows of every candidate block size.
 	tuneStripeRows = 1020
 	// tuneAlign aligns stripe starts down to a common multiple of the
 	// candidate block sizes (lcm of 2, 3, 4) so BSR block phase in the
 	// sample matches the full matrix.
 	tuneAlign = 12
-	// tuneReps measures each surviving candidate this many times and
-	// keeps the minimum (min-of-reps rejects scheduler noise).
-	tuneReps = 5
-	// tuneMargin is the fraction of CSR's sample time a non-CSR
-	// candidate must beat to win.
+	// tuneMargin is the fraction of CSR's price a non-CSR candidate
+	// must reach to win: the table's two terms do not see the gather
+	// locality a format changes, so a near tie stays with CSR.
 	tuneMargin = 0.90
-	// tunePruneSlack keeps a candidate for measurement only when its
-	// modeled bytes/nnz is within this factor of CSR's.
-	tunePruneSlack = 1.05
+	// profileMinRowEntries is the entries a row of BenchmarkBackendProfile's
+	// shortest bed: autotune keeps a sample with fewer on CSR.
+	profileMinRowEntries = 12
 )
 
-// TuneCandidate is one (format, config) the autotuner considered.
+// backendCost is one row of the off-line profile: a format's SpMV time
+// per stored entry and per stored row.
+type backendCost struct {
+	kind           BackendKind
+	block          int // BSR block size; 0 for the other formats
+	nsEntry, nsRow float64
+}
+
+// backendCosts is the off-line profile of the reference host (2 vCPUs,
+// 8 GB), one row per format configuration a forced backend builds: the
+// medians of what BenchmarkBackendProfile (bench_test.go, -benchtime 20x)
+// printed in 13 separate processes, unedited. DESIGN.md §10 lists the
+// runs. The fit is linear in entries and rows over beds of 12 and 108
+// entries a row, so SELL's negative ns/row is the intercept of its
+// steeper per-entry slope, not a cost a row can have: below the
+// profiled rows autotune does not price at all.
+var backendCosts = [...]backendCost{
+	{BackendCSR, 0, 1.683, 2.891},
+	{BackendSELL, 0, 3.151, -7.109},
+	{BackendBSR, 2, 1.782, 2.311},
+	{BackendBSR, 3, 1.471, 3.258},
+	{BackendBSR, 4, 1.363, 4.39},
+}
+
+// TuneCandidate is one format configuration the census priced.
 type TuneCandidate struct {
 	Backend BackendKind `json:"backend"`
-	Chunk   int         `json:"chunk,omitempty"`
-	Sigma   int         `json:"sigma,omitempty"`
 	Block   int         `json:"block,omitempty"`
-	// ModelBytesPerNNZ is the modeled memory traffic of one SpMV in
-	// bytes per logical nonzero (matrix storage + result write;
-	// x-vector gather traffic is format-independent and omitted).
-	ModelBytesPerNNZ float64 `json:"model_bytes_per_nnz"`
-	// SampleNs is the minimum measured SpMV time on the row sample
-	// (0 when the candidate was pruned before measurement).
-	SampleNs int64 `json:"sample_ns,omitempty"`
-	// GBps is the modeled traffic of the sample divided by SampleNs —
-	// the effective bandwidth the candidate sustained on the sample.
-	GBps float64 `json:"gbps,omitempty"`
-	// Pruned marks candidates rejected by the model without
-	// measurement.
-	Pruned bool `json:"pruned,omitempty"`
+	// Stored counts the entries the format stores of the sample: its
+	// nonzeros, plus SELL padding or BSR fill.
+	Stored int64 `json:"stored"`
+	// Rows counts the rows it stores: block rows for BSR.
+	Rows int `json:"rows"`
+	// PriceNs is Stored and Rows priced by the format's backendCosts row:
+	// the modeled time of one SpMV of the sample.
+	PriceNs float64 `json:"price_ns"`
 	// Winner marks the selected candidate.
 	Winner bool `json:"winner,omitempty"`
 }
 
-// TuneDecision is the autotuner's verdict for one matrix structure.
+// TuneDecision is BackendAuto's verdict for one matrix structure.
 type TuneDecision struct {
 	Backend BackendKind `json:"backend"`
-	Chunk   int         `json:"chunk,omitempty"`
-	Sigma   int         `json:"sigma,omitempty"`
 	Block   int         `json:"block,omitempty"`
-	// Samples counts the micro-benchmark kernel invocations this
-	// decision cost (0 when served from the registry verdict cache).
-	Samples int `json:"samples"`
-	// SampleRows is the number of rows in the measurement sample.
+	// SampleRows is the number of rows the census counted.
 	SampleRows int `json:"sample_rows"`
-	// FromCache marks a decision replayed from the registry instead of
-	// tuned fresh.
-	FromCache bool `json:"from_cache,omitempty"`
-	// Candidates is the full table the decision was made from, in the
-	// fixed evaluation order.
-	Candidates []TuneCandidate `json:"candidates,omitempty"`
+	// Candidates are CSR, SELL and BSR at DetectBSRBlock's size, in
+	// that order: exactly what the forced backends build.
+	Candidates []TuneCandidate `json:"candidates"`
 }
 
-// csrModelBytesPerNNZ models one CSR SpMV: 12 bytes per stored entry
-// (8 value + 4 column index), the row pointer stream, and the result
-// write.
-func csrModelBytesPerNNZ(rows int, nnz int64) float64 {
-	if nnz == 0 {
-		return 0
-	}
-	return float64(12*nnz+8*int64(rows+1)+8*int64(rows)) / float64(nnz)
-}
-
-// sellModelBytesPerNNZ models one SELL-C-sigma SpMV from the padded
-// slot count: every slot streams value + index, plus chunk metadata,
-// the scatter permutation, and the result write.
-func sellModelBytesPerNNZ(rows int, nnz, slots int64, nChunks int) float64 {
-	if nnz == 0 {
-		return 0
-	}
-	bytes := 12*slots + 8*int64(nChunks+1) + 4*int64(nChunks) + 4*int64(rows) + 8*int64(rows)
-	return float64(bytes) / float64(nnz)
-}
-
-// bsrModelBytesPerNNZ models one BSR SpMV from the stored block count:
-// blocks stream densely (zero fill included), one index per block,
-// plus the block-row pointers and the result write.
-func bsrModelBytesPerNNZ(rows int, nnz, nnzb int64, r int) float64 {
-	if nnz == 0 {
-		return 0
-	}
-	bRows := (rows + r - 1) / r
-	bytes := 8*nnzb*int64(r*r) + 4*nnzb + 8*int64(bRows+1) + 8*int64(rows)
-	return float64(bytes) / float64(nnz)
-}
-
-// DetectBSRBlock picks the block size in {2, 3, 4} with the lowest
-// modeled bytes/nnz for matrix a — the structure-only detector that
-// sizes a forced BackendBSR. FEM
-// matrices with d degrees of freedom per node have near-perfect d x d
-// blocks, which the fill-aware model identifies without measurement.
-func DetectBSRBlock(a *sparse.CSR) int {
-	best, bestModel := 2, 0.0
-	nnz := a.NNZ()
-	for _, r := range []int{2, 3, 4} {
-		nnzb := sparse.CountBSRBlocks(a, r, r)
-		m := bsrModelBytesPerNNZ(a.Rows, nnz, nnzb, r)
-		if bestModel == 0 || m < bestModel {
-			best, bestModel = r, m
+// candidate counts what CSR or SELL (at DefaultSELLChunk and
+// DefaultSELLSigma, padding included) stores of the stripes of a sample.
+func candidate(kind BackendKind, sample []*sparse.CSR) TuneCandidate {
+	c := TuneCandidate{Backend: kind}
+	for _, s := range sample {
+		c.Rows += s.Rows
+		if kind == BackendSELL {
+			c.Stored += sparse.CountSELLSlots(s, DefaultSELLChunk, DefaultSELLSigma)
+		} else {
+			c.Stored += s.NNZ()
 		}
 	}
+	return c
+}
+
+// bsrCandidate counts what BSR stores of the stripes of a sample, fill
+// included, at the block size in {2, 3, 4} with the fewest modeled bytes
+// per SpMV: blocks stream densely with one index each, plus a pointer a
+// block row (the result write is alike at every size). A stripe's blocks
+// of all three sizes are counted in one pass.
+func bsrCandidate(sample []*sparse.CSR) (best TuneCandidate) {
+	var cands [3]TuneCandidate
+	for _, s := range sample {
+		blocks := sparse.CountBSRBlocks(s)
+		for i := range cands {
+			r := i + 2
+			cands[i].Block = r
+			cands[i].Stored += blocks[i] * int64(r*r)
+			cands[i].Rows += (s.Rows + r - 1) / r
+		}
+	}
+	bytes := func(c TuneCandidate) int64 { return 8*c.Stored + 4*c.Stored/int64(c.Block*c.Block) + 8*int64(c.Rows) }
+	for i, c := range cands {
+		if i == 0 || bytes(c) < bytes(best) {
+			best = c
+		}
+	}
+	best.Backend = BackendBSR
 	return best
 }
 
-// tuneSample extracts the measurement sample: the whole matrix when it
-// has at most tuneSampleRows rows, otherwise tuneStripes stripes of
+// DetectBSRBlock picks the block size in {2, 3, 4} with the fewest
+// modeled bytes per SpMV on tuneSample(a) — the structure-only detector
+// that sizes a forced BackendBSR and BackendAuto's BSR candidate alike.
+// FEM matrices with d degrees of freedom per node have near-perfect
+// d x d blocks, which the fill-aware count identifies without measuring.
+func DetectBSRBlock(a *sparse.CSR) int {
+	return bsrCandidate(tuneSample(a)).Block
+}
+
+// tuneSample returns the census sample of a: a itself when it has at
+// most tuneSampleRows rows, otherwise tuneStripes stripes of
 // tuneStripeRows rows starting at evenly spaced, tuneAlign-aligned
-// offsets. The stripes are stacked into a fresh CSR sharing the
-// original column space (so the probe vector exercises the real
-// column-access pattern). Row selection is a pure function of the
-// matrix shape.
-func tuneSample(a *sparse.CSR) *sparse.CSR {
+// offsets, each a structure-only CSR over a's column space that shares
+// a's column indices. Stripes are whole block rows of every candidate
+// block size, so BSR blocks fall in them as they do in a. Row selection
+// is a pure function of the matrix shape.
+func tuneSample(a *sparse.CSR) []*sparse.CSR {
 	if a.Rows <= tuneSampleRows {
-		return a
+		return []*sparse.CSR{a}
 	}
-	type stripe struct{ lo, hi int }
-	stripes := make([]stripe, 0, tuneStripes)
+	var out []*sparse.CSR
 	prevHi := 0
 	for i := 0; i < tuneStripes; i++ {
 		lo := i * a.Rows / tuneStripes
 		lo -= lo % tuneAlign
-		if lo < prevHi {
-			lo = prevHi
-		}
-		hi := lo + tuneStripeRows
-		if hi > a.Rows {
-			hi = a.Rows
-		}
+		lo = max(lo, prevHi)
+		hi := min(lo+tuneStripeRows, a.Rows)
 		if lo >= hi {
 			continue
 		}
-		stripes = append(stripes, stripe{lo, hi})
-		prevHi = hi
-	}
-	rows := 0
-	var nnz int64
-	for _, s := range stripes {
-		rows += s.hi - s.lo
-		nnz += a.RowPtr[s.hi] - a.RowPtr[s.lo]
-	}
-	out := &sparse.CSR{
-		Rows:   rows,
-		Cols:   a.Cols,
-		RowPtr: make([]int64, rows+1),
-		ColIdx: make([]int32, nnz),
-		Val:    make([]float64, nnz),
-	}
-	r, w := 0, int64(0)
-	for _, s := range stripes {
-		lo, hi := a.RowPtr[s.lo], a.RowPtr[s.hi]
-		copy(out.ColIdx[w:], a.ColIdx[lo:hi])
-		copy(out.Val[w:], a.Val[lo:hi])
-		for i := s.lo; i < s.hi; i++ {
-			out.RowPtr[r+1] = out.RowPtr[r] + (a.RowPtr[i+1] - a.RowPtr[i])
-			r++
+		rowPtr := make([]int64, hi-lo+1)
+		for r := range rowPtr {
+			rowPtr[r] = a.RowPtr[lo+r] - a.RowPtr[lo]
 		}
-		w += hi - lo
+		out = append(out, &sparse.CSR{Rows: hi - lo, Cols: a.Cols, RowPtr: rowPtr, ColIdx: a.ColIdx[a.RowPtr[lo]:a.RowPtr[hi]]})
+		prevHi = hi
 	}
 	return out
 }
 
-// splitmix64 advances the splitmix64 generator — the tuner's only
-// randomness source, fully determined by the seed.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// tuneVector fills a probe vector with deterministic values in
-// (-1, 1).
-func tuneVector(n int, seed uint64) []float64 {
-	x := make([]float64, n)
-	state := seed
-	for i := range x {
-		x[i] = float64(splitmix64(&state)>>11)/float64(1<<53)*2 - 1
-	}
-	return x
-}
-
-// measure runs kernel once to warm caches, then reps times, returning
-// the minimum duration in nanoseconds.
-func measure(reps int, kernel func()) int64 {
-	kernel()
-	best := int64(0)
-	for rep := 0; rep < reps; rep++ {
-		start := time.Now()
-		kernel()
-		if d := time.Since(start).Nanoseconds(); best == 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// autotune runs the backend selection for the execution-order matrix a
-// of a standard-engine BackendAuto plan that was given no verdict to
-// replay, and returns the decision with its full candidate table
-// (PlanStats.Tune).
+// autotune is BackendAuto's verdict for the execution-order matrix a:
+// the census of CSR, SELL and BSR at DetectBSRBlock's size on
+// tuneSample(a), and the cheapest of them if it prices at tuneMargin of
+// CSR's price or below, else CSR. A sample with fewer entries a row than
+// the profile's shortest bed stays on CSR: the table is a fit over the
+// profiled rows, and below them its intercepts price rows it never saw;
+// nor does a candidate the table prices at 0 or below win.
 func autotune(a *sparse.CSR) TuneDecision {
-	s := tuneSample(a)
-	nnz := s.NNZ()
-	x := tuneVector(s.Cols, uint64(a.Rows)<<32^uint64(a.NNZ()))
-	y := make([]float64, s.Rows)
-
-	dec := TuneDecision{Backend: BackendCSR, SampleRows: s.Rows}
-	csrModel := csrModelBytesPerNNZ(s.Rows, nnz)
-
-	// CSR is always measured: it is the baseline every margin is
-	// relative to.
-	csrNs := measure(tuneReps, func() { sparse.SpMV(s, x, y) })
-	dec.Samples += tuneReps + 1
-	cands := []TuneCandidate{{
-		Backend:          BackendCSR,
-		ModelBytesPerNNZ: csrModel,
-		SampleNs:         csrNs,
-		GBps:             gbps(csrModel, nnz, csrNs),
-	}}
-
-	// SELL-C-sigma configurations, fixed order.
-	for _, cfg := range [][2]int{{DefaultSELLChunk, DefaultSELLSigma}, {16, 512}} {
-		sl := sparse.ToSELL(s, cfg[0], cfg[1])
-		model := sellModelBytesPerNNZ(s.Rows, nnz, int64(len(sl.Val)), len(sl.ChunkWidth))
-		c := TuneCandidate{Backend: BackendSELL, Chunk: cfg[0], Sigma: cfg[1], ModelBytesPerNNZ: model}
-		if model > csrModel*tunePruneSlack {
-			c.Pruned = true
-		} else {
-			c.SampleNs = measure(tuneReps, func() { sl.SpMV(x, y) })
-			c.GBps = gbps(model, nnz, c.SampleNs)
-			dec.Samples += tuneReps + 1
-		}
-		cands = append(cands, c)
-	}
-
-	// BSR: model all block sizes, measure only the best-modeled one —
-	// conversion dominates the tuning cost, and the model separates
-	// block sizes reliably (fill ratio is structural, not timing).
-	bestR, bestModel := 0, 0.0
-	for _, r := range []int{2, 3, 4} {
-		nnzb := sparse.CountBSRBlocks(s, r, r)
-		model := bsrModelBytesPerNNZ(s.Rows, nnz, nnzb, r)
-		cands = append(cands, TuneCandidate{Backend: BackendBSR, Block: r, ModelBytesPerNNZ: model, Pruned: true})
-		if bestModel == 0 || model < bestModel {
-			bestR, bestModel = r, model
-		}
-	}
-	if bestModel <= csrModel*tunePruneSlack {
-		for i := range cands {
-			if cands[i].Backend == BackendBSR && cands[i].Block == bestR {
-				b := sparse.ToBSR(s, bestR, bestR)
-				cands[i].Pruned = false
-				cands[i].SampleNs = measure(tuneReps, func() { b.SpMV(x, y) })
-				cands[i].GBps = gbps(bestModel, nnz, cands[i].SampleNs)
-				dec.Samples += tuneReps + 1
+	sample := tuneSample(a)
+	cands := []TuneCandidate{candidate(BackendCSR, sample), candidate(BackendSELL, sample), bsrCandidate(sample)}
+	for i, c := range cands {
+		for _, row := range backendCosts {
+			if row.kind == c.Backend && row.block == c.Block {
+				cands[i].PriceNs = float64(c.Stored)*row.nsEntry + float64(c.Rows)*row.nsRow
 			}
 		}
 	}
-
-	// Pick: best measured non-CSR candidate, accepted only if it beats
-	// CSR by the margin; ties and losses fall back to CSR.
-	winner := 0
-	bestNs := int64(float64(csrNs) * tuneMargin)
-	for i := 1; i < len(cands); i++ {
-		if !cands[i].Pruned && cands[i].SampleNs > 0 && cands[i].SampleNs < bestNs {
-			winner, bestNs = i, cands[i].SampleNs
+	csr, winner := cands[0], 0
+	if csr.Stored >= profileMinRowEntries*int64(csr.Rows) {
+		for i, c := range cands {
+			if c.PriceNs > 0 && c.PriceNs <= tuneMargin*csr.PriceNs && c.PriceNs < cands[winner].PriceNs {
+				winner = i
+			}
 		}
 	}
 	cands[winner].Winner = true
-	dec.Backend = cands[winner].Backend
-	dec.Chunk = cands[winner].Chunk
-	dec.Sigma = cands[winner].Sigma
-	dec.Block = cands[winner].Block
-	dec.Candidates = cands
-	return dec
-}
-
-// gbps converts a modeled per-nnz traffic and a measured duration into
-// effective bandwidth (GB/s).
-func gbps(modelBytesPerNNZ float64, nnz int64, ns int64) float64 {
-	if ns <= 0 {
-		return 0
-	}
-	return modelBytesPerNNZ * float64(nnz) / float64(ns)
+	return TuneDecision{Backend: cands[winner].Backend, Block: cands[winner].Block, SampleRows: csr.Rows, Candidates: cands}
 }

@@ -15,7 +15,7 @@ import (
 // while the sparsity pattern does not. UpdateValues exploits exactly
 // that split: with the structure verified identical, the permutation,
 // the ABMC schedule, the L+D+U index arrays, the backend layout, and
-// the autotuner verdict all remain valid, and only the value payload of
+// the BackendAuto verdict all remain valid, and only the value payload of
 // the one container the plan's engine runs on is rebuilt (an O(nnz)
 // gather, no re-preprocessing).
 //

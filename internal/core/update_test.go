@@ -293,7 +293,7 @@ func TestEpochHoldsOneContainer(t *testing.T) {
 				}
 				check("after NewPlan")
 				if tuned := p.Stats().Tune != nil; tuned != (eng == EngineStandard) {
-					t.Fatalf("backend tuner ran = %v on a %v plan", tuned, eng)
+					t.Fatalf("backend census ran = %v on a %v plan", tuned, eng)
 				}
 				if err := p.UpdateValues(b); err != nil {
 					t.Fatal(err)

@@ -285,8 +285,8 @@ func TestFingerprintBackendCanonicalEquivalence(t *testing.T) {
 }
 
 // TestStructureFingerprint checks contentDigests' structure root, which
-// the structure+options key (and with it in-place updates and the tuner
-// verdicts) is composed from: values don't participate (a value flip
+// the structure+options key (and with it in-place updates) is composed
+// from: values don't participate (a value flip
 // keys identically) while any structural change — index, row pointer,
 // dimension — does.
 func TestStructureFingerprint(t *testing.T) {

@@ -71,18 +71,6 @@ type Registry struct {
 	updated       uint64
 	rebuilt       uint64
 	buildTime     time.Duration
-
-	// tunings caches the backend autotuner's verdicts keyed by the
-	// (structure, options) key of the entry that tuned them (entry.sKey):
-	// the tuner samples the execution-order matrix, so what it measures
-	// depends on the options as well as the pattern, and a verdict
-	// replays for other values of that structure and never under other
-	// options. Verdicts are a few hundred bytes and survive plan LRU
-	// eviction on purpose: re-acquiring an evicted matrix re-runs
-	// preprocessing but never re-pays tuner sampling.
-	tunings    map[Key]core.TuneDecision
-	tuneHits   uint64
-	tuneMisses uint64
 }
 
 // entry is one cached (or in-flight) plan. refs counts outstanding
@@ -135,14 +123,6 @@ type Stats struct {
 	// BuildTime is the cumulative wall time of successful builds —
 	// the preprocessing cost the cache's hits avoided paying again.
 	BuildTime time.Duration `json:"build_time_ns"`
-
-	// TuneHits counts BackendAuto builds served a cached backend
-	// verdict (zero sampling); TuneMisses counts builds that ran the
-	// tuner; TuneVerdicts is the number of verdicts (one per structure
-	// and options) currently cached.
-	TuneHits     uint64 `json:"tune_hits"`
-	TuneMisses   uint64 `json:"tune_misses"`
-	TuneVerdicts int    `json:"tune_verdicts"`
 }
 
 // Lookups returns the total number of Acquire key lookups.
@@ -170,7 +150,6 @@ func New(capacity int) *Registry {
 		byPlan:    make(map[*core.Plan]*entry),
 		lru:       list.New(),
 		structIdx: make(map[Key]Key),
-		tunings:   make(map[Key]core.TuneDecision),
 	}
 }
 
@@ -226,9 +205,9 @@ func (r *Registry) AcquireCtx(ctx context.Context, a *sparse.CSR, opts ...core.O
 // timedDigests makes the one content pass over a (contentDigests; with
 // validate it is CSR.Validate too, and err its error) and returns the
 // two keys composed from its digests — the (structure, options) key
-// that finds a plan to update in place and names its tuner verdict,
-// and the plan key — recording the whole pass as the request timeline's
-// registry.fingerprint phase. opt must already be canonicalized.
+// that finds a plan to update in place, and the plan key — recording
+// the whole pass as the request timeline's registry.fingerprint phase.
+// opt must already be canonicalized.
 func timedDigests(ctx context.Context, a *sparse.CSR, opt core.Options, validate bool) (sKey, key Key, err error) {
 	tl := events.TimelineFromContext(ctx)
 	var hashStart time.Time
@@ -347,17 +326,6 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	r.entries[key] = e
 	r.structIdx[e.sKey] = key
 	r.misses++
-	// Every caller validated a on the way here, so the build need not.
-	buildOpts := []core.Option{opt, core.WithValidated(a)}
-	// opt is canonical, so BackendAuto means a standard-engine plan.
-	if opt.Backend == core.BackendAuto {
-		if dec, ok := r.tunings[sKey]; ok {
-			buildOpts = append(buildOpts, core.WithTunedDecision(dec))
-			r.tuneHits++
-		} else {
-			r.tuneMisses++
-		}
-	}
 	toClose := r.evictOverflowLocked()
 	r.mu.Unlock()
 	for _, p := range toClose {
@@ -365,7 +333,8 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	}
 
 	buildStart := time.Now()
-	plan, err := core.NewPlan(a, buildOpts...)
+	// Every caller validated a on the way here, so the build need not.
+	plan, err := core.NewPlan(a, opt, core.WithValidated(a))
 	elapsed := time.Since(buildStart)
 	tl.Phase("registry.build", buildStart, buildStart.Add(elapsed))
 
@@ -379,11 +348,6 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 		r.builds++
 		r.buildTime += elapsed
 		r.byPlan[plan] = e
-		// Persist a fresh verdict for the next build of this structure
-		// under these options.
-		if t := plan.Stats().Tune; t != nil && !t.FromCache {
-			r.tunings[sKey] = *t
-		}
 	}
 	close(e.done)
 	bail := err == nil && ctx.Err() != nil
@@ -527,9 +491,6 @@ func (r *Registry) Stats() Stats {
 		Updated:       r.updated,
 		Rebuilt:       r.rebuilt,
 		BuildTime:     r.buildTime,
-		TuneHits:      r.tuneHits,
-		TuneMisses:    r.tuneMisses,
-		TuneVerdicts:  len(r.tunings),
 	}
 }
 

@@ -370,33 +370,43 @@ func (b *BSR) SpMMRange(x, y []float64, nv, lo, hi int) {
 	}
 }
 
-// CountBSRBlocks counts the dense r x c blocks ToBSR would store for
-// matrix a, without materializing them — the cheap pass a block-size
-// detector uses to estimate fill ratio per candidate block size.
-func CountBSRBlocks(a *CSR, r, c int) int64 {
-	if r < 1 || c < 1 {
-		panic("sparse: BSR block dims must be positive")
-	}
-	bRows := (a.Rows + r - 1) / r
-	bCols := (a.Cols + c - 1) / c
-	mark := make([]int32, bCols)
-	for i := range mark {
-		mark[i] = -1
-	}
-	var nnzb int64
-	for br := 0; br < bRows; br++ {
-		for i := br * r; i < (br+1)*r && i < a.Rows; i++ {
-			cols, _ := a.Row(i)
-			for _, col := range cols {
-				bc := int(col) / c
-				if mark[bc] != int32(br) {
-					mark[bc] = int32(br)
-					nnzb++
+// CountBSRBlocks returns the blocks ToBSR(a, r, r) would store for
+// r = 2, 3 and 4 (at index r-2), in one pass over a's structure that
+// neither reads its values nor builds a block — the cheap count a
+// block-size detector prices fill with. A run of a row's columns in one
+// block costs one look-up, and a 4 x 4 block is looked up only when one
+// of its 2 x 2 blocks is new: it holds the entries of exactly four.
+func CountBSRBlocks(a *CSR) (n [3]int64) {
+	// 1 + the last block row of each size to store a block column.
+	m2, m3, m4 := make([]int32, a.Cols/2+1), make([]int32, a.Cols/3+1), make([]int32, a.Cols/4+1)
+	for i := 0; i < a.Rows; i++ {
+		br2, br3, br4 := int32(i/2)+1, int32(i/3)+1, int32(i/4)+1
+		// The first columns of the current 2- and 3-column blocks; none
+		// yet, so every column is at least 4 past them.
+		lo2, lo3 := ^uint32(0)-3, ^uint32(0)-3
+		for _, col := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+			c := uint32(col)
+			if c-lo2 >= 2 {
+				lo2 = c &^ 1
+				if m2[c/2] != br2 {
+					m2[c/2] = br2
+					n[0]++
+					if m4[c/4] != br4 {
+						m4[c/4] = br4
+						n[2]++
+					}
+				}
+			}
+			if c-lo3 >= 3 {
+				lo3 = c / 3 * 3
+				if m3[c/3] != br3 {
+					m3[c/3] = br3
+					n[1]++
 				}
 			}
 		}
 	}
-	return nnzb
+	return n
 }
 
 // NNZBlocks returns the number of stored blocks.

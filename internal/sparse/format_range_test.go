@@ -152,11 +152,11 @@ func TestBSRSpMM(t *testing.T) {
 
 func TestCountBSRBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
-	for _, n := range []int{1, 9, 40, 77} {
+	for _, n := range []int{1, 9, 40, 77, 1000} {
 		a := randomCSR(rng, n, 3)
 		for _, r := range []int{2, 3, 4} {
 			want := ToBSR(a, r, r).NNZBlocks()
-			if got := CountBSRBlocks(a, r, r); got != want {
+			if got := CountBSRBlocks(a)[r-2]; got != want {
 				t.Fatalf("n=%d r=%d: CountBSRBlocks = %d, ToBSR stores %d", n, r, got, want)
 			}
 		}

@@ -14,11 +14,11 @@ func TestSELLMatchesCSRQuick(t *testing.T) {
 		x := randVec(rng, n)
 		want := make([]float64, n)
 		SpMV(a, x, want)
-		for _, cfg := range [][2]int{{1, 1}, {4, 1}, {4, 8}, {8, 32}, {16, 16}} {
+		for _, cfg := range [][2]int{{1, 1}, {4, 1}, {4, 8}, {8, 32}, {16, 16}, {3, 10}, {8, 0}} {
 			s := ToSELL(a, cfg[0], cfg[1])
 			got := make([]float64, n)
 			s.SpMV(x, got)
-			if MaxAbsDiff(got, want) > 1e-12 {
+			if MaxAbsDiff(got, want) > 1e-12 || CountSELLSlots(a, cfg[0], cfg[1]) != int64(len(s.Val)) {
 				return false
 			}
 		}

@@ -93,6 +93,30 @@ func ToSELL(a *CSR, c, sigma int) *SELL {
 	return s
 }
 
+// CountSELLSlots returns the slots (nonzeros plus padding) ToSELL(a, c,
+// sigma) would store, without converting a: ToSELL pads a chunk to its
+// widest row, and sorts each sigma window longest row first, so chunk k
+// of a window is as wide as the window's (k*c)-th longest row. Without
+// sorting (sigma <= 1) each chunk is its own window.
+func CountSELLSlots(a *CSR, c, sigma int) (slots int64) {
+	if c <= 0 {
+		panic("sparse: SELL chunk height must be positive")
+	}
+	win := max(c, (sigma+c-1)/c*c) // ToSELL's window: whole chunks, one if unsorted
+	lens := make([]int, win)
+	for w := 0; w < a.Rows; w += win {
+		l := lens[:min(win, a.Rows-w)]
+		for i := range l {
+			l[i] = a.RowNNZ(w + i)
+		}
+		sort.Ints(l)
+		for k := len(l) - 1; k >= 0; k -= c {
+			slots += int64(c * l[k])
+		}
+	}
+	return slots
+}
+
 // WithValues builds a new SELL holding a's values in s's layout. All
 // structure arrays (ChunkPtr, ChunkWidth, ColIdx, Perm) are shared
 // with the receiver; only Val is freshly allocated and refilled, with

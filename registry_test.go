@@ -122,8 +122,8 @@ func TestPlanFingerprintPublic(t *testing.T) {
 // TestRegistryEngineVerdictReplay: EngineAuto is the forward-backward
 // engine under another spelling, so there is no engine verdict to
 // cache or replay — an Auto Acquire followed by an FB Acquire of the
-// same matrix is one build and one hit on the same plan, and no tuner
-// counter moves.
+// same matrix is one build and one hit on the same plan, which carries
+// no backend verdict.
 func TestRegistryEngineVerdictReplay(t *testing.T) {
 	a, err := GenerateSuiteMatrix("G3_circuit", 0.002, 3)
 	if err != nil {
@@ -146,8 +146,8 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 	if fb != auto || s.Builds != 1 || s.Hits != 1 {
 		t.Fatalf("Auto then FB Acquire: same plan %v, %d builds and %d hits, want one build and one hit", fb == auto, s.Builds, s.Hits)
 	}
-	if s.TuneVerdicts != 0 || s.TuneHits != 0 || s.TuneMisses != 0 {
-		t.Fatalf("an Auto plan touched the verdict cache: %+v", s)
+	if tune := auto.Stats().Tune; tune != nil {
+		t.Fatalf("an Auto plan ran the backend census: %+v", tune)
 	}
 	if auto.Engine() != EngineForwardBackward {
 		t.Fatalf("Auto plan runs %v", auto.Engine())
@@ -155,8 +155,8 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 }
 
 // TestRegistryForcedEngineSweep: forced-engine plans resolve to the
-// engine they name and never consult or populate the verdict cache —
-// only a standard-engine BackendAuto plan tunes.
+// engine they name and carry no backend verdict — only a
+// standard-engine BackendAuto plan runs the census.
 func TestRegistryForcedEngineSweep(t *testing.T) {
 	a, err := GenerateSuiteMatrix("cant", 0.002, 3)
 	if err != nil {
@@ -174,13 +174,10 @@ func TestRegistryForcedEngineSweep(t *testing.T) {
 			t.Fatalf("forced engine %v resolved to %v", eng, p.Engine())
 		}
 		if tune := p.Stats().Tune; tune != nil {
-			t.Fatalf("forced engine %v ran the tuner: %+v", eng, tune)
+			t.Fatalf("forced engine %v ran the census: %+v", eng, tune)
 		}
 		if err := reg.Release(p); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s := reg.Stats(); s.TuneHits != 0 {
-		t.Fatalf("forced-engine sweep touched the verdict cache: %+v", s)
 	}
 }
