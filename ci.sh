@@ -25,9 +25,9 @@ go test ./...
 # where a new one would land. The second measures everything outside
 # benchmark/: what a reader has to hold to change the system.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
-[ "$lines" -le 5830 ]
+[ "$lines" -le 5651 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 16861 ]
+[ "$lines" -le 16680 ]
 # Knob ratchet (ROADMAP item 2, "Options <= 8 fields"): the exported
 # fields of core.Options, counted from the source. A new option has to
 # displace one.

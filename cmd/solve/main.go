@@ -40,7 +40,7 @@ func main() {
 		maxIter = flag.Int("maxiter", 2000, "iteration budget")
 		degree  = flag.Int("degree", 8, "chebyshev polynomial degree / krylov s")
 		threads = flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads")
-		backend = flag.String("backend", "csr", "storage backend of -engine standard (inert under the other engines): csr | auto | sell | bsr")
+		backend = flag.String("backend", "csr", "storage backend of -engine standard (inert under the other engines): csr | auto | bsr")
 		engine  = flag.String("engine", "fbmpk", "MPK engine: fbmpk | standard | levelblock | auto")
 		cache   = flag.Bool("cache", false, "acquire the plan through a fingerprint-keyed plan registry (prints the cache key and counters; -http then also exposes fbmpk_cache_* metrics)")
 		metrics = flag.Bool("metrics", false, "print the plan's PlanMetrics snapshot (JSON) after solving")

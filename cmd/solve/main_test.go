@@ -83,7 +83,9 @@ func TestSolveWritesTrace(t *testing.T) {
 
 // TestSolveBackends: the standard engine on the forced and the census's
 // backend solves as on CSR — CG converges in -backend csr's iteration
-// count on the audikw_1 stand-in, whose census picks BSR at 3 x 3.
+// count on the audikw_1 stand-in, whose census picks BSR at 3 x 3 — and
+// a name that is no backend is refused: sell (SELL-C-sigma is a format
+// the benchmark times, not a backend) like any unknown one.
 func TestSolveBackends(t *testing.T) {
 	solve := func(t *testing.T, backend string) (out, iters string) {
 		out = captureStdout(t, func() error {
@@ -96,7 +98,12 @@ func TestSolveBackends(t *testing.T) {
 		return out, m[1]
 	}
 	_, want := solve(t, "csr")
-	for _, backend := range []string{"sell", "bsr", "auto"} {
+	t.Run("sell", func(t *testing.T) {
+		if err := run("", "cant", 0.002, 1, "cg", 1e-8, 10, 4, 1, "sell", "standard", false, false, "", "", 0); err == nil {
+			t.Error("accepted -backend sell")
+		}
+	})
+	for _, backend := range []string{"bsr", "auto"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			out, iters := solve(t, backend)
@@ -125,7 +132,7 @@ func TestSolveCacheWithAutoBackend(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "auto", "standard", true, false, "", "", 0)
 	})
-	line := regexp.MustCompile(`plan backend: (csr|sell|bsr) \(auto in [^,]+, census of \d+ rows, price vs csr: csr 1\.00 sell \d+\.\d\d bsr[234] \d+\.\d\d\)\n`)
+	line := regexp.MustCompile(`plan backend: (csr|bsr) \(auto in [^,]+, census of \d+ rows, price vs csr: csr 1\.00 bsr[234] \d+\.\d\d\)\n`)
 	if !line.MatchString(out) || strings.Contains(out, "samples") || strings.Contains(out, "cache") {
 		t.Fatalf("no census line, or one about samples or a cache:\n%s", out)
 	}

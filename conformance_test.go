@@ -390,10 +390,10 @@ var configRows []config
 
 // configs enumerates Engine x Threads {serial, 2 ("parallel": this host's
 // cores), 4, 8} x BtB x ordering {natural, ForceABMC, RCM then ForceABMC}
-// x LevelBlockBytes {default, 256} x Backend {csr, sell, bsr, auto, and
-// sell and bsr again as sell/c16 and bsr/b2}, SelfCheck on, and keeps
-// the first spelling of every Canonical class: what a knob means is
-// decided in one place, and the test space is cut there too.
+// x LevelBlockBytes {default, 256} x Backend {csr, bsr, auto, and bsr
+// again as sell, sell/c16 and bsr/b2}, SelfCheck on, and keeps the first
+// spelling of every Canonical class: what a knob means is decided in one
+// place, and the test space is cut there too.
 func configs() []config {
 	if configRows != nil {
 		return configRows
@@ -403,7 +403,7 @@ func configs() []config {
 	backends := []struct {
 		name string
 		kind BackendKind
-	}{{"", BackendCSR}, {"sell", BackendSELL}, {"sell/c16", BackendSELL}, {"bsr", BackendBSR}, {"bsr/b2", BackendBSR}, {"auto", BackendAuto}}
+	}{{"", BackendCSR}, {"sell", BackendBSR}, {"sell/c16", BackendBSR}, {"bsr", BackendBSR}, {"bsr/b2", BackendBSR}, {"auto", BackendAuto}}
 	at := map[string]int{}
 	for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
 		for _, th := range []int{0, 2, 4, 8} {
@@ -428,8 +428,9 @@ func configs() []config {
 							key := fmt.Sprintf("%+v|%v", c.opt.Canonical(), c.rcm)
 							switch eng {
 							case EngineStandard:
-								// sell/c16 and bsr/b2 spell the forced formats
-								// a second time, kept as rows so their test
+								// sell, sell/c16 and bsr/b2 spell the forced
+								// BSR plan again (sell's two from when SELL
+								// was a backend), kept as rows so their test
 								// names stay.
 								key += be.name
 							case EngineAuto:

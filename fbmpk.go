@@ -185,10 +185,10 @@ func WithForceABMC(on bool) Option { return core.WithForceABMC(on) }
 func WithSelfCheck(on bool) Option { return core.WithSelfCheck(on) }
 
 // WithBackend selects the storage format of the standard engine's
-// sweeps: BackendSELL/BackendBSR force a format, BackendAuto picks CSR,
-// SELL or BSR from the matrix structure at build time, BackendCSR (the
-// default) keeps the bitwise-stable CSR baseline. Inert under every
-// other engine, whose plans build and hold no backend.
+// sweeps: BackendBSR forces block CSR, BackendAuto picks CSR or BSR
+// from the matrix structure at build time, BackendCSR (the default)
+// keeps the bitwise-stable CSR baseline. Inert under every other
+// engine, whose plans build and hold no backend.
 func WithBackend(k BackendKind) Option { return core.WithBackend(k) }
 
 // WithLevelBlockBytes sets the cache budget (bytes of matrix data) per
@@ -234,19 +234,17 @@ const (
 	// BackendCSR keeps the split-CSR baseline kernels (the default;
 	// bitwise-stable across plan rebuilds).
 	BackendCSR = core.BackendCSR
-	// BackendAuto picks the format per matrix from a census of what each
+	// BackendAuto picks CSR or BSR per matrix from a census of what each
 	// would store, priced by a per-format cost table (a matrix with
 	// shorter rows than the table was profiled on stays on CSR); nothing
 	// is timed, so the plan is bitwise the forced plan of the format it
 	// names (Plan.Backend), and matches CSR to <= 1e-12 relative.
 	BackendAuto = core.BackendAuto
-	// BackendSELL forces the SELL-C-sigma backend.
-	BackendSELL = core.BackendSELL
 	// BackendBSR forces the block-CSR backend.
 	BackendBSR = core.BackendBSR
 )
 
-// ParseBackend maps a backend name ("csr", "auto", "sell", "bsr") to
+// ParseBackend maps a backend name ("csr", "auto", "bsr") to
 // its BackendKind; intended for command-line flags.
 func ParseBackend(s string) (BackendKind, error) { return core.ParseBackend(s) }
 

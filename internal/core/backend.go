@@ -11,11 +11,12 @@ import (
 
 // BackendKind selects the storage format of the full-matrix SpMV/SpMM
 // execution backend — the kernels behind the standard engine, single
-// vector and block (SpMM) alike. No other engine has one: the
-// forward-backward sweeps run on the L+D+U split CSR, whose
-// Gauss-Seidel-style dependency structure is incompatible with SELL's
-// row sorting and BSR's blocking, and the level-blocked steps on the raw
-// level-ordered CSR (see Options.Canonical).
+// vector and block (SpMM) alike: CSR or BSR. No other engine has one:
+// the forward-backward sweeps run on the L+D+U split CSR, and the
+// level-blocked steps on the raw level-ordered CSR (see
+// Options.Canonical). SELL-C-sigma is a format the benchmark times
+// (sparse.ToSELL), not a backend: the census's cost table prices it
+// above CSR on every sample it prices (DESIGN.md §10).
 type BackendKind int
 
 const (
@@ -27,13 +28,10 @@ const (
 	// bitwise.
 	BackendCSR BackendKind = iota
 	// BackendAuto picks the format per matrix from its structure alone:
-	// a census of what CSR, SELL and BSR would store, priced by a
+	// a census of what CSR and BSR would store, priced by a
 	// committed per-format cost table (autotune, tune.go). The plan is
 	// the forced plan of the format it picks, bit for bit.
 	BackendAuto
-	// BackendSELL forces the SELL-C-sigma backend (chunked column-major
-	// storage with sigma-window row sorting).
-	BackendSELL
 	// BackendBSR forces the block-CSR backend (R x R dense blocks, with
 	// a structure-based block-size detector when no size is forced).
 	BackendBSR
@@ -43,7 +41,6 @@ const (
 var backendNames = [numBackends]string{
 	BackendCSR:  "csr",
 	BackendAuto: "auto",
-	BackendSELL: "sell",
 	BackendBSR:  "bsr",
 }
 
@@ -60,7 +57,7 @@ func (k BackendKind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
 }
 
-// ParseBackend maps a backend name ("csr", "auto", "sell", "bsr") to
+// ParseBackend maps a backend name ("csr", "auto", "bsr") to
 // its kind; used by command-line flags.
 func ParseBackend(s string) (BackendKind, error) {
 	for k, name := range backendNames {
@@ -68,17 +65,17 @@ func ParseBackend(s string) (BackendKind, error) {
 			return BackendKind(k), nil
 		}
 	}
-	return BackendCSR, fmt.Errorf("core: unknown backend %q (have csr, auto, sell, bsr)", s)
+	return BackendCSR, fmt.Errorf("core: unknown backend %q (have csr, auto, bsr)", s)
 }
 
 // execBackend abstracts the full-matrix kernels over the storage
 // format, so the standard engine's one driver stays format-agnostic.
 // Range bounds follow each backend's partition contract: partition
 // returns worker row bounds aligned to the format's storage granularity
-// (any row for CSR, chunk-aligned storage rows for SELL, block-row-
-// aligned rows for BSR), and spmmRange of disjoint ranges writes
-// disjoint y entries. spmmRange at nv = 1 is the format's SpMV range
-// kernel, so a single vector runs exactly what SpMV runs.
+// (any row for CSR, block-row-aligned rows for BSR), and spmmRange of
+// disjoint ranges writes disjoint y entries. spmmRange at nv = 1 is the
+// format's SpMV range kernel, so a single vector runs exactly what SpMV
+// runs.
 type execBackend interface {
 	kind() BackendKind
 	phase() phase
@@ -105,45 +102,6 @@ func (b csrBackend) spmmRange(x, y []float64, nv, lo, hi int) {
 	sparse.SpMMRange(b.a, x, y, nv, lo, hi)
 }
 func (b csrBackend) withValues(a *sparse.CSR) execBackend { return csrBackend{a: a} }
-
-// sellBackend executes on a SELL-C-sigma conversion of the plan's
-// execution-order matrix. Ranges address storage rows (the sigma-
-// sorted order); the format's internal permutation scatters results
-// back, so the backend is transparent to callers. Built from the
-// already-ABMC-permuted matrix, the sigma sort composes with the ABMC
-// ordering instead of fighting it.
-type sellBackend struct{ s *sparse.SELL }
-
-func (b *sellBackend) kind() BackendKind { return BackendSELL }
-func (b *sellBackend) phase() phase      { return phaseStandardSELL }
-func (b *sellBackend) partition(parts int) []int {
-	// Weight chunks by their padded storage (the slots the kernel
-	// actually streams), then convert chunk bounds to storage rows.
-	nc := len(b.s.ChunkWidth)
-	cb := parallel.PartitionRows(nc, parts, func(ch int) int64 {
-		return b.s.ChunkPtr[ch+1] - b.s.ChunkPtr[ch]
-	})
-	bounds := make([]int, len(cb))
-	for i, ch := range cb {
-		r := ch * b.s.C
-		if r > b.s.Rows {
-			r = b.s.Rows
-		}
-		bounds[i] = r
-	}
-	bounds[len(bounds)-1] = b.s.Rows
-	return bounds
-}
-func (b *sellBackend) spmmRange(x, y []float64, nv, lo, hi int) {
-	if nv == 1 {
-		b.s.SpMVRange(x, y, lo, hi)
-	} else {
-		b.s.SpMMRange(x, y, nv, lo, hi)
-	}
-}
-func (b *sellBackend) withValues(a *sparse.CSR) execBackend {
-	return &sellBackend{s: b.s.WithValues(a)}
-}
 
 // bsrBackend executes on a block-CSR conversion of the plan's
 // execution-order matrix.
@@ -182,10 +140,9 @@ func (e *bsrBackend) withValues(a *sparse.CSR) execBackend {
 
 // initBackend resolves the standard engine's execution backend from the
 // canonical options and the execution-order matrix a, recording the
-// format and its cost in stats: SELL builds at the default chunk and
-// window, BSR at DetectBSRBlock's size, BackendAuto builds whichever of
-// those (or CSR) its census picks, and CSR wraps a with zero extra
-// storage.
+// format and its cost in stats: BSR builds at DetectBSRBlock's size,
+// BackendAuto builds whichever of CSR and BSR its census picks, and CSR
+// wraps a with zero extra storage.
 func initBackend(opt Options, a *sparse.CSR, stats *PlanStats) (execBackend, error) {
 	start := time.Now()
 	kind, block := opt.Backend, 0
@@ -201,8 +158,6 @@ func initBackend(opt Options, a *sparse.CSR, stats *PlanStats) (execBackend, err
 	switch kind {
 	case BackendCSR:
 		be = csrBackend{a: a}
-	case BackendSELL:
-		be = &sellBackend{s: sparse.ToSELL(a, DefaultSELLChunk, DefaultSELLSigma)}
 	case BackendBSR:
 		be = &bsrBackend{b: sparse.ToBSR(a, block, block)}
 	default:

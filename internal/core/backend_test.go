@@ -36,21 +36,27 @@ func blockCSR(rng *rand.Rand, nb, bs, neighbors int) *sparse.CSR {
 	return coo.ToCSR()
 }
 
+// TestBackendKindStringParse: every kind round-trips through its name,
+// and nothing else parses — not sell (SELL-C-sigma is a format the
+// benchmark times, not a backend), and not the empty name an unnamed
+// slot of backendNames would hold.
 func TestBackendKindStringParse(t *testing.T) {
-	for _, k := range []BackendKind{BackendCSR, BackendAuto, BackendSELL, BackendBSR} {
+	for _, k := range []BackendKind{BackendCSR, BackendAuto, BackendBSR} {
 		got, err := ParseBackend(k.String())
 		if err != nil || got != k {
 			t.Fatalf("ParseBackend(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseBackend("ellpack"); err == nil {
-		t.Fatal("ParseBackend accepted an unknown name")
+	for _, name := range []string{"ellpack", "sell", ""} {
+		if k, err := ParseBackend(name); err == nil {
+			t.Fatalf("ParseBackend(%q) accepted as %v", name, k)
+		}
 	}
 }
 
 func TestBackendKindJSON(t *testing.T) {
-	b, err := json.Marshal(BackendSELL)
-	if err != nil || string(b) != `"sell"` {
+	b, err := json.Marshal(BackendBSR)
+	if err != nil || string(b) != `"bsr"` {
 		t.Fatalf("Marshal = %s, %v", b, err)
 	}
 	// A verdict carries the kind by name.
@@ -63,9 +69,10 @@ func TestBackendKindJSON(t *testing.T) {
 func TestUnknownBackendRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randomCSR(rng, 20, 3)
-	_, err := NewPlan(a, Options{Engine: EngineStandard, Backend: BackendKind(99)})
-	if !errors.Is(err, ErrBadBackend) {
-		t.Fatalf("err = %v, want ErrBadBackend", err)
+	for _, k := range []BackendKind{numBackends, 99} {
+		if _, err := NewPlan(a, Options{Engine: EngineStandard, Backend: k}); !errors.Is(err, ErrBadBackend) {
+			t.Fatalf("%v: err = %v, want ErrBadBackend", k, err)
+		}
 	}
 }
 
@@ -74,7 +81,7 @@ func TestUnknownBackendRejected(t *testing.T) {
 // it there and folds it to the zero value everywhere else, so no other
 // engine can be asked to build or tune one.
 func TestCanonicalFoldsBackend(t *testing.T) {
-	for _, bk := range []BackendKind{BackendCSR, BackendAuto, BackendSELL, BackendBSR} {
+	for _, bk := range []BackendKind{BackendCSR, BackendAuto, BackendBSR} {
 		for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
 			want := BackendCSR
 			if eng == EngineStandard {
@@ -88,8 +95,8 @@ func TestCanonicalFoldsBackend(t *testing.T) {
 }
 
 // TestForcedBackendsMatchCSR drives every standard-engine entry point
-// (MPKMulti is the SpMM block path) through forced SELL and BSR plans
-// and compares against the CSR baseline plan at 1e-12.
+// (MPKMulti is the SpMM block path) through a forced BSR plan and a
+// BackendAuto one and compares against the CSR baseline plan at 1e-12.
 func TestForcedBackendsMatchCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{23, 96} {
@@ -126,8 +133,8 @@ func TestForcedBackendsMatchCSR(t *testing.T) {
 		for _, threads := range []int{0, 4} {
 			base := runAll(WithEngine(EngineStandard), WithThreads(threads))
 			for _, bk := range []Option{
-				WithBackend(BackendSELL),
 				WithBackend(BackendBSR),
+				WithBackend(BackendAuto),
 			} {
 				got := runAll(WithEngine(EngineStandard), WithThreads(threads), bk)
 				if d := sparse.RelMaxDiff(got.xk, base.xk); d > 1e-12 {
@@ -154,7 +161,6 @@ func TestBackendPartitions(t *testing.T) {
 	a := randomCSR(rng, 103, 5)
 	backends := []execBackend{
 		csrBackend{a: a},
-		&sellBackend{s: sparse.ToSELL(a, 8, 32)},
 		&bsrBackend{b: sparse.ToBSR(a, 3, 3)},
 	}
 	for _, be := range backends {
@@ -170,15 +176,8 @@ func TestBackendPartitions(t *testing.T) {
 				if bounds[i] == a.Rows {
 					continue
 				}
-				switch be.kind() {
-				case BackendSELL:
-					if bounds[i]%8 != 0 {
-						t.Fatalf("sell bound %d not chunk-aligned", bounds[i])
-					}
-				case BackendBSR:
-					if bounds[i]%3 != 0 {
-						t.Fatalf("bsr bound %d not block-aligned", bounds[i])
-					}
+				if be.kind() == BackendBSR && bounds[i]%3 != 0 {
+					t.Fatalf("bsr bound %d not block-aligned", bounds[i])
 				}
 			}
 		}
@@ -195,33 +194,26 @@ func TestDetectBSRBlock(t *testing.T) {
 	}
 }
 
-// TestForcedBackendDefaults: with the chunk, sigma and block-size
-// options gone, a forced SELL plan converts at the default chunk and
-// window and a forced BSR plan at the block size the structure suggests.
+// TestForcedBackendDefaults: with the block-size option gone, a forced
+// BSR plan converts at the block size the structure suggests.
 func TestForcedBackendDefaults(t *testing.T) {
 	a := blockCSR(rand.New(rand.NewSource(14)), 40, 3, 3)
-	backendOf := func(k BackendKind) execBackend {
-		t.Helper()
-		p, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Close()
-		return p.state.Load().be
+	p, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(BackendBSR))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := backendOf(BackendSELL).(*sellBackend).s; s.C != DefaultSELLChunk || s.Sigma != DefaultSELLSigma {
-		t.Fatalf("forced SELL built at C=%d sigma=%d, want %d/%d", s.C, s.Sigma, DefaultSELLChunk, DefaultSELLSigma)
-	}
-	if b := backendOf(BackendBSR).(*bsrBackend).b; b.R != 3 || b.R != DetectBSRBlock(a) {
+	p.Close()
+	if b := p.state.Load().be.(*bsrBackend).b; b.R != 3 || b.R != DetectBSRBlock(a) {
 		t.Fatalf("forced BSR built at R=%d, want the detected 3", b.R)
 	}
 }
 
 // TestPlanStatsBackend verifies that what a plan's kernels execute on
 // surfaces through PlanStats and Plan.Backend (the exposition's backend
-// label reads PlanStats): the forced backend of a standard-engine plan, the split of a
-// forward-backward one (whatever Backend it was asked for), the raw CSR
-// of a level-blocked one.
+// label reads PlanStats): the forced backend of a standard-engine plan
+// and the census's pick of an Auto one (CSR on these 3-entry rows), the
+// split of a forward-backward one (whatever Backend it was asked for),
+// the raw CSR of a level-blocked one.
 func TestPlanStatsBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a := randomCSR(rng, 30, 3)
@@ -231,10 +223,10 @@ func TestPlanStatsBackend(t *testing.T) {
 		want string
 	}{
 		{EngineStandard, WithBackend(BackendCSR), "csr"},
-		{EngineStandard, WithBackend(BackendSELL), "sell"},
+		{EngineStandard, WithBackend(BackendAuto), "csr"},
 		{EngineStandard, WithBackend(BackendBSR), "bsr"},
 		{EngineForwardBackward, WithBackend(BackendCSR), "split"},
-		{EngineForwardBackward, WithBackend(BackendSELL), "split"},
+		{EngineForwardBackward, WithBackend(BackendBSR), "split"},
 		{EngineLevelBlocked, WithBackend(BackendBSR), "csr"},
 	}
 	for _, tc := range cases {
@@ -263,13 +255,13 @@ func TestFBPlanWithBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Close()
-	p, err := NewPlan(a, WithBackend(BackendSELL))
+	p, err := NewPlan(a, WithBackend(BackendBSR))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	if ep := p.state.Load(); ep.be != nil || ep.a != nil || ep.tri == nil {
-		t.Fatalf("FB plan with BackendSELL holds be=%v a=%v tri=%v, want the split only", ep.be, ep.a, ep.tri)
+		t.Fatalf("FB plan with BackendBSR holds be=%v a=%v tri=%v, want the split only", ep.be, ep.a, ep.tri)
 	}
 	want, err := base.MPK(x0, 5)
 	if err != nil {
@@ -290,16 +282,16 @@ func TestFBPlanWithBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer std.Close()
-	sell, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(BackendSELL))
+	bsr, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(BackendBSR))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sell.Close()
+	defer bsr.Close()
 	wb, err := std.MPKMulti(xs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := sell.MPKMulti(xs, 3)
+	gb, err := bsr.MPKMulti(xs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func BenchmarkNewPlan(b *testing.B) {
 // BenchmarkBackendProfile is the off-line profile behind backendCosts:
 // one SpMV of each table row's format, through the backend the plan
 // runs, on two 12-DOF grid beds of ≈ 2.4 M entries whose node blocks
-// are dense (BSR 2, 3 and 4 store no fill, SELL no padding), 12 entries
+// are dense (BSR 2, 3 and 4 store no fill), 12 entries
 // a row (block diagonal) and 108 (a periodic 9-point 2D stencil). Every
 // iteration times each format on each bed in turn and the minimum per
 // cell is kept; the 2 x 2 solve of those two times against the two
@@ -267,9 +267,7 @@ func BenchmarkBackendProfile(b *testing.B) {
 		for j, c := range backendCosts {
 			switch c.kind {
 			case BackendCSR:
-				cands[i][j], backends[i][j] = candidate(c.kind, []*sparse.CSR{a}), csrBackend{a: a}
-			case BackendSELL:
-				cands[i][j], backends[i][j] = candidate(c.kind, []*sparse.CSR{a}), &sellBackend{s: sparse.ToSELL(a, DefaultSELLChunk, DefaultSELLSigma)}
+				cands[i][j], backends[i][j] = TuneCandidate{Stored: a.NNZ(), Rows: a.Rows}, csrBackend{a: a}
 			case BackendBSR:
 				r := c.block
 				cands[i][j] = TuneCandidate{Stored: sparse.CountBSRBlocks(a)[r-2] * int64(r*r), Rows: (a.Rows + r - 1) / r}
@@ -451,7 +449,7 @@ func BenchmarkStandardBackends(b *testing.B) {
 	a := sweepBed(b, *sweepMatrix)
 	x := sparse.Ones(a.Rows)
 	xs := [][]float64{x, x, x, x}
-	for _, kind := range []BackendKind{BackendCSR, BackendSELL, BackendBSR, BackendAuto} {
+	for _, kind := range []BackendKind{BackendCSR, BackendBSR, BackendAuto} {
 		for _, multi := range []bool{false, true} {
 			name, threads := kind.String(), 0
 			call := func(p *Plan) (err error) { _, err = p.MPK(x, 6); return err }

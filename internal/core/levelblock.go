@@ -307,8 +307,7 @@ func (ls *levelSchedule) validatePermuted(pa *sparse.CSR) error {
 
 // lbEngine is the level-blocked engine of a plan. The kernel reads the
 // epoch's raw level-ordered CSR: the skewed step ranges move every
-// pass, which the chunk/block-aligned SELL and BSR range kernels could
-// not serve.
+// pass, which the block-aligned BSR range kernels could not serve.
 type lbEngine struct {
 	team team
 	ls   *levelSchedule

@@ -53,23 +53,19 @@ const (
 	phaseBackward
 	phaseStandard // standard-engine SpMV sweeps
 	phaseSymGS
-	// Backend variants of the standard phase, appended at the end so
-	// earlier phase indices stay stable for trace consumers.
-	phaseStandardSELL // standard-engine sweeps on the SELL-C-sigma backend
-	phaseStandardBSR  // standard-engine sweeps on the BSR backend
-	phaseLevel        // level-blocked engine block passes
+	phaseStandardBSR // standard-engine sweeps on the BSR backend
+	phaseLevel       // level-blocked engine block passes
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
-	phaseHead:         "head",
-	phaseForward:      "forward",
-	phaseBackward:     "backward",
-	phaseStandard:     "standard",
-	phaseSymGS:        "symgs",
-	phaseStandardSELL: "standard_sell",
-	phaseStandardBSR:  "standard_bsr",
-	phaseLevel:        "level",
+	phaseHead:        "head",
+	phaseForward:     "forward",
+	phaseBackward:    "backward",
+	phaseStandard:    "standard",
+	phaseSymGS:       "symgs",
+	phaseStandardBSR: "standard_bsr",
+	phaseLevel:       "level",
 }
 
 // planMetrics is the live atomic counter set owned by a Plan.

@@ -82,9 +82,8 @@ type Options struct {
 	SelfCheck bool
 	// Backend selects the storage format the standard engine's SpMV/SpMM
 	// sweeps run on. The zero value BackendCSR keeps the bitwise-stable
-	// baseline; BackendSELL/BackendBSR force a format at
-	// DefaultSELLChunk/DefaultSELLSigma and the DetectBSRBlock size;
-	// BackendAuto picks one of those three from the matrix structure (see
+	// baseline; BackendBSR forces block CSR at the DetectBSRBlock size;
+	// BackendAuto picks CSR or BSR from the matrix structure (see
 	// TuneDecision) and builds that forced plan.
 	// Only meaningful for EngineStandard: the forward-backward sweeps
 	// run on the L+D+U split and the level-blocked steps on raw CSR.
@@ -235,9 +234,9 @@ func WithSelfCheck(on bool) Option {
 }
 
 // WithBackend selects the storage format of the standard engine's
-// sweeps (see Options.Backend): BackendSELL/BackendBSR force a format,
-// BackendAuto picks CSR, SELL or BSR from a structure census at build
-// time, BackendCSR (the default) keeps the bitwise-stable CSR baseline.
+// sweeps (see Options.Backend): BackendBSR forces block CSR,
+// BackendAuto picks CSR or BSR from a structure census at build time,
+// BackendCSR (the default) keeps the bitwise-stable CSR baseline.
 // Inert under every other engine.
 func WithBackend(k BackendKind) Option {
 	return optionFunc(func(o *Options) { o.Backend = k })

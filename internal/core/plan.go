@@ -157,7 +157,7 @@ type PlanStats struct {
 	// pool (Threads > 1) rather than the serial path.
 	ParallelPrep bool
 	// Backend is what the plan's kernels execute on: the standard
-	// engine's backend format ("csr", "sell", "bsr"), "split" for the
+	// engine's backend format ("csr", "bsr"), "split" for the
 	// forward-backward L+D+U, "csr" for the level-ordered matrix.
 	Backend string
 	// TuneTime is what the backend resolution cost: BackendAuto's

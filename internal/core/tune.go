@@ -7,25 +7,14 @@ import "fbmpk/internal/sparse"
 // and per stored row in each format on the machine (backendCosts), and
 // an on-line census of what a matrix would store in each. At NewPlan time
 // (BackendAuto) the census counts, over a bounded, deterministic row
-// sample of the execution-order matrix, the entries each candidate
-// stores (SELL padding and BSR fill included) and its rows (block rows
-// for BSR); the table prices them, and a non-CSR candidate wins only at
-// tuneMargin of CSR's price or below. Nothing is timed: the verdict is a
-// pure function of the matrix structure, so an Auto plan is the forced
-// plan of the format it names, bit for bit, and there is nothing to
-// cache or replay.
+// sample of the execution-order matrix, the entries CSR and BSR store
+// (BSR fill included) and their rows (block rows for BSR); the table
+// prices them, and BSR wins only at tuneMargin of CSR's price or below.
+// Nothing is timed: the verdict is a pure function of the matrix
+// structure, so an Auto plan is the forced plan of the format it names,
+// bit for bit, and there is nothing to cache or replay.
 
 const (
-	// DefaultSELLChunk is the SELL-C-sigma chunk height of a forced
-	// BackendSELL and of the SELL candidate: 8 rows matches the widest
-	// SIMD lane count the flat kernels target while keeping padding
-	// modest.
-	DefaultSELLChunk = 8
-	// DefaultSELLSigma is the sigma sorting window that goes with it:
-	// wide enough to squeeze padding on irregular degree distributions,
-	// narrow enough to keep the sort local to the ABMC block structure.
-	DefaultSELLSigma = 256
-
 	// tuneSampleRows bounds the sample: matrices at most this tall are
 	// counted whole, larger ones via tuneStripes aligned stripes of
 	// tuneStripeRows rows each.
@@ -38,9 +27,9 @@ const (
 	// candidate block sizes (lcm of 2, 3, 4) so BSR block phase in the
 	// sample matches the full matrix.
 	tuneAlign = 12
-	// tuneMargin is the fraction of CSR's price a non-CSR candidate
-	// must reach to win: the table's two terms do not see the gather
-	// locality a format changes, so a near tie stays with CSR.
+	// tuneMargin is the fraction of CSR's price BSR must reach to win:
+	// the table's two terms do not see the gather locality a format
+	// changes, so a near tie stays with CSR.
 	tuneMargin = 0.90
 	// profileMinRowEntries is the entries a row of BenchmarkBackendProfile's
 	// shortest bed: autotune keeps a sample with fewer on CSR.
@@ -51,7 +40,7 @@ const (
 // per stored entry and per stored row.
 type backendCost struct {
 	kind           BackendKind
-	block          int // BSR block size; 0 for the other formats
+	block          int // BSR block size; 0 for CSR
 	nsEntry, nsRow float64
 }
 
@@ -60,12 +49,10 @@ type backendCost struct {
 // medians of what BenchmarkBackendProfile (bench_test.go, -benchtime 20x)
 // printed in 13 separate processes, unedited. DESIGN.md §10 lists the
 // runs. The fit is linear in entries and rows over beds of 12 and 108
-// entries a row, so SELL's negative ns/row is the intercept of its
-// steeper per-entry slope, not a cost a row can have: below the
-// profiled rows autotune does not price at all.
+// entries a row, so its intercepts are not costs a row can have: below
+// the profiled rows autotune does not price at all.
 var backendCosts = [...]backendCost{
 	{BackendCSR, 0, 1.683, 2.891},
-	{BackendSELL, 0, 3.151, -7.109},
 	{BackendBSR, 2, 1.782, 2.311},
 	{BackendBSR, 3, 1.471, 3.258},
 	{BackendBSR, 4, 1.363, 4.39},
@@ -76,7 +63,7 @@ type TuneCandidate struct {
 	Backend BackendKind `json:"backend"`
 	Block   int         `json:"block,omitempty"`
 	// Stored counts the entries the format stores of the sample: its
-	// nonzeros, plus SELL padding or BSR fill.
+	// nonzeros, plus BSR fill.
 	Stored int64 `json:"stored"`
 	// Rows counts the rows it stores: block rows for BSR.
 	Rows int `json:"rows"`
@@ -93,24 +80,9 @@ type TuneDecision struct {
 	Block   int         `json:"block,omitempty"`
 	// SampleRows is the number of rows the census counted.
 	SampleRows int `json:"sample_rows"`
-	// Candidates are CSR, SELL and BSR at DetectBSRBlock's size, in
-	// that order: exactly what the forced backends build.
+	// Candidates are CSR and BSR at DetectBSRBlock's size, in that
+	// order: exactly what the forced backends build.
 	Candidates []TuneCandidate `json:"candidates"`
-}
-
-// candidate counts what CSR or SELL (at DefaultSELLChunk and
-// DefaultSELLSigma, padding included) stores of the stripes of a sample.
-func candidate(kind BackendKind, sample []*sparse.CSR) TuneCandidate {
-	c := TuneCandidate{Backend: kind}
-	for _, s := range sample {
-		c.Rows += s.Rows
-		if kind == BackendSELL {
-			c.Stored += sparse.CountSELLSlots(s, DefaultSELLChunk, DefaultSELLSigma)
-		} else {
-			c.Stored += s.NNZ()
-		}
-	}
-	return c
 }
 
 // bsrCandidate counts what BSR stores of the stripes of a sample, fill
@@ -180,15 +152,20 @@ func tuneSample(a *sparse.CSR) []*sparse.CSR {
 }
 
 // autotune is BackendAuto's verdict for the execution-order matrix a:
-// the census of CSR, SELL and BSR at DetectBSRBlock's size on
-// tuneSample(a), and the cheapest of them if it prices at tuneMargin of
-// CSR's price or below, else CSR. A sample with fewer entries a row than
-// the profile's shortest bed stays on CSR: the table is a fit over the
-// profiled rows, and below them its intercepts price rows it never saw;
-// nor does a candidate the table prices at 0 or below win.
+// the census of CSR and BSR at DetectBSRBlock's size on tuneSample(a),
+// and BSR if it prices at tuneMargin of CSR's price or below, else CSR.
+// A sample with fewer entries a row than the profile's shortest bed
+// stays on CSR: the table is a fit over the profiled rows, and below
+// them its intercepts price rows it never saw. Nor does an empty sample,
+// which both formats price at 0, leave CSR.
 func autotune(a *sparse.CSR) TuneDecision {
 	sample := tuneSample(a)
-	cands := []TuneCandidate{candidate(BackendCSR, sample), candidate(BackendSELL, sample), bsrCandidate(sample)}
+	csr := TuneCandidate{Backend: BackendCSR}
+	for _, s := range sample {
+		csr.Stored += s.NNZ()
+		csr.Rows += s.Rows
+	}
+	cands := []TuneCandidate{csr, bsrCandidate(sample)}
 	for i, c := range cands {
 		for _, row := range backendCosts {
 			if row.kind == c.Backend && row.block == c.Block {
@@ -196,13 +173,9 @@ func autotune(a *sparse.CSR) TuneDecision {
 			}
 		}
 	}
-	csr, winner := cands[0], 0
-	if csr.Stored >= profileMinRowEntries*int64(csr.Rows) {
-		for i, c := range cands {
-			if c.PriceNs > 0 && c.PriceNs <= tuneMargin*csr.PriceNs && c.PriceNs < cands[winner].PriceNs {
-				winner = i
-			}
-		}
+	winner := 0
+	if bsr := cands[1].PriceNs; csr.Stored >= profileMinRowEntries*int64(csr.Rows) && bsr > 0 && bsr <= tuneMargin*cands[0].PriceNs {
+		winner = 1
 	}
 	cands[winner].Winner = true
 	return TuneDecision{Backend: cands[winner].Backend, Block: cands[winner].Block, SampleRows: csr.Rows, Candidates: cands}

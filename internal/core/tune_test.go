@@ -68,8 +68,8 @@ func TestAutotuneDeterministicVerdict(t *testing.T) {
 			decs = append(decs, p.Stats().Tune)
 			p.Close()
 		}
-		if decs[0] == nil || decs[0].Backend != in.want || len(decs[0].Candidates) != 3 {
-			t.Fatalf("verdict %+v, want %v over three candidates", decs[0], in.want)
+		if decs[0] == nil || decs[0].Backend != in.want || len(decs[0].Candidates) != 2 {
+			t.Fatalf("verdict %+v, want %v over two candidates", decs[0], in.want)
 		}
 		for _, d := range decs[1:] {
 			if !reflect.DeepEqual(d, decs[0]) {
@@ -96,7 +96,7 @@ func TestAutotuneModelFavorsBSROnBlockMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := blockCSR(rng, 700, 3, 4)
 	d := autotune(a)
-	csr, bsr := d.Candidates[0], d.Candidates[2]
+	csr, bsr := d.Candidates[0], d.Candidates[1]
 	if csr.Backend != BackendCSR || csr.Stored != a.NNZ() || csr.Rows != a.Rows {
 		t.Fatalf("csr census %+v of a %d-row matrix with %d entries", csr, a.Rows, a.NNZ())
 	}
@@ -111,8 +111,7 @@ func TestAutotuneModelFavorsBSROnBlockMatrix(t *testing.T) {
 // TestWithTunedDecisionSkipsSampling: with nothing timed there is no
 // verdict to replay — an Auto plan is bitwise the forced plan of the
 // backend it reports, serial and on two workers, on beds whose census
-// picks CSR and BSR. No bed picks SELL: the table prices it above CSR at
-// every row length it profiles.
+// picks CSR and BSR, the two formats it chooses between.
 func TestWithTunedDecisionSkipsSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	picks := map[BackendKind]bool{}
@@ -290,9 +289,9 @@ func TestAutotuneWinnerWasMeasuredFaster(t *testing.T) {
 // table, to the formats that were fastest over ten rounds of
 // BenchmarkStandardBackends on the five out-of-cache beds of DESIGN.md
 // §10 (G3_circuit x4 and x0.05 share one structure), except G3_circuit:
-// its 4.8 entries a row are below the profiled rows, so it stays on CSR
-// where SELL was fastest. The stand-ins here are small, and a stripe
-// sample of their structure is what the census counts at any scale.
+// its 4.8 entries a row are below the profiled rows, so it stays on CSR.
+// The stand-ins here are small, and a stripe sample of their structure
+// is what the census counts at any scale.
 func TestAutotuneSuiteVerdicts(t *testing.T) {
 	for _, want := range []struct {
 		name    string
@@ -312,24 +311,36 @@ func TestAutotuneSuiteVerdicts(t *testing.T) {
 
 // TestAutotuneShortRowsStayCSR: a sample with fewer entries a row than
 // the profile's shortest bed is not priced, so it stays on CSR however
-// the table's intercepts would price it — a diagonal and a tridiagonal
-// matrix, both below and above tuneSampleRows, where SELL's negative
-// ns/row would otherwise price it at a fraction of CSR.
+// the table's intercepts would price it — a diagonal, a tridiagonal and
+// a dense 3 x 3 block-diagonal matrix, both below and above
+// tuneSampleRows. The block bed is the guard's witness: with 3 entries a
+// row the table prices it to BSR 3 at ≈ 0.69 x CSR, so it fails if the
+// guard goes.
 func TestAutotuneShortRowsStayCSR(t *testing.T) {
-	for _, n := range []int{1000, 10_000} {
-		for _, band := range []int{0, 1} {
-			coo := sparse.NewCOO(n, n, (2*band+1)*n)
+	beds := []struct {
+		name string
+		in   func(i, j int) bool
+	}{
+		{"diagonal", func(i, j int) bool { return i == j }},
+		{"tridiagonal", func(i, j int) bool { return i-j <= 1 && j-i <= 1 }},
+		{"3x3 blocks", func(i, j int) bool { return i/3 == j/3 }},
+	}
+	for _, n := range []int{999, 9999} {
+		for _, bed := range beds {
+			coo := sparse.NewCOO(n, n, 3*n)
 			for i := 0; i < n; i++ {
-				for j := max(i-band, 0); j <= min(i+band, n-1); j++ {
-					coo.Add(i, j, 1)
+				for j := max(i-2, 0); j <= min(i+2, n-1); j++ {
+					if bed.in(i, j) {
+						coo.Add(i, j, 1)
+					}
 				}
 			}
 			d := autotune(coo.ToCSR())
 			if d.Backend != BackendCSR || !d.Candidates[0].Winner {
-				t.Errorf("n=%d band=%d: verdict %v/%d from %+v, want csr", n, band, d.Backend, d.Block, d.Candidates)
+				t.Errorf("n=%d %s: verdict %v/%d from %+v, want csr", n, bed.name, d.Backend, d.Block, d.Candidates)
 			}
-			if sell := d.Candidates[1]; sell.PriceNs > tuneMargin*d.Candidates[0].PriceNs {
-				t.Errorf("n=%d band=%d: SELL priced %.0f ns, not below CSR's %.0f: the rows no longer test the guard", n, band, sell.PriceNs, d.Candidates[0].PriceNs)
+			if bsr := d.Candidates[1]; bed.name == "3x3 blocks" && (bsr.Block != 3 || bsr.PriceNs > tuneMargin*d.Candidates[0].PriceNs) {
+				t.Errorf("n=%d: BSR %d priced %.0f ns, not below CSR's %.0f: the bed no longer tests the guard", n, bsr.Block, bsr.PriceNs, d.Candidates[0].PriceNs)
 			}
 		}
 	}

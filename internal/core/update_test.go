@@ -63,7 +63,9 @@ func TestUpdateValuesBitwise(t *testing.T) {
 		{"fb-parallel", DefaultOptions(4)},
 		{"fb-serial-abmc", Options{Engine: EngineForwardBackward, BtB: true, ForceABMC: true}},
 		{"standard-csr-abmc", Options{Engine: EngineStandard, Threads: 2, ForceABMC: true}},
-		{"standard-sell", Options{Engine: EngineStandard, Backend: BackendSELL}},
+		// standard-sell keeps the name it had while SELL was a backend;
+		// it now spells the census's plan.
+		{"standard-sell", Options{Engine: EngineStandard, Backend: BackendAuto}},
 		{"standard-bsr", Options{Engine: EngineStandard, Backend: BackendBSR}},
 		{"levelblock", Options{Engine: EngineLevelBlocked, Threads: 2, LevelBlockBytes: 4 << 10}},
 	}

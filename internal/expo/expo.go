@@ -31,7 +31,7 @@ type PlanSnapshot struct {
 
 // planLabels returns the base label set of a plan's series: the plan
 // name plus, when the plan reports what its kernels execute on, the
-// backend label ("csr", "sell", "bsr"; "split" for a forward-backward
+// backend label ("csr", "bsr"; "split" for a forward-backward
 // plan) on the same series. A snapshot without stats keeps the
 // plan-only label set.
 func planLabels(s PlanSnapshot, extra ...[2]string) labels {

@@ -252,7 +252,6 @@ func TestFingerprintBackendSensitivity(t *testing.T) {
 	seen := map[Key]string{}
 	for name, po := range map[string]core.Options{
 		"standard+csr":  {Engine: core.EngineStandard},
-		"standard+sell": {Engine: core.EngineStandard, Backend: core.BackendSELL},
 		"standard+bsr":  {Engine: core.EngineStandard, Backend: core.BackendBSR},
 		"standard+auto": {Engine: core.EngineStandard, Backend: core.BackendAuto},
 		"fb+auto":       {Engine: core.EngineForwardBackward, Backend: core.BackendAuto},
@@ -267,14 +266,14 @@ func TestFingerprintBackendSensitivity(t *testing.T) {
 }
 
 // TestFingerprintBackendCanonicalEquivalence: Backend belongs to the
-// standard engine, so under every other engine all four values are one
-// registry key — fb+sell and fb+csr build the same plan.
+// standard engine, so under every other engine all three values are one
+// registry key — fb+bsr and fb+csr build the same plan.
 func TestFingerprintBackendCanonicalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := testCSR(rng, 80, 4)
 	for _, eng := range []core.Engine{core.EngineForwardBackward, core.EngineLevelBlocked, core.EngineAuto} {
 		base := core.Options{Engine: eng, BtB: true, Threads: 2}
-		for _, bk := range []core.BackendKind{core.BackendAuto, core.BackendSELL, core.BackendBSR} {
+		for _, bk := range []core.BackendKind{core.BackendAuto, core.BackendBSR} {
 			o := base
 			o.Backend = bk
 			if Fingerprint(a, o) != Fingerprint(a, base) {

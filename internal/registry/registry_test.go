@@ -526,7 +526,6 @@ func TestRegistryTuneCountersInertForCSR(t *testing.T) {
 	defer reg.Close()
 	for _, opt := range []core.Options{
 		{Engine: core.EngineStandard},
-		{Engine: core.EngineStandard, Backend: core.BackendSELL},
 		{Engine: core.EngineStandard, Backend: core.BackendBSR},
 		{Engine: core.EngineForwardBackward, BtB: true, Threads: 2, Backend: core.BackendAuto},
 		{Engine: core.EngineLevelBlocked, Backend: core.BackendAuto},

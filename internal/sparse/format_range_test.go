@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Range/SpMM kernels of the SELL and BSR execution backends: every
-// (format, range split, block width) combination must reproduce the
-// CSR reference row for row.
+// Range kernels of the SELL format and Range/SpMM kernels of the BSR
+// execution backend: every (format, range split, block width)
+// combination must reproduce the CSR reference row for row.
 
 func refSpMV(a *CSR, x []float64) []float64 {
 	y := make([]float64, a.Rows)
@@ -64,33 +64,6 @@ func TestSELLSpMVRange(t *testing.T) {
 					t.Fatalf("n=%d C=%d sigma=%d cuts=%v: SpMVRange deviates %g", n, cfg[0], cfg[1], cuts, d)
 				}
 			}
-		}
-	}
-}
-
-func TestSELLSpMM(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	n := 57
-	a := randomCSR(rng, n, 5)
-	for _, nv := range []int{1, 2, 3, 4} {
-		x := make([]float64, n*nv)
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-		}
-		want := make([]float64, n*nv)
-		SpMM(a, x, want, nv)
-		s := ToSELL(a, 8, 32)
-		got := make([]float64, n*nv)
-		s.SpMM(x, got, nv)
-		if d := maxAbsDiff(t, got, want); d > 1e-12 {
-			t.Fatalf("nv=%d: SELL SpMM deviates %g", nv, d)
-		}
-		// Split ranges must cover without overlap.
-		got2 := make([]float64, n*nv)
-		s.SpMMRange(x, got2, nv, 0, n/3)
-		s.SpMMRange(x, got2, nv, n/3, n)
-		if d := maxAbsDiff(t, got2, want); d > 1e-12 {
-			t.Fatalf("nv=%d: SELL SpMMRange deviates %g", nv, d)
 		}
 	}
 }

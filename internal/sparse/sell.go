@@ -93,55 +93,6 @@ func ToSELL(a *CSR, c, sigma int) *SELL {
 	return s
 }
 
-// CountSELLSlots returns the slots (nonzeros plus padding) ToSELL(a, c,
-// sigma) would store, without converting a: ToSELL pads a chunk to its
-// widest row, and sorts each sigma window longest row first, so chunk k
-// of a window is as wide as the window's (k*c)-th longest row. Without
-// sorting (sigma <= 1) each chunk is its own window.
-func CountSELLSlots(a *CSR, c, sigma int) (slots int64) {
-	if c <= 0 {
-		panic("sparse: SELL chunk height must be positive")
-	}
-	win := max(c, (sigma+c-1)/c*c) // ToSELL's window: whole chunks, one if unsorted
-	lens := make([]int, win)
-	for w := 0; w < a.Rows; w += win {
-		l := lens[:min(win, a.Rows-w)]
-		for i := range l {
-			l[i] = a.RowNNZ(w + i)
-		}
-		sort.Ints(l)
-		for k := len(l) - 1; k >= 0; k -= c {
-			slots += int64(c * l[k])
-		}
-	}
-	return slots
-}
-
-// WithValues builds a new SELL holding a's values in s's layout. All
-// structure arrays (ChunkPtr, ChunkWidth, ColIdx, Perm) are shared
-// with the receiver; only Val is freshly allocated and refilled, with
-// padding slots left zero. a must have the structure s was built from;
-// the caller verifies that. The receiver is not modified.
-func (s *SELL) WithValues(a *CSR) *SELL {
-	ns := *s
-	ns.Val = make([]float64, len(s.Val))
-	c := s.C
-	for ch := 0; ch*c < s.Rows; ch++ {
-		base := s.ChunkPtr[ch]
-		for lane := 0; lane < c; lane++ {
-			r := ch*c + lane
-			if r >= s.Rows {
-				continue
-			}
-			_, vals := a.Row(int(s.Perm[r]))
-			for k := range vals {
-				ns.Val[base+int64(k*c+lane)] = vals[k]
-			}
-		}
-	}
-	return &ns
-}
-
 // SpMV computes y = S*x with results in original row order.
 func (s *SELL) SpMV(x, y []float64) {
 	if len(x) < s.Cols || len(y) < s.Rows {
@@ -184,59 +135,6 @@ func (s *SELL) SpMVRange(x, y []float64, lo, hi int) {
 				sum += s.Val[idx] * x[s.ColIdx[idx]]
 			}
 			y[s.Perm[ch*c+lane]] = sum
-		}
-	}
-}
-
-// SpMM computes Y = S*X for nv dense vectors in the row-major block
-// layout of sparse.SpMM (X[i*nv+c] is component c at row i), with
-// results in original row order.
-func (s *SELL) SpMM(x, y []float64, nv int) {
-	if nv < 1 {
-		panic("sparse: SELL SpMM needs nv >= 1")
-	}
-	if len(x) < s.Cols*nv || len(y) < s.Rows*nv {
-		panic("sparse: SELL SpMM dimension mismatch")
-	}
-	s.SpMMRange(x, y, nv, 0, s.Rows)
-}
-
-// SpMMRange computes the storage-row range [lo, hi) of Y = S*X in the
-// row-major block layout; see SpMVRange for the storage-row contract.
-func (s *SELL) SpMMRange(x, y []float64, nv, lo, hi int) {
-	n := s.Rows
-	if hi > n {
-		hi = n
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	c := s.C
-	for ch := lo / c; ch*c < hi; ch++ {
-		base := s.ChunkPtr[ch]
-		w := int(s.ChunkWidth[ch])
-		laneLo := 0
-		if ch*c < lo {
-			laneLo = lo - ch*c
-		}
-		laneHi := c
-		if ch*c+laneHi > hi {
-			laneHi = hi - ch*c
-		}
-		for lane := laneLo; lane < laneHi; lane++ {
-			row := int(s.Perm[ch*c+lane]) * nv
-			yi := y[row : row+nv : row+nv]
-			for v := range yi {
-				yi[v] = 0
-			}
-			for k := 0; k < w; k++ {
-				idx := base + int64(k*c+lane)
-				val := s.Val[idx]
-				xv := x[int(s.ColIdx[idx])*nv : int(s.ColIdx[idx])*nv+nv]
-				for v := range yi {
-					yi[v] += val * xv[v]
-				}
-			}
 		}
 	}
 }
