@@ -27,7 +27,7 @@ go test ./...
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
 [ "$lines" -le 5651 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 16680 ]
+[ "$lines" -le 16195 ]
 # Knob ratchet (ROADMAP item 2, "Options <= 8 fields"): the exported
 # fields of core.Options, counted from the source. A new option has to
 # displace one.

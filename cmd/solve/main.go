@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -204,6 +205,9 @@ func run(file, matrix string, scale float64, seed uint64, method string, tol flo
 			x0[i] = float64(int64(s%2000)-1000) / 1000
 		}
 		res, err := solver.PowerMethod(plan, x0, 4, maxIter, tol)
+		if err != nil && !errors.Is(err, solver.ErrNotConverged) {
+			return err
+		}
 		if err != nil {
 			fmt.Printf("power method: %v\n", err)
 		}
@@ -238,6 +242,9 @@ func run(file, matrix string, scale float64, seed uint64, method string, tol flo
 		fmt.Printf("Lanczos(%d) spectrum estimate: [%.6g, %.6g]\n", degree, lo, hi)
 	case "subspace":
 		res, err := solver.SubspaceIteration(plan, 3, 3, maxIter, tol, seed)
+		if err != nil && !errors.Is(err, solver.ErrNotConverged) {
+			return err
+		}
 		if err != nil {
 			fmt.Printf("subspace iteration: %v\n", err)
 		}

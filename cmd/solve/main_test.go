@@ -59,6 +59,12 @@ func TestSolveErrors(t *testing.T) {
 	if err := run("", "cant", 0.002, 1, "bogus", 1e-8, 10, 4, 1, "csr", "fbmpk", false, false, "", "", 0); err == nil {
 		t.Error("accepted unknown method")
 	}
+	// A solver's argument error has no estimate to print: it is returned.
+	for _, method := range []string{"power", "subspace"} {
+		if err := run("", "cant", 0.002, 1, method, 1e-8, 0, 4, 1, "csr", "fbmpk", false, false, "", "", 0); err == nil {
+			t.Errorf("-method %s accepted -maxiter 0", method)
+		}
+	}
 }
 
 func TestSolveWritesTrace(t *testing.T) {

@@ -116,3 +116,25 @@ func ExampleStandardMPK() {
 	fmt.Println(x)
 	// Output: [7 5]
 }
+
+// ExampleVerify checks a default plan's A^5 x on a pwtk stand-in
+// against k plain SpMV sweeps, the paper's Algorithm 1 baseline.
+func ExampleVerify() {
+	a, err := fbmpk.GenerateSuiteMatrix("pwtk", 0.001, 42)
+	if err != nil {
+		panic(err)
+	}
+	plan, err := fbmpk.NewPlan(a)
+	if err != nil {
+		panic(err)
+	}
+	defer plan.Close()
+	x0 := make([]float64, a.Rows)
+	x0[0] = 1
+	got, err := plan.MPK(x0, 5)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(a.Rows, "rows, agrees with the baseline:", fbmpk.Verify(a, x0, got, 5, 1e-12) == nil)
+	// Output: 250 rows, agrees with the baseline: true
+}

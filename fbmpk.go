@@ -399,7 +399,7 @@ func SuiteNames() []string { return matgen.Names() }
 
 // Verify checks an MPK result against the serial baseline and returns
 // an error when the relative max difference exceeds tol. Intended for
-// smoke tests and examples.
+// smoke tests; ExampleVerify and solver's ExampleCG show it in use.
 func Verify(a *Matrix, x0, got []float64, k int, tol float64) error {
 	want, err := StandardMPK(a, x0, k)
 	if err != nil {

@@ -177,7 +177,7 @@ func TestLevelPermuteRejectsBrokenLevels(t *testing.T) {
 // bytes an entry) allocate those bytes and O(n) words beside them, no
 // more and no less: on the benchmark's one-thread DRAM bed the timed
 // operations run on the garbage a build leaves, so less of it is a
-// change too (EXPERIMENTS.md, "The step that was withheld").
+// change too (DESIGN.md section 13, the withheld BFS).
 func TestLevelBuildAllocation(t *testing.T) {
 	spec, err := matgen.ByName("pwtk")
 	if err != nil {

@@ -112,8 +112,8 @@ func spmvIndexed[I int16 | int32](rp []int64, idx []I, v, x, y []float64, rel in
 // shape) is multiplied through int32 columns, 12 bytes an entry, and
 // through int16 deltas from the row index, 10 bytes an entry and the same
 // gathers. One size sits in cache, one (1.3 GB in the int32 form) is five
-// times the last-level cache. EXPERIMENTS.md "The m = 4 sweeps (PR 20)"
-// has the ratio.
+// times the last-level cache. DESIGN.md section 6 ("What bounds the
+// kernels on this host") has the ratio.
 func BenchmarkSpMVIndexWidth(b *testing.B) {
 	for _, n := range []int{20_000, 4_000_000} {
 		const perRow, band = 27, 3000

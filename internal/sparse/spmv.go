@@ -13,8 +13,8 @@ package sparse
 //     (cr[k:k+4:k+4]): the window's length is the constant 4, so all
 //     eight element accesses per step are provably in bounds and only
 //     one slice check per window remains. Plain unrolled indexing
-//     (vr[k], vr[k+1], ...) defeats the prove pass in Go 1.24 — see
-//     EXPERIMENTS.md for the measured check counts.
+//     (vr[k], vr[k+1], ...) defeats the prove pass in Go 1.24; check counts
+//     in "Bounds-check elimination in the CSR kernels", git show 6d66388:EXPERIMENTS.md.
 //   - The gather x[cr[k]] keeps its bounds check: the index is
 //     data-dependent and no idiom can remove it.
 //
