@@ -8,7 +8,6 @@
 //	solve -matrix G3_circuit -method chebyshev -degree 8
 //	solve -matrix ldoor -method power
 //	solve -file m.mtx -method cg
-//	solve -matrix audikw_1 -engine standard -backend auto   # storage format picked by census (standard engine only)
 //	solve -matrix G3_circuit -engine auto        # the recommended engine (today FBMPK)
 //	solve -matrix cant -trace solve.trace.json   # Chrome/Perfetto execution trace
 //	solve -matrix cant -http :6060 -linger 30s   # /metrics, /trace, /debug/pprof
@@ -22,7 +21,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"fbmpk"
@@ -41,7 +39,6 @@ func main() {
 		maxIter = flag.Int("maxiter", 2000, "iteration budget")
 		degree  = flag.Int("degree", 8, "chebyshev polynomial degree / krylov s")
 		threads = flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads")
-		backend = flag.String("backend", "csr", "storage backend of -engine standard (inert under the other engines): csr | auto | bsr")
 		engine  = flag.String("engine", "fbmpk", "MPK engine: fbmpk | standard | levelblock | auto")
 		cache   = flag.Bool("cache", false, "acquire the plan through a fingerprint-keyed plan registry (prints the cache key and counters; -http then also exposes fbmpk_cache_* metrics)")
 		metrics = flag.Bool("metrics", false, "print the plan's PlanMetrics snapshot (JSON) after solving")
@@ -50,22 +47,18 @@ func main() {
 		linger  = flag.Duration("linger", 0, "keep the -http debug server up this long after solving (0 with -http = until interrupted)")
 	)
 	flag.Parse()
-	if err := run(*file, *matrix, *scale, *seed, *method, *tol, *maxIter, *degree, *threads, *backend, *engine, *cache, *metrics, *trace, *addr, *linger); err != nil {
+	if err := run(*file, *matrix, *scale, *seed, *method, *tol, *maxIter, *degree, *threads, *engine, *cache, *metrics, *trace, *addr, *linger); err != nil {
 		fmt.Fprintln(os.Stderr, "solve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(file, matrix string, scale float64, seed uint64, method string, tol float64, maxIter, degree, threads int, backend, engine string, cache, metrics bool, traceFile, httpAddr string, linger time.Duration) error {
-	bk, err := fbmpk.ParseBackend(backend)
-	if err != nil {
-		return err
-	}
+func run(file, matrix string, scale float64, seed uint64, method string, tol float64, maxIter, degree, threads int, engine string, cache, metrics bool, traceFile, httpAddr string, linger time.Duration) error {
 	eng, err := fbmpk.ParseEngine(engine)
 	if err != nil {
 		return err
 	}
-	planOpts := []fbmpk.Option{fbmpk.WithThreads(threads), fbmpk.WithBackend(bk), fbmpk.WithEngine(eng)}
+	planOpts := []fbmpk.Option{fbmpk.WithThreads(threads), fbmpk.WithEngine(eng)}
 	var a *fbmpk.Matrix
 	switch {
 	case file != "":
@@ -110,22 +103,6 @@ func run(file, matrix string, scale float64, seed uint64, method string, tol flo
 	}
 	bs := plan.Stats()
 	fmt.Printf("plan build: %v (reorder %v, split %v)\n", bs.BuildTime, bs.ReorderTime, bs.SplitTime)
-	if bs.Backend != "" {
-		line := fmt.Sprintf("plan backend: %s", bs.Backend)
-		if tune := bs.Tune; tune != nil {
-			// The census's candidates, each priced relative to CSR's.
-			line += fmt.Sprintf(" (auto in %v, census of %d rows, price vs csr:", bs.TuneTime, tune.SampleRows)
-			for _, c := range tune.Candidates {
-				name := c.Backend.String()
-				if c.Block > 0 {
-					name += strconv.Itoa(c.Block)
-				}
-				line += fmt.Sprintf(" %s %.2f", name, c.PriceNs/tune.Candidates[0].PriceNs)
-			}
-			line += ")"
-		}
-		fmt.Println(line)
-	}
 	if eng == fbmpk.EngineAuto || eng == fbmpk.EngineLevelBlocked {
 		fmt.Printf("plan engine: %s\n", plan.Engine())
 	}

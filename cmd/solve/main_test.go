@@ -29,7 +29,7 @@ func TestSolveMethods(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if err := run("", c.matrix, 0.002, 1, c.method, c.tol, c.maxIter, c.degree, 2, "csr", "fbmpk", false, true, "", "", 0); err != nil {
+			if err := run("", c.matrix, 0.002, 1, c.method, c.tol, c.maxIter, c.degree, 2, "fbmpk", false, true, "", "", 0); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -39,7 +39,7 @@ func TestSolveMethods(t *testing.T) {
 func TestSolveWithCache(t *testing.T) {
 	// -cache path: the plan comes from a registry Acquire and is handed
 	// back with Release; the solve must behave identically.
-	if err := run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "csr", "fbmpk", true, false, "", "", 0); err != nil {
+	if err := run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "fbmpk", true, false, "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -47,21 +47,21 @@ func TestSolveWithCache(t *testing.T) {
 func TestSolvePowerReportsEvenUnconverged(t *testing.T) {
 	// The power method may not converge in a few iterations; run must
 	// still report the estimate without returning an error.
-	if err := run("", "ldoor", 0.001, 1, "power", 1e-12, 3, 4, 1, "csr", "fbmpk", false, false, "", "", 0); err != nil {
+	if err := run("", "ldoor", 0.001, 1, "power", 1e-12, 3, 4, 1, "fbmpk", false, false, "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSolveErrors(t *testing.T) {
-	if err := run("", "", 0.01, 1, "cg", 1e-8, 10, 4, 1, "csr", "fbmpk", false, false, "", "", 0); err == nil {
+	if err := run("", "", 0.01, 1, "cg", 1e-8, 10, 4, 1, "fbmpk", false, false, "", "", 0); err == nil {
 		t.Error("accepted missing source")
 	}
-	if err := run("", "cant", 0.002, 1, "bogus", 1e-8, 10, 4, 1, "csr", "fbmpk", false, false, "", "", 0); err == nil {
+	if err := run("", "cant", 0.002, 1, "bogus", 1e-8, 10, 4, 1, "fbmpk", false, false, "", "", 0); err == nil {
 		t.Error("accepted unknown method")
 	}
 	// A solver's argument error has no estimate to print: it is returned.
 	for _, method := range []string{"power", "subspace"} {
-		if err := run("", "cant", 0.002, 1, method, 1e-8, 0, 4, 1, "csr", "fbmpk", false, false, "", "", 0); err == nil {
+		if err := run("", "cant", 0.002, 1, method, 1e-8, 0, 4, 1, "fbmpk", false, false, "", "", 0); err == nil {
 			t.Errorf("-method %s accepted -maxiter 0", method)
 		}
 	}
@@ -69,7 +69,7 @@ func TestSolveErrors(t *testing.T) {
 
 func TestSolveWritesTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "solve.trace.json")
-	if err := run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "csr", "fbmpk", false, false, path, "", 0); err != nil {
+	if err := run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "fbmpk", false, false, path, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -87,60 +87,54 @@ func TestSolveWritesTrace(t *testing.T) {
 	}
 }
 
-// TestSolveBackends: the standard engine on the forced and the census's
-// backend solves as on CSR — CG converges in -backend csr's iteration
-// count on the audikw_1 stand-in, whose census picks BSR at 3 x 3 — and
-// a name that is no backend is refused: sell (SELL-C-sigma is a format
-// the benchmark times, not a backend) like any unknown one.
+// TestSolveBackends: -engine standard solves as -engine fbmpk does — CG
+// converges in the same iteration count — on the audikw_1 stand-in,
+// whose 3 x 3 blocks once put the standard engine on BSR (bsr), and on
+// G3_circuit, whose short rows kept it on CSR (auto); a name that is no
+// engine is refused (sell).
 func TestSolveBackends(t *testing.T) {
-	solve := func(t *testing.T, backend string) (out, iters string) {
-		out = captureStdout(t, func() error {
-			return run("", "audikw_1", 0.002, 1, "cg", 1e-8, 500, 8, 2, backend, "standard", false, false, "", "", 0)
+	iters := func(t *testing.T, matrix, engine string) string {
+		out := captureStdout(t, func() error {
+			return run("", matrix, 0.002, 1, "cg", 1e-8, 500, 8, 2, engine, false, false, "", "", 0)
 		})
 		m := regexp.MustCompile(`CG converged in (\d+) iterations`).FindStringSubmatch(out)
 		if m == nil {
-			t.Fatalf("-backend %s printed no iteration count:\n%s", backend, out)
+			t.Fatalf("%s -engine %s printed no iteration count:\n%s", matrix, engine, out)
 		}
-		return out, m[1]
+		return m[1]
 	}
-	_, want := solve(t, "csr")
 	t.Run("sell", func(t *testing.T) {
-		if err := run("", "cant", 0.002, 1, "cg", 1e-8, 10, 4, 1, "sell", "standard", false, false, "", "", 0); err == nil {
-			t.Error("accepted -backend sell")
+		if err := run("", "cant", 0.002, 1, "cg", 1e-8, 10, 4, 1, "sell", false, false, "", "", 0); err == nil {
+			t.Error("accepted -engine sell")
 		}
 	})
-	for _, backend := range []string{"bsr", "auto"} {
-		backend := backend
-		t.Run(backend, func(t *testing.T) {
-			out, iters := solve(t, backend)
-			if iters != want {
-				t.Fatalf("-backend %s took %s iterations, -backend csr %s", backend, iters, want)
-			}
-			line := "plan backend: " + backend + "\n"
-			if backend == "auto" {
-				line = "plan backend: bsr (auto in "
-			}
-			if !strings.Contains(out, line) {
-				t.Fatalf("-backend %s did not print %q:\n%s", backend, line, out)
+	for name, matrix := range map[string]string{"bsr": "audikw_1", "auto": "G3_circuit"} {
+		t.Run(name, func(t *testing.T) {
+			if got, want := iters(t, matrix, "standard"), iters(t, matrix, "fbmpk"); got != want {
+				t.Fatalf("%s: -engine standard took %s iterations, -engine fbmpk %s", matrix, got, want)
 			}
 		})
 	}
-	if err := run("", "cant", 0.002, 1, "cg", 1e-8, 10, 4, 1, "ellpack", "standard", false, false, "", "", 0); err == nil {
-		t.Error("accepted unknown backend")
-	}
 }
 
-// TestSolveCacheWithAutoBackend: -cache -backend auto builds through the
-// registry, which keeps no verdicts — the plan runs the census like any
-// other, and the backend line prints each candidate's price relative to
-// CSR's, and nothing of samples or a verdict cache.
+// TestSolveCacheWithAutoBackend: -cache -engine standard builds through
+// the registry — one build under the printed fingerprint — and prints
+// the plan's build line and nothing about a storage backend.
 func TestSolveCacheWithAutoBackend(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "auto", "standard", true, false, "", "", 0)
+		return run("", "cant", 0.002, 1, "cg", 1e-6, 200, 8, 2, "standard", true, false, "", "", 0)
 	})
-	line := regexp.MustCompile(`plan backend: (csr|bsr) \(auto in [^,]+, census of \d+ rows, price vs csr: csr 1\.00 bsr[234] \d+\.\d\d\)\n`)
-	if !line.MatchString(out) || strings.Contains(out, "samples") || strings.Contains(out, "cache") {
-		t.Fatalf("no census line, or one about samples or a cache:\n%s", out)
+	for _, line := range []*regexp.Regexp{
+		regexp.MustCompile(`plan fingerprint: [0-9a-f]{64}\n`),
+		regexp.MustCompile(`plan build: .*\n`),
+		regexp.MustCompile(`registry: 1 build\(s\) in [^,]+, 0 hit\(s\), 0 coalesced\n`),
+	} {
+		if !line.MatchString(out) {
+			t.Fatalf("no line matching %v:\n%s", line, out)
+		}
+	}
+	if strings.Contains(out, "backend") {
+		t.Fatalf("a backend line:\n%s", out)
 	}
 }
 
@@ -151,7 +145,7 @@ func TestSolveEngineAuto(t *testing.T) {
 	iters := map[string]string{}
 	for _, engine := range []string{"fbmpk", "auto"} {
 		out := captureStdout(t, func() error {
-			return run("", "G3_circuit", 0.002, 1, "cg", 1e-8, 500, 8, 2, "csr", engine, false, false, "", "", 0)
+			return run("", "G3_circuit", 0.002, 1, "cg", 1e-8, 500, 8, 2, engine, false, false, "", "", 0)
 		})
 		m := regexp.MustCompile(`CG converged in (\d+) iterations`).FindStringSubmatch(out)
 		if m == nil {

@@ -345,13 +345,15 @@ func diff(t testing.TB, n int) (out []*bed) {
 // whether the row runs on the RCM ordering of its bed. The spellings
 // Canonical folds onto a config — they differ from it only in knobs its
 // engine never reads — ride along as inert, each naming its
-// representative in canon.
+// representative in canon. spelling is the name of a plan backend that
+// went ("" for none): part of the row's name, nothing of its plan.
 type config struct {
-	name  string
-	opt   Options
-	rcm   bool
-	inert []config
-	canon *config
+	name     string
+	spelling string
+	opt      Options
+	rcm      bool
+	inert    []config
+	canon    *config
 }
 
 func (c config) plan(t testing.TB, b *bed) *Plan {
@@ -390,8 +392,9 @@ var configRows []config
 
 // configs enumerates Engine x Threads {serial, 2 ("parallel": this host's
 // cores), 4, 8} x BtB x ordering {natural, ForceABMC, RCM then ForceABMC}
-// x LevelBlockBytes {default, 256} x Backend {csr, bsr, auto, and bsr
-// again as sell, sell/c16 and bsr/b2}, SelfCheck on, and keeps the first
+// x LevelBlockBytes {default, 256} x the spellings sell, sell/c16, bsr,
+// bsr/b2 and auto of the plan backends that went (names only: each
+// builds the options it rides on), SelfCheck on, and keeps the first
 // spelling of every Canonical class: what a knob means is decided in one
 // place, and the test space is cut there too.
 func configs() []config {
@@ -400,10 +403,7 @@ func configs() []config {
 	}
 	engines := map[Engine]string{EngineStandard: "std", EngineForwardBackward: "fb", EngineLevelBlocked: "lb", EngineAuto: "auto"}
 	workers := map[int]string{0: "serial", 2: "parallel", 4: "t4", 8: "t8"}
-	backends := []struct {
-		name string
-		kind BackendKind
-	}{{"", BackendCSR}, {"sell", BackendBSR}, {"sell/c16", BackendBSR}, {"bsr", BackendBSR}, {"bsr/b2", BackendBSR}, {"auto", BackendAuto}}
+	spellings := []string{"", "sell", "sell/c16", "bsr", "bsr/b2", "auto"}
 	at := map[string]int{}
 	for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
 		for _, th := range []int{0, 2, 4, 8} {
@@ -416,10 +416,10 @@ func configs() []config {
 				}
 				for _, ord := range []string{"", "abmc", "rcm+abmc"} {
 					for _, lbb := range []int{0, 256} {
-						for _, be := range backends {
-							c := config{rcm: ord == "rcm+abmc", opt: Options{Engine: eng, Threads: th, BtB: btb, NumBlocks: 16,
-								ForceABMC: ord != "", LevelBlockBytes: lbb, Backend: be.kind, SelfCheck: true}}
-							for _, part := range []string{engines[eng], workers[th], layout, ord, map[int]string{256: "tiny-blocks"}[lbb], be.name} {
+						for _, spelling := range spellings {
+							c := config{spelling: spelling, rcm: ord == "rcm+abmc", opt: Options{Engine: eng, Threads: th, BtB: btb, NumBlocks: 16,
+								ForceABMC: ord != "", LevelBlockBytes: lbb, SelfCheck: true}}
+							for _, part := range []string{engines[eng], workers[th], layout, ord, map[int]string{256: "tiny-blocks"}[lbb], spelling} {
 								if part != "" {
 									c.name += "/" + part
 								}
@@ -428,11 +428,11 @@ func configs() []config {
 							key := fmt.Sprintf("%+v|%v", c.opt.Canonical(), c.rcm)
 							switch eng {
 							case EngineStandard:
-								// sell, sell/c16 and bsr/b2 spell the forced
-								// BSR plan again (sell's two from when SELL
-								// was a backend), kept as rows so their test
-								// names stay.
-								key += be.name
+								// The backend spellings of the standard
+								// engine were plans of their own, so they
+								// stay rows, and their test names with them;
+								// inert holds each to the unspelled plan.
+								key += spelling
 							case EngineAuto:
 								// Canonical resolves Auto to FB: its rows stay
 								// rows, held to the forced plan by inert.
@@ -474,7 +474,7 @@ func (c config) plain() bool { return !c.opt.ForceABMC && c.opt.LevelBlockBytes 
 // own reports the rows of a forced engine (and layout) on its own storage,
 // default ordering and budget.
 func (c config) own() bool {
-	return c.plain() && c.opt.Backend == BackendCSR && c.opt.Engine != EngineAuto
+	return c.plain() && c.spelling == "" && c.opt.Engine != EngineAuto
 }
 
 // ---------------------------------------------------------------------
@@ -769,10 +769,9 @@ func (x *cell) bitwise(other config, what string) {
 }
 
 // inert: a spelling Canonical folds away builds its representative's
-// plan, and neither Auto is a choice of its own — an EngineAuto row
-// builds the forced plan of the engine it resolved to, and a standard
-// BackendAuto row the forced plan of the backend it reports, under its
-// options.
+// plan, EngineAuto is no choice of its own — its row builds the forced
+// plan of the engine it resolved to — and a standard-engine row that
+// spells a backend builds the unspelled row's plan.
 func inert(x *cell) {
 	if x.c.canon != nil {
 		x.bitwise(*x.c.canon, "its representative")
@@ -783,15 +782,10 @@ func inert(x *cell) {
 		forced.name = fmt.Sprintf("%v (forced)", forced.opt.Engine)
 		x.bitwise(forced, "the plan of")
 	}
-	if x.c.opt.Engine == EngineStandard && x.c.opt.Backend == BackendAuto {
-		forced := x.c
-		kind, err := ParseBackend(x.p.Backend())
-		if err != nil {
-			x.Fatal(err)
-		}
-		forced.opt.Backend = kind
-		forced.name = fmt.Sprintf("%v (forced)", kind)
-		x.bitwise(forced, "the plan of")
+	if x.c.canon == nil && x.c.spelling != "" {
+		csr := x.c
+		csr.spelling, csr.name = "", strings.TrimSuffix(x.c.name, "/"+x.c.spelling)
+		x.bitwise(csr, "the plan of")
 	}
 }
 
@@ -826,12 +820,11 @@ func lanes(x *cell) {
 	})
 }
 
-// reports: a plan forced onto a backend says so (BackendAuto's pick is
-// the inert column's business).
+// reports: a plan says it runs the engine its options resolve to,
+// whatever backend its row spells.
 func reports(x *cell) {
-	want := x.c.opt.Backend.String()
-	if got := x.p.Backend(); x.c.opt.Engine == EngineStandard && want != "auto" && got != want {
-		x.Errorf("plan executes on backend %q, want %q", got, want)
+	if got, want := x.p.Engine(), x.c.opt.Canonical().Engine; got != want {
+		x.Errorf("plan runs %v, want %v", got, want)
 	}
 }
 
@@ -979,21 +972,19 @@ func wide(c config) bool { return c.opt.Threads <= 2 && (c.opt.Engine != EngineA
 func fbPlain(c config) bool { return c.plain() && wide(c) && c.opt.Engine == EngineForwardBackward }
 
 // csrRows spell no backend; backendRows do — under the standard engine
-// distinct plans, under the forward-backward one (plain rows) inert
-// spellings that the inert column holds to their representative.
+// rows of their own, under the forward-backward one (plain rows) inert
+// spellings — and the inert column holds each to the unspelled plan.
 func csrRows() []config {
-	return where(func(c config) bool { return wide(c) && c.opt.Backend == BackendCSR })
+	return where(func(c config) bool { return wide(c) && c.spelling == "" })
 }
 
 func backendRows() (out []config) {
 	for _, c := range where(wide) {
-		if c.opt.Backend != BackendCSR && !c.rcm {
+		if c.spelling != "" && !c.rcm {
 			out = append(out, c)
 		}
 		for _, alias := range c.inert {
-			spelled := c.opt
-			spelled.Backend = alias.opt.Backend
-			if fbPlain(c) && alias.opt.Backend != BackendCSR && alias.opt == spelled {
+			if fbPlain(c) && alias.spelling != "" && alias.opt == c.opt {
 				out = append(out, alias)
 			}
 		}

@@ -52,8 +52,8 @@
 // PageRank on an evolving graph, time-stepping with changing
 // coefficients — Plan.UpdateValues swaps in the new values without
 // re-running preprocessing: the permutation, the index arrays of the
-// one container the plan's engine runs on (the L+D+U split, the
-// standard engine's backend format, or the level-ordered matrix), and
+// one container the plan's engine runs on (the L+D+U split, or the
+// matrix in the standard or level-blocked engine's order), and
 // the parallel schedule are all structure-determined and stay; only
 // that container's values are rebuilt. Updates are
 // epoch/RCU-published: executions already admitted finish bitwise on
@@ -103,6 +103,9 @@ var (
 	ErrBadCoeffs = core.ErrBadCoeffs
 	// ErrEmptyBlock reports a batched (multi-RHS) call with no vectors.
 	ErrEmptyBlock = core.ErrEmptyBlock
+	// ErrBadEngine reports an Engine option that is none of the four
+	// Engine constants.
+	ErrBadEngine = core.ErrBadEngine
 	// ErrBadSweeps reports a SymGS sweep count < 1.
 	ErrBadSweeps = core.ErrBadSweeps
 	// ErrNoSplit reports SymGS on a standard-engine plan, which does
@@ -148,11 +151,11 @@ type Plan = core.Plan
 // its String method returns the JSON encoding.
 type PlanMetrics = core.PlanMetrics
 
-// Options configures a Plan in eight fields: the engine, and what each
+// Options configures a Plan in seven fields: the engine, and what each
 // engine reads — the back-to-back vector layout (FBMPK), thread count,
-// ABMC block count and forcing, the invariant self-check, the storage
-// backend (standard engine) and the level-block budget (level-blocked
-// engine). An Options value is itself an Option applying wholesale.
+// ABMC block count and forcing, the invariant self-check, and the
+// level-block budget (level-blocked engine). An Options value is itself
+// an Option applying wholesale.
 type Options = core.Options
 
 // Option is a functional configuration knob for NewPlan; see
@@ -183,13 +186,6 @@ func WithForceABMC(on bool) Option { return core.WithForceABMC(on) }
 
 // WithSelfCheck toggles the post-construction invariant audit.
 func WithSelfCheck(on bool) Option { return core.WithSelfCheck(on) }
-
-// WithBackend selects the storage format of the standard engine's
-// sweeps: BackendBSR forces block CSR, BackendAuto picks CSR or BSR
-// from the matrix structure at build time, BackendCSR (the default)
-// keeps the bitwise-stable CSR baseline. Inert under every other
-// engine, whose plans build and hold no backend.
-func WithBackend(k BackendKind) Option { return core.WithBackend(k) }
 
 // WithLevelBlockBytes sets the cache budget (bytes of matrix data) per
 // level block of the level-blocked engine (0 = DefaultLevelBlockBytes).
@@ -223,47 +219,12 @@ const (
 // Xeon L3, leaving room for the live iterate-vector window.
 const DefaultLevelBlockBytes = core.DefaultLevelBlockBytes
 
-// BackendKind selects the storage format of the standard engine's
-// SpMV/SpMM sweeps (FB sweeps execute on the split CSR, level-blocked
-// steps on the level-ordered CSR; neither has a backend). See the
-// README "Backend selection" section.
-type BackendKind = core.BackendKind
-
-// Backend values.
-const (
-	// BackendCSR keeps the split-CSR baseline kernels (the default;
-	// bitwise-stable across plan rebuilds).
-	BackendCSR = core.BackendCSR
-	// BackendAuto picks CSR or BSR per matrix from a census of what each
-	// would store, priced by a per-format cost table (a matrix with
-	// shorter rows than the table was profiled on stays on CSR); nothing
-	// is timed, so the plan is bitwise the forced plan of the format it
-	// names (Plan.Backend), and matches CSR to <= 1e-12 relative.
-	BackendAuto = core.BackendAuto
-	// BackendBSR forces the block-CSR backend.
-	BackendBSR = core.BackendBSR
-)
-
-// ParseBackend maps a backend name ("csr", "auto", "bsr") to
-// its BackendKind; intended for command-line flags.
-func ParseBackend(s string) (BackendKind, error) { return core.ParseBackend(s) }
-
 // ParseEngine maps an engine name ("fbmpk", "standard", "levelblock",
 // "auto") to its Engine; intended for command-line flags.
 func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
 
-// TuneDecision is BackendAuto's verdict for one matrix structure: the
-// chosen format plus the priced candidates it was selected from.
-// Available from PlanStats.Tune on standard-engine BackendAuto plans.
-type TuneDecision = core.TuneDecision
-
-// TuneCandidate is one format configuration BackendAuto priced: what it
-// stores of the census sample, and the modeled time of that.
-type TuneCandidate = core.TuneCandidate
-
 // PlanStats reports the one-off preprocessing cost breakdown of plan
-// construction, including the BackendAuto verdict of a standard-engine
-// plan.
+// construction.
 type PlanStats = core.PlanStats
 
 // NewPlan prepares an executor for the square matrix a. Construction

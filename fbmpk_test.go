@@ -186,6 +186,26 @@ func TestNewPlanRejectsBadMatrices(t *testing.T) {
 	}
 }
 
+// TestNewPlanRejectsUnknownEngine: an Engine that is none of the four
+// constants fails NewPlan, and a registry Acquire, with ErrBadEngine —
+// and the registry caches nothing for it.
+func TestNewPlanRejectsUnknownEngine(t *testing.T) {
+	a := chains(1, 4, -1)
+	reg := NewRegistry(2)
+	defer reg.Close()
+	for _, e := range []Engine{Engine(9), Engine(-1)} {
+		if _, err := NewPlan(a, Options{Engine: e}); !errors.Is(err, ErrBadEngine) {
+			t.Errorf("%v: NewPlan err = %v, want ErrBadEngine", e, err)
+		}
+		if _, err := reg.Acquire(a, WithEngine(e)); !errors.Is(err, ErrBadEngine) {
+			t.Errorf("%v: Acquire err = %v, want ErrBadEngine", e, err)
+		}
+	}
+	if s := reg.Stats(); s.Entries != 0 {
+		t.Errorf("the registry cached %d entries", s.Entries)
+	}
+}
+
 func TestPackageFunctionErrors(t *testing.T) {
 	a := chains(1, 4, -1)
 	x := []float64{1, 2, 3, 4}

@@ -81,8 +81,9 @@ func FuzzDifferentialSymGS(f *testing.F) {
 	})
 }
 
-// FuzzDifferentialBackend draws from the rows that spell a backend: the
-// standard engine's, and the spellings inert under the other engines.
+// FuzzDifferentialBackend draws from the rows that spell a plan backend
+// that went: the standard engine's, which inert holds to the unspelled
+// CSR plan, and the spellings inert under the other engines.
 func FuzzDifferentialBackend(f *testing.F) {
 	f.Add(int64(5), int64(0), int64(2), int64(0))
 	f.Add(int64(21), int64(4), int64(5), int64(2))
@@ -90,7 +91,7 @@ func FuzzDifferentialBackend(f *testing.F) {
 	var rows []config
 	for _, c := range configs() {
 		for _, spelling := range append([]config{c}, c.inert...) {
-			if spelling.opt.Backend != BackendCSR {
+			if spelling.spelling != "" {
 				rows = append(rows, spelling)
 			}
 		}

@@ -2,11 +2,11 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
+	"fbmpk/internal/parallel"
 	"fbmpk/internal/sparse"
 )
 
@@ -36,67 +36,77 @@ func blockCSR(rng *rand.Rand, nb, bs, neighbors int) *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// TestBackendKindStringParse: every kind round-trips through its name,
-// and nothing else parses — not sell (SELL-C-sigma is a format the
-// benchmark times, not a backend), and not the empty name an unnamed
-// slot of backendNames would hold.
+// TestBackendKindStringParse: every engine round-trips through its name,
+// and nothing else parses — not the storage formats (csr, bsr, sell),
+// which no plan option selects, and not the empty name.
 func TestBackendKindStringParse(t *testing.T) {
-	for _, k := range []BackendKind{BackendCSR, BackendAuto, BackendBSR} {
-		got, err := ParseBackend(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseBackend(%q) = %v, %v", k.String(), got, err)
+	for _, e := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
+		got, err := ParseEngine(e.String())
+		if err != nil || got != e {
+			t.Fatalf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
 	}
-	for _, name := range []string{"ellpack", "sell", ""} {
-		if k, err := ParseBackend(name); err == nil {
-			t.Fatalf("ParseBackend(%q) accepted as %v", name, k)
+	for _, name := range []string{"csr", "bsr", "sell", ""} {
+		if e, err := ParseEngine(name); err == nil {
+			t.Fatalf("ParseEngine(%q) accepted as %v", name, e)
 		}
 	}
 }
 
+// TestBackendKindJSON: a standard-engine plan's metrics name its sweeps'
+// phase by name in their JSON — "standard", the one phase the engine
+// streams A in.
 func TestBackendKindJSON(t *testing.T) {
-	b, err := json.Marshal(BackendBSR)
-	if err != nil || string(b) != `"bsr"` {
-		t.Fatalf("Marshal = %s, %v", b, err)
+	rng := rand.New(rand.NewSource(10))
+	a := randomCSR(rng, 200, 4)
+	p, err := NewPlan(a, WithEngine(EngineStandard), WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A verdict carries the kind by name.
-	b, err = json.Marshal(TuneDecision{Backend: BackendBSR, Block: 3})
-	if err != nil || !strings.Contains(string(b), `"backend":"bsr"`) {
-		t.Fatalf("Marshal verdict = %s, %v", b, err)
+	defer p.Close()
+	if _, err := p.MPK(randVec(rng, a.Rows), 3); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(p.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Compute map[string]int64 `json:"phase_compute_ns"`
+	}
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Compute) != 1 || m.Compute["standard"] <= 0 {
+		t.Fatalf("phases %v in %s, want standard alone", m.Compute, b)
 	}
 }
 
-func TestUnknownBackendRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomCSR(rng, 20, 3)
-	for _, k := range []BackendKind{numBackends, 99} {
-		if _, err := NewPlan(a, Options{Engine: EngineStandard, Backend: k}); !errors.Is(err, ErrBadBackend) {
-			t.Fatalf("%v: err = %v, want ErrBadBackend", k, err)
-		}
-	}
-}
-
-// TestCanonicalFoldsBackend: Backend is a property of the standard
-// engine exactly as BtB is of the forward-backward one — Canonical keeps
-// it there and folds it to the zero value everywhere else, so no other
-// engine can be asked to build or tune one.
+// TestCanonicalFoldsBackend: what each engine never reads folds to its
+// zero value, so the standard engine's class is fixed by Engine,
+// Threads, ForceABMC (with NumBlocks under it) and SelfCheck — the
+// layout and the level-block budget fold away.
 func TestCanonicalFoldsBackend(t *testing.T) {
-	for _, bk := range []BackendKind{BackendCSR, BackendAuto, BackendBSR} {
-		for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
-			want := BackendCSR
-			if eng == EngineStandard {
-				want = bk
-			}
-			if got := (Options{Engine: eng, Backend: bk}).Canonical().Backend; got != want {
-				t.Errorf("%v + %v: canonical backend %v, want %v", eng, bk, got, want)
-			}
+	for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
+		got := Options{Engine: eng, BtB: true, NumBlocks: 7, LevelBlockBytes: 4096}.Canonical()
+		want := Options{Engine: eng}
+		switch eng {
+		case EngineForwardBackward, EngineAuto:
+			want = Options{Engine: EngineForwardBackward, BtB: true}
+		case EngineLevelBlocked:
+			want.LevelBlockBytes = 4096
+		}
+		if got != want {
+			t.Errorf("%v: canonical %+v, want %+v", eng, got, want)
 		}
 	}
 }
 
 // TestForcedBackendsMatchCSR drives every standard-engine entry point
-// (MPKMulti is the SpMM block path) through a forced BSR plan and a
-// BackendAuto one and compares against the CSR baseline plan at 1e-12.
+// (MPKMulti is the SpMM block path) serially and on 4 workers against
+// the CSR oracles: MPK is StandardMPK's bits (the same SpMVRange on
+// every row), the block and the combination agree with the per-vector
+// CSR results to 1e-12.
 func TestForcedBackendsMatchCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{23, 96} {
@@ -104,81 +114,74 @@ func TestForcedBackendsMatchCSR(t *testing.T) {
 		x0 := randVec(rng, n)
 		xs := [][]float64{randVec(rng, n), randVec(rng, n), randVec(rng, n)}
 		coeffs := []float64{0.5, -1.25, 2.0}
-		k := 4
-
-		type result struct {
-			xk    []float64
-			batch [][]float64
-			combo []float64
+		const k = 4
+		want, err := StandardMPK(a, x0, k, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		runAll := func(opts ...Option) result {
-			t.Helper()
-			p, err := NewPlan(a, opts...)
+		combo := make([]float64, n)
+		_, err = StandardMPK(a, x0, len(coeffs)-1, func(power int, x []float64) { sparse.AXPY(coeffs[power], x, combo) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse.AXPY(coeffs[0], x0, combo)
+		for _, threads := range []int{0, 4} {
+			p, err := NewPlan(a, WithEngine(EngineStandard), WithThreads(threads))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			var r result
-			if r.xk, err = p.MPK(x0, k); err != nil {
+			got, err := p.MPK(x0, k)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if r.batch, err = p.MPKMulti(xs, k); err != nil {
+			bitwiseEqual(t, "MPK vs StandardMPK", got, want)
+			batch, err := p.MPKMulti(xs, k)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if r.combo, err = p.SSpMV(coeffs, x0); err != nil {
+			for j, x := range xs {
+				wj, err := StandardMPK(a, x, k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := sparse.RelMaxDiff(batch[j], wj); d > 1e-12 {
+					t.Fatalf("n=%d threads=%d: MPKMulti[%d] diff %g", n, threads, j, d)
+				}
+			}
+			gc, err := p.SSpMV(coeffs, x0)
+			if err != nil {
 				t.Fatal(err)
 			}
-			return r
-		}
-		for _, threads := range []int{0, 4} {
-			base := runAll(WithEngine(EngineStandard), WithThreads(threads))
-			for _, bk := range []Option{
-				WithBackend(BackendBSR),
-				WithBackend(BackendAuto),
-			} {
-				got := runAll(WithEngine(EngineStandard), WithThreads(threads), bk)
-				if d := sparse.RelMaxDiff(got.xk, base.xk); d > 1e-12 {
-					t.Fatalf("n=%d threads=%d: MPK diff %g", n, threads, d)
-				}
-				for j := range base.batch {
-					if d := sparse.RelMaxDiff(got.batch[j], base.batch[j]); d > 1e-12 {
-						t.Fatalf("n=%d threads=%d: MPKMulti[%d] diff %g", n, threads, j, d)
-					}
-				}
-				if d := sparse.RelMaxDiff(got.combo, base.combo); d > 1e-12 {
-					t.Fatalf("n=%d threads=%d: SSpMV diff %g", n, threads, d)
-				}
+			if d := sparse.RelMaxDiff(gc, combo); d > 1e-12 {
+				t.Fatalf("n=%d threads=%d: SSpMV diff %g", n, threads, d)
 			}
 		}
 	}
 }
 
-// TestBackendPartitions checks the alignment contract: partition
-// bounds are monotone, cover [0, rows], and land on the format's
-// storage granularity.
+// TestBackendPartitions checks the standard engine's row split: at
+// every worker count its bounds are parallel.PartitionByPtr's over the
+// execution-order matrix — monotone, covering [0, rows].
 func TestBackendPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randomCSR(rng, 103, 5)
-	backends := []execBackend{
-		csrBackend{a: a},
-		&bsrBackend{b: sparse.ToBSR(a, 3, 3)},
-	}
-	for _, be := range backends {
-		for _, parts := range []int{1, 2, 7, 16} {
-			bounds := be.partition(parts)
-			if len(bounds) != parts+1 || bounds[0] != 0 || bounds[parts] != a.Rows {
-				t.Fatalf("%v parts=%d: bad bounds %v", be.kind(), parts, bounds)
-			}
-			for i := 1; i <= parts; i++ {
-				if bounds[i] < bounds[i-1] {
-					t.Fatalf("%v parts=%d: non-monotone bounds %v", be.kind(), parts, bounds)
-				}
-				if bounds[i] == a.Rows {
-					continue
-				}
-				if be.kind() == BackendBSR && bounds[i]%3 != 0 {
-					t.Fatalf("bsr bound %d not block-aligned", bounds[i])
-				}
+	for _, threads := range []int{1, 2, 7, 16} {
+		p, err := NewPlan(a, WithEngine(EngineStandard), WithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := p.engine.(*stdEngine).bounds
+		p.Close()
+		if want := parallel.PartitionByPtr(a.Rows, threads, a.RowPtr); !slices.Equal(bounds, want) {
+			t.Fatalf("threads=%d: bounds %v, PartitionByPtr %v", threads, bounds, want)
+		}
+		if len(bounds) != threads+1 || bounds[0] != 0 || bounds[threads] != a.Rows {
+			t.Fatalf("threads=%d: bad bounds %v", threads, bounds)
+		}
+		for i := 1; i <= threads; i++ {
+			if bounds[i] < bounds[i-1] {
+				t.Fatalf("threads=%d: non-monotone bounds %v", threads, bounds)
 			}
 		}
 	}
@@ -194,109 +197,92 @@ func TestDetectBSRBlock(t *testing.T) {
 	}
 }
 
-// TestForcedBackendDefaults: with the block-size option gone, a forced
-// BSR plan converts at the block size the structure suggests.
+// TestForcedBackendDefaults: BSR at the size DetectBSRBlock picks — the
+// conversion the benchmark times as sparse.bsr_spmv_ms — stores the
+// blocks without fill and agrees with CSR SpMV to rounding.
 func TestForcedBackendDefaults(t *testing.T) {
-	a := blockCSR(rand.New(rand.NewSource(14)), 40, 3, 3)
-	p, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(BackendBSR))
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(14))
+	a := blockCSR(rng, 40, 3, 3)
+	r := DetectBSRBlock(a)
+	b := sparse.ToBSR(a, r, r)
+	if r != 3 || int64(len(b.Val)) != a.NNZ() {
+		t.Fatalf("BSR at R=%d stores %d slots for %d entries, want the 3 x 3 blocks", r, len(b.Val), a.NNZ())
 	}
-	p.Close()
-	if b := p.state.Load().be.(*bsrBackend).b; b.R != 3 || b.R != DetectBSRBlock(a) {
-		t.Fatalf("forced BSR built at R=%d, want the detected 3", b.R)
+	x := randVec(rng, a.Cols)
+	want, got := make([]float64, a.Rows), make([]float64, a.Rows)
+	sparse.SpMV(a, x, want)
+	b.SpMV(x, got)
+	if d := sparse.RelMaxDiff(got, want); d > 1e-12 {
+		t.Fatalf("BSR SpMV differs from CSR by %g", d)
 	}
 }
 
-// TestPlanStatsBackend verifies that what a plan's kernels execute on
-// surfaces through PlanStats and Plan.Backend (the exposition's backend
-// label reads PlanStats): the forced backend of a standard-engine plan
-// and the census's pick of an Auto one (CSR on these 3-entry rows), the
-// split of a forward-backward one (whatever Backend it was asked for),
-// the raw CSR of a level-blocked one.
+// TestPlanStatsBackend verifies what a plan's build record says it ran:
+// a standard-engine plan on the caller's order prepares nothing, one
+// under ForceABMC orders and permutes, a forward-backward one splits,
+// and a level-blocked one records its levels.
 func TestPlanStatsBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a := randomCSR(rng, 30, 3)
 	cases := []struct {
-		eng  Engine
-		opt  Option
-		want string
+		opt   Options
+		check func(PlanStats) bool
 	}{
-		{EngineStandard, WithBackend(BackendCSR), "csr"},
-		{EngineStandard, WithBackend(BackendAuto), "csr"},
-		{EngineStandard, WithBackend(BackendBSR), "bsr"},
-		{EngineForwardBackward, WithBackend(BackendCSR), "split"},
-		{EngineForwardBackward, WithBackend(BackendBSR), "split"},
-		{EngineLevelBlocked, WithBackend(BackendBSR), "csr"},
+		{Options{Engine: EngineStandard}, func(s PlanStats) bool {
+			return s.ReorderTime == 0 && s.PermTime == 0 && s.SplitTime == 0 && s.NumColors == 0
+		}},
+		{Options{Engine: EngineStandard, ForceABMC: true}, func(s PlanStats) bool {
+			return s.PermTime > 0 && s.SplitTime == 0 && s.NumColors > 0
+		}},
+		{Options{Engine: EngineForwardBackward}, func(s PlanStats) bool { return s.SplitTime > 0 && s.NumLevels == 0 }},
+		{Options{Engine: EngineLevelBlocked}, func(s PlanStats) bool { return s.NumLevels > 0 && s.SplitTime == 0 }},
 	}
 	for _, tc := range cases {
-		p, err := NewPlan(a, WithEngine(tc.eng), tc.opt)
+		p, err := NewPlan(a, tc.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Backend() != tc.want || p.Stats().Backend != tc.want {
-			t.Fatalf("backend = %q / %q, want %q", p.Backend(), p.Stats().Backend, tc.want)
-		}
 		p.Close()
+		if st := p.Stats(); !tc.check(st) || st.BuildTime <= 0 {
+			t.Fatalf("%+v: stats %+v", tc.opt, st)
+		}
 	}
 }
 
-// TestFBPlanWithBackend verifies that Backend is the standard engine's
-// alone: a forward-backward plan asked for a non-CSR backend builds
-// none and is bitwise the default plan, while the SpMM block path the
-// option does reach — MPKMulti on a standard-engine plan — agrees with
-// the CSR baseline.
+// TestFBPlanWithBackend verifies the storage each engine keeps: a
+// forward-backward plan holds the split only, and a standard-engine plan
+// on the caller's order runs on the caller's own CSR — no copy — while
+// its SpMM block path agrees with the single-vector one.
 func TestFBPlanWithBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	a := randomCSR(rng, 64, 4)
-	x0 := randVec(rng, 64)
-	base, err := NewPlan(a)
+	fb, err := NewPlan(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer base.Close()
-	p, err := NewPlan(a, WithBackend(BackendBSR))
-	if err != nil {
-		t.Fatal(err)
+	defer fb.Close()
+	if ep := fb.state.Load(); ep.a != nil || ep.tri == nil {
+		t.Fatalf("FB plan holds a=%v tri=%v, want the split only", ep.a, ep.tri)
 	}
-	defer p.Close()
-	if ep := p.state.Load(); ep.be != nil || ep.a != nil || ep.tri == nil {
-		t.Fatalf("FB plan with BackendBSR holds be=%v a=%v tri=%v, want the split only", ep.be, ep.a, ep.tri)
-	}
-	want, err := base.MPK(x0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.MPK(x0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FB result differs at %d: %g != %g", i, got[i], want[i])
-		}
-	}
-	xs := [][]float64{randVec(rng, 64), randVec(rng, 64)}
 	std, err := NewPlan(a, WithEngine(EngineStandard))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer std.Close()
-	bsr, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(BackendBSR))
+	if ep := std.state.Load(); ep.a != a || ep.tri != nil {
+		t.Fatalf("standard plan holds a copy (%v) or a split (%v)", ep.a != a, ep.tri != nil)
+	}
+	xs := [][]float64{randVec(rng, 64), randVec(rng, 64)}
+	gb, err := std.MPKMulti(xs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bsr.Close()
-	wb, err := std.MPKMulti(xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := bsr.MPKMulti(xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range wb {
-		if d := sparse.RelMaxDiff(gb[j], wb[j]); d > 1e-12 {
+	for j, x := range xs {
+		wj, err := std.MPK(x, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sparse.RelMaxDiff(gb[j], wj); d > 1e-12 {
 			t.Fatalf("MPKMulti[%d] diff %g", j, d)
 		}
 	}

@@ -197,30 +197,26 @@ func BenchmarkPlanBuild(b *testing.B) {
 // and BFS, then the bucket permutation), each with its GraphTime and
 // PermTime per build, the EngineAuto build at 1 and 2 threads, which
 // is the forward-backward build under another spelling and must cost
-// what it does, and the serial standard-engine build on CSR (std) and
-// under BackendAuto (std-auto), which adds only the census and, on a
-// non-CSR verdict, the forced format's conversion. Sub-benchmark names
-// are stable across commits; compare two commits by alternating built
-// test binaries.
+// what it does, and the serial standard-engine build (std), which only
+// validates and partitions. Sub-benchmark names are stable across
+// commits; compare two commits by alternating built test binaries.
 func BenchmarkNewPlan(b *testing.B) {
 	a := sweepBed(b, "pwtk")
 	for _, c := range []struct {
 		name    string
 		eng     Engine
-		backend BackendKind
 		threads []int
 	}{
-		{"", EngineForwardBackward, BackendCSR, []int{1, 2}},
-		{"lb/", EngineLevelBlocked, BackendCSR, []int{1, 2}},
-		{"auto/", EngineAuto, BackendCSR, []int{1, 2}},
-		{"std/", EngineStandard, BackendCSR, []int{1}},
-		{"std-auto/", EngineStandard, BackendAuto, []int{1}},
+		{"", EngineForwardBackward, []int{1, 2}},
+		{"lb/", EngineLevelBlocked, []int{1, 2}},
+		{"auto/", EngineAuto, []int{1, 2}},
+		{"std/", EngineStandard, []int{1}},
 	} {
 		for _, threads := range c.threads {
 			b.Run(fmt.Sprintf("%sthreads=%d", c.name, threads), func(b *testing.B) {
 				b.SetBytes(12 * a.NNZ())
 				opt := DefaultOptions(threads)
-				opt.Engine, opt.Backend = c.eng, c.backend
+				opt.Engine = c.eng
 				var graph, perm time.Duration
 				for i := 0; i < b.N; i++ {
 					p, err := NewPlan(a, opt)
@@ -235,69 +231,6 @@ func BenchmarkNewPlan(b *testing.B) {
 				b.ReportMetric(float64(perm.Microseconds())/1e3/float64(b.N), "perm-ms")
 			})
 		}
-	}
-}
-
-// BenchmarkBackendProfile is the off-line profile behind backendCosts:
-// one SpMV of each table row's format, through the backend the plan
-// runs, on two 12-DOF grid beds of ≈ 2.4 M entries whose node blocks
-// are dense (BSR 2, 3 and 4 store no fill), 12 entries
-// a row (block diagonal) and 108 (a periodic 9-point 2D stencil). Every
-// iteration times each format on each bed in turn and the minimum per
-// cell is kept; the 2 x 2 solve of those two times against the two
-// beds' census (stored entries, stored rows) is the row's ns/entry and
-// ns/row. The short bed's rows are profileMinRowEntries long: autotune
-// prices no sample with shorter rows. The suite beds stay out of it:
-// they are the held-out check of TestAutotuneSuiteVerdicts. Run it in
-// separate processes (-count repeats it in one) and commit the medians;
-// DESIGN.md §10 has the runs.
-func BenchmarkBackendProfile(b *testing.B) {
-	beds := [2]*sparse.CSR{
-		matgen.Grid(matgen.GridParams{NX: 16_667, NY: 1, NZ: 1, DOF: 12, Radius: 0, KeepProb: 1, Symmetric: true, Seed: 1}),
-		matgen.Grid(matgen.GridParams{NX: 43, NY: 43, NZ: 1, DOF: 12, Radius: 1, KeepProb: 1, Symmetric: true, Periodic: true, Seed: 1}),
-	}
-	if beds[0].NNZ() != profileMinRowEntries*int64(beds[0].Rows) {
-		b.Fatalf("the short bed has %d entries in %d rows, not %d a row", beds[0].NNZ(), beds[0].Rows, profileMinRowEntries)
-	}
-	var cands [2][len(backendCosts)]TuneCandidate
-	var backends [2][len(backendCosts)]execBackend
-	var xs, ys [2][]float64
-	for i, a := range beds {
-		xs[i], ys[i] = sparse.Ones(a.Cols), make([]float64, a.Rows)
-		for j, c := range backendCosts {
-			switch c.kind {
-			case BackendCSR:
-				cands[i][j], backends[i][j] = TuneCandidate{Stored: a.NNZ(), Rows: a.Rows}, csrBackend{a: a}
-			case BackendBSR:
-				r := c.block
-				cands[i][j] = TuneCandidate{Stored: sparse.CountBSRBlocks(a)[r-2] * int64(r*r), Rows: (a.Rows + r - 1) / r}
-				backends[i][j] = &bsrBackend{b: sparse.ToBSR(a, r, r)}
-			}
-		}
-	}
-	var best [2][len(backendCosts)]float64
-	b.ResetTimer()
-	for it := -1; it < b.N; it++ { // it = -1: one untimed warm-up call each
-		for j := range backendCosts {
-			for i, a := range beds {
-				start := time.Now()
-				backends[i][j].spmmRange(xs[i], ys[i], 1, 0, a.Rows)
-				if ns := float64(time.Since(start).Nanoseconds()); it >= 0 && (best[i][j] == 0 || ns < best[i][j]) {
-					best[i][j] = ns
-				}
-			}
-		}
-	}
-	b.StopTimer()
-	for j, c := range backendCosts {
-		name := c.kind.String()
-		if c.block > 0 {
-			name += fmt.Sprint(c.block)
-		}
-		s1, r1, s2, r2 := float64(cands[0][j].Stored), float64(cands[0][j].Rows), float64(cands[1][j].Stored), float64(cands[1][j].Rows)
-		det := s1*r2 - s2*r1
-		b.ReportMetric((best[0][j]*r2-best[1][j]*r1)/det, name+"-ns/entry")
-		b.ReportMetric((s1*best[1][j]-s2*best[0][j])/det, name+"-ns/row")
 	}
 }
 
@@ -437,51 +370,45 @@ func sweepBed(b *testing.B, name string) *sparse.CSR {
 }
 
 // BenchmarkStandardBackends is the gauge of ROADMAP 2(b): standard-engine
-// MPK, k = 6, one thread, under each storage format and under BackendAuto,
-// on -sweep-matrix at -sweep-scale; each format's multi4-t2 case is
+// MPK, k = 6, one thread, on -sweep-matrix at -sweep-scale (csr), and
 // MPKMulti on four vectors on a 2-thread plan, the block path on the
-// plan's team. Each case builds its plan, times it and lets it go, so no
-// two formats are resident at once; the auto case logs the format the
-// census picked. -count repeats a case back to back: for interleaved
-// rounds run the built test binary once per round. DESIGN.md §10 has the
-// beds and the numbers.
+// plan's team (csr/multi4-t2). Each case builds its plan, times it and
+// lets it go, so one plan is resident at a time. -count repeats a case
+// back to back: for interleaved rounds run the built test binary once
+// per round. The BSR and census cases it once had, with their beds and
+// numbers, are in DESIGN.md §10 at commit ad9b57e.
 func BenchmarkStandardBackends(b *testing.B) {
 	a := sweepBed(b, *sweepMatrix)
 	x := sparse.Ones(a.Rows)
 	xs := [][]float64{x, x, x, x}
-	for _, kind := range []BackendKind{BackendCSR, BackendBSR, BackendAuto} {
-		for _, multi := range []bool{false, true} {
-			name, threads := kind.String(), 0
-			call := func(p *Plan) (err error) { _, err = p.MPK(x, 6); return err }
-			if multi {
-				name, threads = name+"/multi4-t2", 2
-				call = func(p *Plan) (err error) { _, err = p.MPKMulti(xs, 6); return err }
+	for _, multi := range []bool{false, true} {
+		name, threads := "csr", 0
+		call := func(p *Plan) (err error) { _, err = p.MPK(x, 6); return err }
+		if multi {
+			name, threads = name+"/multi4-t2", 2
+			call = func(p *Plan) (err error) { _, err = p.MPKMulti(xs, 6); return err }
+		}
+		b.Run(name, func(b *testing.B) {
+			p, err := NewPlan(a, Options{Engine: EngineStandard, Threads: threads})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(name, func(b *testing.B) {
-				p, err := NewPlan(a, Options{Engine: EngineStandard, Backend: kind, Threads: threads})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer p.Close()
-				if kind == BackendAuto {
-					b.Logf("%s x%g: the census picked %s", *sweepMatrix, *sweepScale, p.Backend())
-				}
-				// One call outside the clock: it first-touches the plan's
-				// workspace and the heap the results recycle from, which on
-				// a 2-vCPU VM where a fresh page costs 2 to 17 us is a tenth
-				// of a sweep on the vector-bound beds.
+			defer p.Close()
+			// One call outside the clock: it first-touches the plan's
+			// workspace and the heap the results recycle from, which on
+			// a 2-vCPU VM where a fresh page costs 2 to 17 us is a tenth
+			// of a sweep on the vector-bound beds.
+			if err := call(p); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(6 * a.MemoryBytes())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := call(p); err != nil {
 					b.Fatal(err)
 				}
-				b.SetBytes(6 * a.MemoryBytes())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := call(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

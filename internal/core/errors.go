@@ -30,8 +30,9 @@ var (
 	// ErrClosed reports a call on a plan whose Close has begun: the
 	// plan drains in-flight executions and fails late arrivals.
 	ErrClosed = errors.New("plan is closed")
-	// ErrBadBackend reports an unknown BackendKind in the options.
-	ErrBadBackend = errors.New("unknown execution backend")
+	// ErrBadEngine reports an Engine in the options that is none of
+	// the four Engine constants.
+	ErrBadEngine = errors.New("unknown engine")
 	// ErrStructureChanged reports an UpdateValues call whose matrix has
 	// a different sparsity pattern than the one the plan was built for;
 	// the caller must rebuild (Registry.UpdateValues does so

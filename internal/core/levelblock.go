@@ -306,8 +306,8 @@ func (ls *levelSchedule) validatePermuted(pa *sparse.CSR) error {
 }
 
 // lbEngine is the level-blocked engine of a plan. The kernel reads the
-// epoch's raw level-ordered CSR: the skewed step ranges move every
-// pass, which the block-aligned BSR range kernels could not serve.
+// epoch's level-ordered CSR over skewed step ranges that move every
+// pass.
 type lbEngine struct {
 	team team
 	ls   *levelSchedule

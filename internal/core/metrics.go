@@ -53,19 +53,17 @@ const (
 	phaseBackward
 	phaseStandard // standard-engine SpMV sweeps
 	phaseSymGS
-	phaseStandardBSR // standard-engine sweeps on the BSR backend
-	phaseLevel       // level-blocked engine block passes
+	phaseLevel // level-blocked engine block passes
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
-	phaseHead:        "head",
-	phaseForward:     "forward",
-	phaseBackward:    "backward",
-	phaseStandard:    "standard",
-	phaseSymGS:       "symgs",
-	phaseStandardBSR: "standard_bsr",
-	phaseLevel:       "level",
+	phaseHead:     "head",
+	phaseForward:  "forward",
+	phaseBackward: "backward",
+	phaseStandard: "standard",
+	phaseSymGS:    "symgs",
+	phaseLevel:    "level",
 }
 
 // planMetrics is the live atomic counter set owned by a Plan.

@@ -42,15 +42,14 @@ func StandardMPK(a *sparse.CSR, x0 []float64, k int, onIterate IterateFunc) ([]f
 }
 
 // standardPowers is the standard engine's one driver, for every block
-// width and worker count: k sweeps of the backend's range kernel over
-// the nv row-major vectors of x (nv = 1: plain SpMV), each split over
-// the team by bounds (worker row bounds from be.partition, aligned to
-// the backend's storage granularity so ranges write disjoint y
-// entries), with one barrier per power. x is overwritten; the result is
-// x or a fresh block of its size. onIterate fires on worker 0 behind a
-// second barrier, so the iterate is stable while observed.
-func standardPowers(tm team, bounds []int, env *runEnv, be execBackend, x []float64, nv, k int, onIterate IterateFunc) ([]float64, error) {
-	ph := be.phase()
+// width and worker count: k sweeps of sparse.SpMMRange over the nv
+// row-major vectors of x (nv = 1: plain SpMV), each split over the team
+// by bounds (worker row bounds, so ranges write disjoint y entries),
+// with one barrier per power. x is overwritten; the result is x or a
+// fresh block of its size. onIterate fires on worker 0 behind a second
+// barrier, so the iterate is stable while observed.
+func standardPowers(tm team, bounds []int, env *runEnv, a *sparse.CSR, x []float64, nv, k int, onIterate IterateFunc) ([]float64, error) {
+	const ph = phaseStandard
 	y := make([]float64, len(x))
 	tm.run(bodyFunc(func(id int) {
 		clock := tm.clock(env, id)
@@ -60,7 +59,7 @@ func standardPowers(tm team, bounds []int, env *runEnv, be execBackend, x []floa
 		for power := 1; power <= k; power++ {
 			clock.beginSweep()
 			if !skip {
-				be.spmmRange(src, dst, nv, lo, hi)
+				sparse.SpMMRange(a, src, dst, nv, lo, hi)
 			}
 			src, dst = dst, src
 			// All writers must finish before anyone reads dst as the
@@ -131,23 +130,18 @@ func eachVector(e engine, ws *workspace, env *runEnv, ep *planEpoch, in [][]floa
 }
 
 // stdEngine is the standard engine of a plan: Algorithm 1 on the
-// epoch's backend, row-split over the team by the backend's partition
-// (structure-only, so computed once and valid for every epoch). rowPtr
-// and colIdx are the structure of the execution-order matrix the
-// backend was built from — the caller's own arrays unless the plan
-// reordered — which a value update re-wraps for the backend to refill.
+// epoch's execution-order CSR, row-split over the team by nonzeros
+// (structure-only, so computed once and valid for every epoch).
 type stdEngine struct {
 	team   team
 	bounds []int
-	rowPtr []int64
-	colIdx []int32
-	ph     phase // the backend's sweep phase
+	nnzA   uint64
 }
 
 func (e *stdEngine) revalue(cur *planEpoch, src []float64, slot []int64) *planEpoch {
-	n := len(e.rowPtr) - 1
-	ea := &sparse.CSR{Rows: n, Cols: n, RowPtr: e.rowPtr, ColIdx: e.colIdx, Val: gatherValues(src, slot)}
-	return &planEpoch{be: cur.be.withValues(ea)}
+	a := *cur.a
+	a.Val = gatherValues(src, slot)
+	return &planEpoch{a: &a}
 }
 
 func (e *stdEngine) powers(_ *workspace, env *runEnv, ep *planEpoch, in []float64, k int, coeffs []float64, hook IterateFunc) ([]float64, error) {
@@ -158,7 +152,7 @@ func (e *stdEngine) powers(_ *workspace, env *runEnv, ep *planEpoch, in []float6
 	if coeffs != nil {
 		combo, hook = comboHook(coeffs, in)
 	}
-	xk, err := standardPowers(e.team, e.bounds, env, ep.be, sparse.CopyVec(in), 1, k, hook)
+	xk, err := standardPowers(e.team, e.bounds, env, ep.a, sparse.CopyVec(in), 1, k, hook)
 	if err != nil || hook == nil {
 		return xk, err
 	}
@@ -172,7 +166,7 @@ func (e *stdEngine) powersMulti(ws *workspace, env *runEnv, ep *planEpoch, in []
 	if coeffs != nil {
 		return eachVector(e, ws, env, ep, in, k, coeffs)
 	}
-	xk, err := standardPowers(e.team, e.bounds, env, ep.be, sparse.PackVectors(in), len(in), k, nil)
+	xk, err := standardPowers(e.team, e.bounds, env, ep.a, sparse.PackVectors(in), len(in), k, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -187,6 +181,6 @@ func (e *stdEngine) traffic(k, m int, combos bool) work {
 		sweeps *= uint64(m)
 	}
 	wk := work{sweeps: sweeps, spmvs: uint64(k) * uint64(m)}
-	wk.nnz[e.ph] = sweeps * uint64(len(e.colIdx))
+	wk.nnz[phaseStandard] = sweeps * e.nnzA
 	return wk
 }

@@ -80,14 +80,6 @@ type Options struct {
 	// invariant is violated. Debug aid: costs one extra pass over the
 	// matrix, nothing per MPK call.
 	SelfCheck bool
-	// Backend selects the storage format the standard engine's SpMV/SpMM
-	// sweeps run on. The zero value BackendCSR keeps the bitwise-stable
-	// baseline; BackendBSR forces block CSR at the DetectBSRBlock size;
-	// BackendAuto picks CSR or BSR from the matrix structure (see
-	// TuneDecision) and builds that forced plan.
-	// Only meaningful for EngineStandard: the forward-backward sweeps
-	// run on the L+D+U split and the level-blocked steps on raw CSR.
-	Backend BackendKind
 	// LevelBlockBytes is the cache budget (bytes of matrix data) per
 	// level block of the level-blocked engine (0 =
 	// DefaultLevelBlockBytes). Only meaningful for EngineLevelBlocked.
@@ -137,11 +129,6 @@ func (o Options) Canonical() Options {
 	if o.Engine != EngineForwardBackward {
 		// BtB is a property of the FB pipeline's vector layout.
 		o.BtB = false
-	}
-	if o.Engine != EngineStandard {
-		// Backend is a property of the standard engine's sweeps: no
-		// other engine builds, tunes or holds one.
-		o.Backend = BackendCSR
 	}
 	if o.Engine == EngineLevelBlocked {
 		// ABMC never runs, so ForceABMC is inert (and must fold before
@@ -231,15 +218,6 @@ func WithForceABMC(on bool) Option {
 // WithSelfCheck toggles the post-construction invariant audit.
 func WithSelfCheck(on bool) Option {
 	return optionFunc(func(o *Options) { o.SelfCheck = on })
-}
-
-// WithBackend selects the storage format of the standard engine's
-// sweeps (see Options.Backend): BackendBSR forces block CSR,
-// BackendAuto picks CSR or BSR from a structure census at build time,
-// BackendCSR (the default) keeps the bitwise-stable CSR baseline.
-// Inert under every other engine.
-func WithBackend(k BackendKind) Option {
-	return optionFunc(func(o *Options) { o.Backend = k })
 }
 
 // WithLevelBlockBytes sets the cache budget (bytes of matrix data) per

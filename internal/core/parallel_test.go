@@ -381,6 +381,5 @@ func (f *FBParallelMulti) Workers() int { return f.fb.sch.team.workers() }
 // barrier-synchronize between the k invocations. This mirrors the
 // paper's baseline methodology ("the same optimized SpMV kernel").
 func StandardMPKParallel(a *sparse.CSR, x0 []float64, k int, pool *parallel.Pool, onIterate IterateFunc) ([]float64, error) {
-	be := csrBackend{a: a}
-	return standardPowers(newTeam(pool), be.partition(pool.Workers()), nil, be, sparse.CopyVec(x0), 1, k, onIterate)
+	return standardPowers(newTeam(pool), parallel.PartitionByPtr(a.Rows, pool.Workers(), a.RowPtr), nil, a, sparse.CopyVec(x0), 1, k, onIterate)
 }

@@ -22,7 +22,7 @@ import (
 // FBMPK the ABMC reorder.
 //
 // After construction the structural products of preprocessing — the
-// permutation, the ABMC schedule, the CSR/split/backend index arrays —
+// permutation, the ABMC schedule, the CSR and split index arrays —
 // are never written again. The one value-bearing container the plan's
 // engine runs on lives in an epoch (see planEpoch) that UpdateValues
 // can atomically replace with one sharing every structure array;
@@ -128,9 +128,8 @@ func gatherValues(src []float64, slot []int64) []float64 {
 // re-preprocess.
 type planEpoch struct {
 	seq uint64
-	be  execBackend        // standard engine: the kernel backend over the execution-order matrix
 	tri *sparse.Triangular // forward-backward engine: the L+D+U split
-	a   *sparse.CSR        // level-blocked engine: the level-ordered matrix
+	a   *sparse.CSR        // standard and level-blocked engines: the execution-order matrix
 }
 
 // PlanStats reports the one-off preprocessing cost of building a plan
@@ -156,22 +155,9 @@ type PlanStats struct {
 	// ParallelPrep reports whether preprocessing ran on the worker
 	// pool (Threads > 1) rather than the serial path.
 	ParallelPrep bool
-	// Backend is what the plan's kernels execute on: the standard
-	// engine's backend format ("csr", "bsr"), "split" for the
-	// forward-backward L+D+U, "csr" for the level-ordered matrix.
-	Backend string
-	// TuneTime is what the backend resolution cost: BackendAuto's
-	// census, if any, plus the format conversion of a standard-engine
-	// plan; zero for the other engines, which hold no backend.
-	TuneTime time.Duration
-	// Tune is BackendAuto's verdict with its priced candidates, nil
-	// unless the plan was built with the standard engine and
-	// BackendAuto.
-	Tune *TuneDecision
 	// Updates counts completed UpdateValues epoch swaps; UpdateTime is
-	// their cumulative wall time. An update never re-tunes, re-orders,
-	// or re-splits, so BuildTime and TuneTime stay the one-off costs of
-	// NewPlan.
+	// their cumulative wall time. An update never re-orders or
+	// re-splits, so BuildTime stays the one-off cost of NewPlan.
 	Updates    uint64
 	UpdateTime time.Duration
 }
@@ -185,6 +171,9 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 	// Everything below reads the canonical options: defaults resolved,
 	// inert knobs folded (see Options.Canonical).
 	opt := BuildOptions(opts...).Canonical()
+	if opt.Engine < EngineStandard || opt.Engine > EngineAuto {
+		return nil, fmt.Errorf("core: NewPlan: %v: %w", opt.Engine, ErrBadEngine)
+	}
 	if a == nil {
 		return nil, fmt.Errorf("core: NewPlan: nil matrix: %w", ErrInvalidMatrix)
 	}
@@ -276,7 +265,6 @@ func (p *Plan) prepare(a *sparse.CSR, opt Options, runner sparse.Runner) (*planE
 			return nil, nil, err
 		}
 		p.engine, ep.tri = e, tri
-		p.stats.Backend = "split"
 	case EngineLevelBlocked:
 		ls, err := newLevelSchedule(a, opt.LevelBlockBytes, runner)
 		if err != nil {
@@ -287,8 +275,7 @@ func (p *Plan) prepare(a *sparse.CSR, opt Options, runner sparse.Runner) (*planE
 			return nil, nil, err
 		}
 		p.engine, p.perm, ea, ep.a = e, ls.perm, la, la
-		p.stats.Backend = BackendCSR.String()
-	default:
+	default: // EngineStandard
 		if p.ord != nil {
 			permStart := time.Now()
 			pa, err := p.perm.ApplySymPool(a, runner)
@@ -299,15 +286,9 @@ func (p *Plan) prepare(a *sparse.CSR, opt Options, runner sparse.Runner) (*planE
 			p.stats.ReorderTime += p.stats.PermTime
 			ea = pa
 		}
-		// The backend resolves after reordering so the census (and the
-		// format conversion) covers the execution-order matrix.
-		be, err := initBackend(opt, ea, &p.stats)
-		if err != nil {
-			return nil, nil, err
-		}
 		tm := newTeam(p.pool)
-		p.engine = &stdEngine{team: tm, bounds: be.partition(tm.workers()), rowPtr: ea.RowPtr, colIdx: ea.ColIdx, ph: be.phase()}
-		ep.be = be
+		p.engine = &stdEngine{team: tm, bounds: parallel.PartitionByPtr(ea.Rows, tm.workers(), ea.RowPtr), nnzA: uint64(len(ea.Val))}
+		ep.a = ea
 	}
 	return ep, ea, nil
 }

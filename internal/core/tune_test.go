@@ -48,32 +48,19 @@ func TestTuneSampleStripesAlignedAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestAutotuneDeterministicVerdict: the verdict is a function of the
-// structure alone, so two builds give an identical decision, census and
-// prices included — on a suite stand-in the census keeps on CSR and on
-// a matrix it moves to BSR — and other values of the same structure
-// change nothing.
+// TestAutotuneDeterministicVerdict: the block size is a function of the
+// structure alone, so two calls and a matrix of other values of the same
+// structure give the same size — on a suite stand-in (2) and on a
+// matrix of dense 3 x 3 blocks (3).
 func TestAutotuneDeterministicVerdict(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, in := range []struct {
 		a    *sparse.CSR
-		want BackendKind
-	}{{suiteCSR(t, "pwtk", 0.01), BackendCSR}, {blockCSR(rng, 700, 3, 4), BackendBSR}} {
-		var decs []*TuneDecision
+		want int
+	}{{suiteCSR(t, "pwtk", 0.01), 2}, {blockCSR(rng, 700, 3, 4), 3}} {
 		for _, a := range []*sparse.CSR{in.a, in.a, scaledValues(in.a, 3)} {
-			p, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(BackendAuto))
-			if err != nil {
-				t.Fatal(err)
-			}
-			decs = append(decs, p.Stats().Tune)
-			p.Close()
-		}
-		if decs[0] == nil || decs[0].Backend != in.want || len(decs[0].Candidates) != 2 {
-			t.Fatalf("verdict %+v, want %v over two candidates", decs[0], in.want)
-		}
-		for _, d := range decs[1:] {
-			if !reflect.DeepEqual(d, decs[0]) {
-				t.Fatalf("two builds decided %+v and %+v", decs[0], d)
+			if got := DetectBSRBlock(a); got != in.want {
+				t.Fatalf("%d rows: block size %d, want %d", a.Rows, got, in.want)
 			}
 		}
 	}
@@ -89,96 +76,96 @@ func scaledValues(a *sparse.CSR, f float64) *sparse.CSR {
 	return &b
 }
 
-// TestAutotuneModelFavorsBSROnBlockMatrix checks the census on a
-// perfectly block-structured matrix: its BSR candidate is the 3x3 one,
-// stores no fill in a third of CSR's rows, and prices below CSR.
+// bsrBytes is DetectBSRBlock's model — 8 bytes a stored value, 4 a
+// block index, 8 a block row — counted from what ToBSR stores at r x r
+// over the stripes of sample: the oracle of its one-pass block count.
+func bsrBytes(sample []*sparse.CSR, r int) (bytes int64) {
+	for _, s := range sample {
+		if s.Val == nil {
+			c := *s
+			c.Val = make([]float64, s.NNZ())
+			s = &c
+		}
+		b := sparse.ToBSR(s, r, r)
+		bytes += 8*int64(len(b.Val)) + 4*int64(len(b.ColIdx)) + 8*int64(b.BRows)
+	}
+	return bytes
+}
+
+// bestBlock is the size in {2, 3, 4} with the fewest bsrBytes, the
+// smaller on a tie.
+func bestBlock(sample []*sparse.CSR) int {
+	best := 2
+	for r := 3; r <= 4; r++ {
+		if bsrBytes(sample, r) < bsrBytes(sample, best) {
+			best = r
+		}
+	}
+	return best
+}
+
+// TestAutotuneModelFavorsBSROnBlockMatrix checks the detector on a
+// perfectly block-structured matrix: it picks 3, at which ToBSR stores
+// no fill in a third of CSR's rows.
 func TestAutotuneModelFavorsBSROnBlockMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := blockCSR(rng, 700, 3, 4)
-	d := autotune(a)
-	csr, bsr := d.Candidates[0], d.Candidates[1]
-	if csr.Backend != BackendCSR || csr.Stored != a.NNZ() || csr.Rows != a.Rows {
-		t.Fatalf("csr census %+v of a %d-row matrix with %d entries", csr, a.Rows, a.NNZ())
+	if r := DetectBSRBlock(a); r != 3 {
+		t.Fatalf("block size %d, want 3", r)
 	}
-	if bsr.Backend != BackendBSR || bsr.Block != 3 || bsr.Stored != a.NNZ() || bsr.Rows != a.Rows/3 {
-		t.Fatalf("bsr census %+v, want 3x3 blocks with no fill", bsr)
-	}
-	if bsr.PriceNs >= csr.PriceNs {
-		t.Fatalf("bsr3 priced %.0f ns, not below csr's %.0f on dense 3x3 blocks", bsr.PriceNs, csr.PriceNs)
+	if b := sparse.ToBSR(a, 3, 3); int64(len(b.Val)) != a.NNZ() || b.BRows != a.Rows/3 {
+		t.Fatalf("bsr3 stores %d slots in %d block rows, want %d in %d", len(b.Val), b.BRows, a.NNZ(), a.Rows/3)
 	}
 }
 
-// TestWithTunedDecisionSkipsSampling: with nothing timed there is no
-// verdict to replay — an Auto plan is bitwise the forced plan of the
-// backend it reports, serial and on two workers, on beds whose census
-// picks CSR and BSR, the two formats it chooses between.
+// TestWithTunedDecisionSkipsSampling: nothing is timed or sampled to
+// build a standard-engine plan, so two builds of it are one plan — the
+// same bits, serial and on two workers — on a block bed, a random bed
+// and G3_circuit's short rows.
 func TestWithTunedDecisionSkipsSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	picks := map[BackendKind]bool{}
 	for _, a := range []*sparse.CSR{blockCSR(rng, 80, 3, 5), randomCSR(rng, 500, 6), suiteCSR(t, "G3_circuit", 0.002)} {
 		x0 := randVec(rng, a.Rows)
 		for _, threads := range []int{0, 2} {
-			auto, err := NewPlan(a, Options{Engine: EngineStandard, Backend: BackendAuto, Threads: threads})
-			if err != nil {
-				t.Fatal(err)
+			var ys [2][]float64
+			for i := range ys {
+				p, err := NewPlan(a, Options{Engine: EngineStandard, Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ys[i], err = p.MPK(x0, 5)
+				p.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			defer auto.Close()
-			kind, err := ParseBackend(auto.Backend())
-			if err != nil {
-				t.Fatal(err)
-			}
-			forced, err := NewPlan(a, Options{Engine: EngineStandard, Backend: kind, Threads: threads})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer forced.Close()
-			if auto.Stats().Tune == nil || forced.Stats().Tune != nil {
-				t.Fatalf("verdicts: auto %v, forced %v", auto.Stats().Tune, forced.Stats().Tune)
-			}
-			got, err := auto.MPK(x0, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := forced.MPK(x0, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseEqual(t, fmt.Sprintf("Auto (%v) vs forced, %d threads", kind, threads), got, want)
-			picks[kind] = true
+			bitwiseEqual(t, fmt.Sprintf("two standard builds, %d threads", threads), ys[0], ys[1])
 		}
-	}
-	if !picks[BackendCSR] || !picks[BackendBSR] {
-		t.Fatalf("the beds picked only %v", picks)
 	}
 }
 
-// TestAutotuneMatchesCSRResults drives a BackendAuto plan against the
-// CSR baseline: whatever format the census picked, results must agree
-// to 1e-12.
+// TestAutotuneMatchesCSRResults drives a standard-engine plan on a block
+// matrix against the CSR baseline: StandardMPK's bits, serial and on two
+// workers.
 func TestAutotuneMatchesCSRResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	a := blockCSR(rng, 120, 3, 3)
 	x0 := randVec(rng, a.Rows)
-	base, err := NewPlan(a, WithEngine(EngineStandard))
+	want, err := StandardMPK(a, x0, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer base.Close()
-	auto, err := NewPlan(a, WithEngine(EngineStandard), WithBackend(BackendAuto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer auto.Close()
-	want, err := base.MPK(x0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := auto.MPK(x0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := sparse.RelMaxDiff(got, want); d > 1e-12 {
-		t.Fatalf("auto (%s) vs csr diff %g", auto.Backend(), d)
+	for _, threads := range []int{0, 2} {
+		p, err := NewPlan(a, WithEngine(EngineStandard), WithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.MPK(x0, 6)
+		p.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitwiseEqual(t, fmt.Sprintf("standard plan vs StandardMPK, %d threads", threads), got, want)
 	}
 }
 
@@ -198,8 +185,8 @@ func chainCSR(n int) *sparse.CSR {
 
 // autoIsForcedFB holds an EngineAuto plan of a under opt, at 0, 1 and 2
 // threads, to the forced forward-backward plan of the same options: it
-// runs that engine, built no level schedule, spent nothing on tuning,
-// and returns the forced plan's bits from MPK at power k.
+// runs that engine, built no level schedule, and returns the forced
+// plan's bits from MPK at power k.
 func autoIsForcedFB(t *testing.T, name string, a *sparse.CSR, opt Options, k int) {
 	t.Helper()
 	x := randVec(rand.New(rand.NewSource(int64(k))), a.Rows)
@@ -212,8 +199,8 @@ func autoIsForcedFB(t *testing.T, name string, a *sparse.CSR, opt Options, k int
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := p.Stats(); p.Engine() != EngineForwardBackward || st.NumLevels != 0 || st.TuneTime != 0 {
-				t.Fatalf("%s t=%d: %v plan runs %v with %d levels and %v of tuning", name, threads, eng, p.Engine(), st.NumLevels, st.TuneTime)
+			if st := p.Stats(); p.Engine() != EngineForwardBackward || st.NumLevels != 0 {
+				t.Fatalf("%s t=%d: %v plan runs %v with %d levels", name, threads, eng, p.Engine(), st.NumLevels)
 			}
 			y, err := p.MPK(x, k)
 			p.Close()
@@ -254,76 +241,54 @@ func suiteCSR(t *testing.T, name string, scale float64) *sparse.CSR {
 	return spec.Generate(scale, 1)
 }
 
-// TestAutotuneWinnerWasMeasuredFaster: the census may only leave CSR
-// for a candidate priced at tuneMargin of CSR's price or below — one
-// winner, the decision's, and a non-CSR one at most 0.90 x CSR — on
-// structurally different suite matrices (dense blocky rows, short
-// irregular rows, scattered graph rows).
+// TestAutotuneWinnerWasMeasuredFaster: the size the detector picks from
+// its one-pass block count is the one with the fewest modeled bytes by
+// what ToBSR actually stores on the same sample, on structurally
+// different suite matrices (dense blocky rows, short irregular rows,
+// scattered graph rows).
 func TestAutotuneWinnerWasMeasuredFaster(t *testing.T) {
 	for _, name := range []string{"cant", "G3_circuit", "cage14", "pwtk"} {
-		d := autotune(suiteCSR(t, name, 0.01))
-		var winner *TuneCandidate
-		for i := range d.Candidates {
-			if c := &d.Candidates[i]; c.Winner {
-				if winner != nil {
-					t.Fatalf("%s: two winners in %+v", name, d.Candidates)
-				}
-				winner = c
-			}
-		}
-		csr := d.Candidates[0]
-		if winner == nil || csr.Backend != BackendCSR || csr.PriceNs <= 0 {
-			t.Fatalf("%s: no winner or no CSR price in %+v", name, d.Candidates)
-		}
-		if winner.Backend != d.Backend || winner.Block != d.Block {
-			t.Fatalf("%s: verdict %v/%d but winner row %+v", name, d.Backend, d.Block, *winner)
-		}
-		if winner.Backend != BackendCSR && winner.PriceNs > tuneMargin*csr.PriceNs {
-			t.Fatalf("%s: selected %v priced %.0f ns, above %.2f x CSR's %.0f ns",
-				name, winner.Backend, winner.PriceNs, tuneMargin, csr.PriceNs)
+		a := suiteCSR(t, name, 0.01)
+		if got, want := DetectBSRBlock(a), bestBlock(tuneSample(a)); got != want {
+			t.Errorf("%s: block size %d, ToBSR's bytes pick %d", name, got, want)
 		}
 	}
 }
 
-// TestAutotuneSuiteVerdicts holds the census, priced by the committed
-// table, to the formats that were fastest over ten rounds of
-// BenchmarkStandardBackends on the five out-of-cache beds of DESIGN.md
-// §10 (G3_circuit x4 and x0.05 share one structure), except G3_circuit:
-// its 4.8 entries a row are below the profiled rows, so it stays on CSR.
-// The stand-ins here are small, and a stripe sample of their structure
-// is what the census counts at any scale.
+// TestAutotuneSuiteVerdicts holds DetectBSRBlock to the sizes it picks
+// on the suite beds the benchmark and the old census used: audikw_1's
+// 3-DOF nodes give 3, and pwtk, G3_circuit and cage14 give 2. The
+// stand-ins here are small, and a stripe sample of their structure is
+// what the detector counts at any scale.
 func TestAutotuneSuiteVerdicts(t *testing.T) {
 	for _, want := range []struct {
-		name    string
-		backend BackendKind
-		block   int
+		name  string
+		block int
 	}{
-		{"pwtk", BackendCSR, 0},
-		{"audikw_1", BackendBSR, 3},
-		{"G3_circuit", BackendCSR, 0},
-		{"cage14", BackendCSR, 0},
+		{"pwtk", 2},
+		{"audikw_1", 3},
+		{"G3_circuit", 2},
+		{"cage14", 2},
 	} {
-		if d := autotune(suiteCSR(t, want.name, 0.02)); d.Backend != want.backend || d.Block != want.block {
-			t.Errorf("%s: verdict %v/%d, want %v/%d, from %+v", want.name, d.Backend, d.Block, want.backend, want.block, d.Candidates)
+		if got := DetectBSRBlock(suiteCSR(t, want.name, 0.02)); got != want.block {
+			t.Errorf("%s: block size %d, want %d", want.name, got, want.block)
 		}
 	}
 }
 
-// TestAutotuneShortRowsStayCSR: a sample with fewer entries a row than
-// the profile's shortest bed is not priced, so it stays on CSR however
-// the table's intercepts would price it — a diagonal, a tridiagonal and
-// a dense 3 x 3 block-diagonal matrix, both below and above
-// tuneSampleRows. The block bed is the guard's witness: with 3 entries a
-// row the table prices it to BSR 3 at ≈ 0.69 x CSR, so it fails if the
-// guard goes.
+// TestAutotuneShortRowsStayCSR: on matrices of one to three entries a
+// row the detector picks the size without fill — 2 for a diagonal and a
+// tridiagonal, 3 for dense 3 x 3 diagonal blocks — both below and above
+// tuneSampleRows, in agreement with ToBSR's bytes.
 func TestAutotuneShortRowsStayCSR(t *testing.T) {
 	beds := []struct {
 		name string
 		in   func(i, j int) bool
+		want int
 	}{
-		{"diagonal", func(i, j int) bool { return i == j }},
-		{"tridiagonal", func(i, j int) bool { return i-j <= 1 && j-i <= 1 }},
-		{"3x3 blocks", func(i, j int) bool { return i/3 == j/3 }},
+		{"diagonal", func(i, j int) bool { return i == j }, 2},
+		{"tridiagonal", func(i, j int) bool { return i-j <= 1 && j-i <= 1 }, 2},
+		{"3x3 blocks", func(i, j int) bool { return i/3 == j/3 }, 3},
 	}
 	for _, n := range []int{999, 9999} {
 		for _, bed := range beds {
@@ -335,24 +300,21 @@ func TestAutotuneShortRowsStayCSR(t *testing.T) {
 					}
 				}
 			}
-			d := autotune(coo.ToCSR())
-			if d.Backend != BackendCSR || !d.Candidates[0].Winner {
-				t.Errorf("n=%d %s: verdict %v/%d from %+v, want csr", n, bed.name, d.Backend, d.Block, d.Candidates)
-			}
-			if bsr := d.Candidates[1]; bed.name == "3x3 blocks" && (bsr.Block != 3 || bsr.PriceNs > tuneMargin*d.Candidates[0].PriceNs) {
-				t.Errorf("n=%d: BSR %d priced %.0f ns, not below CSR's %.0f: the bed no longer tests the guard", n, bsr.Block, bsr.PriceNs, d.Candidates[0].PriceNs)
+			a := coo.ToCSR()
+			if got, oracle := DetectBSRBlock(a), bestBlock(tuneSample(a)); got != bed.want || oracle != bed.want {
+				t.Errorf("n=%d %s: block size %d, ToBSR's bytes pick %d, want %d", n, bed.name, got, oracle, bed.want)
 			}
 		}
 	}
 }
 
 // TestDetectBSRBlockSampled: on every suite generator the block size
-// counted over tuneSample is the whole matrix's, so a forced BSR plan
-// (and the benchmark's BSR kernel cell) keeps the size it had.
+// counted over tuneSample is the whole matrix's by ToBSR's bytes, so the
+// benchmark's BSR kernel cell keeps the size it had.
 func TestDetectBSRBlockSampled(t *testing.T) {
 	for _, name := range matgen.Names() {
 		a := suiteCSR(t, name, 0.01)
-		if got, want := DetectBSRBlock(a), bsrCandidate([]*sparse.CSR{a}).Block; got != want {
+		if got, want := DetectBSRBlock(a), bestBlock([]*sparse.CSR{a}); got != want {
 			t.Errorf("%s: sampled block size %d, whole-matrix %d", name, got, want)
 		}
 	}

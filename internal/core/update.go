@@ -14,10 +14,9 @@ import (
 // changing coefficients — re-solve on matrices whose values change
 // while the sparsity pattern does not. UpdateValues exploits exactly
 // that split: with the structure verified identical, the permutation,
-// the ABMC schedule, the L+D+U index arrays, the backend layout, and
-// the BackendAuto verdict all remain valid, and only the value payload of
-// the one container the plan's engine runs on is rebuilt (an O(nnz)
-// gather, no re-preprocessing).
+// the ABMC schedule and the CSR and L+D+U index arrays all remain
+// valid, and only the value payload of the one container the plan's
+// engine runs on is rebuilt (an O(nnz) gather, no re-preprocessing).
 //
 // Concurrency model: epoch/RCU. Each execution pins the plan's value
 // epoch once at admission (Plan.exec) and runs to completion on it, so

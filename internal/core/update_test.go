@@ -48,7 +48,7 @@ func bitwiseEqual(t *testing.T, label string, got, want []float64) {
 // TestUpdateValuesBitwise is the core mutable-matrix contract: after
 // UpdateValues(a2) on a plan built from a1, every operation must return
 // results bitwise-identical to a fresh plan built directly on a2 — for
-// every engine/backend/reorder combination, including the reordered
+// every engine/reorder combination, including the reordered
 // paths that gather values through the cached permutation slot map.
 func TestUpdateValuesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
@@ -63,10 +63,11 @@ func TestUpdateValuesBitwise(t *testing.T) {
 		{"fb-parallel", DefaultOptions(4)},
 		{"fb-serial-abmc", Options{Engine: EngineForwardBackward, BtB: true, ForceABMC: true}},
 		{"standard-csr-abmc", Options{Engine: EngineStandard, Threads: 2, ForceABMC: true}},
-		// standard-sell keeps the name it had while SELL was a backend;
-		// it now spells the census's plan.
-		{"standard-sell", Options{Engine: EngineStandard, Backend: BackendAuto}},
-		{"standard-bsr", Options{Engine: EngineStandard, Backend: BackendBSR}},
+		// standard-sell and standard-bsr keep the names they had while
+		// SELL and BSR were plan backends; they now spell the standard
+		// plan on the caller's order, serial and on two workers.
+		{"standard-sell", Options{Engine: EngineStandard}},
+		{"standard-bsr", Options{Engine: EngineStandard, Threads: 2}},
 		{"levelblock", Options{Engine: EngineLevelBlocked, Threads: 2, LevelBlockBytes: 4 << 10}},
 	}
 	const k = 4
@@ -265,10 +266,9 @@ func TestUpdateValuesDoesNotAliasCaller(t *testing.T) {
 
 // TestEpochHoldsOneContainer is the storage invariant: whatever its
 // options, a plan's epoch holds the one container its engine runs on —
-// the backend (standard), the split (forward-backward), the
-// level-ordered matrix (level-blocked) — and nothing else, before and
-// after a value update. Backend is set to Auto throughout: only the
-// standard engine may build one.
+// the split (forward-backward), the matrix in execution order (standard
+// and level-blocked) — and nothing else, before and after a value
+// update.
 func TestEpochHoldsOneContainer(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
 	a := randomSymCSR(rng, 200, 4)
@@ -276,7 +276,7 @@ func TestEpochHoldsOneContainer(t *testing.T) {
 	for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
 		for _, threads := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%v/t%d", eng, threads), func(t *testing.T) {
-				p, err := NewPlan(a, Options{Engine: eng, BtB: true, Threads: threads, ForceABMC: true, Backend: BackendAuto})
+				p, err := NewPlan(a, Options{Engine: eng, BtB: true, Threads: threads, ForceABMC: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -284,19 +284,16 @@ func TestEpochHoldsOneContainer(t *testing.T) {
 				check := func(when string) {
 					t.Helper()
 					ep := p.state.Load()
-					want := map[Engine][3]bool{
-						EngineStandard:        {true, false, false},
-						EngineForwardBackward: {false, true, false},
-						EngineLevelBlocked:    {false, false, true},
+					want := map[Engine][2]bool{
+						EngineStandard:        {false, true},
+						EngineForwardBackward: {true, false},
+						EngineLevelBlocked:    {false, true},
 					}[p.Engine()]
-					if got := [3]bool{ep.be != nil, ep.tri != nil, ep.a != nil}; got != want {
-						t.Fatalf("%s: %v plan holds (be, tri, a) = %v, want %v", when, p.Engine(), got, want)
+					if got := [2]bool{ep.tri != nil, ep.a != nil}; got != want {
+						t.Fatalf("%s: %v plan holds (tri, a) = %v, want %v", when, p.Engine(), got, want)
 					}
 				}
 				check("after NewPlan")
-				if tuned := p.Stats().Tune != nil; tuned != (eng == EngineStandard) {
-					t.Fatalf("backend census ran = %v on a %v plan", tuned, eng)
-				}
 				if err := p.UpdateValues(b); err != nil {
 					t.Fatal(err)
 				}

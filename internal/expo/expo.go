@@ -21,8 +21,8 @@ import (
 )
 
 // PlanSnapshot pairs a plan's scrape label with its counter snapshot
-// and its build record (Plan.Stats), which the backend label and
-// fbmpk_build_seconds are read from.
+// and its build record (Plan.Stats), which fbmpk_build_seconds is read
+// from.
 type PlanSnapshot struct {
 	Name    string
 	Metrics core.PlanMetrics
@@ -30,16 +30,9 @@ type PlanSnapshot struct {
 }
 
 // planLabels returns the base label set of a plan's series: the plan
-// name plus, when the plan reports what its kernels execute on, the
-// backend label ("csr", "bsr"; "split" for a forward-backward
-// plan) on the same series. A snapshot without stats keeps the
-// plan-only label set.
+// name, then extra.
 func planLabels(s PlanSnapshot, extra ...[2]string) labels {
-	l := labels{{"plan", s.Name}}
-	if s.Stats.Backend != "" {
-		l = append(l, [2]string{"backend", s.Stats.Backend})
-	}
-	return append(l, extra...)
+	return append(labels{{"plan", s.Name}}, extra...)
 }
 
 // WriteMetrics renders the snapshots as Prometheus text format: one

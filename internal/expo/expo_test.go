@@ -332,13 +332,14 @@ func TestLabelEscaping(t *testing.T) {
 
 // TestExpositionGolden holds the whole exposition byte for byte: the
 // plan families of three fixed snapshots (a parallel forward-backward
-// plan with its build stages, a SELL plan, and one without stats), the
-// plan-cache families and the daemon families, against
+// plan with its build stages, a standard-engine plan, and one without
+// stats), the plan-cache families and the daemon families, against
 // testdata/exposition.golden. The golden was rendered while the build
-// stages and the backend label still came from copies in PlanMetrics
-// and the daemon histograms still carried exemplars (stripped from
-// it), so it pins that moving both to their one source changed no
-// byte a scraper reads.
+// stages still came from copies in PlanMetrics and the daemon
+// histograms still carried exemplars (stripped from it), so it pins
+// that moving both to their one source changed no byte a scraper
+// reads; the plan series have carried no backend label since the plan
+// backends went.
 func TestExpositionGolden(t *testing.T) {
 	var h, hs core.LatencyHist
 	for _, d := range []time.Duration{300 * time.Microsecond, 1200 * time.Microsecond, 7 * time.Millisecond} {
@@ -355,14 +356,14 @@ func TestExpositionGolden(t *testing.T) {
 		Latency:      map[string]core.OpLatency{"mpk": h.Snapshot()},
 	}, Stats: core.PlanStats{
 		BuildTime: 12 * time.Millisecond, GraphTime: 2 * time.Millisecond, ColorTime: time.Millisecond,
-		SplitTime: 4 * time.Millisecond, ReorderTime: 3500 * time.Microsecond, ParallelPrep: true, Backend: "split",
+		SplitTime: 4 * time.Millisecond, ReorderTime: 3500 * time.Microsecond, ParallelPrep: true,
 	}}
-	sell := PlanSnapshot{Name: "sell", Metrics: core.PlanMetrics{
+	std := PlanSnapshot{Name: "std", Metrics: core.PlanMetrics{
 		CallsByOp: map[string]uint64{"sspmv": 1}, Calls: 1, Sweeps: 4, SpMVs: 4, NnzStreamed: 4000, MatrixNnz: 1000,
 		ReadsOfA: 4, ReadsPerSpMV: 1, CallTime: 45 * time.Millisecond,
 		Latency: map[string]core.OpLatency{"sspmv": hs.Snapshot()},
 	}, Stats: core.PlanStats{
-		BuildTime: 3 * time.Millisecond, PermTime: 250 * time.Microsecond, TuneTime: 2 * time.Millisecond, Backend: "sell",
+		BuildTime: 3 * time.Millisecond, PermTime: 250 * time.Microsecond,
 	}}
 	reg := RegistrySnapshot{Name: "registry", Stats: registry.Stats{
 		Capacity: 4, Entries: 3, Live: 1, Hits: 17, Misses: 5, Coalesced: 2, Canceled: 1, Builds: 4,
@@ -370,7 +371,7 @@ func TestExpositionGolden(t *testing.T) {
 	}}
 
 	var sb strings.Builder
-	if err := WriteMetrics(&sb, fb, sell, PlanSnapshot{Name: "bare"}); err != nil {
+	if err := WriteMetrics(&sb, fb, std, PlanSnapshot{Name: "bare"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteRegistryMetrics(&sb, reg); err != nil {

@@ -243,41 +243,92 @@ func TestFingerprintCanonicalEquivalence(t *testing.T) {
 	}
 }
 
-// TestFingerprintBackendSensitivity requires distinct keys for the
-// backends a standard-engine plan can execute on, and that folding the
-// backend under the other engines does not fold the engine with it.
+// TestFingerprintBackendSensitivity: every word of the v7 header is one
+// field — the dimensions, the nonzero count, then each of the seven
+// options — so moving one option moves exactly its own word, and with it
+// the plan key and the structure+options key.
 func TestFingerprintBackendSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := testCSR(rng, 80, 4)
-	seen := map[Key]string{}
-	for name, po := range map[string]core.Options{
-		"standard+csr":  {Engine: core.EngineStandard},
-		"standard+bsr":  {Engine: core.EngineStandard, Backend: core.BackendBSR},
-		"standard+auto": {Engine: core.EngineStandard, Backend: core.BackendAuto},
-		"fb+auto":       {Engine: core.EngineForwardBackward, Backend: core.BackendAuto},
-		"lb+auto":       {Engine: core.EngineLevelBlocked, Backend: core.BackendAuto},
+	s, v, err := contentDigests(a, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.Options{Engine: core.EngineForwardBackward}
+	words := headerWords(a, base)
+	if words[0] != uint64(a.Rows) || words[1] != uint64(a.Cols) || words[2] != uint64(len(a.ColIdx)) {
+		t.Fatalf("dimension words %v of an %dx%d matrix with %d entries", words[:3], a.Rows, a.Cols, len(a.ColIdx))
+	}
+	moved := map[int]string{0: "rows", 1: "cols", 2: "nnz"}
+	for name, set := range map[string]func(*core.Options){
+		"Engine":          func(o *core.Options) { o.Engine = core.EngineLevelBlocked },
+		"BtB":             func(o *core.Options) { o.BtB = true },
+		"Threads":         func(o *core.Options) { o.Threads = 2 },
+		"NumBlocks":       func(o *core.Options) { o.NumBlocks = 16 },
+		"ForceABMC":       func(o *core.Options) { o.ForceABMC = true },
+		"SelfCheck":       func(o *core.Options) { o.SelfCheck = true },
+		"LevelBlockBytes": func(o *core.Options) { o.LevelBlockBytes = 256 },
 	} {
-		k := Fingerprint(a, po)
-		if prev, dup := seen[k]; dup {
-			t.Errorf("%s collides with %s", name, prev)
+		o := base
+		set(&o)
+		var at []int
+		for i, w := range headerWords(a, o) {
+			if w != words[i] {
+				at = append(at, i)
+			}
 		}
-		seen[k] = name
+		if len(at) != 1 || moved[at[0]] != "" {
+			t.Fatalf("%s moved header words %v (taken: %v)", name, at, moved)
+		}
+		moved[at[0]] = name
+		if fingerprintWithParts(s, v, a, o) == fingerprintWithParts(s, v, a, base) {
+			t.Errorf("%s: plan keys collide", name)
+		}
+		if structOptKeyFromStruct(s, a, o) == structOptKeyFromStruct(s, a, base) {
+			t.Errorf("%s: structure+options keys collide", name)
+		}
+	}
+	if len(moved) != len(words) {
+		t.Fatalf("%d header words, %d fields: %v", len(words), len(moved), moved)
 	}
 }
 
-// TestFingerprintBackendCanonicalEquivalence: Backend belongs to the
-// standard engine, so under every other engine all three values are one
-// registry key — fb+bsr and fb+csr build the same plan.
+// TestFingerprintBackendCanonicalEquivalence: under every engine, the
+// spellings that differ only in knobs the engine never reads flatten to
+// the same v7 header words, so they are one registry key.
 func TestFingerprintBackendCanonicalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := testCSR(rng, 80, 4)
-	for _, eng := range []core.Engine{core.EngineForwardBackward, core.EngineLevelBlocked, core.EngineAuto} {
-		base := core.Options{Engine: eng, BtB: true, Threads: 2}
-		for _, bk := range []core.BackendKind{core.BackendAuto, core.BackendBSR} {
+	for _, eng := range []core.Engine{core.EngineStandard, core.EngineForwardBackward, core.EngineLevelBlocked, core.EngineAuto} {
+		base := core.Options{Engine: eng, Threads: 2}
+		spellings := []core.Options{base}
+		if eng == core.EngineStandard || eng == core.EngineLevelBlocked {
 			o := base
-			o.Backend = bk
+			o.BtB = true
+			spellings = append(spellings, o)
+		}
+		if eng != core.EngineLevelBlocked {
+			o := base
+			o.LevelBlockBytes = 256
+			spellings = append(spellings, o)
+		}
+		if eng == core.EngineStandard || eng == core.EngineLevelBlocked {
+			o := base
+			o.NumBlocks = 99
+			spellings = append(spellings, o)
+		}
+		if eng == core.EngineLevelBlocked {
+			o := base
+			o.ForceABMC = true
+			spellings = append(spellings, o)
+		}
+		want := headerWords(a, base.Canonical())
+		for _, o := range spellings[1:] {
+			if got := headerWords(a, o.Canonical()); got != want {
+				t.Errorf("%v: %+v flattens to %v, %+v to %v", eng, o, got, base, want)
+			}
 			if Fingerprint(a, o) != Fingerprint(a, base) {
-				t.Errorf("%v+%v and %v+csr key differently but build the same plan", eng, bk, eng)
+				t.Errorf("%v: %+v and %+v key differently but build the same plan", eng, o, base)
 			}
 		}
 	}

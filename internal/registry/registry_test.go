@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -409,49 +408,62 @@ func TestRegistryRejectsBadMatrix(t *testing.T) {
 	}
 }
 
-// TestRegistryTuneVerdictCache: the registry keeps no verdicts, because
-// a BackendAuto verdict is a function of the structure it is taken on.
-// The first Acquire of a structure, an Acquire of other values, and a
-// re-acquire after the plan was LRU-evicted each build a plan whose
-// verdict and candidate table are the same. Options that reorder the
-// matrix reorder what the census counts: on audikw_1's stand-in the
-// natural-order plan's verdict is a fresh natural-order plan's whatever
-// was built under ForceABMC first, and a plan of other values through
-// the registry is bitwise a fresh plan of them.
+// TestRegistryTuneVerdictCache: a standard-engine plan is a function of
+// the matrix and its options alone, so the registry has nothing to
+// carry from one build to the next. The first Acquire of a structure, an
+// Acquire of other values, and a re-acquire after the plan was
+// LRU-evicted each return the bits of a fresh plan of what they were
+// given. On audikw_1's stand-in, a natural-order plan and one under
+// ForceABMC are two entries, whichever was built first, and a plan of
+// other values through the registry is bitwise a fresh plan of them.
 func TestRegistryTuneVerdictCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	a := testCSR(rng, 300, 5)
 	reg := New(1)
 	defer reg.Close()
 
-	auto := core.Options{Engine: core.EngineStandard, Backend: core.BackendAuto}
-	tuneOf := func(m *sparse.CSR, opt core.Options) *core.TuneDecision {
+	std := core.Options{Engine: core.EngineStandard}
+	// freshBits holds what the registry returns for m under opt to a
+	// fresh plan of them: MPK at power 3, bit for bit.
+	freshBits := func(r *Registry, m *sparse.CSR, opt core.Options) *core.Plan {
 		t.Helper()
-		p, err := reg.Acquire(m, opt)
+		p, err := r.Acquire(m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer reg.Release(p)
-		if p.Stats().Tune == nil {
-			t.Fatalf("%+v: a BackendAuto plan carries no verdict", opt)
+		want, err := core.NewPlan(m, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return p.Stats().Tune
+		defer want.Close()
+		x := make([]float64, m.Rows)
+		for i := range x {
+			x[i] = float64(i%7) - 3
+		}
+		yr, err := p.MPK(x, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		yw, err := want.MPK(x, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(yr, yw) {
+			t.Fatalf("%+v: the registry's plan differs from a fresh plan", opt)
+		}
+		return p
 	}
-	t1 := tuneOf(a, auto)
+	reg.Release(freshBits(reg, a, std))
 	b := cloneCSR(a)
 	for i := range b.Val {
 		b.Val[i] += 0.5
 	}
-	if t3 := tuneOf(b, auto); !reflect.DeepEqual(t3, t1) {
-		t.Fatalf("other values decided %+v, first build %+v", t3, t1)
-	}
+	reg.Release(freshBits(reg, b, std))
 	// Evict the plan with an unrelated matrix (capacity 1), then
-	// re-acquire: the plan rebuilds and derives the same verdict.
-	tuneOf(testCSR(rng, 200, 4), core.Options{Engine: core.EngineStandard, Backend: core.BackendAuto})
+	// re-acquire: the plan rebuilds.
+	reg.Release(freshBits(reg, testCSR(rng, 200, 4), std))
 	before := reg.Stats().Builds
-	if t5 := tuneOf(a, auto); !reflect.DeepEqual(t5, t1) {
-		t.Fatalf("post-eviction build decided %+v, first build %+v", t5, t1)
-	}
+	reg.Release(freshBits(reg, a, std))
 	if s := reg.Stats(); s.Builds != before+1 || s.Evictions == 0 {
 		t.Fatalf("the re-acquire should have rebuilt an evicted plan: %+v", s)
 	}
@@ -461,64 +473,28 @@ func TestRegistryTuneVerdictCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	aud := spec.Generate(0.02, 1)
-	natural := core.Options{Engine: core.EngineStandard, Backend: core.BackendAuto}
-	abmc := natural
+	abmc := std
 	abmc.ForceABMC = true
 	reg2 := New(0)
 	defer reg2.Close()
-	pa, err := reg2.Acquire(aud, abmc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := freshBits(reg2, aud, abmc)
 	defer reg2.Release(pa)
-	pn, err := reg2.Acquire(aud, natural)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pn := freshBits(reg2, aud, std)
 	defer reg2.Release(pn)
-	fresh, err := core.NewPlan(aud, natural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if got, want := pn.Stats().Tune, fresh.Stats().Tune; !reflect.DeepEqual(got, want) {
-		t.Fatalf("natural-order verdict %+v, a fresh natural-order plan's %+v", got, want)
+	if pa == pn || reg2.Stats().Builds != 2 {
+		t.Fatalf("natural and ABMC orders share a plan: %+v", reg2.Stats())
 	}
 	audB := cloneCSR(aud)
 	for i := range audB.Val {
 		audB.Val[i] *= 1.5
 	}
-	pr, err := reg2.Acquire(audB, natural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg2.Release(pr)
-	want, err := core.NewPlan(audB, natural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer want.Close()
-	x := make([]float64, aud.Rows)
-	for i := range x {
-		x[i] = float64(i%7) - 3
-	}
-	yr, err := pr.MPK(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yw, err := want.MPK(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(yr, yw) {
-		t.Fatal("the registry's plan of other values differs from a fresh plan of them")
-	}
+	defer reg2.Release(freshBits(reg2, audB, std))
 }
 
-// TestRegistryTuneCountersInertForCSR: plans with nothing to decide carry
-// no verdict — forced backends on the standard engine, and BackendAuto
-// under an engine that has no backend (the forward-backward and
-// level-blocked plans must not run the census).
+// TestRegistryTuneCountersInertForCSR: a standard-engine plan on the
+// caller's order has nothing to prepare — its build records no ordering,
+// permutation or split stage — while the other engines through the same
+// registry record the stages they ran.
 func TestRegistryTuneCountersInertForCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	a := testCSR(rng, 100, 4)
@@ -526,16 +502,18 @@ func TestRegistryTuneCountersInertForCSR(t *testing.T) {
 	defer reg.Close()
 	for _, opt := range []core.Options{
 		{Engine: core.EngineStandard},
-		{Engine: core.EngineStandard, Backend: core.BackendBSR},
-		{Engine: core.EngineForwardBackward, BtB: true, Threads: 2, Backend: core.BackendAuto},
-		{Engine: core.EngineLevelBlocked, Backend: core.BackendAuto},
+		{Engine: core.EngineStandard, Threads: 2},
+		{Engine: core.EngineForwardBackward, BtB: true, Threads: 2},
+		{Engine: core.EngineLevelBlocked},
 	} {
 		p, err := reg.Acquire(a, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := p.Stats(); st.Tune != nil {
-			t.Fatalf("%+v: plan ran the census: %+v", opt, st)
+		st := p.Stats()
+		stages := st.ReorderTime + st.PermTime + st.SplitTime
+		if inert := opt.Engine == core.EngineStandard; (stages == 0 && st.NumColors == 0 && st.NumLevels == 0) != inert {
+			t.Fatalf("%+v: build stages %+v", opt, st)
 		}
 		if err := reg.Release(p); err != nil {
 			t.Fatal(err)

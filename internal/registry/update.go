@@ -26,10 +26,10 @@ import (
 // UpdateValues returns a plan for matrix a built with opts, preferring
 // an in-place value swap on the cached plan sharing a's structure and
 // options over a fresh build. The boolean reports which happened: true
-// means an existing plan was updated in place (its permutation, split,
-// schedule, and tuning verdict all reused); false means the plan came
-// from the ordinary Acquire path. Either way the caller holds one
-// reference and must pair it with Release.
+// means an existing plan was updated in place (its permutation, split
+// and schedule all reused); false means the plan came from the ordinary
+// Acquire path. Either way the caller holds one reference and must pair
+// it with Release.
 //
 // In-flight executions on the updated plan finish on the values they
 // were admitted under; see Plan.UpdateValues for the epoch model. Every

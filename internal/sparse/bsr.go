@@ -101,42 +101,6 @@ func ToBSR(a *CSR, r, c int) *BSR {
 	return b
 }
 
-// WithValues builds a new BSR holding a's values in b's block layout.
-// RowPtr and ColIdx are shared with the receiver; only the dense block
-// payload is freshly allocated (zero-filled, then scattered). a must
-// have the structure b was built from; the caller verifies that. The
-// receiver is not modified.
-func (b *BSR) WithValues(a *CSR) *BSR {
-	nb := *b
-	nb.Val = make([]float64, len(b.Val))
-	r, c := b.R, b.C
-	rc := int64(r * c)
-	for br := 0; br < b.BRows; br++ {
-		blocks := b.ColIdx[b.RowPtr[br]:b.RowPtr[br+1]]
-		for i := br * r; i < (br+1)*r && i < a.Rows; i++ {
-			cols, vals := a.Row(i)
-			for kk, col := range cols {
-				bc := int32(int(col) / c)
-				// Binary search the sorted block-column list.
-				lo, hi := 0, len(blocks)
-				for lo < hi {
-					mid := (lo + hi) / 2
-					if blocks[mid] < bc {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-				blk := b.RowPtr[br] + int64(lo)
-				ri := i - br*r
-				ci := int(col) - int(bc)*c
-				nb.Val[blk*rc+int64(ri*c+ci)] = vals[kk]
-			}
-		}
-	}
-	return &nb
-}
-
 // SpMV computes y = B*x.
 func (b *BSR) SpMV(x, y []float64) {
 	if len(x) < b.Cols || len(y) < b.Rows {
@@ -306,70 +270,6 @@ func (b *BSR) spmv4(x, y []float64, brLo, brHi int) {
 	}
 }
 
-// SpMM computes Y = B*X for nv dense vectors in the row-major block
-// layout of sparse.SpMM (X[i*nv+c] is component c at row i).
-func (b *BSR) SpMM(x, y []float64, nv int) {
-	if nv < 1 {
-		panic("sparse: BSR SpMM needs nv >= 1")
-	}
-	if len(x) < b.Cols*nv || len(y) < b.Rows*nv {
-		panic("sparse: BSR SpMM dimension mismatch")
-	}
-	b.SpMMRange(x, y, nv, 0, b.Rows)
-}
-
-// SpMMRange computes Y[lo:hi] = (B*X)[lo:hi] in the row-major block
-// layout for the scalar row range [lo, hi); see SpMVRange for the
-// alignment contract.
-func (b *BSR) SpMMRange(x, y []float64, nv, lo, hi int) {
-	if hi > b.Rows {
-		hi = b.Rows
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	r, c := b.R, b.C
-	rc := r * c
-	for br := lo / r; br*r < hi; br++ {
-		yBase := br * r
-		riLo := 0
-		if yBase < lo {
-			riLo = lo - yBase
-		}
-		riHi := r
-		if yBase+riHi > hi {
-			riHi = hi - yBase
-		}
-		for ri := riLo; ri < riHi; ri++ {
-			yi := y[(yBase+ri)*nv : (yBase+ri)*nv+nv : (yBase+ri)*nv+nv]
-			for v := range yi {
-				yi[v] = 0
-			}
-		}
-		for k := b.RowPtr[br]; k < b.RowPtr[br+1]; k++ {
-			xBase := int(b.ColIdx[k]) * c
-			colsHere := c
-			if xBase+colsHere > b.Cols {
-				colsHere = b.Cols - xBase
-			}
-			blk := b.Val[k*int64(rc) : (k+1)*int64(rc)]
-			for ri := riLo; ri < riHi; ri++ {
-				yi := y[(yBase+ri)*nv : (yBase+ri)*nv+nv : (yBase+ri)*nv+nv]
-				row := blk[ri*c : ri*c+colsHere]
-				for ci, val := range row {
-					if val == 0 {
-						continue // zero-filled slot of a partial block
-					}
-					xv := x[(xBase+ci)*nv : (xBase+ci)*nv+nv]
-					for v := range yi {
-						yi[v] += val * xv[v]
-					}
-				}
-			}
-		}
-	}
-}
-
 // CountBSRBlocks returns the blocks ToBSR(a, r, r) would store for
 // r = 2, 3 and 4 (at index r-2), in one pass over a's structure that
 // neither reads its values nor builds a block — the cheap count a
@@ -409,19 +309,7 @@ func CountBSRBlocks(a *CSR) (n [3]int64) {
 	return n
 }
 
-// NNZBlocks returns the number of stored blocks.
-func (b *BSR) NNZBlocks() int64 { return b.RowPtr[b.BRows] }
-
 // MemoryBytes returns the storage footprint.
 func (b *BSR) MemoryBytes() int64 {
 	return int64(len(b.RowPtr))*8 + int64(len(b.ColIdx))*4 + int64(len(b.Val))*8
-}
-
-// FillRatio returns stored scalar slots / nnz (1.0 = blocks perfectly
-// dense; larger = zero fill).
-func (b *BSR) FillRatio(nnz int64) float64 {
-	if nnz == 0 {
-		return 1
-	}
-	return float64(len(b.Val)) / float64(nnz)
 }

@@ -1,10 +1,9 @@
 // Package sparse implements the sparse-matrix substrate used by FBMPK:
 // the CSR storage format (the paper's working format), a COO/triplet
 // builder, the A = L + D + U split at the heart of the forward-backward
-// pipeline, the SpMV and SpMM kernels with their row-range forms, the
-// BSR format behind the plan's block execution backend, and the
-// SELL-C-sigma format the benchmark times (the direction the paper's
-// future-work section points at).
+// pipeline, the SpMV and SpMM kernels with their row-range forms, and
+// the BSR and SELL-C-sigma formats the benchmark times (the direction
+// the paper's future-work section points at).
 //
 // All matrices are square or rectangular CSR with float64 values and
 // int32 column indices (int32 halves index traffic, which matters for a

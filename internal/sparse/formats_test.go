@@ -44,9 +44,10 @@ func TestSELLSortingReducesPadding(t *testing.T) {
 	a := coo.ToCSR()
 	unsorted := ToSELL(a, 8, 1)
 	sorted := ToSELL(a, 8, 64)
-	if sorted.PaddingRatio() > unsorted.PaddingRatio()+1e-9 {
-		t.Errorf("sigma sorting increased padding: %g > %g",
-			sorted.PaddingRatio(), unsorted.PaddingRatio())
+	// Both store the same nonzeros, so stored slots rank the padding.
+	if len(sorted.Val) > len(unsorted.Val) {
+		t.Errorf("sigma sorting increased padding: %d > %d stored slots",
+			len(sorted.Val), len(unsorted.Val))
 	}
 }
 

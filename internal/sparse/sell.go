@@ -145,17 +145,3 @@ func (s *SELL) MemoryBytes() int64 {
 	return int64(len(s.ColIdx))*4 + int64(len(s.Val))*8 +
 		int64(len(s.ChunkPtr))*8 + int64(len(s.ChunkWidth))*4 + int64(len(s.Perm))*4
 }
-
-// PaddingRatio returns stored slots / nnz (1.0 = no padding).
-func (s *SELL) PaddingRatio() float64 {
-	nnz := int64(0)
-	for i := range s.Val {
-		if s.Val[i] != 0 || s.ColIdx[i] != 0 {
-			nnz++
-		}
-	}
-	if nnz == 0 {
-		return 1
-	}
-	return float64(len(s.Val)) / float64(nnz)
-}

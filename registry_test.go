@@ -85,9 +85,9 @@ func TestRegistryDebugHandler(t *testing.T) {
 		`fbmpk_cache_entries{registry="registry"} 1`,
 		`fbmpk_cache_live{registry="registry"} 1`,
 		`fbmpk_cache_hit_rate{registry="registry"} 0.5`,
-		`fbmpk_build_seconds{plan="plan0",backend="split",stage="total"}`,
-		`fbmpk_build_seconds{plan="plan0",backend="split",stage="split"}`,
-		`fbmpk_calls_total{plan="plan0",backend="split",op="mpk"} 1`,
+		`fbmpk_build_seconds{plan="plan0",stage="total"}`,
+		`fbmpk_build_seconds{plan="plan0",stage="split"}`,
+		`fbmpk_calls_total{plan="plan0",op="mpk"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
@@ -122,8 +122,8 @@ func TestPlanFingerprintPublic(t *testing.T) {
 // TestRegistryEngineVerdictReplay: EngineAuto is the forward-backward
 // engine under another spelling, so there is no engine verdict to
 // cache or replay — an Auto Acquire followed by an FB Acquire of the
-// same matrix is one build and one hit on the same plan, which carries
-// no backend verdict.
+// same matrix is one build and one hit on the same plan, a
+// forward-backward one.
 func TestRegistryEngineVerdictReplay(t *testing.T) {
 	a, err := GenerateSuiteMatrix("G3_circuit", 0.002, 3)
 	if err != nil {
@@ -146,17 +146,13 @@ func TestRegistryEngineVerdictReplay(t *testing.T) {
 	if fb != auto || s.Builds != 1 || s.Hits != 1 {
 		t.Fatalf("Auto then FB Acquire: same plan %v, %d builds and %d hits, want one build and one hit", fb == auto, s.Builds, s.Hits)
 	}
-	if tune := auto.Stats().Tune; tune != nil {
-		t.Fatalf("an Auto plan ran the backend census: %+v", tune)
-	}
 	if auto.Engine() != EngineForwardBackward {
 		t.Fatalf("Auto plan runs %v", auto.Engine())
 	}
 }
 
 // TestRegistryForcedEngineSweep: forced-engine plans resolve to the
-// engine they name and carry no backend verdict — only a
-// standard-engine BackendAuto plan runs the census.
+// engine they name.
 func TestRegistryForcedEngineSweep(t *testing.T) {
 	a, err := GenerateSuiteMatrix("cant", 0.002, 3)
 	if err != nil {
@@ -172,9 +168,6 @@ func TestRegistryForcedEngineSweep(t *testing.T) {
 		}
 		if p.Engine() != eng {
 			t.Fatalf("forced engine %v resolved to %v", eng, p.Engine())
-		}
-		if tune := p.Stats().Tune; tune != nil {
-			t.Fatalf("forced engine %v ran the census: %+v", eng, tune)
 		}
 		if err := reg.Release(p); err != nil {
 			t.Fatal(err)

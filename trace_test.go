@@ -56,10 +56,10 @@ func TestDebugHandlerMetrics(t *testing.T) {
 		t.Fatalf("metrics content type %q", ctype)
 	}
 	for _, want := range []string{
-		`fbmpk_calls_total{plan="plan0",backend="split",op="mpk"} 3`,
-		`fbmpk_reads_of_a_per_spmv{plan="plan0",backend="split"}`,
-		`fbmpk_op_latency_seconds_bucket{plan="plan0",backend="split",op="mpk",le="+Inf"} 3`,
-		`fbmpk_op_latency_seconds_count{plan="plan0",backend="split",op="mpk"} 3`,
+		`fbmpk_calls_total{plan="plan0",op="mpk"} 3`,
+		`fbmpk_reads_of_a_per_spmv{plan="plan0"}`,
+		`fbmpk_op_latency_seconds_bucket{plan="plan0",op="mpk",le="+Inf"} 3`,
+		`fbmpk_op_latency_seconds_count{plan="plan0",op="mpk"} 3`,
 		"# TYPE fbmpk_op_latency_seconds histogram",
 	} {
 		if !strings.Contains(body, want) {
