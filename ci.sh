@@ -23,11 +23,13 @@ go test ./...
 # (which has the history). The first measures the kernels (internal/core
 # + internal/sparse): the FB sweeps exist in near-copies, and this is
 # where a new one would land. The second measures everything outside
-# benchmark/: what a reader has to hold to change the system.
+# benchmark/: what a reader has to hold to change the system. Deleting
+# the product code only tests called (ROADMAP 2(g)) met item 2's targets
+# of 5,100 and 15,400; TestNoTestOnlyProductCode keeps such code out.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
-[ "$lines" -le 5200 ]
+[ "$lines" -le 5095 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 15675 ]
+[ "$lines" -le 15252 ]
 # Knob ratchet (ROADMAP item 2, "Options <= 7 fields"): the exported
 # fields of core.Options, counted from the source. A new option has to
 # displace one.

@@ -188,7 +188,10 @@ func (b *bed) guess(warm bool) []float64 {
 // without a usable diagonal skipped.
 func (b *bed) smoothed(p *Plan, sweeps int, x []float64) (want, bound []float64) {
 	n := b.a.Rows
-	order := reorder.Identity(n)
+	order := make(reorder.Perm, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
 	if ord := p.Ordering(); ord != nil {
 		order = ord.Perm
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fbmpk/internal/core"
@@ -133,7 +134,7 @@ func TestMatrixMarketRoundTripPublic(t *testing.T) {
 	if sym {
 		t.Error("general writer should not produce a symmetric header")
 	}
-	if !a.Equal(back) {
+	if !reflect.DeepEqual(a, back) {
 		t.Error("round trip changed the matrix")
 	}
 }
@@ -250,12 +251,12 @@ func TestBuildPrimitivesRejectRectangular(t *testing.T) {
 	rect := mustTriplets(t, 2, 3, 1).ToCSR()
 	for name, call := range map[string]func() error{
 		"graph.FromCSRPattern": func() error { _, err := graph.FromCSRPattern(rect, nil); return err },
-		"graph.BlockGraph":     func() error { _, err := graph.BlockGraph(rect, []int32{0, 2}); return err },
+		"graph.BlockGraphPool": func() error { _, err := graph.BlockGraphPool(rect, []int32{0, 2}, nil); return err },
 		"core.BFSLevels":       func() error { _, err := core.BFSLevels(rect); return err },
 		"reorder.RCM":          func() error { _, err := reorder.RCM(rect); return err },
 		"reorder.ABMC":         func() error { _, err := reorder.ABMC(rect, reorder.ABMCOptions{}); return err },
-		"Perm.ApplySym":        func() error { _, err := reorder.Identity(2).ApplySym(rect); return err },
-		"Perm.ValueMap":        func() error { _, err := reorder.Identity(2).ValueMap(rect); return err },
+		"Perm.ApplySym":        func() error { _, err := reorder.Perm{0, 1}.ApplySym(rect); return err },
+		"Perm.ValueMap":        func() error { _, err := reorder.Perm{0, 1}.ValueMap(rect); return err },
 		"LevelBlockedMPK":      func() error { _, err := LevelBlockedMPK(rect, []float64{1, 2}, 2, 0); return err },
 	} {
 		if err := call(); !errors.Is(err, ErrNotSquare) {

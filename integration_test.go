@@ -7,6 +7,7 @@ package fbmpk_test
 import (
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fbmpk"
@@ -29,7 +30,7 @@ func TestEndToEndFileToSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Equal(orig) {
+	if !reflect.DeepEqual(a, orig) {
 		t.Fatal("matrix changed through the file")
 	}
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fbmpk/internal/sparse"
 )
 
 // fastCfg keeps driver tests quick: tiny matrices, two runs, one pair
@@ -147,6 +149,18 @@ func TestDetVecDeterministic(t *testing.T) {
 	}
 	if !same || !diff {
 		t.Error("detVec not deterministic per seed")
+	}
+}
+
+// TestLowerLevels: in a chain L, entries (i, i-1), each row waits on the
+// one before it, so there is one level a row.
+func TestLowerLevels(t *testing.T) {
+	chain := sparse.NewCOO(10, 10, 9)
+	for i := 1; i < 10; i++ {
+		chain.Add(i, i-1, 1)
+	}
+	if got := lowerLevels(chain.ToCSR()); got != 10 {
+		t.Errorf("lowerLevels(chain of 10) = %d, want 10", got)
 	}
 }
 

@@ -17,12 +17,11 @@ func simBenchMatrix(b *testing.B) *sparse.CSR {
 }
 
 func BenchmarkCacheAccessThroughput(b *testing.B) {
-	c := MustNew(Config{SizeBytes: 1 << 20, Assoc: 8, LineBytes: 64})
+	c := tinyCache(b, 1<<20, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Read(uint64(i)*64, 8)
 	}
-	b.ReportMetric(float64(c.Stats().Accesses), "lines")
 }
 
 func BenchmarkTraceStandardMPK(b *testing.B) {
@@ -30,7 +29,7 @@ func BenchmarkTraceStandardMPK(b *testing.B) {
 	cfg := ScaledConfig(m.MemoryBytes(), 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := MustNew(cfg)
+		c := tinyCache(b, cfg.SizeBytes, cfg.Assoc)
 		TraceStandardMPK(c, m, 5)
 	}
 }
@@ -44,7 +43,7 @@ func BenchmarkTraceFBMPK(b *testing.B) {
 	cfg := ScaledConfig(m.MemoryBytes(), 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := MustNew(cfg)
+		c := tinyCache(b, cfg.SizeBytes, cfg.Assoc)
 		TraceFBMPK(c, tri, 5, true)
 	}
 }

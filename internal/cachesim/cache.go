@@ -71,24 +71,14 @@ func ScaledConfig(matrixBytes int64, ratio float64) Config {
 
 // Stats aggregates the traffic counters of a simulation run.
 type Stats struct {
-	Accesses    int64 // memory references replayed
-	Hits        int64
-	Misses      int64
-	ReadBytes   int64 // DRAM -> cache line fills
-	WriteBytes  int64 // cache -> DRAM dirty write-backs
-	FlushedDirt int64 // dirty bytes written back by Flush
+	Hits       int64
+	Misses     int64
+	ReadBytes  int64 // DRAM -> cache line fills
+	WriteBytes int64 // cache -> DRAM dirty write-backs
 }
 
 // TotalDRAM returns read+write DRAM volume, the Fig 9 metric.
 func (s Stats) TotalDRAM() int64 { return s.ReadBytes + s.WriteBytes }
-
-// HitRate returns the fraction of accesses that hit, or 0 when empty.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
 
 type line struct {
 	tag   uint64
@@ -135,31 +125,8 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// MustNew is New for static configurations; it panics on bad geometry.
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}
 
 // Read replays a read of size bytes at addr.
 func (c *Cache) Read(addr uint64, size int64) { c.access(addr, size, false) }
@@ -180,7 +147,6 @@ func (c *Cache) access(addr uint64, size int64, write bool) {
 
 func (c *Cache) touchLine(lineAddr uint64, write bool) {
 	c.clock++
-	c.stats.Accesses++
 	var idx uint64
 	if c.pow2 {
 		idx = lineAddr & c.setMask
@@ -222,7 +188,6 @@ func (c *Cache) Flush() {
 		for j := range c.sets[i] {
 			if c.sets[i][j].valid && c.sets[i][j].dirty {
 				c.stats.WriteBytes += c.cfg.LineBytes
-				c.stats.FlushedDirt += c.cfg.LineBytes
 				c.sets[i][j].dirty = false
 			}
 		}

@@ -52,7 +52,7 @@ func TestLevelBlockedTrafficBeatsFBModel(t *testing.T) {
 	}
 	for _, k := range []int{4, 6, 8} {
 		fbModel := 12 * (nnzU + int64((k+1)/2)*(nnzL+nnzD) + int64(k/2)*nnzU)
-		c := MustNew(cfg)
+		c := tinyCache(t, cfg.SizeBytes, cfg.Assoc)
 		TraceLevelBlockedMPK(c, pa, s, k)
 		got := c.Stats().ReadBytes
 		if got >= fbModel {

@@ -202,20 +202,6 @@ func TraceLevelBlockedMPK(c *Cache, a *sparse.CSR, s LevelBlockSchedule, k int) 
 	c.Flush()
 }
 
-// TraceSpMV replays one standalone SpMV, the unit both Table III and
-// Fig 11 normalize against.
-func TraceSpMV(c *Cache, a *sparse.CSR) {
-	var l layout
-	r := placeCSR(&l, a)
-	x := l.alloc(int64(a.Rows) * 8)
-	y := l.alloc(int64(a.Rows) * 8)
-	traceSpMVRows(c, a, r,
-		func(i int32) uint64 { return x + uint64(i)*8 },
-		func(i int) uint64 { return y + uint64(i)*8 },
-		0, a.Rows)
-	c.Flush()
-}
-
 // CompareMPK runs both pipelines on fresh caches of the same
 // configuration and returns their stats: the Fig 9 experiment for one
 // matrix and power.

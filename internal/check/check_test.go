@@ -30,12 +30,12 @@ func TestCSRAcceptsValidRejectsCorrupt(t *testing.T) {
 	if err := CSR(nil); err == nil {
 		t.Fatal("nil matrix accepted")
 	}
-	bad := m.Clone()
+	bad := m.Transpose().Transpose()  // a copy that owns its storage
 	bad.RowPtr[5] = bad.RowPtr[6] + 1 // break monotonicity
 	if err := CSR(bad); err == nil {
 		t.Fatal("non-monotone RowPtr accepted")
 	}
-	bad = m.Clone()
+	bad = m.Transpose().Transpose()
 	if len(bad.ColIdx) > 0 {
 		bad.ColIdx[0] = int32(bad.Cols) // out of range
 		if err := CSR(bad); err == nil {
@@ -105,11 +105,14 @@ func TestSplitDetectsTampering(t *testing.T) {
 }
 
 func TestPermBijectivityAndRoundTrip(t *testing.T) {
-	if err := Perm(reorder.Identity(10)); err != nil {
+	p := make(reorder.Perm, 50)
+	for i := range p {
+		p[i] = int32(i)
+	}
+	if err := Perm(p); err != nil {
 		t.Fatalf("identity rejected: %v", err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	p := reorder.Identity(50)
 	rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 	if err := Perm(p); err != nil {
 		t.Fatalf("shuffled permutation rejected: %v", err)

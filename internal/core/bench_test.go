@@ -14,6 +14,15 @@ import (
 	"fbmpk/internal/sparse"
 )
 
+// ones returns a length-n vector of ones.
+func ones(n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1
+	}
+	return x
+}
+
 func coreBenchMatrix(b *testing.B) *sparse.CSR {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -22,7 +31,7 @@ func coreBenchMatrix(b *testing.B) *sparse.CSR {
 
 func BenchmarkStandardMPKSerial(b *testing.B) {
 	a := coreBenchMatrix(b)
-	x0 := sparse.Ones(a.Rows)
+	x0 := ones(a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := StandardMPK(a, x0, 5, nil); err != nil {
@@ -37,7 +46,7 @@ func BenchmarkFBMPKSerialSeparate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x0 := sparse.Ones(a.Rows)
+	x0 := ones(a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := FBMPKSerial(tri, x0, 5, false, nil, nil); err != nil {
@@ -52,7 +61,7 @@ func BenchmarkFBMPKSerialBtB(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x0 := sparse.Ones(a.Rows)
+	x0 := ones(a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := FBMPKSerial(tri, x0, 5, true, nil, nil); err != nil {
@@ -77,7 +86,7 @@ func BenchmarkFBMPKParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x0 := sparse.Ones(a.Rows)
+	x0 := ones(a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fb.Run(x0, 5, true, nil); err != nil {
@@ -168,7 +177,7 @@ func BenchmarkSymGSSerial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rhs := sparse.Ones(a.Rows)
+	rhs := ones(a.Rows)
 	x := make([]float64, a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -302,7 +311,7 @@ func BenchmarkMPKBesideUpdates(b *testing.B) {
 	if err := p.UpdateValues(alt); err != nil { // builds the slot map
 		b.Fatal(err)
 	}
-	x := sparse.Ones(a.Rows)
+	x := ones(a.Rows)
 	for _, updating := range []bool{false, true} {
 		b.Run(map[bool]string{false: "quiet", true: "updating"}[updating], func(b *testing.B) {
 			stop, done := make(chan struct{}), make(chan int)
@@ -379,7 +388,7 @@ func sweepBed(b *testing.B, name string) *sparse.CSR {
 // numbers, are in DESIGN.md §10 at commit ad9b57e.
 func BenchmarkStandardBackends(b *testing.B) {
 	a := sweepBed(b, *sweepMatrix)
-	x := sparse.Ones(a.Rows)
+	x := ones(a.Rows)
 	xs := [][]float64{x, x, x, x}
 	for _, multi := range []bool{false, true} {
 		name, threads := "csr", 0

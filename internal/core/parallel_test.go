@@ -175,7 +175,7 @@ func TestFBParallelErrors(t *testing.T) {
 		t.Error("accepted short coeffs")
 	}
 	// Mismatched ordering size.
-	badOrd := &reorder.ABMCResult{Perm: reorder.Identity(10),
+	badOrd := &reorder.ABMCResult{Perm: reorder.Perm{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
 		BlockPtr: []int32{0, 10}, ColorPtr: []int32{0, 1}, NumColors: 1}
 	if _, err := NewFBParallel(tri, badOrd, pool); err == nil {
 		t.Error("accepted mismatched ordering")

@@ -208,7 +208,7 @@ func TestSelfCheckAuditsFusedSplit(t *testing.T) {
 			}
 		},
 	} {
-		c := &sparse.Triangular{N: tri.N, L: tri.L.Clone(), U: tri.U.Clone(), D: slices.Clone(tri.D)}
+		c := &sparse.Triangular{N: tri.N, L: tri.L.Transpose().Transpose(), U: tri.U.Transpose().Transpose(), D: slices.Clone(tri.D)}
 		corrupt(c)
 		if err := p.audit(ea, c); err == nil {
 			t.Errorf("%s: corrupted fused split passed the audit", name)

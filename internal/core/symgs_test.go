@@ -188,7 +188,7 @@ func TestSymGSParallelErrors(t *testing.T) {
 	if err := g.Apply(make([]float64, 20), make([]float64, 20), 0); err == nil {
 		t.Error("accepted sweeps=0")
 	}
-	badOrd := &reorder.ABMCResult{Perm: reorder.Identity(5),
+	badOrd := &reorder.ABMCResult{Perm: reorder.Perm{0, 1, 2, 3, 4},
 		BlockPtr: []int32{0, 5}, ColorPtr: []int32{0, 1}, NumColors: 1}
 	if _, err := NewSymGSParallel(tri, badOrd, pool); err == nil {
 		t.Error("accepted mismatched ordering")

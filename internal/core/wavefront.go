@@ -93,19 +93,3 @@ func bfsLevels(a *sparse.CSR, r sparse.Runner) (*LevelPartition, error) {
 	}
 	return lp, nil
 }
-
-// Validate checks the level property: every entry (i, j) of the matrix
-// connects rows whose levels differ by at most one.
-func (lp *LevelPartition) Validate(a *sparse.CSR) error {
-	for i := 0; i < a.Rows; i++ {
-		cols, _ := a.Row(i)
-		for _, c := range cols {
-			d := lp.Level[i] - lp.Level[c]
-			if d < -1 || d > 1 {
-				return fmt.Errorf("core: entry (%d,%d) spans levels %d and %d",
-					i, c, lp.Level[i], lp.Level[c])
-			}
-		}
-	}
-	return nil
-}

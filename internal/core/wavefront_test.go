@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -10,6 +11,22 @@ import (
 	"fbmpk/internal/matgen"
 	"fbmpk/internal/sparse"
 )
+
+// Validate checks the level property: every entry (i, j) of the matrix
+// connects rows whose levels differ by at most one.
+func (lp *LevelPartition) Validate(a *sparse.CSR) error {
+	for i := 0; i < a.Rows; i++ {
+		cols, _ := a.Row(i)
+		for _, c := range cols {
+			d := lp.Level[i] - lp.Level[c]
+			if d < -1 || d > 1 {
+				return fmt.Errorf("core: entry (%d,%d) spans levels %d and %d",
+					i, c, lp.Level[i], lp.Level[c])
+			}
+		}
+	}
+	return nil
+}
 
 // bandedMatrix produces a matrix with genuine BFS level structure
 // (random matrices collapse to 2-3 levels, which is a weak test).

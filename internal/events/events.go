@@ -20,7 +20,7 @@
 //     keeps the newest window, which is what a tail-latency
 //     investigation wants.
 //
-// Snapshot and the Chrome trace export may run concurrently with
+// LaneEvents and the Chrome trace export may run concurrently with
 // writers: they read each lane's newest window. Events overwritten
 // mid-read can tear; the recorder is a debug surface, not an audit
 // log, and quiescent captures (after calls complete) are exact.
@@ -28,7 +28,6 @@ package events
 
 import (
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -79,9 +78,6 @@ type Event struct {
 	Trace string // request trace ID, "" for spans outside a traced request
 }
 
-// End returns the span's end offset from the recorder epoch.
-func (e Event) End() time.Duration { return e.Start + e.Dur }
-
 // Config sizes a Recorder.
 type Config struct {
 	// PerLane is the ring capacity of each lane in events
@@ -89,8 +85,7 @@ type Config struct {
 	PerLane int
 	// Callers is the number of caller lanes — concurrent executions
 	// that can trace their call spans at once (default 8, max 64).
-	// Executions beyond the limit run untraced and are counted in
-	// Untraced.
+	// Executions beyond the limit run untraced.
 	Callers int
 	// Workers is the number of worker lanes (default GOMAXPROCS).
 	// Pool workers with ids beyond the limit record nothing.
@@ -123,13 +118,12 @@ func (l *lane) record(ev Event) {
 // value is not usable; a nil *Recorder is the disabled state and every
 // method on it is safe to call.
 type Recorder struct {
-	epoch    time.Time
-	perLane  int
-	callers  int
-	lanes    []lane // caller lanes first, then worker lanes
-	free     atomic.Uint64
-	seq      atomic.Uint64
-	untraced atomic.Uint64
+	epoch   time.Time
+	perLane int
+	callers int
+	lanes   []lane // caller lanes first, then worker lanes
+	free    atomic.Uint64
+	seq     atomic.Uint64
 }
 
 // NewRecorder builds a recorder; zero-value Config selects the
@@ -175,7 +169,6 @@ func (r *Recorder) AcquireLane() (laneID int32, seq uint64) {
 	for {
 		m := r.free.Load()
 		if m == 0 {
-			r.untraced.Add(1)
 			return -1, 0
 		}
 		i := bits.TrailingZeros64(m)
@@ -235,15 +228,6 @@ func (r *Recorder) SpanTagged(laneID int32, kind Kind, name string, arg int32, s
 	})
 }
 
-// Epoch returns the recorder's time origin: Event.Start offsets are
-// relative to it.
-func (r *Recorder) Epoch() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.epoch
-}
-
 // Lanes returns the total lane count (caller lanes + worker lanes),
 // 0 for a nil recorder.
 func (r *Recorder) Lanes() int {
@@ -251,38 +235,6 @@ func (r *Recorder) Lanes() int {
 		return 0
 	}
 	return len(r.lanes)
-}
-
-// CallerLanes returns the number of caller lanes.
-func (r *Recorder) CallerLanes() int {
-	if r == nil {
-		return 0
-	}
-	return r.callers
-}
-
-// Untraced reports executions that found no free caller lane and ran
-// untraced.
-func (r *Recorder) Untraced() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.untraced.Load()
-}
-
-// Overwritten reports events displaced from their rings by newer ones
-// — the amount of history the bounded buffers have already forgotten.
-func (r *Recorder) Overwritten() uint64 {
-	if r == nil {
-		return 0
-	}
-	var n uint64
-	for i := range r.lanes {
-		if p := r.lanes[i].pos.Load(); p > uint64(r.perLane) {
-			n += p - uint64(r.perLane)
-		}
-	}
-	return n
 }
 
 // Len reports the number of events currently retained across all
@@ -300,22 +252,6 @@ func (r *Recorder) Len() int {
 		n += int(p)
 	}
 	return n
-}
-
-// Snapshot copies the retained events of every lane, ordered by start
-// offset. Concurrent writers may overwrite events mid-copy (torn
-// events are possible); capture after executions quiesce for an exact
-// trace.
-func (r *Recorder) Snapshot() []Event {
-	if r == nil {
-		return nil
-	}
-	out := make([]Event, 0, r.Len())
-	for i := range r.lanes {
-		out = appendLane(out, &r.lanes[i])
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
 }
 
 // LaneEvents copies the retained events of one lane in record order
@@ -338,17 +274,4 @@ func appendLane(dst []Event, l *lane) []Event {
 		dst = append(dst, l.buf[k%size])
 	}
 	return dst
-}
-
-// Reset discards every retained event and the untraced count. Not
-// safe concurrently with writers.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	for i := range r.lanes {
-		r.lanes[i].pos.Store(0)
-	}
-	r.untraced.Store(0)
-	r.epoch = time.Now()
 }

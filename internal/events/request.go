@@ -38,7 +38,7 @@ func (p Phase) End() time.Duration { return p.Start + p.Dur }
 
 // maxTimelinePhases bounds one timeline's memory: a request that
 // somehow crosses more layers than this keeps its earliest phases and
-// counts the rest in Dropped, mirroring the bounded-ring stance of the
+// discards the rest, mirroring the bounded-ring stance of the
 // lane recorder.
 const maxTimelinePhases = 48
 
@@ -50,9 +50,8 @@ type Timeline struct {
 	trace string
 	start time.Time
 
-	mu      sync.Mutex
-	phases  []Phase
-	dropped uint32
+	mu     sync.Mutex
+	phases []Phase
 }
 
 // NewTimeline starts a timeline for one request. traceID is the
@@ -107,9 +106,7 @@ func (t *Timeline) Mark(name string, at time.Time, arg int64) {
 
 func (t *Timeline) append(p Phase) {
 	t.mu.Lock()
-	if len(t.phases) >= maxTimelinePhases {
-		t.dropped++
-	} else {
+	if len(t.phases) < maxTimelinePhases {
 		t.phases = append(t.phases, p)
 	}
 	t.mu.Unlock()
@@ -125,16 +122,6 @@ func (t *Timeline) Snapshot() []Phase {
 	copy(out, t.phases)
 	t.mu.Unlock()
 	return out
-}
-
-// Dropped reports phases discarded past the timeline's bound.
-func (t *Timeline) Dropped() uint32 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // timelineKey is the context key timelines travel under.

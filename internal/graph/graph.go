@@ -29,17 +29,14 @@ func (g *Adj) Degree(v int) int { return int(g.Ptr[v+1] - g.Ptr[v]) }
 // Neighbors returns the (aliased) neighbor slice of vertex v.
 func (g *Adj) Neighbors(v int) []int32 { return g.Nbr[g.Ptr[v]:g.Ptr[v+1]] }
 
-// BlockGraph builds the quotient graph over row blocks: vertices are
+// BlockGraphPool builds the quotient graph over row blocks: vertices are
 // blocks (block b covers rows blockPtr[b]..blockPtr[b+1]), and two
 // blocks are adjacent when the matrix has any entry (i, j) with i and
 // j in different blocks. The symmetrized pattern of A is used, so the
 // coloring is valid for both the forward (L) and backward (U) sweeps.
-func BlockGraph(a *sparse.CSR, blockPtr []int32) (*Adj, error) {
-	return BlockGraphPool(a, blockPtr, nil)
-}
-
-// BlockGraphPool is BlockGraph with the O(nnz) discovery pass
-// block-parallelized over r (nil = serial). The construction is two
+//
+// The O(nnz) discovery pass is block-parallelized over r (nil =
+// serial). The construction is two
 // passes over array structures (no hash map): first each block scans
 // its own rows and collects its sorted distinct out-neighbor blocks —
 // blocks partition rows contiguously, so workers touch disjoint
@@ -50,7 +47,7 @@ func BlockGraph(a *sparse.CSR, blockPtr []int32) (*Adj, error) {
 // therefore the whole ABMC ordering — deterministic.
 func BlockGraphPool(a *sparse.CSR, blockPtr []int32, r sparse.Runner) (*Adj, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("graph: BlockGraph: %dx%d matrix: %w", a.Rows, a.Cols, sparse.ErrNotSquare)
+		return nil, fmt.Errorf("graph: BlockGraphPool: %dx%d matrix: %w", a.Rows, a.Cols, sparse.ErrNotSquare)
 	}
 	nb := len(blockPtr) - 1
 	if nb < 0 || blockPtr[0] != 0 || int(blockPtr[nb]) != a.Rows {
@@ -314,23 +311,4 @@ func GreedyColor(g *Adj) ([]int32, int) {
 		}
 	}
 	return color, int(maxColor) + 1
-}
-
-// ValidateColoring checks that no edge connects two same-colored
-// vertices and that colors are in [0, numColors).
-func ValidateColoring(g *Adj, color []int32, numColors int) error {
-	if len(color) != g.N {
-		return fmt.Errorf("graph: color slice length %d, want %d", len(color), g.N)
-	}
-	for v := 0; v < g.N; v++ {
-		if color[v] < 0 || int(color[v]) >= numColors {
-			return fmt.Errorf("graph: vertex %d has color %d out of [0,%d)", v, color[v], numColors)
-		}
-		for _, u := range g.Neighbors(v) {
-			if color[u] == color[v] {
-				return fmt.Errorf("graph: edge (%d,%d) joins two vertices of color %d", v, u, color[v])
-			}
-		}
-	}
-	return nil
 }

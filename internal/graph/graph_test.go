@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,6 +10,25 @@ import (
 	"fbmpk/internal/parallel"
 	"fbmpk/internal/sparse"
 )
+
+// ValidateColoring checks that no edge connects two same-colored
+// vertices and that colors are in [0, numColors).
+func ValidateColoring(g *Adj, color []int32, numColors int) error {
+	if len(color) != g.N {
+		return fmt.Errorf("graph: color slice length %d, want %d", len(color), g.N)
+	}
+	for v := 0; v < g.N; v++ {
+		if color[v] < 0 || int(color[v]) >= numColors {
+			return fmt.Errorf("graph: vertex %d has color %d out of [0,%d)", v, color[v], numColors)
+		}
+		for _, u := range g.Neighbors(v) {
+			if color[u] == color[v] {
+				return fmt.Errorf("graph: edge (%d,%d) joins two vertices of color %d", v, u, color[v])
+			}
+		}
+	}
+	return nil
+}
 
 func randomSym(rng *rand.Rand, n, perRow int) *sparse.CSR {
 	coo := sparse.NewCOO(n, n, 2*n*(perRow+1))
@@ -141,7 +161,7 @@ func TestBlockGraphTridiagonal(t *testing.T) {
 		}
 	}
 	a := coo.ToCSR()
-	g, err := BlockGraph(a, uniformBlocks(n, 2))
+	g, err := BlockGraphPool(a, uniformBlocks(n, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +188,13 @@ func TestBlockGraphTridiagonal(t *testing.T) {
 
 func TestBlockGraphBadBlocks(t *testing.T) {
 	a := randomSym(rand.New(rand.NewSource(1)), 10, 2)
-	if _, err := BlockGraph(a, []int32{0, 5}); err == nil {
+	if _, err := BlockGraphPool(a, []int32{0, 5}, nil); err == nil {
 		t.Error("accepted block pointer not covering all rows")
 	}
-	if _, err := BlockGraph(a, []int32{1, 10}); err == nil {
+	if _, err := BlockGraphPool(a, []int32{1, 10}, nil); err == nil {
 		t.Error("accepted block pointer not starting at 0")
 	}
-	if _, err := BlockGraph(a, []int32{0, 7, 5, 10}); err == nil {
+	if _, err := BlockGraphPool(a, []int32{0, 7, 5, 10}, nil); err == nil {
 		t.Error("accepted non-monotone block pointer")
 	}
 }
@@ -187,7 +207,7 @@ func TestGreedyColorPropertyQuick(t *testing.T) {
 		n := 2 + rng.Intn(60)
 		a := randomSym(rng, n, 1+rng.Intn(4))
 		bs := 1 + rng.Intn(5)
-		g, err := BlockGraph(a, uniformBlocks(n, bs))
+		g, err := BlockGraphPool(a, uniformBlocks(n, bs), nil)
 		if err != nil {
 			return false
 		}

@@ -3,7 +3,6 @@ package matgen
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fbmpk/internal/sparse"
 )
@@ -215,13 +214,4 @@ func Describe(m *sparse.CSR, symCheck bool) Stats {
 		st.Symmetric = m.IsSymmetric(0)
 	}
 	return st
-}
-
-// SortedByID returns a copy of the suite sorted by Table II ID
-// (Suite already returns that order; this guards callers that shuffle).
-func SortedByID(specs []Spec) []Spec {
-	out := make([]Spec, len(specs))
-	copy(out, specs)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

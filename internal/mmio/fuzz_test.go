@@ -2,6 +2,7 @@ package mmio
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,7 +45,7 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read failed: %v", err)
 		}
-		if !m.Equal(back) {
+		if !reflect.DeepEqual(m, back) {
 			t.Fatal("round trip changed the matrix")
 		}
 	})

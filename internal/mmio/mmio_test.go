@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestRoundTrip(t *testing.T) {
 		if h.Symmetry != "general" || h.Field != "real" {
 			t.Fatalf("header = %+v", h)
 		}
-		if !m.Equal(back) {
+		if !reflect.DeepEqual(m, back) {
 			t.Fatalf("trial %d: round trip changed the matrix", trial)
 		}
 	}
@@ -160,7 +161,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Equal(back) {
+	if !reflect.DeepEqual(m, back) {
 		t.Error("file round trip changed the matrix")
 	}
 	if _, _, err := ReadFile(filepath.Join(dir, "missing.mtx")); err == nil {

@@ -37,13 +37,6 @@ func NewGate(capacity int) *Gate {
 	return g
 }
 
-// Capacity returns the admission bound.
-func (g *Gate) Capacity() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.capacity
-}
-
 // Enter blocks until a slot is available (FIFO order), the gate is
 // closed (ErrClosed), or ctx is done (ctx.Err()). A nil ctx never
 // cancels. On nil return the caller holds a slot and must Leave.

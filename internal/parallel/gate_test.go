@@ -11,8 +11,8 @@ import (
 // TestGateCapacity checks that at most capacity entries are in flight.
 func TestGateCapacity(t *testing.T) {
 	g := NewGate(2)
-	if got := g.Capacity(); got != 2 {
-		t.Fatalf("Capacity() = %d, want 2", got)
+	if got := g.capacity; got != 2 {
+		t.Fatalf("capacity = %d, want 2", got)
 	}
 	if err := g.Enter(nil); err != nil {
 		t.Fatal(err)
@@ -44,11 +44,11 @@ func TestGateCapacity(t *testing.T) {
 
 // TestGateClampsCapacity checks capacity < 1 is treated as 1.
 func TestGateClampsCapacity(t *testing.T) {
-	if got := NewGate(0).Capacity(); got != 1 {
-		t.Errorf("NewGate(0).Capacity() = %d, want 1", got)
+	if got := NewGate(0).capacity; got != 1 {
+		t.Errorf("NewGate(0).capacity = %d, want 1", got)
 	}
-	if got := NewGate(-3).Capacity(); got != 1 {
-		t.Errorf("NewGate(-3).Capacity() = %d, want 1", got)
+	if got := NewGate(-3).capacity; got != 1 {
+		t.Errorf("NewGate(-3).capacity = %d, want 1", got)
 	}
 }
 

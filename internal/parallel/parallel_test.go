@@ -50,15 +50,19 @@ func TestPoolFor(t *testing.T) {
 	defer p.Close()
 	n := 1000
 	out := make([]int64, n)
-	p.For(0, n, func(i int) { out[i] = int64(i * i) })
+	p.ForRanges(0, n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = int64(i * i)
+		}
+	})
 	for i := range out {
 		if out[i] != int64(i*i) {
 			t.Fatalf("out[%d] = %d", i, out[i])
 		}
 	}
 	// Empty and negative ranges are no-ops.
-	p.For(5, 5, func(i int) { t.Error("body called on empty range") })
-	p.For(5, 3, func(i int) { t.Error("body called on negative range") })
+	p.ForRanges(5, 5, func(_, _, _ int) { t.Error("body called on empty range") })
+	p.ForRanges(5, 3, func(_, _, _ int) { t.Error("body called on negative range") })
 }
 
 func TestPoolForRangesCoversExactly(t *testing.T) {

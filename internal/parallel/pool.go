@@ -58,9 +58,6 @@ func NewPoolNamed(n int, name string) *Pool {
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Name returns the pool's pprof label name.
-func (p *Pool) Name() string { return p.name }
-
 func (p *Pool) worker(id int) {
 	labels := pprof.Labels("fbmpk_pool", p.name, "fbmpk_worker", strconv.Itoa(id))
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), labels))
@@ -96,26 +93,9 @@ func (p *Pool) Close() {
 	}
 }
 
-// For runs body(i) for i in [lo, hi) across the pool with static
-// chunking (contiguous equal ranges), the scheduling OpenMP calls
-// "static". Use for loops whose iterations cost about the same.
-func (p *Pool) For(lo, hi int, body func(i int)) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	p.Run(func(id int) {
-		start := lo + id*n/p.workers
-		end := lo + (id+1)*n/p.workers
-		for i := start; i < end; i++ {
-			body(i)
-		}
-	})
-}
-
 // ForRanges splits [lo, hi) into one contiguous range per worker and
-// runs body(id, start, end). Lower overhead than For when the body
-// can process a range natively (e.g. SpMVRange).
+// runs body(id, start, end), the static schedule of OpenMP: use it for
+// bodies that process a range natively (e.g. SpMVRange).
 func (p *Pool) ForRanges(lo, hi int, body func(id, start, end int)) {
 	n := hi - lo
 	if n <= 0 {

@@ -60,6 +60,9 @@ type Registry struct {
 	// two-phase re-key simple).
 	structIdx map[Key]Key
 	updateMu  sync.Mutex
+	// swapHook, nil outside tests, runs between the two phases of an
+	// in-place update, while the entry is out of the key map.
+	swapHook func()
 
 	hits          uint64
 	misses        uint64
@@ -328,9 +331,7 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	r.misses++
 	toClose := r.evictOverflowLocked()
 	r.mu.Unlock()
-	for _, p := range toClose {
-		p.Close()
-	}
+	closePlans(toClose)
 
 	buildStart := time.Now()
 	// Every caller validated a on the way here, so the build need not.
@@ -448,6 +449,14 @@ func (r *Registry) evictOverflowLocked() []*core.Plan {
 	return toClose
 }
 
+// closePlans closes the plans evictOverflowLocked returned, after the
+// caller unlocked.
+func closePlans(ps []*core.Plan) {
+	for _, p := range ps {
+		p.Close()
+	}
+}
+
 // unlinkLocked removes e from the key map, the structure index, and
 // the LRU list, and marks it evicted. Idempotent.
 func (r *Registry) unlinkLocked(e *entry) {
@@ -524,7 +533,5 @@ func (r *Registry) Close() {
 		}
 	}
 	r.mu.Unlock()
-	for _, p := range toClose {
-		p.Close()
-	}
+	closePlans(toClose)
 }

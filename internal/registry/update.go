@@ -124,6 +124,9 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 		delete(r.entries, oldKey)
 	}
 	r.mu.Unlock()
+	if r.swapHook != nil {
+		r.swapHook()
+	}
 
 	tl := events.TimelineFromContext(ctx)
 	var swapStart time.Time
@@ -135,6 +138,8 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 		tl.Phase("registry.update", swapStart, time.Now())
 	}
 
+	// An Acquire miss inside the window evicted against a key map one
+	// entry short, so each re-insert below evicts to capacity again.
 	r.mu.Lock()
 	if err != nil {
 		// Values unchanged on failure: reinstall under the old key
@@ -148,9 +153,11 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 				r.evictions++
 			}
 		}
+		toClose := r.evictOverflowLocked()
 		e.refs--
 		shouldClose := e.evicted && e.refs == 0
 		r.mu.Unlock()
+		closePlans(toClose)
 		if shouldClose {
 			r.closeEvicted(e.plan, e)
 		}
@@ -180,7 +187,9 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 			r.lru.MoveToFront(e.elem)
 		}
 	}
+	toClose := r.evictOverflowLocked()
 	r.updated++
 	r.mu.Unlock()
+	closePlans(toClose)
 	return e.plan, newKey, true, nil
 }

@@ -248,6 +248,49 @@ func TestRegistryUpdateValuesCanceledWhileWaiting(t *testing.T) {
 	}
 }
 
+// TestRegistryUpdateValuesHoldsCapacity: an Acquire miss while an
+// in-place update has its entry out of the key map evicts against a map
+// one entry short, so the update's re-insert, under the new key on
+// success or the old key on failure, must evict to capacity again.
+func TestRegistryUpdateValuesHoldsCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	a, b, c := testCSR(rng, 48, 3), testCSR(rng, 40, 3), testCSR(rng, 32, 3)
+	opt := core.Options{Engine: core.EngineStandard}
+	for _, fail := range []bool{false, true} {
+		reg := New(2)
+		for _, m := range []*sparse.CSR{a, b} {
+			p, err := reg.Acquire(m, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg.Release(p) //nolint:errcheck // release of a just-acquired plan
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		reg.swapHook = func() {
+			if p, err := reg.Acquire(c, opt); err != nil {
+				t.Error(err)
+			} else {
+				reg.Release(p) //nolint:errcheck // release of a just-acquired plan
+			}
+			if fail {
+				cancel() // the swap then fails and reinstalls the old key
+			}
+		}
+		p, _, err := reg.UpdateValuesCtx(ctx, valueVariant(a, 2, 0), opt)
+		if fail != errors.Is(err, context.Canceled) {
+			t.Fatalf("fail=%v: update err = %v", fail, err)
+		}
+		if p != nil {
+			reg.Release(p) //nolint:errcheck // release of the updated plan
+		}
+		if st := reg.Stats(); st.Entries > st.Capacity {
+			t.Errorf("fail=%v: %d entries in a capacity-%d registry after every release", fail, st.Entries, st.Capacity)
+		}
+		cancel()
+		reg.Close()
+	}
+}
+
 // waitForLockWaiter returns once some goroutine is blocked taking a
 // mutex inside the function fn names.
 func waitForLockWaiter(t *testing.T, fn string) {

@@ -47,12 +47,6 @@ type ABMCResult struct {
 // NumBlocks returns the number of row blocks in the ordering.
 func (r *ABMCResult) NumBlocks() int { return len(r.BlockPtr) - 1 }
 
-// ColorRows returns the permuted-row range [lo, hi) covered by color c.
-func (r *ABMCResult) ColorRows(c int) (lo, hi int32) {
-	bLo, bHi := r.ColorPtr[c], r.ColorPtr[c+1]
-	return r.BlockPtr[bLo], r.BlockPtr[bHi]
-}
-
 // ABMC computes the algebraic block multi-color ordering of a square
 // matrix (Iwashita et al., the method of Section III-D): rows are
 // grouped into contiguous blocks, the quotient block graph is colored

@@ -18,6 +18,15 @@ import (
 // the oracle the run-based routines (ApplySymPool, ValueMap, and
 // SplitSym through sparse.Split of it) are held to, bit for bit.
 
+// identity returns the identity permutation of length n.
+func identity(n int) Perm {
+	p := make(Perm, n)
+	for i := range p {
+		p[i] = int32(i)
+	}
+	return p
+}
+
 func applySymOracle(p Perm, a *sparse.CSR) *sparse.CSR {
 	inv := p.Inverse()
 	n := a.Rows
@@ -95,7 +104,7 @@ func levelPerm(tb testing.TB, a *sparse.CSR) Perm {
 			}
 		}
 	}
-	p := Identity(g.N)
+	p := identity(g.N)
 	slices.SortStableFunc(p, func(x, y int32) int { return level[x] - level[y] })
 	return p
 }
@@ -231,7 +240,7 @@ func TestPermutedRowsKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reversal, shuffled, deinterleave := Identity(n), Identity(n), make(Perm, 0, n)
+		reversal, shuffled, deinterleave := identity(n), identity(n), make(Perm, 0, n)
 		slices.Reverse(reversal)
 		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		for parity := 0; parity < 2; parity++ {
@@ -240,7 +249,7 @@ func TestPermutedRowsKinds(t *testing.T) {
 			}
 		}
 		for name, p := range map[string]Perm{
-			"identity": Identity(n), "reversal": reversal, "abmc": abmc.Perm, "level": levelPerm(t, a),
+			"identity": identity(n), "reversal": reversal, "abmc": abmc.Perm, "level": levelPerm(t, a),
 			"shuffle": shuffled, "deinterleave": deinterleave, "blocks": blockShuffle(rng, n, 4),
 		} {
 			if err := p.Validate(); err != nil {
@@ -261,7 +270,7 @@ func TestPermutedRowsOverlapFallback(t *testing.T) {
 		coo.Add(0, c, float64(c+1))
 	}
 	a := coo.ToCSR()
-	p := Identity(12)
+	p := identity(12)
 	p[4], p[11] = 11, 4
 	var newCols []int32
 	p.permutedRows(a, p.Inverse(), nil, func(i int, _ int64, heads []uint64, starts []int32) {
@@ -293,13 +302,13 @@ func FuzzApplySym(f *testing.F) {
 		if seed%3 == 0 {
 			a = randomSym(rng, n, int(perRow%8))
 		}
-		random := Identity(n)
+		random := identity(n)
 		rng.Shuffle(n, func(i, j int) { random[i], random[j] = random[j], random[i] })
 		abmc, err := ABMC(a, ABMCOptions{NumBlocks: 1 + int(seed%16)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []Perm{Identity(n), random, abmc.Perm, levelPerm(t, a)} {
+		for _, p := range []Perm{identity(n), random, abmc.Perm, levelPerm(t, a)} {
 			checkApplySym(t, pools, a, p)
 		}
 	})

@@ -42,17 +42,3 @@ func BenchmarkRCM(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkLevelsLower(b *testing.B) {
-	a := reorderBenchMatrix(b)
-	tri, err := sparse.Split(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LevelsLower(tri.L); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -18,15 +18,6 @@ import (
 // "gather" convention: applying to a vector, y[new] = x[perm[new]].
 type Perm []int32
 
-// Identity returns the identity permutation of length n.
-func Identity(n int) Perm {
-	p := make(Perm, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	return p
-}
-
 // Validate checks that p is a bijection on [0, len(p)).
 func (p Perm) Validate() error {
 	seen := make([]bool, len(p))

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// ones returns a length-n vector of ones.
+func ones(n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1
+	}
+	return x
+}
+
 func benchMatrix(b *testing.B) *CSR {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -14,7 +23,7 @@ func benchMatrix(b *testing.B) *CSR {
 
 func BenchmarkSpMVCSR(b *testing.B) {
 	m := benchMatrix(b)
-	x := Ones(m.Rows)
+	x := ones(m.Rows)
 	y := make([]float64, m.Rows)
 	b.SetBytes(m.MemoryBytes())
 	b.ResetTimer()
@@ -26,9 +35,9 @@ func BenchmarkSpMVCSR(b *testing.B) {
 func BenchmarkSpMVSELL(b *testing.B) {
 	m := benchMatrix(b)
 	s := ToSELL(m, 8, 64)
-	x := Ones(m.Rows)
+	x := ones(m.Rows)
 	y := make([]float64, m.Rows)
-	b.SetBytes(s.MemoryBytes())
+	b.SetBytes(m.MemoryBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SpMV(x, y)
@@ -38,9 +47,9 @@ func BenchmarkSpMVSELL(b *testing.B) {
 func BenchmarkSpMVBSR(b *testing.B) {
 	m := benchMatrix(b)
 	r := ToBSR(m, 2, 2)
-	x := Ones(m.Rows)
+	x := ones(m.Rows)
 	y := make([]float64, m.Rows)
-	b.SetBytes(r.MemoryBytes())
+	b.SetBytes(m.MemoryBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.SpMV(x, y)
@@ -129,7 +138,7 @@ func BenchmarkSpMVIndexWidth(b *testing.B) {
 				c32[k], d16[k], v[k] = int32(c), int16(c-i), rng.NormFloat64()
 			}
 		}
-		x, y := Ones(n), make([]float64, n)
+		x, y := ones(n), make([]float64, n)
 		b.Run(fmt.Sprintf("n=%d/int32", n), func(b *testing.B) {
 			b.SetBytes(int64(12*len(v) + 24*n))
 			for i := 0; i < b.N; i++ {

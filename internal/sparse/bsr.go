@@ -308,8 +308,3 @@ func CountBSRBlocks(a *CSR) (n [3]int64) {
 	}
 	return n
 }
-
-// MemoryBytes returns the storage footprint.
-func (b *BSR) MemoryBytes() int64 {
-	return int64(len(b.RowPtr))*8 + int64(len(b.ColIdx))*4 + int64(len(b.Val))*8
-}

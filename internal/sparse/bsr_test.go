@@ -84,7 +84,7 @@ func TestBSRBlockColumnOrderSorted(t *testing.T) {
 			prev = b.ColIdx[k]
 		}
 	}
-	if len(b.ColIdx) <= 0 || b.MemoryBytes() <= 0 {
+	if len(b.ColIdx) <= 0 || len(b.Val) <= 0 {
 		t.Error("accounting not positive")
 	}
 }

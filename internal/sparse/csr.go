@@ -1,9 +1,10 @@
 // Package sparse implements the sparse-matrix substrate used by FBMPK:
 // the CSR storage format (the paper's working format), a COO/triplet
 // builder, the A = L + D + U split at the heart of the forward-backward
-// pipeline, the SpMV and SpMM kernels with their row-range forms, and
-// the BSR and SELL-C-sigma formats the benchmark times (the direction
-// the paper's future-work section points at).
+// pipeline, the SpMV kernel with its row-range form, the row-range SpMM
+// kernel over row-major vector blocks, and the BSR and SELL-C-sigma
+// formats the benchmark times (the direction the paper's future-work
+// section points at).
 //
 // All matrices are square or rectangular CSR with float64 values and
 // int32 column indices (int32 halves index traffic, which matters for a
@@ -61,31 +62,6 @@ func (m *CSR) At(i, j int) float64 {
 		return vals[k]
 	}
 	return 0
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *CSR) Clone() *CSR {
-	c := &CSR{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: make([]int64, len(m.RowPtr)),
-		ColIdx: make([]int32, len(m.ColIdx)),
-		Val:    make([]float64, len(m.Val)),
-	}
-	copy(c.RowPtr, m.RowPtr)
-	copy(c.ColIdx, m.ColIdx)
-	copy(c.Val, m.Val)
-	return c
-}
-
-// NewCSR builds a CSR matrix from fully-formed arrays after validating
-// the structural invariants. The slices are retained, not copied.
-func NewCSR(rows, cols int, rowPtr []int64, colIdx []int32, val []float64) (*CSR, error) {
-	m := &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // Validate checks the CSR structural invariants: monotone row pointers,
@@ -225,25 +201,6 @@ func (m *CSR) Bandwidth() int {
 		}
 	}
 	return bw
-}
-
-// Equal reports whether two matrices have the same shape, pattern and
-// values (exact comparison).
-func (m *CSR) Equal(o *CSR) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols || m.NNZ() != o.NNZ() {
-		return false
-	}
-	for i := range m.RowPtr {
-		if m.RowPtr[i] != o.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range m.ColIdx {
-		if m.ColIdx[k] != o.ColIdx[k] || m.Val[k] != o.Val[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // ErrNotSquare is returned by operations requiring a square matrix.

@@ -138,10 +138,3 @@ func (s *SELL) SpMVRange(x, y []float64, lo, hi int) {
 		}
 	}
 }
-
-// MemoryBytes returns the storage footprint including padding and the
-// row permutation.
-func (s *SELL) MemoryBytes() int64 {
-	return int64(len(s.ColIdx))*4 + int64(len(s.Val))*8 +
-		int64(len(s.ChunkPtr))*8 + int64(len(s.ChunkWidth))*4 + int64(len(s.Perm))*4
-}

@@ -181,7 +181,7 @@ func TestTriangularWithValues(t *testing.T) {
 		for j, p := range rng.Perm(len(a.Val)) {
 			slot[j] = int64(p)
 		}
-		b := a.Clone()
+		b := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: make([]float64, len(a.Val))}
 		shuffled := make([]float64, len(a.Val))
 		for j := range b.Val {
 			b.Val[j] = rng.NormFloat64()

@@ -1,28 +1,15 @@
 package sparse
 
-// SpMM computes Y = A * X for a block of nv dense vectors stored
-// row-major (X[i*nv+c] is component c of logical vector x_c at row i).
-// One pass over A serves all nv vectors, so the matrix is read once
-// instead of nv times — the multi-vector analogue of the paper's
-// traffic argument, used by block eigensolvers (subspace iteration,
-// block Lanczos).
-func SpMM(a *CSR, x, y []float64, nv int) {
-	if nv < 1 {
-		panic("sparse: SpMM needs nv >= 1")
-	}
-	if len(x) < a.Cols*nv || len(y) < a.Rows*nv {
-		panic("sparse: SpMM dimension mismatch")
-	}
-	SpMMRange(a, x, y, nv, 0, a.Rows)
-}
-
-// SpMMRange computes Y[lo:hi] = (A*X)[lo:hi] for the row range
-// [lo, hi) in the row-major block layout (nv components per row). It is
-// the block analogue of SpMVRange and the building block the batched
-// parallel kernels partition over. The nv = 2 loop keeps the per-vector
-// partial sums in registers, nv = 4 (the FB head U*X0) hands each row to
-// the 4-lane row primitive of rowacc.go; other widths accumulate
-// directly into the output stripe.
+// SpMMRange computes Y[lo:hi] = (A*X)[lo:hi] for the row range [lo, hi)
+// of a block of nv dense vectors stored row-major (X[i*nv+c] is component
+// c of logical vector x_c at row i). One pass over A serves all nv
+// vectors, so the matrix is read once instead of nv times — the
+// multi-vector analogue of the paper's traffic argument. It is the block
+// analogue of SpMVRange and the building block the batched parallel
+// kernels partition over. The nv = 2 loop keeps the per-vector partial
+// sums in registers, nv = 4 (the FB head U*X0) hands each row to the
+// 4-lane row primitive of rowacc.go; other widths accumulate directly
+// into the output stripe.
 func SpMMRange(a *CSR, x, y []float64, nv, lo, hi int) {
 	rp, ci, v := a.RowPtr, a.ColIdx, a.Val
 	switch nv {

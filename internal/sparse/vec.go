@@ -13,13 +13,6 @@ func AXPY(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale computes x *= alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // NormInf returns the max-magnitude entry of x.
 func NormInf(x []float64) float64 {
 	m := 0.0
@@ -57,20 +50,6 @@ func RelMaxDiff(x, y []float64) float64 {
 		scale = 1
 	}
 	return MaxAbsDiff(x, y) / scale
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
-// Ones returns a length-n vector of ones.
-func Ones(n int) []float64 {
-	x := make([]float64, n)
-	Fill(x, 1)
-	return x
 }
 
 // CopyVec returns a copy of x.

@@ -199,12 +199,7 @@ func TestTraceConcurrentServing(t *testing.T) {
 	}
 	wg.Wait()
 
-	if rec.Untraced() != 0 {
-		t.Fatalf("%d executions ran untraced with 12 caller lanes", rec.Untraced())
-	}
-	if rec.Len() == 0 {
-		t.Fatal("no events captured")
-	}
+	calls := 0
 	for lane := 0; lane < rec.Lanes(); lane++ {
 		evs := rec.LaneEvents(lane)
 		// Per (execution, lane): compute/barrier spans chain without
@@ -222,22 +217,27 @@ func TestTraceConcurrentServing(t *testing.T) {
 				states[ev.Seq] = st
 			}
 			switch ev.Kind.String() {
+			case "call":
+				calls++
 			case "compute", "barrier":
 				if int64(ev.Start) < st.lastEnd {
 					t.Fatalf("lane %d seq %d: span starts before previous ends (%v < %v)", lane, ev.Seq, ev.Start, st.lastEnd)
 				}
-				st.lastEnd = int64(ev.End())
+				st.lastEnd = int64(ev.Start + ev.Dur)
 				st.pending = append(st.pending, ev)
 			case "sweep":
 				for _, m := range st.pending {
-					if m.Start >= ev.Start && m.End() > ev.End() {
+					if m.Start >= ev.Start && m.Start+m.Dur > ev.Start+ev.Dur {
 						t.Fatalf("lane %d seq %d: member span [%v,%v] escapes sweep [%v,%v]",
-							lane, ev.Seq, m.Start, m.End(), ev.Start, ev.End())
+							lane, ev.Seq, m.Start, m.Start+m.Dur, ev.Start, ev.Start+ev.Dur)
 					}
 				}
 				st.pending = st.pending[:0]
 			}
 		}
+	}
+	if calls != 12*4 {
+		t.Fatalf("recorded %d call spans for 48 executions on 12 caller lanes", calls)
 	}
 }
 
@@ -265,8 +265,8 @@ func TestTraceRingBoundsMemory(t *testing.T) {
 	if max := rec.Lanes() * perLane; rec.Len() > max {
 		t.Fatalf("recorder retains %d events, cap %d", rec.Len(), max)
 	}
-	if rec.Overwritten() == 0 {
-		t.Fatal("saturating workload reported no overwrites")
+	if n := len(rec.LaneEvents(0)); n != perLane {
+		t.Fatalf("caller lane retains %d events after 50 calls, want its cap %d", n, perLane)
 	}
 }
 
