@@ -26,10 +26,12 @@ go test ./...
 # benchmark/: what a reader has to hold to change the system. Deleting
 # the product code only tests called (ROADMAP 2(g)) met item 2's targets
 # of 5,100 and 15,400; TestNoTestOnlyProductCode keeps such code out.
+# Keeping the registry's updated entry in the key map through the swap
+# took the second to 15,203.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
 [ "$lines" -le 5095 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 15252 ]
+[ "$lines" -le 15203 ]
 # Knob ratchet (ROADMAP item 2, "Options <= 7 fields"): the exported
 # fields of core.Options, counted from the source. A new option has to
 # displace one.

@@ -64,8 +64,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fbmpkd:", err)
 		os.Exit(1)
 	}
-	if err := run(logger, *addr, *threads, *registryCap, *maxInflight,
-		*deadline, *maxTimeout, *maxBody, *maxMatrices, *drain); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err == nil {
+		// The url attribute leads so harnesses can extract the :0-bound
+		// port from the text encoding with one pattern.
+		logger.Info("listening",
+			"url", "http://"+ln.Addr().String(),
+			"api_version", serve.APIVersion,
+			"threads", *threads,
+			"go_version", runtime.Version())
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		// A second signal during the drain kills the process.
+		context.AfterFunc(ctx, stop)
+		err = run(ctx, serve.Config{
+			RegistryCapacity: *registryCap,
+			MaxInFlight:      *maxInflight,
+			DefaultTimeout:   *deadline,
+			MaxTimeout:       *maxTimeout,
+			MaxBodyBytes:     *maxBody,
+			MaxMatrices:      *maxMatrices,
+			PlanOptions:      []fbmpk.Option{fbmpk.WithThreads(*threads)},
+			Logger:           logger,
+		}, ln, *drain)
+	}
+	if err != nil {
 		logger.Error("exiting", "error", err.Error())
 		os.Exit(1)
 	}
@@ -90,35 +112,13 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 	}
 }
 
-func run(logger *slog.Logger, addr string, threads int, registryCap, maxInflight int,
-	deadline, maxTimeout time.Duration, maxBody int64, maxMatrices int, drain time.Duration) error {
-	srv := serve.New(serve.Config{
-		RegistryCapacity: registryCap,
-		MaxInFlight:      maxInflight,
-		DefaultTimeout:   deadline,
-		MaxTimeout:       maxTimeout,
-		MaxBodyBytes:     maxBody,
-		MaxMatrices:      maxMatrices,
-		PlanOptions:      []fbmpk.Option{fbmpk.WithThreads(threads)},
-		Logger:           logger,
-	})
+// run serves the daemon cfg describes on ln until ctx is done, then
+// drains in-flight requests for up to drain and returns nil on a clean
+// drain. The drain records go to cfg.Logger, which must be set.
+func run(ctx context.Context, cfg serve.Config, ln net.Listener, drain time.Duration) error {
+	srv := serve.New(cfg)
 	defer srv.Close()
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
 	hs := serve.NewHTTPServer(srv.Handler())
-	// The url attribute leads so harnesses can extract the :0-bound
-	// port from the text encoding with one pattern.
-	logger.Info("listening",
-		"url", "http://"+ln.Addr().String(),
-		"api_version", serve.APIVersion,
-		"threads", threads,
-		"go_version", runtime.Version())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
@@ -126,12 +126,11 @@ func run(logger *slog.Logger, addr string, threads int, registryCap, maxInflight
 	case err := <-errc:
 		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
-		stop()
-		logger.Info("draining", "grace", drain.String())
+		cfg.Logger.Info("draining", "grace", drain.String())
 		if err := serve.Shutdown(hs, drain); err != nil {
 			return fmt.Errorf("drain: %w", err)
 		}
-		logger.Info("drained cleanly")
+		cfg.Logger.Info("drained cleanly")
 		return nil
 	}
 }

@@ -19,9 +19,10 @@ var liveWithoutCaller = map[string]string{
 	"newCondBarrier":        "the baseline of the barrier microbenchmark",
 }
 
-// TestNoTestOnlyProductCode fails on a function or method declared in a
-// non-test file under internal/ or cmd/ whose name no non-test file of
-// the module references: code only tests call. Exempt are main, init,
+// TestNoTestOnlyProductCode fails on a function, method, or package-level
+// var or const declared in a non-test file under internal/ or cmd/ whose
+// name no non-test file of the module references: code only tests use.
+// Exempt are main, init, the blank identifier,
 // liveWithoutCaller, and methods an interface may call: one declared in
 // the module or one of the standard library's (fmt.Stringer, error,
 // sort.Interface, http.Handler, json.Marshaler, io.Writer, ...). The
@@ -53,20 +54,33 @@ func TestNoTestOnlyProductCode(t *testing.T) {
 		checked := strings.HasPrefix(slash, "internal/") || strings.HasPrefix(slash, "cmd/")
 		declared := map[*ast.Ident]bool{}
 		for _, dc := range f.Decls {
-			if fd, ok := dc.(*ast.FuncDecl); ok {
-				declared[fd.Name] = true
+			switch dc := dc.(type) {
+			case *ast.FuncDecl:
+				declared[dc.Name] = true
 				if !checked {
 					continue
 				}
-				key := fd.Name.Name
-				if fd.Recv != nil {
-					recv := fd.Recv.List[0].Type
+				key := dc.Name.Name
+				if dc.Recv != nil {
+					recv := dc.Recv.List[0].Type
 					if star, ok := recv.(*ast.StarExpr); ok {
 						recv = star.X
 					}
 					key = recv.(*ast.Ident).Name + "." + key
 				}
-				decls = append(decls, fset.Position(fd.Pos()).String()+": "+key)
+				decls = append(decls, fset.Position(dc.Pos()).String()+": "+key)
+			case *ast.GenDecl:
+				if dc.Tok != token.VAR && dc.Tok != token.CONST {
+					continue
+				}
+				for _, spec := range dc.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						declared[id] = true
+						if checked && id.Name != "_" {
+							decls = append(decls, fset.Position(id.Pos()).String()+": "+id.Name)
+						}
+					}
+				}
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -93,7 +107,7 @@ func TestNoTestOnlyProductCode(t *testing.T) {
 		key := d[strings.LastIndex(d, " ")+1:]
 		name := key[strings.LastIndex(key, ".")+1:]
 		if !called[name] && !(name != key && called["."+name]) && liveWithoutCaller[key] == "" {
-			t.Errorf("only tests call %s", d)
+			t.Errorf("only tests use %s", d)
 		}
 	}
 }

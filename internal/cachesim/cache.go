@@ -35,15 +35,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Platform presets with the last-level capacities of Table I.
-// FT 2000+ has no L3; its 2MB L2 is the last level before DRAM.
-var (
-	ConfigXeon      = Config{SizeBytes: 37_486_592, Assoc: 11, LineBytes: 64} // 35.75 MiB
-	ConfigKP920     = Config{SizeBytes: 64 << 20, Assoc: 16, LineBytes: 64}
-	ConfigThunderX2 = Config{SizeBytes: 32 << 20, Assoc: 16, LineBytes: 64}
-	ConfigFT2000    = Config{SizeBytes: 2 << 20, Assoc: 16, LineBytes: 64}
-)
-
 // ScaledConfig builds an LLC whose capacity preserves the paper's
 // working-set-to-cache ratio for a scaled-down matrix: the suite
 // matrices are hundreds of MB against a 35.75MB Xeon LLC, so replaying

@@ -8,6 +8,16 @@ import (
 	"fbmpk/internal/sparse"
 )
 
+// Platform presets with the last-level capacities of Table I.
+// FT 2000+ has no L3; its 2MB L2 is the last level before DRAM.
+// ConfigXeon is the reference core.DefaultLevelBlockBytes is held to.
+var (
+	ConfigXeon      = Config{SizeBytes: 37_486_592, Assoc: 11, LineBytes: 64} // 35.75 MiB
+	ConfigKP920     = Config{SizeBytes: 64 << 20, Assoc: 16, LineBytes: 64}
+	ConfigThunderX2 = Config{SizeBytes: 32 << 20, Assoc: 16, LineBytes: 64}
+	ConfigFT2000    = Config{SizeBytes: 2 << 20, Assoc: 16, LineBytes: 64}
+)
+
 func tinyCache(t testing.TB, sizeBytes int64, assoc int) *Cache {
 	t.Helper()
 	c, err := New(Config{SizeBytes: sizeBytes, Assoc: assoc, LineBytes: 64})

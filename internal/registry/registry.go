@@ -56,12 +56,11 @@ type Registry struct {
 	// cached entry to its current content Key, so UpdateValues can find
 	// the plan whose values to swap regardless of which value
 	// generation it currently holds. updateMu serializes UpdateValues
-	// calls (updates are rare next to acquires; one at a time keeps the
-	// two-phase re-key simple).
+	// calls, so re-keys land in the order the swaps did.
 	structIdx map[Key]Key
 	updateMu  sync.Mutex
-	// swapHook, nil outside tests, runs between the two phases of an
-	// in-place update, while the entry is out of the key map.
+	// swapHook, nil outside tests, runs after an in-place update pins
+	// its entry and before it swaps the values.
 	swapHook func()
 
 	hits          uint64
@@ -78,8 +77,8 @@ type Registry struct {
 
 // entry is one cached (or in-flight) plan. refs counts outstanding
 // Acquires not yet Released. evicted entries have left the map/LRU
-// but stay alive until refs drains to zero, at which point the last
-// Release closes the plan.
+// but stay alive until refs drains to zero; closableLocked then hands
+// the plan to whoever dropped the last reference.
 type entry struct {
 	key     Key
 	sKey    Key // (structure, options) composite; see Registry.structIdx
@@ -331,7 +330,7 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	r.misses++
 	toClose := r.evictOverflowLocked()
 	r.mu.Unlock()
-	closePlans(toClose)
+	closePlans(toClose...)
 
 	buildStart := time.Now()
 	// Every caller validated a on the way here, so the build need not.
@@ -352,20 +351,17 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	}
 	close(e.done)
 	bail := err == nil && ctx.Err() != nil
+	var orphan *core.Plan
 	if bail {
 		// The owner's context fired mid-build. The plan is finished and
 		// cached for the waiters that coalesced onto this flight; only
 		// this caller's reference and result are abandoned.
 		e.refs--
 		r.canceled++
+		orphan = r.closableLocked(e)
 	}
-	shouldClose := err == nil && e.evicted && e.refs == 0
 	r.mu.Unlock()
-	if shouldClose {
-		// Evicted (or registry-closed) while building and every waiter
-		// already bailed: nobody holds it, tear it down now.
-		r.closeEvicted(plan, e)
-	}
+	closePlans(orphan)
 	if bail {
 		return nil, fmt.Errorf("registry: Acquire canceled during build: %w", ctx.Err())
 	}
@@ -382,12 +378,9 @@ func (r *Registry) abandonWait(e *entry) {
 	r.mu.Lock()
 	e.refs--
 	r.canceled++
-	shouldClose := e.built() && e.err == nil && e.plan != nil && e.evicted && e.refs == 0
-	p := e.plan
+	toClose := r.closableLocked(e)
 	r.mu.Unlock()
-	if shouldClose {
-		r.closeEvicted(p, e)
-	}
+	closePlans(toClose)
 }
 
 // Release drops one reference taken by Acquire. When the entry has
@@ -404,24 +397,24 @@ func (r *Registry) Release(p *core.Plan) error {
 		return fmt.Errorf("registry: Release: %w", ErrNotAcquired)
 	}
 	e.refs--
-	shouldClose := e.evicted && e.refs == 0
+	toClose := r.closableLocked(e)
 	r.mu.Unlock()
-	if shouldClose {
-		r.closeEvicted(p, e)
-	}
+	closePlans(toClose)
 	return nil
 }
 
-// closeEvicted finalizes an evicted, fully released entry:
-// closes the plan first (Close drains in-flight executions, so it
-// must not run under the lock), then unregisters the plan pointer.
-func (r *Registry) closeEvicted(p *core.Plan, e *entry) {
-	p.Close()
-	r.mu.Lock()
-	if cur, ok := r.byPlan[p]; ok && cur == e {
-		delete(r.byPlan, p)
+// closableLocked is the one rule by which the registry closes a plan:
+// once e is evicted (by capacity or Close), built and unreferenced, it
+// unregisters e's plan and returns it for the caller to close after
+// unlocking (Close drains in-flight executions, so it must not run
+// under the lock); otherwise it returns nil. Every path that can leave
+// a built plan evicted and unreferenced asks it.
+func (r *Registry) closableLocked(e *entry) *core.Plan {
+	if !e.evicted || e.refs > 0 || e.plan == nil {
+		return nil
 	}
-	r.mu.Unlock()
+	delete(r.byPlan, e.plan)
+	return e.plan
 }
 
 // evictOverflowLocked evicts least-recently-used entries until the
@@ -441,19 +434,18 @@ func (r *Registry) evictOverflowLocked() []*core.Plan {
 		e := back.Value.(*entry)
 		r.unlinkLocked(e)
 		r.evictions++
-		if e.refs == 0 && e.plan != nil {
-			toClose = append(toClose, e.plan)
-			delete(r.byPlan, e.plan)
-		}
+		toClose = append(toClose, r.closableLocked(e))
 	}
 	return toClose
 }
 
-// closePlans closes the plans evictOverflowLocked returned, after the
-// caller unlocked.
-func closePlans(ps []*core.Plan) {
+// closePlans closes the plans closableLocked returned, after the
+// caller unlocked; nil plans are skipped.
+func closePlans(ps ...*core.Plan) {
 	for _, p := range ps {
-		p.Close()
+		if p != nil {
+			p.Close()
+		}
 	}
 }
 
@@ -503,13 +495,6 @@ func (r *Registry) Stats() Stats {
 	}
 }
 
-// Len returns the number of cached entries (ready or building).
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}
-
 // Close evicts every entry and rejects future Acquires. Plans with no
 // outstanding references are closed before Close returns; plans still
 // held by callers (including in-flight builds) stay usable and are
@@ -527,11 +512,8 @@ func (r *Registry) Close() {
 		// map, which is permitted for the entry being visited.
 		r.unlinkLocked(e)
 		r.evictions++
-		if e.refs == 0 && e.plan != nil {
-			toClose = append(toClose, e.plan)
-			delete(r.byPlan, e.plan)
-		}
+		toClose = append(toClose, r.closableLocked(e))
 	}
 	r.mu.Unlock()
-	closePlans(toClose)
+	closePlans(toClose...)
 }

@@ -533,8 +533,8 @@ func TestAcquireCtxPreCanceled(t *testing.T) {
 		t.Fatalf("AcquireCtx with canceled context: got %v, want context.Canceled", err)
 	}
 	s := reg.Stats()
-	if reg.Len() != 0 || s.Builds != 0 || s.Canceled != 1 {
-		t.Fatalf("pre-canceled Acquire left state behind: len=%d stats=%+v", reg.Len(), s)
+	if s.Entries != 0 || s.Builds != 0 || s.Canceled != 1 {
+		t.Fatalf("pre-canceled Acquire left state behind: stats=%+v", s)
 	}
 }
 

@@ -84,9 +84,7 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 		return p, newKey, false, nil
 	}
 
-	// One update at a time: the two-phase re-key below briefly takes the
-	// entry out of the key map, and serializing updates keeps every
-	// interleaving with concurrent Acquires two-party.
+	// One update at a time, so re-keys land in the order the swaps did.
 	r.updateMu.Lock()
 	defer r.updateMu.Unlock()
 
@@ -115,14 +113,11 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 		return viaAcquire()
 	}
 
-	// Phase 1: pin the entry (the reference the caller will Release)
-	// and take it out of the key map, so no Acquire can hand out the old
-	// fingerprint while the values underneath it change.
+	// Pin the entry (the reference the caller will Release). It stays
+	// under its old key while the values change: an Acquire or
+	// AcquireKey that finds it meanwhile is ordered before this update,
+	// and like every holder executes on the latest values.
 	e.refs++
-	oldKey := e.key
-	if cur, ok := r.entries[oldKey]; ok && cur == e {
-		delete(r.entries, oldKey)
-	}
 	r.mu.Unlock()
 	if r.swapHook != nil {
 		r.swapHook()
@@ -138,29 +133,13 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 		tl.Phase("registry.update", swapStart, time.Now())
 	}
 
-	// An Acquire miss inside the window evicted against a key map one
-	// entry short, so each re-insert below evicts to capacity again.
 	r.mu.Lock()
 	if err != nil {
-		// Values unchanged on failure: reinstall under the old key
-		// (unless evicted meanwhile, or a concurrent Acquire rebuilt the
-		// old matrix and owns the slot now).
-		if !e.evicted {
-			if _, occupied := r.entries[oldKey]; !occupied {
-				r.entries[oldKey] = e
-			} else {
-				r.unlinkLocked(e)
-				r.evictions++
-			}
-		}
-		toClose := r.evictOverflowLocked()
+		// Values and key unchanged on failure: just drop the pin.
 		e.refs--
-		shouldClose := e.evicted && e.refs == 0
+		toClose := r.closableLocked(e)
 		r.mu.Unlock()
 		closePlans(toClose)
-		if shouldClose {
-			r.closeEvicted(e.plan, e)
-		}
 		if errors.Is(err, core.ErrStructureChanged) {
 			// Possible only on a structure-index collision; degrade to a
 			// rebuild like any other non-updatable case.
@@ -172,24 +151,24 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 		return nil, Key{}, false, err
 	}
 
-	// Phase 2: re-key under the new content fingerprint. A concurrent
-	// Acquire may have built the identical (matrix, options) plan in the
-	// window; keep theirs and retire ours (the caller's reference keeps
-	// it alive until Release).
+	// Re-key under the new content fingerprint, unless the entry was
+	// evicted or the registry closed during the swap (the caller's
+	// Release then closes the plan). A concurrent Acquire may have built
+	// the identical (matrix, options) plan meanwhile; keep theirs and
+	// retire ours (the caller's reference keeps it alive until Release).
 	if !e.evicted {
-		if cur, occupied := r.entries[newKey]; occupied && cur != e {
+		if _, occupied := r.entries[newKey]; occupied {
 			r.unlinkLocked(e)
 			r.evictions++
 		} else {
+			delete(r.entries, e.key)
 			e.key = newKey
 			r.entries[newKey] = e
 			r.structIdx[sKey] = newKey
 			r.lru.MoveToFront(e.elem)
 		}
 	}
-	toClose := r.evictOverflowLocked()
 	r.updated++
 	r.mu.Unlock()
-	closePlans(toClose)
 	return e.plan, newKey, true, nil
 }

@@ -207,8 +207,8 @@ func TestRegistryUpdateValuesClosed(t *testing.T) {
 
 // TestRegistryUpdateValuesCanceledWhileWaiting: an update canceled while
 // it waits for the registry's update lock fails with the context's
-// error, the entry it took out of the key map is back under its old
-// key, the plan keeps its values, and Stats.Updated does not move.
+// error, the entry it pinned still serves under its old key, the plan
+// keeps its values, and Stats.Updated does not move.
 func TestRegistryUpdateValuesCanceledWhileWaiting(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	a1 := testCSR(rng, 96, 4)
@@ -249,9 +249,9 @@ func TestRegistryUpdateValuesCanceledWhileWaiting(t *testing.T) {
 }
 
 // TestRegistryUpdateValuesHoldsCapacity: an Acquire miss while an
-// in-place update has its entry out of the key map evicts against a map
-// one entry short, so the update's re-insert, under the new key on
-// success or the old key on failure, must evict to capacity again.
+// in-place update swaps values evicts against a key map that still
+// counts the pinned entry, so the registry holds its capacity whether
+// the swap succeeds (re-key) or fails (the pin is dropped).
 func TestRegistryUpdateValuesHoldsCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	a, b, c := testCSR(rng, 48, 3), testCSR(rng, 40, 3), testCSR(rng, 32, 3)
@@ -273,7 +273,7 @@ func TestRegistryUpdateValuesHoldsCapacity(t *testing.T) {
 				reg.Release(p) //nolint:errcheck // release of a just-acquired plan
 			}
 			if fail {
-				cancel() // the swap then fails and reinstalls the old key
+				cancel() // the swap then fails and drops its pin
 			}
 		}
 		p, _, err := reg.UpdateValuesCtx(ctx, valueVariant(a, 2, 0), opt)
@@ -288,6 +288,79 @@ func TestRegistryUpdateValuesHoldsCapacity(t *testing.T) {
 		}
 		cancel()
 		reg.Close()
+	}
+}
+
+// TestRegistryUpdateValuesCloseDuringSwap: a registry Close that lands
+// while an in-place update swaps values unlinks the pinned entry like
+// any other, the update skips its re-key, and the update's Release
+// closes the plan: nothing stays cached and no worker pool leaks.
+func TestRegistryUpdateValuesCloseDuringSwap(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	a := testCSR(rng, 64, 3)
+	opt := core.Options{Engine: core.EngineForwardBackward, Threads: 2}
+	reg := New(0)
+	p, err := reg.Acquire(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Release(p) //nolint:errcheck // release of a just-acquired plan
+	reg.swapHook = reg.Close
+	up, updated, err := reg.UpdateValues(valueVariant(a, 2, 0), opt)
+	if err != nil || !updated || up != p {
+		t.Fatalf("update beside Close: updated=%v same-plan=%v err=%v, want true, true, nil", updated, up == p, err)
+	}
+	if p.Closed() {
+		t.Fatal("plan closed while the update's reference is held")
+	}
+	if err := reg.Release(up); err != nil {
+		t.Fatal(err)
+	}
+	if st := reg.Stats(); st.Entries != 0 || st.Live != 0 {
+		t.Errorf("closed registry holds %d entries (%d live) after the last release, want 0", st.Entries, st.Live)
+	}
+	if !p.Closed() {
+		t.Error("plan still open after the last release from a closed registry")
+	}
+}
+
+// TestRegistryUpdateValuesOldKeyDuringSwap: an AcquireKey of the old
+// key while an in-place update swaps values is ordered before the
+// update: it hits the pinned plan (no miss, no build) and, like every
+// holder, executes on the new values once the update returns.
+func TestRegistryUpdateValuesOldKeyDuringSwap(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	a := testCSR(rng, 64, 3)
+	opt := core.Options{Engine: core.EngineStandard}
+	reg := New(0)
+	defer reg.Close()
+	p, err := reg.Acquire(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Release(p) //nolint:errcheck // release of a just-acquired plan
+	oldKey := Fingerprint(a, opt)
+	var held *core.Plan
+	reg.swapHook = func() {
+		held, err = reg.AcquireKey(context.Background(), oldKey)
+	}
+	up, updated, uerr := reg.UpdateValues(valueVariant(a, 2, 0), opt)
+	if uerr != nil || !updated {
+		t.Fatalf("update: updated=%v err=%v", updated, uerr)
+	}
+	defer reg.Release(up) //nolint:errcheck // release of the updated plan
+	if err != nil {
+		t.Fatalf("AcquireKey of the old key during the swap: %v, want a hit", err)
+	}
+	defer reg.Release(held) //nolint:errcheck // release of the AcquireKey hit
+	if held != p || up != p {
+		t.Fatal("AcquireKey during the swap or the update returned another plan")
+	}
+	if st := reg.Stats(); st.Misses != 1 || st.Builds != 1 || st.Hits != 1 {
+		t.Fatalf("stats Misses=%d Builds=%d Hits=%d, want 1, 1, 1 (the first Acquire, then the hit)", st.Misses, st.Builds, st.Hits)
+	}
+	if held.Epoch() != 1 {
+		t.Fatalf("held plan at epoch %d after the update, want 1", held.Epoch())
 	}
 }
 
