@@ -27,16 +27,24 @@ go test ./...
 # the product code only tests called (ROADMAP 2(g)) met item 2's targets
 # of 5,100 and 15,400; TestNoTestOnlyProductCode keeps such code out.
 # Keeping the registry's updated entry in the key map through the swap
-# took the second to 15,203.
+# took the second to 15,203; dropping ForceABMC and SelfCheck (the
+# standard engine's reorder branch and the build-time audit, now test
+# code) took them to 4,993 and 14,973.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
-[ "$lines" -le 5095 ]
+[ "$lines" -le 4993 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 15203 ]
-# Knob ratchet (ROADMAP item 2, "Options <= 7 fields"): the exported
+[ "$lines" -le 14973 ]
+# Test-lines ratchet (ROADMAP item 23(a)): every _test.go outside
+# benchmark/, which should fall toward the product count. Set at the
+# count the first ratcheted tree has; a PR may raise it only by a count
+# it prices in CHANGES.md.
+lines=$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
+[ "$lines" -le 18679 ]
+# Knob ratchet (ROADMAP item 2, "Options <= 5 fields"): the exported
 # fields of core.Options, counted from the source. A new option has to
 # displace one.
 knobs=$(awk '/^type Options struct \{/ { in_opts = 1; next } in_opts && /^}/ { exit } in_opts && /^\t[A-Z][A-Za-z]* / { n++ } END { print n + 0 }' internal/core/options.go)
-[ "$knobs" -ge 1 ] && [ "$knobs" -le 7 ]
+[ "$knobs" -ge 1 ] && [ "$knobs" -le 5 ]
 # Bounds-check ratchet (PR 16): in the scalar FB sweeps (fbForward1,
 # fbBackward1) the unrolled inner loops read each entry through
 # a window w and must keep one IsInBounds per nonzero — the gather, which

@@ -92,7 +92,7 @@ type bed struct {
 	noBlock  bool               // misuse variant: batched calls get an empty block
 	r        int                // max nonzeros per row
 	pow, abs [1 + maxBlock]vecs // A^p v_j and |A|^p |v_j|, see oracle
-	rcm      *bed               // the bed in reverse Cuthill-McKee order, see on
+	ordered  map[string]*bed    // the bed in ABMC or reverse Cuthill-McKee order, see on
 }
 
 func newBed(name string, a *Matrix, seed uint64) *bed {
@@ -345,16 +345,16 @@ func diff(t testing.TB, n int) (out []*bed) {
 // configs: the option space, cut by Options.Canonical.
 
 // config is one row of the option space: a spelling of Options, and
-// whether the row runs on the RCM ordering of its bed. The spellings
-// Canonical folds onto a config — they differ from it only in knobs its
-// engine never reads — ride along as inert, each naming its
+// the order of its bed the row runs on (ord: "", "abmc" or "rcm+abmc").
+// The spellings Canonical folds onto a config — they differ from it only
+// in knobs its engine never reads — ride along as inert, each naming its
 // representative in canon. spelling is the name of a plan backend that
 // went ("" for none): part of the row's name, nothing of its plan.
 type config struct {
 	name     string
 	spelling string
 	opt      Options
-	rcm      bool
+	ord      string
 	inert    []config
 	canon    *config
 }
@@ -369,37 +369,77 @@ func (c config) plan(t testing.TB, b *bed) *Plan {
 	return p
 }
 
-// on returns the bed c runs on: b, or for an rcm+abmc row b in RCM order
-// (so ABMC blocks an order that has scattered the original
-// neighbourhoods), built on first use.
+// order is the order of its bed c runs on: the one its name spells, but
+// without the ABMC step under the level-blocked engine, whose schedule
+// orders the rows itself.
+func (c config) order() string {
+	if c.opt.Canonical().Engine == EngineLevelBlocked {
+		return strings.TrimSuffix(strings.TrimSuffix(c.ord, "abmc"), "+")
+	}
+	return c.ord
+}
+
+// on returns the bed c runs on: b in c's order, each step built on first
+// use — ABMC's (16 blocks), or reverse Cuthill-McKee's, which scatters
+// the original neighbourhoods before ABMC blocks them. A plan on an
+// ABMC-ordered bed is the serial (or standard-engine) plan of an ABMC
+// order: x goes in, and the result comes out, in that order.
 func (c config) on(t testing.TB, b *bed) *bed {
 	t.Helper()
-	if c.rcm && b.rcm == nil {
-		p, err := reorder.RCM(b.a)
-		if err != nil {
-			t.Fatal(err)
+	for _, step := range strings.FieldsFunc(c.order(), func(r rune) bool { return r == '+' }) {
+		if b.ordered[step] == nil {
+			var pa *Matrix
+			var err error
+			if step == "rcm" {
+				var p reorder.Perm
+				if p, err = reorder.RCM(b.a); err == nil {
+					pa, err = p.ApplySym(b.a)
+				}
+			} else {
+				_, pa, err = reorder.ABMCReorder(b.a, reorder.ABMCOptions{NumBlocks: 16})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.ordered == nil {
+				b.ordered = map[string]*bed{}
+			}
+			b.ordered[step] = newBed(b.name, pa, 0x5eed)
 		}
-		pa, err := p.ApplySym(b.a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.rcm = newBed(b.name, pa, 0x5eed)
-	}
-	if c.rcm {
-		return b.rcm
+		b = b.ordered[step]
 	}
 	return b
+}
+
+// permuted returns b's matrix and inputs in perm's order: what the
+// serial twin of a plan with workers runs on (see parallel).
+func (b *bed) permuted(t testing.TB, perm reorder.Perm) *bed {
+	t.Helper()
+	pa, err := perm.ApplySym(b.a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := func(v []float64) []float64 {
+		out := make([]float64, len(v))
+		perm.ApplyVec(v, out)
+		return out
+	}
+	pb := &bed{name: b.name, a: pa, rhs: in(b.rhs), noBlock: b.noBlock}
+	for j, v := range b.v {
+		pb.v[j] = in(v)
+	}
+	return pb
 }
 
 var configRows []config
 
 // configs enumerates Engine x Threads {serial, 2 ("parallel": this host's
-// cores), 4, 8} x BtB x ordering {natural, ForceABMC, RCM then ForceABMC}
-// x LevelBlockBytes {default, 256} x the spellings sell, sell/c16, bsr,
+// cores), 4, 8} x BtB x bed order {natural, ABMC, RCM then ABMC} x
+// LevelBlockBytes {default, 256} x the spellings sell, sell/c16, bsr,
 // bsr/b2 and auto of the plan backends that went (names only: each
-// builds the options it rides on), SelfCheck on, and keeps the first
-// spelling of every Canonical class: what a knob means is decided in one
-// place, and the test space is cut there too.
+// builds the options it rides on), and keeps the first spelling of every
+// Canonical class and order: what a knob means is decided in one place,
+// and the test space is cut there too.
 func configs() []config {
 	if configRows != nil {
 		return configRows
@@ -420,15 +460,14 @@ func configs() []config {
 				for _, ord := range []string{"", "abmc", "rcm+abmc"} {
 					for _, lbb := range []int{0, 256} {
 						for _, spelling := range spellings {
-							c := config{spelling: spelling, rcm: ord == "rcm+abmc", opt: Options{Engine: eng, Threads: th, BtB: btb, NumBlocks: 16,
-								ForceABMC: ord != "", LevelBlockBytes: lbb, SelfCheck: true}}
+							c := config{spelling: spelling, ord: ord, opt: Options{Engine: eng, Threads: th, BtB: btb, NumBlocks: 16, LevelBlockBytes: lbb}}
 							for _, part := range []string{engines[eng], workers[th], layout, ord, map[int]string{256: "tiny-blocks"}[lbb], spelling} {
 								if part != "" {
 									c.name += "/" + part
 								}
 							}
 							c.name = c.name[1:]
-							key := fmt.Sprintf("%+v|%v", c.opt.Canonical(), c.rcm)
+							key := fmt.Sprintf("%+v|%v", c.opt.Canonical(), c.order())
 							switch eng {
 							case EngineStandard:
 								// The backend spellings of the standard
@@ -472,7 +511,7 @@ func where(keep func(config) bool) (out []config) {
 }
 
 // plain reports the rows at the default ordering and block budget.
-func (c config) plain() bool { return !c.opt.ForceABMC && c.opt.LevelBlockBytes == 0 }
+func (c config) plain() bool { return c.ord == "" && c.opt.LevelBlockBytes == 0 }
 
 // own reports the rows of a forced engine (and layout) on its own storage,
 // default ordering and budget.
@@ -636,11 +675,39 @@ func sweeps(name string) bool  { return strings.HasPrefix(name, "sweeps") }
 // column reads, computed once.
 type cell struct {
 	*testing.T
-	b    *bed
-	c    config
-	g    group
-	p    *Plan
-	memo map[string]vecs
+	b      *bed
+	c      config
+	g      group
+	p      *Plan
+	memo   map[string]vecs
+	shared map[planKey]*Plan // the table's plans, see plan
+}
+
+type planKey struct {
+	b   *bed
+	opt Options
+}
+
+// plan returns the plan of c on b. Within a table, rows of identical
+// options on one bed — the standard engine's backend spellings and the
+// row they spell — share one build; a plan a column closed (rejects) is
+// built anew. Rows that are only canonically equal build their own, so
+// inert still holds Canonical.
+func (x *cell) plan(c config, b *bed) *Plan {
+	x.Helper()
+	key := planKey{b, c.opt}
+	if p := x.shared[key]; p != nil && !p.Closed() {
+		return p
+	}
+	if x.shared == nil {
+		return c.plan(x, b)
+	}
+	p, err := NewPlan(b.a, c.opt)
+	if err != nil {
+		x.Fatalf("%s/%s: NewPlan: %v", b.name, c.name, err)
+	}
+	x.shared[key] = p
+	return p
 }
 
 // calls visits the computing calls of the cell: every entry point of the
@@ -710,7 +777,8 @@ func compare(t testing.TB, label string, got, want, bound vecs) {
 }
 
 // table applies columns to beds x groups x configs, one subtest per
-// cell, <bed>/<group>/<config>, a nameless level left out.
+// cell, <bed>/<group>/<config>, a nameless level left out. The cells of
+// a bed share its plans (see cell.plan), closed when the bed is done.
 func table(t *testing.T, beds []*bed, cfgs []config, gs []group, cols ...func(*cell)) {
 	level := func(t *testing.T, name string, f func(t *testing.T)) {
 		if name == "" {
@@ -721,10 +789,16 @@ func table(t *testing.T, beds []*bed, cfgs []config, gs []group, cols ...func(*c
 	}
 	for _, b := range beds {
 		level(t, b.name, func(t *testing.T) {
+			shared := map[planKey]*Plan{}
+			defer func() {
+				for _, p := range shared {
+					p.Close()
+				}
+			}()
 			for _, g := range gs {
 				level(t, g.name, func(t *testing.T) {
 					for _, c := range cfgs {
-						t.Run(c.name, func(t *testing.T) { apply(t, b, c, g, cols...) })
+						t.Run(c.name, func(t *testing.T) { apply(t, shared, b, c, g, cols...) })
 					}
 				})
 			}
@@ -732,9 +806,11 @@ func table(t *testing.T, beds []*bed, cfgs []config, gs []group, cols ...func(*c
 	}
 }
 
-func apply(t *testing.T, b *bed, c config, g group, cols ...func(*cell)) {
-	b = c.on(t, b)
-	x := &cell{T: t, b: b, c: c, g: g, p: c.plan(t, b), memo: map[string]vecs{}}
+// apply runs columns on the cell of c on b for g, its plan from shared
+// (nil: a plan of its own).
+func apply(t *testing.T, shared map[planKey]*Plan, b *bed, c config, g group, cols ...func(*cell)) {
+	x := &cell{T: t, b: c.on(t, b), c: c, g: g, memo: map[string]vecs{}, shared: shared}
+	x.p = x.plan(c, x.b)
 	for _, col := range cols {
 		col(x)
 	}
@@ -765,7 +841,7 @@ func agreement(x *cell) {
 // bitwise holds the cell to the plan of another config on the same bed,
 // bit for bit.
 func (x *cell) bitwise(other config, what string) {
-	p := other.plan(x, x.b)
+	p := x.plan(other, x.b)
 	x.calls(func(ep entryPoint, k int, label string) {
 		compare(x, label+" vs "+what+" "+other.name, x.got(ep, k), x.run(p, x.b, ep, k), nil)
 	})
@@ -793,13 +869,30 @@ func inert(x *cell) {
 }
 
 // parallel: a plan with workers returns the bits of the serial plan on
-// the same ordering — the same options at Threads 0, ABMC forced where
-// the workers imply it.
+// its order — the same options at Threads 0, on the bed in the plan's
+// ABMC order where its workers imply one, with the inputs permuted in
+// and the results out.
 func parallel(x *cell) {
-	if s := x.c; s.opt.Threads > 1 {
-		s.opt.Threads, s.opt.ForceABMC = 0, s.opt.ForceABMC || s.opt.Canonical().Engine == EngineForwardBackward
-		x.bitwise(s, "the serial twin of")
+	if x.c.opt.Threads <= 1 {
+		return
 	}
+	twin := x.c
+	twin.opt.Threads = 0
+	ord := x.p.Ordering()
+	if ord == nil {
+		x.bitwise(twin, "the serial twin of")
+		return
+	}
+	b := x.b.permuted(x, ord.Perm)
+	p := twin.plan(x, b)
+	x.calls(func(ep entryPoint, k int, label string) {
+		ys := x.run(p, b, ep, k)
+		for i, y := range ys {
+			ys[i] = make([]float64, len(y))
+			ord.Perm.UnapplyVec(y, ys[i])
+		}
+		compare(x, label+" vs the serial twin of "+x.c.name, x.got(ep, k), ys, nil)
+	})
 }
 
 // lanes: the bits a batched call returns for one vector do not depend on
@@ -983,7 +1076,7 @@ func csrRows() []config {
 
 func backendRows() (out []config) {
 	for _, c := range where(wide) {
-		if c.spelling != "" && !c.rcm {
+		if c.spelling != "" && c.ord != "rcm+abmc" {
 			out = append(out, c)
 		}
 		for _, alias := range c.inert {
@@ -1034,7 +1127,7 @@ func TestLevelBlockedDegenerateShapes(t *testing.T) {
 // and where they do not; then the forward-backward rows across all
 // fourteen, single and batched.
 func TestDifferentialLevelBlocked(t *testing.T) {
-	rows := where(func(c config) bool { return !c.opt.ForceABMC && (wide(c) || c.opt.Threads == 4 && c.own()) })
+	rows := where(func(c config) bool { return c.ord == "" && (wide(c) || c.opt.Threads == 4 && c.own()) })
 	table(t, zoo(t, "golden")[:1], rows, groups(nil), agreement, parallel, inert)
 }
 func TestMPKMultiLaneIndependence(t *testing.T) {
@@ -1122,7 +1215,7 @@ func TestCtxParity(t *testing.T) {
 			for _, variant := range variants {
 				t.Run(strings.TrimSuffix(g.name+"/"+variant, "/"), func(t *testing.T) {
 					for _, c := range rows {
-						apply(t, b, c, g, func(x *cell) {
+						apply(t, nil, b, c, g, func(x *cell) {
 							if variant == "" {
 								twinned(x)
 							}
@@ -1141,7 +1234,7 @@ func TestCtxParity(t *testing.T) {
 		for name, col := range map[string]func(*cell){"UpdateValues": pure, "UpdateValues/structure-delta": refusesDelta} {
 			t.Run(name, func(t *testing.T) {
 				for _, c := range rows {
-					apply(t, b, c, groups(single)[0], col)
+					apply(t, nil, b, c, groups(single)[0], col)
 				}
 			})
 		}

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,21 +21,25 @@ var liveWithoutCaller = map[string]string{
 }
 
 // TestNoTestOnlyProductCode fails on a function, method, or package-level
-// var or const declared in a non-test file under internal/ or cmd/ whose
-// name no non-test file of the module references: code only tests use.
-// Exempt are main, init, the blank identifier,
-// liveWithoutCaller, and methods an interface may call: one declared in
-// the module or one of the standard library's (fmt.Stringer, error,
-// sort.Interface, http.Handler, json.Marshaler, io.Writer, ...). The
-// match is by name, so a dead method that shares its name with a live
-// function or method anywhere in the module is not caught.
+// var or const declared in a non-test file under internal/ or cmd/ that
+// no non-test file of the module references: code only tests use.
+// Package-level names are matched by package: a selector x.Name, x one
+// of the file's imports, uses that package's Name, and a bare Name the
+// declaring package's own, so a dead check.Split is not hidden by a live
+// sparse.Split. Methods are matched by name: a dead method that shares
+// its name with any identifier of the module is not caught. Exempt are
+// main, init, the blank identifier, liveWithoutCaller, and methods an
+// interface may call: one declared in the module or one of the standard
+// library's (fmt.Stringer, error, sort.Interface, http.Handler,
+// json.Marshaler, io.Writer, ...).
 func TestNoTestOnlyProductCode(t *testing.T) {
-	called := map[string]bool{"main": true, "init": true}
+	named := map[string]bool{} // every identifier a non-test file uses: what a method matches
+	used := map[string]bool{}  // "dir.Name": the package-level names in use
 	for _, m := range strings.Fields(`String GoString Format Error Unwrap Is Len Less Swap ServeHTTP
 		MarshalJSON UnmarshalJSON MarshalText UnmarshalText Read Write Close Header WriteHeader Flush`) {
-		called["."+m] = true
+		named["."+m] = true
 	}
-	var decls []string // "pos: key"
+	var decls []string // "pos: dir key"
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -50,8 +55,17 @@ func TestNoTestOnlyProductCode(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		slash := filepath.ToSlash(path)
-		checked := strings.HasPrefix(slash, "internal/") || strings.HasPrefix(slash, "cmd/")
+		dir := filepath.ToSlash(filepath.Dir(path))
+		checked := strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")
+		imports := map[string]string{} // local name -> directory in the module (else the import path)
+		for _, im := range f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			local := p[strings.LastIndex(p, "/")+1:]
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			imports[local] = strings.TrimPrefix(p, "fbmpk/")
+		}
 		declared := map[*ast.Ident]bool{}
 		for _, dc := range f.Decls {
 			switch dc := dc.(type) {
@@ -68,7 +82,7 @@ func TestNoTestOnlyProductCode(t *testing.T) {
 					}
 					key = recv.(*ast.Ident).Name + "." + key
 				}
-				decls = append(decls, fset.Position(dc.Pos()).String()+": "+key)
+				decls = append(decls, fset.Position(dc.Pos()).String()+": "+dir+" "+key)
 			case *ast.GenDecl:
 				if dc.Tok != token.VAR && dc.Tok != token.CONST {
 					continue
@@ -77,7 +91,7 @@ func TestNoTestOnlyProductCode(t *testing.T) {
 					for _, id := range spec.(*ast.ValueSpec).Names {
 						declared[id] = true
 						if checked && id.Name != "_" {
-							decls = append(decls, fset.Position(id.Pos()).String()+": "+id.Name)
+							decls = append(decls, fset.Position(id.Pos()).String()+": "+dir+" "+id.Name)
 						}
 					}
 				}
@@ -85,14 +99,22 @@ func TestNoTestOnlyProductCode(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if pkg, ok := imports[x.Name]; ok {
+						used[pkg+"."+n.Sel.Name] = true
+						return false
+					}
+				}
 			case *ast.Ident:
 				if !declared[n] {
-					called[n.Name] = true
+					named[n.Name] = true
+					used[dir+"."+n.Name] = true
 				}
 			case *ast.InterfaceType:
 				for _, m := range n.Methods.List {
 					for _, id := range m.Names {
-						called["."+id.Name] = true
+						named["."+id.Name] = true
 					}
 				}
 			}
@@ -104,9 +126,13 @@ func TestNoTestOnlyProductCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range decls {
-		key := d[strings.LastIndex(d, " ")+1:]
+		dir, key, _ := strings.Cut(d[strings.LastIndex(d, ": ")+2:], " ")
 		name := key[strings.LastIndex(key, ".")+1:]
-		if !called[name] && !(name != key && called["."+name]) && liveWithoutCaller[key] == "" {
+		live := used[dir+"."+name] || key == "main" || key == "init"
+		if name != key {
+			live = named[name] || named["."+name]
+		}
+		if !live && liveWithoutCaller[key] == "" {
 			t.Errorf("only tests use %s", d)
 		}
 	}

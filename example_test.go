@@ -41,7 +41,7 @@ func ExampleNewPlan() {
 
 	// Functional options: start from the paper's FBMPK configuration
 	// and adjust individual knobs.
-	p1, err := fbmpk.NewPlan(a, fbmpk.WithThreads(2), fbmpk.WithSelfCheck(true))
+	p1, err := fbmpk.NewPlan(a, fbmpk.WithThreads(2))
 	if err != nil {
 		panic(err)
 	}

@@ -151,11 +151,11 @@ type Plan = core.Plan
 // its String method returns the JSON encoding.
 type PlanMetrics = core.PlanMetrics
 
-// Options configures a Plan in seven fields: the engine, and what each
+// Options configures a Plan in five fields: the engine, and what each
 // engine reads — the back-to-back vector layout (FBMPK), thread count,
-// ABMC block count and forcing, the invariant self-check, and the
-// level-block budget (level-blocked engine). An Options value is itself
-// an Option applying wholesale.
+// ABMC block count (parallel FBMPK) and the level-block budget
+// (level-blocked engine). An Options value is itself an Option applying
+// wholesale.
 type Options = core.Options
 
 // Option is a functional configuration knob for NewPlan; see
@@ -180,12 +180,6 @@ func WithThreads(n int) Option { return core.WithThreads(n) }
 
 // WithNumBlocks sets the ABMC block count (0 = paper default 512).
 func WithNumBlocks(n int) Option { return core.WithNumBlocks(n) }
-
-// WithForceABMC applies ABMC reordering even for serial execution.
-func WithForceABMC(on bool) Option { return core.WithForceABMC(on) }
-
-// WithSelfCheck toggles the post-construction invariant audit.
-func WithSelfCheck(on bool) Option { return core.WithSelfCheck(on) }
 
 // WithLevelBlockBytes sets the cache budget (bytes of matrix data) per
 // level block of the level-blocked engine (0 = DefaultLevelBlockBytes).

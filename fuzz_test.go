@@ -40,7 +40,7 @@ func fuzzCell(t *testing.T, seed, cfgRaw int64, rows []config, k int, cols []fun
 			}
 		}
 	}
-	apply(t, diffBed(rng.Intn(41), rng.Intn(4), seed), rows[index(cfgRaw, len(rows))], g, cols...)
+	apply(t, nil, diffBed(rng.Intn(41), rng.Intn(4), seed), rows[index(cfgRaw, len(rows))], g, cols...)
 }
 
 func FuzzDifferentialMPK(f *testing.F) {

@@ -83,9 +83,9 @@ func TestBackendKindJSON(t *testing.T) {
 }
 
 // TestCanonicalFoldsBackend: what each engine never reads folds to its
-// zero value, so the standard engine's class is fixed by Engine,
-// Threads, ForceABMC (with NumBlocks under it) and SelfCheck — the
-// layout and the level-block budget fold away.
+// zero value, so the standard engine's class is fixed by Engine and
+// Threads — the layout, the block count and the level-block budget fold
+// away.
 func TestCanonicalFoldsBackend(t *testing.T) {
 	for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
 		got := Options{Engine: eng, BtB: true, NumBlocks: 7, LevelBlockBytes: 4096}.Canonical()
@@ -218,9 +218,10 @@ func TestForcedBackendDefaults(t *testing.T) {
 }
 
 // TestPlanStatsBackend verifies what a plan's build record says it ran:
-// a standard-engine plan on the caller's order prepares nothing, one
-// under ForceABMC orders and permutes, a forward-backward one splits,
-// and a level-blocked one records its levels.
+// a standard-engine plan on the caller's order prepares nothing, a
+// forward-backward one splits — on two workers fused with its ABMC
+// ordering, so no permutation stage of its own — and a level-blocked one
+// records its levels.
 func TestPlanStatsBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a := randomCSR(rng, 30, 3)
@@ -231,8 +232,8 @@ func TestPlanStatsBackend(t *testing.T) {
 		{Options{Engine: EngineStandard}, func(s PlanStats) bool {
 			return s.ReorderTime == 0 && s.PermTime == 0 && s.SplitTime == 0 && s.NumColors == 0
 		}},
-		{Options{Engine: EngineStandard, ForceABMC: true}, func(s PlanStats) bool {
-			return s.PermTime > 0 && s.SplitTime == 0 && s.NumColors > 0
+		{Options{Engine: EngineForwardBackward, Threads: 2}, func(s PlanStats) bool {
+			return s.PermTime == 0 && s.SplitTime > 0 && s.NumColors > 0
 		}},
 		{Options{Engine: EngineForwardBackward}, func(s PlanStats) bool { return s.SplitTime > 0 && s.NumLevels == 0 }},
 		{Options{Engine: EngineLevelBlocked}, func(s PlanStats) bool { return s.NumLevels > 0 && s.SplitTime == 0 }},

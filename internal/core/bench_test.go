@@ -248,8 +248,8 @@ func BenchmarkNewPlan(b *testing.B) {
 // alternating two value sets over shared structure arrays as the
 // benchmark's registry leg does: forward-backward at 2 threads (the
 // ABMC slot gather) and serial (the row-segment copies), the standard
-// engine under ForceABMC and the level-blocked engine (the flat
-// gather). core-ms is PlanStats.UpdateTime per swap, the time inside
+// engine (one copy of the value array) and the level-blocked engine (the
+// flat gather). core-ms is PlanStats.UpdateTime per swap, the time inside
 // the update lock.
 func BenchmarkUpdateValues(b *testing.B) {
 	a := sweepBed(b, "pwtk")
@@ -263,7 +263,7 @@ func BenchmarkUpdateValues(b *testing.B) {
 	}{
 		{"fb/threads=2", DefaultOptions(2)},
 		{"fb/threads=1", DefaultOptions(1)},
-		{"std/abmc", Options{Engine: EngineStandard, Threads: 2, ForceABMC: true}},
+		{"std/threads=2", Options{Engine: EngineStandard, Threads: 2}},
 		{"lb/threads=2", Options{Engine: EngineLevelBlocked, Threads: 2}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -177,7 +177,6 @@ func TestPlanMPKMultiAllConfigurations(t *testing.T) {
 		{Engine: EngineForwardBackward, BtB: true},
 		{Engine: EngineForwardBackward, BtB: true, Threads: 3},
 		{Engine: EngineForwardBackward, Threads: 3},
-		{Engine: EngineForwardBackward, BtB: true, ForceABMC: true},
 	} {
 		p, err := NewPlan(a, opt)
 		if err != nil {

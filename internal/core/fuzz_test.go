@@ -9,8 +9,8 @@ import (
 
 // FuzzFBMPKEquivalence fuzzes the core correctness property over the
 // whole parameter space: random matrix shape and density, power,
-// layout, thread count and block count — FBMPK must always reproduce
-// the standard MPK.
+// layout, thread count and block count — every plan passes the
+// invariant audit, and FBMPK must always reproduce the standard MPK.
 func FuzzFBMPKEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0), uint8(1), uint8(4), true)
 	f.Add(int64(2), uint8(5), uint8(3), uint8(2), uint8(16), false)
@@ -34,6 +34,9 @@ func FuzzFBMPKEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer p.Close()
+		if err := auditBuilt(p, a); err != nil {
+			t.Fatalf("n=%d opt=%+v: %v", n, opt, err)
+		}
 		got, err := p.MPK(x0, k)
 		if err != nil {
 			t.Fatal(err)

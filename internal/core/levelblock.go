@@ -279,32 +279,6 @@ func levelBlockedPowers(tm team, env *runEnv, a *sparse.CSR, ls *levelSchedule, 
 	return nil
 }
 
-// validatePermuted audits the schedule against the level-permuted
-// matrix: permuted rows must be level-contiguous and every entry must
-// connect levels at most one apart — the property the skewed schedule's
-// dependency argument rests on.
-func (ls *levelSchedule) validatePermuted(pa *sparse.CSR) error {
-	lptr := ls.lp.LevelPtr
-	nl := ls.lp.NumLevels()
-	levelOf := make([]int32, pa.Rows)
-	for l := 0; l < nl; l++ {
-		for i := lptr[l]; i < lptr[l+1]; i++ {
-			levelOf[i] = int32(l)
-		}
-	}
-	for i := 0; i < pa.Rows; i++ {
-		cols, _ := pa.Row(i)
-		for _, c := range cols {
-			d := levelOf[i] - levelOf[c]
-			if d < -1 || d > 1 {
-				return fmt.Errorf("core: level-blocked schedule: permuted entry (%d,%d) spans levels %d and %d",
-					i, c, levelOf[i], levelOf[c])
-			}
-		}
-	}
-	return nil
-}
-
 // lbEngine is the level-blocked engine of a plan. The kernel reads the
 // epoch's level-ordered CSR over skewed step ranges that move every
 // pass.

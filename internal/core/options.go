@@ -67,19 +67,9 @@ type Options struct {
 	// a serial plan admits up to GOMAXPROCS at once. Excess callers
 	// queue in FIFO order either way.
 	Threads int
-	// NumBlocks is the ABMC block count (0 = paper default 512).
+	// NumBlocks is the ABMC block count (0 = paper default 512). Only
+	// meaningful for EngineForwardBackward with Threads > 1.
 	NumBlocks int
-	// ForceABMC applies ABMC reordering even for serial execution: the
-	// serial-vs-parallel bitwise suites compare a pooled plan against a
-	// serial one on the same ordering.
-	ForceABMC bool
-	// SelfCheck audits the plan's preprocessing products after
-	// construction — CSR well-formedness of the execution-order matrix,
-	// exact L+D+U reassembly, permutation bijectivity, and ABMC color
-	// independence (see internal/check) — and fails NewPlan if any
-	// invariant is violated. Debug aid: costs one extra pass over the
-	// matrix, nothing per MPK call.
-	SelfCheck bool
 	// LevelBlockBytes is the cache budget (bytes of matrix data) per
 	// level block of the level-blocked engine (0 =
 	// DefaultLevelBlockBytes). Only meaningful for EngineLevelBlocked.
@@ -101,13 +91,12 @@ func DefaultOptions(threads int) Options {
 	}
 }
 
-// needABMC reports whether a plan under o reorders with ABMC: on
-// request for any engine that keeps row order free (the level schedule
-// supplies its own ordering), and always for the parallel FB pipeline,
-// whose color barriers are the ABMC colors.
+// needABMC reports whether a plan under o reorders with ABMC: only the
+// parallel FB pipeline, whose color barriers are the ABMC colors. A
+// serial plan keeps the caller's order, and the level schedule supplies
+// its own.
 func (o Options) needABMC() bool {
-	return (o.ForceABMC && o.Engine != EngineLevelBlocked) ||
-		(o.Threads > 1 && o.Engine == EngineForwardBackward)
+	return o.Threads > 1 && o.Engine == EngineForwardBackward
 }
 
 // Canonical maps options onto their equivalence-class representative:
@@ -129,12 +118,6 @@ func (o Options) Canonical() Options {
 	if o.Engine != EngineForwardBackward {
 		// BtB is a property of the FB pipeline's vector layout.
 		o.BtB = false
-	}
-	if o.Engine == EngineLevelBlocked {
-		// ABMC never runs, so ForceABMC is inert (and must fold before
-		// the needABMC test below zeroes the block count it would
-		// otherwise pin).
-		o.ForceABMC = false
 	}
 	if o.needABMC() {
 		if o.NumBlocks <= 0 {
@@ -208,16 +191,6 @@ func WithThreads(n int) Option {
 // WithNumBlocks sets the ABMC block count (0 = paper default 512).
 func WithNumBlocks(n int) Option {
 	return optionFunc(func(o *Options) { o.NumBlocks = n })
-}
-
-// WithForceABMC applies ABMC reordering even for serial execution.
-func WithForceABMC(on bool) Option {
-	return optionFunc(func(o *Options) { o.ForceABMC = on })
-}
-
-// WithSelfCheck toggles the post-construction invariant audit.
-func WithSelfCheck(on bool) Option {
-	return optionFunc(func(o *Options) { o.SelfCheck = on })
 }
 
 // WithLevelBlockBytes sets the cache budget (bytes of matrix data) per

@@ -195,10 +195,10 @@ func TestPlanAllConfigurations(t *testing.T) {
 		{Engine: EngineStandard, Threads: 3},
 		{Engine: EngineForwardBackward},
 		{Engine: EngineForwardBackward, BtB: true},
-		{Engine: EngineForwardBackward, ForceABMC: true, NumBlocks: 8},
+		{Engine: EngineForwardBackward, Threads: 2, NumBlocks: 8},
 		{Engine: EngineForwardBackward, BtB: true, Threads: 3, NumBlocks: 8},
 		{Engine: EngineForwardBackward, Threads: 2, NumBlocks: 16},
-		{Engine: EngineForwardBackward, ForceABMC: true, NumBlocks: 6},
+		{Engine: EngineForwardBackward, Threads: 4, NumBlocks: 6},
 		DefaultOptions(2),
 	}
 	for i, opt := range cases {

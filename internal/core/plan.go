@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fbmpk/internal/check"
 	"fbmpk/internal/events"
 	"fbmpk/internal/parallel"
 	"fbmpk/internal/reorder"
@@ -200,7 +199,7 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		p.pool = parallel.NewPoolNamed(opt.Threads, "plan")
 		runner = p.pool
 	}
-	ep, ea, err := p.prepare(a, opt, runner)
+	ep, err := p.prepare(a, opt, runner)
 	if err != nil {
 		if p.pool != nil {
 			p.pool.Close()
@@ -215,41 +214,24 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		capacity = 1
 	}
 	p.gate = parallel.NewGate(capacity)
-	if opt.SelfCheck {
-		if ep.tri != nil && p.ord != nil {
-			// The fused build held no permuted matrix to audit its split
-			// against; this is the option's one extra pass.
-			ea, err = p.perm.ApplySym(a)
-		}
-		if err == nil {
-			err = p.audit(ea, ep.tri)
-		}
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
-	}
 	p.stats.BuildTime = time.Since(buildStart)
 	return p, nil
 }
 
 // prepare builds opt's engine for a on the plan's pool — the one
 // constructor path of every plan: the ABMC ordering when the engine runs
-// on one, then the engine's own preprocessing. It sets the plan's
+// on one (the parallel forward-backward pipeline, which fuses it into
+// the split), then the engine's own preprocessing. It sets the plan's
 // engine, ordering, permutation and stage times, and returns the first
-// value epoch and the matrix in execution order for the engines that
-// wrap one (the forward-backward engine splits a straight into its
-// ordering and returns a itself).
-func (p *Plan) prepare(a *sparse.CSR, opt Options, runner sparse.Runner) (*planEpoch, *sparse.CSR, error) {
+// value epoch.
+func (p *Plan) prepare(a *sparse.CSR, opt Options, runner sparse.Runner) (*planEpoch, error) {
 	p.eng = opt.Engine
-	ep, ea := &planEpoch{}, a
+	ep := &planEpoch{}
 	if opt.needABMC() {
-		// Applying the ordering is the engine's business: fused into the
-		// split (forward-backward) or a permuted copy (standard).
 		start := time.Now()
 		ord, err := reorder.ABMC(a, reorder.ABMCOptions{NumBlocks: opt.NumBlocks, Pool: runner})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		p.stats.ReorderTime = time.Since(start)
 		p.stats.GraphTime = ord.GraphTime
@@ -262,64 +244,25 @@ func (p *Plan) prepare(a *sparse.CSR, opt Options, runner sparse.Runner) (*planE
 	case EngineForwardBackward:
 		e, tri, err := newFBEngine(a, p.ord, opt.BtB, p.pool, runner, &p.stats)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		p.engine, ep.tri = e, tri
 	case EngineLevelBlocked:
 		ls, err := newLevelSchedule(a, opt.LevelBlockBytes, runner)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		e, la, err := newLBEngine(a, ls, p.pool, runner, &p.stats)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		p.engine, p.perm, ea, ep.a = e, ls.perm, la, la
-	default: // EngineStandard
-		if p.ord != nil {
-			permStart := time.Now()
-			pa, err := p.perm.ApplySymPool(a, runner)
-			if err != nil {
-				return nil, nil, err
-			}
-			p.stats.PermTime = time.Since(permStart)
-			p.stats.ReorderTime += p.stats.PermTime
-			ea = pa
-		}
+		p.engine, p.perm, ep.a = e, ls.perm, la
+	default: // EngineStandard: the caller's matrix, in the caller's order
 		tm := newTeam(p.pool)
-		p.engine = &stdEngine{team: tm, bounds: parallel.PartitionByPtr(ea.Rows, tm.workers(), ea.RowPtr), nnzA: uint64(len(ea.Val))}
-		ep.a = ea
+		p.engine = &stdEngine{team: tm, bounds: parallel.PartitionByPtr(a.Rows, tm.workers(), a.RowPtr), nnzA: uint64(len(a.Val))}
+		ep.a = a
 	}
-	return ep, ea, nil
-}
-
-// audit runs the internal/check invariant validators over the plan's
-// preprocessing products; a is the matrix in execution order.
-func (p *Plan) audit(a *sparse.CSR, tri *sparse.Triangular) error {
-	if err := check.CSR(a); err != nil {
-		return err
-	}
-	if tri != nil {
-		if err := check.Split(a, tri); err != nil {
-			return err
-		}
-	}
-	if p.perm != nil {
-		if err := check.Perm(p.perm); err != nil {
-			return err
-		}
-	}
-	if p.ord != nil {
-		if err := check.ABMC(p.ord, a); err != nil {
-			return err
-		}
-	}
-	if e, ok := p.engine.(*lbEngine); ok {
-		if err := e.ls.validatePermuted(a); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ep, nil
 }
 
 // Close retires the plan: later calls fail with ErrClosed, executions

@@ -63,6 +63,7 @@ func TestPlanStats(t *testing.T) {
 // build is retried because a collector cycle may land in the gap. The
 // fused build (fb/t2) has no permutation stage of its own: its apply is
 // the split's, so PermTime must stay zero and SplitTime carry the pass.
+// The level-blocked builds time their apply under PermTime.
 func TestPlanStatsStagesCoverReorder(t *testing.T) {
 	spec, err := matgen.ByName("pwtk")
 	if err != nil {
@@ -74,7 +75,6 @@ func TestPlanStatsStagesCoverReorder(t *testing.T) {
 		opt   Options
 		fused bool
 	}{
-		{"standard+abmc", Options{Engine: EngineStandard, ForceABMC: true}, false},
 		{"fb/t2", Options{Engine: EngineForwardBackward, BtB: true, Threads: 2}, true},
 		{"levelblock", Options{Engine: EngineLevelBlocked}, false},
 		{"levelblock/t2", Options{Engine: EngineLevelBlocked, Threads: 2}, false},
@@ -170,28 +170,26 @@ func TestFBSSpMVAllocation(t *testing.T) {
 }
 
 // TestSelfCheckAuditsFusedSplit: the fused build holds no permuted
-// matrix, so WithSelfCheck rebuilds one and holds the split to it. A
-// sound plan passes inside NewPlan; the same audit must then refuse
-// every way a fused split can be wrong — a value, a diagonal, an entry
-// dealt to the wrong column.
+// matrix, so the audit (audit_test.go) rebuilds one and holds the split
+// to it. A sound plan passes; the same audit must then refuse every way
+// a fused split can be wrong — a value, a diagonal, an entry dealt to
+// the wrong column.
 func TestSelfCheckAuditsFusedSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	a := randomSymCSR(rng, 300, 5)
-	opt := DefaultOptions(2)
-	opt.SelfCheck = true
-	p, err := NewPlan(a, opt)
+	p, err := NewPlan(a, DefaultOptions(2))
 	if err != nil {
-		t.Fatalf("sound fused plan failed its self-check: %v", err)
+		t.Fatal(err)
 	}
 	defer p.Close()
+	if err := auditBuilt(p, a); err != nil {
+		t.Fatalf("sound fused plan failed its audit: %v", err)
+	}
 	ea, err := p.perm.ApplySym(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tri := p.state.Load().tri
-	if err := p.audit(ea, tri); err != nil {
-		t.Fatalf("audit of the sound split: %v", err)
-	}
 	for name, corrupt := range map[string]func(c *sparse.Triangular){
 		"L value":  func(c *sparse.Triangular) { c.L.Val[len(c.L.Val)/2]++ },
 		"U value":  func(c *sparse.Triangular) { c.U.Val[0] = -c.U.Val[0] },

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fbmpk/internal/parallel"
+	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
 )
 
@@ -48,27 +49,37 @@ func bitwiseEqual(t *testing.T, label string, got, want []float64) {
 // TestUpdateValuesBitwise is the core mutable-matrix contract: after
 // UpdateValues(a2) on a plan built from a1, every operation must return
 // results bitwise-identical to a fresh plan built directly on a2 — for
-// every engine/reorder combination, including the reordered
-// paths that gather values through the cached permutation slot map.
+// every engine and order, including the reordered paths that gather
+// values through the cached permutation slot map. The -abmc cases build
+// both plans on the matrices in ABMC order.
 func TestUpdateValuesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	a1 := randomSymCSR(rng, 300, 5)
 	a2 := cloneWithValues(a1, func(i int, v float64) float64 { return 1.75*v + float64(i%7)*0.125 })
+	ord, b1, err := reorder.ABMCReorder(a1, reorder.ABMCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := ord.Perm.ApplySym(a2)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
 		opt  Options
+		abmc bool
 	}{
-		{"fb-serial", DefaultOptions(0)},
-		{"fb-parallel", DefaultOptions(4)},
-		{"fb-serial-abmc", Options{Engine: EngineForwardBackward, BtB: true, ForceABMC: true}},
-		{"standard-csr-abmc", Options{Engine: EngineStandard, Threads: 2, ForceABMC: true}},
+		{"fb-serial", DefaultOptions(0), false},
+		{"fb-parallel", DefaultOptions(4), false},
+		{"fb-serial-abmc", Options{Engine: EngineForwardBackward, BtB: true}, true},
+		{"standard-csr-abmc", Options{Engine: EngineStandard, Threads: 2}, true},
 		// standard-sell and standard-bsr keep the names they had while
 		// SELL and BSR were plan backends; they now spell the standard
 		// plan on the caller's order, serial and on two workers.
-		{"standard-sell", Options{Engine: EngineStandard}},
-		{"standard-bsr", Options{Engine: EngineStandard, Threads: 2}},
-		{"levelblock", Options{Engine: EngineLevelBlocked, Threads: 2, LevelBlockBytes: 4 << 10}},
+		{"standard-sell", Options{Engine: EngineStandard}, false},
+		{"standard-bsr", Options{Engine: EngineStandard, Threads: 2}, false},
+		{"levelblock", Options{Engine: EngineLevelBlocked, Threads: 2, LevelBlockBytes: 4 << 10}, false},
 	}
 	const k = 4
 	x0 := randVec(rng, a1.Rows)
@@ -76,6 +87,10 @@ func TestUpdateValuesBitwise(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			a1, a2 := a1, a2
+			if tc.abmc {
+				a1, a2 = b1, b2
+			}
 			p, err := NewPlan(a1, tc.opt)
 			if err != nil {
 				t.Fatal(err)
@@ -276,7 +291,7 @@ func TestEpochHoldsOneContainer(t *testing.T) {
 	for _, eng := range []Engine{EngineStandard, EngineForwardBackward, EngineLevelBlocked, EngineAuto} {
 		for _, threads := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%v/t%d", eng, threads), func(t *testing.T) {
-				p, err := NewPlan(a, Options{Engine: eng, BtB: true, Threads: threads, ForceABMC: true})
+				p, err := NewPlan(a, Options{Engine: eng, BtB: true, Threads: threads})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -252,22 +252,23 @@ func fingerprintWithParts(s, v Key, a *sparse.CSR, opt core.Options) Key {
 	// the backend words, v3 switched to sub-digest composition, v4 added
 	// the level-blocked engine words, v5 dropped the words of the seven
 	// options that went, v6 composes from the tree roots, v7 dropped the
-	// backend word), so keys from different layouts can never collide.
+	// backend word, v8 the ForceABMC and SelfCheck words), so keys from
+	// different layouts can never collide.
 	words := headerWords(a, opt)
-	return root("fbmpk-plan-v7\x00", []Key{s, v}, words[:]...)
+	return root("fbmpk-plan-v8\x00", []Key{s, v}, words[:]...)
 }
 
 // headerWords flattens the dimensions and canonical options into
 // fixed-position words so every field occupies its own slot in the
 // digest input (no ambiguity between adjacent fields).
-func headerWords(a *sparse.CSR, opt core.Options) [10]uint64 {
+func headerWords(a *sparse.CSR, opt core.Options) [8]uint64 {
 	b2u := func(b bool) uint64 {
 		if b {
 			return 1
 		}
 		return 0
 	}
-	return [10]uint64{
+	return [8]uint64{
 		uint64(a.Rows),
 		uint64(a.Cols),
 		uint64(len(a.ColIdx)),
@@ -275,8 +276,6 @@ func headerWords(a *sparse.CSR, opt core.Options) [10]uint64 {
 		b2u(opt.BtB),
 		uint64(opt.Threads),
 		uint64(opt.NumBlocks),
-		b2u(opt.ForceABMC),
-		b2u(opt.SelfCheck),
 		uint64(opt.LevelBlockBytes),
 	}
 }
@@ -289,8 +288,8 @@ func headerWords(a *sparse.CSR, opt core.Options) [10]uint64 {
 // canonicalized.
 func structOptKeyFromStruct(s Key, a *sparse.CSR, opt core.Options) Key {
 	// v4: the structure digest is a tree root; v5 dropped the backend
-	// word. Option words only: dimensions and nnz are already covered by
-	// the structure digest.
+	// word, v6 the ForceABMC and SelfCheck words. Option words only:
+	// dimensions and nnz are already covered by the structure digest.
 	words := headerWords(a, opt)
-	return root("fbmpk-structopt-v5\x00", []Key{s}, words[3:]...)
+	return root("fbmpk-structopt-v6\x00", []Key{s}, words[3:]...)
 }

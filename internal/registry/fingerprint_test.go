@@ -168,9 +168,6 @@ func TestFingerprintOptionSensitivity(t *testing.T) {
 	o = base
 	o.NumBlocks = 256
 	perturb["NumBlocks"] = o
-	o = base
-	o.SelfCheck = true
-	perturb["SelfCheck"] = o
 
 	seen := map[Key]string{baseKey: "base"}
 	for name, po := range perturb {
@@ -181,14 +178,7 @@ func TestFingerprintOptionSensitivity(t *testing.T) {
 		seen[k] = name
 	}
 
-	// Fields meaningful only in other regimes.
-	serial := core.DefaultOptions(0)
-	serialKey := Fingerprint(a, serial)
-	o = serial
-	o.ForceABMC = true
-	if Fingerprint(a, o) == serialKey {
-		t.Error("ForceABMC not reflected in serial key")
-	}
+	// A field meaningful only in another regime.
 	lb := core.Options{Engine: core.EngineLevelBlocked}
 	o = lb
 	o.LevelBlockBytes = 4096
@@ -243,8 +233,8 @@ func TestFingerprintCanonicalEquivalence(t *testing.T) {
 	}
 }
 
-// TestFingerprintBackendSensitivity: every word of the v7 header is one
-// field — the dimensions, the nonzero count, then each of the seven
+// TestFingerprintBackendSensitivity: every word of the v8 header is one
+// field — the dimensions, the nonzero count, then each of the five
 // options — so moving one option moves exactly its own word, and with it
 // the plan key and the structure+options key.
 func TestFingerprintBackendSensitivity(t *testing.T) {
@@ -265,8 +255,6 @@ func TestFingerprintBackendSensitivity(t *testing.T) {
 		"BtB":             func(o *core.Options) { o.BtB = true },
 		"Threads":         func(o *core.Options) { o.Threads = 2 },
 		"NumBlocks":       func(o *core.Options) { o.NumBlocks = 16 },
-		"ForceABMC":       func(o *core.Options) { o.ForceABMC = true },
-		"SelfCheck":       func(o *core.Options) { o.SelfCheck = true },
 		"LevelBlockBytes": func(o *core.Options) { o.LevelBlockBytes = 256 },
 	} {
 		o := base
@@ -295,7 +283,7 @@ func TestFingerprintBackendSensitivity(t *testing.T) {
 
 // TestFingerprintBackendCanonicalEquivalence: under every engine, the
 // spellings that differ only in knobs the engine never reads flatten to
-// the same v7 header words, so they are one registry key.
+// the same v8 header words, so they are one registry key.
 func TestFingerprintBackendCanonicalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := testCSR(rng, 80, 4)
@@ -315,11 +303,6 @@ func TestFingerprintBackendCanonicalEquivalence(t *testing.T) {
 		if eng == core.EngineStandard || eng == core.EngineLevelBlocked {
 			o := base
 			o.NumBlocks = 99
-			spellings = append(spellings, o)
-		}
-		if eng == core.EngineLevelBlocked {
-			o := base
-			o.ForceABMC = true
 			spellings = append(spellings, o)
 		}
 		want := headerWords(a, base.Canonical())

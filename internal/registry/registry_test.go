@@ -413,9 +413,10 @@ func TestRegistryRejectsBadMatrix(t *testing.T) {
 // carry from one build to the next. The first Acquire of a structure, an
 // Acquire of other values, and a re-acquire after the plan was
 // LRU-evicted each return the bits of a fresh plan of what they were
-// given. On audikw_1's stand-in, a natural-order plan and one under
-// ForceABMC are two entries, whichever was built first, and a plan of
-// other values through the registry is bitwise a fresh plan of them.
+// given. On audikw_1's stand-in, a natural-order plan and one on the
+// ABMC order of two workers are two entries, whichever was built first,
+// and a plan of other values through the registry is bitwise a fresh
+// plan of them.
 func TestRegistryTuneVerdictCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	a := testCSR(rng, 300, 5)
@@ -473,8 +474,7 @@ func TestRegistryTuneVerdictCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	aud := spec.Generate(0.02, 1)
-	abmc := std
-	abmc.ForceABMC = true
+	abmc := core.DefaultOptions(2)
 	reg2 := New(0)
 	defer reg2.Close()
 	pa := freshBits(reg2, aud, abmc)

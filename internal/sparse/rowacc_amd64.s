@@ -19,6 +19,10 @@
 // then each entry's window start against DX, unsigned again (a negative
 // column), or its k is returned. The Go wrapper panics on both. Success
 // stores the sums and returns -1.
+//
+// Each function opens with PCALIGN $64. At entry the directive raises
+// the function's alignment to 64 bytes and emits no NOP, so the loops
+// keep their 64-byte phase whatever code the linker places before them.
 
 #define ENTER(A, I, XBASE, XLEN) \
 	MOVQ lo+0(FP), R8; \
@@ -103,6 +107,7 @@ badrow: \
 
 // func rowAcc8AscAsm(lo, hi *[4]float64, a *CSR, i int, x []float64) int
 TEXT ·rowAcc8AscAsm(SB), NOSPLIT, $0-64
+	PCALIGN $64
 	ENTER(a+16(FP), i+24(FP), x_base+32(FP), x_len+40(FP))
 	MOVQ   hi+8(FP), R11
 	MOVUPD (R11), X2
@@ -123,6 +128,7 @@ loop:
 
 // func rowAcc8DescAsm(lo, hi *[4]float64, a *CSR, i int, x []float64) int
 TEXT ·rowAcc8DescAsm(SB), NOSPLIT, $0-64
+	PCALIGN $64
 	ENTER(a+16(FP), i+24(FP), x_base+32(FP), x_len+40(FP))
 	MOVQ   hi+8(FP), R11
 	MOVUPD (R11), X2
@@ -142,6 +148,7 @@ loop:
 
 // func rowAcc4AscAsm(lo *[4]float64, a *CSR, i int, x []float64, stride int) int
 TEXT ·rowAcc4AscAsm(SB), NOSPLIT, $0-64
+	PCALIGN $64
 	ENTER(a+8(FP), i+16(FP), x_base+24(FP), x_len+32(FP))
 	MOVQ stride+48(FP), R10
 	XORQ CX, CX
@@ -158,6 +165,7 @@ loop:
 
 // func rowAcc4DescAsm(lo *[4]float64, a *CSR, i int, x []float64, stride int) int
 TEXT ·rowAcc4DescAsm(SB), NOSPLIT, $0-64
+	PCALIGN $64
 	ENTER(a+8(FP), i+16(FP), x_base+24(FP), x_len+32(FP))
 	MOVQ stride+48(FP), R10
 	LEAQ -1(BX), CX
