@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -32,18 +33,6 @@ func randVec(rng *rand.Rand, n int) []float64 {
 		v[i] = rng.Float64() - 0.5
 	}
 	return v
-}
-
-func bitwiseEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestConcurrentSharedPlan drives one shared parallel FBMPK plan from
@@ -95,7 +84,7 @@ func TestConcurrentSharedPlan(t *testing.T) {
 						t.Errorf("goroutine %d MPK: %v", g, err)
 						return
 					}
-					if !bitwiseEqual(got, refMPK) {
+					if !slices.Equal(got, refMPK) {
 						t.Errorf("goroutine %d: concurrent MPK differs from sequential result", g)
 						return
 					}
@@ -106,7 +95,7 @@ func TestConcurrentSharedPlan(t *testing.T) {
 						return
 					}
 					for j := range got {
-						if !bitwiseEqual(got[j], refCombos[j]) {
+						if !slices.Equal(got[j], refCombos[j]) {
 							t.Errorf("goroutine %d: concurrent SSpMVMulti[%d] differs from sequential result", g, j)
 							return
 						}
@@ -117,7 +106,7 @@ func TestConcurrentSharedPlan(t *testing.T) {
 						t.Errorf("goroutine %d SymGS: %v", g, err)
 						return
 					}
-					if !bitwiseEqual(x, refGS) {
+					if !slices.Equal(x, refGS) {
 						t.Errorf("goroutine %d: concurrent SymGS differs from sequential result", g)
 						return
 					}
@@ -164,7 +153,7 @@ func TestConcurrentSharedPlanSerial(t *testing.T) {
 				t.Errorf("goroutine %d: %v", g, err)
 				return
 			}
-			if !bitwiseEqual(got, ref) {
+			if !slices.Equal(got, ref) {
 				t.Errorf("goroutine %d: result differs", g)
 			}
 		}(g)
@@ -226,7 +215,7 @@ func TestPlanCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bitwiseEqual(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatal("post-cancellation results are not deterministic")
 	}
 	if c := p.Metrics().Canceled; c < 1 {

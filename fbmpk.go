@@ -221,12 +221,12 @@ func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
 // construction.
 type PlanStats = core.PlanStats
 
-// NewPlan prepares an executor for the square matrix a. Construction
-// performs the one-off preprocessing (matrix split, ABMC reorder for
-// parallel plans). With no options the plan runs the paper's FBMPK
-// configuration serially; pass With* options to adjust, or an Options
-// value to replace the configuration wholesale. Close the plan to
-// release its worker pool.
+// NewPlan prepares an executor for the square matrix a: the one-off
+// preprocessing (split, ABMC reorder for parallel plans). No options is
+// the paper's FBMPK, serial; With* options adjust it, an Options value
+// replaces it. A standard-engine plan reads a's arrays at every call
+// (one from a Registry, the registry's copy of them). Close the plan
+// to release its worker pool.
 func NewPlan(a *Matrix, opts ...Option) (*Plan, error) {
 	return core.NewPlan(a, opts...)
 }

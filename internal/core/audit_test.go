@@ -237,29 +237,11 @@ func auditBeds(t testing.TB) map[string]*sparse.CSR {
 			beds[fmt.Sprintf("n%d/kind%d", n, kind)] = coo.ToCSR()
 		}
 	}
-	chains := func(count, length int, offdiag float64) *sparse.CSR {
-		coo := sparse.NewCOO(count*length, count*length, 3*count*length)
-		for r := 0; r < count*length; r++ {
-			coo.Add(r, r, 2+float64(r)/8)
-			if (r+1)%length != 0 {
-				coo.Add(r, r+1, offdiag)
-				coo.Add(r+1, r, offdiag)
-			}
-		}
-		return coo.ToCSR()
-	}
-	beds["0x0"], beds["1x1-diag"], beds["1x1-empty"] = chains(0, 0, 0), chains(1, 1, 0), sparse.NewCOO(1, 1, 0).ToCSR()
-	beds["diagonal"], beds["disconnected"], beds["k-beyond-diameter"] = chains(40, 1, 0), chains(2, 20, -0.5), chains(1, 5, -1)
-	suite := func(name string, scale float64, seed uint64) *sparse.CSR {
-		spec, err := matgen.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return spec.Generate(scale, seed)
-	}
-	beds["golden/cant"], beds["golden/G3_circuit"] = suite("cant", 0.004, 7), suite("G3_circuit", 0.004, 11)
+	beds["0x0"], beds["1x1-diag"], beds["1x1-empty"] = chains(0, 0, 1./8, 0), chains(1, 1, 1./8, 0), sparse.NewCOO(1, 1, 0).ToCSR()
+	beds["diagonal"], beds["disconnected"], beds["k-beyond-diameter"] = chains(40, 1, 1./8, 0), chains(2, 20, 1./8, -0.5), chains(1, 5, 1./8, -1)
+	beds["golden/cant"], beds["golden/G3_circuit"] = suiteCSR(t, "cant", 0.004, 7), suiteCSR(t, "G3_circuit", 0.004, 11)
 	for _, name := range matgen.Names() {
-		beds["suite/"+name] = suite(name, 0.0005, 5)
+		beds["suite/"+name] = suiteCSR(t, name, 0.0005, 5)
 	}
 	return beds
 }

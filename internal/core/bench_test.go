@@ -4,13 +4,12 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
 
-	"fbmpk/internal/matgen"
 	"fbmpk/internal/parallel"
-	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
 )
 
@@ -23,179 +22,70 @@ func ones(n int) []float64 {
 	return x
 }
 
-func coreBenchMatrix(b *testing.B) *sparse.CSR {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	return randomSymCSR(rng, 20000, 20)
-}
-
-func BenchmarkStandardMPKSerial(b *testing.B) {
-	a := coreBenchMatrix(b)
+// BenchmarkPlanCalls times the plan calls no other benchmark here
+// times, on plans of pwtk at -sweep-scale: k = 5 MPK on the standard engine and on both FB
+// layouts, serial and (BtB) on a GOMAXPROCS pool; on that pool one
+// batched m = 4 call against four single ones (the multi-RHS
+// amortization claim at kernel level); the serial batched pipeline at
+// m = 2, 4, 8 in both layouts; one serial SYMGS sweep; and MPKMulti,
+// m = 4, k = 6, on a 2-thread standard plan (std/multi4-t2, the block
+// path on the plan's team). Each case builds its plan, makes one warm
+// call, times it and lets it go, so one plan is resident at a time.
+func BenchmarkPlanCalls(b *testing.B) {
+	a := sweepBed(b, "pwtk")
 	x0 := ones(a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := StandardMPK(a, x0, 5, nil); err != nil {
-			b.Fatal(err)
+	xs := randBlock(rand.New(rand.NewSource(4)), a.Rows, 8)
+	x := make([]float64, a.Rows)
+	mpk := func(p *Plan) (err error) { _, err = p.MPK(x0, 5); return err }
+	pool := DefaultOptions(runtime.GOMAXPROCS(0))
+	type call struct {
+		name string
+		opt  Options
+		run  func(p *Plan) error
+	}
+	calls := []call{
+		{"std/k=5", std, mpk},
+		{"fb/sep/k=5", fbSerial, mpk},
+		{"fb/btb/k=5", DefaultOptions(0), mpk},
+		{"fb/btb/pool/k=5", pool, mpk},
+		{"fb/btb/pool/batched4", pool, func(p *Plan) (err error) { _, err = p.MPKMulti(xs[:4], 5); return err }},
+		{"fb/btb/pool/independent4", pool, func(p *Plan) error {
+			for _, x := range xs[:4] {
+				if _, err := p.MPK(x, 5); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"symgs", fbSerial, func(p *Plan) error { return p.SymGS(x0, x, 1) }},
+		{"std/multi4-t2", Options{Engine: EngineStandard, Threads: 2}, func(p *Plan) (err error) {
+			_, err = p.MPKMulti([][]float64{x0, x0, x0, x0}, 6)
+			return err
+		}},
+	}
+	for _, m := range []int{2, 4, 8} {
+		for _, opt := range layouts(fbSerial) {
+			calls = append(calls, call{fmt.Sprintf("fb/serial/m=%d/btb=%v", m, opt.BtB), opt,
+				func(p *Plan) (err error) { _, err = p.MPKMulti(xs[:m], 5); return err }})
 		}
 	}
-}
-
-func BenchmarkFBMPKSerialSeparate(b *testing.B) {
-	a := coreBenchMatrix(b)
-	tri, err := sparse.Split(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x0 := ones(a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FBMPKSerial(tri, x0, 5, false, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFBMPKSerialBtB(b *testing.B) {
-	a := coreBenchMatrix(b)
-	tri, err := sparse.Split(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x0 := ones(a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FBMPKSerial(tri, x0, 5, true, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFBMPKParallel(b *testing.B) {
-	a := coreBenchMatrix(b)
-	ord, pm, err := reorder.ABMCReorder(a, reorder.ABMCOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tri, err := sparse.Split(pm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	fb, err := NewFBParallel(tri, ord, pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x0 := ones(a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fb.Run(x0, 5, true, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFBParallelMulti compares one batched m=4 run against 4
-// independent runs of the same executor — the kernel-level version of
-// the multi-RHS amortization claim (the matrix is swept once for all
-// four vectors instead of four times).
-func BenchmarkFBParallelMulti(b *testing.B) {
-	const m, k = 4, 5
-	a := coreBenchMatrix(b)
-	ord, pm, err := reorder.ABMCReorder(a, reorder.ABMCOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tri, err := sparse.Split(pm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	fb, err := NewFBParallel(tri, ord, pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fbm := NewFBParallelMulti(fb)
-	rng := rand.New(rand.NewSource(3))
-	xs := make([][]float64, m)
-	for j := range xs {
-		xs[j] = randVec(rng, a.Rows)
-	}
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fbm.Run(xs, k, true, nil); err != nil {
+	for _, c := range calls {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := NewPlan(a, c.opt)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("independent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range xs {
-				if _, err := fb.Run(xs[j], k, true, nil); err != nil {
+			defer p.Close()
+			if err := c.run(p); err != nil { // first touch, as in BenchmarkSweep
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.run(p); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-	})
-}
-
-// BenchmarkFBMPKSerialMulti is the serial layout/width sweep of the
-// batched pipeline.
-func BenchmarkFBMPKSerialMulti(b *testing.B) {
-	const k = 5
-	a := coreBenchMatrix(b)
-	tri, err := sparse.Split(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for _, m := range []int{2, 4, 8} {
-		xs := make([][]float64, m)
-		for j := range xs {
-			xs[j] = randVec(rng, a.Rows)
-		}
-		for _, btb := range []bool{false, true} {
-			name := "sep"
-			if btb {
-				name = "btb"
-			}
-			b.Run(fmt.Sprintf("m=%d/%s", m, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := FBMPKSerialMulti(tri, xs, k, btb, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkSymGSSerial(b *testing.B) {
-	a := coreBenchMatrix(b)
-	tri, err := sparse.Split(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := ones(a.Rows)
-	x := make([]float64, a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := SymGSSerial(tri, rhs, x, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlanBuild(b *testing.B) {
-	a := coreBenchMatrix(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := NewPlan(a, DefaultOptions(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		p.Close()
+		})
 	}
 }
 
@@ -356,9 +246,8 @@ func BenchmarkMPKBesideUpdates(b *testing.B) {
 }
 
 var (
-	sweepScale  = flag.Float64("sweep-scale", 0.05, "scale of the matrix of BenchmarkSweep, BenchmarkNewPlan, BenchmarkUpdateValues and BenchmarkStandardBackends; pwtk at 8 is the benchmark's out-of-cache bed (1.1 GB), at 0.2 its plan-churn bed")
-	sweepMatrix = flag.String("sweep-matrix", "pwtk", "suite matrix of BenchmarkStandardBackends")
-	lbBytes     = flag.Int("lb-bytes", 0, "LevelBlockBytes of BenchmarkSweep's level-blocked case (0 = DefaultLevelBlockBytes)")
+	sweepScale = flag.Float64("sweep-scale", 0.05, "pwtk scale of BenchmarkSweep, BenchmarkNewPlan, BenchmarkUpdateValues, BenchmarkMPKBesideUpdates and BenchmarkPlanCalls; 8 is the benchmark's out-of-cache bed (1.1 GB), 0.2 its plan-churn bed")
+	lbBytes    = flag.Int("lb-bytes", 0, "LevelBlockBytes of BenchmarkSweep's level-blocked case (0 = DefaultLevelBlockBytes)")
 )
 
 // sweepBeds keeps the generated beds across the re-runs of -count: at
@@ -369,56 +258,9 @@ func sweepBed(b *testing.B, name string) *sparse.CSR {
 	b.Helper()
 	key := fmt.Sprint(name, *sweepScale)
 	if sweepBeds[key] == nil {
-		spec, err := matgen.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sweepBeds[key] = spec.Generate(*sweepScale, 1)
+		sweepBeds[key] = suiteCSR(b, name, *sweepScale, 1)
 	}
 	return sweepBeds[key]
-}
-
-// BenchmarkStandardBackends is the gauge of ROADMAP 2(b): standard-engine
-// MPK, k = 6, one thread, on -sweep-matrix at -sweep-scale (csr), and
-// MPKMulti on four vectors on a 2-thread plan, the block path on the
-// plan's team (csr/multi4-t2). Each case builds its plan, times it and
-// lets it go, so one plan is resident at a time. -count repeats a case
-// back to back: for interleaved rounds run the built test binary once
-// per round. The BSR and census cases it once had, with their beds and
-// numbers, are in DESIGN.md §10 at commit ad9b57e.
-func BenchmarkStandardBackends(b *testing.B) {
-	a := sweepBed(b, *sweepMatrix)
-	x := ones(a.Rows)
-	xs := [][]float64{x, x, x, x}
-	for _, multi := range []bool{false, true} {
-		name, threads := "csr", 0
-		call := func(p *Plan) (err error) { _, err = p.MPK(x, 6); return err }
-		if multi {
-			name, threads = name+"/multi4-t2", 2
-			call = func(p *Plan) (err error) { _, err = p.MPKMulti(xs, 6); return err }
-		}
-		b.Run(name, func(b *testing.B) {
-			p, err := NewPlan(a, Options{Engine: EngineStandard, Threads: threads})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			// One call outside the clock: it first-touches the plan's
-			// workspace and the heap the results recycle from, which on
-			// a 2-vCPU VM where a fresh page costs 2 to 17 us is a tenth
-			// of a sweep on the vector-bound beds.
-			if err := call(p); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(6 * a.MemoryBytes())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := call(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSweep answers "bandwidth-bound or not" without the repo
@@ -505,7 +347,7 @@ func BenchmarkSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer p.Close()
-			if _, err := p.MPK(xy0[:n], 6); err != nil { // first touch, as in BenchmarkStandardBackends
+			if _, err := p.MPK(xy0[:n], 6); err != nil { // first touch
 				b.Fatal(err)
 			}
 			warm := p.Metrics()
@@ -543,11 +385,7 @@ var buildScale = flag.Float64("build-scale", 0.2, "pwtk scale of BenchmarkBFSLev
 // walked, with the allocations beside the matrix, serial and with the
 // adjacency on two workers (what a 2-thread plan build runs).
 func BenchmarkBFSLevels(b *testing.B) {
-	spec, err := matgen.ByName("pwtk")
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := spec.Generate(*buildScale, 1)
+	a := suiteCSR(b, "pwtk", *buildScale, 1)
 	pool := parallel.NewPool(2)
 	defer pool.Close()
 	for _, r := range []sparse.Runner{nil, pool} {

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fbmpk/internal/matgen"
-	"fbmpk/internal/parallel"
 	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
 )
@@ -154,27 +152,18 @@ func fbPaths(one func(x []float64, k int, btb bool) ([]float64, error), multi fu
 const lbBoundBlockBytes = 2 << 10
 
 func TestDerivedErrorBound(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
 	for mi, name := range []string{"pwtk", "cant", "G3_circuit", "cage14"} {
-		spec, err := matgen.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := spec.Generate(1e-4, uint64(mi)+1)
+		a := suiteCSR(t, name, 1e-4, uint64(mi)+1)
 		n := a.Rows
 		if n > 200 {
 			t.Fatalf("%s: n = %d, too large for the exact reference", name, n)
 		}
 		rng := rand.New(rand.NewSource(int64(mi) + 40))
 		xs := randBlock(rng, n, 4)
+		bd := newBed(t, a)
 
 		// One worker: the oracle loop, and the serial pipeline.
 		tri, err := sparse.Split(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slb, err := NewPlan(a, Options{Engine: EngineLevelBlocked, LevelBlockBytes: lbBoundBlockBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,48 +172,51 @@ func TestDerivedErrorBound(t *testing.T) {
 				return FBMPKSerial(tri, x, k, btb, nil, nil)
 			},
 			func(xs [][]float64, k int, btb bool) ([][]float64, error) {
-				return FBMPKSerialMulti(tri, xs, k, btb, nil)
+				return bd.plan(Options{Engine: EngineForwardBackward, BtB: btb}).MPKMulti(xs, k)
 			}),
 			mpkPath{"standard", perVector(func(x []float64, k int) ([]float64, error) { return StandardMPK(a, x, k, nil) })},
-			mpkPath{"levelblock", perVector(slb.MPK)})
+			mpkPath{"levelblock", perVector(bd.plan(Options{Engine: EngineLevelBlocked, LevelBlockBytes: lbBoundBlockBytes}).MPK)})
 		checkBound(t, name+"/t1", a, xs, serial)
-		slb.Close()
 
-		// Four workers, in the ABMC numbering the schedule needs.
+		// Four workers, in the ABMC numbering the schedule needs: the FB
+		// plans of a answer in a's numbering, carried over by ord.
 		ord, pa, err := reorder.ABMCReorder(a, reorder.ABMCOptions{NumBlocks: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ptri, err := sparse.Split(pa)
-		if err != nil {
-			t.Fatal(err)
+		fb := func(btb bool) *Plan {
+			return bd.plan(Options{Engine: EngineForwardBackward, BtB: btb, Threads: 4, NumBlocks: 16})
 		}
-		fb, err := NewFBParallel(ptri, ord, pool)
-		if err != nil {
-			t.Fatal(err)
+		carry := func(move func(reorder.Perm, []float64, []float64), vs ...[]float64) [][]float64 {
+			out := make([][]float64, len(vs))
+			for j, v := range vs {
+				out[j] = make([]float64, n)
+				move(ord.Perm, v, out[j])
+			}
+			return out
 		}
-		fbm := NewFBParallelMulti(fb)
-		// The level-blocked plan re-permutes pa by BFS level internally
-		// and answers in pa's numbering, like every plan.
-		lb, err := NewPlan(pa, Options{Engine: EngineLevelBlocked, Threads: 4, LevelBlockBytes: lbBoundBlockBytes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pxs := make([][]float64, len(xs))
-		for j, x := range xs {
-			pxs[j] = make([]float64, n)
-			ord.Perm.ApplyVec(x, pxs[j])
-		}
+		pxs := carry(reorder.Perm.ApplyVec, xs...)
+		// The standard and level-blocked plans run on pa itself; the
+		// level-blocked one re-permutes it by BFS level internally and
+		// answers in pa's numbering, like every plan.
+		pb := newBed(t, pa)
 		par := append(fbPaths(
 			func(x []float64, k int, btb bool) ([]float64, error) {
-				return fb.Run(x, k, btb, nil)
+				y, err := fb(btb).MPK(carry(reorder.Perm.UnapplyVec, x)[0], k)
+				if err != nil {
+					return nil, err
+				}
+				return carry(reorder.Perm.ApplyVec, y)[0], nil
 			},
 			func(xs [][]float64, k int, btb bool) ([][]float64, error) {
-				return fbm.Run(xs, k, btb, nil)
+				ys, err := fb(btb).MPKMulti(carry(reorder.Perm.UnapplyVec, xs...), k)
+				if err != nil {
+					return nil, err
+				}
+				return carry(reorder.Perm.ApplyVec, ys...), nil
 			}),
-			mpkPath{"standard", perVector(func(x []float64, k int) ([]float64, error) { return StandardMPKParallel(pa, x, k, pool, nil) })},
-			mpkPath{"levelblock", perVector(lb.MPK)})
+			mpkPath{"standard", perVector(pb.plan(Options{Engine: EngineStandard, Threads: 4}).MPK)},
+			mpkPath{"levelblock", perVector(pb.plan(Options{Engine: EngineLevelBlocked, Threads: 4, LevelBlockBytes: lbBoundBlockBytes}).MPK)})
 		checkBound(t, name+"/t4", pa, pxs, par)
-		lb.Close()
 	}
 }

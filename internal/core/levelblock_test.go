@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"fbmpk/internal/graph"
-	"fbmpk/internal/matgen"
 	"fbmpk/internal/parallel"
 	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
@@ -25,33 +24,16 @@ import (
 // hold the pass itself to the sorting permutation.
 func levelBeds(t testing.TB) map[string]*sparse.CSR {
 	t.Helper()
-	suite := func(name string, scale float64, seed uint64) *sparse.CSR {
-		spec, err := matgen.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return spec.Generate(scale, seed)
-	}
-	deep := suite("G3_circuit", 0.018, 5)
+	deep := suiteCSR(t, "G3_circuit", 0.018, 5)
 	if lp, _ := BFSLevels(deep); lp.NumLevels() != 282 {
 		t.Fatalf("deep bed has %d levels, want 282", lp.NumLevels())
 	}
-	beds := map[string]*sparse.CSR{"282-levels": deep, "cage14": suite("cage14", 0.0005, 5)}
+	beds := map[string]*sparse.CSR{"282-levels": deep, "cage14": suiteCSR(t, "cage14", 0.0005, 5)}
 	for _, n := range []int{0, 1, 17, 40} {
 		beds[fmt.Sprintf("scatter%d", n)] = scatter(int64(n), n, true)
 		beds[fmt.Sprintf("scatter%d/no-diagonal", n)] = scatter(int64(n)+1, n, false)
 	}
-	chains := func(count, length int) *sparse.CSR {
-		coo := sparse.NewCOO(count*length, count*length, 3*count*length)
-		for r := 0; r < count*length; r++ {
-			coo.Add(r, r, 2)
-			if (r+1)%length != 0 {
-				coo.AddSym(r, r+1, -0.5)
-			}
-		}
-		return coo.ToCSR()
-	}
-	beds["diagonal"], beds["disconnected"], beds["path"] = chains(40, 1), chains(2, 20), chains(1, 5)
+	beds["diagonal"], beds["disconnected"], beds["path"] = chains(40, 1, 0, -0.5), chains(2, 20, 0, -0.5), chains(1, 5, 0, -0.5)
 	return beds
 }
 
@@ -142,11 +124,7 @@ func TestLevelPermuteRejectsBrokenLevels(t *testing.T) {
 			down.Add(i+1, i, 1)
 		}
 	}
-	spec, err := matgen.ByName("G3_circuit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := spec.Generate(0.004, 11)
+	grid := suiteCSR(t, "G3_circuit", 0.004, 11)
 	for _, r := range levelRunners(t) {
 		for _, c := range []struct {
 			name   string
@@ -179,11 +157,7 @@ func TestLevelPermuteRejectsBrokenLevels(t *testing.T) {
 // operations run on the garbage a build leaves, so less of it is a
 // change too (DESIGN.md section 13, the withheld BFS).
 func TestLevelBuildAllocation(t *testing.T) {
-	spec, err := matgen.ByName("pwtk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := spec.Generate(0.05, 1)
+	a := suiteCSR(t, "pwtk", 0.05, 1)
 	nnz, n := uint64(a.NNZ()), uint64(a.Rows)
 	for _, c := range []struct {
 		name              string

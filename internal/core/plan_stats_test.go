@@ -8,50 +8,46 @@ import (
 	"strings"
 	"testing"
 
-	"fbmpk/internal/matgen"
 	"fbmpk/internal/sparse"
 )
 
+// statsCase is a plan's build record held to what its options ran.
+type statsCase struct {
+	opt   Options
+	check func(PlanStats, *Plan) bool
+}
+
+// holdStats builds the plan of a under each case's options and holds
+// its stats, read after Close, to the case and to a positive BuildTime.
+func holdStats(t *testing.T, a *sparse.CSR, cases ...statsCase) {
+	t.Helper()
+	for _, tc := range cases {
+		p, err := NewPlan(a, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		if st := p.Stats(); !tc.check(st, p) || st.BuildTime <= 0 {
+			t.Errorf("%+v: stats %+v", tc.opt, st)
+		}
+	}
+}
+
+// TestPlanStats: a serial standard plan prepares nothing, a serial FB
+// plan only splits, and a parallel FB plan reorders and splits and
+// records the colours and blocks of its ordering.
 func TestPlanStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
-	a := randomSymCSR(rng, 200, 4)
-
-	// Serial standard plan: no preprocessing at all.
-	p0, err := NewPlan(a, Options{Engine: EngineStandard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p0.Close()
-	if st := p0.Stats(); st.ReorderTime != 0 || st.SplitTime != 0 || st.NumColors != 0 {
-		t.Errorf("standard plan stats = %+v, want zero", st)
-	}
-
-	// Serial FB: split only.
-	p1, err := NewPlan(a, Options{Engine: EngineForwardBackward, BtB: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p1.Close()
-	if st := p1.Stats(); st.SplitTime <= 0 || st.ReorderTime != 0 {
-		t.Errorf("serial FB stats = %+v, want split only", st)
-	}
-
-	// Parallel FB: reorder + split, colors and blocks recorded.
-	p2, err := NewPlan(a, DefaultOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	st := p2.Stats()
-	if st.ReorderTime <= 0 || st.SplitTime <= 0 {
-		t.Errorf("parallel FB stats = %+v, want both times positive", st)
-	}
-	if st.NumColors < 1 || st.NumBlocks < 1 {
-		t.Errorf("parallel FB stats = %+v, want colors/blocks recorded", st)
-	}
-	if ord := p2.Ordering(); ord != nil && st.NumColors != ord.NumColors {
-		t.Errorf("stats colors %d != ordering colors %d", st.NumColors, ord.NumColors)
-	}
+	holdStats(t, randomSymCSR(rng, 200, 4),
+		statsCase{Options{Engine: EngineStandard}, func(s PlanStats, _ *Plan) bool {
+			return s.ReorderTime == 0 && s.SplitTime == 0 && s.NumColors == 0
+		}},
+		statsCase{Options{Engine: EngineForwardBackward, BtB: true}, func(s PlanStats, _ *Plan) bool {
+			return s.SplitTime > 0 && s.ReorderTime == 0
+		}},
+		statsCase{DefaultOptions(2), func(s PlanStats, p *Plan) bool {
+			return s.ReorderTime > 0 && s.SplitTime > 0 && s.NumColors >= 1 && s.NumBlocks >= 1 && s.NumColors == p.Ordering().NumColors
+		}})
 }
 
 // TestPlanStatsStagesCoverReorder holds every engine's build to a
@@ -65,11 +61,7 @@ func TestPlanStats(t *testing.T) {
 // the split's, so PermTime must stay zero and SplitTime carry the pass.
 // The level-blocked builds time their apply under PermTime.
 func TestPlanStatsStagesCoverReorder(t *testing.T) {
-	spec, err := matgen.ByName("pwtk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := spec.Generate(0.05, 1)
+	a := suiteCSR(t, "pwtk", 0.05, 1)
 	for _, c := range []struct {
 		name  string
 		opt   Options
@@ -110,11 +102,7 @@ func TestPlanStatsStagesCoverReorder(t *testing.T) {
 // that scales with nnz. The 1.5 is headroom, not budget: a permuted
 // copy alone is a whole second Triangular.
 func TestFBPlanBuildAllocation(t *testing.T) {
-	spec, err := matgen.ByName("pwtk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := spec.Generate(0.05, 1)
+	a := suiteCSR(t, "pwtk", 0.05, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	p, err := NewPlan(a, DefaultOptions(2))
@@ -140,11 +128,7 @@ func TestFBSSpMVAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	spec, err := matgen.ByName("pwtk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := spec.Generate(0.05, 1)
+	a := suiteCSR(t, "pwtk", 0.05, 1)
 	p, err := NewPlan(a, DefaultOptions(2))
 	if err != nil {
 		t.Fatal(err)

@@ -91,17 +91,8 @@ func TestUpdateValuesBitwise(t *testing.T) {
 			if tc.abmc {
 				a1, a2 = b1, b2
 			}
-			p, err := NewPlan(a1, tc.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-			ref, err := NewPlan(a2, tc.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-
+			bd, ref := newBed(t, a1), newBed(t, a2)
+			p := bd.plan(tc.opt)
 			if got := p.Epoch(); got != 0 {
 				t.Fatalf("fresh plan epoch = %d, want 0", got)
 			}
@@ -114,33 +105,15 @@ func TestUpdateValuesBitwise(t *testing.T) {
 			if st := p.Stats(); st.Updates != 1 || st.UpdateTime <= 0 {
 				t.Fatalf("stats after update: Updates=%d UpdateTime=%v", st.Updates, st.UpdateTime)
 			}
-
-			got, err := p.MPK(x0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.MPK(x0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseEqual(t, "MPK after update", got, want)
-
-			got, err = p.SSpMV(coeffs, x0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err = ref.SSpMV(coeffs, x0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseEqual(t, "SSpMV after update", got, want)
-
+			opts := []Options{tc.opt}
+			bd.check(run{opts: opts, ks: []int{k}, oracle: fresh, of: ref}, x0)
+			bd.check(run{e: entrySSpMV, opts: opts, coeffs: coeffs, oracle: fresh, of: ref}, x0)
 			if tc.opt.Engine == EngineForwardBackward {
 				gx, wx := make([]float64, a1.Rows), make([]float64, a1.Rows)
 				if err := p.SymGS(x0, gx, 2); err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.SymGS(x0, wx, 2); err != nil {
+				if err := ref.plan(tc.opt).SymGS(x0, wx, 2); err != nil {
 					t.Fatal(err)
 				}
 				bitwiseEqual(t, "SymGS after update", gx, wx)
@@ -151,20 +124,7 @@ func TestUpdateValuesBitwise(t *testing.T) {
 			if err := p.UpdateValues(a1); err != nil {
 				t.Fatalf("UpdateValues back: %v", err)
 			}
-			orig, err := NewPlan(a1, tc.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer orig.Close()
-			got, err = p.MPK(x0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err = orig.MPK(x0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseEqual(t, "MPK after round-trip", got, want)
+			bd.check(run{opts: opts, ks: []int{k}, oracle: fresh, of: newBed(t, a1)}, x0)
 			if got := p.Epoch(); got != 2 {
 				t.Fatalf("epoch after second update = %d, want 2", got)
 			}
@@ -248,35 +208,16 @@ func TestUpdateValuesClosedPlan(t *testing.T) {
 // into an already-published epoch.
 func TestUpdateValuesDoesNotAliasCaller(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
-	a := randomSymCSR(rng, 80, 3)
-	b := cloneWithValues(a, func(_ int, v float64) float64 { return v + 1 })
-	p, err := NewPlan(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	ref, err := NewPlan(cloneWithValues(b, func(_ int, v float64) float64 { return v }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-
-	if err := p.UpdateValues(b); err != nil {
+	bd := newBed(t, randomSymCSR(rng, 80, 3))
+	b := cloneWithValues(bd.a, func(_ int, v float64) float64 { return v + 1 })
+	ref := newBed(t, cloneWithValues(b, func(_ int, v float64) float64 { return v }))
+	if err := bd.plan(DefaultOptions(0)).UpdateValues(b); err != nil {
 		t.Fatal(err)
 	}
 	for i := range b.Val {
 		b.Val[i] = -999 // scribble after the swap
 	}
-	x0 := randVec(rng, a.Rows)
-	got, err := p.MPK(x0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.MPK(x0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitwiseEqual(t, "MPK after caller scribble", got, want)
+	bd.check(run{opts: []Options{DefaultOptions(0)}, ks: []int{3}, oracle: fresh, of: ref}, randVec(rng, bd.a.Rows))
 }
 
 // TestEpochHoldsOneContainer is the storage invariant: whatever its

@@ -209,11 +209,7 @@ func TestBFSLevelsMatchesAdjacencyOracle(t *testing.T) {
 // transpose and the merged adjacency are 4 bytes an entry each,
 // everything else O(n).
 func TestBFSLevelsAllocation(t *testing.T) {
-	spec, err := matgen.ByName("pwtk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := spec.Generate(0.02, 1)
+	a := suiteCSR(t, "pwtk", 0.02, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	lp, err := BFSLevels(a)

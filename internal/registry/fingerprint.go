@@ -34,11 +34,6 @@ type Key [sha256.Size]byte
 // String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// Canonicalize maps options onto their equivalence-class
-// representative; see core.Options.Canonical, which NewPlan builds from
-// too, so the key and the plan cannot disagree on what a knob means.
-func Canonicalize(opt core.Options) core.Options { return opt.Canonical() }
-
 // Fingerprint computes the cache key of building a plan for matrix a
 // with options opt. The digest covers the matrix dimensions, the full
 // CSR structure (row pointers and column indices) and values (exact
@@ -57,7 +52,7 @@ func Canonicalize(opt core.Options) core.Options { return opt.Canonical() }
 // would not pass Validate.
 func Fingerprint(a *sparse.CSR, opt core.Options) Key {
 	s, v, _ := contentDigests(a, false)
-	return fingerprintWithParts(s, v, a, Canonicalize(opt))
+	return fingerprintWithParts(s, v, a, opt.Canonical())
 }
 
 // leafEntries is how many entries of RowPtr, ColIdx or Val one leaf of

@@ -3,6 +3,7 @@ package registry
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"hash"
 	"math"
 	"math/rand"
@@ -38,88 +39,6 @@ func cloneCSR(a *sparse.CSR) *sparse.CSR {
 	return b
 }
 
-// TestFingerprintMatrixSensitivity perturbs exactly one aspect of the
-// matrix at a time — a value, a column index, a dimension — and
-// requires a distinct key for each, while a byte-identical clone keys
-// identically.
-func TestFingerprintMatrixSensitivity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := testCSR(rng, 100, 4)
-	opt := core.DefaultOptions(4)
-	base := Fingerprint(a, opt)
-
-	if got := Fingerprint(cloneCSR(a), opt); got != base {
-		t.Fatal("identical clone fingerprints differently")
-	}
-
-	val := cloneCSR(a)
-	mid := len(val.Val) / 2 // one-ULP flip: smallest representable change
-	val.Val[mid] = math.Float64frombits(math.Float64bits(val.Val[mid]) ^ 1)
-	if Fingerprint(val, opt) == base {
-		t.Fatal("single-value perturbation not reflected in key")
-	}
-
-	negZero := cloneCSR(a)
-	negZero.Val[0] = 0
-	posZero := cloneCSR(a)
-	posZero.Val[0] = 0
-	negZero.Val[0] = -negZero.Val[0] // -0.0 vs +0.0: distinct bits
-	if Fingerprint(negZero, opt) == Fingerprint(posZero, opt) {
-		t.Fatal("fingerprint conflates +0.0 and -0.0 (not exact-bits)")
-	}
-
-	idx := cloneCSR(a)
-	// Shift one column index to a neighbor that keeps the row sorted.
-	for k := 1; k < len(idx.ColIdx); k++ {
-		if idx.ColIdx[k]-idx.ColIdx[k-1] > 1 {
-			idx.ColIdx[k]--
-			break
-		}
-	}
-	if Fingerprint(idx, opt) == base {
-		t.Fatal("single-index perturbation not reflected in key")
-	}
-
-	dim := cloneCSR(a)
-	dim.Rows++ // structurally invalid, but the key must still differ
-	dim.RowPtr = append(dim.RowPtr, dim.RowPtr[len(dim.RowPtr)-1])
-	if Fingerprint(dim, opt) == base {
-		t.Fatal("dimension perturbation not reflected in key")
-	}
-
-	// The same on a matrix of three leaves an array: every leaf's first
-	// and last entry is covered, leaves are not interchangeable, and the
-	// dimensions count on their own.
-	big := leafyCSR(1)
-	base = Fingerprint(big, opt)
-	differs := func(what string) {
-		t.Helper()
-		if Fingerprint(big, opt) == base {
-			t.Errorf("%s not reflected in key", what)
-		}
-	}
-	for lo := 0; lo < len(big.Val); lo += leafEntries {
-		for _, k := range []int{lo, min(lo+leafEntries, len(big.Val)) - 1} {
-			flip := math.Float64frombits(math.Float64bits(big.Val[k]) ^ 1)
-			big.Val[k], flip = flip, big.Val[k]
-			differs("one-bit flip at the edge of a value leaf")
-			big.Val[k] = flip
-		}
-	}
-	swapLeaves(big.Val)
-	differs("two value leaves swapped")
-	swapLeaves(big.Val)
-	big.Rows--
-	differs("Rows alone")
-	big.Rows++
-	big.Cols++
-	differs("Cols alone")
-	big.Cols--
-	if Fingerprint(big, opt) != base {
-		t.Fatal("perturbations not undone")
-	}
-}
-
 // leafyCSR builds a valid matrix whose RowPtr, ColIdx and Val each span
 // three leaves of the content tree: a diagonal plus an off-diagonal
 // entry in every fourth row, with values that differ from leaf to leaf.
@@ -146,44 +65,234 @@ func swapLeaves[T any](s []T) {
 	}
 }
 
-// TestFingerprintOptionSensitivity flips each meaningful
-// (post-canonicalization) option field one at a time and requires a
-// distinct key for each.
-func TestFingerprintOptionSensitivity(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := testCSR(rng, 80, 4)
-	base := core.DefaultOptions(4) // FB + BtB + 4 threads: ABMC applies
-	baseKey := Fingerprint(a, base)
+// perturbation changes a matrix in place and returns its undo; moves
+// says whether the key under test must change with it.
+type perturbation struct {
+	what  string
+	apply func() (undo func())
+	moves bool
+}
 
-	perturb := map[string]core.Options{}
-	o := base
-	o.Engine = core.EngineStandard
-	perturb["Engine"] = o
-	o = base
-	o.BtB = false
-	perturb["BtB"] = o
-	o = base
-	o.Threads = 8
-	perturb["Threads"] = o
-	o = base
-	o.NumBlocks = 256
-	perturb["NumBlocks"] = o
-
-	seen := map[Key]string{baseKey: "base"}
-	for name, po := range perturb {
-		k := Fingerprint(a, po)
-		if prev, dup := seen[k]; dup {
-			t.Errorf("option %s collides with %s", name, prev)
+// checkPerturbations holds key to every perturbation of a, one at a
+// time: a different key exactly where it moves, and a's own key once it
+// is undone.
+func checkPerturbations(t *testing.T, key func(*sparse.CSR) Key, a *sparse.CSR, ps ...perturbation) {
+	t.Helper()
+	base := key(a)
+	for _, p := range ps {
+		undo := p.apply()
+		if moved := key(a) != base; moved != p.moves {
+			t.Errorf("%s: key moved %v, want %v", p.what, moved, p.moves)
 		}
-		seen[k] = name
+		undo()
+		if key(a) != base {
+			t.Fatalf("%s: not undone", p.what)
+		}
 	}
+}
 
-	// A field meaningful only in another regime.
-	lb := core.Options{Engine: core.EngineLevelBlocked}
-	o = lb
-	o.LevelBlockBytes = 4096
-	if Fingerprint(a, o) == Fingerprint(a, lb) {
-		t.Error("LevelBlockBytes not reflected in level-blocked key")
+// set is the perturbation that stores v at *at.
+func set[T any](what string, at *T, v T, moves bool) perturbation {
+	return perturbation{what, func() func() {
+		old := *at
+		*at = v
+		return func() { *at = old }
+	}, moves}
+}
+
+// edges are one-bit flips at the first and last entry of every leaf of
+// s, and the swap of its first two leaves.
+func edges[T int32 | int64 | float64](what string, s []T, moves bool) (ps []perturbation) {
+	flip := func(v T) T {
+		switch x := any(v).(type) {
+		case float64:
+			return any(math.Float64frombits(math.Float64bits(x) ^ 1)).(T)
+		case int32:
+			return any(x ^ 1).(T)
+		default:
+			return any(x.(int64) ^ 1).(T)
+		}
+	}
+	for lo := 0; lo < len(s); lo += leafEntries {
+		for _, k := range []int{lo, min(lo+leafEntries, len(s)) - 1} {
+			ps = append(ps, set("one-bit flip at the edge of a "+what+" leaf", &s[k], flip(s[k]), moves))
+		}
+	}
+	return append(ps, swapped(what, s, moves))
+}
+
+// swapped is the swap of the first two leaves of s.
+func swapped[T any](what string, s []T, moves bool) perturbation {
+	return perturbation{"two " + what + " leaves swapped", func() func() {
+		swapLeaves(s)
+		return func() { swapLeaves(s) }
+	}, moves}
+}
+
+// shiftedIndex is the perturbation that moves one column index of a to
+// a neighbour that keeps its row sorted.
+func shiftedIndex(a *sparse.CSR, moves bool) perturbation {
+	k := 1
+	for a.ColIdx[k]-a.ColIdx[k-1] <= 1 {
+		k++
+	}
+	return set("single-index perturbation", &a.ColIdx[k], a.ColIdx[k]-1, moves)
+}
+
+// TestFingerprintMatrixSensitivity perturbs exactly one aspect of the
+// matrix at a time — a value, a column index, a dimension — and
+// requires a distinct key for each, while a byte-identical clone keys
+// identically; then every leaf edge of a matrix of three leaves an
+// array, two value leaves swapped, and each dimension alone.
+func TestFingerprintMatrixSensitivity(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a := testCSR(rng, 100, 4)
+	opt := core.DefaultOptions(4)
+	key := func(a *sparse.CSR) Key { return Fingerprint(a, opt) }
+	if key(cloneCSR(a)) != key(a) {
+		t.Fatal("identical clone fingerprints differently")
+	}
+	mid := len(a.Val) / 2 // one-ULP flip: smallest representable change
+	dim := func() func() {
+		rowPtr := a.RowPtr
+		a.Rows++ // structurally invalid, but the key must still differ
+		a.RowPtr = append(rowPtr[:len(rowPtr):len(rowPtr)], rowPtr[len(rowPtr)-1])
+		return func() { a.Rows, a.RowPtr = a.Rows-1, rowPtr }
+	}
+	checkPerturbations(t, key, a,
+		set("single-value perturbation", &a.Val[mid], math.Float64frombits(math.Float64bits(a.Val[mid])^1), true),
+		shiftedIndex(a, true), perturbation{"dimension perturbation", dim, true})
+	// -0.0 vs +0.0: distinct bits.
+	a.Val[0] = 0
+	checkPerturbations(t, key, a, set("+0.0 turned -0.0 (not exact-bits)", &a.Val[0], math.Copysign(0, -1), true))
+	big := leafyCSR(1)
+	checkPerturbations(t, key, big, append(edges("value", big.Val, true),
+		set("Rows alone", &big.Rows, big.Rows-1, true), set("Cols alone", &big.Cols, big.Cols+1, true))...)
+}
+
+// TestStructureFingerprint checks contentDigests' structure root, which
+// the structure+options key (and with it in-place updates) is composed
+// from: values don't participate (a value flip keys identically) while
+// any structural change — index, row pointer, dimension — does, leaf by
+// leaf on a matrix of three leaves an array.
+func TestStructureFingerprint(t *testing.T) {
+	structure := func(a *sparse.CSR) Key {
+		s, _, _ := contentDigests(a, false)
+		return s
+	}
+	rng := rand.New(rand.NewSource(7))
+	a := testCSR(rng, 100, 4)
+	if structure(cloneCSR(a)) != structure(a) {
+		t.Fatal("identical clone keys differently")
+	}
+	doubled := func() func() {
+		old := cloneCSR(a).Val
+		for i := range a.Val {
+			a.Val[i] *= 2
+		}
+		return func() { copy(a.Val, old) }
+	}
+	checkPerturbations(t, structure, a, perturbation{"value-only change", doubled, false},
+		shiftedIndex(a, true), set("dimension change", &a.Cols, a.Cols+1, true))
+	big := leafyCSR(2)
+	last := big.Rows - 1
+	checkPerturbations(t, structure, big, append(append(edges("RowPtr", big.RowPtr, true), edges("ColIdx", big.ColIdx, true)...),
+		set("the last row's entry count moved to the previous row", &big.RowPtr[last], big.RowPtr[last+1], true),
+		set("Rows alone", &big.Rows, last, true), swapped("value", big.Val, false))...)
+}
+
+// optionMoves holds a under base and under each of moves apart: in the
+// plan key and the structure+options key of the options as spelled;
+// without words in the registry key of any two of them; with words, each
+// move changes exactly one header word, its own, and together they
+// cover every word.
+func optionMoves(t *testing.T, a *sparse.CSR, base core.Options, words bool, moves map[string]func(*core.Options)) {
+	t.Helper()
+	s, v, err := contentDigests(a, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := headerWords(a, base)
+	if header[0] != uint64(a.Rows) || header[1] != uint64(a.Cols) || header[2] != uint64(len(a.ColIdx)) {
+		t.Fatalf("dimension words %v of an %dx%d matrix with %d entries", header[:3], a.Rows, a.Cols, len(a.ColIdx))
+	}
+	seen := map[Key]string{Fingerprint(a, base): "base"}
+	moved := map[int]string{0: "rows", 1: "cols", 2: "nnz"}
+	for name, set := range moves {
+		o := base
+		set(&o)
+		if k := Fingerprint(a, o); !words {
+			if prev, dup := seen[k]; dup {
+				t.Errorf("option %s collides with %s", name, prev)
+			}
+			seen[k] = name
+		}
+		if fingerprintWithParts(s, v, a, o) == fingerprintWithParts(s, v, a, base) {
+			t.Errorf("%s: plan keys collide", name)
+		}
+		if structOptKeyFromStruct(s, a, o) == structOptKeyFromStruct(s, a, base) {
+			t.Errorf("%s: structure+options keys collide", name)
+		}
+		var at []int
+		for i, w := range headerWords(a, o) {
+			if w != header[i] {
+				at = append(at, i)
+			}
+		}
+		if words && (len(at) != 1 || moved[at[0]] != "") {
+			t.Fatalf("%s moved header words %v (taken: %v)", name, at, moved)
+		}
+		if words {
+			moved[at[0]] = name
+		}
+	}
+	if words && len(moved) != len(header) {
+		t.Fatalf("%d header words, %d fields: %v", len(header), len(moved), moved)
+	}
+}
+
+// TestFingerprintOptionSensitivity flips each meaningful
+// (post-canonicalization) option field of the parallel FB defaults one
+// at a time, and LevelBlockBytes of a level-blocked plan, and requires
+// a distinct key for each.
+func TestFingerprintOptionSensitivity(t *testing.T) {
+	a := testCSR(rand.New(rand.NewSource(2)), 80, 4)
+	optionMoves(t, a, core.DefaultOptions(4), false, map[string]func(*core.Options){ // FB + BtB + 4 threads: ABMC applies
+		"Engine":    func(o *core.Options) { o.Engine = core.EngineStandard },
+		"BtB":       func(o *core.Options) { o.BtB = false },
+		"Threads":   func(o *core.Options) { o.Threads = 8 },
+		"NumBlocks": func(o *core.Options) { o.NumBlocks = 256 },
+	})
+	optionMoves(t, a, core.Options{Engine: core.EngineLevelBlocked}, false, map[string]func(*core.Options){
+		"LevelBlockBytes": func(o *core.Options) { o.LevelBlockBytes = 4096 },
+	})
+}
+
+// TestFingerprintBackendSensitivity: every word of the v8 header is one
+// field — the dimensions, the nonzero count, then each of the five
+// options — so moving one option moves exactly its own word, and with it
+// the plan key and the structure+options key.
+func TestFingerprintBackendSensitivity(t *testing.T) {
+	optionMoves(t, testCSR(rand.New(rand.NewSource(5)), 80, 4), core.Options{Engine: core.EngineForwardBackward}, true, map[string]func(*core.Options){
+		"Engine":          func(o *core.Options) { o.Engine = core.EngineLevelBlocked },
+		"BtB":             func(o *core.Options) { o.BtB = true },
+		"Threads":         func(o *core.Options) { o.Threads = 2 },
+		"NumBlocks":       func(o *core.Options) { o.NumBlocks = 16 },
+		"LevelBlockBytes": func(o *core.Options) { o.LevelBlockBytes = 256 },
+	})
+}
+
+// equivalent holds each pair of spellings to one canonical header and
+// one registry key.
+func equivalent(t *testing.T, a *sparse.CSR, pairs map[string][2]core.Options) {
+	t.Helper()
+	for name, p := range pairs {
+		if x, y := headerWords(a, p[0].Canonical()), headerWords(a, p[1].Canonical()); x != y {
+			t.Errorf("%s: %+v flattens to %v, %+v to %v", name, p[0], x, p[1], y)
+		}
+		if Fingerprint(a, p[0]) != Fingerprint(a, p[1]) {
+			t.Errorf("%s: keys differ but plans are interchangeable", name)
+		}
 	}
 }
 
@@ -192,217 +301,35 @@ func TestFingerprintOptionSensitivity(t *testing.T) {
 // a struct literal, defaulted vs explicit fields, and knobs that are
 // inert in the selected regime.
 func TestFingerprintCanonicalEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := testCSR(rng, 80, 4)
-
-	// Struct style vs functional style.
-	structKey := Fingerprint(a, core.Options{
-		Engine: core.EngineForwardBackward, BtB: true, Threads: 4,
+	explicit, inert := core.DefaultOptions(4), core.DefaultOptions(0)
+	explicit.NumBlocks, inert.NumBlocks = 512, 99
+	equivalent(t, testCSR(rand.New(rand.NewSource(3)), 80, 4), map[string][2]core.Options{
+		"struct-literal vs functional options": {{Engine: core.EngineForwardBackward, BtB: true, Threads: 4},
+			core.BuildOptions(core.WithEngine(core.EngineForwardBackward), core.WithBtB(true), core.WithThreads(4))},
+		"threads 0 vs 1":                  {core.DefaultOptions(0), core.DefaultOptions(1)},
+		"NumBlocks 0 vs explicit default": {core.DefaultOptions(4), explicit},
+		"BtB inert for standard engine":   {{Engine: core.EngineStandard}, {Engine: core.EngineStandard, BtB: true}},
+		"NumBlocks inert without ABMC":    {core.DefaultOptions(0), inert},
 	})
-	fnKey := Fingerprint(a, core.BuildOptions(
-		core.WithEngine(core.EngineForwardBackward),
-		core.WithBtB(true),
-		core.WithThreads(4),
-	))
-	if structKey != fnKey {
-		t.Error("struct-literal and functional options disagree")
-	}
-
-	pairs := []struct {
-		name string
-		x, y core.Options
-	}{
-		{"threads 0 vs 1", core.DefaultOptions(0), core.DefaultOptions(1)},
-		{"NumBlocks 0 vs explicit default", core.DefaultOptions(4), func() core.Options {
-			o := core.DefaultOptions(4)
-			o.NumBlocks = 512
-			return o
-		}()},
-		{"BtB inert for standard engine", core.Options{Engine: core.EngineStandard},
-			core.Options{Engine: core.EngineStandard, BtB: true}},
-		{"NumBlocks inert without ABMC", core.DefaultOptions(0), func() core.Options {
-			o := core.DefaultOptions(0)
-			o.NumBlocks = 99
-			return o
-		}()},
-	}
-	for _, p := range pairs {
-		if Fingerprint(a, p.x) != Fingerprint(a, p.y) {
-			t.Errorf("%s: keys differ but plans are interchangeable", p.name)
-		}
-	}
-}
-
-// TestFingerprintBackendSensitivity: every word of the v8 header is one
-// field — the dimensions, the nonzero count, then each of the five
-// options — so moving one option moves exactly its own word, and with it
-// the plan key and the structure+options key.
-func TestFingerprintBackendSensitivity(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := testCSR(rng, 80, 4)
-	s, v, err := contentDigests(a, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := core.Options{Engine: core.EngineForwardBackward}
-	words := headerWords(a, base)
-	if words[0] != uint64(a.Rows) || words[1] != uint64(a.Cols) || words[2] != uint64(len(a.ColIdx)) {
-		t.Fatalf("dimension words %v of an %dx%d matrix with %d entries", words[:3], a.Rows, a.Cols, len(a.ColIdx))
-	}
-	moved := map[int]string{0: "rows", 1: "cols", 2: "nnz"}
-	for name, set := range map[string]func(*core.Options){
-		"Engine":          func(o *core.Options) { o.Engine = core.EngineLevelBlocked },
-		"BtB":             func(o *core.Options) { o.BtB = true },
-		"Threads":         func(o *core.Options) { o.Threads = 2 },
-		"NumBlocks":       func(o *core.Options) { o.NumBlocks = 16 },
-		"LevelBlockBytes": func(o *core.Options) { o.LevelBlockBytes = 256 },
-	} {
-		o := base
-		set(&o)
-		var at []int
-		for i, w := range headerWords(a, o) {
-			if w != words[i] {
-				at = append(at, i)
-			}
-		}
-		if len(at) != 1 || moved[at[0]] != "" {
-			t.Fatalf("%s moved header words %v (taken: %v)", name, at, moved)
-		}
-		moved[at[0]] = name
-		if fingerprintWithParts(s, v, a, o) == fingerprintWithParts(s, v, a, base) {
-			t.Errorf("%s: plan keys collide", name)
-		}
-		if structOptKeyFromStruct(s, a, o) == structOptKeyFromStruct(s, a, base) {
-			t.Errorf("%s: structure+options keys collide", name)
-		}
-	}
-	if len(moved) != len(words) {
-		t.Fatalf("%d header words, %d fields: %v", len(words), len(moved), moved)
-	}
 }
 
 // TestFingerprintBackendCanonicalEquivalence: under every engine, the
 // spellings that differ only in knobs the engine never reads flatten to
 // the same v8 header words, so they are one registry key.
 func TestFingerprintBackendCanonicalEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := testCSR(rng, 80, 4)
+	pairs := map[string][2]core.Options{}
 	for _, eng := range []core.Engine{core.EngineStandard, core.EngineForwardBackward, core.EngineLevelBlocked, core.EngineAuto} {
 		base := core.Options{Engine: eng, Threads: 2}
-		spellings := []core.Options{base}
+		btb, lbb, nb := base, base, base
+		btb.BtB, lbb.LevelBlockBytes, nb.NumBlocks = true, 256, 99
 		if eng == core.EngineStandard || eng == core.EngineLevelBlocked {
-			o := base
-			o.BtB = true
-			spellings = append(spellings, o)
+			pairs[fmt.Sprint(eng, "/BtB")], pairs[fmt.Sprint(eng, "/NumBlocks")] = [2]core.Options{btb, base}, [2]core.Options{nb, base}
 		}
 		if eng != core.EngineLevelBlocked {
-			o := base
-			o.LevelBlockBytes = 256
-			spellings = append(spellings, o)
-		}
-		if eng == core.EngineStandard || eng == core.EngineLevelBlocked {
-			o := base
-			o.NumBlocks = 99
-			spellings = append(spellings, o)
-		}
-		want := headerWords(a, base.Canonical())
-		for _, o := range spellings[1:] {
-			if got := headerWords(a, o.Canonical()); got != want {
-				t.Errorf("%v: %+v flattens to %v, %+v to %v", eng, o, got, base, want)
-			}
-			if Fingerprint(a, o) != Fingerprint(a, base) {
-				t.Errorf("%v: %+v and %+v key differently but build the same plan", eng, o, base)
-			}
+			pairs[fmt.Sprint(eng, "/LevelBlockBytes")] = [2]core.Options{lbb, base}
 		}
 	}
-}
-
-// TestStructureFingerprint checks contentDigests' structure root, which
-// the structure+options key (and with it in-place updates) is composed
-// from: values don't participate (a value flip
-// keys identically) while any structural change — index, row pointer,
-// dimension — does.
-func TestStructureFingerprint(t *testing.T) {
-	structure := func(a *sparse.CSR) Key {
-		s, _, _ := contentDigests(a, false)
-		return s
-	}
-	rng := rand.New(rand.NewSource(7))
-	a := testCSR(rng, 100, 4)
-	base := structure(a)
-
-	if structure(cloneCSR(a)) != base {
-		t.Fatal("identical clone keys differently")
-	}
-
-	val := cloneCSR(a)
-	for i := range val.Val {
-		val.Val[i] *= 2
-	}
-	if structure(val) != base {
-		t.Fatal("value-only change altered the structure key")
-	}
-
-	idx := cloneCSR(a)
-	for k := 1; k < len(idx.ColIdx); k++ {
-		if idx.ColIdx[k]-idx.ColIdx[k-1] > 1 {
-			idx.ColIdx[k]--
-			break
-		}
-	}
-	if structure(idx) == base {
-		t.Fatal("column-index change not reflected in structure key")
-	}
-
-	dim := cloneCSR(a)
-	dim.Cols++
-	if structure(dim) == base {
-		t.Fatal("dimension change not reflected in structure key")
-	}
-
-	// Leaf by leaf on a matrix of three leaves an array.
-	big := leafyCSR(2)
-	base = structure(big)
-	differs := func(what string) {
-		t.Helper()
-		if structure(big) == base {
-			t.Errorf("%s not reflected in structure key", what)
-		}
-	}
-	for lo := 0; lo < len(big.RowPtr); lo += leafEntries {
-		for _, k := range []int{lo, min(lo+leafEntries, len(big.RowPtr)) - 1} {
-			big.RowPtr[k] ^= 1
-			differs("one-bit flip at the edge of a RowPtr leaf")
-			big.RowPtr[k] ^= 1
-		}
-	}
-	for lo := 0; lo < len(big.ColIdx); lo += leafEntries {
-		for _, k := range []int{lo, min(lo+leafEntries, len(big.ColIdx)) - 1} {
-			big.ColIdx[k] ^= 1
-			differs("one-bit flip at the edge of a ColIdx leaf")
-			big.ColIdx[k] ^= 1
-		}
-	}
-	swapLeaves(big.RowPtr)
-	differs("two RowPtr leaves swapped")
-	swapLeaves(big.RowPtr)
-	swapLeaves(big.ColIdx)
-	differs("two ColIdx leaves swapped")
-	swapLeaves(big.ColIdx)
-	last := big.RowPtr[big.Rows-1]
-	big.RowPtr[big.Rows-1] = big.RowPtr[big.Rows] // the last row's entries join the row before
-	differs("the last row's entry count moved to the previous row")
-	big.RowPtr[big.Rows-1] = last
-	big.Rows--
-	differs("Rows alone")
-	big.Rows++
-	if structure(big) != base {
-		t.Fatal("perturbations not undone")
-	}
-	swapLeaves(big.Val)
-	if structure(big) != base {
-		t.Fatal("value-only change altered the structure key of a multi-leaf matrix")
-	}
+	equivalent(t, testCSR(rand.New(rand.NewSource(6)), 80, 4), pairs)
 }
 
 // TestFingerprintWorkerIndependence: leaf boundaries are constants, so

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -183,7 +184,7 @@ func (r *Registry) AcquireCtx(ctx context.Context, a *sparse.CSR, opts ...core.O
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt := Canonicalize(core.BuildOptions(opts...))
+	opt := core.BuildOptions(opts...).Canonical()
 	if a == nil {
 		return nil, fmt.Errorf("registry: Acquire: nil matrix: %w", core.ErrInvalidMatrix)
 	}
@@ -333,7 +334,11 @@ func (r *Registry) acquire(ctx context.Context, a *sparse.CSR, opt core.Options,
 	closePlans(toClose...)
 
 	buildStart := time.Now()
-	// Every caller validated a on the way here, so the build need not.
+	// Every caller validated a on the way here, so the build need not. A
+	// cached standard plan runs on its own arrays: the content its key names.
+	if opt.Engine == core.EngineStandard {
+		a = &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: slices.Clone(a.RowPtr), ColIdx: slices.Clone(a.ColIdx), Val: slices.Clone(a.Val)}
+	}
 	plan, err := core.NewPlan(a, opt, core.WithValidated(a))
 	elapsed := time.Since(buildStart)
 	tl.Phase("registry.build", buildStart, buildStart.Add(elapsed))

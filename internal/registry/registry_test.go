@@ -56,9 +56,15 @@ func makeFixtures(t testing.TB, count int) []testFixture {
 	return fx
 }
 
-// checkExact verifies a churn result bitwise against the fixture.
-func (f *testFixture) checkExact(t *testing.T, y []float64) {
+// checkPlan runs the fixture's MPK on p, a plan the caller holds, and
+// verifies the result bitwise against the fixture. Any error means an
+// evicted-but-referenced plan was closed early: the use-after-Close bug.
+func (f *testFixture) checkPlan(t *testing.T, p *core.Plan) {
 	t.Helper()
+	y, err := p.MPK(f.x, churnPower)
+	if err != nil {
+		t.Errorf("MPK on a held plan: %v", err)
+	}
 	for i := range y {
 		if y[i] != f.want[i] {
 			t.Errorf("result diverges at [%d]: got %g want %g", i, y[i], f.want[i])
@@ -134,12 +140,7 @@ func TestRegistrySingleflight(t *testing.T) {
 				t.Errorf("Acquire: %v", err)
 				return
 			}
-			y, err := p.MPK(f.x, churnPower)
-			if err != nil {
-				t.Errorf("MPK on acquired plan: %v", err)
-			} else {
-				f.checkExact(t, y)
-			}
+			f.checkPlan(t, p)
 			if err := reg.Release(p); err != nil {
 				t.Errorf("Release: %v", err)
 			}
@@ -191,14 +192,7 @@ func TestRegistryChurn(t *testing.T) {
 					t.Errorf("worker %d: Acquire: %v", g, err)
 					return
 				}
-				y, err := p.MPK(f.x, churnPower)
-				if err != nil {
-					// Any error here means an evicted-but-referenced
-					// plan was closed early: the use-after-Close bug.
-					t.Errorf("worker %d: MPK on held plan: %v", g, err)
-				} else {
-					f.checkExact(t, y)
-				}
+				f.checkPlan(t, p)
 				if err := reg.Release(p); err != nil {
 					t.Errorf("worker %d: Release: %v", g, err)
 				}
@@ -311,11 +305,7 @@ func TestRegistryDeferredTeardown(t *testing.T) {
 	if held.Closed() {
 		t.Fatal("evicted-but-referenced plan was closed early")
 	}
-	y, err := held.MPK(fx[0].x, churnPower)
-	if err != nil {
-		t.Fatalf("MPK on evicted-but-referenced plan: %v", err)
-	}
-	fx[0].checkExact(t, y)
+	fx[0].checkPlan(t, held)
 
 	if err := reg.Release(held); err != nil {
 		t.Fatalf("Release held: %v", err)
@@ -361,11 +351,7 @@ func TestRegistryClose(t *testing.T) {
 	if held.Closed() {
 		t.Fatal("held plan closed by registry Close")
 	}
-	y, err := held.MPK(fx[0].x, churnPower)
-	if err != nil {
-		t.Fatalf("MPK on held plan after registry Close: %v", err)
-	}
-	fx[0].checkExact(t, y)
+	fx[0].checkPlan(t, held)
 	if err := reg.Release(held); err != nil {
 		t.Fatalf("final Release: %v", err)
 	}
@@ -416,7 +402,7 @@ func TestRegistryRejectsBadMatrix(t *testing.T) {
 // given. On audikw_1's stand-in, a natural-order plan and one on the
 // ABMC order of two workers are two entries, whichever was built first,
 // and a plan of other values through the registry is bitwise a fresh
-// plan of them.
+// plan of them — also after the caller wrote to the arrays it built from.
 func TestRegistryTuneVerdictCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	a := testCSR(rng, 300, 5)
@@ -489,6 +475,22 @@ func TestRegistryTuneVerdictCache(t *testing.T) {
 		audB.Val[i] *= 1.5
 	}
 	defer reg2.Release(freshBits(reg2, audB, std))
+
+	// A cached standard plan computes on the content its key names: after
+	// the caller scales the values it built from, an untouched copy of
+	// them acquires the same plan, unbuilt, with a fresh plan's bits.
+	c := testCSR(rng, 150, 4)
+	orig := cloneCSR(c)
+	p := freshBits(reg2, c, std)
+	reg2.Release(p)
+	for i := range c.Val {
+		c.Val[i] *= 3
+	}
+	builds := reg2.Stats().Builds
+	if q := freshBits(reg2, orig, std); q != p || reg2.Stats().Builds != builds {
+		t.Fatalf("an untouched copy of the values rebuilt or found another plan: %+v", reg2.Stats())
+	}
+	reg2.Release(p)
 }
 
 // TestRegistryTuneCountersInertForCSR: a standard-engine plan on the
@@ -546,7 +548,7 @@ func TestAcquireCtxCanceledWhileCoalesced(t *testing.T) {
 	fx := makeFixtures(t, 1)[0]
 	reg := New(4)
 	defer reg.Close()
-	opt := Canonicalize(core.BuildOptions(churnOptions()))
+	opt := core.BuildOptions(churnOptions()).Canonical()
 	key := Fingerprint(fx.a, opt)
 
 	// Plant an in-flight entry under the exact key AcquireCtx computes,
@@ -607,11 +609,7 @@ func TestAcquireCtxCanceledWhileCoalesced(t *testing.T) {
 	if got != p {
 		t.Fatal("Acquire after completed build returned a different plan")
 	}
-	y, err := got.MPK(fx.x, churnPower)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx.checkExact(t, y)
+	fx.checkPlan(t, got)
 	if err := reg.Release(got); err != nil {
 		t.Fatal(err)
 	}
@@ -655,12 +653,7 @@ func TestAcquireCtxChurn(t *testing.T) {
 					}
 					continue
 				}
-				y, err := p.MPK(fx.x, churnPower)
-				if err != nil {
-					t.Errorf("MPK on acquired plan: %v", err)
-				} else {
-					fx.checkExact(t, y)
-				}
+				fx.checkPlan(t, p)
 				if err := reg.Release(p); err != nil {
 					t.Errorf("Release: %v", err)
 				}
@@ -726,11 +719,7 @@ func TestAcquireKey(t *testing.T) {
 	if err != nil || byKey != p {
 		t.Fatalf("built key: plan %p (want %p), err %v", byKey, p, err)
 	}
-	y, err := byKey.MPK(fx[0].x, churnPower)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx[0].checkExact(t, y)
+	fx[0].checkPlan(t, byKey)
 	if s := reg.Stats(); s.Hits != 1 || s.Misses != 1 || s.Builds != 1 || s.Canceled != 1 || s.Live != 1 {
 		t.Fatalf("after one build and one hit by key: %+v", s)
 	}

@@ -58,7 +58,7 @@ func (r *Registry) UpdateValuesKeyed(ctx context.Context, a *sparse.CSR, opts ..
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt := Canonicalize(core.BuildOptions(opts...))
+	opt := core.BuildOptions(opts...).Canonical()
 	if a == nil {
 		return nil, Key{}, false, fmt.Errorf("registry: UpdateValues: nil matrix: %w", core.ErrInvalidMatrix)
 	}

@@ -16,17 +16,11 @@ import (
 // valueVariant deep-copies a with every value transformed, keeping the
 // structure bit-identical.
 func valueVariant(a *sparse.CSR, scale, shift float64) *sparse.CSR {
-	nv := make([]float64, len(a.Val))
-	for i, v := range a.Val {
-		nv[i] = scale*v + shift
+	b := cloneCSR(a)
+	for i, v := range b.Val {
+		b.Val[i] = scale*v + shift
 	}
-	return &sparse.CSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: append([]int64(nil), a.RowPtr...),
-		ColIdx: append([]int32(nil), a.ColIdx...),
-		Val:    nv,
-	}
+	return b
 }
 
 // TestRegistryUpdateValuesTransition covers the fingerprint-transition

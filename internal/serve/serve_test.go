@@ -77,18 +77,46 @@ func uploadSpec(t testing.TB, base string, spec GeneratorSpec) UploadResponse {
 	return up
 }
 
+// direct is what a plan of a under the daemon's options answers on the
+// default vector: MPK at power k, or with coeffs the combination.
+func direct(t *testing.T, a *fbmpk.Matrix, k int, coeffs []float64) []float64 {
+	t.Helper()
+	plan, err := fbmpk.NewPlan(a, testPlanOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plan.Close()
+	var y []float64
+	if coeffs == nil {
+		y, err = plan.MPK(DefaultVector(a.Rows), k)
+	} else {
+		y, err = plan.SSpMV(coeffs, DefaultVector(a.Rows))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return y
+}
+
 // postOp sends one operation request and decodes either response shape.
 func postOp(t *testing.T, base, op string, req OpRequest) (int, *OpResponse, *ErrorResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/v1/"+op, "application/json", bytes.NewReader(body))
+	return post[OpResponse](t, base+"/v1/"+op, "application/json", bytes.NewReader(body))
+}
+
+// post sends body to url and decodes an OK answer as T, any other as an
+// ErrorResponse.
+func post[T any](t *testing.T, url, contentType string, body io.Reader) (int, *T, *ErrorResponse) {
+	t.Helper()
+	resp, err := http.Post(url, contentType, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode == http.StatusOK {
-		var out OpResponse
+		var out T
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatalf("decoding OK body %q: %v", raw, err)
 		}
@@ -107,17 +135,8 @@ func TestUploadGeneratorAndMatrixMarket(t *testing.T) {
 
 	// Re-uploading the same spec must dedup onto the same key.
 	spec, _ := json.Marshal(GeneratorSpec{Name: "cant", Scale: 0.004, Seed: 1})
-	resp, err := http.Post(hts.URL+"/v1/matrix", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var again UploadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&again); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if again.Key != key || !again.Cached {
-		t.Fatalf("re-upload: key %s cached=%v, want %s cached=true", again.Key, again.Cached, key)
+	if _, again, e := post[UploadResponse](t, hts.URL+"/v1/matrix", "application/json", bytes.NewReader(spec)); again == nil || again.Key != key || !again.Cached {
+		t.Fatalf("re-upload: %+v (%+v), want key %s cached=true", again, e, key)
 	}
 
 	// The same matrix shipped as a MatrixMarket body lands on the same
@@ -126,28 +145,13 @@ func TestUploadGeneratorAndMatrixMarket(t *testing.T) {
 	if err := mmio.Write(&mm, testMatrix(t)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(hts.URL+"/v1/matrix", "text/plain", &mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mmUp UploadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mmUp); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if mmUp.Key != key {
-		t.Fatalf("MatrixMarket upload key %s != generator key %s", mmUp.Key, key)
+	if _, mmUp, e := post[UploadResponse](t, hts.URL+"/v1/matrix", "text/plain", &mm); mmUp == nil || mmUp.Key != key {
+		t.Fatalf("MatrixMarket upload %+v (%+v), want the generator key %s", mmUp, e, key)
 	}
 
 	// Garbage bodies are 400s, not parse panics.
-	resp, err = http.Post(hts.URL+"/v1/matrix", "text/plain", strings.NewReader("not a matrix"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage upload: %s, want 400", resp.Status)
+	if status, _, _ := post[UploadResponse](t, hts.URL+"/v1/matrix", "text/plain", strings.NewReader("not a matrix")); status != http.StatusBadRequest {
+		t.Fatalf("garbage upload: %d, want 400", status)
 	}
 }
 
@@ -155,18 +159,8 @@ func TestOpsMatchDirectPlanBitwise(t *testing.T) {
 	_, hts := newTestServer(t, Config{})
 	key := uploadTestMatrix(t, hts.URL)
 
-	a := testMatrix(t)
-	plan, err := fbmpk.NewPlan(a, testPlanOpts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plan.Close()
-
 	const k = 5
-	want, err := plan.MPK(DefaultVector(a.Rows), k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := direct(t, testMatrix(t), k, nil)
 
 	status, out, eresp := postOp(t, hts.URL, "mpk", OpRequest{Matrix: key, K: k})
 	if status != http.StatusOK {
@@ -210,14 +204,8 @@ func TestOpErrors(t *testing.T) {
 	if status != http.StatusBadRequest || eresp.Kind != KindBadRequest {
 		t.Fatalf("empty coeffs: %d %+v", status, eresp)
 	}
-	resp, err := http.Post(hts.URL+"/v1/mpk", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("truncated JSON: %s, want 400", resp.Status)
+	if status, _, _ := post[OpResponse](t, hts.URL+"/v1/mpk", "application/json", strings.NewReader("{")); status != http.StatusBadRequest {
+		t.Fatalf("truncated JSON: %d, want 400", status)
 	}
 }
 
@@ -313,18 +301,8 @@ func TestGracefulDrain(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 
 	key := uploadTestMatrix(t, base)
-	a := testMatrix(t)
-	plan, err := fbmpk.NewPlan(a, testPlanOpts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plan.Close()
 	const k = 24
-	want, err := plan.MPK(DefaultVector(a.Rows), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSum := Checksum(want)
+	wantSum := Checksum(direct(t, testMatrix(t), k, nil))
 
 	// Warm the plan cache so in-flight requests spend their time in
 	// execution, not in a build.
@@ -413,23 +391,9 @@ func TestConcurrentClients(t *testing.T) {
 	s, hts := newTestServer(t, Config{MaxInFlight: 3})
 	key := uploadTestMatrix(t, hts.URL)
 
-	a := testMatrix(t)
-	plan, err := fbmpk.NewPlan(a, testPlanOpts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plan.Close()
 	const k = 4
-	wantMPK, err := plan.MPK(DefaultVector(a.Rows), k)
-	if err != nil {
-		t.Fatal(err)
-	}
 	coeffs := []float64{1, 0.5, 0.25}
-	wantSS, err := plan.SSpMV(coeffs, DefaultVector(a.Rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSums := map[string]string{"mpk": Checksum(wantMPK), "sspmv": Checksum(wantSS)}
+	wantSums := map[string]string{"mpk": Checksum(direct(t, testMatrix(t), k, nil)), "sspmv": Checksum(direct(t, testMatrix(t), 0, coeffs))}
 
 	reqs := map[string]OpRequest{
 		"mpk":   {Matrix: key, K: k, Return: ReturnChecksum},
@@ -534,24 +498,7 @@ func postValues(t *testing.T, base, key string, a *fbmpk.Matrix) (int, *UpdateRe
 	if err := mmio.Write(&mm, a); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/v1/matrix/"+key+"/values", "text/plain", &mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode == http.StatusOK {
-		var out UpdateResponse
-		if err := json.Unmarshal(raw, &out); err != nil {
-			t.Fatalf("decoding OK body %q: %v", raw, err)
-		}
-		return resp.StatusCode, &out, nil
-	}
-	var eresp ErrorResponse
-	if err := json.Unmarshal(raw, &eresp); err != nil {
-		t.Fatalf("decoding error body %q: %v", raw, err)
-	}
-	return resp.StatusCode, nil, &eresp
+	return post[UpdateResponse](t, base+"/v1/matrix/"+key+"/values", "text/plain", &mm)
 }
 
 // TestValuesUpdateEndpoint drives the mutable-matrix surface end to
@@ -606,15 +553,7 @@ func TestValuesUpdateEndpoint(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("mpk after update: status %d", status)
 	}
-	ref, err := fbmpk.NewPlan(a2, testPlanOpts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want, err := ref.MPK(DefaultVector(a2.Rows), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := direct(t, a2, 3, nil)
 	if op2.Checksum != Checksum(want) {
 		t.Fatalf("post-update checksum %s != reference %s", op2.Checksum, Checksum(want))
 	}

@@ -38,63 +38,56 @@ func maxAbsDiff(t *testing.T, got, want []float64) float64 {
 	return d
 }
 
-func TestSELLSpMVRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for _, n := range []int{1, 7, 33, 100} {
+// rangeFormat is a storage format's whole and row-range SpMV.
+type rangeFormat interface {
+	SpMV(x, y []float64)
+	SpMVRange(x, y []float64, lo, hi int)
+}
+
+// checkRanges holds a format, built from a random matrix of each size
+// n in every shape, to refSpMV: whole, and piecewise over aligned and
+// unaligned storage-row splits (cut after the first cut rows, and just
+// past the middle).
+func checkRanges(t *testing.T, seed int64, ns []int, cut int, shapes [][2]int, build func(a *CSR, shape [2]int) rangeFormat) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for _, n := range ns {
 		a := randomCSR(rng, n, 4)
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = rng.Float64()*2 - 1
 		}
 		want := refSpMV(a, x)
-		for _, cfg := range [][2]int{{4, 1}, {4, 16}, {8, 32}, {16, 16}} {
-			s := ToSELL(a, cfg[0], cfg[1])
+		for _, shape := range shapes {
+			f := build(a, shape)
 			full := make([]float64, n)
-			s.SpMV(x, full)
+			f.SpMV(x, full)
 			if d := maxAbsDiff(t, full, want); d > 1e-12 {
-				t.Fatalf("n=%d C=%d sigma=%d: SpMV deviates %g", n, cfg[0], cfg[1], d)
+				t.Fatalf("n=%d shape=%v: SpMV deviates %g", n, shape, d)
 			}
-			// Piecewise over aligned and unaligned storage-row splits.
-			for _, cuts := range [][]int{{0, n}, {0, n / 2, n}, {0, 3, n/2 + 1, n}} {
+			for _, cuts := range [][]int{{0, n}, {0, n / 2, n}, {0, cut, n/2 + 1, n}} {
 				y := make([]float64, n)
 				for ci := 0; ci+1 < len(cuts); ci++ {
-					s.SpMVRange(x, y, cuts[ci], cuts[ci+1])
+					f.SpMVRange(x, y, cuts[ci], cuts[ci+1])
 				}
 				if d := maxAbsDiff(t, y, want); d > 1e-12 {
-					t.Fatalf("n=%d C=%d sigma=%d cuts=%v: SpMVRange deviates %g", n, cfg[0], cfg[1], cuts, d)
+					t.Fatalf("n=%d shape=%v cuts=%v: SpMVRange deviates %g", n, shape, cuts, d)
 				}
 			}
 		}
 	}
 }
 
+// TestSELLSpMVRange: SELL at chunk height C and sort window sigma.
+func TestSELLSpMVRange(t *testing.T) {
+	checkRanges(t, 71, []int{1, 7, 33, 100}, 3, [][2]int{{4, 1}, {4, 16}, {8, 32}, {16, 16}},
+		func(a *CSR, s [2]int) rangeFormat { return ToSELL(a, s[0], s[1]) })
+}
+
+// TestBSRSpMVRange: BSR at r x c blocks, square and not.
 func TestBSRSpMVRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for _, n := range []int{1, 6, 35, 99} {
-		a := randomCSR(rng, n, 4)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-		}
-		want := refSpMV(a, x)
-		for _, blk := range [][2]int{{2, 2}, {3, 3}, {4, 4}, {2, 3}, {5, 5}} {
-			b := ToBSR(a, blk[0], blk[1])
-			full := make([]float64, n)
-			b.SpMV(x, full)
-			if d := maxAbsDiff(t, full, want); d > 1e-12 {
-				t.Fatalf("n=%d r=%d c=%d: SpMV deviates %g", n, blk[0], blk[1], d)
-			}
-			for _, cuts := range [][]int{{0, n}, {0, n / 2, n}, {0, 1, n/2 + 1, n}} {
-				y := make([]float64, n)
-				for ci := 0; ci+1 < len(cuts); ci++ {
-					b.SpMVRange(x, y, cuts[ci], cuts[ci+1])
-				}
-				if d := maxAbsDiff(t, y, want); d > 1e-12 {
-					t.Fatalf("n=%d r=%d c=%d cuts=%v: SpMVRange deviates %g", n, blk[0], blk[1], cuts, d)
-				}
-			}
-		}
-	}
+	checkRanges(t, 73, []int{1, 6, 35, 99}, 1, [][2]int{{2, 2}, {3, 3}, {4, 4}, {2, 3}, {5, 5}},
+		func(a *CSR, s [2]int) rangeFormat { return ToBSR(a, s[0], s[1]) })
 }
 
 func TestCountBSRBlocks(t *testing.T) {

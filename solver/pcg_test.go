@@ -18,6 +18,19 @@ func consistentSystem(t *testing.T, p *fbmpk.Plan, n int, seed uint64) (xStar, b
 	return xStar, b
 }
 
+// recovers holds a solve's x to the known solution xStar of its
+// consistent system: max-norm error at most tol.
+func recovers(t *testing.T, what string, x, xStar []float64, tol float64) {
+	t.Helper()
+	maxErr := 0.0
+	for i := range x {
+		maxErr = math.Max(maxErr, math.Abs(x[i]-xStar[i]))
+	}
+	if maxErr > tol {
+		t.Errorf("%s error %g", what, maxErr)
+	}
+}
+
 func TestPCGPlainMatchesCG(t *testing.T) {
 	a, p := spdPlanMatrix(t, "G3_circuit", 0.002)
 	_, b := consistentSystem(t, p, a.Rows, 23)
@@ -51,13 +64,7 @@ func TestPCGJacobiConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxErr := 0.0
-	for i := range res.X {
-		maxErr = math.Max(maxErr, math.Abs(res.X[i]-xStar[i]))
-	}
-	if maxErr > 1e-6 {
-		t.Errorf("PCG-Jacobi error %g", maxErr)
-	}
+	recovers(t, "PCG-Jacobi", res.X, xStar, 1e-6)
 }
 
 func TestPCGSymGSAcceleratesCG(t *testing.T) {
@@ -90,22 +97,12 @@ func TestPCGSymGSParallelPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	xStar := pseudoVec(a.Rows, 37)
-	b, err := p.MPK(xStar, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xStar, b := consistentSystem(t, p, a.Rows, 37)
 	res, err := PCG(p, b, &SymGSPreconditioner{Plan: p, Sweeps: 1}, 1e-9, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxErr := 0.0
-	for i := range res.X {
-		maxErr = math.Max(maxErr, math.Abs(res.X[i]-xStar[i]))
-	}
-	if maxErr > 1e-5 {
-		t.Errorf("parallel-plan PCG error %g", maxErr)
-	}
+	recovers(t, "parallel-plan PCG", res.X, xStar, 1e-5)
 }
 
 func TestPCGEdgeCases(t *testing.T) {

@@ -63,22 +63,12 @@ func TestGershgorinBoundsSpectrum(t *testing.T) {
 func TestCGConverges(t *testing.T) {
 	a, p := spdPlanMatrix(t, "G3_circuit", 0.002)
 	n := a.Rows
-	xStar := pseudoVec(n, 5)
-	b, err := p.MPK(xStar, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xStar, b := consistentSystem(t, p, n, 5)
 	res, err := CG(p, b, 1e-10, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxErr := 0.0
-	for i := range res.X {
-		maxErr = math.Max(maxErr, math.Abs(res.X[i]-xStar[i]))
-	}
-	if maxErr > 1e-6 {
-		t.Errorf("CG error %g", maxErr)
-	}
+	recovers(t, "CG", res.X, xStar, 1e-6)
 	// Residual history must be monotone-ish down to the tolerance.
 	first, last := res.Residuals[0], res.Residuals[len(res.Residuals)-1]
 	if last >= first {
@@ -124,11 +114,7 @@ func TestChebyshevSolveConvergesWithDegree(t *testing.T) {
 	if lo <= 0 {
 		lo = hi * 1e-4
 	}
-	xStar := pseudoVec(a.Rows, 11)
-	b, err := p.MPK(xStar, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, b := consistentSystem(t, p, a.Rows, 11)
 	prev := math.Inf(1)
 	for _, k := range []int{2, 4, 8} {
 		x, err := ChebyshevSolve(p, b, lo, hi, k)
