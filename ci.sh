@@ -29,23 +29,26 @@ go test ./...
 # Keeping the registry's updated entry in the key map through the swap
 # took the second to 15,203; dropping ForceABMC and SelfCheck (the
 # standard engine's reorder branch and the build-time audit, now test
-# code) took them to 4,993 and 14,973.
+# code) took them to 4,993 and 14,973; removing the solvers that apply A
+# one vector at a time (GMRES, Lanczos) and the uncalled WithOptions
+# took them to 4,988 and 14,640.
 lines=$(cat $(ls internal/core/*.go internal/sparse/*.go internal/core/*.s internal/sparse/*.s 2> /dev/null | grep -v _test.go) | wc -l)
-[ "$lines" -le 4993 ]
+[ "$lines" -le 4988 ]
 lines=$(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 14973 ]
+[ "$lines" -le 14640 ]
 # Test-lines ratchet (ROADMAP item 23(a)): every _test.go outside
 # benchmark/, which should fall toward the product count. Set at the
 # count the first ratcheted tree has and lowered by each fold (18,679,
-# then 17,708 when core's differential tests shared one driver); a PR
-# may raise it only by a count it prices in CHANGES.md.
+# then 17,708 when core's differential tests shared one driver, then
+# 17,599 when GMRES and Lanczos went with their tests); a PR may raise
+# it only by a count it prices in CHANGES.md.
 lines=$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
-[ "$lines" -le 17708 ]
+[ "$lines" -le 17599 ]
 # Test-name floor (ROADMAP item 23(b)): folds share test bodies, never
 # drop a test. The top-level Test, Fuzz and Example names only go up; a
 # PR that retires one on purpose lowers this and names it in CHANGES.md.
 names=$(go test -list '.*' ./... | grep -cE '^(Test|Fuzz|Example)')
-[ "$names" -ge 442 ]
+[ "$names" -ge 435 ]
 # Kernel layout (ROADMAP "Three standing rules"): code layout moves the
 # 64-byte phase of the hot kernels in the benchmark binary, and a kernel
 # metric can move with it though no kernel changed. Printed, not gated:

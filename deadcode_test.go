@@ -17,7 +17,6 @@ var liveWithoutCaller = map[string]string{
 	"Plan.SSpMVComplex":     "public API: fbmpk.Plan aliases core.Plan",
 	"Plan.UpdateValues":     "public API: fbmpk.Plan aliases core.Plan",
 	"Registry.UpdateValues": "public API: fbmpk.Registry aliases registry.Registry",
-	"newCondBarrier":        "the baseline of the barrier microbenchmark",
 }
 
 // TestNoTestOnlyProductCode fails on a function, method, or package-level

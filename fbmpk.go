@@ -159,12 +159,8 @@ type PlanMetrics = core.PlanMetrics
 type Options = core.Options
 
 // Option is a functional configuration knob for NewPlan; see
-// WithThreads, WithEngine, ... and WithOptions.
+// WithThreads, WithEngine, ..., or pass an Options value.
 type Option = core.Option
-
-// WithOptions replaces the entire plan configuration with o —
-// identical to passing o directly as an option.
-func WithOptions(o Options) Option { return core.WithOptions(o) }
 
 // WithEngine selects the MPK pipeline (EngineForwardBackward is the
 // default).

@@ -167,11 +167,6 @@ func BuildOptions(opts ...Option) Options {
 	return o
 }
 
-// WithOptions replaces the entire configuration with o (identical to
-// passing o directly; provided for call sites that prefer the With*
-// form throughout).
-func WithOptions(o Options) Option { return o }
-
 // WithEngine selects the MPK pipeline.
 func WithEngine(e Engine) Option {
 	return optionFunc(func(o *Options) { o.Engine = e })

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -57,37 +56,4 @@ func (b *Barrier) Wait() {
 			runtime.Gosched()
 		}
 	}
-}
-
-// condBarrier is the previous sync.Cond-based barrier, kept (unexported)
-// as the comparison baseline for the barrier microbenchmarks.
-type condBarrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	waiting int
-	gen     uint64
-}
-
-func newCondBarrier(parties int) *condBarrier {
-	b := &condBarrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *condBarrier) Wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }

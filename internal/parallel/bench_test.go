@@ -1,6 +1,9 @@
 package parallel
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func BenchmarkPoolRunOverhead(b *testing.B) {
 	p := NewPool(4)
@@ -40,6 +43,39 @@ func BenchmarkBarrierRoundCond(b *testing.B) {
 			bar.Wait()
 		}
 	})
+}
+
+// condBarrier is the previous sync.Cond-based barrier, the comparison
+// baseline of BenchmarkBarrierRoundCond.
+type condBarrier struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	parties int
+	waiting int
+	gen     uint64
+}
+
+func newCondBarrier(parties int) *condBarrier {
+	b := &condBarrier{parties: parties}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+func (b *condBarrier) Wait() {
+	b.mu.Lock()
+	gen := b.gen
+	b.waiting++
+	if b.waiting == b.parties {
+		b.waiting = 0
+		b.gen++
+		b.cond.Broadcast()
+		b.mu.Unlock()
+		return
+	}
+	for gen == b.gen {
+		b.cond.Wait()
+	}
+	b.mu.Unlock()
 }
 
 func BenchmarkPartitionRows(b *testing.B) {

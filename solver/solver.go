@@ -19,7 +19,7 @@ import (
 var ErrNotConverged = errors.New("solver: not converged")
 
 // ErrBreakdown is returned when an iteration encounters a zero
-// direction or pivot (e.g. Lanczos basis breakdown).
+// direction or pivot (e.g. a CG direction of non-positive curvature).
 var ErrBreakdown = errors.New("solver: breakdown")
 
 // Gershgorin returns an interval [lo, hi] containing all eigenvalues

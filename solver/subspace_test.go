@@ -9,6 +9,25 @@ import (
 	"fbmpk"
 )
 
+// diagPlan builds a serial FBMPK plan on the diagonal matrix diag(diag).
+func diagPlan(t *testing.T, diag []float64) *fbmpk.Plan {
+	t.Helper()
+	n := len(diag)
+	tr, err := fbmpk.NewTriplets(n, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range diag {
+		tr.Add(i, i, v)
+	}
+	p, err := fbmpk.NewPlan(tr.ToCSR(), fbmpk.Options{Engine: fbmpk.EngineForwardBackward, BtB: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
 func TestJacobiEigenDiagonalizes(t *testing.T) {
 	a := [][]float64{
 		{4, 1, 0.5},
